@@ -1,9 +1,11 @@
 // Serving benchmark entries: the PR 8 batched multi-source BFS kernel
-// against its solo counterpart, plus the warmed point-query path of
-// the serving daemon. The speedup gate (TestBatchSpeedupGate) divides
+// against its solo counterpart, the batch certificate against the
+// per-lane one, plus the warmed point-query path of the serving daemon.
+// The speedup gate (TestBatchSpeedupGate) divides
 // serve-bfs-single-dotaleague by serve-bfs-batch64-dotaleague/64 to
-// check the per-query amortization claim; entry names are stable
-// identifiers (BENCH_pr8.json keys).
+// check the per-query amortization claim, sweep only and with both
+// sides' certificates added; entry names are stable identifiers
+// (BENCH_pr8.json keys).
 package perf
 
 import (
@@ -53,6 +55,18 @@ func ServeSuite(scale int, seed int64) []Bench {
 		panic(err)
 	}
 
+	// The certify entries check one finished sweep over and over:
+	// what the serving dispatcher pays after every cold batch.
+	trees, err := algo.BFSMultiSource(ctx, dota, srcs, opt)
+	if err != nil {
+		panic(err)
+	}
+	results := make([]*algo.BFSResult, len(trees))
+	for l, t := range trees {
+		results[l] = &t.BFSResult
+	}
+	var cert algo.BFSBatchValidator
+
 	return []Bench{
 		{
 			// Solo baseline: one direction-optimizing BFS, the cost a
@@ -79,6 +93,37 @@ func ServeSuite(scale int, seed int64) []Bench {
 			},
 		},
 		{
+			// The certificate as PR 8 shipped it: the batch's 64 lanes
+			// checked one ValidateBFS walk of the graph each.
+			Name: "serve-certify-perlane64-dotaleague",
+			Run: func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for l, src := range srcs {
+						if err := algo.ValidateBFS(dota, src, results[l]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			},
+		},
+		{
+			// The same 64 lanes under the word-parallel certificate, on
+			// the dispatcher's reused planes. The gate requires
+			// perlane64/batch64 >= 8x.
+			Name: "serve-certify-batch64-dotaleague",
+			Run: func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, err := range cert.Validate(dota, srcs, results) {
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			},
+		},
+		{
 			// Warmed serving path: admission, cache lookup, answer
 			// construction. This is the per-query cost the sustained
 			// QPS figure in BENCH_pr8.json is built from.
@@ -99,7 +144,7 @@ func ServeSuite(scale int, seed int64) []Bench {
 // into path under the given phase (BENCH_pr8.json).
 func WriteServeBaseline(path, phase string) (*Baseline, error) {
 	return writeSuiteBaseline(path, phase,
-		"graphbench serving perf baseline: solo BFS vs 64-lane batched multi-source BFS, warmed point-query path (see internal/perf/serve.go)",
+		"graphbench serving perf baseline: solo BFS vs 64-lane batched multi-source BFS, per-lane vs batch certificate, warmed point-query path (see internal/perf/serve.go)",
 		BaselineScale, func() map[string]*Metrics {
 			return MeasureSuite(ServeSuite(BaselineScale, BaselineSeed))
 		})

@@ -87,9 +87,10 @@ type Config struct {
 	// QueueDepth bounds the execution queue; admission beyond it fails
 	// with ErrOverloaded (default 1024).
 	QueueDepth int
-	// QueryTimeout is the per-query deadline (default 200ms — wide
-	// enough for a cold full batch to sweep AND certify all 64 lanes;
-	// warm queries answer in microseconds).
+	// QueryTimeout is the per-query deadline (default 200ms — a cold
+	// full batch sweeps and certifies its 64 lanes in a few
+	// milliseconds, so this leaves room for some dozens of batches
+	// queued ahead; warm queries answer in microseconds).
 	QueryTimeout time.Duration
 	// ResultCacheSize bounds the per-dataset result caches, in source
 	// vertices (default 8192).
@@ -103,11 +104,11 @@ type Config struct {
 	// Costs O(iterations × vertices) memory per dataset; the stream
 	// gate turns it on, plain serving leaves it off.
 	TrackRanks bool
-	// SkipValidate disables the ValidateBFS check on each executed
-	// lane before its tree may serve answers, the CheckBFS certificate
-	// on snapshot-path BFS answers, and the incremental-vs-full
-	// equivalence checks at compaction points. Only benchmarks that
-	// isolate sweep cost should set it.
+	// SkipValidate disables the ValidateBFSBatch certificate on each
+	// executed batch before its trees may serve answers, the CheckBFS
+	// certificate on snapshot-path BFS answers, and the
+	// incremental-vs-full equivalence checks at compaction points.
+	// Only benchmarks that isolate sweep cost should set it.
 	SkipValidate bool
 	// Obs receives spans (batch executions) and counters; nil disables.
 	Obs *obs.Session

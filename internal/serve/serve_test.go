@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -279,6 +280,14 @@ func TestHandlerTable(t *testing.T) {
 			if rec.Code != 200 {
 				t.Fatalf("%s: %d", path, rec.Code)
 			}
+			if path != "/metricz" {
+				continue
+			}
+			for _, name := range []string{"serve.certify.ns", "serve.certify.lanes", "serve.certify.failures"} {
+				if !strings.Contains(rec.Body.String(), name) {
+					t.Fatalf("/metricz does not list %s", name)
+				}
+			}
 		}
 	})
 	t.Run("wrong method", func(t *testing.T) {
@@ -350,6 +359,144 @@ func TestHandlerDeadline(t *testing.T) {
 	rec := postJSON(s.Handler(), "/query/bfs", `{"dataset":"DotaLeague","src":2,"target":3}`)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("expired deadline answered %d, want 504 (%s)", rec.Code, rec.Body.String())
+	}
+}
+
+// seamBatcher is a batcher over the test server's graph whose sweep
+// seam and queue the caller may set up before starting the dispatcher.
+func seamBatcher(t *testing.T, sess *obs.Session) (*batcher, *graph.Graph) {
+	t.Helper()
+	s := newTestServer(t, nil)
+	g, err := s.Graph("DotaLeague")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := &Config{Obs: sess, BatchWindow: 10 * time.Second, QueryTimeout: 30 * time.Second}
+	cfg.fill()
+	return buildBatcher(g, cfg), g
+}
+
+// TestCertificateFailureIsolated damages one lane of a full batch
+// between the sweep and the certificate. That lane's waiters — both of
+// them — must get the certificate error and the lane must stay out of
+// the cache; the other 63 lanes answer and are cached; and asking for
+// the failed source again sweeps it afresh and succeeds.
+func TestCertificateFailureIsolated(t *testing.T) {
+	sess := obs.NewSession(obs.Options{NoSampler: true})
+	b, g := seamBatcher(t, sess)
+	n := g.NumVertices()
+	srcs := make([]graph.VertexID, algo.MaxBFSLanes)
+	for l := range srcs {
+		srcs[l] = graph.VertexID(l * (n / len(srcs)))
+	}
+	bad := srcs[17]
+
+	damaged := false
+	b.sweep = func(ctx context.Context, g *graph.Graph, batch []graph.VertexID, opt algo.GapOptions) ([]*algo.BFSTree, error) {
+		trees, err := algo.BFSMultiSource(ctx, g, batch, opt)
+		for l, src := range batch {
+			if err != nil || damaged || src != bad {
+				continue
+			}
+			damaged = true
+			levels := trees[l].Levels
+			for v := range levels {
+				if levels[v] == 2 { // one vertex a level too deep: an arc now skips a level
+					levels[v] = 3
+					break
+				}
+			}
+		}
+		return trees, err
+	}
+
+	// The batch closes at 64 distinct sources, so queue the duplicate
+	// waiter of the bad source ahead of the last distinct one, and
+	// everything ahead of the dispatcher.
+	order := append([]graph.VertexID{bad}, srcs...)
+	waiters := make([]bfsWaiter, len(order))
+	for i, src := range order {
+		waiters[i] = bfsWaiter{src: src, done: make(chan bfsOutcome, 1)}
+		b.queue <- waiters[i]
+	}
+	go b.dispatch()
+	defer b.stop()
+
+	for _, w := range waiters {
+		out := <-w.done
+		if w.src == bad {
+			if out.err == nil || !strings.Contains(out.err.Error(), "certificate failed") {
+				t.Fatalf("damaged lane answered with error %v, want the certificate error", out.err)
+			}
+			continue
+		}
+		if out.err != nil {
+			t.Fatalf("sound lane %d failed beside the damaged one: %v", w.src, out.err)
+		}
+		if b.lookup(w.src) != out.tree {
+			t.Fatalf("sound lane %d answered but is not the cached tree", w.src)
+		}
+	}
+	if b.lookup(bad) != nil {
+		t.Fatal("a lane with a failed certificate entered the result cache")
+	}
+	reg := sess.R()
+	if lanes, failures := reg.Counter("serve.certify.lanes").Get(), reg.Counter("serve.certify.failures").Get(); lanes != algo.MaxBFSLanes || failures != 1 {
+		t.Fatalf("serve.certify.lanes = %d, failures = %d, want 64 and 1", lanes, failures)
+	}
+	if reg.Counter("serve.certify.ns").Get() <= 0 {
+		t.Fatal("serve.certify.ns not counted")
+	}
+
+	b.cfg.BatchWindow = time.Millisecond // the retry rides alone
+	tree, cached, err := b.tree(context.Background(), bad)
+	if err != nil || cached {
+		t.Fatalf("retry of the failed source: cached=%v err=%v, want a fresh certified sweep", cached, err)
+	}
+	if want := algo.BFSDirOpt(g, bad, algo.GapOptions{}); tree.Visited != want.Visited || tree.Levels[0] != want.Levels[0] {
+		t.Fatal("retry answered a tree that disagrees with the solo kernel")
+	}
+	if b.lookup(bad) != tree {
+		t.Fatal("retried source not cached")
+	}
+	if got := reg.Counter("serve.deadlines").Get(); got != 0 {
+		t.Fatalf("serve.deadlines = %d after certificate failures, want 0", got)
+	}
+}
+
+// TestSweepErrorDeadlineCount: a failed sweep fails every waiter of the
+// batch with the sweep's error, and serve.deadlines counts waiters —
+// not lanes — and only when the error is the deadline.
+func TestSweepErrorDeadlineCount(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int64
+	}{
+		{errors.New("sweep broke"), 0},
+		{fmt.Errorf("%w at level 2", algo.ErrDeadlineExceeded), 3},
+	} {
+		sess := obs.NewSession(obs.Options{NoSampler: true})
+		b, _ := seamBatcher(t, sess)
+		b.cfg.BatchWindow = time.Millisecond
+		b.sweep = func(context.Context, *graph.Graph, []graph.VertexID, algo.GapOptions) ([]*algo.BFSTree, error) {
+			return nil, tc.err
+		}
+		go b.dispatch()
+		var wg sync.WaitGroup
+		for _, src := range []graph.VertexID{4, 4, 9} { // two lanes, three waiters
+			wg.Add(1)
+			go func(src graph.VertexID) {
+				defer wg.Done()
+				if _, _, err := b.tree(context.Background(), src); !errors.Is(err, tc.err) {
+					t.Errorf("waiter on %d got %v, want %v", src, err, tc.err)
+				}
+			}(src)
+		}
+		wg.Wait()
+		b.stop()
+		if got := sess.R().Counter("serve.deadlines").Get(); got != tc.want {
+			t.Fatalf("sweep error %q: serve.deadlines = %d, want %d", tc.err, got, tc.want)
+		}
 	}
 }
 

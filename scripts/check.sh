@@ -79,10 +79,10 @@ go test -race -short \
     ./internal/graph/... \
     ./internal/obs/...
 
-echo "== fuzz seed smoke (graph text reader + partitioners + delta log)"
+echo "== fuzz seed smoke (graph text reader + partitioners + delta log + batch certificate)"
 # Run every checked-in fuzz seed (plus any locally grown corpus)
 # through the fuzz targets once, without fuzzing for new inputs.
-go test -run 'Fuzz' ./internal/graph/ ./internal/partition/ ./internal/evolve/
+go test -run 'Fuzz' ./internal/graph/ ./internal/partition/ ./internal/evolve/ ./internal/algo/
 
 if [ "$run_chaos" = 1 ]; then
     echo "== chaos smoke (one seeded fault plan per engine)"
@@ -117,8 +117,8 @@ if [ "$run_gap" = 1 ]; then
 fi
 
 if [ "$run_serve" = 1 ]; then
-    echo "== serving gate (batch equivalence + handlers under -race, amortization gate, loadtest smoke)"
-    go test -race -run 'BFSMultiSource' ./internal/algo/
+    echo "== serving gate (batch equivalence + batch certificate + handlers under -race, amortization gate, loadtest smoke)"
+    go test -race -run 'BFSMultiSource|ValidateBFSBatch' ./internal/algo/
     go test -race ./internal/serve/
     go test -run 'TestBatchSpeedupGate' .
     go run ./cmd/graphbench loadtest -users 200 -duration 2s -arrival poisson
