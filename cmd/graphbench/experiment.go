@@ -9,10 +9,6 @@ import (
 	"repro/internal/experiment"
 )
 
-// experimentCmd runs `graphbench experiment <spec.json|dir> ...`: load
-// every spec, execute its run matrix with n-repetition statistics and
-// output validation, write one report bundle per spec, and exit
-// non-zero if any cell is INVALID or any leg breaches the CV ceiling.
 // experimentDiffCmd compares two report bundles' results.json files:
 // `graphbench experiment-diff a/results.json b/results.json`. Exits
 // non-zero when a cell's status or validation changed, or a projected
@@ -35,7 +31,11 @@ func experimentDiffCmd(aPath, bPath string) {
 	}
 }
 
-func experimentCmd(args []string, cacheDir string) {
+// experimentCmd runs `graphbench experiment <spec.json|dir> ...`: load
+// every spec, execute its run matrix with n-repetition statistics and
+// output validation, write one report bundle per spec, and exit
+// non-zero if any cell is INVALID or any leg breaches the CV ceiling.
+func experimentCmd(e *env, args []string) {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, `usage: graphbench [flags] experiment [-out DIR] [-reps N] [-cold-reps N] [-max-cv X] <spec.json|dir> ...
@@ -100,7 +100,7 @@ validation or any leg's wall-clock CV exceeds the spec's cv_ceiling.`)
 				dir = filepath.Join(*out, experiment.DefaultBundleDir(spec))
 			}
 		}
-		d := &experiment.Driver{Spec: *spec, CacheDir: cacheDir, Log: os.Stderr}
+		d := &experiment.Driver{Spec: *spec, CacheDir: e.cache, Log: os.Stderr}
 		res, err := d.Run()
 		if err != nil {
 			fatal("experiment: %v", err)
@@ -108,7 +108,7 @@ validation or any leg's wall-clock CV exceeds the spec's cv_ceiling.`)
 		if err := res.WriteBundle(dir); err != nil {
 			fatal("experiment: writing bundle: %v", err)
 		}
-		emit(res.Table())
+		e.emit(res.Table())
 		fmt.Println(res.Summary())
 		fmt.Printf("bundle: %s\n", dir)
 		if res.Failed() {

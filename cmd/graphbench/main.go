@@ -1,30 +1,50 @@
 // Command graphbench runs the paper's experiments and prints the
 // corresponding tables and figures.
 //
-// Usage:
+// Usage: graphbench [flags] <command> [arguments]
 //
-//	graphbench [flags] table <2|3|4|5|6|7|8>
-//	graphbench [flags] figure <1|2|3|4|5-7|8-10|11|12|13|14|15|16> [dataset]
-//	graphbench [flags] run <platform> <algorithm> <dataset>
-//	graphbench [flags] chaos <engine> [algorithm] [dataset]
-//	graphbench [flags] curves <platform> [measured]
-//	graphbench [flags] serve [-addr HOST:PORT]
-//	graphbench [flags] loadtest [-users N -arrival poisson -duration 30s]
-//	graphbench [flags] stream [-mix 90/10,70/30 -chaos]
-//	graphbench experiment-diff <a/results.json> <b/results.json>
-//	graphbench bench-check [baseline.json ...]
-//	graphbench [flags] experiment [-out DIR] <spec.json|dir> ...
-//	graphbench [flags] all
+// The command list below is the one `graphbench` prints without
+// arguments; both come from the command table in this file
+// (TestPackageCommentListsCommands keeps them equal).
 //
-// Flags:
+//	table <2-8>
+//	    regenerate one table of the paper
+//	figure <1-16|5-7|8-10> [dataset]
+//	    regenerate one figure (dataset picks the panel of 11-14)
+//	all
+//	    every table and figure, in report_full.txt order
+//	findings
+//	    check the paper's ten key findings against live runs
+//	run <platform> <algorithm> <dataset>
+//	    one experiment: status, T, Tc/To, EPS/VPS
+//	explore <platform>
+//	    exploratory test: every algorithm x dataset once, validated
+//	loadtest <platform> <algorithm> <dataset> | [-users N -duration D -arrival A]
+//	    load test: one cell x 10 repetitions; with flags, closed-loop users against an in-process serving daemon
+//	predict <platform> <algorithm> <dataset>
+//	    worst-case boundary prediction without running
+//	chaos <engine> [algorithm] [dataset]
+//	    fault-injected run must match the fault-free run
+//	curves <platform> [measured]
+//	    100-point resource curves as CSV
+//	partition-quality <dataset>
+//	    static quality of every partitioning strategy
+//	partition-study
+//	    strategy x platform x dataset placement study
+//	experiment [-out DIR -reps N] <spec|dir> ...
+//	    run experiment specs into validated report bundles
+//	experiment-diff <a/results.json> <b/...json>
+//	    compare two report bundles cell by cell
+//	serve [-addr HOST:PORT -datasets LIST]
+//	    HTTP graph-serving daemon
+//	stream [-mix 90/10,70/30] [-chaos]
+//	    concurrent read/write sweep over an evolving graph
+//	bench <suite> <before|after> [file] | check [file ...]
+//	    measure one perf suite into its BENCH_*.json; check re-measures committed baselines (>25% worse fails)
 //
-//	-scale N     extra down-scaling of every dataset (default 1; try 40
-//	             for a quick pass)
-//	-seed N      generation seed (default 42)
-//	-nodes N     cluster size for `run` (default 20)
-//	-cores N     cores per node for `run` (default 1)
-//	-trace F     write the run's spans as a Chrome trace_event file
-//	-metrics F   write the run's counters and resource samples as JSON
+// Flags (before the command) scale the datasets, size the cluster,
+// pick a placement and write traces; `graphbench` without arguments
+// lists them with their defaults.
 package main
 
 import (
@@ -45,288 +65,170 @@ import (
 	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/platform"
-	"repro/internal/process"
 )
 
+// env is what a command runs with: the harness built from the global
+// flags, and the flag values commands read directly.
+type env struct {
+	h      *bench.Harness
+	sess   *obs.Session
+	render func(bench.Table) string
+
+	scale, nodes, cores, shards int
+	seed, faultSeed             int64
+	cache                       string
+}
+
+func (e *env) hw() cluster.Hardware { return cluster.DAS4(e.nodes, e.cores) }
+
+func (e *env) emit(ts ...bench.Table) {
+	for _, t := range ts {
+		fmt.Print(e.render(t))
+	}
+}
+
+// command is one row of the command table.
+type command struct {
+	name string
+	// args is the argument synopsis usage prints; min is how many
+	// arguments the command needs before it can run.
+	args string
+	help string
+	min  int
+	run  func(e *env, args []string)
+}
+
+// commandTable is a function, not a variable: the commands call
+// usage, which reads the table.
+func commandTable() []command {
+	return []command{
+		{"table", "<2-8>", "regenerate one table of the paper", 1,
+			func(e *env, a []string) { e.emitOrFatal(e.h.RenderTable(a[0])) }},
+		{"figure", "<1-16|5-7|8-10> [dataset]", "regenerate one figure (dataset picks the panel of 11-14)", 1,
+			func(e *env, a []string) {
+				ds := "DotaLeague"
+				if len(a) > 1 {
+					ds = a[1]
+				}
+				e.emitOrFatal(e.h.RenderFigure(a[0], ds))
+			}},
+		{"all", "", "every table and figure, in report_full.txt order", 0,
+			func(e *env, _ []string) {
+				e.h.Report(func(panels []bench.Table) {
+					e.emit(panels...)
+					fmt.Println()
+				})
+			}},
+		{"findings", "", "check the paper's ten key findings against live runs", 0,
+			func(e *env, _ []string) { e.emit(e.h.FindingsTable()) }},
+		{"run", "<platform> <algorithm> <dataset>", "one experiment: status, T, Tc/To, EPS/VPS", 3, runCmd},
+		{"explore", "<platform>", "exploratory test: every algorithm x dataset once, validated", 1, exploreCmd},
+		{"loadtest", "<platform> <algorithm> <dataset> | [-users N -duration D -arrival A]",
+			"load test: one cell x 10 repetitions; with flags, closed-loop users against an in-process serving daemon", 0,
+			func(e *env, a []string) {
+				// Two forms share the verb: flags select the serving
+				// load generator, positional arguments the paper's
+				// load test of one platform cell.
+				switch {
+				case len(a) == 0 || strings.HasPrefix(a[0], "-"):
+					loadtestServeCmd(a, e.cache, e.sess)
+				case len(a) < 3:
+					usage()
+				default:
+					loadtestCmd(e, a)
+				}
+			}},
+		{"predict", "<platform> <algorithm> <dataset>", "worst-case boundary prediction without running", 3, predictCmd},
+		{"chaos", "<engine> [algorithm] [dataset]", "fault-injected run must match the fault-free run", 1, chaosCmd},
+		{"curves", "<platform> [measured]", "100-point resource curves as CSV", 1, curvesCmd},
+		{"partition-quality", "<dataset>", "static quality of every partitioning strategy", 1,
+			func(e *env, a []string) {
+				n := e.shards
+				if n <= 0 {
+					n = e.nodes
+				}
+				e.emit(e.h.PartitionQuality(a[0], n))
+			}},
+		{"partition-study", "", "strategy x platform x dataset placement study", 0,
+			func(e *env, _ []string) { e.emit(e.h.PartitionStudy(e.shards)) }},
+		{"experiment", "[-out DIR -reps N] <spec|dir> ...", "run experiment specs into validated report bundles", 0, experimentCmd},
+		{"experiment-diff", "<a/results.json> <b/...json>", "compare two report bundles cell by cell", 2,
+			func(_ *env, a []string) { experimentDiffCmd(a[0], a[1]) }},
+		{"serve", "[-addr HOST:PORT -datasets LIST]", "HTTP graph-serving daemon", 0,
+			func(e *env, a []string) { serveCmd(a, e.cache, e.sess) }},
+		{"stream", "[-mix 90/10,70/30] [-chaos]", "concurrent read/write sweep over an evolving graph", 0,
+			func(_ *env, a []string) { streamCmd(a) }},
+		{"bench", "<suite> <before|after> [file] | check [file ...]",
+			"measure one perf suite into its BENCH_*.json; check re-measures committed baselines (>25% worse fails)", 1,
+			func(_ *env, a []string) {
+				if a[0] == "check" {
+					benchCheckCmd(a[1:])
+					return
+				}
+				if len(a) < 2 {
+					usage()
+				}
+				benchWriteCmd(a)
+			}},
+	}
+}
+
+// commandLines renders the table as the lines usage and the package
+// comment share: synopsis on one line, help indented under it.
+func commandLines() []string {
+	var lines []string
+	for _, c := range commandTable() {
+		lines = append(lines, strings.TrimSpace(c.name+" "+c.args), "    "+c.help)
+	}
+	return lines
+}
+
 func main() {
-	scale := flag.Int("scale", 1, "extra dataset down-scaling factor")
+	e := &env{render: bench.Table.String}
+	flag.IntVar(&e.scale, "scale", 1, "extra dataset down-scaling factor")
 	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
-	seed := flag.Int64("seed", 42, "generation seed")
-	nodes := flag.Int("nodes", 20, "cluster size for `run`")
-	cores := flag.Int("cores", 1, "cores per node for `run`")
-	cache := flag.String("cache", os.Getenv("GRAPHBENCH_CACHE"),
+	flag.Int64Var(&e.seed, "seed", 42, "generation seed")
+	flag.IntVar(&e.nodes, "nodes", 20, "cluster size for run, chaos, explore, loadtest, predict")
+	flag.IntVar(&e.cores, "cores", 1, "cores per node of the -nodes cluster")
+	flag.StringVar(&e.cache, "cache", os.Getenv("GRAPHBENCH_CACHE"),
 		"dataset snapshot cache directory (empty disables; default $GRAPHBENCH_CACHE)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event file of the run's spans (open in chrome://tracing or Perfetto)")
 	metricsOut := flag.String("metrics", "", "write the run's counters, gauges, and resource samples as JSON")
-	faultSeed := flag.Int64("fault-seed", 1, "seed of the fault plan for `chaos`")
+	flag.Int64Var(&e.faultSeed, "fault-seed", 1, "seed of the fault plan for chaos")
 	partitioner := flag.String("partitioner", "", "placement strategy for distributed runs (hash range edgecut vertexcut grid; empty keeps engine defaults)")
-	shards := flag.Int("shards", 0, "shard count for the placement (0 = node count)")
+	flag.IntVar(&e.shards, "shards", 0, "shard count for the placement (0 = node count)")
 	flag.Parse()
 
-	perf.CacheDir = *cache
-	var sess *obs.Session
+	perf.CacheDir = e.cache
 	if *traceOut != "" || *metricsOut != "" {
-		sess = obs.NewSession(obs.Options{})
+		e.sess = obs.NewSession(obs.Options{})
 	}
-	h := bench.New(bench.Config{Seed: *seed, Scale: *scale, CacheDir: *cache, Obs: sess,
-		Partitioner: *partitioner, Shards: *shards})
-	emitCSV = *csv
+	e.h = bench.New(bench.Config{Seed: e.seed, Scale: e.scale, CacheDir: e.cache, Obs: e.sess,
+		Partitioner: *partitioner, Shards: e.shards})
+	if *csv {
+		e.render = bench.CSV
+	}
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
 	}
-
-	switch args[0] {
-	case "table":
-		need(args, 2)
-		printTable(h, args[1])
-	case "figure":
-		need(args, 2)
-		ds := "DotaLeague"
-		if len(args) > 2 {
-			ds = args[2]
-		}
-		printFigure(h, args[1], ds)
-	case "run":
-		need(args, 4)
-		r := h.Run(args[1], args[2], args[3], cluster.DAS4(*nodes, *cores))
-		fmt.Printf("platform=%s algorithm=%s dataset=%s status=%s\n",
-			r.Platform, r.Algorithm, r.Dataset, r.Status)
-		if r.Status == platform.OK {
-			fmt.Printf("T=%.1fs Tc=%.1fs To=%.1fs iterations=%d EPS=%.0f VPS=%.0f\n",
-				r.Seconds, r.ComputeSeconds, r.OverheadSeconds, r.Iterations, r.EPS(), r.VPS())
-		} else if r.Err != nil {
-			fmt.Printf("reason: %v\n", r.Err)
-		}
-	case "chaos":
-		need(args, 2)
-		name, ok := chaosEngines[args[1]]
-		if !ok {
-			fatal("chaos: unknown engine %q (pregel mapreduce yarn dataflow gas)", args[1])
-		}
-		alg, ds := "BFS", "KGS"
-		if len(args) > 2 {
-			alg = args[2]
-		}
-		if len(args) > 3 {
-			ds = args[3]
-		}
-		rep := h.Chaos(name, alg, ds, cluster.DAS4(*nodes, *cores), fault.DefaultPlan(*faultSeed))
-		fmt.Print(rep)
-		if rep.Err != nil {
-			fatal("chaos: %v", rep.Err)
-		}
-		if !rep.Match {
-			fatal("chaos: fault-injected output diverged from the fault-free run")
-		}
-		if rep.Injected == 0 {
-			fatal("chaos: fault plan injected nothing (weak plan for this workload)")
-		}
-	case "curves":
-		need(args, 2)
-		var tr monitor.Trace
-		if len(args) > 2 && args[2] == "measured" {
-			tr = h.MeasuredCurves(args[1])
-		} else {
-			tr = h.Curves(args[1])
-		}
-		fmt.Printf("# platform=%s source=%s\n", tr.Platform, tr.Source)
-		fmt.Println("point,master_cpu,master_mem_gb,master_net_mbps,compute_cpu,compute_mem_gb,compute_net_mbps")
-		for i := 0; i < monitor.Points; i++ {
-			fmt.Printf("%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n", i,
-				tr.Master.CPU[i], tr.Master.MemGB[i], tr.Master.NetMbps[i],
-				tr.Compute.CPU[i], tr.Compute.MemGB[i], tr.Compute.NetMbps[i])
-		}
-	case "findings":
-		emit(h.FindingsTable())
-	case "explore":
-		need(args, 2)
-		p, err := platform.ByName(args[1])
-		if err != nil {
-			fatal("%v", err)
-		}
-		r := process.NewRunner(p)
-		r.Scale, r.Seed, r.CacheDir = *scale, *seed, *cache
-		out, err := r.ExploratoryTest(cluster.DAS4(*nodes, *cores))
-		if err != nil {
-			fatal("%v", err)
-		}
-		t := bench.Table{
-			Title:  fmt.Sprintf("Exploratory test: %s on %d machines", p.Name(), *nodes),
-			Header: []string{"Dataset", "Algorithm", "Status", "Reason"},
-		}
-		for _, e := range out {
-			t.Rows = append(t.Rows, []string{e.Dataset, e.Algorithm, e.Status.String(), e.Reason})
-		}
-		emit(t)
-	case "experiment":
-		experimentCmd(args[1:], *cache)
-	case "serve":
-		serveCmd(args[1:], *cache, sess)
-	case "stream":
-		streamCmd(args[1:])
-	case "experiment-diff":
-		need(args, 3)
-		experimentDiffCmd(args[1], args[2])
-	case "loadtest":
-		// Two forms share the verb: the flag-driven serving loadtest
-		// (`loadtest -users 200 -arrival poisson`) and the legacy
-		// positional platform form (`loadtest Giraph BFS KGS`).
-		if serveFlagForm(args[1:]) {
-			loadtestServeCmd(args[1:], *cache, sess)
+	var cmd *command
+	for _, c := range commandTable() {
+		if c.name == args[0] {
+			cmd = &c
 			break
 		}
-		need(args, 4)
-		p, err := platform.ByName(args[1])
-		if err != nil {
-			fatal("%v", err)
-		}
-		r := process.NewRunner(p)
-		r.Scale, r.Seed, r.CacheDir = *scale, *seed, *cache
-		res, err := r.LoadTest(args[2], args[3], cluster.DAS4(*nodes, *cores))
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Println(res.Summary())
-	case "predict":
-		need(args, 4)
-		prof, err := datagen.ByName(args[3])
-		if err != nil {
-			fatal("%v", err)
-		}
-		g := h.Graph(args[3])
-		in := boundary.MeasureInputs(g, prof, *scale)
-		est, err := boundary.PredictFor(args[1], args[2], prof, in, cluster.DAS4(*nodes, *cores))
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Printf("worst-case T = %.1f s (%.2f h), iterations <= %d, msg bytes/iter <= %d\n",
-			est.Seconds, est.Seconds/3600, est.Iterations, est.MsgBytes)
-		switch {
-		case est.Crash:
-			fmt.Println("prediction: infeasible (out of memory)")
-		case est.Timeout:
-			fmt.Println("prediction: exceeds the run-time budget")
-		default:
-			fmt.Println("prediction: feasible")
-		}
-	case "partition-quality":
-		need(args, 2)
-		n := *shards
-		if n <= 0 {
-			n = *nodes
-		}
-		emit(h.PartitionQuality(args[1], n))
-	case "partition-study":
-		emit(h.PartitionStudy(*shards))
-	case "bench-partition":
-		need(args, 2)
-		phase := args[1]
-		out := "BENCH_pr6.json"
-		if len(args) > 2 {
-			out = args[2]
-		}
-		bl, err := perf.WritePartitionBaseline(out, phase)
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Printf("wrote %s (%s)\n\n%s", out, phase, bl.Summary())
-	case "bench-baseline":
-		need(args, 2)
-		phase := args[1]
-		out := "BENCH_pr2.json"
-		if len(args) > 2 {
-			out = args[2]
-		}
-		bl, err := perf.WriteBaseline(out, phase)
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Printf("wrote %s (%s)\n\n%s", out, phase, bl.Summary())
-	case "bench-ingest":
-		need(args, 2)
-		phase := args[1]
-		out := "BENCH_pr3.json"
-		if len(args) > 2 {
-			out = args[2]
-		}
-		bl, err := perf.WriteIngestBaseline(out, phase)
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Printf("wrote %s (%s)\n\n%s", out, phase, bl.Summary())
-	case "bench-gap":
-		need(args, 2)
-		phase := args[1]
-		out := "BENCH_pr7.json"
-		if len(args) > 2 {
-			out = args[2]
-		}
-		bl, err := perf.WriteGapBaseline(out, phase)
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Printf("wrote %s (%s)\n\n%s", out, phase, bl.Summary())
-	case "bench-serve":
-		need(args, 2)
-		phase := args[1]
-		out := "BENCH_pr8.json"
-		if len(args) > 2 {
-			out = args[2]
-		}
-		bl, err := perf.WriteServeBaseline(out, phase)
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Printf("wrote %s (%s)\n\n%s", out, phase, bl.Summary())
-	case "bench-check":
-		files := args[1:]
-		if len(files) == 0 {
-			// No explicit list: pick up every checked-in baseline, so a
-			// PR adding BENCH_prN.json is gated without editing this
-			// list.
-			var err error
-			files, err = filepath.Glob("BENCH_*.json")
-			if err != nil {
-				fatal("bench-check: %v", err)
-			}
-			sort.Strings(files)
-			if len(files) == 0 {
-				fatal("bench-check: no BENCH_*.json baselines found (and none given)")
-			}
-			fmt.Printf("bench-check: discovered %d baselines: %s\n", len(files), strings.Join(files, " "))
-		}
-		results, err := perf.Check(files)
-		if err != nil {
-			fatal("%v", err)
-		}
-		table, failed := perf.RenderCheck(results)
-		fmt.Print(table)
-		if failed {
-			fatal("bench-check: performance regression detected")
-		}
-		fmt.Println("bench-check: all benchmarks within tolerance")
-	case "all":
-		for _, t := range []string{"2", "3", "4", "5", "6", "7", "8"} {
-			printTable(h, t)
-			fmt.Println()
-		}
-		for _, f := range []string{"1", "2", "3", "4", "5-7", "8-10", "15", "16"} {
-			printFigure(h, f, "DotaLeague")
-			fmt.Println()
-		}
-		for _, ds := range []string{"Friendster", "DotaLeague"} {
-			for _, f := range []string{"11", "12", "13", "14"} {
-				printFigure(h, f, ds)
-				fmt.Println()
-			}
-		}
-	default:
+	}
+	if cmd == nil {
 		fmt.Fprintf(os.Stderr, "graphbench: unknown command %q\n\n", args[0])
 		usage()
 	}
+	if len(args)-1 < cmd.min {
+		usage()
+	}
+	cmd.run(e, args[1:])
 
-	if sess != nil {
+	if sess := e.sess; sess != nil {
 		sess.Close()
 		if *traceOut != "" {
 			writeFile(*traceOut, sess.T().WriteChromeTrace)
@@ -337,6 +239,144 @@ func main() {
 			fmt.Fprintf(os.Stderr, "metrics: wrote %s\n", *metricsOut)
 		}
 	}
+}
+
+func (e *env) emitOrFatal(ts []bench.Table, err error) {
+	if err != nil {
+		fatal("%v", err)
+	}
+	e.emit(ts...)
+}
+
+func runCmd(e *env, a []string) {
+	r := e.h.Run(a[0], a[1], a[2], e.hw())
+	fmt.Printf("platform=%s algorithm=%s dataset=%s status=%s\n",
+		r.Platform, r.Algorithm, r.Dataset, r.Status)
+	if r.Status == platform.OK {
+		fmt.Printf("T=%.1fs Tc=%.1fs To=%.1fs iterations=%d EPS=%.0f VPS=%.0f\n",
+			r.Seconds, r.ComputeSeconds, r.OverheadSeconds, r.Iterations, r.EPS(), r.VPS())
+	} else if r.Err != nil {
+		fmt.Printf("reason: %v\n", r.Err)
+	}
+}
+
+// chaosEngines maps the engine packages under chaos test to the
+// platform that exercises them.
+var chaosEngines = map[string]string{
+	"pregel":    "Giraph",
+	"mapreduce": "Hadoop",
+	"yarn":      "YARN",
+	"dataflow":  "Stratosphere",
+	"gas":       "GraphLab",
+}
+
+func chaosCmd(e *env, a []string) {
+	name, ok := chaosEngines[a[0]]
+	if !ok {
+		fatal("chaos: unknown engine %q (pregel mapreduce yarn dataflow gas)", a[0])
+	}
+	alg, ds := "BFS", "KGS"
+	if len(a) > 1 {
+		alg = a[1]
+	}
+	if len(a) > 2 {
+		ds = a[2]
+	}
+	rep := e.h.Chaos(name, alg, ds, e.hw(), fault.DefaultPlan(e.faultSeed))
+	fmt.Print(rep)
+	if rep.Err != nil {
+		fatal("chaos: %v", rep.Err)
+	}
+	if !rep.Match {
+		fatal("chaos: fault-injected output diverged from the fault-free run")
+	}
+	if rep.Injected == 0 {
+		fatal("chaos: fault plan injected nothing (weak plan for this workload)")
+	}
+}
+
+func curvesCmd(e *env, a []string) {
+	var tr monitor.Trace
+	if len(a) > 1 && a[1] == "measured" {
+		tr = e.h.MeasuredCurves(a[0])
+	} else {
+		tr = e.h.Curves(a[0])
+	}
+	fmt.Printf("# platform=%s source=%s\n", tr.Platform, tr.Source)
+	fmt.Println("point,master_cpu,master_mem_gb,master_net_mbps,compute_cpu,compute_mem_gb,compute_net_mbps")
+	for i := 0; i < monitor.Points; i++ {
+		fmt.Printf("%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n", i,
+			tr.Master.CPU[i], tr.Master.MemGB[i], tr.Master.NetMbps[i],
+			tr.Compute.CPU[i], tr.Compute.MemGB[i], tr.Compute.NetMbps[i])
+	}
+}
+
+func predictCmd(e *env, a []string) {
+	prof, err := datagen.ByName(a[2])
+	if err != nil {
+		fatal("%v", err)
+	}
+	in := boundary.MeasureInputs(e.h.Graph(a[2]), prof, e.scale)
+	est, err := boundary.PredictFor(a[0], a[1], prof, in, e.hw())
+	if err != nil {
+		fatal("%v", err)
+	}
+	fmt.Printf("worst-case T = %.1f s (%.2f h), iterations <= %d, msg bytes/iter <= %d\n",
+		est.Seconds, est.Seconds/3600, est.Iterations, est.MsgBytes)
+	switch {
+	case est.Crash:
+		fmt.Println("prediction: infeasible (out of memory)")
+	case est.Timeout:
+		fmt.Println("prediction: exceeds the run-time budget")
+	default:
+		fmt.Println("prediction: feasible")
+	}
+}
+
+// benchWriteCmd is `bench <suite> <before|after> [file]`.
+func benchWriteCmd(a []string) {
+	suite, err := perf.SuiteByName(a[0])
+	if err != nil {
+		fatal("%v", err)
+	}
+	phase, out := a[1], suite.File
+	if len(a) > 2 {
+		out = a[2]
+	}
+	bl, err := suite.WriteBaseline(out, phase)
+	if err != nil {
+		fatal("%v", err)
+	}
+	fmt.Printf("wrote %s (%s)\n\n%s", out, phase, bl.Summary())
+}
+
+// benchCheckCmd is `bench check [file ...]`.
+func benchCheckCmd(files []string) {
+	if len(files) == 0 {
+		// No explicit list: pick up every checked-in baseline, so a
+		// PR adding BENCH_prN.json is gated without editing this
+		// list.
+		var err error
+		files, err = filepath.Glob("BENCH_*.json")
+		if err != nil {
+			fatal("bench check: %v", err)
+		}
+		sort.Strings(files)
+		if len(files) == 0 {
+			fatal("bench check: no BENCH_*.json baselines found (and none given)")
+		}
+		fmt.Printf("bench check: discovered %d baselines: %s\n", len(files), strings.Join(files, " "))
+	}
+	results, err := perf.Check(files)
+	if err != nil {
+		fatal("%v", err)
+	}
+	table, failed := perf.RenderCheck(results)
+	fmt.Print(table)
+	if failed {
+		fatal("bench check: performance regression detected")
+	}
+	fmt.Println("bench check: all benchmarks within tolerance")
 }
 
 // writeFile creates path and streams one of the session exporters into
@@ -355,127 +395,19 @@ func writeFile(path string, write func(io.Writer) error) {
 	}
 }
 
-var emitCSV bool
-
-func emit(t bench.Table) {
-	if emitCSV {
-		fmt.Print(bench.CSV(t))
-		return
-	}
-	fmt.Print(t)
-}
-
-func printTable(h *bench.Harness, n string) {
-	switch n {
-	case "2":
-		emit(h.Table2())
-	case "3":
-		emit(h.Table3())
-	case "4":
-		emit(h.Table4())
-	case "5":
-		emit(h.Table5())
-	case "6":
-		emit(h.Table6())
-	case "7":
-		emit(h.Table7())
-	case "8":
-		emit(h.Table8())
-	default:
-		fatal("unknown table %q (2-8)", n)
-	}
-}
-
-func printFigure(h *bench.Harness, n, dataset string) {
-	switch n {
-	case "1":
-		emit(h.Figure1())
-	case "2":
-		eps, vps := h.Figure2()
-		emit(eps)
-		emit(vps)
-	case "3":
-		emit(h.Figure3())
-	case "4":
-		emit(h.Figure4())
-	case "5-7", "5", "6", "7":
-		emit(h.Figures5to7())
-	case "8-10", "8", "9", "10":
-		emit(h.Figures8to10())
-	case "11":
-		emit(h.Figure11(dataset))
-	case "12":
-		emit(h.Figure12(dataset))
-	case "13":
-		emit(h.Figure13(dataset))
-	case "14":
-		emit(h.Figure14(dataset))
-	case "15":
-		emit(h.Figure15())
-	case "16":
-		emit(h.Figure16())
-	default:
-		fatal("unknown figure %q (1-16)", n)
-	}
-}
-
-func need(args []string, n int) {
-	if len(args) < n {
-		usage()
-	}
-}
-
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
-  graphbench [flags] table <2-8>
-  graphbench [flags] figure <1-16> [dataset]
-  graphbench [flags] run <platform> <algorithm> <dataset>
-  graphbench [flags] chaos <engine> [algorithm] [dataset]
-  graphbench [flags] curves <platform> [measured]
-  graphbench [flags] findings
-  graphbench [flags] explore <platform>
-  graphbench [flags] loadtest <platform> <algorithm> <dataset>
-  graphbench [flags] loadtest [-users N -duration D -arrival closed|poisson -mix bfs|mixed]
-  graphbench [flags] serve [-addr HOST:PORT -datasets LIST -window D -lanes N]
-  graphbench stream [-mix 90/10,70/30 -users N -batches N] [-chaos -chaos-seeds 1,2,3]
-  graphbench [flags] predict <platform> <algorithm> <dataset>
-  graphbench [flags] partition-quality <dataset>
-  graphbench [flags] partition-study
-  graphbench bench-baseline <before|after> [file]
-  graphbench bench-ingest <before|after> [file]
-  graphbench bench-partition <before|after> [file]
-  graphbench bench-gap <before|after> [file]
-  graphbench bench-serve <before|after> [file]
-  graphbench bench-check [baseline.json ...]
-  graphbench [flags] experiment [-out DIR -reps N -cold-reps N -max-cv X] <spec.json|dir> ...
-  graphbench experiment-diff <a/results.json> <b/results.json>
-  graphbench [flags] all
-
-flags of note:
-  -cache DIR   cache generated datasets as binary CSR snapshots in DIR
-               (default $GRAPHBENCH_CACHE; empty disables)
-  -trace F     write the run's spans as a Chrome trace_event file
-  -metrics F   write the run's counters and resource samples as JSON
-  -fault-seed N  seed of the chaos fault plan (default 1)
-  -partitioner S placement strategy for distributed runs
-               (hash range edgecut vertexcut grid; empty keeps engine defaults)
-  -shards N    shard count for the placement (0 = node count)
-
-platforms:  Hadoop YARN Stratosphere Giraph GraphLab GraphLab(mp) Neo4j
-chaos engines: pregel mapreduce yarn dataflow gas
-algorithms: STATS BFS CONN CD EVO
-datasets:   Amazon WikiTalk KGS Citation DotaLeague Synth Friendster`)
+	w := os.Stderr
+	fmt.Fprintf(w, "usage: graphbench [flags] <command> [arguments]\n\ncommands:\n")
+	for _, line := range commandLines() {
+		fmt.Fprintf(w, "  %s\n", line)
+	}
+	fmt.Fprintf(w, "\nflags:\n")
+	flag.PrintDefaults()
+	fmt.Fprintf(w, "\nplatforms:  %s GraphLab(mp)\n", strings.Join(bench.PlatformNames(), " "))
+	fmt.Fprintf(w, "chaos engines: pregel mapreduce yarn dataflow gas\n")
+	fmt.Fprintf(w, "algorithms: %s\n", strings.Join(platform.Algorithms(), " "))
+	fmt.Fprintf(w, "datasets:   %s\n", strings.Join(datagen.Names(), " "))
 	os.Exit(2)
-}
-
-// chaosEngines maps the engine packages under chaos test to the
-// platform that exercises them.
-var chaosEngines = map[string]string{
-	"pregel":    "Giraph",
-	"mapreduce": "Hadoop",
-	"yarn":      "YARN",
-	"dataflow":  "Stratosphere",
-	"gas":       "GraphLab",
 }
 
 func fatal(format string, args ...any) {

@@ -1,0 +1,134 @@
+package main
+
+import (
+	"os"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/experiment"
+	"repro/internal/metrics"
+)
+
+func TestCommandTable(t *testing.T) {
+	seen := map[string]bool{}
+	lines := commandLines()
+	for _, c := range commandTable() {
+		if seen[c.name] {
+			t.Errorf("command %q appears twice", c.name)
+		}
+		seen[c.name] = true
+		if c.help == "" || c.run == nil {
+			t.Errorf("command %q lacks help or run", c.name)
+		}
+		if !slices.Contains(lines, strings.TrimSpace(c.name+" "+c.args)) {
+			t.Errorf("usage does not name %q", c.name)
+		}
+	}
+	for _, gone := range []string{"bench-baseline", "bench-ingest", "bench-partition", "bench-gap", "bench-serve", "bench-check"} {
+		if seen[gone] {
+			t.Errorf("old verb %q is still a command", gone)
+		}
+	}
+}
+
+// TestPackageCommentListsCommands keeps the verb list in the package
+// comment equal to what usage prints: paste `graphbench`'s command
+// block there after changing the table.
+func TestPackageCommentListsCommands(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	var want strings.Builder
+	for _, line := range commandLines() {
+		want.WriteString("//\t" + line + "\n")
+	}
+	if !strings.Contains(doc, want.String()) {
+		t.Fatalf("package comment is out of date; its command block should read:\n%s", want.String())
+	}
+}
+
+// processFixture is a Results with one cell per outcome class the
+// paper reports: completed, crashed, terminated.
+func processFixture() *experiment.Results {
+	leg := func(sim float64, st metrics.Stats) []experiment.LegResult {
+		return []experiment.LegResult{{Leg: experiment.LegWarm, SimSeconds: sim, Wall: st}}
+	}
+	cell := func(alg, ds string) experiment.Cell {
+		return experiment.Cell{Platform: "Giraph", Algorithm: alg, Dataset: ds}
+	}
+	return &experiment.Results{
+		Spec: experiment.Spec{Platforms: []string{"Giraph"}, Nodes: 20},
+		Cells: []experiment.CellResult{
+			{Cell: cell("BFS", "KGS"), Status: "ok", Validation: experiment.Valid,
+				Legs: leg(29.1, metrics.Stats{N: 10, Mean: 12.5, Min: 12, Max: 13.5, CV: 0.04})},
+			{Cell: cell("STATS", "WikiTalk"), Status: "crash", StatusDetail: "out of memory on computing node",
+				Validation: experiment.Skipped, Legs: leg(0, metrics.Stats{N: 10})},
+			{Cell: cell("STATS", "Citation"), Status: "timeout", StatusDetail: "exceeded the run budget",
+				Validation: experiment.Skipped, Legs: leg(24000, metrics.Stats{N: 10})},
+		},
+	}
+}
+
+func TestExploreTable(t *testing.T) {
+	out := exploreTable(processFixture()).String()
+	for _, want := range []string{
+		"Exploratory test: Giraph on 20 machines",
+		"KGS       BFS        ok       VALID",
+		"WikiTalk  STATS      crash    SKIPPED     out of memory on computing node",
+		"Citation  STATS      timeout  SKIPPED     exceeded the run budget",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("explore table lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestLoadSummary(t *testing.T) {
+	cells := processFixture().Cells
+	for i, want := range []string{
+		"Giraph/BFS/KGS: T=29.1s, wall 12.50 ms (min 12.00, max 13.50, cv 4.0%, 10 reps, stable=true), VALID",
+		"Giraph/STATS/WikiTalk: crash in all 10 reps (out of memory on computing node)",
+		"Giraph/STATS/Citation: timeout in all 10 reps (exceeded the run budget)",
+	} {
+		if got := loadSummary(cells[i]); got != want {
+			t.Errorf("loadSummary:\n got %q\nwant %q", got, want)
+		}
+	}
+	noisy := cells[0]
+	noisy.Legs[0].Wall.CV = 0.25
+	if got := loadSummary(noisy); !strings.Contains(got, "stable=false") {
+		t.Errorf("25%% CV reported stable: %q", got)
+	}
+}
+
+// TestProcessViewsEndToEnd runs both process tests for real at a small
+// scale: the exploratory matrix must surface the paper's Giraph
+// crashes with a reason (and nothing INVALID), and a load test of a
+// crashing cell must report the crash in every repetition.
+func TestProcessViewsEndToEnd(t *testing.T) {
+	e := &env{scale: 40, seed: 42, nodes: 20, cores: 1}
+	res := runProcess(e, exploreSpec("Giraph"))
+	if res.TotalCells != 42 || res.InvalidCells != 0 { // 7 datasets x 6 algorithms
+		t.Fatalf("explore: %s", res.Summary())
+	}
+	status := map[string]experiment.CellResult{}
+	for _, c := range res.Cells {
+		status[c.Dataset+"/"+c.Algorithm] = c
+	}
+	if c := status["WikiTalk/STATS"]; c.Status != "crash" || c.StatusDetail == "" || c.Validation != experiment.Skipped {
+		t.Errorf("WikiTalk/STATS = %+v, want a crash with a reason", c)
+	}
+	if c := status["Friendster/EVO"]; c.Status != "ok" || c.Validation != experiment.Valid {
+		t.Errorf("Friendster/EVO = %+v, want ok and VALID", c)
+	}
+
+	spec := loadtestSpec("Giraph", "STATS", "WikiTalk")
+	spec.Repetitions = 3
+	got := loadSummary(runProcess(e, spec).Cells[0])
+	if !strings.HasPrefix(got, "Giraph/STATS/WikiTalk: crash in all 3 reps (pregel: superstep 0 send buffer") {
+		t.Errorf("load test of a crashing cell: %q", got)
+	}
+}

@@ -110,10 +110,3 @@ func splitList(s string) []string {
 	}
 	return out
 }
-
-// serveFlagForm reports whether a loadtest invocation uses the
-// flag-driven serving form (`loadtest -users 200 ...`) rather than the
-// legacy positional platform form (`loadtest Giraph BFS KGS`).
-func serveFlagForm(args []string) bool {
-	return len(args) == 0 || strings.HasPrefix(args[0], "-")
-}

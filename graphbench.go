@@ -28,9 +28,10 @@ package graphbench
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"repro/internal/algo"
+	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/graph"
@@ -120,12 +121,12 @@ func DefaultConfig() Config {
 	return Config{Seed: 42, Nodes: 20, CoresPerNode: 1, ScaleFactor: 1, WarmCache: true}
 }
 
-// Suite generates datasets on demand (cached) and runs experiments.
+// Suite generates datasets on demand (cached) and runs experiments. It
+// is the public face of the internal bench harness: the harness owns
+// the dataset cache and assembles every run.
 type Suite struct {
 	cfg Config
-
-	mu     sync.Mutex
-	graphs map[string]*Graph
+	h   *bench.Harness
 }
 
 // NewSuite creates a Suite.
@@ -139,7 +140,7 @@ func NewSuite(cfg Config) *Suite {
 	if cfg.ScaleFactor == 0 {
 		cfg.ScaleFactor = 1
 	}
-	return &Suite{cfg: cfg, graphs: make(map[string]*Graph)}
+	return &Suite{cfg: cfg, h: bench.New(bench.Config{Seed: cfg.Seed, Scale: cfg.ScaleFactor})}
 }
 
 // Config returns the suite configuration.
@@ -148,18 +149,10 @@ func (s *Suite) Config() Config { return s.cfg }
 // Graph returns the generated graph for a dataset, generating and
 // caching it on first use.
 func (s *Suite) Graph(dataset string) (*Graph, error) {
-	prof, err := datagen.ByName(dataset)
-	if err != nil {
+	if _, err := datagen.ByName(dataset); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g, ok := s.graphs[dataset]; ok {
-		return g, nil
-	}
-	g := prof.GenerateScaled(s.cfg.ScaleFactor, s.cfg.Seed)
-	s.graphs[dataset] = g
-	return g, nil
+	return s.h.Graph(dataset), nil
 }
 
 // Profile returns the dataset profile (Table 2 characteristics).
@@ -175,38 +168,11 @@ func (s *Suite) Run(platformName, algorithm, dataset string) (*Result, error) {
 // RunOn executes one experiment on an explicit cluster configuration
 // (used by the scalability experiments).
 func (s *Suite) RunOn(platformName, algorithm, dataset string, hw Hardware) (*Result, error) {
-	p, err := platform.ByName(platformName)
-	if err != nil {
-		return nil, err
-	}
-	prof, err := datagen.ByName(dataset)
-	if err != nil {
-		return nil, err
-	}
-	g, err := s.Graph(dataset)
-	if err != nil {
-		return nil, err
-	}
-	found := false
-	for _, a := range Algorithms() {
-		if a == algorithm {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(Algorithms(), algorithm) {
 		return nil, fmt.Errorf("graphbench: unknown algorithm %q", algorithm)
 	}
-	params := algo.DefaultParams(s.cfg.Seed)
-	params.BFSSource = algo.PickSource(g, s.cfg.Seed)
-	spec := platform.Spec{
-		Algorithm:   algorithm,
-		Dataset:     prof,
-		G:           g,
-		HW:          hw,
-		Params:      params,
-		WarmCache:   s.cfg.WarmCache,
-		ScaleFactor: s.cfg.ScaleFactor,
-	}
-	return p.Run(spec), nil
+	return s.h.RunFresh(bench.FreshRun{
+		Platform: platformName, Algorithm: algorithm, Dataset: dataset,
+		HW: hw, Cold: !s.cfg.WarmCache,
+	})
 }

@@ -7,16 +7,14 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/algo"
 	"repro/internal/cluster"
 	"repro/internal/datagen"
+	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/metrics"
-	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/platform"
 )
@@ -45,9 +43,6 @@ type Config struct {
 	// to the run's node count.
 	Shards int
 }
-
-// DefaultConfig is the standard full-scale configuration.
-func DefaultConfig() Config { return Config{Seed: 42, Scale: 1} }
 
 // Harness runs experiments with caching: any table/figure that needs a
 // run already performed reuses it.
@@ -97,44 +92,32 @@ func (h *Harness) Run(platformName, alg, dataset string, hw cluster.Hardware) *p
 	return h.runPlaced(platformName, alg, dataset, hw, h.cfg.Partitioner, h.cfg.Shards)
 }
 
-// runPlaced executes (or reuses) one experiment under an explicit
-// placement; partitioner == "" with shards == 0 is each engine's
-// default layout.
+// runPlaced is the result memo over execute: one experiment under an
+// explicit placement (partitioner == "" with shards == 0 is each
+// engine's default layout), run once and reused by every table and
+// figure that needs it. Unknown names panic: the renderers pass
+// fixed ones.
 func (h *Harness) runPlaced(platformName, alg, dataset string, hw cluster.Hardware, partitioner string, shards int) *platform.Result {
 	key := fmt.Sprintf("%s|%s|%s|%dx%d|%s-p%d",
 		platformName, alg, dataset, hw.Nodes, hw.CoresPerNode, partitioner, shards)
 	h.mu.Lock()
-	if r, ok := h.results[key]; ok {
-		h.mu.Unlock()
+	r, ok := h.results[key]
+	h.mu.Unlock()
+	if ok {
 		return r
 	}
-	h.mu.Unlock()
-
-	p, err := platform.ByName(platformName)
-	if err != nil {
-		panic(err)
-	}
-	prof, err := datagen.ByName(dataset)
-	if err != nil {
-		panic(err)
-	}
-	g := h.Graph(dataset)
-	params := algo.DefaultParams(h.cfg.Seed)
-	params.BFSSource = algo.PickSource(g, h.cfg.Seed)
-	r := p.Run(platform.Spec{
-		Algorithm: alg, Dataset: prof, G: g, HW: hw,
-		Params: params, WarmCache: true, ScaleFactor: h.cfg.Scale,
-		Obs:         h.cfg.Obs,
+	r = h.mustExecute(FreshRun{
+		Platform: platformName, Algorithm: alg, Dataset: dataset, HW: hw,
 		Partitioner: partitioner, Shards: shards,
-	})
+	}, h.cfg.Obs, nil)
 	h.mu.Lock()
 	h.results[key] = r
 	h.mu.Unlock()
 	return r
 }
 
-// FreshRun describes one uncached, repetition-grade execution for the
-// experiment driver (internal/experiment).
+// FreshRun names one execution of one cell: what runs where, under
+// which placement, hot or cold.
 type FreshRun struct {
 	Platform  string
 	Algorithm string
@@ -144,19 +127,18 @@ type FreshRun struct {
 	// the engine's default layout.
 	Partitioner string
 	Shards      int
-	// Cold requests the cold leg: the dataset is regenerated outside
-	// both the in-memory and on-disk caches (the generation cost is
-	// part of the repetition, as a fresh process would pay it) and the
-	// engine must not run a discarded warm-up pass.
+	// Cold forbids the engine's discarded warm-up pass (Neo4j's
+	// hot-cache setting of Figure 1): the run starts with nothing
+	// resident in the engine.
 	Cold bool
 }
 
-// RunFresh executes one repetition, bypassing the harness result
-// cache so every call performs real work — the property n-repetition
-// statistics depend on. Unknown platforms/datasets return an error
-// instead of panicking: the experiment driver validates specs up
-// front but must not crash mid-matrix.
-func (h *Harness) RunFresh(fr FreshRun) (*platform.Result, error) {
+// execute is the only place a cell becomes a platform.Spec: the
+// harness seed picks the algorithm parameters and the BFS source, the
+// dataset comes from the harness cache, and placement, observability
+// session, fault injector and cache temperature ride along. It never
+// consults the result memo, so every call performs real work.
+func (h *Harness) execute(fr FreshRun, sess *obs.Session, inj *fault.Injector) (*platform.Result, error) {
 	p, err := platform.ByName(fr.Platform)
 	if err != nil {
 		return nil, err
@@ -165,23 +147,33 @@ func (h *Harness) RunFresh(fr FreshRun) (*platform.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var g *graph.Graph
-	if fr.Cold {
-		// Fresh generation, no snapshot cache: the run starts from
-		// nothing resident, like a first-ever execution on the cluster.
-		g = prof.GenerateScaled(h.cfg.Scale, h.cfg.Seed)
-	} else {
-		g = h.Graph(fr.Dataset)
-	}
+	g := h.Graph(fr.Dataset)
 	params := algo.DefaultParams(h.cfg.Seed)
 	params.BFSSource = algo.PickSource(g, h.cfg.Seed)
-	r := p.Run(platform.Spec{
+	return p.Run(platform.Spec{
 		Algorithm: fr.Algorithm, Dataset: prof, G: g, HW: fr.HW,
 		Params: params, WarmCache: !fr.Cold, Cold: fr.Cold,
-		ScaleFactor: h.cfg.Scale, Obs: h.cfg.Obs,
+		ScaleFactor: h.cfg.Scale, Obs: sess, Fault: inj,
 		Partitioner: fr.Partitioner, Shards: fr.Shards,
-	})
-	return r, nil
+	}), nil
+}
+
+// mustExecute is execute for callers whose names are fixed in code.
+func (h *Harness) mustExecute(fr FreshRun, sess *obs.Session, inj *fault.Injector) *platform.Result {
+	r, err := h.execute(fr, sess, inj)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// RunFresh executes one repetition, bypassing the harness result
+// cache so every call performs real work — the property n-repetition
+// statistics depend on. Unknown platforms/datasets return an error
+// instead of panicking: the experiment driver validates specs up
+// front but must not crash mid-matrix.
+func (h *Harness) RunFresh(fr FreshRun) (*platform.Result, error) {
+	return h.execute(fr, h.cfg.Obs, nil)
 }
 
 // ---- rendering -------------------------------------------------------
@@ -282,16 +274,3 @@ func fmtFloat(x float64) string {
 func PlatformNames() []string {
 	return []string{"Hadoop", "YARN", "Stratosphere", "Giraph", "GraphLab", "Neo4j"}
 }
-
-// sortedKeys returns map keys sorted (for deterministic notes).
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-var _ = metrics.EPS // referenced by the figure files
-var _ = monitor.Points

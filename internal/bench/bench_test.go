@@ -284,3 +284,24 @@ func TestNVPSFigureVariants(t *testing.T) {
 		t.Fatalf("Figure14NVPS rows = %d", len(f14.Rows))
 	}
 }
+
+func TestRenderByID(t *testing.T) {
+	h := quick()
+	if ts, err := h.RenderTable("3"); err != nil || len(ts) != 1 || len(ts[0].Rows) != 7 {
+		t.Fatalf("RenderTable(3) = %v, %v", ts, err)
+	}
+	// Figure 2 is two panels; "6" is an alias of the 5-7 group.
+	if ts, err := h.RenderFigure("2", ""); err != nil || len(ts) != 2 {
+		t.Fatalf("RenderFigure(2) = %d tables, %v", len(ts), err)
+	}
+	if ts, err := h.RenderFigure("6", ""); err != nil || !strings.HasPrefix(ts[0].Title, "Figures 5-7") {
+		t.Fatalf("RenderFigure(6) = %v, %v", ts, err)
+	}
+	// Unknown ids fail with the list of valid ones.
+	if _, err := h.RenderTable("9"); err == nil || !strings.Contains(err.Error(), "2 3 4 5 6 7 8") {
+		t.Fatalf("RenderTable(9) error = %v", err)
+	}
+	if _, err := h.RenderFigure("17", ""); err == nil || !strings.Contains(err.Error(), "5-7 8-10 11") {
+		t.Fatalf("RenderFigure(17) error = %v", err)
+	}
+}

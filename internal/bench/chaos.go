@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"reflect"
 
-	"repro/internal/algo"
 	"repro/internal/cluster"
-	"repro/internal/datagen"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -66,29 +64,6 @@ func (c ChaosReport) String() string {
 		fmtFloat(c.BaselineEPS), fmtFloat(c.FaultEPS))
 }
 
-// runSpec executes one experiment with an explicit observability
-// session and fault injector, bypassing the result cache (chaos runs
-// must never be served from, or leak into, the fault-free cache).
-func (h *Harness) runSpec(platformName, alg, dataset string, hw cluster.Hardware, sess *obs.Session, inj *fault.Injector) *platform.Result {
-	p, err := platform.ByName(platformName)
-	if err != nil {
-		panic(err)
-	}
-	prof, err := datagen.ByName(dataset)
-	if err != nil {
-		panic(err)
-	}
-	g := h.Graph(dataset)
-	params := algo.DefaultParams(h.cfg.Seed)
-	params.BFSSource = algo.PickSource(g, h.cfg.Seed)
-	return p.Run(platform.Spec{
-		Algorithm: alg, Dataset: prof, G: g, HW: hw,
-		Params: params, WarmCache: true, ScaleFactor: h.cfg.Scale,
-		Obs: sess, Fault: inj,
-		Partitioner: h.cfg.Partitioner, Shards: h.cfg.Shards,
-	})
-}
-
 // Chaos runs the experiment twice — fault-free, then under plan — and
 // reports whether recovery preserved the algorithm output along with
 // the T/EPS penalty the recovery cost. The determinism contract is
@@ -100,7 +75,13 @@ func (h *Harness) Chaos(platformName, alg, dataset string, hw cluster.Hardware, 
 		Seed: plan.Seed,
 	}
 
-	base := h.runSpec(platformName, alg, dataset, hw, nil, nil)
+	// Both runs bypass the result memo: chaos runs must never be served
+	// from, or leak into, the fault-free cache.
+	fr := FreshRun{
+		Platform: platformName, Algorithm: alg, Dataset: dataset, HW: hw,
+		Partitioner: h.cfg.Partitioner, Shards: h.cfg.Shards,
+	}
+	base := h.mustExecute(fr, nil, nil)
 	if base.Status != platform.OK {
 		rep.Err = fmt.Errorf("baseline run failed (%v): %v", base.Status, base.Err)
 		return rep
@@ -111,7 +92,7 @@ func (h *Harness) Chaos(platformName, alg, dataset string, hw cluster.Hardware, 
 	sess := obs.NewSession(obs.Options{NoSampler: true})
 	defer sess.Close()
 	inj := fault.New(plan, sess.R())
-	res := h.runSpec(platformName, alg, dataset, hw, sess, inj)
+	res := h.mustExecute(fr, sess, inj)
 
 	rep.Injected = inj.Injected()
 	snap := sess.R().Snapshot()

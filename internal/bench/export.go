@@ -1,23 +1,15 @@
 package bench
 
-import (
-	"fmt"
-	"io"
-	"strings"
-)
+import "strings"
 
-// WriteCSV renders a table as CSV (for gnuplot/spreadsheet replotting
-// of the figures).
-func WriteCSV(w io.Writer, t Table) error {
-	if _, err := fmt.Fprintln(w, csvLine(t.Header)); err != nil {
-		return err
+// CSV renders a table as CSV (for gnuplot/spreadsheet replotting of
+// the figures).
+func CSV(t Table) string {
+	var b strings.Builder
+	for _, row := range append([][]string{t.Header}, t.Rows...) {
+		b.WriteString(csvLine(row) + "\n")
 	}
-	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, csvLine(row)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b.String()
 }
 
 func csvLine(cells []string) string {
@@ -29,11 +21,4 @@ func csvLine(cells []string) string {
 		out[i] = c
 	}
 	return strings.Join(out, ",")
-}
-
-// CSV returns the CSV rendering as a string.
-func CSV(t Table) string {
-	var b strings.Builder
-	_ = WriteCSV(&b, t)
-	return b.String()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/algo"
 	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/metrics"
@@ -115,9 +114,11 @@ func (h *Harness) Figure4() Table {
 	return t
 }
 
-// resourceTrace runs BFS on DotaLeague for a platform and returns its
-// monitoring trace (the Section 4.2 experiment).
-func (h *Harness) resourceTrace(p string) monitor.Trace {
+// Curves runs BFS on DotaLeague for a platform and returns its
+// monitoring trace (the Section 4.2 experiment): the full 100-point
+// resource curves Figures 5-10 summarise and `graphbench curves`
+// exports as CSV.
+func (h *Harness) Curves(p string) monitor.Trace {
 	r := h.Run(p, platform.BFS, "DotaLeague", BaseHW())
 	return monitor.Record(p, r.Breakdown, r.Iterations)
 }
@@ -132,7 +133,7 @@ func (h *Harness) Figures5to7() Table {
 			"Mem mean [GB]", "Net mean [Mbit/s]", "Net max [Mbit/s]"},
 	}
 	for _, p := range []string{"Hadoop", "YARN", "Stratosphere", "Giraph", "GraphLab"} {
-		tr := h.resourceTrace(p)
+		tr := h.Curves(p)
 		t.Rows = append(t.Rows, []string{
 			p,
 			fmt.Sprintf("%.2f", monitor.Mean(tr.Master.CPU)),
@@ -156,7 +157,7 @@ func (h *Harness) Figures8to10() Table {
 			"Net mean [Mbit/s]", "Net max [Mbit/s]"},
 	}
 	for _, p := range []string{"Hadoop", "YARN", "Stratosphere", "Giraph", "GraphLab"} {
-		tr := h.resourceTrace(p)
+		tr := h.Curves(p)
 		t.Rows = append(t.Rows, []string{
 			p,
 			fmt.Sprintf("%.2f", monitor.Mean(tr.Compute.CPU)),
@@ -171,10 +172,6 @@ func (h *Harness) Figures8to10() Table {
 	return t
 }
 
-// Curves returns the full 100-point resource curves for one platform
-// (for CSV export by cmd/graphbench).
-func (h *Harness) Curves(p string) monitor.Trace { return h.resourceTrace(p) }
-
 // MeasuredCurves re-runs BFS on DotaLeague for one platform inside a
 // dedicated observability session and returns curves interpolated from
 // the real process samples — the measured counterpart to the modelled
@@ -182,24 +179,10 @@ func (h *Harness) Curves(p string) monitor.Trace { return h.resourceTrace(p) }
 // records nothing) and samples fast so even short runs land enough
 // points to interpolate.
 func (h *Harness) MeasuredCurves(p string) monitor.Trace {
-	pl, err := platform.ByName(p)
-	if err != nil {
-		panic(err)
-	}
-	prof, err := datagen.ByName("DotaLeague")
-	if err != nil {
-		panic(err)
-	}
-	g := h.Graph("DotaLeague")
-	params := algo.DefaultParams(h.cfg.Seed)
-	params.BFSSource = algo.PickSource(g, h.cfg.Seed)
-
 	sess := obs.NewSession(obs.Options{SampleInterval: 200 * time.Microsecond})
-	pl.Run(platform.Spec{
-		Algorithm: platform.BFS, Dataset: prof, G: g, HW: BaseHW(),
-		Params: params, WarmCache: true, ScaleFactor: h.cfg.Scale,
-		Obs: sess,
-	})
+	h.mustExecute(FreshRun{
+		Platform: p, Algorithm: platform.BFS, Dataset: "DotaLeague", HW: BaseHW(),
+	}, sess, nil)
 	sess.Close()
 	return monitor.Measured(p, sess.Sampler.Samples())
 }
@@ -221,140 +204,85 @@ func HorizontalSizes() []int { return []int{20, 25, 30, 35, 40, 45, 50} }
 // scalability experiment (Section 4.3.2).
 func VerticalCores() []int { return []int{1, 2, 3, 4, 5, 6, 7} }
 
-// Figure11 reproduces the paper's Figure 11: horizontal scalability of
-// BFS on Friendster and DotaLeague, 20 to 50 machines.
-func (h *Harness) Figure11(dataset string) Table {
+// capacity renders one panel of the capacity tests (Section 4.3): BFS
+// on dataset with the load fixed and one cluster resource varied, one
+// row per unit count (hw builds the cluster with that many units) and
+// one column per platform; cellOf renders one run.
+func (h *Harness) capacity(title, axis, dataset string, units []int, hw func(int) cluster.Hardware,
+	cellOf func(*platform.Result, cluster.Hardware) string, notes ...string) Table {
 	ps := horizontalPlatforms(dataset)
-	t := Table{
-		Title:  fmt.Sprintf("Figure 11: horizontal scalability of BFS on %s (execution time)", dataset),
-		Header: append([]string{"#machines"}, ps...),
-	}
-	for _, n := range HorizontalSizes() {
-		row := []string{fmt.Sprintf("%d", n)}
+	t := Table{Title: title, Header: append([]string{axis}, ps...), Notes: notes}
+	for _, u := range units {
+		row := []string{fmt.Sprintf("%d", u)}
 		for _, p := range ps {
-			row = append(row, cell(h.Run(p, platform.BFS, dataset, cluster.DAS4(n, 1))))
+			row = append(row, cellOf(h.Run(p, platform.BFS, dataset, hw(u)), hw(u)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	t.Notes = append(t.Notes,
-		"paper: significant scaling only for Friendster; GraphLab flat until the multi-part loader fix (GraphLab(mp))")
 	return t
+}
+
+func machines(n int) cluster.Hardware { return cluster.DAS4(n, 1) }
+func cores(c int) cluster.Hardware    { return cluster.DAS4(20, c) }
+
+func timeCell(r *platform.Result, _ cluster.Hardware) string { return cell(r) }
+
+// perUnit renders a run as paper-scale elements per second per
+// computing unit (metrics.NEPS or metrics.NVPS over the dataset's
+// paper-scale edge or vertex count).
+func perUnit(normalise func(int64, float64, int, int) float64, elements int64) func(*platform.Result, cluster.Hardware) string {
+	return func(r *platform.Result, hw cluster.Hardware) string {
+		if r.Status != platform.OK {
+			return r.Status.String()
+		}
+		return fmtFloat(normalise(elements, r.Seconds, hw.Nodes, hw.CoresPerNode))
+	}
+}
+
+// Figure11 reproduces the paper's Figure 11: horizontal scalability of
+// BFS on Friendster and DotaLeague, 20 to 50 machines.
+func (h *Harness) Figure11(dataset string) Table {
+	return h.capacity(fmt.Sprintf("Figure 11: horizontal scalability of BFS on %s (execution time)", dataset),
+		"#machines", dataset, HorizontalSizes(), machines, timeCell,
+		"paper: significant scaling only for Friendster; GraphLab flat until the multi-part loader fix (GraphLab(mp))")
 }
 
 // Figure12 reproduces the paper's Figure 12: NEPS under horizontal
 // scaling.
 func (h *Harness) Figure12(dataset string) Table {
-	ps := horizontalPlatforms(dataset)
-	t := Table{
-		Title:  fmt.Sprintf("Figure 12: NEPS of BFS on %s in horizontal scalability", dataset),
-		Header: append([]string{"#machines"}, ps...),
-	}
-	for _, n := range HorizontalSizes() {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, p := range ps {
-			r := h.Run(p, platform.BFS, dataset, cluster.DAS4(n, 1))
-			if r.Status != platform.OK {
-				row = append(row, r.Status.String())
-				continue
-			}
-			row = append(row, fmtFloat(metrics.NEPS(paperEdges(h, dataset), r.Seconds, n, 1)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes,
+	return h.capacity(fmt.Sprintf("Figure 12: NEPS of BFS on %s in horizontal scalability", dataset),
+		"#machines", dataset, HorizontalSizes(), machines, perUnit(metrics.NEPS, paperEdges(h, dataset)),
 		"paper: the general trend of NEPS is to decrease as machines are added")
-	return t
 }
 
 // Figure12NVPS is the vertex-centric equivalent of Figure 12; the
 // paper reports "similar results for the vertex-centric equivalent of
 // NEPS, NVPS".
 func (h *Harness) Figure12NVPS(dataset string) Table {
-	ps := horizontalPlatforms(dataset)
-	t := Table{
-		Title:  fmt.Sprintf("Figure 12 (NVPS variant): BFS on %s in horizontal scalability", dataset),
-		Header: append([]string{"#machines"}, ps...),
-	}
-	for _, n := range HorizontalSizes() {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, p := range ps {
-			r := h.Run(p, platform.BFS, dataset, cluster.DAS4(n, 1))
-			if r.Status != platform.OK {
-				row = append(row, r.Status.String())
-				continue
-			}
-			row = append(row, fmtFloat(metrics.NVPS(paperVertices(h, dataset), r.Seconds, n, 1)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+	return h.capacity(fmt.Sprintf("Figure 12 (NVPS variant): BFS on %s in horizontal scalability", dataset),
+		"#machines", dataset, HorizontalSizes(), machines, perUnit(metrics.NVPS, paperVertices(h, dataset)))
 }
 
 // Figure13 reproduces the paper's Figure 13: vertical scalability of
 // BFS (1 to 7 cores on 20 machines).
 func (h *Harness) Figure13(dataset string) Table {
-	ps := horizontalPlatforms(dataset)
-	t := Table{
-		Title:  fmt.Sprintf("Figure 13: vertical scalability of BFS on %s (execution time)", dataset),
-		Header: append([]string{"#cores"}, ps...),
-	}
-	for _, c := range VerticalCores() {
-		row := []string{fmt.Sprintf("%d", c)}
-		for _, p := range ps {
-			row = append(row, cell(h.Run(p, platform.BFS, dataset, cluster.DAS4(20, c))))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes,
+	return h.capacity(fmt.Sprintf("Figure 13: vertical scalability of BFS on %s (execution time)", dataset),
+		"#cores", dataset, VerticalCores(), cores, timeCell,
 		"paper: gains flatten after ~3 cores; GraphLab(mp) barely gains vertically (one loader per machine); no Giraph/YARN results for Friendster (crash at 20 machines)")
-	return t
 }
 
 // Figure14 reproduces the paper's Figure 14: NEPS under vertical
 // scaling (normalised by nodes x cores).
 func (h *Harness) Figure14(dataset string) Table {
-	ps := horizontalPlatforms(dataset)
-	t := Table{
-		Title:  fmt.Sprintf("Figure 14: NEPS of BFS on %s in vertical scalability", dataset),
-		Header: append([]string{"#cores"}, ps...),
-	}
-	for _, c := range VerticalCores() {
-		row := []string{fmt.Sprintf("%d", c)}
-		for _, p := range ps {
-			r := h.Run(p, platform.BFS, dataset, cluster.DAS4(20, c))
-			if r.Status != platform.OK {
-				row = append(row, r.Status.String())
-				continue
-			}
-			row = append(row, fmtFloat(metrics.NEPS(paperEdges(h, dataset), r.Seconds, 20, c)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes,
+	return h.capacity(fmt.Sprintf("Figure 14: NEPS of BFS on %s in vertical scalability", dataset),
+		"#cores", dataset, VerticalCores(), cores, perUnit(metrics.NEPS, paperEdges(h, dataset)),
 		"paper: NEPS drops for all platforms as cores are added")
-	return t
 }
 
 // Figure14NVPS is the vertex-centric equivalent of Figure 14.
 func (h *Harness) Figure14NVPS(dataset string) Table {
-	ps := horizontalPlatforms(dataset)
-	t := Table{
-		Title:  fmt.Sprintf("Figure 14 (NVPS variant): BFS on %s in vertical scalability", dataset),
-		Header: append([]string{"#cores"}, ps...),
-	}
-	for _, c := range VerticalCores() {
-		row := []string{fmt.Sprintf("%d", c)}
-		for _, p := range ps {
-			r := h.Run(p, platform.BFS, dataset, cluster.DAS4(20, c))
-			if r.Status != platform.OK {
-				row = append(row, r.Status.String())
-				continue
-			}
-			row = append(row, fmtFloat(metrics.NVPS(paperVertices(h, dataset), r.Seconds, 20, c)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+	return h.capacity(fmt.Sprintf("Figure 14 (NVPS variant): BFS on %s in vertical scalability", dataset),
+		"#cores", dataset, VerticalCores(), cores, perUnit(metrics.NVPS, paperVertices(h, dataset)))
 }
 
 // Figure15 reproduces the paper's Figure 15: the execution time
@@ -366,21 +294,25 @@ func (h *Harness) Figure15() Table {
 		Header: []string{"Platform", "Computation [s]", "Overhead [s]", "Overhead [%]"},
 	}
 	for _, p := range []string{"Hadoop", "YARN", "Stratosphere", "Giraph", "GraphLab", "GraphLab(mp)"} {
-		r := h.Run(p, platform.BFS, "DotaLeague", BaseHW())
-		if r.Status != platform.OK {
-			t.Rows = append(t.Rows, []string{p, r.Status.String(), "", ""})
-			continue
-		}
-		t.Rows = append(t.Rows, []string{
-			p,
-			fmt.Sprintf("%.1f", r.ComputeSeconds),
-			fmt.Sprintf("%.1f", r.OverheadSeconds),
-			fmt.Sprintf("%.0f%%", 100*r.OverheadSeconds/r.Seconds),
-		})
+		t.Rows = append(t.Rows, breakdownRow(p, h.Run(p, platform.BFS, "DotaLeague", BaseHW())))
 	}
 	t.Notes = append(t.Notes,
 		"paper: the overhead fraction varies widely across platforms; GraphLab spends most time loading and finalising")
 	return t
+}
+
+// breakdownRow is one row of Figures 15-16: Tc, To and the overhead
+// share of a run, or its failure class.
+func breakdownRow(label string, r *platform.Result) []string {
+	if r.Status != platform.OK {
+		return []string{label, r.Status.String(), "", ""}
+	}
+	return []string{
+		label,
+		fmt.Sprintf("%.1f", r.ComputeSeconds),
+		fmt.Sprintf("%.1f", r.OverheadSeconds),
+		fmt.Sprintf("%.0f%%", 100*r.OverheadSeconds/r.Seconds),
+	}
 }
 
 // Figure16 reproduces the paper's Figure 16: the execution time
@@ -393,17 +325,7 @@ func (h *Harness) Figure16() Table {
 	// The paper notes GraphLab's CONN on Friendster exceeds an hour and
 	// falls outside the figure's scale; we keep the row with its value.
 	for _, ds := range datagen.Names() {
-		r := h.Run("GraphLab", platform.CONN, ds, BaseHW())
-		if r.Status != platform.OK {
-			t.Rows = append(t.Rows, []string{ds, r.Status.String(), "", ""})
-			continue
-		}
-		t.Rows = append(t.Rows, []string{
-			ds,
-			fmt.Sprintf("%.1f", r.ComputeSeconds),
-			fmt.Sprintf("%.1f", r.OverheadSeconds),
-			fmt.Sprintf("%.0f%%", 100*r.OverheadSeconds/r.Seconds),
-		})
+		t.Rows = append(t.Rows, breakdownRow(ds, h.Run("GraphLab", platform.CONN, ds, BaseHW())))
 	}
 	t.Notes = append(t.Notes,
 		"paper: most GraphLab time goes to loading the graph and finalising results")

@@ -104,13 +104,9 @@ func (h *Harness) KeyFindings() []Finding {
 
 	// F6: GraphLab's undirected inputs double the edge work (KGS).
 	kgGL := h.Run("GraphLab", platform.BFS, "KGS", hw)
-	var gatherOps int64
-	for _, ph := range kgGL.Profile.Phases {
-		gatherOps += ph.Ops
-	}
 	holds = kgGL.Status == platform.OK
 	add("F6", "GraphLab processes only directed graphs; undirected inputs are doubled",
-		holds, "KGS BFS on GraphLab touches 2E adjacency entries (%d ops recorded)", gatherOps)
+		holds, "KGS BFS on GraphLab touches 2E adjacency entries (%d ops recorded)", kgGL.Profile.TotalOps())
 
 	// F7: horizontal scaling helps mainly Friendster; GraphLab is flat
 	// until the mp fix.

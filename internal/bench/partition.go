@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/partition"
 	"repro/internal/platform"
 )
@@ -72,7 +71,7 @@ func (h *Harness) PartitionStudy(shards int) Table {
 				}
 				st := pt.ComputeStats(g)
 				r := h.runPlaced(pl, platform.BFS, ds, hw, strat, shards)
-				netMB := float64(totalNet(r.Profile)) / (1 << 20)
+				netMB := float64(r.Profile.TotalNet()) / (1 << 20)
 				netBy[cellKey{pl, ds, strat}] = netMB
 				t.Rows = append(t.Rows, []string{
 					pl, ds, strat,
@@ -99,13 +98,4 @@ func (h *Harness) PartitionStudy(shards int) Table {
 	t.Notes = append(t.Notes,
 		"network volume follows the static cut metrics: fewer cut arcs (edge cuts) or fewer mirrors (vertex cuts) mean fewer remote sends")
 	return t
-}
-
-// totalNet sums the network bytes recorded across a profile's phases.
-func totalNet(p *cluster.ExecutionProfile) int64 {
-	var n int64
-	for _, ph := range p.Phases {
-		n += ph.Net
-	}
-	return n
 }

@@ -89,7 +89,7 @@ func (h *Harness) Table5() Table {
 		g := h.Graph(prof.Name)
 		// The reference BFS gives the same coverage/iterations as the
 		// platform runs; using it keeps Table 5 cheap.
-		src := pickSource(h, g)
+		src := algo.PickSource(g, h.cfg.Seed)
 		res := g.BFSFrom(src)
 		t.Rows = append(t.Rows, []string{
 			prof.Name,
@@ -100,10 +100,6 @@ func (h *Harness) Table5() Table {
 		})
 	}
 	return t
-}
-
-func pickSource(h *Harness, g *graph.Graph) graph.VertexID {
-	return algo.PickSource(g, h.cfg.Seed)
 }
 
 // Table6 reproduces the paper's Table 6 (data ingestion time): HDFS

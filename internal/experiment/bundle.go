@@ -63,14 +63,6 @@ func (r *Results) summarize() {
 // cell, or any leg over the CV ceiling.
 func (r *Results) Failed() bool { return r.InvalidCells > 0 || r.CVBreaches > 0 }
 
-// ExitCode is the process exit status the bundle mandates.
-func (r *Results) ExitCode() int {
-	if r.Failed() {
-		return 1
-	}
-	return 0
-}
-
 // Summary is a one-line human verdict.
 func (r *Results) Summary() string {
 	s := fmt.Sprintf("experiment %s: %d cells, %d valid, %d invalid, %d skipped, max CV %.1f%%",

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/perf"
+	"repro/internal/metrics"
 )
 
 // diffBundle builds a minimal two-cell Results for diff tests.
@@ -18,7 +18,7 @@ func diffBundle() *Results {
 			Status:     status,
 			Validation: validation,
 			Legs: []LegResult{
-				{Leg: "warm", SimSeconds: sim, Wall: perf.Stats{N: 3, Mean: 10, CV: cv}},
+				{Leg: "warm", SimSeconds: sim, Wall: metrics.Stats{N: 3, Mean: 10, CV: cv}},
 			},
 		}
 	}

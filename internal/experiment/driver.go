@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/perf"
+	"repro/internal/metrics"
 	"repro/internal/platform"
 )
 
@@ -69,7 +69,7 @@ type LegResult struct {
 	Leg  string      `json:"leg"`
 	Reps []RepResult `json:"reps"`
 	// Wall summarises the repetitions' wall-clock milliseconds.
-	Wall perf.Stats `json:"wall_ms_stats"`
+	Wall metrics.Stats `json:"wall_ms_stats"`
 	// SimSeconds and EPS are the (deterministic) projected job time
 	// and paper-scale throughput of the leg's runs.
 	SimSeconds float64 `json:"sim_seconds"`
@@ -209,7 +209,7 @@ func (d *Driver) runCell(h *bench.Harness, v *validator, c Cell, hw cluster.Hard
 				invalid("nondeterministic output across repetitions (%s leg, rep %d)", l.name, i+1)
 			}
 		}
-		st := perf.Summarize(walls)
+		st := metrics.Summarize(walls)
 		for _, oi := range st.Outliers {
 			lr.Reps[oi].Outlier = true
 		}
@@ -230,8 +230,14 @@ func (d *Driver) runCell(h *bench.Harness, v *validator, c Cell, hw cluster.Hard
 }
 
 // runOnce executes one repetition through the harness, bypassing its
-// result cache.
+// result cache. A cold repetition runs on a harness of its own with no
+// snapshot cache: nothing is resident, so the dataset is regenerated
+// inside the repetition, as a first-ever execution on the cluster
+// would pay it.
 func (d *Driver) runOnce(h *bench.Harness, c Cell, hw cluster.Hardware, cold bool) (*platform.Result, error) {
+	if cold {
+		h = bench.New(bench.Config{Seed: d.Spec.Seed, Scale: d.Spec.Scale})
+	}
 	return h.RunFresh(bench.FreshRun{
 		Platform: c.Platform, Algorithm: c.Algorithm, Dataset: c.Dataset,
 		HW: hw, Partitioner: c.Partitioner, Shards: c.Shards, Cold: cold,

@@ -3,7 +3,7 @@
 // repetition count, and the driver executes the expanded run matrix n
 // times per cell with a separated cold leg, computes per-cell
 // dispersion statistics (mean/median/CV, IQR outlier flags — see
-// internal/perf), validates every cell's output against the
+// internal/metrics), validates every cell's output against the
 // internal/algo sequential references (Graphalytics-style equivalence
 // rules), and emits a self-contained report bundle: results.json with
 // the per-repetition raw data, paper-style tables and figure data
@@ -16,9 +16,11 @@ package experiment
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -134,15 +136,6 @@ func defaultSpec() Spec {
 	return Spec{Scale: 1, Seed: 42, Nodes: 20, Cores: 1, ColdRepetitions: -1}
 }
 
-// algorithmSet is the known algorithm registry.
-func algorithmSet() map[string]bool {
-	m := make(map[string]bool)
-	for _, a := range platform.Algorithms() {
-		m[a] = true
-	}
-	return m
-}
-
 // Validate normalises defaults and checks every dimension of the
 // cross product; the first problem is returned as a *SpecError.
 func (s *Spec) Validate() error {
@@ -184,9 +177,8 @@ func (s *Spec) Validate() error {
 			return bad("platforms", "%v", err)
 		}
 	}
-	known := algorithmSet()
 	for _, a := range s.Algorithms {
-		if !known[a] {
+		if !slices.Contains(platform.Algorithms(), a) {
 			return bad("algorithms", "unknown algorithm %q (have %s)",
 				a, strings.Join(platform.Algorithms(), " "))
 		}
@@ -196,12 +188,8 @@ func (s *Spec) Validate() error {
 			return bad("datasets", "%v", err)
 		}
 	}
-	strategies := make(map[string]bool)
-	for _, n := range partition.Names() {
-		strategies[n] = true
-	}
 	for _, pl := range s.Placements {
-		if pl.Partitioner != "" && !strategies[pl.Partitioner] {
+		if pl.Partitioner != "" && !slices.Contains(partition.Names(), pl.Partitioner) {
 			return bad("placements", "unknown partitioner %q (have %s)",
 				pl.Partitioner, strings.Join(partition.Names(), " "))
 		}
@@ -252,21 +240,12 @@ func Load(path string) (*Spec, error) {
 	}
 	if err := spec.Validate(); err != nil {
 		var se *SpecError
-		if ok := asSpecError(err, &se); ok {
+		if errors.As(err, &se) {
 			se.File = path
-			return nil, se
 		}
 		return nil, err
 	}
 	return &spec, nil
-}
-
-func asSpecError(err error, out **SpecError) bool {
-	se, ok := err.(*SpecError)
-	if ok {
-		*out = se
-	}
-	return ok
 }
 
 // LoadAll loads a spec file, or every *.json spec in a directory

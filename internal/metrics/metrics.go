@@ -2,13 +2,8 @@
 // Table 1: job execution time T, Edges/Vertices Per Second (EPS/VPS —
 // "a straightforward extension of the TEPS metric used by Graph500"),
 // their per-computing-unit normalised variants (NEPS/NVPS), and the
-// descriptive statistics used for reporting repeated runs.
+// descriptive statistics used for reporting repeated runs (stats.go).
 package metrics
-
-import (
-	"math"
-	"sort"
-)
 
 // EPS returns edges per second: #E / T.
 func EPS(edges int64, seconds float64) float64 {
@@ -19,12 +14,7 @@ func EPS(edges int64, seconds float64) float64 {
 }
 
 // VPS returns vertices per second: #V / T.
-func VPS(vertices int64, seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return float64(vertices) / seconds
-}
+func VPS(vertices int64, seconds float64) float64 { return EPS(vertices, seconds) }
 
 // NEPS returns EPS normalised by computing units: #E/T/N for
 // horizontal scalability (nodes) or #E/T/N/C for vertical scalability
@@ -39,73 +29,7 @@ func NEPS(edges int64, seconds float64, nodes, cores int) float64 {
 
 // NVPS is the vertex-centric equivalent of NEPS.
 func NVPS(vertices int64, seconds float64, nodes, cores int) float64 {
-	units := nodes * cores
-	if units <= 0 {
-		return 0
-	}
-	return VPS(vertices, seconds) / float64(units)
-}
-
-// Sample summarises repeated measurements of one experiment (the
-// paper repeats each experiment 10 times and reports averages; it
-// observes at most 10% variance).
-type Sample struct {
-	N      int
-	Mean   float64
-	Min    float64
-	Max    float64
-	Stddev float64
-}
-
-// Summarize computes a Sample from raw measurements.
-func Summarize(values []float64) Sample {
-	if len(values) == 0 {
-		return Sample{}
-	}
-	s := Sample{N: len(values), Min: values[0], Max: values[0]}
-	var sum float64
-	for _, v := range values {
-		sum += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean = sum / float64(len(values))
-	if len(values) > 1 {
-		var ss float64
-		for _, v := range values {
-			d := v - s.Mean
-			ss += d * d
-		}
-		s.Stddev = math.Sqrt(ss / float64(len(values)-1))
-	}
-	return s
-}
-
-// CV returns the coefficient of variation (relative variance), the
-// paper's stability measure ("the largest variance [is] 10%").
-func (s Sample) CV() float64 {
-	if s.Mean == 0 {
-		return 0
-	}
-	return s.Stddev / s.Mean
-}
-
-// Median returns the median of the values.
-func Median(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		return sorted[mid]
-	}
-	return (sorted[mid-1] + sorted[mid]) / 2
+	return NEPS(vertices, seconds, nodes, cores)
 }
 
 // Speedup returns t_base / t: >1 means faster than baseline.

@@ -40,24 +40,24 @@ func TestSummarize(t *testing.T) {
 	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 {
 		t.Fatalf("sample = %+v", s)
 	}
-	if math.Abs(s.Stddev-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("stddev = %v", s.Stddev)
+	if math.Abs(s.StdDev-math.Sqrt(2.5)) > 1e-12 {
+		t.Fatalf("stddev = %v", s.StdDev)
 	}
 	if got := Summarize(nil); got.N != 0 {
 		t.Fatalf("empty = %+v", got)
 	}
 	one := Summarize([]float64{7})
-	if one.Stddev != 0 || one.Mean != 7 {
+	if one.StdDev != 0 || one.Mean != 7 {
 		t.Fatalf("single = %+v", one)
 	}
 }
 
 func TestCV(t *testing.T) {
-	s := Summarize([]float64{90, 100, 110})
-	if cv := s.CV(); cv <= 0 || cv > 0.2 {
-		t.Fatalf("CV = %v", cv)
+	xs := []float64{90, 100, 110}
+	if cv := CV(xs); cv <= 0 || cv > 0.2 || cv != Summarize(xs).CV {
+		t.Fatalf("CV = %v, summary CV = %v", cv, Summarize(xs).CV)
 	}
-	if (Sample{}).CV() != 0 {
+	if CV(nil) != 0 || (Stats{}).CV != 0 {
 		t.Fatal("zero-mean CV should be 0")
 	}
 }
@@ -112,9 +112,24 @@ func TestQuickSummarizeBounds(t *testing.T) {
 			return true
 		}
 		s := Summarize(vals)
-		return s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9 && s.Stddev >= 0
+		return s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9 && s.StdDev >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestNearestRank(t *testing.T) {
+	sorted := []int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
+	for _, c := range []struct {
+		p    float64
+		want int
+	}{{0, 10}, {0.5, 50}, {0.51, 60}, {0.99, 100}, {1, 100}, {1.5, 100}} {
+		if got := NearestRank(sorted, c.p); got != c.want {
+			t.Errorf("NearestRank(p=%v) = %d, want %d", c.p, got, c.want)
+		}
+	}
+	if NearestRank([]int(nil), 0.5) != 0 {
+		t.Error("empty sample should yield the zero value")
 	}
 }

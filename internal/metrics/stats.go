@@ -1,9 +1,11 @@
-// Repetition statistics shared by the experiment driver
-// (internal/experiment) and the bench tooling: mean/median/CV over a
-// vector of repeated measurements plus Tukey-fence (1.5×IQR) outlier
-// flagging, the dispersion reporting "SoK: The Faults in our Graph
-// Benchmarks" calls out as missing from single-shot benchmark numbers.
-package perf
+// Repetition statistics — the repository's one home for them: the
+// paper repeats each experiment 10 times, reports the average and
+// observes at most 10% variance, so every repeated measurement is
+// summarised as mean/median/CV over the vector plus Tukey-fence
+// (1.5×IQR) outlier flags, the dispersion reporting "SoK: The Faults
+// in our Graph Benchmarks" calls out as missing from single-shot
+// benchmark numbers.
+package metrics
 
 import (
 	"math"
@@ -86,6 +88,18 @@ func Quantile(xs []float64, p float64) float64 {
 		return 0
 	}
 	return quantileSorted(sortedCopy(xs), p)
+}
+
+// NearestRank reads the p-quantile from an already sorted sample with
+// nearest-rank rounding: the estimator for latency percentiles, which
+// must be observed values (no interpolation between two requests).
+func NearestRank[T any](sorted []T, p float64) T {
+	var zero T
+	if len(sorted) == 0 {
+		return zero
+	}
+	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }
 
 func quantileSorted(s []float64, p float64) float64 {

@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 )
 
 // Points is the number of normalised samples per curve, as in the
@@ -236,13 +237,7 @@ func normalize(samples []float64) [Points]float64 {
 }
 
 // Mean returns the average of a curve.
-func Mean(c [Points]float64) float64 {
-	var s float64
-	for _, x := range c {
-		s += x
-	}
-	return s / Points
-}
+func Mean(c [Points]float64) float64 { return metrics.Mean(c[:]) }
 
 // Max returns the maximum of a curve.
 func Max(c [Points]float64) float64 {

@@ -1,7 +1,7 @@
 // Perf-regression gate: re-run the suite entries recorded in committed
 // BENCH_*.json baselines and fail when the live measurement is more
 // than Tolerance worse than the committed figure in ns/op or
-// allocs/op. This is the `graphbench bench-check` subcommand, run in
+// allocs/op. This is the `graphbench bench check` subcommand, run in
 // CI as its own (non-required) job so a slow runner flags rather than
 // blocks a PR.
 package perf
@@ -81,31 +81,25 @@ func reference(r *Record) *Metrics {
 // reported as skipped with a notice rather than hard-failing or
 // vanishing (suites only grow; see the package comment in perf.go).
 func Check(paths []string) ([]CheckResult, error) {
-	// Suites are constructed lazily, in order, only when a baseline
-	// entry needs one: each suite constructor generates and retains its
-	// graphs, and the committed figures were recorded by bench-*
-	// subcommands that build a single suite. Building all suites up
-	// front would measure every entry against a much larger live heap
-	// than its reference was recorded with, which shows up as phantom
-	// GC-pressure regressions on the smallest entries.
+	// Suites are constructed lazily, in registry order, only when a
+	// baseline entry needs one: each suite constructor generates and
+	// retains its graphs, and the committed figures were recorded by
+	// `graphbench bench <suite>` runs that build a single suite.
+	// Building all suites up front would measure every entry against a
+	// much larger live heap than its reference was recorded with, which
+	// shows up as phantom GC-pressure regressions on the smallest
+	// entries.
 	suite := map[string]Bench{}
-	constructors := []func() []Bench{
-		func() []Bench { return Suite(BaselineScale, BaselineSeed) },
-		func() []Bench { return IngestSuite(BaselineSeed) },
-		func() []Bench { return PartitionSuite(BaselineScale, BaselineSeed) },
-		func() []Bench { return GapSuite(BaselineScale, BaselineSeed) },
-		func() []Bench { return ServeSuite(BaselineScale, BaselineSeed) },
-	}
 	next := 0
 	resolve := func(name string) (Bench, bool) {
 		for {
 			if bm, ok := suite[name]; ok {
 				return bm, true
 			}
-			if next == len(constructors) {
+			if next == len(Registry) {
 				return Bench{}, false
 			}
-			for _, bm := range constructors[next]() {
+			for _, bm := range Registry[next].Build() {
 				suite[bm.Name] = bm
 			}
 			next++

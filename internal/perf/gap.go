@@ -24,11 +24,11 @@ const GapWeightSeed uint64 = 0x5353_5350
 
 // GapSuite returns the fixed GAP benchmark set on DotaLeague: kernel
 // entries first, then the engine-level counterparts.
-func GapSuite(scale int, seed int64) []Bench {
+func GapSuite() []Bench {
 	hw := cluster.DAS4(20, 1)
-	dota := mustGraph("DotaLeague", scale, seed)
+	dota := mustGraph("DotaLeague", BaselineScale)
 	wdota := graph.WithWeights(dota, GapWeightSeed)
-	src := algo.PickSource(dota, seed)
+	src := algo.PickSource(dota, BaselineSeed)
 	opt := algo.GapOptions{}
 
 	return []Bench{
@@ -37,7 +37,6 @@ func GapSuite(scale int, seed int64) []Bench {
 			// pregel-bfs-dotaleague is gated on this entry.
 			Name: "gap-bfs-dotaleague",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					_ = algo.BFSDirOpt(dota, src, opt)
 				}
@@ -46,7 +45,6 @@ func GapSuite(scale int, seed int64) []Bench {
 		{
 			Name: "gap-sssp-dotaleague",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					_ = algo.SSSPDeltaStep(wdota, src, opt)
 				}
@@ -55,7 +53,6 @@ func GapSuite(scale int, seed int64) []Bench {
 		{
 			Name: "gap-pagerank-dotaleague",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					_ = algo.PageRankPull(dota, 10, 0.85, opt)
 				}
@@ -64,7 +61,6 @@ func GapSuite(scale int, seed int64) []Bench {
 		{
 			Name: "pregel-bfs-dotaleague-diropt",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, _, err := pregelalgo.BFSDirOpt(dota, hw, src, 0, nil); err != nil {
 						b.Fatal(err)
@@ -82,7 +78,6 @@ func GapSuite(scale int, seed int64) []Bench {
 		{
 			Name: "pregel-sssp-dotaleague",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, _, err := pregelalgo.SSSP(wdota, hw, src, 0, nil); err != nil {
 						b.Fatal(err)
@@ -100,7 +95,6 @@ func GapSuite(scale int, seed int64) []Bench {
 		{
 			Name: "gas-sssp-dotaleague",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, _, err := gasalgo.SSSP(wdota, hw, src, 0, false, nil); err != nil {
 						b.Fatal(err)
@@ -116,14 +110,4 @@ func GapSuite(scale int, seed int64) []Bench {
 			},
 		},
 	}
-}
-
-// WriteGapBaseline measures the GAP suite and merges the results into
-// path under the given phase (BENCH_pr7.json).
-func WriteGapBaseline(path, phase string) (*Baseline, error) {
-	return writeSuiteBaseline(path, phase,
-		"graphbench GAP-kernel perf baseline: direction-optimizing BFS, delta-stepping SSSP, pull PageRank (see internal/perf/gap.go)",
-		BaselineScale, func() map[string]*Metrics {
-			return MeasureSuite(GapSuite(BaselineScale, BaselineSeed))
-		})
 }

@@ -10,6 +10,7 @@ package perf
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -23,8 +24,8 @@ import (
 const IngestScale = 1
 
 // ingestEntries builds the ingest benchmarks for one dataset profile.
-func ingestEntries(name string, seed int64, hw cluster.Hardware) []Bench {
-	g := mustGraph(name, IngestScale, seed)
+func ingestEntries(name string, hw cluster.Hardware) []Bench {
+	g := mustGraph(name, IngestScale)
 
 	var text bytes.Buffer
 	if err := graph.WriteText(&text, g); err != nil {
@@ -41,12 +42,7 @@ func ingestEntries(name string, seed int64, hw cluster.Hardware) []Bench {
 	edges := graph.NewBuilder(g.NumVertices(), g.Directed())
 	g.Edges(func(e graph.Edge) { edges.AddEdge(e.Src, e.Dst) })
 
-	lower := name
-	for i, r := range lower {
-		if r >= 'A' && r <= 'Z' {
-			lower = lower[:i] + string(r+'a'-'A') + lower[i+1:]
-		}
-	}
+	lower := strings.ToLower(name)
 
 	return []Bench{
 		{
@@ -56,7 +52,6 @@ func ingestEntries(name string, seed int64, hw cluster.Hardware) []Bench {
 			Name:  "ingest-textparse-" + lower,
 			Bytes: int64(len(textBytes)),
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := graph.ReadText(bytes.NewReader(textBytes)); err != nil {
 						b.Fatal(err)
@@ -71,7 +66,6 @@ func ingestEntries(name string, seed int64, hw cluster.Hardware) []Bench {
 			// CSR build alone, from an in-memory edge list.
 			Name: "ingest-csrbuild-" + lower,
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					_ = edges.Build()
 				}
@@ -81,7 +75,6 @@ func ingestEntries(name string, seed int64, hw cluster.Hardware) []Bench {
 			Name:  "ingest-binarywrite-" + lower,
 			Bytes: int64(len(binBytes)),
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if err := graph.WriteBinary(io.Discard, g); err != nil {
 						b.Fatal(err)
@@ -93,7 +86,6 @@ func ingestEntries(name string, seed int64, hw cluster.Hardware) []Bench {
 			Name:  "ingest-binaryload-" + lower,
 			Bytes: int64(len(binBytes)),
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := graph.ReadBinary(bytes.NewReader(binBytes)); err != nil {
 						b.Fatal(err)
@@ -112,18 +104,9 @@ func ingestEntries(name string, seed int64, hw cluster.Hardware) []Bench {
 // worst-case neighbour-list parse) and the sparse Friendster profile
 // (many vertices, short lines). Entry names are stable identifiers
 // recorded in BENCH_pr3.json.
-func IngestSuite(seed int64) []Bench {
+func IngestSuite() []Bench {
 	hw := cluster.DAS4(20, 1)
-	out := ingestEntries("DotaLeague", seed, hw)
-	out = append(out, ingestEntries("Friendster", seed, hw)...)
+	out := ingestEntries("DotaLeague", hw)
+	out = append(out, ingestEntries("Friendster", hw)...)
 	return out
-}
-
-// WriteIngestBaseline measures the ingest suite and merges the results
-// into path under the given phase, like WriteBaseline does for the
-// engine suite.
-func WriteIngestBaseline(path, phase string) (*Baseline, error) {
-	return writeSuiteBaseline(path, phase,
-		"graphbench tracked ingest baseline: text parse, CSR build, binary snapshot (see internal/perf/ingest.go)",
-		IngestScale, func() map[string]*Metrics { return MeasureSuite(IngestSuite(BaselineSeed)) })
 }

@@ -18,40 +18,35 @@ import (
 
 // partitionCases are the shard-count x strategy points the suite pins:
 // the single-shard reference, then hash vs edge cut at 4 and 8 shards.
-func partitionCases() []struct {
+var partitionCases = []struct {
 	shards   int
 	strategy string
-} {
-	return []struct {
-		shards   int
-		strategy string
-	}{
-		{1, partition.Hash},
-		{4, partition.Hash},
-		{4, partition.EdgeCut},
-		{8, partition.Hash},
-		{8, partition.EdgeCut},
-	}
+}{
+	{1, partition.Hash},
+	{4, partition.Hash},
+	{4, partition.EdgeCut},
+	{8, partition.Hash},
+	{8, partition.EdgeCut},
 }
 
 // PartitionSuite returns the fixed partition-aware benchmark set:
 // Pregel BFS on DotaLeague and KGS under each pinned placement. Names
 // are stable identifiers (BENCH_pr6.json keys).
-func PartitionSuite(scale int, seed int64) []Bench {
+func PartitionSuite() []Bench {
 	hw := cluster.DAS4(8, 1)
 	datasets := []struct {
 		key string
 		g   *graph.Graph
 	}{
-		{"dotaleague", mustGraph("DotaLeague", scale, seed)},
-		{"kgs", mustGraph("KGS", scale, seed)},
+		{"dotaleague", mustGraph("DotaLeague", BaselineScale)},
+		{"kgs", mustGraph("KGS", BaselineScale)},
 	}
 
 	var out []Bench
 	for _, ds := range datasets {
 		ds := ds
-		src := algo.PickSource(ds.g, seed)
-		for _, pc := range partitionCases() {
+		src := algo.PickSource(ds.g, BaselineSeed)
+		for _, pc := range partitionCases {
 			pc := pc
 			part, err := partition.Build(pc.strategy, ds.g, pc.shards)
 			if err != nil {
@@ -67,7 +62,6 @@ func PartitionSuite(scale int, seed int64) []Bench {
 			out = append(out, Bench{
 				Name: fmt.Sprintf("pregel-bfs-%s-p%d-%s", ds.key, pc.shards, pc.strategy),
 				Run: func(b *testing.B) {
-					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						run()
 					}
@@ -79,14 +73,4 @@ func PartitionSuite(scale int, seed int64) []Bench {
 		}
 	}
 	return out
-}
-
-// WritePartitionBaseline measures the partition suite and merges the
-// results into path under the given phase (BENCH_pr6.json).
-func WritePartitionBaseline(path, phase string) (*Baseline, error) {
-	return writeSuiteBaseline(path, phase,
-		"graphbench partition-aware perf baseline: pregel BFS under pinned placements (see internal/perf/partition.go)",
-		BaselineScale, func() map[string]*Metrics {
-			return MeasureSuite(PartitionSuite(BaselineScale, BaselineSeed))
-		})
 }

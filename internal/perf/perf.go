@@ -76,7 +76,7 @@ type Baseline struct {
 	Seed        int64  `json:"seed"`
 	// DatasetKeys records the content-addressed snapshot key of every
 	// dataset the suite's entries name, at the baseline's scale and
-	// seed. bench-check recomputes them: an entry whose dataset key no
+	// seed. `bench check` recomputes them: an entry whose dataset key no
 	// longer matches was measured against a different graph (generator
 	// or binary-format change) and is skipped with a notice instead of
 	// being compared against incomparable figures. Absent in old
@@ -88,7 +88,9 @@ type Baseline struct {
 // Bench is one fixed suite entry.
 type Bench struct {
 	Name string
-	Run  func(b *testing.B)
+	// Run is measured by testing.Benchmark, which records allocations
+	// whether or not Run calls b.ReportAllocs.
+	Run func(b *testing.B)
 	// Bytes, when non-zero, is the input volume one op processes; it
 	// turns ns/op into a MB/s throughput figure.
 	Bytes int64
@@ -102,12 +104,12 @@ type Bench struct {
 // suite runs skip regeneration. Set by cmd/graphbench from -cache.
 var CacheDir string
 
-func mustGraph(name string, scale int, seed int64) *graph.Graph {
+func mustGraph(name string, scale int) *graph.Graph {
 	p, err := datagen.ByName(name)
 	if err != nil {
 		panic(err)
 	}
-	return p.GenerateCached(scale, seed, CacheDir)
+	return p.GenerateCached(scale, BaselineSeed, CacheDir)
 }
 
 // connRoundConfig is a bounded min-label propagation used by the
@@ -177,11 +179,11 @@ func minLabelMRJob() mapreduce.JobConfig {
 // Suite returns the fixed benchmark set. The entry names are stable
 // identifiers: BENCH_*.json keys and the acceptance thresholds of
 // performance PRs refer to them.
-func Suite(scale int, seed int64) []Bench {
+func Suite() []Bench {
 	hw := cluster.DAS4(20, 1)
-	dota := mustGraph("DotaLeague", scale, seed)
-	kgs := mustGraph("KGS", scale, seed)
-	dotaSrc := algo.PickSource(dota, seed)
+	dota := mustGraph("DotaLeague", BaselineScale)
+	kgs := mustGraph("KGS", BaselineScale)
+	dotaSrc := algo.PickSource(dota, BaselineSeed)
 
 	mrInput := make(mapreduce.Dataset, kgs.NumVertices())
 	dfInput := make(dataflow.Dataset, kgs.NumVertices())
@@ -220,7 +222,6 @@ func Suite(scale int, seed int64) []Bench {
 			// spot for Giraph).
 			Name: "pregel-bfs-dotaleague",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, _, err := pregelalgo.BFS(dota, hw, dotaSrc, 0, nil); err != nil {
 						b.Fatal(err)
@@ -238,7 +239,6 @@ func Suite(scale int, seed int64) []Bench {
 		{
 			Name: "pregel-connround-kgs-combiner-on",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := pregel.Run(kgs, hw, connRoundConfig(true), nil); err != nil {
 						b.Fatal(err)
@@ -249,7 +249,6 @@ func Suite(scale int, seed int64) []Bench {
 		{
 			Name: "pregel-connround-kgs-combiner-off",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := pregel.Run(kgs, hw, connRoundConfig(false), nil); err != nil {
 						b.Fatal(err)
@@ -260,7 +259,6 @@ func Suite(scale int, seed int64) []Bench {
 		{
 			Name: "gas-bfs-dotaleague",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, _, err := gasalgo.BFS(dota, hw, dotaSrc, 0, false, nil); err != nil {
 						b.Fatal(err)
@@ -278,7 +276,6 @@ func Suite(scale int, seed int64) []Bench {
 		{
 			Name: "mapreduce-connround-kgs",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					e := mapreduce.New(hw, hdfs.New())
 					if _, _, err := e.Run(minLabelMRJob(), mrInput, mrInput.Bytes()); err != nil {
@@ -290,7 +287,6 @@ func Suite(scale int, seed int64) []Bench {
 		{
 			Name: "dataflow-connround-kgs",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					dfRound()
 				}
@@ -299,7 +295,6 @@ func Suite(scale int, seed int64) []Bench {
 		{
 			Name: "graph-avglcc-kgs",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					_ = kgs.AvgLCC()
 				}
@@ -308,7 +303,6 @@ func Suite(scale int, seed int64) []Bench {
 		{
 			Name: "graph-triangles-dotaleague",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					_ = dota.Triangles()
 				}
@@ -317,18 +311,12 @@ func Suite(scale int, seed int64) []Bench {
 		{
 			Name: "graph-components-dotaleague",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					_ = dota.ConnectedComponents()
 				}
 			},
 		},
 	}
-}
-
-// Measure runs the fixed suite once and returns the results by name.
-func Measure(scale int, seed int64) map[string]*Metrics {
-	return MeasureSuite(Suite(scale, seed))
 }
 
 // MeasureSuite runs an arbitrary benchmark set once.
@@ -362,11 +350,10 @@ func MeasureSuite(suite []Bench) map[string]*Metrics {
 // baseline ready to be filled.
 func Load(path string) (*Baseline, error) {
 	bl := &Baseline{
-		Description: "graphbench tracked perf baseline: fixed micro+macro suite (see internal/perf)",
-		GoVersion:   runtime.Version(),
-		Scale:       BaselineScale,
-		Seed:        BaselineSeed,
-		Benchmarks:  make(map[string]*Record),
+		GoVersion:  runtime.Version(),
+		Scale:      BaselineScale,
+		Seed:       BaselineSeed,
+		Benchmarks: make(map[string]*Record),
 	}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -384,16 +371,67 @@ func Load(path string) (*Baseline, error) {
 	return bl, nil
 }
 
+// SuiteSpec registers one fixed suite: the id `graphbench bench <name>`
+// takes, the committed baseline file it records into by default, the
+// description and dataset scale written into that file, and a
+// constructor. Build is lazy because constructing a suite generates
+// and retains its graphs (see Check).
+type SuiteSpec struct {
+	Name        string
+	File        string
+	Description string
+	Scale       int
+	Build       func() []Bench
+}
+
+// Registry lists every suite, in the order their baselines were
+// committed. Descriptions and entry names are recorded in BENCH_*.json;
+// do not edit them.
+var Registry = []SuiteSpec{
+	{
+		Name: "baseline", File: "BENCH_pr2.json", Scale: BaselineScale,
+		Description: "graphbench tracked perf baseline: fixed micro+macro suite (see internal/perf)",
+		Build:       Suite,
+	},
+	{
+		Name: "ingest", File: "BENCH_pr3.json", Scale: IngestScale,
+		Description: "graphbench tracked ingest baseline: text parse, CSR build, binary snapshot (see internal/perf/ingest.go)",
+		Build:       IngestSuite,
+	},
+	{
+		Name: "partition", File: "BENCH_pr6.json", Scale: BaselineScale,
+		Description: "graphbench partition-aware perf baseline: pregel BFS under pinned placements (see internal/perf/partition.go)",
+		Build:       PartitionSuite,
+	},
+	{
+		Name: "gap", File: "BENCH_pr7.json", Scale: BaselineScale,
+		Description: "graphbench GAP-kernel perf baseline: direction-optimizing BFS, delta-stepping SSSP, pull PageRank (see internal/perf/gap.go)",
+		Build:       GapSuite,
+	},
+	{
+		Name: "serve", File: "BENCH_pr8.json", Scale: BaselineScale,
+		Description: "graphbench serving perf baseline: solo BFS vs 64-lane batched multi-source BFS, per-lane vs batch certificate, warmed point-query path (see internal/perf/serve.go)",
+		Build:       ServeSuite,
+	},
+}
+
+// SuiteByName resolves a registered suite; the error lists the valid
+// names.
+func SuiteByName(name string) (SuiteSpec, error) {
+	names := make([]string, len(Registry))
+	for i, s := range Registry {
+		if s.Name == name {
+			return s, nil
+		}
+		names[i] = s.Name
+	}
+	return SuiteSpec{}, fmt.Errorf("perf: unknown suite %q (have %s)", name, strings.Join(names, " "))
+}
+
 // WriteBaseline measures the suite and merges the results into path
 // under the given phase ("before" or "after"), creating the file if
 // needed. It returns the updated document.
-func WriteBaseline(path, phase string) (*Baseline, error) {
-	return writeSuiteBaseline(path, phase,
-		"graphbench tracked perf baseline: fixed micro+macro suite (see internal/perf)",
-		BaselineScale, func() map[string]*Metrics { return Measure(BaselineScale, BaselineSeed) })
-}
-
-func writeSuiteBaseline(path, phase, description string, scale int, measure func() map[string]*Metrics) (*Baseline, error) {
+func (s SuiteSpec) WriteBaseline(path, phase string) (*Baseline, error) {
 	if phase != "before" && phase != "after" {
 		return nil, fmt.Errorf("perf: phase must be \"before\" or \"after\", got %q", phase)
 	}
@@ -401,9 +439,9 @@ func writeSuiteBaseline(path, phase, description string, scale int, measure func
 	if err != nil {
 		return nil, err
 	}
-	bl.Description = description
-	bl.Scale = scale
-	for name, m := range measure() {
+	bl.Description = s.Description
+	bl.Scale = s.Scale
+	for name, m := range MeasureSuite(s.Build()) {
 		rec := bl.Benchmarks[name]
 		if rec == nil {
 			rec = &Record{}
@@ -465,10 +503,7 @@ func (bl *Baseline) Summary() string {
 	s := fmt.Sprintf("%-36s %14s %14s %9s %9s\n", "benchmark", "ns/op", "allocs/op", "x-ns", "x-alloc")
 	for _, n := range names {
 		r := bl.Benchmarks[n]
-		m := r.After
-		if m == nil {
-			m = r.Before
-		}
+		m := reference(r)
 		if m == nil {
 			continue
 		}

@@ -8,7 +8,7 @@ import "testing"
 //	go test -run NONE -bench BenchmarkSuite/pregel-bfs-dotaleague \
 //	    -cpuprofile cpu.out ./internal/perf/
 func BenchmarkSuite(b *testing.B) {
-	for _, bench := range Suite(BaselineScale, BaselineSeed) {
+	for _, bench := range Suite() {
 		b.Run(bench.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			bench.Run(b)

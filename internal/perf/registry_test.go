@@ -1,0 +1,73 @@
+package perf
+
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestRegistryOwnsEveryCommittedEntry resolves every key of every
+// committed BENCH_pr*.json by name against the registry's suites —
+// constructing them, measuring nothing. A renamed or dropped entry
+// fails here, in tier-1, instead of surfacing as "skipped" in the
+// non-blocking bench-check job. Entry names must also be unique across
+// suites: Check resolves by name alone.
+func TestRegistryOwnsEveryCommittedEntry(t *testing.T) {
+	owners := map[string][]string{}
+	suites := map[string]bool{"check": true} // `bench check` is taken
+	for _, s := range Registry {
+		if suites[s.Name] {
+			t.Errorf("suite name %q is registered twice (or shadows `bench check`)", s.Name)
+		}
+		suites[s.Name] = true
+		for _, bm := range s.Build() {
+			owners[bm.Name] = append(owners[bm.Name], s.Name)
+		}
+	}
+	for name, in := range owners {
+		if len(in) != 1 {
+			t.Errorf("entry %q is built by suites %v, want exactly one", name, in)
+		}
+	}
+
+	files, err := filepath.Glob("../../BENCH_pr*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed baselines found: %v", err)
+	}
+	for _, path := range files {
+		bl, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file SuiteSpec
+		for _, s := range Registry {
+			if s.File == filepath.Base(path) {
+				file = s
+			}
+		}
+		if file.Name == "" {
+			t.Errorf("%s: no registered suite records into this file", path)
+			continue
+		}
+		if bl.Description != file.Description || bl.Scale != file.Scale {
+			t.Errorf("%s: committed description/scale differ from suite %q", path, file.Name)
+		}
+		for name := range bl.Benchmarks {
+			if in := owners[name]; len(in) != 1 || in[0] != file.Name {
+				t.Errorf("%s: entry %q is built by %v, want [%s]", path, name, in, file.Name)
+			}
+		}
+	}
+}
+
+func TestSuiteByNameUnknownListsValid(t *testing.T) {
+	_, err := SuiteByName("bogus")
+	if err == nil {
+		t.Fatal("unknown suite accepted")
+	}
+	for _, s := range Registry {
+		if !strings.Contains(err.Error(), s.Name) {
+			t.Errorf("error %q does not list suite %q", err, s.Name)
+		}
+	}
+}

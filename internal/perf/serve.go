@@ -25,9 +25,9 @@ const ServeBatchLanes = algo.MaxBFSLanes
 // anchored at the suite's canonical source. Spread sources make the
 // union frontier saturate within a couple of levels, which is the
 // worst realistic case for the batch (maximum distinct work per lane).
-func serveBatchSources(g *graph.Graph, seed int64, lanes int) []graph.VertexID {
+func serveBatchSources(g *graph.Graph, lanes int) []graph.VertexID {
 	n := g.NumVertices()
-	base := int(algo.PickSource(g, seed))
+	base := int(algo.PickSource(g, BaselineSeed))
 	srcs := make([]graph.VertexID, lanes)
 	for i := range srcs {
 		srcs[i] = graph.VertexID((base + i*(n/lanes+1)) % n)
@@ -36,10 +36,10 @@ func serveBatchSources(g *graph.Graph, seed int64, lanes int) []graph.VertexID {
 }
 
 // ServeSuite returns the fixed serving benchmark set on DotaLeague.
-func ServeSuite(scale int, seed int64) []Bench {
-	dota := mustGraph("DotaLeague", scale, seed)
-	src := algo.PickSource(dota, seed)
-	srcs := serveBatchSources(dota, seed, ServeBatchLanes)
+func ServeSuite() []Bench {
+	dota := mustGraph("DotaLeague", BaselineScale)
+	src := algo.PickSource(dota, BaselineSeed)
+	srcs := serveBatchSources(dota, ServeBatchLanes)
 	opt := algo.GapOptions{}
 	ctx := context.Background()
 
@@ -47,7 +47,7 @@ func ServeSuite(scale int, seed int64) []Bench {
 	// benchmark measures the steady-state cache-hit path (what a
 	// loadtest spends almost all of its queries on). Validation stays
 	// on: it runs once at warmup, not per hit.
-	srv, err := serve.New(serve.Config{Scale: scale, Seed: seed, CacheDir: CacheDir})
+	srv, err := serve.New(serve.Config{Scale: BaselineScale, Seed: BaselineSeed, CacheDir: CacheDir})
 	if err != nil {
 		panic(err)
 	}
@@ -73,7 +73,6 @@ func ServeSuite(scale int, seed int64) []Bench {
 			// point query pays when it cannot share a sweep.
 			Name: "serve-bfs-single-dotaleague",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					_ = algo.BFSDirOpt(dota, src, opt)
 				}
@@ -84,7 +83,6 @@ func ServeSuite(scale int, seed int64) []Bench {
 			// gate requires single/(batch/64) >= 8x.
 			Name: "serve-bfs-batch64-dotaleague",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := algo.BFSMultiSource(ctx, dota, srcs, opt); err != nil {
 						b.Fatal(err)
@@ -97,7 +95,6 @@ func ServeSuite(scale int, seed int64) []Bench {
 			// checked one ValidateBFS walk of the graph each.
 			Name: "serve-certify-perlane64-dotaleague",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					for l, src := range srcs {
 						if err := algo.ValidateBFS(dota, src, results[l]); err != nil {
@@ -113,7 +110,6 @@ func ServeSuite(scale int, seed int64) []Bench {
 			// perlane64/batch64 >= 8x.
 			Name: "serve-certify-batch64-dotaleague",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					for _, err := range cert.Validate(dota, srcs, results) {
 						if err != nil {
@@ -129,7 +125,6 @@ func ServeSuite(scale int, seed int64) []Bench {
 			// QPS figure in BENCH_pr8.json is built from.
 			Name: "serve-point-query-dotaleague",
 			Run: func(b *testing.B) {
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := srv.BFS(ctx, "DotaLeague", src, srcs[1]); err != nil {
 						b.Fatal(err)
@@ -138,14 +133,4 @@ func ServeSuite(scale int, seed int64) []Bench {
 			},
 		},
 	}
-}
-
-// WriteServeBaseline measures the serving suite and merges the results
-// into path under the given phase (BENCH_pr8.json).
-func WriteServeBaseline(path, phase string) (*Baseline, error) {
-	return writeSuiteBaseline(path, phase,
-		"graphbench serving perf baseline: solo BFS vs 64-lane batched multi-source BFS, per-lane vs batch certificate, warmed point-query path (see internal/perf/serve.go)",
-		BaselineScale, func() map[string]*Metrics {
-			return MeasureSuite(ServeSuite(BaselineScale, BaselineSeed))
-		})
 }

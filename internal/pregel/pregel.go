@@ -552,8 +552,10 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 		}
 		if cfg.SendLimitPerNode > 0 && maxSend > cfg.SendLimitPerNode {
 			tr.End(ssSpan)
-			return nil, fmt.Errorf("pregel: superstep %d send buffer %d MB exceeds per-node budget %d MB: %w",
-				e.superstep, maxSend>>20, cfg.SendLimitPerNode>>20, cluster.ErrOutOfMemory)
+			// Bytes, not MB: down-scaled runs sit far below 1 MB on
+			// both sides and must still show which figure is larger.
+			return nil, fmt.Errorf("pregel: superstep %d send buffer %d bytes exceeds per-node budget %d bytes: %w",
+				e.superstep, maxSend, cfg.SendLimitPerNode, cluster.ErrOutOfMemory)
 		}
 		// Deliver per destination partition in parallel; each
 		// destination partition drains all source outboxes in order.

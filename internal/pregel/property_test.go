@@ -2,6 +2,7 @@ package pregel
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -81,6 +82,14 @@ func TestSendLimitAborts(t *testing.T) {
 	_, err := Run(g, cluster.DAS4(4, 1), cfg, nil)
 	if !errors.Is(err, cluster.ErrOutOfMemory) {
 		t.Fatalf("want ErrOutOfMemory, got %v", err)
+	}
+	// The message must tell the two figures apart even when both are
+	// far below 1 MB (every down-scaled run).
+	var step int
+	var sent, budget int64
+	if _, serr := fmt.Sscanf(err.Error(), "pregel: superstep %d send buffer %d bytes exceeds per-node budget %d bytes",
+		&step, &sent, &budget); serr != nil || budget != 16 || sent <= budget {
+		t.Fatalf("message %q: parsed sent=%d budget=%d (%v)", err, sent, budget, serr)
 	}
 }
 

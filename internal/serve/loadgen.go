@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -191,9 +191,9 @@ func RunLoad(srv *Server, cfg LoadConfig) (*LoadReport, error) {
 	rep.QPS = float64(ok) / elapsed.Seconds()
 	if len(all) > 0 {
 		slices.Sort(all)
-		rep.P50 = percentile(all, 0.50)
-		rep.P99 = percentile(all, 0.99)
-		rep.P999 = percentile(all, 0.999)
+		rep.P50 = metrics.NearestRank(all, 0.50)
+		rep.P99 = metrics.NearestRank(all, 0.99)
+		rep.P999 = metrics.NearestRank(all, 0.999)
 		rep.Max = all[len(all)-1]
 	}
 	return rep, nil
@@ -222,20 +222,4 @@ func runQuery(ctx context.Context, srv *Server, cfg *LoadConfig, rng *rand.Rand,
 		_, err := srv.Stats(cfg.Dataset)
 		return err
 	}
-}
-
-// percentile reads the p-quantile from a sorted latency slice with
-// nearest-rank rounding.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

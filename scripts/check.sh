@@ -70,6 +70,11 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
+# The claim benchmark is a nested module importing repro/internal/...;
+# ./... does not descend into it.
+echo "== benchmark module (vet + test)"
+(cd benchmark && go vet ./... && go test ./...)
+
 echo "== go test -race -short (engines + ingest + obs)"
 go test -race -short \
     ./internal/pregel/... \
