@@ -26,7 +26,6 @@ func serveCmd(args []string, cacheDir string, sess *obs.Session) {
 	scale := fs.Int("scale", 8, "down-scaling factor for the resident datasets")
 	seed := fs.Int64("seed", 42, "generation seed")
 	window := fs.Duration("window", 0, "batching window (0 = default 100µs)")
-	lanes := fs.Int("lanes", 0, "max lanes per batched sweep (0 = default 64)")
 	queue := fs.Int("queue", 0, "admission-control queue depth (0 = default 1024)")
 	timeout := fs.Duration("timeout", 0, "per-query deadline (0 = default 200ms)")
 	workers := fs.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS)")
@@ -39,7 +38,6 @@ func serveCmd(args []string, cacheDir string, sess *obs.Session) {
 		CacheDir:     cacheDir,
 		Workers:      *workers,
 		BatchWindow:  *window,
-		MaxLanes:     *lanes,
 		QueueDepth:   *queue,
 		QueryTimeout: *timeout,
 		Obs:          sess,

@@ -9,30 +9,19 @@ import (
 
 // Incremental algorithms over the evolving graph (internal/evolve).
 //
-// Both algorithms here are maintained per applied batch and must stay
-// BYTE-IDENTICAL to a full recompute over the compacted graph at every
-// compaction point — the contract the stream CI gate enforces. That
-// rules out the usual approximate incremental formulations; instead:
-//
-//   - IncrementalCC maintains a union-find whose roots are component
-//     minima. Because graph.ConnectedComponents' labels are canonical
-//     (the minimum vertex ID of each weak component), any correct
-//     min-root maintenance yields the identical label array, no matter
-//     the merge order. Deletions can split components, which union-find
-//     cannot undo, so a deletion marks the structure dirty and the next
-//     Labels call rebuilds from the snapshot — the documented
-//     deletion-triggered full-recompute fallback.
-//
-//   - DeltaPageRank memoises PageRankPull's entire computation DAG —
-//     the per-iteration rank vectors, contribution vectors, and
-//     per-chunk dangling partial sums — and on each batch re-executes
-//     only the entries whose inputs changed, in exactly the
-//     accumulation order the full kernel uses (sorted in-lists,
-//     chunk-ordered dangling reduction). A recomputed value that comes
-//     out bitwise equal stops propagating, so the touched region stays
-//     proportional to the update's influence cone while the final
-//     vector is bit-for-bit the full kernel's output for any worker
-//     count (the kernel is worker-count invariant).
+// The evolving path maintains exactly one derived view — component
+// labels — because it is the only one a query reads. It is maintained
+// per applied batch and must stay BYTE-IDENTICAL to a full recompute
+// over the compacted graph at every compaction point — the contract
+// the stream CI gate enforces. That rules out the usual approximate
+// incremental formulations; instead IncrementalCC maintains a
+// union-find whose roots are component minima. Because
+// graph.ConnectedComponents' labels are canonical (the minimum vertex
+// ID of each weak component), any correct min-root maintenance yields
+// the identical label array, no matter the merge order. Deletions can
+// split components, which union-find cannot undo, so a deletion marks
+// the structure dirty and the next Labels call rebuilds from the
+// snapshot — the documented deletion-triggered full-recompute fallback.
 //
 // Callers must feed every applied batch exactly once, in sequence
 // order — precisely the stream evolve.Mutable.Submit returns.
@@ -136,315 +125,6 @@ func (cc *IncrementalCC) rebuild(s *evolve.Snapshot) {
 			cc.union(u, v)
 		}
 	}
-}
-
-// DeltaPageRank maintains PageRankPull's full iteration tableau over
-// an evolving graph. Ranks() after any sequence of Apply calls is
-// bitwise equal to PageRankPull over the materialised snapshot with
-// the same iteration count and damping, for every worker count. Not
-// safe for concurrent use.
-type DeltaPageRank struct {
-	iters   int
-	damping float64
-	n       int
-	nChunks int
-
-	// The memoised DAG: ranks[t] is the vector after t iterations
-	// (ranks[0] is the 1/n init), contrib[t] and partials[t] are the
-	// contribution vector and per-chunk dangling partials computed FROM
-	// ranks[t], dangling[t] their chunk-ordered sum.
-	ranks    [][]float64
-	contrib  [][]float64
-	partials [][]float64
-	dangling []float64
-
-	// scratch epoch-stamped membership marks (avoid per-Apply allocs)
-	mark  []uint64
-	stamp uint64
-
-	// Recomputed counts vertex-level gather recomputations across all
-	// Apply calls; FullRebuilds counts times an update's influence cone
-	// forced full recomputation of the remaining levels (dangling-share
-	// movement or a majority-dirty level).
-	Recomputed   int64
-	FullRebuilds int64
-}
-
-// NewDeltaPageRank builds the full tableau over s. Zero iterations or
-// damping select the kernel defaults (20, 0.85).
-func NewDeltaPageRank(s *evolve.Snapshot, iterations int, damping float64) *DeltaPageRank {
-	if iterations <= 0 {
-		iterations = 20
-	}
-	if damping <= 0 {
-		damping = 0.85
-	}
-	n := s.NumVertices()
-	p := &DeltaPageRank{
-		iters:    iterations,
-		damping:  damping,
-		n:        n,
-		nChunks:  (n + prDanglingChunk - 1) / prDanglingChunk,
-		ranks:    make([][]float64, iterations+1),
-		contrib:  make([][]float64, iterations),
-		partials: make([][]float64, iterations),
-		dangling: make([]float64, iterations),
-		mark:     make([]uint64, n),
-	}
-	for t := range p.ranks {
-		p.ranks[t] = make([]float64, n)
-	}
-	for t := range p.contrib {
-		p.contrib[t] = make([]float64, n)
-		p.partials[t] = make([]float64, p.nChunks)
-	}
-	if n == 0 {
-		return p
-	}
-	for v := range p.ranks[0] {
-		p.ranks[0][v] = 1 / float64(n)
-	}
-	for t := 0; t < p.iters; t++ {
-		p.recomputeLevel(s, t)
-	}
-	return p
-}
-
-// Iterations returns the tableau's iteration count.
-func (p *DeltaPageRank) Iterations() int { return p.iters }
-
-// Damping returns the damping factor the tableau was built with.
-func (p *DeltaPageRank) Damping() float64 { return p.damping }
-
-// Ranks returns a copy of the final rank vector (the value
-// PageRankPull would produce over the current snapshot).
-func (p *DeltaPageRank) Ranks() []float64 {
-	out := make([]float64, p.n)
-	copy(out, p.ranks[p.iters])
-	return out
-}
-
-// recomputeLevel fully recomputes contrib[t], partials[t], dangling[t]
-// and ranks[t+1] from ranks[t], replicating PageRankPull's exact
-// accumulation order: per-chunk dangling sums ascending within each
-// chunk, chunk-ordered reduction, then an in-order gather over each
-// vertex's sorted in-list.
-func (p *DeltaPageRank) recomputeLevel(s *evolve.Snapshot, t int) {
-	n := p.n
-	for c := 0; c < p.nChunks; c++ {
-		lo := c * prDanglingChunk
-		hi := min(lo+prDanglingChunk, n)
-		var dangling float64
-		for vi := lo; vi < hi; vi++ {
-			v := graph.VertexID(vi)
-			if d := s.OutDegree(v); d > 0 {
-				p.contrib[t][vi] = p.ranks[t][vi] / float64(d)
-			} else {
-				p.contrib[t][vi] = 0
-				dangling += p.ranks[t][vi]
-			}
-		}
-		p.partials[t][c] = dangling
-	}
-	var dangling float64
-	for _, part := range p.partials[t] {
-		dangling += part
-	}
-	p.dangling[t] = dangling
-	share := (1-p.damping)/float64(n) + p.damping*dangling/float64(n)
-	for vi := 0; vi < n; vi++ {
-		sum := 0.0
-		for _, u := range s.In(graph.VertexID(vi)) {
-			sum += p.contrib[t][u]
-		}
-		p.ranks[t+1][vi] = share + p.damping*sum
-	}
-	p.Recomputed += int64(n)
-}
-
-// touched collects a deduplicated vertex list using the epoch-stamped
-// mark array.
-func (p *DeltaPageRank) touch(list []int32, v graph.VertexID) []int32 {
-	if p.mark[v] == p.stamp {
-		return list
-	}
-	p.mark[v] = p.stamp
-	return append(list, int32(v))
-}
-
-// Apply folds one applied batch in. ops are the batch's mutations;
-// after is the snapshot produced by applying that batch (the stream
-// evolve.Mutable.Submit returns both). Each tableau level recomputes
-// only the entries whose inputs could have changed — structurally
-// touched vertices plus the influence cone of bitwise-changed values —
-// and falls back to full level recomputation when the dangling share
-// moves or a majority of a level dirties.
-func (p *DeltaPageRank) Apply(ops []evolve.Op, after *evolve.Snapshot) {
-	if p.n == 0 || len(ops) == 0 {
-		return
-	}
-	directed := after.Directed()
-	// Structural dirt: inCh — vertices whose in-list may have changed
-	// (their gather set moved at EVERY level); outCh — vertices whose
-	// out-degree may have changed (their contribution moved at every
-	// level, and their dangling status may have flipped).
-	p.stamp++
-	var inCh []int32
-	for _, op := range ops {
-		if op.Src == op.Dst {
-			continue
-		}
-		if directed {
-			inCh = p.touch(inCh, op.Dst)
-		} else {
-			inCh = p.touch(inCh, op.Src)
-			inCh = p.touch(inCh, op.Dst)
-		}
-	}
-	p.stamp++
-	var outCh []int32
-	for _, op := range ops {
-		if op.Src == op.Dst {
-			continue
-		}
-		outCh = p.touch(outCh, op.Src)
-		if !directed {
-			outCh = p.touch(outCh, op.Dst)
-		}
-	}
-	if len(inCh) == 0 && len(outCh) == 0 {
-		return
-	}
-
-	n := p.n
-	// dirtyRank: entries of ranks[t] that changed bitwise (none at
-	// t=0 — the 1/n init never moves while the vertex set is fixed,
-	// which is why evolve pins it).
-	var dirtyRank []int32
-	for t := 0; t < p.iters; t++ {
-		// Level-t contribution candidates: changed ranks ∪ changed
-		// out-degrees.
-		p.stamp++
-		var cand []int32
-		for _, v := range dirtyRank {
-			cand = p.touch(cand, graph.VertexID(v))
-		}
-		for _, v := range outCh {
-			cand = p.touch(cand, graph.VertexID(v))
-		}
-		var contribChanged []int32
-		chunkDirty := make(map[int]struct{})
-		for _, vi := range cand {
-			v := graph.VertexID(vi)
-			var c float64
-			if d := after.OutDegree(v); d > 0 {
-				c = p.ranks[t][vi] / float64(d)
-			}
-			if c != p.contrib[t][vi] {
-				p.contrib[t][vi] = c
-				contribChanged = append(contribChanged, vi)
-			}
-			chunkDirty[int(vi)/prDanglingChunk] = struct{}{}
-		}
-		// Re-reduce dirty dangling chunks in ascending-vertex order.
-		shareChanged := false
-		for c := range chunkDirty {
-			lo := c * prDanglingChunk
-			hi := min(lo+prDanglingChunk, n)
-			var dangling float64
-			for vi := lo; vi < hi; vi++ {
-				if after.OutDegree(graph.VertexID(vi)) == 0 {
-					dangling += p.ranks[t][vi]
-				}
-			}
-			if dangling != p.partials[t][c] {
-				p.partials[t][c] = dangling
-				shareChanged = true
-			}
-		}
-		if shareChanged {
-			// The dangling share feeds every vertex at t+1: the sparse
-			// frontier is the whole level. Recompute the remaining
-			// levels fully (chunk-ordered, so still byte-identical).
-			var dangling float64
-			for _, part := range p.partials[t] {
-				dangling += part
-			}
-			p.dangling[t] = dangling
-			share := (1-p.damping)/float64(n) + p.damping*dangling/float64(n)
-			for vi := 0; vi < n; vi++ {
-				sum := 0.0
-				for _, u := range after.In(graph.VertexID(vi)) {
-					sum += p.contrib[t][u]
-				}
-				p.ranks[t+1][vi] = share + p.damping*sum
-			}
-			p.Recomputed += int64(n)
-			for tt := t + 1; tt < p.iters; tt++ {
-				p.recomputeLevel(after, tt)
-			}
-			p.FullRebuilds++
-			return
-		}
-		share := (1-p.damping)/float64(n) + p.damping*p.dangling[t]/float64(n)
-
-		// Level-(t+1) gather candidates: structurally re-wired
-		// vertices ∪ out-neighbours (in the NEW adjacency) of changed
-		// contributions. A deleted arc's head is in inCh, so losing a
-		// changed contribution is covered too.
-		p.stamp++
-		var gcand []int32
-		for _, v := range inCh {
-			gcand = p.touch(gcand, graph.VertexID(v))
-		}
-		for _, ui := range contribChanged {
-			for _, v := range after.Out(graph.VertexID(ui)) {
-				gcand = p.touch(gcand, v)
-			}
-		}
-		dirtyRank = dirtyRank[:0]
-		for _, vi := range gcand {
-			sum := 0.0
-			for _, u := range after.In(graph.VertexID(vi)) {
-				sum += p.contrib[t][u]
-			}
-			nr := share + p.damping*sum
-			if nr != p.ranks[t+1][vi] {
-				p.ranks[t+1][vi] = nr
-				dirtyRank = append(dirtyRank, vi)
-			}
-		}
-		p.Recomputed += int64(len(gcand))
-		// No early-out even when dirtyRank is empty: inCh vertices'
-		// stored deeper levels were gathered over the OLD in-lists and
-		// must be recomputed at every level, and outCh contributions
-		// divide by the new degree at every level.
-		if 2*len(dirtyRank) > n {
-			// Majority dirty: sparse bookkeeping costs more than the
-			// dense kernel. Finish densely (identical values).
-			for tt := t + 1; tt < p.iters; tt++ {
-				p.recomputeLevel(after, tt)
-			}
-			p.FullRebuilds++
-			return
-		}
-	}
-}
-
-// CheckRanksEqual verifies two rank vectors are bitwise identical,
-// returning the first divergence — the equivalence check the
-// compaction gate and stream CI use.
-func CheckRanksEqual(got, want []float64) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("algo: rank vector length %d != %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return fmt.Errorf("algo: rank[%d] diverged: %v != %v (delta %g)",
-				i, got[i], want[i], got[i]-want[i])
-		}
-	}
-	return nil
 }
 
 // CheckLabelsEqual verifies two component-label arrays are identical.

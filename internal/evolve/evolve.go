@@ -42,8 +42,8 @@ import (
 var (
 	// ErrBadOp is an edge mutation naming a vertex outside the graph.
 	// The vertex set is fixed for a Mutable's lifetime — streams mutate
-	// edges only, which is what keeps delta-PageRank's 1/n
-	// initialisation (and so its byte-identity contract) stable.
+	// edges only, so per-vertex state derived from a snapshot
+	// (IncrementalCC's forest, BFS level arrays) is sized once.
 	ErrBadOp = errors.New("evolve: op vertex out of range")
 	// ErrBadBatch is a batch with a zero sequence number (sequences are
 	// 1-based so that epoch e means "batches 1..e applied").

@@ -279,6 +279,13 @@ func finish(r *Result, cm cluster.CostModel, hw cluster.Hardware, proj int64, ti
 	}
 }
 
+// crashed marks r as crashed with err, for a Run to return.
+func crashed(r *Result, err error) *Result {
+	r.Status = Crashed
+	r.Err = err
+	return r
+}
+
 func fillIDs(r *Result, spec Spec, platformName string) {
 	r.Platform = platformName
 	r.Algorithm = spec.Algorithm
@@ -385,16 +392,12 @@ func (p *mrPlatform) Run(spec Spec) *Result {
 	fillIDs(r, spec, p.name)
 	eng, release, err := p.newEngine(spec.HW, spec.Obs, spec.Fault)
 	if err != nil {
-		r.Status = Crashed
-		r.Err = err
-		return r
+		return crashed(r, err)
 	}
 	defer release()
 	pt, err := partitionFor(spec)
 	if err != nil {
-		r.Status = Crashed
-		r.Err = err
-		return r
+		return crashed(r, err)
 	}
 	if pt != nil {
 		recordPartition(pt, spec.G, eng.Profile)
@@ -403,24 +406,22 @@ func (p *mrPlatform) Run(spec Spec) *Result {
 	var out any
 	switch spec.Algorithm {
 	case STATS:
-		out, err = callE(func() (any, error) { return mralgo.Stats(eng, spec.G) })
+		out, err = boxed(mralgo.Stats(eng, spec.G))
 	case BFS:
-		out, err = callE(func() (any, error) { return mralgo.BFS(eng, spec.G, spec.Params.BFSSource) })
+		out, err = boxed(mralgo.BFS(eng, spec.G, spec.Params.BFSSource))
 	case CONN:
-		out, err = callE(func() (any, error) { return mralgo.Conn(eng, spec.G) })
+		out, err = boxed(mralgo.Conn(eng, spec.G))
 	case CD:
-		out, err = callE(func() (any, error) { return mralgo.CD(eng, spec.G, spec.Params) })
+		out, err = boxed(mralgo.CD(eng, spec.G, spec.Params))
 	case EVO:
-		out, err = callE(func() (any, error) { return mralgo.EVO(eng, spec.G, spec.Params) })
+		out, err = boxed(mralgo.EVO(eng, spec.G, spec.Params))
 	case SSSP:
-		out, err = callE(func() (any, error) { return mralgo.SSSP(eng, weightedFor(spec.G), spec.Params.BFSSource) })
+		out, err = boxed(mralgo.SSSP(eng, weightedFor(spec.G), spec.Params.BFSSource))
 	default:
 		err = fmt.Errorf("unknown algorithm %q", spec.Algorithm)
 	}
 	if err != nil {
-		r.Status = Crashed
-		r.Err = err
-		return r
+		return crashed(r, err)
 	}
 	r.Output = out
 	r.Profile = eng.Profile
@@ -432,15 +433,14 @@ func (p *mrPlatform) Run(spec Spec) *Result {
 	demand := int64(float64(p.costs.MemBase) +
 		p.costs.GCFactor*p.costs.GraphMemFactor*float64(eng.PeakJobBytesPerNode*proj))
 	if err := cluster.CheckMemory(demand, spec.HW); err != nil {
-		r.Status = Crashed
-		r.Err = err
-		return r
+		return crashed(r, err)
 	}
 	finish(r, p.costs, spec.HW, proj, DistributedTimeout)
 	return r
 }
 
-func callE(f func() (any, error)) (any, error) { return f() }
+// boxed lets a typed (result, error) pair be assigned to (out any, err).
+func boxed[T any](v T, err error) (any, error) { return v, err }
 
 // ---- Stratosphere ---------------------------------------------------
 
@@ -462,9 +462,7 @@ func (p stratoPlatform) Run(spec Spec) *Result {
 	eng.Profile.Fault = spec.Fault
 	pt, err := partitionFor(spec)
 	if err != nil {
-		r.Status = Crashed
-		r.Err = err
-		return r
+		return crashed(r, err)
 	}
 	if pt != nil {
 		recordPartition(pt, spec.G, eng.Profile)
@@ -473,24 +471,22 @@ func (p stratoPlatform) Run(spec Spec) *Result {
 	var out any
 	switch spec.Algorithm {
 	case STATS:
-		out, err = callE(func() (any, error) { return pactalgo.Stats(eng, spec.G) })
+		out, err = boxed(pactalgo.Stats(eng, spec.G))
 	case BFS:
-		out, err = callE(func() (any, error) { return pactalgo.BFS(eng, spec.G, spec.Params.BFSSource) })
+		out, err = boxed(pactalgo.BFS(eng, spec.G, spec.Params.BFSSource))
 	case CONN:
-		out, err = callE(func() (any, error) { return pactalgo.Conn(eng, spec.G) })
+		out, err = boxed(pactalgo.Conn(eng, spec.G))
 	case CD:
-		out, err = callE(func() (any, error) { return pactalgo.CD(eng, spec.G, spec.Params) })
+		out, err = boxed(pactalgo.CD(eng, spec.G, spec.Params))
 	case EVO:
-		out, err = callE(func() (any, error) { return pactalgo.EVO(eng, spec.G, spec.Params) })
+		out, err = boxed(pactalgo.EVO(eng, spec.G, spec.Params))
 	case SSSP:
-		out, err = callE(func() (any, error) { return pactalgo.SSSP(eng, weightedFor(spec.G), spec.Params.BFSSource) })
+		out, err = boxed(pactalgo.SSSP(eng, weightedFor(spec.G), spec.Params.BFSSource))
 	default:
 		err = fmt.Errorf("unknown algorithm %q", spec.Algorithm)
 	}
 	if err != nil {
-		r.Status = Crashed
-		r.Err = err
-		return r
+		return crashed(r, err)
 	}
 	r.Output = out
 	r.Profile = eng.Profile
@@ -526,67 +522,42 @@ func (p giraphPlatform) Run(spec Spec) *Result {
 	graphPerNode := float64(spec.G.MemoryFootprint()) * float64(proj) / float64(hw.Nodes)
 	budget := float64(hw.MemPerNode)/cm.GCFactor - float64(cm.MemBase) - cm.GraphMemFactor*graphPerNode
 	if budget <= 0 {
-		r.Status = Crashed
-		r.Err = fmt.Errorf("graph partition alone exceeds node memory: %w", cluster.ErrOutOfMemory)
-		return r
+		return crashed(r, fmt.Errorf("graph partition alone exceeds node memory: %w", cluster.ErrOutOfMemory))
 	}
 	sendLimit := int64(budget / (cm.MemPerMsgByte * float64(proj)))
 	pt, err := partitionFor(spec)
 	if err != nil {
-		r.Status = Crashed
-		r.Err = err
-		return r
+		return crashed(r, err)
 	}
 	if pt != nil {
 		recordPartition(pt, spec.G, r.Profile)
 	}
 
 	var out any
-	runPregel := func(f func(limit int64) error) error { return f(sendLimit) }
 	switch spec.Algorithm {
 	case STATS:
-		err = runPregel(func(limit int64) error {
-			res, _, e := pregelalgo.Stats(spec.G, hw, limit, r.Profile)
-			out = res
-			return e
-		})
+		res, _, e := pregelalgo.Stats(spec.G, hw, sendLimit, r.Profile)
+		out, err = res, e
 	case BFS:
-		err = runPregel(func(limit int64) error {
-			res, _, e := pregelalgo.BFS(spec.G, hw, spec.Params.BFSSource, limit, r.Profile)
-			out = res
-			return e
-		})
+		res, _, e := pregelalgo.BFS(spec.G, hw, spec.Params.BFSSource, sendLimit, r.Profile)
+		out, err = res, e
 	case CONN:
-		err = runPregel(func(limit int64) error {
-			res, _, e := pregelalgo.Conn(spec.G, hw, limit, r.Profile)
-			out = res
-			return e
-		})
+		res, _, e := pregelalgo.Conn(spec.G, hw, sendLimit, r.Profile)
+		out, err = res, e
 	case CD:
-		err = runPregel(func(limit int64) error {
-			res, _, e := pregelalgo.CD(spec.G, hw, spec.Params, limit, r.Profile)
-			out = res
-			return e
-		})
+		res, _, e := pregelalgo.CD(spec.G, hw, spec.Params, sendLimit, r.Profile)
+		out, err = res, e
 	case EVO:
-		err = runPregel(func(limit int64) error {
-			res, _, e := pregelalgo.EVO(spec.G, hw, spec.Params, limit, r.Profile)
-			out = res
-			return e
-		})
+		res, _, e := pregelalgo.EVO(spec.G, hw, spec.Params, sendLimit, r.Profile)
+		out, err = res, e
 	case SSSP:
-		err = runPregel(func(limit int64) error {
-			res, _, e := pregelalgo.SSSP(weightedFor(spec.G), hw, spec.Params.BFSSource, limit, r.Profile)
-			out = res
-			return e
-		})
+		res, _, e := pregelalgo.SSSP(weightedFor(spec.G), hw, spec.Params.BFSSource, sendLimit, r.Profile)
+		out, err = res, e
 	default:
 		err = fmt.Errorf("unknown algorithm %q", spec.Algorithm)
 	}
 	if err != nil {
-		r.Status = Crashed
-		r.Err = err
-		return r
+		return crashed(r, err)
 	}
 	r.Output = out
 	// Giraph reads its input once and holds everything in memory.
@@ -624,9 +595,7 @@ func (p graphlabPlatform) Run(spec Spec) *Result {
 	inputBytes := graph.TextSize(spec.G)
 	pt, err := partitionFor(spec)
 	if err != nil {
-		r.Status = Crashed
-		r.Err = err
-		return r
+		return crashed(r, err)
 	}
 	if pt != nil {
 		recordPartition(pt, spec.G, r.Profile)
@@ -656,9 +625,7 @@ func (p graphlabPlatform) Run(spec Spec) *Result {
 		err = fmt.Errorf("unknown algorithm %q", spec.Algorithm)
 	}
 	if err != nil {
-		r.Status = Crashed
-		r.Err = err
-		return r
+		return crashed(r, err)
 	}
 	r.Output = out
 
@@ -667,9 +634,7 @@ func (p graphlabPlatform) Run(spec Spec) *Result {
 	demand := int64(cm.GCFactor * (float64(cm.MemBase) +
 		cm.GraphMemFactor*float64(r.Profile.PeakMemPerNode*proj)))
 	if err := cluster.CheckMemory(demand, spec.HW); err != nil {
-		r.Status = Crashed
-		r.Err = err
-		return r
+		return crashed(r, err)
 	}
 	finish(r, cm, spec.HW, proj, DistributedTimeout)
 	return r
@@ -732,16 +697,12 @@ func (p neo4jPlatform) Run(spec Spec) *Result {
 		// Cold pass to fill the caches, discarded (the paper reports
 		// hot-cache numbers in Figure 1).
 		if _, err := run(&cluster.ExecutionProfile{}); err != nil {
-			r.Status = Crashed
-			r.Err = err
-			return r
+			return crashed(r, err)
 		}
 	}
 	out, err := run(r.Profile)
 	if err != nil {
-		r.Status = Crashed
-		r.Err = err
-		return r
+		return crashed(r, err)
 	}
 	r.Output = out
 	finish(r, p.Costs(), hw, proj, SingleNodeTimeout)

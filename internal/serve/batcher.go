@@ -15,7 +15,7 @@ import (
 // batcher coalesces concurrent BFS-backed point queries into
 // multi-source lane sweeps. One dispatcher goroutine per dataset pulls
 // queries off a bounded queue, holds an open batch for BatchWindow (or
-// until MaxLanes distinct sources fill), runs algo.BFSMultiSource
+// until algo.MaxBFSLanes distinct sources fill), runs algo.BFSMultiSource
 // once, certifies the whole batch with one word-parallel
 // algo.ValidateBFSBatch pass, installs the lanes that passed in the
 // result cache, and fans results out to the waiters.
@@ -201,14 +201,14 @@ func (b *batcher) dispatch() {
 }
 
 // collect gathers queries for one sweep: starting from the first
-// waiter, it admits more until MaxLanes distinct sources are filled or
-// the batch window closes. Duplicate sources share a lane.
+// waiter, it admits more until algo.MaxBFSLanes distinct sources are
+// filled or the batch window closes. Duplicate sources share a lane.
 func (b *batcher) collect(first bfsWaiter) ([]graph.VertexID, map[graph.VertexID][]chan bfsOutcome) {
 	srcs := []graph.VertexID{first.src}
 	waiters := map[graph.VertexID][]chan bfsOutcome{first.src: {first.done}}
 	timer := time.NewTimer(b.cfg.BatchWindow)
 	defer timer.Stop()
-	for len(srcs) < b.cfg.MaxLanes {
+	for len(srcs) < algo.MaxBFSLanes {
 		select {
 		case w := <-b.queue:
 			if _, dup := waiters[w.src]; !dup {
@@ -252,20 +252,17 @@ func (b *batcher) runBatch(srcs []graph.VertexID, waiters map[graph.VertexID][]c
 	// span, and serve.batch above is not stretched over it: the claim
 	// benchmark reads every span of this session as serve.batch.sweep,
 	// so either would redefine its serve.batch.sweep_ms.
-	var verrs []error
-	if !b.cfg.SkipValidate {
-		b.results = b.results[:0]
-		for _, t := range trees {
-			b.results = append(b.results, &t.BFSResult)
-		}
-		start := time.Now()
-		verrs = b.cert.Validate(b.g, srcs, b.results)
-		b.certifyNs.Add(int64(time.Since(start)))
-		b.certifyLanes.Add(int64(len(srcs)))
+	b.results = b.results[:0]
+	for _, t := range trees {
+		b.results = append(b.results, &t.BFSResult)
 	}
+	start := time.Now()
+	verrs := b.cert.Validate(b.g, srcs, b.results)
+	b.certifyNs.Add(int64(time.Since(start)))
+	b.certifyLanes.Add(int64(len(srcs)))
 	for l, src := range srcs {
 		out := bfsOutcome{tree: trees[l]}
-		if verrs != nil && verrs[l] != nil {
+		if verrs[l] != nil {
 			b.certifyFailures.Add(1)
 			out = bfsOutcome{err: fmt.Errorf("serve: BFS certificate failed for source %d: %w", src, verrs[l])}
 		} else {

@@ -17,6 +17,7 @@ import (
 //	400  malformed JSON / unknown fields / wrong types, invalid
 //	     mutation batches (evolve.ErrBadBatch, evolve.ErrBadOp)
 //	404  unknown dataset, vertex out of range
+//	413  request body over maxBodyBytes
 //	429  admission control rejected the query (ErrOverloaded)
 //	504  per-query deadline expired (algo.ErrDeadlineExceeded)
 //	500  anything else (including a failed result certificate)
@@ -61,15 +62,33 @@ type queryBody struct {
 	K       *int32 `json:"k,omitempty"`
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request) (*queryBody, bool) {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds every POST body. The largest legitimate request
+// is a /mutate batch, a few dozen bytes per op; without a bound one
+// request with an arbitrarily long ops array is read and allocated in
+// full.
+const maxBodyBytes = 1 << 20
+
+// decodeInto reads r's JSON body into v, answering 413 for a body over
+// maxBodyBytes and 400 for anything else that does not decode.
+func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	var q queryBody
-	if err := dec.Decode(&q); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error())
-		return nil, false
+	err := dec.Decode(v)
+	if err == nil {
+		return true
 	}
-	return &q, true
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+	} else {
+		writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error())
+	}
+	return false
+}
+
+func decodeBody(w http.ResponseWriter, r *http.Request) (*queryBody, bool) {
+	var q queryBody
+	return &q, decodeInto(w, r, &q)
 }
 
 func need(w http.ResponseWriter, name string, v *int64) (graph.VertexID, bool) {
@@ -169,11 +188,8 @@ type mutateBody struct {
 }
 
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var m mutateBody
-	if err := dec.Decode(&m); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error())
+	if !decodeInto(w, r, &m) {
 		return
 	}
 	ans, err := s.Mutate(m.Dataset, evolve.Batch{Seq: m.Seq, Ops: m.Ops})

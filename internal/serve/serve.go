@@ -13,9 +13,11 @@
 // snapshot so they always see a consistent epoch regardless of
 // concurrent writers. After CompactEvery applied batches the overlay
 // is folded into a fresh CSR through the graph builder, the
-// incremental algorithms are cross-checked byte-identical against full
-// recomputation, and the serving state (batcher, derived views,
-// result caches) is swapped atomically.
+// incrementally maintained component labels — the one derived view a
+// query reads — are cross-checked byte-identical against full
+// recomputation, and the serving state (batcher, result caches) is
+// swapped atomically. A failed cross-check fails the compaction and
+// leaves the serving state as it was.
 //
 // The perf core is the batching scheduler in batcher.go: concurrent
 // BFS-backed point queries coalesce into one multi-source
@@ -23,7 +25,10 @@
 // costs a handful of shared CSR sweeps instead of 64 traversals. Full
 // per-source trees are kept in a bounded result cache — a point query
 // is then one map lookup, and every tree entering the cache has been
-// checked by algo.ValidateBFS first, so served answers are certified.
+// checked by algo.ValidateBFSBatch first, so served answers are
+// certified. Every certificate is unconditional: ValidateBFSBatch on
+// each executed batch, evolve.CheckBFS on each snapshot-path answer,
+// algo.ValidateSSSP on each cold SSSP.
 // The batcher serves exactly one compacted epoch; while the overlay is
 // non-empty, BFS-backed queries run on the pinned snapshot directly
 // (certified by evolve.CheckBFS) so answers are always current.
@@ -81,9 +86,6 @@ type Config struct {
 	// BatchWindow is how long the scheduler holds an open batch for
 	// more queries before sweeping (default 100µs).
 	BatchWindow time.Duration
-	// MaxLanes caps sources per sweep, at most algo.MaxBFSLanes
-	// (default: algo.MaxBFSLanes).
-	MaxLanes int
 	// QueueDepth bounds the execution queue; admission beyond it fails
 	// with ErrOverloaded (default 1024).
 	QueueDepth int
@@ -99,17 +101,6 @@ type Config struct {
 	// this many applied batches (default 64; negative disables
 	// automatic compaction — Server.Compact still works).
 	CompactEvery int
-	// TrackRanks maintains a delta-PageRank tableau per dataset,
-	// cross-checked against full recomputation at every compaction.
-	// Costs O(iterations × vertices) memory per dataset; the stream
-	// gate turns it on, plain serving leaves it off.
-	TrackRanks bool
-	// SkipValidate disables the ValidateBFSBatch certificate on each
-	// executed batch before its trees may serve answers, the CheckBFS
-	// certificate on snapshot-path BFS answers, and the
-	// incremental-vs-full equivalence checks at compaction points.
-	// Only benchmarks that isolate sweep cost should set it.
-	SkipValidate bool
 	// Obs receives spans (batch executions) and counters; nil disables.
 	Obs *obs.Session
 }
@@ -126,9 +117,6 @@ func (c *Config) fill() {
 	}
 	if c.BatchWindow <= 0 {
 		c.BatchWindow = 100 * time.Microsecond
-	}
-	if c.MaxLanes <= 0 || c.MaxLanes > algo.MaxBFSLanes {
-		c.MaxLanes = algo.MaxBFSLanes
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
@@ -153,7 +141,7 @@ type Server struct {
 }
 
 // dataset is one resident evolving graph: the mutation log, the
-// incremental algorithm state fed by it, and the epoch-pinned serving
+// incremental component state fed by it, and the epoch-pinned serving
 // state (dsState) reads go through.
 type dataset struct {
 	name string
@@ -164,13 +152,12 @@ type dataset struct {
 	// compaction, so readers never block on writers.
 	st atomic.Pointer[dsState]
 
-	// mu serialises the write path: Submit, incremental-algorithm
+	// mu serialises the write path: Submit, incremental-CC
 	// maintenance, compaction, and the component-label cache (which is
 	// derived from the incremental CC state).
 	mu           sync.Mutex
 	cc           *algo.IncrementalCC
-	pr           *algo.DeltaPageRank // nil unless TrackRanks
-	batchesSince int                 // applied batches since last compaction
+	batchesSince int // applied batches since last compaction
 	compactions  int64
 
 	// Component-label cache, keyed by the epoch it was computed at.
@@ -218,9 +205,6 @@ func New(cfg Config) (*Server, error) {
 			n:    g.NumVertices(),
 			mut:  evolve.NewMutable(g),
 			cc:   algo.NewIncrementalCC(g),
-		}
-		if s.cfg.TrackRanks {
-			d.pr = algo.NewDeltaPageRank(d.mut.Snapshot(), 0, 0)
 		}
 		st := &dsState{g: g, sssp: newSSSPCache(s.cfg.ResultCacheSize)}
 		st.batcher = newBatcher(g, &s.cfg)
@@ -286,7 +270,7 @@ type MutateAnswer struct {
 // Mutate submits one edge-mutation batch with exactly-once semantics:
 // duplicate sequence numbers are dropped, out-of-order batches are
 // buffered until the gap fills. Applied batches immediately update the
-// incremental algorithm state; after CompactEvery applied batches the
+// incremental component state; after CompactEvery applied batches the
 // overlay is folded into a fresh serving state.
 func (s *Server) Mutate(dsName string, b evolve.Batch) (*MutateAnswer, error) {
 	d, err := s.dataset(dsName)
@@ -301,9 +285,6 @@ func (s *Server) Mutate(dsName string, b evolve.Batch) (*MutateAnswer, error) {
 	}
 	for _, ab := range res.Applied {
 		d.cc.Apply(ab.Batch.Ops)
-		if d.pr != nil {
-			d.pr.Apply(ab.Batch.Ops, ab.After)
-		}
 	}
 	d.batchesSince += len(res.Applied)
 	ans := &MutateAnswer{
@@ -356,9 +337,9 @@ func (s *Server) Compact(dsName string) (*CompactAnswer, error) {
 }
 
 // compactLocked (d.mu held) folds the overlay, cross-checks the
-// incremental algorithms byte-identical against full recomputation
-// over the compacted CSR, swaps the serving state, and retires the old
-// batcher. An empty overlay is a no-op.
+// incremental component labels byte-identical against full
+// recomputation over the compacted CSR, swaps the serving state, and
+// retires the old batcher. An empty overlay is a no-op.
 func (d *dataset) compactLocked(cfg *Config) error {
 	snap := d.mut.Compact()
 	g := snap.Base()
@@ -370,19 +351,9 @@ func (d *dataset) compactLocked(cfg *Config) error {
 		old.epoch.Store(snap.Epoch())
 		return nil
 	}
-	if !cfg.SkipValidate {
-		if err := algo.CheckLabelsEqual(d.cc.Labels(snap), g.ConnectedComponents()); err != nil {
-			return fmt.Errorf("serve: incremental CC diverged from full recompute at epoch %d: %w",
-				snap.Epoch(), err)
-		}
-		if d.pr != nil {
-			full := algo.PageRankPull(g, d.pr.Iterations(), d.pr.Damping(),
-				algo.GapOptions{Workers: cfg.Workers})
-			if err := algo.CheckRanksEqual(d.pr.Ranks(), full.Ranks); err != nil {
-				return fmt.Errorf("serve: delta-PageRank diverged from full recompute at epoch %d: %w",
-					snap.Epoch(), err)
-			}
-		}
+	if err := algo.CheckLabelsEqual(d.cc.Labels(snap), g.ConnectedComponents()); err != nil {
+		return fmt.Errorf("serve: incremental CC diverged from full recompute at epoch %d: %w",
+			snap.Epoch(), err)
 	}
 	st := &dsState{g: g, sssp: newSSSPCache(cfg.ResultCacheSize)}
 	st.epoch.Store(snap.Epoch())
@@ -439,10 +410,8 @@ func (s *Server) bfsLevels(ctx context.Context, d *dataset, src graph.VertexID) 
 		// The batcher retired under us: fall through to the snapshot.
 	}
 	levels, visited, _ = snap.BFS(src)
-	if !s.cfg.SkipValidate {
-		if cerr := evolve.CheckBFS(snap, src, levels); cerr != nil {
-			return nil, 0, false, 0, fmt.Errorf("serve: snapshot BFS certificate failed for source %d: %w", src, cerr)
-		}
+	if cerr := evolve.CheckBFS(snap, src, levels); cerr != nil {
+		return nil, 0, false, 0, fmt.Errorf("serve: snapshot BFS certificate failed for source %d: %w", src, cerr)
 	}
 	return levels, visited, false, snap.Epoch(), nil
 }
@@ -612,16 +581,14 @@ func (s *Server) SSSP(ctx context.Context, dsName string, src, target graph.Vert
 	res, cached := st.sssp.get(src)
 	if res == nil {
 		res = algo.SSSPDeltaStep(st.weighted, src, algo.GapOptions{Workers: s.cfg.Workers})
-		if !s.cfg.SkipValidate {
-			if err := algo.ValidateSSSP(st.weighted, src, res); err != nil {
-				return nil, fmt.Errorf("serve: SSSP certificate failed: %w", err)
-			}
+		if err := algo.ValidateSSSP(st.weighted, src, res); err != nil {
+			return nil, fmt.Errorf("serve: SSSP certificate failed: %w", err)
 		}
 		st.sssp.put(src, res)
 	}
 	dist := res.Dist[target]
 	ans := &SSSPAnswer{Dataset: d.name, Src: int64(src), Target: int64(target), Cached: cached, Epoch: st.epoch.Load()}
-	if dist < 0 || dist == int64(^uint64(0)>>1) { // unreachedW sentinel
+	if dist < 0 {
 		ans.Dist = -1
 	} else {
 		ans.Reachable = true

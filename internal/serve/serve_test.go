@@ -232,6 +232,7 @@ func TestHandlerTable(t *testing.T) {
 		{"component bad dataset", "/query/component", `{"dataset":"x","vertex":4}`, 404},
 		{"sssp ok", "/query/sssp", `{"dataset":"DotaLeague","src":1,"target":3}`, 200},
 		{"sssp bad vertex", "/query/sssp", `{"dataset":"DotaLeague","src":1,"target":` + itoa64(n+5) + `}`, 404},
+		{"oversized body", "/query/bfs", `{"dataset":"` + strings.Repeat("x", maxBodyBytes) + `","src":1,"target":2}`, 413},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

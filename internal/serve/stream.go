@@ -209,7 +209,6 @@ func runStreamMix(cfg *StreamConfig, dsName string, base *graph.Graph,
 		Seed:         cfg.Seed,
 		Workers:      cfg.Workers,
 		CompactEvery: cfg.CompactEvery,
-		TrackRanks:   true,
 		QueryTimeout: 30 * time.Second, // not a latency gate; -race runs are slow
 	})
 	if err != nil {
@@ -406,7 +405,6 @@ func RunStreamChaos(cfg StreamConfig, seeds []int64) (*StreamChaosReport, error)
 			Seed:         cfg.Seed,
 			Workers:      cfg.Workers,
 			CompactEvery: cfg.CompactEvery,
-			TrackRanks:   true,
 			QueryTimeout: 30 * time.Second,
 		})
 		if err != nil {

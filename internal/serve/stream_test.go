@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -22,7 +23,6 @@ func TestServerMutate(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
 		c.CompactEvery = 2
 		c.CacheDir = cacheDir
-		c.TrackRanks = true
 	})
 	g, _ := s.Graph("DotaLeague")
 	batches := datagen.UpdateStream(g, 9, 4, 4, 0.25)
@@ -168,6 +168,10 @@ func TestHandlerMutate(t *testing.T) {
 		{"unknown field", `{"dataset":"DotaLeague","seq":2,"oops":[]}`, 400},
 		{"unknown dataset", `{"dataset":"zzz","seq":2,"ops":[]}`, 404},
 		{"duplicate", `{"dataset":"DotaLeague","seq":1,"ops":[{"src":1,"dst":0}]}`, 200},
+		// Well-formed and next in sequence, so only the body bound stops
+		// it; the epoch check after /compact shows it was not applied.
+		{"oversized body", `{"dataset":"DotaLeague","seq":2,"ops":[` +
+			strings.Repeat(`{"src":1,"dst":0},`, maxBodyBytes/18) + `{"src":1,"dst":0}]}`, 413},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -194,7 +198,7 @@ func TestHandlerMutate(t *testing.T) {
 // TestRunStreamSweep is the read/write-mix sweep at test scale: every
 // row must MATCH the clean replay with zero torn epochs, and the runs
 // must actually cross compaction points (where the incremental
-// algorithms are cross-checked against full recomputation).
+// component labels are cross-checked against full recomputation).
 func TestRunStreamSweep(t *testing.T) {
 	rep, err := RunStream(StreamConfig{
 		Mixes:      []StreamMix{{90, 10}, {50, 50}},
@@ -278,5 +282,65 @@ func TestStreamLoadSmoke(t *testing.T) {
 	}
 	if row.FinalEpoch != 48 {
 		t.Fatalf("final epoch %d, want 48", row.FinalEpoch)
+	}
+}
+
+// TestCompactionDivergenceIsReported: the compaction cross-check cannot
+// be switched off, so pin what a failing one does. A real batch
+// isolates a vertex (every dataset is one component until then); an
+// insert fed to the incremental CC but never submitted to the mutation
+// log then re-attaches it in the labels only. Compact must report the
+// divergence and leave the serving state unswapped, and reads must keep
+// answering at the live epoch on the certified snapshot path.
+func TestCompactionDivergenceIsReported(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.CompactEvery = -1 })
+	g, _ := s.Graph("DotaLeague")
+	d := s.datasets["DotaLeague"]
+
+	x := graph.VertexID(1)
+	for v := 1; v < g.NumVertices(); v++ {
+		if deg := g.OutDegree(graph.VertexID(v)); deg > 0 && deg < g.OutDegree(x) {
+			x = graph.VertexID(v)
+		}
+	}
+	var cut []evolve.Op
+	for _, nb := range g.Out(x) {
+		cut = append(cut, evolve.Delete(x, nb))
+	}
+	if _, err := s.Mutate("DotaLeague", evolve.Batch{Seq: 1, Ops: cut}); err != nil {
+		t.Fatal(err)
+	}
+	// The deletions left the union-find dirty; a lookup rebuilds it from
+	// the snapshot, so the phantom insert below is not wiped by a rebuild.
+	comp, err := s.Component(context.Background(), "DotaLeague", x)
+	if err != nil || comp.Size != 1 {
+		t.Fatalf("vertex %d after losing its edges: %+v, err %v; want a singleton", x, comp, err)
+	}
+	before, err := s.Stats("DotaLeague")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d.mu.Lock()
+	d.cc.Apply([]evolve.Op{evolve.Insert(0, x)})
+	d.mu.Unlock()
+
+	if _, err := s.Compact("DotaLeague"); err == nil || !strings.Contains(err.Error(), "incremental CC diverged") {
+		t.Fatalf("Compact over diverged labels returned %v, want the divergence error", err)
+	}
+	after, err := s.Stats("DotaLeague")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Compactions != before.Compactions || after.BaseEpoch != before.BaseEpoch {
+		t.Fatalf("failed compaction swapped the serving state: compactions %d -> %d, base epoch %d -> %d",
+			before.Compactions, after.Compactions, before.BaseEpoch, after.BaseEpoch)
+	}
+	ans, err := s.BFS(context.Background(), "DotaLeague", 0, x)
+	if err != nil {
+		t.Fatalf("BFS after the failed compaction: %v", err)
+	}
+	if ans.Epoch != 1 || ans.Cached || ans.Reachable {
+		t.Fatalf("BFS after the failed compaction: %+v, want an uncached epoch-1 answer with %d unreachable", ans, x)
 	}
 }

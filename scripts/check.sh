@@ -132,9 +132,9 @@ fi
 if [ "$run_stream" = 1 ]; then
     echo "== streaming gate (delta log + incremental equivalence under -race, sweep + chaos legs)"
     go test -race ./internal/evolve/
-    go test -race -run 'Incremental|DeltaPageRank' ./internal/algo/
+    go test -race -run 'Incremental' ./internal/algo/
     go test -race -run 'UpdateStream|EvolvedSnapshotKey' ./internal/datagen/
-    go test -race -run 'Mutate|Overlay|StaleBatcher|RunStream|StreamLoadSmoke' ./internal/serve/
+    go test -race -run 'Mutate|Overlay|StaleBatcher|CompactionDivergence|RunStream|StreamLoadSmoke' ./internal/serve/
     go run ./cmd/graphbench stream \
         -users 64 -ops 32 -batches 64 -batch-size 8 -mix 90/10,70/30,50/50
     go run ./cmd/graphbench stream -chaos -chaos-seeds 1,2,3 \

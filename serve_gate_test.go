@@ -20,27 +20,8 @@ import (
 // machine in the same bench-serve session — so it is deterministic in
 // CI; live re-measurement is bench-check's job.
 func TestBatchSpeedupGate(t *testing.T) {
-	entry := func(path, name string) float64 {
-		t.Helper()
-		bl, err := perf.Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := bl.Benchmarks[name]
-		if rec == nil {
-			t.Fatalf("%s: no %q entry", path, name)
-		}
-		m := rec.After
-		if m == nil {
-			m = rec.Before
-		}
-		if m == nil || m.NsPerOp <= 0 {
-			t.Fatalf("%s: %q has no committed measurement", path, name)
-		}
-		return m.NsPerOp
-	}
-	single := entry("BENCH_pr8.json", "serve-bfs-single-dotaleague")
-	batch := entry("BENCH_pr8.json", "serve-bfs-batch64-dotaleague")
+	single := committedNs(t, "BENCH_pr8.json", "serve-bfs-single-dotaleague")
+	batch := committedNs(t, "BENCH_pr8.json", "serve-bfs-batch64-dotaleague")
 	perQuery := batch / float64(perf.ServeBatchLanes)
 	amortization := single / perQuery
 	t.Logf("batched BFS: %.0f ns/sweep = %.0f ns/query vs solo %.0f ns/query = %.1fx amortization",
@@ -49,8 +30,8 @@ func TestBatchSpeedupGate(t *testing.T) {
 		t.Fatalf("committed per-query amortization %.2fx < 8x gate", amortization)
 	}
 
-	perLane := entry("BENCH_pr8.json", "serve-certify-perlane64-dotaleague")
-	certBatch := entry("BENCH_pr8.json", "serve-certify-batch64-dotaleague")
+	perLane := committedNs(t, "BENCH_pr8.json", "serve-certify-perlane64-dotaleague")
+	certBatch := committedNs(t, "BENCH_pr8.json", "serve-certify-batch64-dotaleague")
 	lanes := float64(perf.ServeBatchLanes)
 	soloServed := single + perLane/lanes
 	batchServed := (batch + certBatch) / lanes
