@@ -12,7 +12,6 @@ import (
 	"repro/internal/gasalgo"
 	"repro/internal/graph"
 	"repro/internal/graphdb"
-	"repro/internal/hdfs"
 	"repro/internal/mapreduce"
 	"repro/internal/pregel"
 	"repro/internal/pregelalgo"
@@ -100,7 +99,7 @@ func BenchmarkAblationHadoopCombiner(b *testing.B) {
 		b.Run("combiner="+name, func(b *testing.B) {
 			var shuffle int64
 			for i := 0; i < b.N; i++ {
-				e := mapreduce.New(cluster.DAS4(20, 1), hdfs.New())
+				e := mapreduce.New(cluster.DAS4(20, 1))
 				_, stats, err := e.Run(minLabelMRJob(withCombiner), input, input.Bytes())
 				if err != nil {
 					b.Fatal(err)
@@ -474,7 +473,7 @@ func BenchmarkAblationHadoopSortBuffer(b *testing.B) {
 		b.Run("buffer="+name, func(b *testing.B) {
 			var spill int64
 			for i := 0; i < b.N; i++ {
-				e := mapreduce.New(cluster.DAS4(20, 1), hdfs.New())
+				e := mapreduce.New(cluster.DAS4(20, 1))
 				if bufKB > 0 {
 					e.SortBufferBytes = bufKB << 10
 				}

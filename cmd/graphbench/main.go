@@ -19,8 +19,8 @@
 //	    one experiment: status, T, Tc/To, EPS/VPS
 //	explore <platform>
 //	    exploratory test: every algorithm x dataset once, validated
-//	loadtest <platform> <algorithm> <dataset> | [-users N -duration D -arrival A]
-//	    load test: one cell x 10 repetitions; with flags, closed-loop users against an in-process serving daemon
+//	loadtest <platform> <algorithm> <dataset>
+//	    load test: one cell x 10 repetitions
 //	predict <platform> <algorithm> <dataset>
 //	    worst-case boundary prediction without running
 //	chaos <engine> [algorithm] [dataset]
@@ -37,8 +37,8 @@
 //	    compare two report bundles cell by cell
 //	serve [-addr HOST:PORT -datasets LIST]
 //	    HTTP graph-serving daemon
-//	stream [-mix 90/10,70/30] [-chaos]
-//	    concurrent read/write sweep over an evolving graph
+//	stream [-mix 90/10,100/0 -users N -duration D -think T -reads live|mixed] [-chaos]
+//	    closed-loop user fleet against an in-process serving daemon: read/write sweep over an evolving graph, 100/0 is the serving load test
 //	bench <suite> <before|after> [file] | check [file ...]
 //	    measure one perf suite into its BENCH_*.json; check re-measures committed baselines (>25% worse fails)
 //
@@ -123,21 +123,7 @@ func commandTable() []command {
 			func(e *env, _ []string) { e.emit(e.h.FindingsTable()) }},
 		{"run", "<platform> <algorithm> <dataset>", "one experiment: status, T, Tc/To, EPS/VPS", 3, runCmd},
 		{"explore", "<platform>", "exploratory test: every algorithm x dataset once, validated", 1, exploreCmd},
-		{"loadtest", "<platform> <algorithm> <dataset> | [-users N -duration D -arrival A]",
-			"load test: one cell x 10 repetitions; with flags, closed-loop users against an in-process serving daemon", 0,
-			func(e *env, a []string) {
-				// Two forms share the verb: flags select the serving
-				// load generator, positional arguments the paper's
-				// load test of one platform cell.
-				switch {
-				case len(a) == 0 || strings.HasPrefix(a[0], "-"):
-					loadtestServeCmd(a, e.cache, e.sess)
-				case len(a) < 3:
-					usage()
-				default:
-					loadtestCmd(e, a)
-				}
-			}},
+		{"loadtest", "<platform> <algorithm> <dataset>", "load test: one cell x 10 repetitions", 3, loadtestCmd},
 		{"predict", "<platform> <algorithm> <dataset>", "worst-case boundary prediction without running", 3, predictCmd},
 		{"chaos", "<engine> [algorithm] [dataset]", "fault-injected run must match the fault-free run", 1, chaosCmd},
 		{"curves", "<platform> [measured]", "100-point resource curves as CSV", 1, curvesCmd},
@@ -156,8 +142,9 @@ func commandTable() []command {
 			func(_ *env, a []string) { experimentDiffCmd(a[0], a[1]) }},
 		{"serve", "[-addr HOST:PORT -datasets LIST]", "HTTP graph-serving daemon", 0,
 			func(e *env, a []string) { serveCmd(a, e.cache, e.sess) }},
-		{"stream", "[-mix 90/10,70/30] [-chaos]", "concurrent read/write sweep over an evolving graph", 0,
-			func(_ *env, a []string) { streamCmd(a) }},
+		{"stream", "[-mix 90/10,100/0 -users N -duration D -think T -reads live|mixed] [-chaos]",
+			"closed-loop user fleet against an in-process serving daemon: read/write sweep over an evolving graph, 100/0 is the serving load test", 0,
+			func(e *env, a []string) { streamCmd(a, e.cache, e.sess) }},
 		{"bench", "<suite> <before|after> [file] | check [file ...]",
 			"measure one perf suite into its BENCH_*.json; check re-measures committed baselines (>25% worse fails)", 1,
 			func(_ *env, a []string) {

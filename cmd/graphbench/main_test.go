@@ -1,10 +1,15 @@
 package main
 
 import (
+	"context"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/metrics"
@@ -23,6 +28,18 @@ func TestCommandTable(t *testing.T) {
 		}
 		if !slices.Contains(lines, strings.TrimSpace(c.name+" "+c.args)) {
 			t.Errorf("usage does not name %q", c.name)
+		}
+		switch c.name {
+		case "loadtest": // one form: the paper's load test of one cell
+			if c.min != 3 || strings.ContainsAny(c.args, "|-") {
+				t.Errorf("loadtest takes %q (min %d), want exactly <platform> <algorithm> <dataset>", c.args, c.min)
+			}
+		case "stream": // the serving load test lives here
+			for _, flag := range []string{"-mix", "-users", "-duration", "-think", "-reads", "-chaos"} {
+				if !strings.Contains(c.args, flag) {
+					t.Errorf("stream synopsis %q does not name %s", c.args, flag)
+				}
+			}
 		}
 	}
 	for _, gone := range []string{"bench-baseline", "bench-ingest", "bench-partition", "bench-gap", "bench-serve", "bench-check"} {
@@ -47,6 +64,62 @@ func TestPackageCommentListsCommands(t *testing.T) {
 	}
 	if !strings.Contains(doc, want.String()) {
 		t.Fatalf("package comment is out of date; its command block should read:\n%s", want.String())
+	}
+}
+
+// TestServeHTTPDrains is `graphbench serve` under SIGTERM (the signal
+// is the context's cancellation): with a request in flight, the daemon
+// stops accepting, lets the request finish, and returns nil — exit 0.
+func TestServeHTTPDrains(t *testing.T) {
+	ln, err := net.Listen("tcp", "localhost:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inFlight, release := make(chan struct{}), make(chan struct{})
+	h := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		close(inFlight)
+		<-release
+		io.WriteString(w, "answered")
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- serveHTTP(ctx, ln, h, time.Minute) }()
+
+	type reply struct {
+		body string
+		err  error
+	}
+	got := make(chan reply, 1)
+	go func() {
+		client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+		resp, err := client.Get("http://" + ln.Addr().String() + "/")
+		if err != nil {
+			got <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		got <- reply{string(body), err}
+	}()
+
+	<-inFlight
+	cancel()
+	select {
+	case err := <-served:
+		t.Fatalf("serveHTTP returned %v with a request still in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		conn.Close()
+		t.Error("draining daemon still accepts connections")
+	}
+	close(release)
+	if r := <-got; r.err != nil || r.body != "answered" {
+		t.Fatalf("in-flight request got %q, %v; want it answered", r.body, r.err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("drained daemon returned %v, want nil", err)
 	}
 }
 

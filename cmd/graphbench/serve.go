@@ -1,24 +1,37 @@
-// Serving-daemon subcommands: `graphbench serve` keeps GCSR snapshots
+// Serving-daemon subcommand: `graphbench serve` keeps GCSR snapshots
 // resident and answers point queries over HTTP with batched
-// multi-source BFS sweeps; `graphbench loadtest -users N ...` drives
-// an in-process server with a closed-loop user fleet and reports
-// sustained QPS and latency percentiles.
+// multi-source BFS sweeps, until SIGINT/SIGTERM drains it. Its load
+// driver is `graphbench stream` (stream.go).
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
-// serveCmd runs the HTTP graph-serving daemon until the process is
-// killed.
+const (
+	// writeSlack is what an answer may take beyond the per-query
+	// deadline (compaction, encoding) before its connection is cut.
+	writeSlack = 30 * time.Second
+	// shutdownTimeout bounds the drain: in-flight requests that outlast
+	// it are cut and the daemon exits non-zero.
+	shutdownTimeout = 10 * time.Second
+)
+
+// serveCmd runs the HTTP graph-serving daemon until SIGINT or SIGTERM,
+// then stops accepting, lets in-flight requests and sweeps finish, and
+// returns so the process exits 0.
 func serveCmd(args []string, cacheDir string, sess *obs.Session) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "localhost:8090", "listen address")
@@ -46,57 +59,46 @@ func serveCmd(args []string, cacheDir string, sess *obs.Session) {
 		fatal("serve: %v", err)
 	}
 	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "serve: %s resident, listening on http://%s\n",
-		strings.Join(srv.Datasets(), ", "), *addr)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		fatal("serve: %v", err)
 	}
+	fmt.Fprintf(os.Stderr, "serve: %s resident, listening on http://%s\n",
+		strings.Join(srv.Datasets(), ", "), ln.Addr())
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serveHTTP(ctx, ln, srv.Handler(), srv.Config().QueryTimeout+writeSlack); err != nil {
+		fatal("serve: %v", err)
+	}
+	fmt.Fprintln(os.Stderr, "serve: drained, shutting down")
 }
 
-// loadtestServeCmd spins up an in-process server and drives it with
-// the configured user fleet.
-func loadtestServeCmd(args []string, cacheDir string, sess *obs.Session) {
-	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
-	dataset := fs.String("dataset", "DotaLeague", "dataset to query")
-	scale := fs.Int("scale", 8, "down-scaling factor of the resident dataset")
-	seed := fs.Int64("seed", 42, "generation seed")
-	users := fs.Int("users", 64, "concurrent closed-loop users")
-	duration := fs.Duration("duration", 5*time.Second, "how long to drive load")
-	arrival := fs.String("arrival", "closed", "arrival process: closed or poisson")
-	think := fs.Duration("think", time.Millisecond, "mean think time for poisson arrivals")
-	mix := fs.String("mix", "bfs", "workload mix: bfs or mixed")
-	loadSeed := fs.Int64("load-seed", 1, "seed of the query stream")
-	timeout := fs.Duration("timeout", 0, "per-query deadline (0 = default 200ms)")
-	fs.Parse(args)
-
-	srv, err := serve.New(serve.Config{
-		Datasets:     []string{*dataset},
-		Scale:        *scale,
-		Seed:         *seed,
-		CacheDir:     cacheDir,
-		QueryTimeout: *timeout,
-		Obs:          sess,
-	})
-	if err != nil {
-		fatal("loadtest: %v", err)
+// serveHTTP answers on ln until ctx is done, then drains: no new
+// connections, in-flight requests get shutdownTimeout to finish.
+func serveHTTP(ctx context.Context, ln net.Listener, h http.Handler, writeTimeout time.Duration) error {
+	// A client may not hold a connection by trickling its request,
+	// never reading its answer, or idling on keep-alive.
+	hs := &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       10 * time.Second,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       2 * time.Minute,
 	}
-	defer srv.Close()
-	rep, err := serve.RunLoad(srv, serve.LoadConfig{
-		Dataset:   *dataset,
-		Users:     *users,
-		Duration:  *duration,
-		Arrival:   *arrival,
-		MeanThink: *think,
-		Seed:      *loadSeed,
-		Mix:       *mix,
-	})
-	if err != nil {
-		fatal("loadtest: %v", err)
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
 	}
-	fmt.Println(rep)
-	if st, err := srv.Stats(*dataset); err == nil {
-		fmt.Printf("  cache     %d BFS trees resident\n", st.CacheEntries)
+	drain, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if err := hs.Shutdown(drain); err != nil {
+		hs.Close()
+		return fmt.Errorf("drain: %w", err)
 	}
+	return nil
 }
 
 func splitList(s string) []string {

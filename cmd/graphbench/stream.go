@@ -1,10 +1,12 @@
 // Streaming subcommand: `graphbench stream` drives an in-process
-// serving daemon with a concurrent read/write fleet over a seeded
-// update stream, sweeping read/write mixes, and verifies that the
-// final evolved graph is byte-identical to a clean sequential replay.
-// With -chaos the stream is instead replayed through the deterministic
-// lossy transport (drops, duplicates, reordering) for each seed,
-// proving exactly-once application end to end.
+// serving daemon with the closed-loop user fleet (internal/serve) —
+// one row per read/write mix over a seeded update stream, each with
+// QPS, read-latency percentiles, the torn-epoch count and the verdict
+// that the final evolved graph is byte-identical to a clean sequential
+// replay. `-mix 100/0 -users N -duration D [-think T]` is the serving
+// load test. With -chaos the stream is instead replayed through the
+// deterministic lossy transport (drops, duplicates, reordering) for
+// each seed, proving exactly-once application end to end.
 package main
 
 import (
@@ -13,60 +15,51 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
-// streamCmd runs the streaming read/write sweep (or its chaos form)
-// and exits non-zero unless every row MATCHes the clean replay.
-func streamCmd(args []string) {
+// streamCmd runs the fleet sweep (or its chaos form) and exits
+// non-zero unless every row MATCHes the clean replay with no torn
+// epoch and no failed operation.
+func streamCmd(args []string, cacheDir string, sess *obs.Session) {
+	def := serve.DefaultStreamConfig()
+	var defMixes []string
+	for _, m := range def.Mixes {
+		defMixes = append(defMixes, m.String())
+	}
+	cfg := serve.StreamConfig{CacheDir: cacheDir, Obs: sess}
 	fs := flag.NewFlagSet("stream", flag.ExitOnError)
-	dataset := fs.String("dataset", "DotaLeague", "dataset to evolve")
-	scale := fs.Int("scale", 8, "down-scaling factor of the resident dataset")
-	seed := fs.Int64("seed", 42, "generation seed (also seeds the update stream)")
-	users := fs.Int("users", 64, "concurrent closed-loop users per mix")
-	ops := fs.Int("ops", 64, "operations per user")
-	batches := fs.Int("batches", 1024, "update batches in the stream")
-	batchSize := fs.Int("batch-size", 16, "edge operations per batch")
-	deleteFrac := fs.Float64("delete-frac", 0.3, "fraction of operations that delete edges")
-	compactEvery := fs.Int("compact-every", 8, "compact after this many applied batches (<0 disables)")
-	workers := fs.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS)")
-	mixes := fs.String("mix", "90/10,70/30,50/50", "comma-separated read/write percentage mixes")
+	fs.StringVar(&cfg.Dataset, "dataset", def.Dataset, "dataset to evolve")
+	fs.IntVar(&cfg.Scale, "scale", def.Scale, "down-scaling factor of the resident dataset")
+	fs.Int64Var(&cfg.Seed, "seed", def.Seed, "generation seed (also seeds the update stream and the users)")
+	mixes := fs.String("mix", strings.Join(defMixes, ","), "comma-separated read/write percentage mixes (100/0: read-only load test)")
+	fs.IntVar(&cfg.Users, "users", def.Users, "concurrent closed-loop users per mix")
+	fs.IntVar(&cfg.OpsPerUser, "ops", def.OpsPerUser, "operations per user")
+	fs.DurationVar(&cfg.Duration, "duration", 0, "run each mix for this long instead of -ops operations per user")
+	fs.DurationVar(&cfg.Think, "think", 0, "mean exponential think time between a user's operations (0 = back-to-back)")
+	fs.StringVar(&cfg.Reads, "reads", def.Reads, "read workload: live (bfs/component/stats) or mixed (adds khop and sssp)")
+	fs.IntVar(&cfg.Batches, "batches", def.Batches, "update batches in the stream")
+	fs.IntVar(&cfg.BatchSize, "batch-size", def.BatchSize, "edge operations per batch")
+	fs.IntVar(&cfg.CompactEvery, "compact-every", def.CompactEvery, "compact after this many applied batches (<0 disables)")
 	chaos := fs.Bool("chaos", false, "replay the stream through the lossy transport instead of the user fleet")
 	chaosSeeds := fs.String("chaos-seeds", "1,2,3", "comma-separated fault-plan seeds for -chaos")
 	fs.Parse(args)
+	cfg.Mixes = parseMixes(*mixes)
 
-	cfg := serve.StreamConfig{
-		Dataset:      *dataset,
-		Scale:        *scale,
-		Seed:         *seed,
-		Mixes:        parseMixes(*mixes),
-		Users:        *users,
-		OpsPerUser:   *ops,
-		Batches:      *batches,
-		BatchSize:    *batchSize,
-		DeleteFrac:   *deleteFrac,
-		CompactEvery: *compactEvery,
-		Workers:      *workers,
-	}
-
+	var rep *serve.StreamReport
+	var err error
 	if *chaos {
-		rep, err := serve.RunStreamChaos(cfg, parseSeeds(*chaosSeeds))
-		if err != nil {
-			fatal("stream: %v", err)
-		}
-		fmt.Print(rep)
-		if !rep.Ok() {
-			fatal("stream: chaos replay diverged from the clean replay")
-		}
-		return
+		rep, err = serve.RunStreamChaos(cfg, parseSeeds(*chaosSeeds))
+	} else {
+		rep, err = serve.RunStream(cfg)
 	}
-	rep, err := serve.RunStream(cfg)
 	if err != nil {
 		fatal("stream: %v", err)
 	}
 	fmt.Print(rep)
 	if !rep.Ok() {
-		fatal("stream: a mix failed the byte-identical equivalence gate")
+		fatal("stream: a row failed the gate (MATCH, no torn epoch, no failed operation, faults injected under -chaos)")
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/gasalgo"
 	"repro/internal/graph"
 	"repro/internal/graphdb"
-	"repro/internal/hdfs"
 	"repro/internal/mapreduce"
 	"repro/internal/mralgo"
 	"repro/internal/pactalgo"
@@ -46,19 +45,19 @@ func TestCrossEngineEquivalenceAllDatasets(t *testing.T) {
 			{
 				name: "mapreduce",
 				bfs: func() (algo.BFSResult, error) {
-					return mralgo.BFS(mapreduce.New(hw, hdfs.New()), g, src)
+					return mralgo.BFS(mapreduce.New(hw), g, src)
 				},
 				conn: func() (algo.ConnResult, error) {
-					return mralgo.Conn(mapreduce.New(hw, hdfs.New()), g)
+					return mralgo.Conn(mapreduce.New(hw), g)
 				},
 				cd: func() (algo.CDResult, error) {
-					return mralgo.CD(mapreduce.New(hw, hdfs.New()), g, params)
+					return mralgo.CD(mapreduce.New(hw), g, params)
 				},
 				sts: func() (algo.StatsResult, error) {
-					return mralgo.Stats(mapreduce.New(hw, hdfs.New()), g)
+					return mralgo.Stats(mapreduce.New(hw), g)
 				},
 				evo: func() (algo.EVOResult, error) {
-					return mralgo.EVO(mapreduce.New(hw, hdfs.New()), g, params)
+					return mralgo.EVO(mapreduce.New(hw), g, params)
 				},
 			},
 			{

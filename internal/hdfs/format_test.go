@@ -41,34 +41,3 @@ func TestDatasetBytes(t *testing.T) {
 		t.Fatal("format names must differ")
 	}
 }
-
-// TestPutGraph checks the graph-aware Put: sizes come from the chosen
-// format, explicit block counts are honoured, and blocks < 1 falls back
-// to the block-size default.
-func TestPutGraph(t *testing.T) {
-	g := testGraph(t)
-	fs := New()
-
-	f := fs.PutGraph("text.graph", g, FormatText, 8)
-	if f.Size != DatasetBytes(g, FormatText) {
-		t.Fatalf("text size = %d, want %d", f.Size, DatasetBytes(g, FormatText))
-	}
-	if f.Blocks != 8 {
-		t.Fatalf("blocks = %d, want 8", f.Blocks)
-	}
-
-	f = fs.PutGraph("snap.gcsr", g, FormatBinary, 0)
-	if f.Size != DatasetBytes(g, FormatBinary) {
-		t.Fatalf("binary size = %d, want %d", f.Size, DatasetBytes(g, FormatBinary))
-	}
-	if f.Blocks != 1 {
-		t.Fatalf("blocks = %d, want 1 (size default)", f.Blocks)
-	}
-
-	if _, ok := fs.Stat("text.graph"); !ok {
-		t.Fatal("text.graph not stored")
-	}
-	if _, ok := fs.Stat("snap.gcsr"); !ok {
-		t.Fatal("snap.gcsr not stored")
-	}
-}

@@ -1,15 +1,12 @@
-// Package hdfs models the distributed file system under the
-// distributed platforms (Section 3.1: single replica per block, no
-// compression, block counts matched to task slots). Engines use it to
-// account for every byte read from and written to the DFS; the paper's
-// Table 6 ingestion experiment reads directly off this model.
+// Package hdfs models what the paper measures of the distributed file
+// system under the distributed platforms (Section 3.1: single replica
+// per block, no compression): the on-disk size of a dataset in either
+// format, and the time to ingest it — the paper's Table 6 experiment
+// reads directly off this model. The engines charge their own DFS
+// reads and writes as profile phases; there is no simulated namespace.
 package hdfs
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"repro/internal/cluster"
 	"repro/internal/graph"
 )
@@ -45,133 +42,6 @@ func DatasetBytes(g *graph.Graph, f Format) int64 {
 	return graph.TextSize(g)
 }
 
-// DefaultBlockSize is the paper's default HDFS block size (64 MB).
-const DefaultBlockSize = 64 << 20
-
-// File is one stored file.
-type File struct {
-	Name   string
-	Size   int64
-	Blocks int
-}
-
-// FS is a simulated HDFS namespace. The zero value is not usable; use
-// New. FS is safe for concurrent use.
-type FS struct {
-	mu          sync.Mutex
-	blockSize   int64
-	replication int
-	files       map[string]File
-
-	bytesWritten int64
-	bytesRead    int64
-}
-
-// New returns an FS with the paper's configuration: 64 MB blocks and a
-// single replica ("we use only one single replica per block without
-// compression because our focus is no fault-tolerance").
-func New() *FS {
-	return &FS{blockSize: DefaultBlockSize, replication: 1, files: make(map[string]File)}
-}
-
-// Put stores a file of the given size, splitting it into blocks of the
-// default block size.
-func (fs *FS) Put(name string, size int64) File {
-	blocks := int((size + fs.blockSize - 1) / fs.blockSize)
-	if blocks < 1 {
-		blocks = 1
-	}
-	return fs.PutBlocks(name, size, blocks)
-}
-
-// PutBlocks stores a file with an explicit block count; the paper
-// loads each dataset "in a number of blocks, which equals the total
-// number of available slots for map tasks".
-func (fs *FS) PutBlocks(name string, size int64, blocks int) File {
-	if size < 0 {
-		panic("hdfs: negative size")
-	}
-	if blocks < 1 {
-		blocks = 1
-	}
-	f := File{Name: name, Size: size, Blocks: blocks}
-	fs.mu.Lock()
-	fs.files[name] = f
-	fs.bytesWritten += size * int64(fs.replication)
-	fs.mu.Unlock()
-	return f
-}
-
-// PutGraph stores a dataset in the given on-disk format, splitting it
-// into the requested number of blocks (blocks < 1 falls back to the
-// block-size default). It is the binary-path-aware counterpart of Put
-// for graph datasets.
-func (fs *FS) PutGraph(name string, g *graph.Graph, f Format, blocks int) File {
-	size := DatasetBytes(g, f)
-	if blocks < 1 {
-		return fs.Put(name, size)
-	}
-	return fs.PutBlocks(name, size, blocks)
-}
-
-// Stat returns the file metadata.
-func (fs *FS) Stat(name string) (File, bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	return f, ok
-}
-
-// Read records a full read of the file and returns its size.
-func (fs *FS) Read(name string) (int64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return 0, fmt.Errorf("hdfs: no such file %q", name)
-	}
-	fs.bytesRead += f.Size
-	return f.Size, nil
-}
-
-// Delete removes a file (used by iterative drivers to clean up
-// intermediate iteration outputs).
-func (fs *FS) Delete(name string) {
-	fs.mu.Lock()
-	delete(fs.files, name)
-	fs.mu.Unlock()
-}
-
-// List returns all file names, sorted.
-func (fs *FS) List() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// TotalBytes returns the sum of stored file sizes.
-func (fs *FS) TotalBytes() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var n int64
-	for _, f := range fs.files {
-		n += f.Size
-	}
-	return n
-}
-
-// Traffic returns cumulative bytes written to and read from the DFS.
-func (fs *FS) Traffic() (written, read int64) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.bytesWritten, fs.bytesRead
-}
-
 // IngestSeconds models loading a local file of the given size into
 // HDFS on the given cluster: the transfer streams from the submitting
 // node over the network and onto the cluster's disks. On the paper's
@@ -186,17 +56,4 @@ func IngestSeconds(size int64, hw cluster.Hardware) float64 {
 		rate = hw.NetMBps
 	}
 	return float64(size) / (rate * 1e6)
-}
-
-// IngestPhase returns the profile phase for ingesting the named file,
-// for harnesses that fold ingestion into an execution profile.
-func (fs *FS) IngestPhase(name string) (cluster.Phase, error) {
-	f, ok := fs.Stat(name)
-	if !ok {
-		return cluster.Phase{}, fmt.Errorf("hdfs: no such file %q", name)
-	}
-	return cluster.Phase{
-		Name: "ingest:" + name, Kind: cluster.PhaseIngest,
-		DiskRead: f.Size, DiskWrite: f.Size * int64(fs.replication), Net: f.Size,
-	}, nil
 }

@@ -7,64 +7,6 @@ import (
 	"repro/internal/cluster"
 )
 
-func TestPutStatRead(t *testing.T) {
-	fs := New()
-	f := fs.Put("graph.txt", 200<<20)
-	if f.Blocks != 4 {
-		t.Fatalf("Blocks = %d, want 4 (200MB / 64MB)", f.Blocks)
-	}
-	got, ok := fs.Stat("graph.txt")
-	if !ok || got.Size != 200<<20 {
-		t.Fatalf("Stat = %+v, %v", got, ok)
-	}
-	n, err := fs.Read("graph.txt")
-	if err != nil || n != 200<<20 {
-		t.Fatalf("Read = %d, %v", n, err)
-	}
-	if _, err := fs.Read("missing"); err == nil {
-		t.Fatal("Read(missing) should fail")
-	}
-}
-
-func TestPutBlocksExplicit(t *testing.T) {
-	fs := New()
-	f := fs.PutBlocks("g", 1000, 20) // paper: blocks = map slots
-	if f.Blocks != 20 {
-		t.Fatalf("Blocks = %d", f.Blocks)
-	}
-	f2 := fs.PutBlocks("h", 10, 0)
-	if f2.Blocks != 1 {
-		t.Fatalf("Blocks floor = %d, want 1", f2.Blocks)
-	}
-}
-
-func TestDeleteAndList(t *testing.T) {
-	fs := New()
-	fs.Put("b", 1)
-	fs.Put("a", 1)
-	if got := fs.List(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("List = %v", got)
-	}
-	fs.Delete("a")
-	if _, ok := fs.Stat("a"); ok {
-		t.Fatal("a should be deleted")
-	}
-	if fs.TotalBytes() != 1 {
-		t.Fatalf("TotalBytes = %d", fs.TotalBytes())
-	}
-}
-
-func TestTraffic(t *testing.T) {
-	fs := New()
-	fs.Put("g", 100)
-	fs.Read("g")
-	fs.Read("g")
-	w, r := fs.Traffic()
-	if w != 100 || r != 200 {
-		t.Fatalf("Traffic = %d, %d", w, r)
-	}
-}
-
 func TestIngestLinear(t *testing.T) {
 	// Table 6: HDFS ingestion is linear in size, about 1 s per 100 MB.
 	hw := cluster.DAS4(20, 1)
@@ -78,30 +20,6 @@ func TestIngestLinear(t *testing.T) {
 	}
 }
 
-func TestIngestPhase(t *testing.T) {
-	fs := New()
-	fs.Put("g", 1000)
-	ph, err := fs.IngestPhase("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph.Kind != cluster.PhaseIngest || ph.DiskWrite != 1000 {
-		t.Fatalf("phase = %+v", ph)
-	}
-	if _, err := fs.IngestPhase("missing"); err == nil {
-		t.Fatal("IngestPhase(missing) should fail")
-	}
-}
-
-func TestPutNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Put(-1) should panic")
-		}
-	}()
-	New().Put("x", -1)
-}
-
 func TestQuickIngestMonotone(t *testing.T) {
 	hw := cluster.DAS4(20, 1)
 	f := func(a, b uint32) bool {
@@ -110,23 +28,5 @@ func TestQuickIngestMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	fs := New()
-	done := make(chan struct{})
-	for i := 0; i < 8; i++ {
-		go func(i int) {
-			defer func() { done <- struct{}{} }()
-			for j := 0; j < 100; j++ {
-				fs.Put("f", int64(j))
-				fs.Read("f")
-				fs.List()
-			}
-		}(i)
-	}
-	for i := 0; i < 8; i++ {
-		<-done
 	}
 }

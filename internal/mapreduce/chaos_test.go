@@ -8,12 +8,11 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/hdfs"
 	"repro/internal/obs"
 )
 
 func chaosEngine(nodes int, plan fault.Plan) (*Engine, *fault.Injector, *obs.Session) {
-	e := New(cluster.DAS4(nodes, 1), hdfs.New())
+	e := New(cluster.DAS4(nodes, 1))
 	sess := obs.NewSession(obs.Options{NoSampler: true})
 	inj := fault.New(plan, sess.R())
 	e.Profile.Obs = sess
@@ -47,7 +46,7 @@ func countJob() JobConfig {
 // attempts are discarded wholesale.
 func TestRetryIdempotence(t *testing.T) {
 	input := makeInput(200)
-	base := New(cluster.DAS4(4, 1), hdfs.New())
+	base := New(cluster.DAS4(4, 1))
 	wantOut, wantStats, err := base.Run(countJob(), input, input.Bytes())
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +88,7 @@ func TestRetryIdempotence(t *testing.T) {
 // phase in the profile, while the output still matches.
 func TestTaskRetryRecoveryVisible(t *testing.T) {
 	input := makeInput(100)
-	base := New(cluster.DAS4(3, 1), hdfs.New())
+	base := New(cluster.DAS4(3, 1))
 	wantOut, _, err := base.Run(countJob(), input, input.Bytes())
 	if err != nil {
 		t.Fatal(err)

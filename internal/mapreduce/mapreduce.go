@@ -2,10 +2,12 @@
 // 0.20 (Section 3.1 of the paper): mappers, a hash-partitioned
 // sort/shuffle, optional combiners, reducers, counters, and an
 // iterative job driver that — like Hadoop — materialises the entire
-// dataset to the DFS between consecutive jobs. Algorithms written
-// against this engine genuinely execute; the engine meanwhile records
-// an execution profile (records, bytes, job launches) that the cluster
-// cost model converts to simulated DAS-4 time.
+// dataset to the DFS between consecutive jobs (charged as the disk
+// bytes of a materialise phase; the engine holds no file-system
+// object). Algorithms written against this engine genuinely execute;
+// the engine meanwhile records an execution profile (records, bytes,
+// job launches) that the cluster cost model converts to simulated
+// DAS-4 time.
 package mapreduce
 
 import (
@@ -17,7 +19,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/hdfs"
 	"repro/internal/obs"
 	"repro/internal/partition"
 )
@@ -160,7 +161,6 @@ type JobStats struct {
 // Engine executes jobs on a simulated cluster.
 type Engine struct {
 	HW cluster.Hardware
-	FS *hdfs.FS
 
 	// SortBufferBytes is the per-task in-memory sort buffer; map
 	// output beyond it spills to disk and is merged back during the
@@ -190,8 +190,8 @@ type Engine struct {
 }
 
 // New returns an engine on the given hardware.
-func New(hw cluster.Hardware, fs *hdfs.FS) *Engine {
-	return &Engine{HW: hw, FS: fs, Profile: &cluster.ExecutionProfile{}}
+func New(hw cluster.Hardware) *Engine {
+	return &Engine{HW: hw, Profile: &cluster.ExecutionProfile{}}
 }
 
 // opsFor estimates record-operations for processing a record of the

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/hdfs"
 	"repro/internal/partition"
 )
 
@@ -19,7 +18,7 @@ type listVal []int64
 func (l listVal) Size() int64 { return int64(len(l)) * 8 }
 
 func newEngine(nodes int) *Engine {
-	return New(cluster.DAS4(nodes, 1), hdfs.New())
+	return New(cluster.DAS4(nodes, 1))
 }
 
 // sumJob: map emits (key%3, v), reduce sums values per key.

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
-	"repro/internal/hdfs"
 )
 
 // identity job: map and reduce pass records through untouched.
@@ -33,7 +32,7 @@ func TestQuickIdentityJobConservesRecords(t *testing.T) {
 			in[i] = KV{Key: int64(rng.Intn(50)), Value: v}
 			sum += int64(v)
 		}
-		e := New(cluster.DAS4(int(nodes)%8+1, 1), hdfs.New())
+		e := New(cluster.DAS4(int(nodes)%8+1, 1))
 		out, stats, err := e.Run(identityJob(), in, in.Bytes())
 		if err != nil {
 			return false
@@ -62,7 +61,7 @@ func TestQuickShuffleBytesMatchReduceInput(t *testing.T) {
 		for i := range in {
 			in[i] = KV{Key: int64(rng.Intn(20)), Value: intVal(1)}
 		}
-		e := New(cluster.DAS4(4, 1), hdfs.New())
+		e := New(cluster.DAS4(4, 1))
 		_, stats, err := e.Run(identityJob(), in, 0)
 		if err != nil {
 			return false

@@ -9,12 +9,11 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/graph"
-	"repro/internal/hdfs"
 	"repro/internal/mapreduce"
 )
 
 func newEngine() *mapreduce.Engine {
-	return mapreduce.New(cluster.DAS4(4, 1), hdfs.New())
+	return mapreduce.New(cluster.DAS4(4, 1))
 }
 
 // testGraphs returns a directed and an undirected small-but-nontrivial

@@ -26,7 +26,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/gasalgo"
 	"repro/internal/graph"
-	"repro/internal/hdfs"
 	"repro/internal/mapreduce"
 	"repro/internal/pregel"
 	"repro/internal/pregelalgo"
@@ -277,7 +276,7 @@ func Suite() []Bench {
 			Name: "mapreduce-connround-kgs",
 			Run: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					e := mapreduce.New(hw, hdfs.New())
+					e := mapreduce.New(hw)
 					if _, _, err := e.Run(minLabelMRJob(), mrInput, mrInput.Bytes()); err != nil {
 						b.Fatal(err)
 					}

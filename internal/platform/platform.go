@@ -20,7 +20,6 @@ import (
 	"repro/internal/gasalgo"
 	"repro/internal/graph"
 	"repro/internal/graphdb"
-	"repro/internal/hdfs"
 	"repro/internal/mapreduce"
 	"repro/internal/mralgo"
 	"repro/internal/obs"
@@ -356,7 +355,7 @@ func NewHadoop() Platform {
 	return &mrPlatform{
 		name: "Hadoop", version: "hadoop-0.20.203.0", costs: cluster.HadoopCosts(),
 		newEngine: func(hw cluster.Hardware, sess *obs.Session, inj *fault.Injector) (*mapreduce.Engine, func(), error) {
-			e := mapreduce.New(hw, hdfs.New())
+			e := mapreduce.New(hw)
 			e.Profile.Obs = sess
 			e.Profile.Fault = inj
 			return e, func() {}, nil
@@ -370,7 +369,7 @@ func NewYARN() Platform {
 	return &mrPlatform{
 		name: "YARN", version: "hadoop-2.0.3-alpha", costs: cluster.YARNCosts(),
 		newEngine: func(hw cluster.Hardware, sess *obs.Session, inj *fault.Injector) (*mapreduce.Engine, func(), error) {
-			rm := yarn.NewResourceManager(hw, hdfs.New())
+			rm := yarn.NewResourceManager(hw)
 			rm.Obs = sess
 			rm.Fault = inj
 			am, err := rm.Submit("graphbench", 1<<30)

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"net/http"
 
 	"repro/internal/algo"
@@ -53,7 +55,8 @@ func (s *Server) Handler() http.Handler {
 
 // queryBody covers every query endpoint's fields; each handler
 // validates the subset it needs. Unknown fields are rejected so typos
-// fail loudly instead of silently querying vertex 0.
+// fail loudly instead of silently querying vertex 0; vertex fields are
+// int64 so need can range-check them before narrowing.
 type queryBody struct {
 	Dataset string `json:"dataset"`
 	Src     *int64 `json:"src,omitempty"`
@@ -91,9 +94,16 @@ func decodeBody(w http.ResponseWriter, r *http.Request) (*queryBody, bool) {
 	return &q, decodeInto(w, r, &q)
 }
 
+// need narrows a required vertex field to graph.VertexID. An ID
+// outside int32 is answered 404 here: narrowed first, it would wrap
+// onto some in-range vertex and be served.
 func need(w http.ResponseWriter, name string, v *int64) (graph.VertexID, bool) {
 	if v == nil {
 		writeError(w, http.StatusBadRequest, "missing field: "+name)
+		return 0, false
+	}
+	if *v < 0 || *v > math.MaxInt32 {
+		writeQueryError(w, fmt.Errorf("%w: %s %d", ErrBadVertex, name, *v))
 		return 0, false
 	}
 	return graph.VertexID(*v), true

@@ -37,6 +37,9 @@
 // queries fail fast with a typed ErrOverloaded (HTTP 429) instead of
 // queueing without bound; per-query deadlines cancel in-flight sweeps
 // through the kernel's context checks (ErrDeadlineExceeded, HTTP 504).
+//
+// The daemon's one in-process load driver is the closed-loop user
+// fleet in stream.go (RunStream, RunStreamChaos; `graphbench stream`).
 package serve
 
 import (
@@ -134,7 +137,7 @@ func (c *Config) fill() {
 
 // Server is the daemon: resident evolving datasets, one batching
 // scheduler per compacted serving state, and the query/mutation API
-// the HTTP layer and load generator share.
+// the HTTP layer and the user fleet (stream.go) share.
 type Server struct {
 	cfg      Config
 	datasets map[string]*dataset
@@ -194,12 +197,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
-		var g *graph.Graph
-		if cfg.CacheDir != "" {
-			g = p.GenerateCached(cfg.Scale, cfg.Seed, cfg.CacheDir)
-		} else {
-			g = p.GenerateScaled(cfg.Scale, cfg.Seed)
-		}
+		g := p.GenerateCached(cfg.Scale, cfg.Seed, cfg.CacheDir) // "" disables the cache
 		d := &dataset{
 			name: p.Name,
 			n:    g.NumVertices(),
@@ -651,8 +649,9 @@ func (s *Server) Stats(dsName string) (*StatsAnswer, error) {
 }
 
 // Graph exposes a resident dataset's compacted base CSR (read-only) —
-// the load generator uses it to pick query vertices. Vertex count is
-// stable across compactions; edges reflect the last compaction.
+// the user fleet byte-compares it against the clean replay. Vertex
+// count is stable across compactions; edges reflect the last
+// compaction.
 func (s *Server) Graph(dsName string) (*graph.Graph, error) {
 	d, err := s.dataset(dsName)
 	if err != nil {
@@ -662,7 +661,7 @@ func (s *Server) Graph(dsName string) (*graph.Graph, error) {
 }
 
 // Snapshot exposes a resident dataset's live evolving snapshot —
-// epoch-consistent and immutable. The stream driver and tests use it
+// epoch-consistent and immutable. The claim benchmark and tests use it
 // to cross-check served answers.
 func (s *Server) Snapshot(dsName string) (*evolve.Snapshot, error) {
 	d, err := s.dataset(dsName)

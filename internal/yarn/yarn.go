@@ -4,9 +4,9 @@
 // — the paper's key architectural note is that YARN "separates
 // functionally resource management and job management" while executing
 // unmodified MapReduce jobs. Execution therefore reuses the mapreduce
-// engine; what differs is the scheduling layer (container requests,
-// allocation caps) and the cheaper container startup reflected in the
-// YARN cost model.
+// engine; what differs is the scheduling layer (the AM's container,
+// its allocation cap and its relaunch on failure) and the cheaper
+// container startup reflected in the YARN cost model.
 package yarn
 
 import (
@@ -15,10 +15,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/hdfs"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
-	"repro/internal/partition"
 )
 
 // DefaultMaxAllocation is the paper's maximum container request at the
@@ -28,7 +26,6 @@ const DefaultMaxAllocation = 20 << 30
 // ResourceManager owns the cluster's containers.
 type ResourceManager struct {
 	hw cluster.Hardware
-	fs *hdfs.FS
 
 	// MaxAllocation caps a single container request.
 	MaxAllocation int64
@@ -40,30 +37,18 @@ type ResourceManager struct {
 
 	// Fault, when non-nil, injects failures at the scheduling layer —
 	// ApplicationMaster launches that die and are relaunched by the RM
-	// (up to the attempt budget), and granted containers that are lost
-	// and re-requested — and is handed down to each application's
-	// MapReduce engine for task-level injection.
+	// (up to the attempt budget) — and is handed down to each
+	// application's MapReduce engine for task-level injection.
 	Fault *fault.Injector
-
-	// Part, when non-nil, is the placement handed down to each
-	// application's MapReduce engine (YARN executes unmodified
-	// MapReduce jobs; placement is a job concern, not a scheduling
-	// one).
-	Part *partition.Partitioning
 
 	mu        sync.Mutex
 	nextAppID int
 	allocated int64 // bytes currently granted
-	apps      map[string]*ApplicationMaster
 }
 
 // NewResourceManager creates a ResourceManager for the cluster.
-func NewResourceManager(hw cluster.Hardware, fs *hdfs.FS) *ResourceManager {
-	return &ResourceManager{
-		hw: hw, fs: fs,
-		MaxAllocation: DefaultMaxAllocation,
-		apps:          make(map[string]*ApplicationMaster),
-	}
+func NewResourceManager(hw cluster.Hardware) *ResourceManager {
+	return &ResourceManager{hw: hw, MaxAllocation: DefaultMaxAllocation}
 }
 
 // Capacity returns the cluster's total container memory.
@@ -90,11 +75,10 @@ func (rm *ResourceManager) Submit(name string, amMemory int64) (*ApplicationMast
 	id := fmt.Sprintf("application_%04d", rm.nextAppID)
 	am := &ApplicationMaster{
 		ID: id, Name: name, rm: rm, memory: amMemory,
-		engine: mapreduce.New(rm.hw, rm.fs),
+		engine: mapreduce.New(rm.hw),
 	}
 	am.engine.Profile.Obs = rm.Obs
 	am.engine.Profile.Fault = rm.Fault
-	am.engine.Profile.Part = rm.Part
 	reg := rm.Obs.R()
 	// An injected AM death is recovered by the RM relaunching the AM in
 	// a fresh container; the job itself has not started yet, so the
@@ -123,22 +107,7 @@ func (rm *ResourceManager) Submit(name string, amMemory int64) (*ApplicationMast
 	reg.Counter("yarn.apps_submitted").Add(1)
 	reg.Counter("yarn.containers_requested").Add(1)
 	reg.Gauge("yarn.allocated_bytes").Set(rm.allocated)
-	rm.apps[id] = am
 	return am, nil
-}
-
-// Running returns the number of live applications.
-func (rm *ResourceManager) Running() int {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	return len(rm.apps)
-}
-
-// Allocated returns currently granted container memory.
-func (rm *ResourceManager) Allocated() int64 {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	return rm.allocated
 }
 
 // ApplicationMaster manages one application's containers and runs its
@@ -149,7 +118,7 @@ type ApplicationMaster struct {
 
 	rm     *ResourceManager
 	engine *mapreduce.Engine
-	memory int64 // AM + task containers
+	memory int64 // the AM's container
 	span   obs.SpanRef
 
 	mu       sync.Mutex
@@ -160,48 +129,6 @@ type ApplicationMaster struct {
 // application's containers; the profile it accumulates is the
 // application's execution record.
 func (am *ApplicationMaster) Engine() *mapreduce.Engine { return am.engine }
-
-// RequestContainers asks the RM for n task containers of the given
-// size, as the MapReduce AM does for map and reduce waves.
-func (am *ApplicationMaster) RequestContainers(n int, bytes int64) error {
-	if bytes > am.rm.MaxAllocation {
-		return fmt.Errorf("yarn: container request %d exceeds maximum allocation %d", bytes, am.rm.MaxAllocation)
-	}
-	total := int64(n) * bytes
-	am.rm.mu.Lock()
-	defer am.rm.mu.Unlock()
-	if am.rm.allocated+total > am.rm.Capacity() {
-		return fmt.Errorf("yarn: cluster out of container memory (%d requested, %d free)",
-			total, am.rm.Capacity()-am.rm.allocated)
-	}
-	am.rm.allocated += total
-	am.mu.Lock()
-	am.memory += total
-	am.mu.Unlock()
-	reg := am.rm.Obs.R()
-	reg.Counter("yarn.containers_requested").Add(int64(n))
-	// An injected container loss is recovered by re-requesting a
-	// replacement: the lost container's memory is returned and granted
-	// again, so allocation is unchanged and only the request count (and
-	// launch overhead) grows.
-	if inj := am.rm.Fault; inj != nil {
-		lost := 0
-		for i := 0; i < n; i++ {
-			if _, ok := inj.FailAt(fault.Site{Engine: "yarn", Op: "container", Task: i}); ok {
-				lost++
-			}
-		}
-		if lost > 0 {
-			reg.Counter("yarn.containers_lost").Add(int64(lost))
-			reg.Counter("yarn.containers_requested").Add(int64(lost))
-			am.engine.Profile.AddPhase(cluster.Phase{
-				Name: "yarn:container-relaunch", Kind: cluster.PhaseSetup, Tasks: lost,
-			})
-		}
-	}
-	reg.Gauge("yarn.allocated_bytes").Set(am.rm.allocated)
-	return nil
-}
 
 // Finish releases the application's containers.
 func (am *ApplicationMaster) Finish() {
@@ -216,7 +143,6 @@ func (am *ApplicationMaster) Finish() {
 
 	am.rm.mu.Lock()
 	am.rm.allocated -= mem
-	delete(am.rm.apps, am.ID)
 	allocated := am.rm.allocated
 	am.rm.mu.Unlock()
 	am.rm.Obs.R().Gauge("yarn.allocated_bytes").Set(allocated)

@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/hdfs"
 	"repro/internal/mapreduce"
 )
 
 func newRM() *ResourceManager {
-	return NewResourceManager(cluster.DAS4(4, 1), hdfs.New())
+	return NewResourceManager(cluster.DAS4(4, 1))
 }
 
 func TestSubmitAndFinish(t *testing.T) {
@@ -22,15 +21,15 @@ func TestSubmitAndFinish(t *testing.T) {
 	if !strings.HasPrefix(am.ID, "application_") {
 		t.Fatalf("ID = %q", am.ID)
 	}
-	if rm.Running() != 1 || rm.Allocated() != 1<<30 {
-		t.Fatalf("running=%d allocated=%d", rm.Running(), rm.Allocated())
+	if rm.allocated != 1<<30 {
+		t.Fatalf("allocated=%d", rm.allocated)
 	}
 	am.Finish()
-	if rm.Running() != 0 || rm.Allocated() != 0 {
-		t.Fatalf("after finish: running=%d allocated=%d", rm.Running(), rm.Allocated())
+	if rm.allocated != 0 {
+		t.Fatalf("after finish: allocated=%d", rm.allocated)
 	}
 	am.Finish() // idempotent
-	if rm.Allocated() != 0 {
+	if rm.allocated != 0 {
 		t.Fatal("double Finish released twice")
 	}
 }
@@ -40,30 +39,29 @@ func TestMaxAllocationEnforced(t *testing.T) {
 	if _, err := rm.Submit("big", DefaultMaxAllocation+1); err == nil {
 		t.Fatal("oversized AM container accepted")
 	}
-	am, err := rm.Submit("ok", 1<<30)
-	if err != nil {
+	if _, err := rm.Submit("ok", DefaultMaxAllocation); err != nil {
 		t.Fatal(err)
-	}
-	if err := am.RequestContainers(1, DefaultMaxAllocation+1); err == nil {
-		t.Fatal("oversized task container accepted")
 	}
 }
 
 func TestCapacityExhaustion(t *testing.T) {
-	rm := newRM() // 4 nodes x 20 GB = 80 GB
-	am, err := rm.Submit("app", 1<<30)
-	if err != nil {
-		t.Fatal(err)
+	rm := newRM()
+	var ams []*ApplicationMaster
+	for granted := int64(0); granted+DefaultMaxAllocation <= rm.Capacity(); granted += DefaultMaxAllocation {
+		am, err := rm.Submit("app", DefaultMaxAllocation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ams = append(ams, am)
 	}
-	if err := am.RequestContainers(5, 15<<30); err != nil { // 75 GB more = 76 total
-		t.Fatal(err)
-	}
-	if err := am.RequestContainers(1, 10<<30); err == nil {
+	if _, err := rm.Submit("one too many", DefaultMaxAllocation); err == nil {
 		t.Fatal("over-capacity request accepted")
 	}
-	am.Finish()
-	if rm.Allocated() != 0 {
-		t.Fatalf("allocated = %d after finish", rm.Allocated())
+	for _, am := range ams {
+		am.Finish()
+	}
+	if rm.allocated != 0 {
+		t.Fatalf("allocated = %d after finish", rm.allocated)
 	}
 }
 
@@ -117,8 +115,8 @@ func TestMultipleApplications(t *testing.T) {
 	if a.ID == b.ID {
 		t.Fatal("duplicate application IDs")
 	}
-	if rm.Running() != 2 {
-		t.Fatalf("running = %d", rm.Running())
+	if rm.allocated != 2<<30 {
+		t.Fatalf("two running applications hold %d bytes, want 2 GB", rm.allocated)
 	}
 	a.Finish()
 	b.Finish()

@@ -11,7 +11,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/datagen"
 	"repro/internal/gasalgo"
-	"repro/internal/hdfs"
 	"repro/internal/mapreduce"
 	"repro/internal/mralgo"
 	"repro/internal/pactalgo"
@@ -106,7 +105,7 @@ func TestCrossStrategyShardEquivalence(t *testing.T) {
 		},
 		"mapreduce": func(pt *partition.Partitioning) map[string]any {
 			eng := func() *mapreduce.Engine {
-				e := mapreduce.New(hw, hdfs.New())
+				e := mapreduce.New(hw)
 				e.Profile.Part = pt
 				return e
 			}

@@ -11,7 +11,8 @@
 #                the race detector and the SSSP engine matrix.
 #   --serve      additionally run the serving gate: batch equivalence and
 #                handler tests under the race detector, the committed
-#                amortization gate, and a short 200-user loadtest smoke.
+#                amortization gate, a short 200-user read-only fleet
+#                smoke, and a SIGTERM drain of the daemon (exit 0).
 #   --experiment additionally mirror CI's experiment gate locally: the
 #                experiment package tests plus a full smoke-spec run
 #                (every cell output-validated, CV-gated) into a
@@ -122,11 +123,25 @@ if [ "$run_gap" = 1 ]; then
 fi
 
 if [ "$run_serve" = 1 ]; then
-    echo "== serving gate (batch equivalence + batch certificate + handlers under -race, amortization gate, loadtest smoke)"
+    echo "== serving gate (batch equivalence + batch certificate + handlers under -race, amortization gate, fleet smoke, SIGTERM drain)"
     go test -race -run 'BFSMultiSource|ValidateBFSBatch' ./internal/algo/
     go test -race ./internal/serve/
     go test -run 'TestBatchSpeedupGate' .
-    go run ./cmd/graphbench loadtest -users 200 -duration 2s -arrival poisson
+    go run ./cmd/graphbench stream -mix 100/0 -users 200 -duration 2s -think 1ms
+    # The daemon must drain and exit 0 on SIGTERM (built, not `go run`,
+    # so the signal reaches it; `wait` carries its status under set -e).
+    bin=$(mktemp -d)
+    go build -o "$bin/graphbench" ./cmd/graphbench
+    "$bin/graphbench" serve -addr localhost:18090 &
+    pid=$!
+    for _ in $(seq 1 100); do
+        curl -sf localhost:18090/healthz >/dev/null && break
+        sleep 0.1
+    done
+    curl -sf -d '{"dataset":"DotaLeague","src":7,"target":23}' localhost:18090/query/bfs
+    kill -TERM "$pid"
+    wait "$pid"
+    rm -rf "$bin"
 fi
 
 if [ "$run_stream" = 1 ]; then

@@ -14,7 +14,6 @@ import (
 	"repro/internal/gasalgo"
 	"repro/internal/graph"
 	"repro/internal/graphdb"
-	"repro/internal/hdfs"
 	"repro/internal/mapreduce"
 	"repro/internal/mralgo"
 	"repro/internal/pactalgo"
@@ -59,7 +58,7 @@ func TestSSSPEquivalenceMatrix(t *testing.T) {
 			return r
 		},
 		"mapreduce": func(pt *partition.Partitioning, inj *fault.Injector) algo.SSSPResult {
-			e := mapreduce.New(hw, hdfs.New())
+			e := mapreduce.New(hw)
 			e.Profile.Part = pt
 			e.Profile.Fault = inj
 			r, err := mralgo.SSSP(e, g, src)
