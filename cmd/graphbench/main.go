@@ -39,8 +39,8 @@
 //	    HTTP graph-serving daemon
 //	stream [-mix 90/10,100/0 -users N -duration D -think T -reads live|mixed] [-chaos]
 //	    closed-loop user fleet against an in-process serving daemon: read/write sweep over an evolving graph, 100/0 is the serving load test
-//	bench <suite> <before|after> [file] | check [file ...]
-//	    measure one perf suite into its BENCH_*.json; check re-measures committed baselines (>25% worse fails)
+//	bench <suite> <before|after> [file]
+//	    measure one perf suite (baseline ingest partition gap serve) into its BENCH_*.json and print the summary
 //
 // Flags (before the command) scale the datasets, size the cluster,
 // pick a placement and write traces; `graphbench` without arguments
@@ -52,8 +52,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/bench"
@@ -145,18 +143,8 @@ func commandTable() []command {
 		{"stream", "[-mix 90/10,100/0 -users N -duration D -think T -reads live|mixed] [-chaos]",
 			"closed-loop user fleet against an in-process serving daemon: read/write sweep over an evolving graph, 100/0 is the serving load test", 0,
 			func(e *env, a []string) { streamCmd(a, e.cache, e.sess) }},
-		{"bench", "<suite> <before|after> [file] | check [file ...]",
-			"measure one perf suite into its BENCH_*.json; check re-measures committed baselines (>25% worse fails)", 1,
-			func(_ *env, a []string) {
-				if a[0] == "check" {
-					benchCheckCmd(a[1:])
-					return
-				}
-				if len(a) < 2 {
-					usage()
-				}
-				benchWriteCmd(a)
-			}},
+		{"bench", "<suite> <before|after> [file]",
+			"measure one perf suite (baseline ingest partition gap serve) into its BENCH_*.json and print the summary", 2, benchCmd},
 	}
 }
 
@@ -320,8 +308,8 @@ func predictCmd(e *env, a []string) {
 	}
 }
 
-// benchWriteCmd is `bench <suite> <before|after> [file]`.
-func benchWriteCmd(a []string) {
+// benchCmd is `bench <suite> <before|after> [file]`.
+func benchCmd(_ *env, a []string) {
 	suite, err := perf.SuiteByName(a[0])
 	if err != nil {
 		fatal("%v", err)
@@ -335,35 +323,6 @@ func benchWriteCmd(a []string) {
 		fatal("%v", err)
 	}
 	fmt.Printf("wrote %s (%s)\n\n%s", out, phase, bl.Summary())
-}
-
-// benchCheckCmd is `bench check [file ...]`.
-func benchCheckCmd(files []string) {
-	if len(files) == 0 {
-		// No explicit list: pick up every checked-in baseline, so a
-		// PR adding BENCH_prN.json is gated without editing this
-		// list.
-		var err error
-		files, err = filepath.Glob("BENCH_*.json")
-		if err != nil {
-			fatal("bench check: %v", err)
-		}
-		sort.Strings(files)
-		if len(files) == 0 {
-			fatal("bench check: no BENCH_*.json baselines found (and none given)")
-		}
-		fmt.Printf("bench check: discovered %d baselines: %s\n", len(files), strings.Join(files, " "))
-	}
-	results, err := perf.Check(files)
-	if err != nil {
-		fatal("%v", err)
-	}
-	table, failed := perf.RenderCheck(results)
-	fmt.Print(table)
-	if failed {
-		fatal("bench check: performance regression detected")
-	}
-	fmt.Println("bench check: all benchmarks within tolerance")
 }
 
 // writeFile creates path and streams one of the session exporters into

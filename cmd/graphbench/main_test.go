@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/metrics"
+	"repro/internal/perf"
 )
 
 func TestCommandTable(t *testing.T) {
@@ -33,6 +34,17 @@ func TestCommandTable(t *testing.T) {
 		case "loadtest": // one form: the paper's load test of one cell
 			if c.min != 3 || strings.ContainsAny(c.args, "|-") {
 				t.Errorf("loadtest takes %q (min %d), want exactly <platform> <algorithm> <dataset>", c.args, c.min)
+			}
+		case "bench": // one form: record a suite; nothing re-measures committed files
+			if c.args != "<suite> <before|after> [file]" || c.min != 2 || strings.Contains(c.help, "check") {
+				t.Errorf("bench takes %q (min %d, help %q), want exactly <suite> <before|after> [file]", c.args, c.min, c.help)
+			}
+			var suites []string
+			for _, s := range perf.Registry {
+				suites = append(suites, s.Name)
+			}
+			if list := "(" + strings.Join(suites, " ") + ")"; !strings.Contains(c.help, list) {
+				t.Errorf("bench help %q does not list the suites as %s", c.help, list)
 			}
 		case "stream": // the serving load test lives here
 			for _, flag := range []string{"-mix", "-users", "-duration", "-think", "-reads", "-chaos"} {

@@ -12,7 +12,7 @@ import (
 // engine-level BFS macro entry it replaces on the hot path
 // (BENCH_pr2.json, pregel-bfs-dotaleague). The gate compares committed
 // figures — both measured on the same machine in the same session — so
-// it is deterministic in CI; live re-measurement is bench-check's job.
+// it is deterministic in CI and machine-independent.
 func TestGapBFSSpeedupGate(t *testing.T) {
 	ref := committedNs(t, "BENCH_pr2.json", "pregel-bfs-dotaleague")
 	gap := committedNs(t, "BENCH_pr7.json", "gap-bfs-dotaleague")

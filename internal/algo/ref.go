@@ -193,9 +193,6 @@ func (o *Overlay) Neighbors(v graph.VertexID) (out, in []graph.VertexID) {
 	return out, in
 }
 
-// Added returns the accumulated new edges.
-func (o *Overlay) Added() []graph.Edge { return o.added }
-
 // Result summarises the evolution.
 func (o *Overlay) Result() EVOResult {
 	edges := append([]graph.Edge(nil), o.added...)

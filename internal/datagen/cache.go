@@ -56,37 +56,14 @@ func (p Profile) GenerateCached(factor int, seed int64, dir string) *graph.Graph
 	return g
 }
 
-// WeightedSnapshotKey returns the cache file name for a weighted
-// dataset variant. The weight seed and the weighted binary version are
-// folded into the key so weighted and unweighted snapshots of the same
-// generation never collide.
+// WeightedSnapshotKey names the weighted variant of a dataset: the
+// topology snapshot with weights derived from weightSeed
+// (graph.WithWeights). Weights are never stored, so no file carries
+// this name; experiment fingerprints record it so two bundles can tell
+// whether their SSSP cells ran on the same weighted graph.
 func WeightedSnapshotKey(name string, factor int, seed int64, weightSeed uint64) string {
 	return fmt.Sprintf("%s_f%d_s%d_g%d_b%d_w%d.gcsr",
-		name, factor, seed, generatorVersion, graph.BinaryVersionWeighted, weightSeed)
-}
-
-// GenerateWeighted produces the dataset like GenerateScaled and
-// attaches deterministic edge weights derived from weightSeed.
-func (p Profile) GenerateWeighted(factor int, seed int64, weightSeed uint64) *graph.Graph {
-	return graph.WithWeights(p.GenerateScaled(factor, seed), weightSeed)
-}
-
-// GenerateWeightedCached is GenerateCached for the weighted variant:
-// hits load a v2 (weighted) snapshot in one block read; misses
-// regenerate, attach weights, and rewrite. An empty dir disables
-// caching.
-func (p Profile) GenerateWeightedCached(factor int, seed int64, weightSeed uint64, dir string) *graph.Graph {
-	if dir == "" {
-		return p.GenerateWeighted(factor, seed, weightSeed)
-	}
-	path := filepath.Join(dir, WeightedSnapshotKey(p.Name, factor, seed, weightSeed))
-	if g, err := ReadSnapshot(path); err == nil &&
-		g.Directed() == p.Directed && g.Weighted() && g.WeightSeed() == weightSeed {
-		return g
-	}
-	g := p.GenerateWeighted(factor, seed, weightSeed)
-	_ = WriteSnapshot(path, g)
-	return g
+		name, factor, seed, generatorVersion, graph.BinaryVersion, weightSeed)
 }
 
 // ReadSnapshot loads one snapshot file.

@@ -30,6 +30,14 @@ func TestSnapshotKey(t *testing.T) {
 	if SnapshotKey("DotaLeague", 5, 99) == key || SnapshotKey("DotaLeague", 4, 98) == key {
 		t.Fatal("SnapshotKey must distinguish factor and seed")
 	}
+	// The weighted variant's name (fingerprints only, no file) is
+	// disjoint from the topology's and folds in the weight seed.
+	if WeightedSnapshotKey("DotaLeague", 4, 99, 7) == key {
+		t.Fatal("weighted and unweighted snapshot keys must differ")
+	}
+	if WeightedSnapshotKey("DotaLeague", 4, 99, 7) == WeightedSnapshotKey("DotaLeague", 4, 99, 8) {
+		t.Fatal("weighted key must fold in the weight seed")
+	}
 }
 
 // TestGenerateCachedMissHitCorrupt walks the cache life cycle: a miss
@@ -115,53 +123,5 @@ func TestWriteSnapshotAtomic(t *testing.T) {
 	}
 	if !back.Equal(g) {
 		t.Fatal("snapshot round trip altered the graph")
-	}
-}
-
-// TestGenerateWeightedCached checks the weighted cache life cycle: the
-// key is disjoint from the unweighted one, a miss writes a weighted
-// (v2) snapshot, and a hit restores the exact weighted graph including
-// its weight seed.
-func TestGenerateWeightedCached(t *testing.T) {
-	p := cacheProfile(t)
-	dir := t.TempDir()
-	const factor, seed = 8, 42
-	const wseed = 7
-
-	if WeightedSnapshotKey(p.Name, factor, seed, wseed) == SnapshotKey(p.Name, factor, seed) {
-		t.Fatal("weighted and unweighted snapshot keys must differ")
-	}
-	if WeightedSnapshotKey(p.Name, factor, seed, 7) == WeightedSnapshotKey(p.Name, factor, seed, 8) {
-		t.Fatal("weighted key must fold in the weight seed")
-	}
-
-	want := p.GenerateWeighted(factor, seed, wseed)
-	if !want.Weighted() || want.WeightSeed() != wseed {
-		t.Fatalf("GenerateWeighted: weighted=%v seed=%d", want.Weighted(), want.WeightSeed())
-	}
-
-	g := p.GenerateWeightedCached(factor, seed, wseed, dir)
-	if !g.Equal(want) {
-		t.Fatal("weighted cache miss produced a different graph")
-	}
-	path := filepath.Join(dir, WeightedSnapshotKey(p.Name, factor, seed, wseed))
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("weighted snapshot not written on miss: %v", err)
-	}
-
-	g2 := p.GenerateWeightedCached(factor, seed, wseed, dir)
-	if !g2.Equal(want) || !g2.Weighted() || g2.WeightSeed() != wseed {
-		t.Fatal("weighted cache hit produced a different graph")
-	}
-
-	// A different weight seed is a distinct cache entry, not a hit.
-	g3 := p.GenerateWeightedCached(factor, seed, wseed+1, dir)
-	if g3.Equal(want) {
-		t.Fatal("different weight seed must not hit the old entry")
-	}
-
-	// Disabled cache is a pure pass-through.
-	if !p.GenerateWeightedCached(factor, seed, wseed, "").Equal(want) {
-		t.Fatal("empty cache dir must behave exactly like GenerateWeighted")
 	}
 }

@@ -93,7 +93,7 @@ func (r *Results) Table() bench.Table {
 			}
 			t.Rows = append(t.Rows, []string{
 				c.Platform, c.Algorithm, c.Dataset, c.Placement.String(), l.Leg,
-				c.Status, fmtSimSeconds(l.SimSeconds, c.Status),
+				l.Status, fmtSimSeconds(l.SimSeconds, l.Status),
 				fmt.Sprintf("%.2f ms", l.Wall.Mean), cv,
 				strconv.Itoa(len(l.Wall.Outliers)),
 				c.Validation,
@@ -137,7 +137,7 @@ func (r *Results) FigureData() bench.Table {
 	for _, c := range r.Cells {
 		for _, l := range c.Legs {
 			t.Rows = append(t.Rows, []string{
-				c.Platform, c.Algorithm, c.Dataset, c.Placement.String(), l.Leg, c.Status,
+				c.Platform, c.Algorithm, c.Dataset, c.Placement.String(), l.Leg, l.Status,
 				f(l.SimSeconds), f(l.EPS), strconv.Itoa(l.Wall.N),
 				f(l.Wall.Mean), f(l.Wall.Median), f(l.Wall.Min), f(l.Wall.Max),
 				f(l.Wall.StdDev), f(l.Wall.CV), strconv.Itoa(len(l.Wall.Outliers)),

@@ -11,13 +11,16 @@ import (
 	"repro/internal/platform"
 )
 
-// Validation verdicts. A cell is VALID only when every repetition of
-// every leg completed OK with byte-identical output and that output
-// satisfies the algorithm's reference-equivalence rules; INVALID
-// poisons the bundle exit code. Cells whose (deterministic) outcome is
-// a crash/timeout/n-a — the paper reports plenty — are SKIPPED:
-// there is no output to validate and the failure class itself is the
-// result.
+// Validation verdicts. A cell is VALID only when the repetitions of
+// each leg agree on one outcome class, every repetition that completed
+// OK produced byte-identical output, and that output satisfies the
+// algorithm's reference-equivalence rules; INVALID poisons the bundle
+// exit code. The legs may differ from each other — a cold leg that
+// times out beside a warm leg that completes is the paper's own
+// cold/hot split (Key finding 5), reported per leg. Cells no leg of
+// which completed — the paper reports plenty of crash/timeout/n-a —
+// are SKIPPED: there is no output to validate and the (deterministic)
+// failure class itself is the result.
 const (
 	Valid   = "VALID"
 	Invalid = "INVALID"
@@ -42,10 +45,10 @@ type Driver struct {
 	// Log, when non-nil, receives one progress line per cell.
 	Log io.Writer
 
-	// corrupt, when set (tests only), rewrites a repetition's output
-	// before validation — the injected-wrong-output path that proves
-	// the INVALID gate trips.
-	corrupt func(Cell, any) any
+	// corrupt, when set (tests only), rewrites a repetition's result
+	// before the driver looks at it — the injected-wrong-output and
+	// injected-status-flip paths that prove the INVALID gate trips.
+	corrupt func(Cell, *platform.Result)
 }
 
 // RepResult is one raw repetition.
@@ -68,6 +71,10 @@ type RepResult struct {
 type LegResult struct {
 	Leg  string      `json:"leg"`
 	Reps []RepResult `json:"reps"`
+	// Status is the outcome class (ok/crash/timeout/n-a) the leg's
+	// repetitions agree on; StatusDetail the failure reason when not OK.
+	Status       string `json:"status"`
+	StatusDetail string `json:"status_detail,omitempty"`
 	// Wall summarises the repetitions' wall-clock milliseconds.
 	Wall metrics.Stats `json:"wall_ms_stats"`
 	// SimSeconds and EPS are the (deterministic) projected job time
@@ -81,7 +88,9 @@ type LegResult struct {
 // cell-wide validation verdict.
 type CellResult struct {
 	Cell
-	// Status is the consensus outcome class (ok/crash/timeout/n-a).
+	// Status is the cell's outcome class (ok/crash/timeout/n-a): that
+	// of the warm leg when one ran, else the cold leg's. The legs carry
+	// their own.
 	Status string `json:"status"`
 	// StatusDetail carries the failure reason for non-OK cells.
 	StatusDetail     string      `json:"status_detail,omitempty"`
@@ -173,6 +182,9 @@ func (d *Driver) runCell(h *bench.Harness, v *validator, c Cell, hw cluster.Hard
 				invalid("repetition failed to execute: %v", err)
 				continue
 			}
+			if d.corrupt != nil {
+				d.corrupt(c, r)
+			}
 			rep := RepResult{WallMs: wall, SimSeconds: r.Seconds, Status: r.Status.String()}
 			walls = append(walls, wall)
 			lr.Reps = append(lr.Reps, rep)
@@ -183,29 +195,25 @@ func (d *Driver) runCell(h *bench.Harness, v *validator, c Cell, hw cluster.Hard
 					l.name, r.Seconds, lr.SimSeconds)
 			}
 
-			// Status consensus across every repetition of every leg.
-			if cr.Status == "" {
-				cr.Status = r.Status.String()
+			// Status consensus within the leg; legs may differ.
+			if lr.Status == "" {
+				lr.Status = r.Status.String()
 				if r.Err != nil {
-					cr.StatusDetail = r.Err.Error()
+					lr.StatusDetail = r.Err.Error()
 				}
-			} else if r.Status.String() != cr.Status {
-				invalid("status diverged across repetitions (%s vs %s)", r.Status, cr.Status)
+			} else if r.Status.String() != lr.Status {
+				invalid("%s leg: status diverged across repetitions (%s vs %s)", l.name, r.Status, lr.Status)
 			}
 
 			if r.Status != platform.OK {
 				continue
 			}
-			out := r.Output
-			if d.corrupt != nil {
-				out = d.corrupt(c, out)
-			}
 			if !haveOut {
-				firstOut, haveOut = out, true
-				if err := v.check(c, out); err != nil {
+				firstOut, haveOut = r.Output, true
+				if err := v.check(c, firstOut); err != nil {
 					invalid("output fails reference validation: %v", err)
 				}
-			} else if !outputsEqual(out, firstOut) {
+			} else if !outputsEqual(r.Output, firstOut) {
 				invalid("nondeterministic output across repetitions (%s leg, rep %d)", l.name, i+1)
 			}
 		}
@@ -215,12 +223,14 @@ func (d *Driver) runCell(h *bench.Harness, v *validator, c Cell, hw cluster.Hard
 		}
 		lr.Wall = st
 		cr.Legs = append(cr.Legs, lr)
+		// Legs run cold then warm, so the warm leg's status wins.
+		cr.Status, cr.StatusDetail = lr.Status, lr.StatusDetail
 	}
 
-	// Non-OK cells carry no validatable output; the deterministic
-	// failure class is the result (unless something already flagged
-	// the cell INVALID).
-	if cr.Validation == Valid && cr.Status != platform.OK.String() {
+	// A cell no repetition of which completed carries no validatable
+	// output; the deterministic failure class is the result (unless
+	// something already flagged the cell INVALID).
+	if cr.Validation == Valid && !haveOut {
 		cr.Validation = Skipped
 		if cr.ValidationDetail == "" {
 			cr.ValidationDetail = "no output to validate: run " + cr.Status

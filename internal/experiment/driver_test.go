@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/algo"
 	"repro/internal/graph"
+	"repro/internal/platform"
 )
 
 // testSpec is a small but real matrix: one engine, two algorithms,
@@ -132,7 +134,7 @@ func TestCorruptOutputsTurnInvalid(t *testing.T) {
 			spec.Algorithms = []string{alg}
 			spec.ColdRepetitions = 0
 			spec.Repetitions = 1
-			d := &Driver{Spec: spec, corrupt: func(_ Cell, out any) any { return corrupt(out) }}
+			d := &Driver{Spec: spec, corrupt: func(_ Cell, r *platform.Result) { r.Output = corrupt(r.Output) }}
 			res, err := d.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -160,18 +162,18 @@ func TestNondeterminismAcrossRepsTurnsInvalid(t *testing.T) {
 	spec.ColdRepetitions = 0
 	spec.Repetitions = 2
 	n := 0
-	d := &Driver{Spec: spec, corrupt: func(_ Cell, out any) any {
+	d := &Driver{Spec: spec, corrupt: func(_ Cell, res *platform.Result) {
 		n++
 		if n < 2 {
-			return out
+			return
 		}
-		r := out.(algo.ConnResult)
+		r := res.Output.(algo.ConnResult)
 		labels := append([]graph.VertexID(nil), r.Labels...)
 		if len(labels) > 0 {
 			labels[0]++
 		}
 		r.Labels = labels
-		return r
+		res.Output = r
 	}}
 	res, err := d.Run()
 	if err != nil {
@@ -179,6 +181,82 @@ func TestNondeterminismAcrossRepsTurnsInvalid(t *testing.T) {
 	}
 	if res.InvalidCells != 1 || !res.Failed() {
 		t.Fatalf("want 1 invalid cell, got %s", res.Summary())
+	}
+}
+
+// coldHotSpec is the one-cell spec of the paper's cold/hot split (Key
+// finding 5): at scale 8 Neo4j STATS on WikiTalk exceeds the 20 h
+// budget from a cold cache and completes from a warm one.
+func coldHotSpec() Spec {
+	s := defaultSpec()
+	s.Name = "cold-hot"
+	s.Platforms = []string{"Neo4j"}
+	s.Algorithms = []string{"STATS"}
+	s.Datasets = []string{"WikiTalk"}
+	s.Repetitions = 1
+	s.ColdRepetitions = 1
+	s.Scale = 8
+	return s
+}
+
+// TestColdTimeoutWarmOKIsValid: legs that disagree with each other are
+// a result, not a fault. Both statuses are reported, the cell takes the
+// warm leg's, and the warm output is reference-validated.
+func TestColdTimeoutWarmOKIsValid(t *testing.T) {
+	res, err := (&Driver{Spec: coldHotSpec()}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Cells[0]
+	if c.Validation != Valid || res.Failed() {
+		t.Fatalf("%s: %s (%s), want VALID", c.Cell, c.Validation, c.ValidationDetail)
+	}
+	if len(c.Legs) != 2 || c.Legs[0].Status != "timeout" || c.Legs[1].Status != "ok" {
+		t.Fatalf("%s: legs = %+v, want cold timeout then warm ok", c.Cell, c.Legs)
+	}
+	if c.Legs[0].StatusDetail == "" || c.Status != "ok" || c.StatusDetail != "" {
+		t.Errorf("%s: cell status %q (%q), cold detail %q; want the warm leg's status and the cold leg's reason",
+			c.Cell, c.Status, c.StatusDetail, c.Legs[0].StatusDetail)
+	}
+	rows := res.Table().Rows
+	if len(rows) != 2 || rows[0][5] != "timeout" || rows[1][5] != "ok" {
+		t.Errorf("table rows = %v, want one status per leg", rows)
+	}
+
+	// The warm output still goes through the reference check.
+	d := &Driver{Spec: coldHotSpec(), corrupt: func(_ Cell, r *platform.Result) {
+		if out, ok := r.Output.(algo.StatsResult); ok {
+			out.AvgLCC += 0.5
+			r.Output = out
+		}
+	}}
+	if res, err = d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c := res.Cells[0]; c.Validation != Invalid {
+		t.Errorf("corrupted warm output: %s (%s), want INVALID", c.Validation, c.ValidationDetail)
+	}
+}
+
+// TestStatusDivergenceWithinLegTurnsInvalid: repetitions of one leg
+// must agree on the outcome class.
+func TestStatusDivergenceWithinLegTurnsInvalid(t *testing.T) {
+	spec := coldHotSpec()
+	spec.ColdRepetitions = 0
+	spec.Repetitions = 2
+	n := 0
+	d := &Driver{Spec: spec, corrupt: func(_ Cell, r *platform.Result) {
+		if n++; n == 2 {
+			r.Status = platform.Timeout
+		}
+	}}
+	res, err := d.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Cells[0]
+	if c.Validation != Invalid || !strings.Contains(c.ValidationDetail, "warm leg: status diverged") || !res.Failed() {
+		t.Fatalf("%s: %s (%q), want INVALID for a leg whose repetitions disagree", c.Cell, c.Validation, c.ValidationDetail)
 	}
 }
 

@@ -30,38 +30,24 @@ import (
 //	...     inLen*4     inAdj (directed only)
 //	end     4           CRC-32C (Castagnoli) of every preceding byte
 //
-// Version 2 extends the format with edge weights. Unweighted graphs
-// are still written as byte-identical version-1 snapshots (so existing
-// caches stay valid); a weighted graph is written as version 2 with
-// flag bit 1 set and three extra sections between the adjacency arrays
-// and the CRC trailer:
-//
-//	...     8           weightSeed (uint64; 0 = explicit weights)
-//	...     outLen*4    weights (uint32 each, aligned with adj)
-//	...     inLen*4     inWeights (directed only, aligned with inAdj)
-//
-// The CRC covers the weight sections like everything else. Readers
-// accept both versions — version-1 snapshots load as unweighted
-// graphs — and reject anything newer.
+// Edge weights are never stored: every weighted graph is a seed-derived
+// view (WithWeights) that is recomputed from the topology in one
+// parallel pass, so WriteBinary refuses a weighted graph instead of
+// silently dropping its weights.
 //
 // Readers must reject unknown versions; the version is bumped whenever
 // the layout (or the semantics of the arrays) changes, and the snapshot
 // cache (internal/datagen) folds it into the cache key so stale
 // snapshots are never picked up after a format change.
 
-// BinaryVersion is the snapshot format version written for unweighted
-// graphs (and the version folded into the unweighted cache key).
+// BinaryVersion is the snapshot format version (and the version folded
+// into the snapshot cache key).
 const BinaryVersion = 1
-
-// BinaryVersionWeighted is the snapshot format version written for
-// weighted graphs.
-const BinaryVersionWeighted = 2
 
 const (
 	binaryMagic      = "GCSR"
 	binaryHeaderSize = 32
 	flagDirected     = 1 << 0
-	flagWeighted     = 1 << 1
 
 	// ioChunk is the scratch-buffer size used to encode/decode the
 	// arrays in large blocks. One buffer per call, never per element.
@@ -81,11 +67,6 @@ func BinarySize(g *Graph) int64 {
 		n += int64(len(g.inOffsets)) * 8
 		n += int64(len(g.inAdj)) * 4
 	}
-	if g.Weighted() {
-		n += 8 // weightSeed
-		n += int64(len(g.weights)) * 4
-		n += int64(len(g.inWeights)) * 4
-	}
 	return n + 4 // CRC trailer
 }
 
@@ -100,23 +81,22 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return cw.w.Write(p)
 }
 
-// WriteBinary serialises g as a versioned binary CSR snapshot.
+// WriteBinary serialises g as a versioned binary CSR snapshot. The
+// format has no weight sections, so a weighted graph is an error.
 func WriteBinary(w io.Writer, g *Graph) error {
+	if g.Weighted() {
+		return fmt.Errorf("graph: WriteBinary of a weighted graph (snapshot the topology and re-derive with WithWeights)")
+	}
 	bw := bufio.NewWriterSize(w, ioChunk)
 	cw := &crcWriter{w: bw}
 
 	var hdr [binaryHeaderSize]byte
 	copy(hdr[0:4], binaryMagic)
-	version := uint32(BinaryVersion)
 	var flags uint32
 	if g.directed {
 		flags |= flagDirected
 	}
-	if g.Weighted() {
-		version = BinaryVersionWeighted
-		flags |= flagWeighted
-	}
-	binary.LittleEndian.PutUint32(hdr[4:8], version)
+	binary.LittleEndian.PutUint32(hdr[4:8], BinaryVersion)
 	binary.LittleEndian.PutUint32(hdr[8:12], flags)
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(g.n))
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(g.adj)))
@@ -140,21 +120,6 @@ func WriteBinary(w io.Writer, g *Graph) error {
 			return err
 		}
 	}
-	if g.Weighted() {
-		var seed [8]byte
-		binary.LittleEndian.PutUint64(seed[:], g.weightSeed)
-		if _, err := cw.Write(seed[:]); err != nil {
-			return err
-		}
-		if err := writeUint32s(cw, buf, g.weights); err != nil {
-			return err
-		}
-		if g.directed {
-			if err := writeUint32s(cw, buf, g.inWeights); err != nil {
-				return err
-			}
-		}
-	}
 
 	var tail [4]byte
 	binary.LittleEndian.PutUint32(tail[:], cw.crc)
@@ -172,21 +137,6 @@ func writeInt64s(w io.Writer, buf []byte, xs []int64) error {
 			binary.LittleEndian.PutUint64(buf[i*8:], uint64(xs[i]))
 		}
 		if _, err := w.Write(buf[:m*8]); err != nil {
-			return err
-		}
-		xs = xs[m:]
-	}
-	return nil
-}
-
-func writeUint32s(w io.Writer, buf []byte, xs []uint32) error {
-	per := len(buf) / 4
-	for len(xs) > 0 {
-		m := min(per, len(xs))
-		for i := 0; i < m; i++ {
-			binary.LittleEndian.PutUint32(buf[i*4:], xs[i])
-		}
-		if _, err := w.Write(buf[:m*4]); err != nil {
 			return err
 		}
 		xs = xs[m:]
@@ -235,20 +185,14 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: not a CSR snapshot (magic %q)", hdr[0:4])
 	}
 	version := binary.LittleEndian.Uint32(hdr[4:8])
-	if version != BinaryVersion && version != BinaryVersionWeighted {
-		return nil, fmt.Errorf("graph: snapshot version %d, want %d or %d",
-			version, BinaryVersion, BinaryVersionWeighted)
+	if version != BinaryVersion {
+		return nil, fmt.Errorf("graph: snapshot version %d, want %d", version, BinaryVersion)
 	}
 	flags := binary.LittleEndian.Uint32(hdr[8:12])
-	known := uint32(flagDirected)
-	if version >= BinaryVersionWeighted {
-		known |= flagWeighted
-	}
-	if flags&^known != 0 {
+	if flags&^flagDirected != 0 {
 		return nil, fmt.Errorf("graph: snapshot has unknown flags %#x", flags)
 	}
 	directed := flags&flagDirected != 0
-	weighted := flags&flagWeighted != 0
 	n64 := uint64(binary.LittleEndian.Uint32(hdr[12:16]))
 	outLen := binary.LittleEndian.Uint64(hdr[16:24])
 	inLen := binary.LittleEndian.Uint64(hdr[24:32])
@@ -283,21 +227,6 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("graph: snapshot in-adjacency: %w", err)
 		}
 	}
-	if weighted {
-		var seed [8]byte
-		if _, err := io.ReadFull(cr, seed[:]); err != nil {
-			return nil, fmt.Errorf("graph: snapshot weight seed: %w", err)
-		}
-		g.weightSeed = binary.LittleEndian.Uint64(seed[:])
-		if g.weights, err = readUint32s(cr, buf, int(outLen)); err != nil {
-			return nil, fmt.Errorf("graph: snapshot weights: %w", err)
-		}
-		if directed {
-			if g.inWeights, err = readUint32s(cr, buf, int(inLen)); err != nil {
-				return nil, fmt.Errorf("graph: snapshot in-weights: %w", err)
-			}
-		}
-	}
 
 	sum := cr.crc
 	var tail [4]byte
@@ -329,22 +258,6 @@ func readInt64s(r io.Reader, buf []byte, count int) ([]int64, error) {
 		}
 		for j := 0; j < m; j++ {
 			out[i+j] = int64(binary.LittleEndian.Uint64(buf[j*8:]))
-		}
-		i += m
-	}
-	return out, nil
-}
-
-func readUint32s(r io.Reader, buf []byte, count int) ([]uint32, error) {
-	out := make([]uint32, count)
-	per := len(buf) / 4
-	for i := 0; i < count; {
-		m := min(per, count-i)
-		if _, err := io.ReadFull(r, buf[:m*4]); err != nil {
-			return nil, err
-		}
-		for j := 0; j < m; j++ {
-			out[i+j] = binary.LittleEndian.Uint32(buf[j*4:])
 		}
 		i += m
 	}

@@ -46,8 +46,8 @@ type Graph struct {
 	inAdj     []VertexID
 
 	// Per-arc weights aligned with adj/inAdj; nil for unweighted
-	// graphs (see weights.go). weightSeed is non-zero when the weights
-	// are hash-derived via WithWeights.
+	// graphs (see weights.go). weightSeed is the non-zero seed
+	// WithWeights derived them from.
 	weights    []uint32
 	inWeights  []uint32
 	weightSeed uint64
@@ -215,10 +215,6 @@ func (b *Builder) AddEdge(u, v VertexID) {
 	}
 	b.edges = append(b.edges, Edge{u, v})
 }
-
-// EdgeCount returns the number of edges recorded so far (before
-// deduplication).
-func (b *Builder) EdgeCount() int { return len(b.edges) }
 
 // Build assembles the CSR graph, sorting adjacency lists and removing
 // duplicates. The builder may be reused afterwards.

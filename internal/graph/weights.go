@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // Edge weights.
 //
 // Weighted graphs carry one uint32 weight per stored arc, aligned with
@@ -16,8 +14,8 @@ import "sort"
 // which means engines that know only the endpoints of an edge (GAS
 // gather, database traversals) can recompute the weight in O(1) with
 // WeightOf instead of carrying positional weight slices around.
-// Graphs parsed from weighted text carry arbitrary weights; for those
-// WeightOf falls back to a binary search of the adjacency list.
+// Seed-derived weights are the only kind: nothing stores or parses
+// weights, a weighted graph is always recomputed from its topology.
 
 // MaxWeight is the largest weight WithWeights assigns. Distances stay
 // far below 2^53, so they are exact even if converted to float64.
@@ -25,10 +23,6 @@ const MaxWeight = 255
 
 // Weighted reports whether the graph carries edge weights.
 func (g *Graph) Weighted() bool { return g.weights != nil }
-
-// WeightSeed returns the seed weights were derived from, or 0 for
-// unweighted graphs and graphs with explicit (parsed) weights.
-func (g *Graph) WeightSeed() uint64 { return g.weightSeed }
 
 // OutWeights returns the weights of v's out-arcs, aligned with Out(v).
 // It returns nil for unweighted graphs. Callers must not modify it.
@@ -52,23 +46,14 @@ func (g *Graph) InWeights(v VertexID) []uint32 {
 	return g.inWeights[g.inOffsets[v]:g.inOffsets[v+1]]
 }
 
-// WeightOf returns the weight of the arc (u, v). For seed-derived
-// weights it is a pure O(1) hash; for explicit weights it binary
-// searches u's sorted adjacency list. It returns 0 if the graph is
-// unweighted or the arc does not exist.
+// WeightOf returns the weight of the arc (u, v): a pure O(1) hash of
+// the graph's weight seed and the endpoints, whether or not the arc is
+// stored. It returns 0 if the graph is unweighted.
 func (g *Graph) WeightOf(u, v VertexID) uint32 {
 	if g.weights == nil {
 		return 0
 	}
-	if g.weightSeed != 0 {
-		return WeightFor(g.weightSeed, u, v, g.directed)
-	}
-	nbrs := g.Out(u)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	if i < len(nbrs) && nbrs[i] == v {
-		return g.weights[g.offsets[u]+int64(i)]
-	}
-	return 0
+	return WeightFor(g.weightSeed, u, v, g.directed)
 }
 
 // WeightFor returns the deterministic weight WithWeights(seed) assigns
@@ -96,9 +81,9 @@ func mix64(x uint64) uint64 {
 
 // WithWeights returns a weighted view of g: the CSR arrays are shared
 // (the graph topology is immutable), and per-arc weights derived from
-// seed are materialised alongside them. The seed must be non-zero —
-// zero marks explicit weights. Deriving weights after canonicalisation
-// keeps Build, the text parsers, and Subgraph weight-agnostic.
+// seed are materialised alongside them. The seed must be non-zero.
+// Deriving weights after canonicalisation keeps Build, the text
+// parsers, and Subgraph weight-agnostic.
 func WithWeights(g *Graph, seed uint64) *Graph {
 	if seed == 0 {
 		panic("graph: WithWeights seed must be non-zero")

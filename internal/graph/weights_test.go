@@ -38,8 +38,8 @@ func TestWithWeightsDeterminism(t *testing.T) {
 		if a.Equal(c) {
 			t.Fatalf("directed=%v: different seeds produced identical weights", directed)
 		}
-		if !a.Weighted() || a.WeightSeed() != 99 {
-			t.Fatalf("weighted view not marked weighted with its seed")
+		if !a.Weighted() {
+			t.Fatalf("weighted view not marked weighted")
 		}
 		if g.Weighted() {
 			t.Fatalf("WithWeights mutated the original graph")
@@ -105,36 +105,13 @@ func snapshotVersion(t *testing.T, b []byte) uint32 {
 	return binary.LittleEndian.Uint32(b[4:8])
 }
 
-func TestBinaryWeightedRoundTrip(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		g := graph.WithWeights(randomGraph(t, 180, 1100, directed, 21), 77)
-		var buf bytes.Buffer
-		if err := graph.WriteBinary(&buf, g); err != nil {
-			t.Fatalf("WriteBinary: %v", err)
-		}
-		if got, want := int64(buf.Len()), graph.BinarySize(g); got != want {
-			t.Fatalf("wrote %d bytes, BinarySize says %d", got, want)
-		}
-		if v := snapshotVersion(t, buf.Bytes()); v != graph.BinaryVersionWeighted {
-			t.Fatalf("weighted snapshot wrote version %d, want %d", v, graph.BinaryVersionWeighted)
-		}
-		back, err := graph.ReadBinary(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("ReadBinary: %v", err)
-		}
-		if !back.Equal(g) {
-			t.Fatalf("weighted round trip altered the graph (directed=%v)", directed)
-		}
-		if !back.Weighted() || back.WeightSeed() != 77 {
-			t.Fatalf("round trip lost weights (weighted=%v seed=%d)", back.Weighted(), back.WeightSeed())
-		}
-
-		// A flipped bit in the weight section must fail the checksum.
-		raw := append([]byte(nil), buf.Bytes()...)
-		raw[len(raw)-20] ^= 1
-		if _, err := graph.ReadBinary(bytes.NewReader(raw)); err == nil {
-			t.Fatalf("corrupted weighted snapshot accepted")
-		}
+// TestBinaryRefusesWeightedGraph: the format has no weight sections, so
+// writing a weighted view must fail loudly, not drop the weights.
+func TestBinaryRefusesWeightedGraph(t *testing.T) {
+	g := graph.WithWeights(randomGraph(t, 60, 300, true, 21), 77)
+	var buf bytes.Buffer
+	if err := graph.WriteBinary(&buf, g); err == nil {
+		t.Fatalf("WriteBinary accepted a weighted graph (%d bytes written)", buf.Len())
 	}
 }
 
@@ -147,8 +124,6 @@ func TestBinaryUnweightedStaysVersion1(t *testing.T) {
 	if v := snapshotVersion(t, buf.Bytes()); v != graph.BinaryVersion {
 		t.Fatalf("unweighted snapshot wrote version %d, want %d", v, graph.BinaryVersion)
 	}
-	// Version-1 bytes (pre-weights format) load as an unweighted graph:
-	// backward compatibility for every snapshot cached before v2.
 	back, err := graph.ReadBinary(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("ReadBinary of v1 snapshot: %v", err)
@@ -167,68 +142,20 @@ func TestBinaryV1RejectsWeightedFlag(t *testing.T) {
 	if err := graph.WriteBinary(&buf, g); err != nil {
 		t.Fatalf("WriteBinary: %v", err)
 	}
-	// Setting the weighted flag on a version-1 header must be rejected
-	// as an unknown flag: v1 readers never understood it.
+	// Flag bit 1 marked weight sections in the retired version 2; on a
+	// version-1 header it is an unknown flag.
 	raw := append([]byte(nil), buf.Bytes()...)
-	raw[8] |= 2 // flagWeighted
+	raw[8] |= 2
 	if _, err := graph.ReadBinary(bytes.NewReader(raw)); err == nil {
 		t.Fatalf("v1 snapshot with weighted flag accepted")
 	}
-}
-
-func TestWeightedTextRoundTrip(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		g := graph.WithWeights(randomGraph(t, 90, 450, directed, 17), 31)
-		var buf bytes.Buffer
-		if err := graph.WriteWeightedText(&buf, g); err != nil {
-			t.Fatalf("WriteWeightedText: %v", err)
-		}
-		back, err := graph.ReadWeightedText(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("ReadWeightedText: %v\ninput:\n%s", err, buf.String())
-		}
-		if !back.Weighted() || back.WeightSeed() != 0 {
-			t.Fatalf("parsed weights should be explicit (seed 0)")
-		}
-		if back.NumVertices() != g.NumVertices() {
-			t.Fatalf("vertex count changed: %d vs %d", back.NumVertices(), g.NumVertices())
-		}
-		for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
-			wantOut, wantW := g.Out(v), g.OutWeights(v)
-			gotOut, gotW := back.Out(v), back.OutWeights(v)
-			if len(wantOut) != len(gotOut) {
-				t.Fatalf("vertex %d out-degree changed", v)
-			}
-			for i := range wantOut {
-				if wantOut[i] != gotOut[i] || wantW[i] != gotW[i] {
-					t.Fatalf("vertex %d arc %d changed: (%d,%d) vs (%d,%d)",
-						v, i, wantOut[i], wantW[i], gotOut[i], gotW[i])
-				}
-			}
-			ins, iws := back.In(v), back.InWeights(v)
-			for i, u := range ins {
-				if got, want := iws[i], back.WeightOf(u, v); got != want {
-					t.Fatalf("parsed in-weight (%d,%d)=%d, WeightOf says %d", u, v, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestWeightedTextErrors(t *testing.T) {
-	cases := map[string]string{
-		"missing weight":      "V 2 undirected\n0\t1\n1\t0:3\n",
-		"zero weight":         "V 2 undirected\n0\t1:0\n1\t0:0\n",
-		"huge weight":         "V 2 undirected\n0\t1:99999999\n1\t0:99999999\n",
-		"conflicting weights": "V 2 undirected\n0\t1:3\n1\t0:4\n",
-		"bad neighbour":       "V 2 undirected\n0\t9:3\n1\t\n",
-		"bad header":          "V x undirected\n",
-		"empty input":         "",
-		"edge on higher line": "V 2 undirected\n0\t\n1\t0:3\n",
-	}
-	for name, input := range cases {
-		if _, err := graph.ReadWeightedText(strings.NewReader(input)); err == nil {
-			t.Errorf("%s: accepted %q", name, input)
+	// A version-2 header (what a weighted snapshot used to carry) is
+	// refused outright, with or without the flag.
+	for _, flag := range []byte{0, 2} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		raw[4], raw[8] = 2, raw[8]|flag
+		if _, err := graph.ReadBinary(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("version-2 snapshot (flags %#x): err = %v, want a version error", raw[8], err)
 		}
 	}
 }
@@ -287,42 +214,4 @@ func TestBitset(t *testing.T) {
 	if b.Count() != 0 {
 		t.Fatalf("Zero left %d bits", b.Count())
 	}
-}
-
-// FuzzWeightedText asserts the weighted reader's contract on arbitrary
-// bytes: it never panics, and whenever it accepts an input the parsed
-// graph survives a weighted write/read round trip.
-func FuzzWeightedText(f *testing.F) {
-	seeds := []string{
-		"",
-		"V 3 undirected\n0\t1:4\n1\t0:4,2:9\n2\t1:9\n",
-		"V 3 directed\n0\t\t1:2\n1\t0\t2:3\n2\t1\t\n",
-		"V 2 undirected\n0\t1:3\n1\t0:4\n", // conflicting weights
-		"V 2 undirected\n0\t1\n1\t0\n",     // missing weights
-		"V 2 undirected\n0\t1:0\n1\t0:0\n", // zero weight
-		"V 2 undirected\n0\t1:16777217\n1\t0:16777217\n",
-		"V 2 directed\n0\t9\t1:2\n1\t0\t\n", // bad in-neighbour
-		"# comment\nV 1 undirected\n0\t\n",
-		"V -1 directed\n",
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := graph.ReadWeightedText(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := graph.WriteWeightedText(&buf, g); err != nil {
-			t.Fatalf("WriteWeightedText: %v", err)
-		}
-		back, err := graph.ReadWeightedText(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("round trip rejected: %v", err)
-		}
-		if !back.Equal(g) {
-			t.Fatalf("round trip altered the graph")
-		}
-	})
 }

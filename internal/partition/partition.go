@@ -152,10 +152,6 @@ func (p *Partitioning) OwnerOf(key int64) int {
 	return int(uint64(key) % uint64(p.Shards))
 }
 
-// KeyOwner returns OwnerOf as a plain function, for engines that store
-// a partitioning-agnostic key router.
-func (p *Partitioning) KeyOwner() func(key int64) int { return p.OwnerOf }
-
 // ResizeFor adapts the partitioning to a graph with n vertices: the
 // placement of existing vertices is kept and new vertices (EVO's
 // grown graphs) are hashed. The receiver is returned unchanged when
@@ -353,44 +349,6 @@ func (p *Partitioning) ComputeStats(g *graph.Graph) Stats {
 		st.LoadSkew = float64(maxLoad) * float64(p.Shards) / float64(st.Arcs)
 	}
 	return st
-}
-
-// Shard is one worker's view of the partitioned graph: its owned
-// vertex set and the local/remote split of its outgoing adjacency.
-type Shard struct {
-	ID int
-	// Owned lists the vertices this shard masters (increasing ID).
-	Owned []graph.VertexID
-	// LocalArcs and RemoteArcs split the owned vertices' out-adjacency
-	// by whether the destination is mastered here too: remote arcs are
-	// the ones whose messages pay network cost.
-	LocalArcs, RemoteArcs int64
-	// Mirrors counts vertices replicated onto this shard beyond the
-	// owned set (vertex-cut mirror tables; ghosts for edge-cut).
-	Mirrors int
-}
-
-// View materialises shard s's view over g.
-func (p *Partitioning) View(g *graph.Graph, s int) Shard {
-	sh := Shard{ID: s, Owned: p.Members[s]}
-	for _, u := range sh.Owned {
-		for _, v := range g.Out(u) {
-			if p.ownerClamped(v) == int32(s) {
-				sh.LocalArcs++
-			} else {
-				sh.RemoteArcs++
-			}
-		}
-	}
-	if s < maxMachines {
-		bit := uint64(1) << uint(s)
-		for v, set := range p.ReplicaSets(g) {
-			if set&bit != 0 && int(p.ownerClamped(graph.VertexID(v))) != s {
-				sh.Mirrors++
-			}
-		}
-	}
-	return sh
 }
 
 // ---- record splitting (shared by mapreduce and dataflow) -----------

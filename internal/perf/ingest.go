@@ -10,7 +10,6 @@ package perf
 import (
 	"bytes"
 	"io"
-	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -23,9 +22,13 @@ import (
 // scale: parse throughput only stabilises on multi-megabyte inputs.
 const IngestScale = 1
 
-// ingestEntries builds the ingest benchmarks for one dataset profile.
-func ingestEntries(name string, hw cluster.Hardware) []Bench {
-	g := mustGraph(name, IngestScale)
+// IngestSuite returns the fixed ingest benchmark set on the sparse
+// Friendster profile (many vertices, short lines) — the scale no
+// claim-benchmark workload reads. Entry names are stable identifiers
+// recorded in BENCH_pr3.json.
+func IngestSuite() []Bench {
+	hw := cluster.DAS4(20, 1)
+	g := mustGraph("Friendster", IngestScale)
 
 	var text bytes.Buffer
 	if err := graph.WriteText(&text, g); err != nil {
@@ -42,14 +45,12 @@ func ingestEntries(name string, hw cluster.Hardware) []Bench {
 	edges := graph.NewBuilder(g.NumVertices(), g.Directed())
 	g.Edges(func(e graph.Edge) { edges.AddEdge(e.Src, e.Dst) })
 
-	lower := strings.ToLower(name)
-
 	return []Bench{
 		{
 			// Full text ingest: parse the paper's interchange format and
 			// build the CSR — what every experiment run pays without a
 			// snapshot cache.
-			Name:  "ingest-textparse-" + lower,
+			Name:  "ingest-textparse-friendster",
 			Bytes: int64(len(textBytes)),
 			Run: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -64,7 +65,7 @@ func ingestEntries(name string, hw cluster.Hardware) []Bench {
 		},
 		{
 			// CSR build alone, from an in-memory edge list.
-			Name: "ingest-csrbuild-" + lower,
+			Name: "ingest-csrbuild-friendster",
 			Run: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					_ = edges.Build()
@@ -72,7 +73,7 @@ func ingestEntries(name string, hw cluster.Hardware) []Bench {
 			},
 		},
 		{
-			Name:  "ingest-binarywrite-" + lower,
+			Name:  "ingest-binarywrite-friendster",
 			Bytes: int64(len(binBytes)),
 			Run: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -83,7 +84,7 @@ func ingestEntries(name string, hw cluster.Hardware) []Bench {
 			},
 		},
 		{
-			Name:  "ingest-binaryload-" + lower,
+			Name:  "ingest-binaryload-friendster",
 			Bytes: int64(len(binBytes)),
 			Run: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -97,16 +98,4 @@ func ingestEntries(name string, hw cluster.Hardware) []Bench {
 			},
 		},
 	}
-}
-
-// IngestSuite returns the fixed ingest benchmark set: the dense
-// DotaLeague profile (average degree ~1663 in the paper — the
-// worst-case neighbour-list parse) and the sparse Friendster profile
-// (many vertices, short lines). Entry names are stable identifiers
-// recorded in BENCH_pr3.json.
-func IngestSuite() []Bench {
-	hw := cluster.DAS4(20, 1)
-	out := ingestEntries("DotaLeague", hw)
-	out = append(out, ingestEntries("Friendster", hw)...)
-	return out
 }

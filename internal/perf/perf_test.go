@@ -15,3 +15,14 @@ func BenchmarkSuite(b *testing.B) {
 		})
 	}
 }
+
+func TestReferencePrefersAfter(t *testing.T) {
+	before := &Metrics{NsPerOp: 2000}
+	after := &Metrics{NsPerOp: 1000}
+	if got := reference(&Record{Before: before, After: after}); got != after {
+		t.Fatal("reference must prefer the post-PR measurement")
+	}
+	if got := reference(&Record{Before: before}); got != before {
+		t.Fatal("reference must fall back to the pre-PR measurement")
+	}
+}

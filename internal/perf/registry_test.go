@@ -6,18 +6,19 @@ import (
 	"testing"
 )
 
-// TestRegistryOwnsEveryCommittedEntry resolves every key of every
-// committed BENCH_pr*.json by name against the registry's suites —
-// constructing them, measuring nothing. A renamed or dropped entry
-// fails here, in tier-1, instead of surfacing as "skipped" in the
-// non-blocking bench-check job. Entry names must also be unique across
-// suites: Check resolves by name alone.
+// TestRegistryOwnsEveryCommittedEntry holds the suites and the
+// committed BENCH_pr*.json files to each other in both directions —
+// constructing the suites, measuring nothing. Every committed row is
+// built by exactly the suite that records into its file, so a renamed
+// or dropped entry fails here; every suite entry has a committed row,
+// so an entry nobody recorded (or a retired row whose code stayed)
+// fails too.
 func TestRegistryOwnsEveryCommittedEntry(t *testing.T) {
 	owners := map[string][]string{}
-	suites := map[string]bool{"check": true} // `bench check` is taken
+	suites := map[string]bool{}
 	for _, s := range Registry {
 		if suites[s.Name] {
-			t.Errorf("suite name %q is registered twice (or shadows `bench check`)", s.Name)
+			t.Errorf("suite name %q is registered twice", s.Name)
 		}
 		suites[s.Name] = true
 		for _, bm := range s.Build() {
@@ -34,6 +35,7 @@ func TestRegistryOwnsEveryCommittedEntry(t *testing.T) {
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no committed baselines found: %v", err)
 	}
+	committed := map[string]bool{}
 	for _, path := range files {
 		bl, err := Load(path)
 		if err != nil {
@@ -52,10 +54,19 @@ func TestRegistryOwnsEveryCommittedEntry(t *testing.T) {
 		if bl.Description != file.Description || bl.Scale != file.Scale {
 			t.Errorf("%s: committed description/scale differ from suite %q", path, file.Name)
 		}
-		for name := range bl.Benchmarks {
+		for name, rec := range bl.Benchmarks {
 			if in := owners[name]; len(in) != 1 || in[0] != file.Name {
 				t.Errorf("%s: entry %q is built by %v, want [%s]", path, name, in, file.Name)
 			}
+			if reference(rec) == nil {
+				t.Errorf("%s: entry %q has no committed measurement", path, name)
+			}
+			committed[name] = true
+		}
+	}
+	for name, in := range owners {
+		if !committed[name] {
+			t.Errorf("suite %v builds %q, which no BENCH_pr*.json records", in, name)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 // Serving benchmark entries: the PR 8 batched multi-source BFS kernel
 // against its solo counterpart, the batch certificate against the
-// per-lane one, plus the warmed point-query path of the serving daemon.
-// The speedup gate (TestBatchSpeedupGate) divides
+// per-lane one. The speedup gate (TestBatchSpeedupGate) divides
 // serve-bfs-single-dotaleague by serve-bfs-batch64-dotaleague/64 to
 // check the per-query amortization claim, sweep only and with both
 // sides' certificates added; entry names are stable identifiers
@@ -14,7 +13,6 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/graph"
-	"repro/internal/serve"
 )
 
 // ServeBatchLanes is the lane count the batch entry sweeps: the full
@@ -42,18 +40,6 @@ func ServeSuite() []Bench {
 	srcs := serveBatchSources(dota, ServeBatchLanes)
 	opt := algo.GapOptions{}
 	ctx := context.Background()
-
-	// One in-process server for the point-query entry, warmed so the
-	// benchmark measures the steady-state cache-hit path (what a
-	// loadtest spends almost all of its queries on). Validation stays
-	// on: it runs once at warmup, not per hit.
-	srv, err := serve.New(serve.Config{Scale: BaselineScale, Seed: BaselineSeed, CacheDir: CacheDir})
-	if err != nil {
-		panic(err)
-	}
-	if _, err := srv.BFS(ctx, "DotaLeague", src, srcs[1]); err != nil {
-		panic(err)
-	}
 
 	// The certify entries check one finished sweep over and over:
 	// what the serving dispatcher pays after every cold batch.
@@ -115,19 +101,6 @@ func ServeSuite() []Bench {
 						if err != nil {
 							b.Fatal(err)
 						}
-					}
-				}
-			},
-		},
-		{
-			// Warmed serving path: admission, cache lookup, answer
-			// construction. This is the per-query cost the sustained
-			// QPS figure in BENCH_pr8.json is built from.
-			Name: "serve-point-query-dotaleague",
-			Run: func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := srv.BFS(ctx, "DotaLeague", src, srcs[1]); err != nil {
-						b.Fatal(err)
 					}
 				}
 			},

@@ -12,7 +12,6 @@ package pregel
 import (
 	"fmt"
 	"maps"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -791,11 +790,4 @@ func (s *snapshot) restoreInto(e *Engine, active []bool, inbox [][]Message) (act
 	e.aggPrev = maps.Clone(s.aggPrev)
 	e.superstep = s.superstep
 	return s.activeCount, s.pendingMsgs, s.st
-}
-
-// SortMessages orders messages deterministically by size; helper for
-// algorithms that need stable tie-breaking regardless of delivery
-// interleaving.
-func SortMessages(msgs []Message, less func(a, b Message) bool) {
-	sort.SliceStable(msgs, func(i, j int) bool { return less(msgs[i], msgs[j]) })
 }

@@ -14,9 +14,10 @@
 #                amortization gate, a short 200-user read-only fleet
 #                smoke, and a SIGTERM drain of the daemon (exit 0).
 #   --experiment additionally mirror CI's experiment gate locally: the
-#                experiment package tests plus a full smoke-spec run
-#                (every cell output-validated, CV-gated) into a
-#                throwaway bundle directory.
+#                experiment package tests, the one-cell cold-timeout /
+#                warm-ok run the nightly paper-core job depends on, plus
+#                a full smoke-spec run (every cell output-validated,
+#                CV-gated) into a throwaway bundle directory.
 #   --stream     additionally mirror CI's streaming gate: delta log and
 #                incremental-vs-full equivalence under the race
 #                detector, the read/write-mix sweep, and the 3-seed
@@ -159,6 +160,7 @@ fi
 if [ "$run_experiment" = 1 ]; then
     echo "== experiment gate (spec/driver tests + validated smoke run)"
     go test ./internal/experiment/ ./internal/perf/
+    go test -count=1 -run 'TestColdTimeoutWarmOKIsValid' ./internal/experiment/
     bundle=$(mktemp -d)
     trap 'rm -rf "$bundle"' EXIT
     go run ./cmd/graphbench experiment experiments/smoke.json -out "$bundle"

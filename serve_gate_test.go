@@ -17,8 +17,8 @@ import (
 // (serve-certify-batch64-dotaleague) itself must cost at most an eighth
 // of the 64 per-lane ones (serve-certify-perlane64-dotaleague).
 // The gate compares committed figures — all measured on the same
-// machine in the same bench-serve session — so it is deterministic in
-// CI; live re-measurement is bench-check's job.
+// machine in the same `bench serve` session — so it is deterministic in
+// CI and machine-independent.
 func TestBatchSpeedupGate(t *testing.T) {
 	single := committedNs(t, "BENCH_pr8.json", "serve-bfs-single-dotaleague")
 	batch := committedNs(t, "BENCH_pr8.json", "serve-bfs-batch64-dotaleague")
