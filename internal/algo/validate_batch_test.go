@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/graph"
 )
 
@@ -309,5 +310,34 @@ func TestValidateBFSBatchScratchReuse(t *testing.T) {
 	c.Validate(g, srcs, results)
 	if allocs := testing.AllocsPerRun(10, func() { c.Validate(g, srcs, results) }); allocs > 1 {
 		t.Fatalf("warm 64-lane certificate allocates %.0f times a run, want 1 (the verdicts)", allocs)
+	}
+}
+
+// BenchmarkValidateBFSBatch times the warm certificate of one finished
+// sweep on the graph the serving daemon holds by default, for a lone
+// lane and a full batch — what a lone cold query and a full closed-loop
+// batch wait for after their sweep. The certificate is single-threaded,
+// so -cpu does not move it; a parallel one has to (ROADMAP item 4).
+func BenchmarkValidateBFSBatch(b *testing.B) {
+	p, err := datagen.ByName("DotaLeague")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := p.GenerateScaled(8, 42)
+	for _, lanes := range []int{1, MaxBFSLanes} {
+		srcs := multiSources(g, lanes, 42)
+		results := sweepResults(b, g, srcs)
+		b.Run("l"+itoa(lanes), func(b *testing.B) {
+			var c BFSBatchValidator
+			c.Validate(g, srcs, results)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for l, err := range c.Validate(g, srcs, results) {
+					if err != nil {
+						b.Fatalf("lane %d: %v", l, err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -86,8 +86,13 @@ type Config struct {
 	CacheDir string
 	// Workers caps kernel parallelism (0: kernel default).
 	Workers int
-	// BatchWindow is how long the scheduler holds an open batch for
-	// more queries before sweeping (default 100µs).
+	// BatchWindow is how long a batch is held open for callers that
+	// re-issue right behind the previous batch: a query reaching the
+	// dispatcher within BatchWindow of the previous batch's end waits
+	// for 64 distinct sources or the window, one that finds the
+	// dispatcher idle for longer sweeps at once (default 100µs; the
+	// window is a runtime timer and on an idle process closes after
+	// about 1.1 ms — DESIGN.md §15).
 	BatchWindow time.Duration
 	// QueueDepth bounds the execution queue; admission beyond it fails
 	// with ErrOverloaded (default 1024).
