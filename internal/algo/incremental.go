@@ -113,15 +113,20 @@ func (cc *IncrementalCC) Labels(s *evolve.Snapshot) []graph.VertexID {
 
 // rebuild recomputes the union-find from scratch over s's adjacency.
 // Out-lists alone cover weak connectivity: every arc appears in its
-// tail's out-list and union is symmetric.
+// tail's out-list and union is symmetric, so an undirected edge is
+// united once, from its lower endpoint.
 func (cc *IncrementalCC) rebuild(s *evolve.Snapshot) {
 	n := s.NumVertices()
+	directed := s.Directed()
 	for i := range cc.parent {
 		cc.parent[i] = int32(i)
 	}
 	for vi := 0; vi < n; vi++ {
 		u := graph.VertexID(vi)
 		for _, v := range s.Out(u) {
+			if !directed && v < u {
+				continue
+			}
 			cc.union(u, v)
 		}
 	}

@@ -1,8 +1,7 @@
 // Package evolve is the mutable overlay on the immutable CSR: an
 // append-only delta log of edge insertions and deletions applied in
 // sequenced batches, with snapshot-isolated readers and periodic
-// compaction back into a fresh immutable graph through the standard
-// builder.
+// compaction back into a fresh immutable graph.
 //
 // The paper's EVO workload only grows a forest-fire graph offline;
 // production graphs mutate under live read traffic. This package
@@ -21,16 +20,18 @@
 //     the property the stream-chaos CI leg asserts through a lossy,
 //     reordering transport (chaos.go).
 //
-// Compaction folds the overlay into a fresh CSR via graph.Builder,
-// whose canonical (sorted, deduplicated) output makes the compacted
-// graph byte-identical to building the net edge set from scratch —
-// the equivalence FuzzDeltaLog exercises on arbitrary interleavings.
+// The overlay is a persistent chunked array, so applying a batch costs
+// what the batch touches. Compaction copies its already sorted lists
+// into a fresh CSR (graph.FromSortedAdjacency) without re-sorting; the
+// compacted graph is byte-identical to building the net edge set from
+// scratch through graph.Builder — the equivalence FuzzDeltaLog
+// exercises on arbitrary interleavings.
 package evolve
 
 import (
 	"errors"
 	"fmt"
-	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,6 +75,66 @@ type Batch struct {
 	Ops []Op   `json:"ops"`
 }
 
+// chunkShift fixes the overlay's chunk at 1<<chunkShift = 16 vertices:
+// a batch copies the root (one pointer per chunk) and each chunk it
+// writes into, so what it pays grows with what it touches, not with
+// how much the overlay already holds.
+const (
+	chunkShift = 4
+	chunkMask  = 1<<chunkShift - 1
+)
+
+// chunk holds the replacement adjacency lists of 16 consecutive
+// vertices; a nil entry means "read the base CSR".
+type chunk [1 << chunkShift][]graph.VertexID
+
+// overlay is a persistent two-level copy-on-write array of replacement
+// adjacency lists (sorted, unique) over the vertices the log has
+// touched since the last compaction. A nil chunk pointer means no
+// vertex of that chunk is overlaid. A published overlay is never
+// written: apply forks a new root and copies a chunk the first time its
+// batch writes into it.
+type overlay struct {
+	root []*chunk
+	// vertices counts non-nil entries. An overlaid list that became
+	// empty stays a non-nil empty slice and still counts.
+	vertices int
+}
+
+func newOverlay(n int) overlay {
+	return overlay{root: make([]*chunk, (n+chunkMask)>>chunkShift)}
+}
+
+func (o *overlay) get(v graph.VertexID) []graph.VertexID {
+	if c := o.root[v>>chunkShift]; c != nil {
+		return c[v&chunkMask]
+	}
+	return nil
+}
+
+// fork returns a writable copy of o sharing every chunk.
+func (o *overlay) fork() overlay {
+	return overlay{root: slices.Clone(o.root), vertices: o.vertices}
+}
+
+// set installs l as v's list in o, a fork of parent. A chunk o still
+// shares with parent is copied first, so parent never changes.
+func (o *overlay) set(parent *overlay, v graph.VertexID, l []graph.VertexID) {
+	i := v >> chunkShift
+	c := o.root[i]
+	if c == nil || c == parent.root[i] {
+		nc := new(chunk)
+		if c != nil {
+			*nc = *c
+		}
+		o.root[i], c = nc, nc
+	}
+	if c[v&chunkMask] == nil {
+		o.vertices++
+	}
+	c[v&chunkMask] = l
+}
+
 // Snapshot is one immutable epoch-consistent view of the evolving
 // graph: a compacted base CSR plus a copy-on-write adjacency overlay
 // for the vertices the log has touched since the last compaction.
@@ -82,12 +143,20 @@ type Snapshot struct {
 	epoch     uint64
 	baseEpoch uint64
 	base      *graph.Graph
-	// outOver maps a touched vertex to its full replacement out-list
-	// (sorted, unique). For undirected graphs it holds the symmetric
-	// adjacency and inOver stays nil.
-	outOver map[graph.VertexID][]graph.VertexID
-	inOver  map[graph.VertexID][]graph.VertexID
+	// out overlays out-lists; for undirected graphs it holds the
+	// symmetric adjacency and in stays unused.
+	out, in overlay
 	edges   int64
+}
+
+// newSnapshot is an empty-overlay snapshot over base at epoch.
+func newSnapshot(base *graph.Graph, epoch uint64) *Snapshot {
+	s := &Snapshot{epoch: epoch, baseEpoch: epoch, base: base, edges: base.NumEdges()}
+	s.out = newOverlay(base.NumVertices())
+	if base.Directed() {
+		s.in = newOverlay(base.NumVertices())
+	}
+	return s
 }
 
 // Epoch is the number of log batches folded into this snapshot.
@@ -101,10 +170,11 @@ func (s *Snapshot) BaseEpoch() uint64 { return s.baseEpoch }
 func (s *Snapshot) Base() *graph.Graph { return s.base }
 
 // OverlayEmpty reports whether the snapshot is exactly its base CSR.
-func (s *Snapshot) OverlayEmpty() bool { return len(s.outOver) == 0 }
+func (s *Snapshot) OverlayEmpty() bool { return s.out.vertices == 0 }
 
-// OverlayVertices counts vertices whose adjacency the overlay replaces.
-func (s *Snapshot) OverlayVertices() int { return len(s.outOver) }
+// OverlayVertices counts vertices whose out-adjacency the overlay
+// replaces.
+func (s *Snapshot) OverlayVertices() int { return s.out.vertices }
 
 // NumVertices returns the (fixed) vertex count.
 func (s *Snapshot) NumVertices() int { return s.base.NumVertices() }
@@ -118,7 +188,7 @@ func (s *Snapshot) Directed() bool { return s.base.Directed() }
 // Out returns v's out-neighbours at this epoch, sorted ascending.
 // The slice is shared and must not be modified.
 func (s *Snapshot) Out(v graph.VertexID) []graph.VertexID {
-	if l, ok := s.outOver[v]; ok {
+	if l := s.out.get(v); l != nil {
 		return l
 	}
 	return s.base.Out(v)
@@ -129,7 +199,7 @@ func (s *Snapshot) In(v graph.VertexID) []graph.VertexID {
 	if !s.base.Directed() {
 		return s.Out(v)
 	}
-	if l, ok := s.inOver[v]; ok {
+	if l := s.in.get(v); l != nil {
 		return l
 	}
 	return s.base.In(v)
@@ -147,23 +217,13 @@ func (s *Snapshot) HasEdge(u, v graph.VertexID) bool {
 	return containsSorted(s.Out(u), v)
 }
 
-// Materialize folds base and overlay into a fresh immutable CSR via
-// the standard builder. Because the builder canonicalises (sorts,
-// deduplicates) its input, the result is byte-identical to building
-// the snapshot's net edge set from scratch in any order.
+// Materialize folds base and overlay into a fresh immutable CSR. Every
+// list is already canonical (sorted, unique), so the lists are copied
+// as they are (graph.FromSortedAdjacency) and the result is
+// byte-identical to building the snapshot's net edge set from scratch
+// through graph.Builder in any order.
 func (s *Snapshot) Materialize() *graph.Graph {
-	n := s.base.NumVertices()
-	b := graph.NewBuilder(n, s.base.Directed())
-	for vi := 0; vi < n; vi++ {
-		v := graph.VertexID(vi)
-		for _, w := range s.Out(v) {
-			if !s.base.Directed() && w < v {
-				continue // each undirected edge once
-			}
-			b.AddEdge(v, w)
-		}
-	}
-	return b.Build()
+	return graph.FromSortedAdjacency(s.NumVertices(), s.Directed(), s.Out, s.In)
 }
 
 // apply returns the snapshot one batch later. Ops are applied in
@@ -175,53 +235,48 @@ func (s *Snapshot) apply(b Batch) *Snapshot {
 		epoch:     s.epoch + 1,
 		baseEpoch: s.baseEpoch,
 		base:      s.base,
-		outOver:   maps.Clone(s.outOver),
+		out:       s.out.fork(),
 		edges:     s.edges,
 	}
-	if ns.outOver == nil {
-		ns.outOver = make(map[graph.VertexID][]graph.VertexID)
-	}
 	if s.base.Directed() {
-		ns.inOver = maps.Clone(s.inOver)
-		if ns.inOver == nil {
-			ns.inOver = make(map[graph.VertexID][]graph.VertexID)
-		}
+		ns.in = s.in.fork()
 	}
 	for _, op := range b.Ops {
 		if op.Src == op.Dst {
 			continue
 		}
 		if op.Del {
-			ns.deleteEdge(op.Src, op.Dst)
+			ns.deleteEdge(s, op.Src, op.Dst)
 		} else {
-			ns.insertEdge(op.Src, op.Dst)
+			ns.insertEdge(s, op.Src, op.Dst)
 		}
 	}
 	return ns
 }
 
-func (ns *Snapshot) insertEdge(u, v graph.VertexID) {
+// insertEdge and deleteEdge write into ns, a fork of parent.
+func (ns *Snapshot) insertEdge(parent *Snapshot, u, v graph.VertexID) {
 	if containsSorted(ns.Out(u), v) {
 		return
 	}
-	ns.outOver[u] = insertSorted(ns.Out(u), v)
+	ns.out.set(&parent.out, u, insertSorted(ns.Out(u), v))
 	if ns.base.Directed() {
-		ns.inOver[v] = insertSorted(ns.In(v), u)
+		ns.in.set(&parent.in, v, insertSorted(ns.In(v), u))
 	} else {
-		ns.outOver[v] = insertSorted(ns.Out(v), u)
+		ns.out.set(&parent.out, v, insertSorted(ns.Out(v), u))
 	}
 	ns.edges++
 }
 
-func (ns *Snapshot) deleteEdge(u, v graph.VertexID) {
+func (ns *Snapshot) deleteEdge(parent *Snapshot, u, v graph.VertexID) {
 	if !containsSorted(ns.Out(u), v) {
 		return
 	}
-	ns.outOver[u] = removeSorted(ns.Out(u), v)
+	ns.out.set(&parent.out, u, removeSorted(ns.Out(u), v))
 	if ns.base.Directed() {
-		ns.inOver[v] = removeSorted(ns.In(v), u)
+		ns.in.set(&parent.in, v, removeSorted(ns.In(v), u))
 	} else {
-		ns.outOver[v] = removeSorted(ns.Out(v), u)
+		ns.out.set(&parent.out, v, removeSorted(ns.Out(v), u))
 	}
 	ns.edges--
 }
@@ -242,6 +297,8 @@ func insertSorted(l []graph.VertexID, v graph.VertexID) []graph.VertexID {
 	return append(out, l[i:]...)
 }
 
+// removeSorted returns a fresh slice without v. It is never nil, even
+// when empty: an overlaid empty list must not read as "not overlaid".
 func removeSorted(l []graph.VertexID, v graph.VertexID) []graph.VertexID {
 	i := sort.Search(len(l), func(i int) bool { return l[i] >= v })
 	out := make([]graph.VertexID, 0, len(l)-1)
@@ -292,7 +349,7 @@ type Mutable struct {
 // NewMutable starts an evolving graph at epoch 0 over base.
 func NewMutable(base *graph.Graph) *Mutable {
 	m := &Mutable{pending: make(map[uint64]Batch)}
-	m.cur.Store(&Snapshot{base: base, edges: base.NumEdges()})
+	m.cur.Store(newSnapshot(base, 0))
 	return m
 }
 
@@ -361,27 +418,22 @@ func (m *Mutable) Submit(b Batch) (SubmitResult, error) {
 	return res, nil
 }
 
-// Compact folds the overlay into a fresh immutable CSR through the
-// graph builder and installs it as the new base. The epoch does not
-// move (compaction applies no batches); BaseEpoch advances to it.
-// Readers holding older snapshots are unaffected.
+// Compact folds the overlay into a fresh immutable CSR (Materialize)
+// and installs it as the new base. The epoch does not move (compaction
+// applies no batches); BaseEpoch advances to it. Readers holding older
+// snapshots are unaffected.
 func (m *Mutable) Compact() *Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur := m.cur.Load()
-	if cur.baseEpoch == cur.epoch && len(cur.outOver) == 0 {
+	if cur.baseEpoch == cur.epoch && cur.OverlayEmpty() {
 		return cur
 	}
 	base := cur.base
-	if len(cur.outOver) > 0 {
+	if !cur.OverlayEmpty() {
 		base = cur.Materialize()
 	}
-	ns := &Snapshot{
-		epoch:     cur.epoch,
-		baseEpoch: cur.epoch,
-		base:      base,
-		edges:     base.NumEdges(),
-	}
+	ns := newSnapshot(base, cur.epoch)
 	m.cur.Store(ns)
 	return ns
 }

@@ -3,12 +3,16 @@ package evolve_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/evolve"
 	"repro/internal/graph"
 )
+
+// raceEnabled reports a -race build (race_test.go sets it).
+var raceEnabled bool
 
 // testGraph generates a small dataset by profile name.
 func testGraph(t *testing.T, name string) *graph.Graph {
@@ -29,16 +33,145 @@ func graphBytes(t *testing.T, g *graph.Graph) []byte {
 	return buf.Bytes()
 }
 
-// scratchBuild constructs the CSR for a snapshot's net edge set from
-// scratch — the reference every compaction must match byte-for-byte.
-func scratchBuild(base *graph.Graph, batches []evolve.Batch) *graph.Graph {
-	m := evolve.NewMutable(base)
-	for _, b := range batches {
-		if _, err := m.Submit(b); err != nil {
-			panic(err)
+// shadow tracks a net edge set outside the package under test: each
+// arc once, an undirected edge as (low, high).
+type shadow struct {
+	n        int
+	directed bool
+	arcs     map[[2]graph.VertexID]bool
+}
+
+func newShadow(base *graph.Graph) *shadow {
+	s := &shadow{n: base.NumVertices(), directed: base.Directed(), arcs: make(map[[2]graph.VertexID]bool)}
+	base.Edges(func(e graph.Edge) { s.arcs[s.key(e.Src, e.Dst)] = true })
+	return s
+}
+
+func (s *shadow) key(u, v graph.VertexID) [2]graph.VertexID {
+	if !s.directed && u > v {
+		u, v = v, u
+	}
+	return [2]graph.VertexID{u, v}
+}
+
+// apply folds ops in with the log's semantics: self-loops are dropped,
+// inserting a present edge and deleting an absent one change nothing.
+func (s *shadow) apply(ops []evolve.Op) {
+	for _, op := range ops {
+		switch {
+		case op.Src == op.Dst:
+		case op.Del:
+			delete(s.arcs, s.key(op.Src, op.Dst))
+		default:
+			s.arcs[s.key(op.Src, op.Dst)] = true
 		}
 	}
-	return m.Compact().Base()
+}
+
+// build constructs the net edge set's CSR through graph.Builder.
+func (s *shadow) build() *graph.Graph {
+	b := graph.NewBuilder(s.n, s.directed)
+	for arc := range s.arcs {
+		b.AddEdge(arc[0], arc[1])
+	}
+	return b.Build()
+}
+
+// scratchBuild constructs the CSR for base's net edge set after
+// batches from scratch, through graph.Builder and never through evolve
+// — the reference every compaction must match byte-for-byte.
+func scratchBuild(base *graph.Graph, batches []evolve.Batch) *graph.Graph {
+	s := newShadow(base)
+	for _, b := range batches {
+		s.apply(b.Ops)
+	}
+	return s.build()
+}
+
+// streamGraph is the dataset the streaming benchmark mutates:
+// DotaLeague at scale 8, 1 529 vertices and 115 611 edges.
+func streamGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	p, err := datagen.ByName("DotaLeague")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.GenerateScaled(8, 42)
+}
+
+// TestIsolationAtEveryEpoch pins the snapshot after each of 64 batches
+// of the streaming benchmark's shape (32 ops, half deletions), compacts
+// halfway, and only then materialises all 64: every one must still be
+// the Builder build of exactly its own prefix, however many later
+// batches copied the chunks it shares.
+func TestIsolationAtEveryEpoch(t *testing.T) {
+	g := streamGraph(t)
+	batches := datagen.UpdateStream(g, 5, 64, 32, 0.5)
+	m := evolve.NewMutable(g)
+	pinned := make([]*evolve.Snapshot, len(batches))
+	for i, b := range batches {
+		if _, err := m.Submit(b); err != nil {
+			t.Fatal(err)
+		}
+		pinned[i] = m.Snapshot()
+		if i == len(batches)/2 {
+			m.Compact()
+		}
+	}
+	s := newShadow(g)
+	for i, b := range batches {
+		s.apply(b.Ops)
+		if !bytes.Equal(graphBytes(t, pinned[i].Materialize()), graphBytes(t, s.build())) {
+			t.Fatalf("snapshot pinned at epoch %d diverged from the build of its prefix", i+1)
+		}
+	}
+}
+
+// TestSubmitAllocatesWhatItTouches pins "a batch pays for what it
+// touches": the same 32-op batches allocate at most a quarter more when
+// submitted on an overlay that already replaces about 1 300 of 1 529
+// adjacency lists than on an empty one. A whole-overlay map clone per
+// batch reads 2.45x here.
+func TestSubmitAllocatesWhatItTouches(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	g := streamGraph(t)
+	const fill, measured = 64, 16
+	batches := datagen.UpdateStream(g, 3, fill+measured, 32, 0.5)
+	empty, full := evolve.NewMutable(g), evolve.NewMutable(g)
+	for _, b := range batches[:fill] {
+		for _, m := range []*evolve.Mutable{empty, full} {
+			if _, err := m.Submit(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	empty.Compact()
+	if v := full.Snapshot().OverlayVertices(); v < 1000 {
+		t.Fatalf("overlay holds %d vertices after %d batches, want a full one", v, fill)
+	}
+	submitBytes := func(m *evolve.Mutable, b evolve.Batch) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := m.Submit(b)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var onEmpty, onFull uint64
+	for _, b := range batches[fill:] {
+		onEmpty += submitBytes(empty, b)
+		empty.Compact()
+		onFull += submitBytes(full, b)
+	}
+	ratio := float64(onFull) / float64(onEmpty)
+	t.Logf("%d batches: %d B on an empty overlay, %d B on a full one (%.2fx)", measured, onEmpty, onFull, ratio)
+	if ratio > 1.25 {
+		t.Fatalf("a batch on a full overlay allocates %.2fx what it does on an empty one, want <= 1.25x", ratio)
+	}
 }
 
 func TestOverlayMatchesBatchBuild(t *testing.T) {
@@ -62,21 +195,10 @@ func TestOverlayMatchesBatchBuild(t *testing.T) {
 			if got := m.Applied(); got != 24 {
 				t.Fatalf("Applied() = %d, want 24", got)
 			}
-			snap := m.Snapshot()
 			// Materialize must equal a from-scratch builder over the
 			// same net edge set.
-			direct := snap.Materialize()
-			b := graph.NewBuilder(g.NumVertices(), g.Directed())
-			for vi := 0; vi < g.NumVertices(); vi++ {
-				v := graph.VertexID(vi)
-				for _, w := range snap.Out(v) {
-					if !g.Directed() && w < v {
-						continue
-					}
-					b.AddEdge(v, w)
-				}
-			}
-			want := b.Build()
+			direct := m.Snapshot().Materialize()
+			want := scratchBuild(g, batches)
 			if !direct.Equal(want) {
 				t.Fatal("Materialize diverged from scratch build")
 			}

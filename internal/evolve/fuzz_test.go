@@ -18,39 +18,24 @@ import (
 //     compacted after it;
 //   - round-trip: the evolving graph's materialisation is always
 //     byte-identical to building its net edge set (tracked by a
-//     shadow map) from scratch through the batch builder.
+//     shadow set) from scratch through the batch builder.
+//
+// The base has 40 vertices, so the overlay spans three chunks, the last
+// one partial, and the seeds write across each chunk boundary.
 func FuzzDeltaLog(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02})
-	f.Add([]byte{0x00, 0x01, 0x02, 0x40, 0x01, 0x02, 0x80, 0x00, 0x00})
-	f.Add([]byte{0x00, 0x05, 0x09, 0xc0, 0x03, 0x04, 0x40, 0x05, 0x09, 0x80, 0x00, 0x00, 0x00, 0x05, 0x09})
+	// Insert and delete across the first chunk boundary, then compact.
+	f.Add([]byte{0x00, 15, 16, 0x40, 15, 16, 0x80, 0, 0})
+	// Pin, then write into all three chunks; the pin must not move.
+	f.Add([]byte{0x00, 5, 39, 0xc0, 0, 0, 0x00, 31, 32, 0x40, 5, 39, 0x80, 0, 0, 0x00, 16, 33, 0x00, 5, 39})
+	// Delete both of vertex 1's ring edges: an overlaid empty list.
+	f.Add([]byte{0x40, 1, 0, 0xc0, 0, 0, 0x40, 1, 2, 0x00, 1, 2, 0x80, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const n = 24
+		const n = 40
 		for _, directed := range []bool{false, true} {
 			base := fuzzBase(n, directed)
 			m := evolve.NewMutable(base)
-
-			// shadow tracks the net arc set (tail -> sorted heads is
-			// implied by the builder; we only need membership).
-			shadow := make(map[[2]graph.VertexID]bool)
-			addShadow := func(u, v graph.VertexID) {
-				shadow[[2]graph.VertexID{u, v}] = true
-				if !directed {
-					shadow[[2]graph.VertexID{v, u}] = true
-				}
-			}
-			delShadow := func(u, v graph.VertexID) {
-				delete(shadow, [2]graph.VertexID{u, v})
-				if !directed {
-					delete(shadow, [2]graph.VertexID{v, u})
-				}
-			}
-			// Seed from out-lists: undirected CSRs store both
-			// orientations, matching addShadow's convention.
-			for vi := 0; vi < n; vi++ {
-				for _, w := range base.Out(graph.VertexID(vi)) {
-					shadow[[2]graph.VertexID{graph.VertexID(vi), w}] = true
-				}
-			}
+			shadow := newShadow(base)
 
 			var pinned *evolve.Snapshot
 			var pinnedBytes []byte
@@ -61,36 +46,28 @@ func FuzzDeltaLog(f *testing.F) {
 				v := graph.VertexID(int(data[i+2]) % n)
 				switch kind {
 				case 0, 1: // insert / delete one edge as a batch
-					del := kind == 1
+					op := evolve.Op{Del: kind == 1, Src: u, Dst: v}
 					seq++
-					if _, err := m.Submit(evolve.Batch{Seq: seq, Ops: []evolve.Op{{Del: del, Src: u, Dst: v}}}); err != nil {
+					if _, err := m.Submit(evolve.Batch{Seq: seq, Ops: []evolve.Op{op}}); err != nil {
 						t.Fatalf("Submit: %v", err)
 					}
-					if u != v {
-						if del {
-							if shadow[[2]graph.VertexID{u, v}] {
-								delShadow(u, v)
-							}
-						} else {
-							addShadow(u, v)
-						}
-					}
+					shadow.apply([]evolve.Op{op})
 				case 2: // compact
 					m.Compact()
 				case 3: // pin a snapshot (replacing any previous pin)
 					pinned = m.Snapshot()
-					pinnedBytes = fuzzBytes(t, pinned.Materialize())
+					pinnedBytes = graphBytes(t, pinned.Materialize())
 				}
 
 				// Round-trip: current state == scratch build of shadow.
-				got := fuzzBytes(t, m.Snapshot().Materialize())
-				want := fuzzBytes(t, buildShadow(n, directed, shadow))
+				got := graphBytes(t, m.Snapshot().Materialize())
+				want := graphBytes(t, shadow.build())
 				if !bytes.Equal(got, want) {
 					t.Fatalf("step %d (%v): overlay diverged from batch build", i/3, directed)
 				}
 				// Isolation: the pinned snapshot never moves.
 				if pinned != nil {
-					if !bytes.Equal(fuzzBytes(t, pinned.Materialize()), pinnedBytes) {
+					if !bytes.Equal(graphBytes(t, pinned.Materialize()), pinnedBytes) {
 						t.Fatalf("step %d (%v): pinned snapshot changed", i/3, directed)
 					}
 				}
@@ -109,24 +86,4 @@ func fuzzBase(n int, directed bool) *graph.Graph {
 		}
 	}
 	return b.Build()
-}
-
-func buildShadow(n int, directed bool, shadow map[[2]graph.VertexID]bool) *graph.Graph {
-	b := graph.NewBuilder(n, directed)
-	for arc := range shadow {
-		if !directed && arc[0] > arc[1] {
-			continue
-		}
-		b.AddEdge(arc[0], arc[1])
-	}
-	return b.Build()
-}
-
-func fuzzBytes(t *testing.T, g *graph.Graph) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := graph.WriteBinary(&buf, g); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	return buf.Bytes()
 }

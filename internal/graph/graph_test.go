@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -490,6 +492,42 @@ func TestQuickComponentsLabelIsMinimum(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConnectedComponentsBothPaths pins the single-worker and the
+// concurrent union-find to a traversal oracle on graphs of several
+// chunks, sparse enough to leave many components.
+func TestConnectedComponentsBothPaths(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g := randomGraph(3, 3*metricChunk+5, 3*metricChunk, directed)
+		want := make([]VertexID, g.NumVertices())
+		for i := range want {
+			want[i] = -1
+		}
+		for s := VertexID(0); s < VertexID(g.NumVertices()); s++ {
+			if want[s] >= 0 {
+				continue
+			}
+			want[s] = s
+			for queue := []VertexID{s}; len(queue) > 0; queue = queue[1:] {
+				u := queue[0]
+				for _, v := range append(slices.Clone(g.Out(u)), g.In(u)...) {
+					if want[v] < 0 {
+						want[v] = s
+						queue = append(queue, v)
+					}
+				}
+			}
+		}
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := g.ConnectedComponents()
+			runtime.GOMAXPROCS(prev)
+			if !slices.Equal(got, want) {
+				t.Fatalf("directed=%v GOMAXPROCS=%d: labels differ from the traversal oracle", directed, procs)
+			}
+		}
 	}
 }
 

@@ -146,8 +146,9 @@ func (g *Graph) Triangles() int64 {
 // union-find: edges are scanned in parallel and roots merged with CAS,
 // always attaching the larger root under the smaller, so every tree
 // root — and therefore every final label — is the minimum vertex ID of
-// its component regardless of merge interleaving. Directed graphs use
-// weak connectivity. This is the reference implementation used to
+// its component regardless of merge interleaving. An undirected edge is
+// united once, from its lower endpoint. Directed graphs use weak
+// connectivity. This is the reference implementation used to
 // validate the platform CONN algorithms.
 func (g *Graph) ConnectedComponents() []VertexID {
 	parent := make([]int32, g.n)
@@ -168,6 +169,9 @@ func (g *Graph) ConnectedComponents() []VertexID {
 		}
 		for u := VertexID(0); u < VertexID(g.n); u++ {
 			for _, v := range g.Out(u) {
+				if !g.directed && v < u {
+					continue // the mirrored arc: v's list unions this edge
+				}
 				ra, rb := find(int32(u)), find(int32(v))
 				if ra == rb {
 					continue
@@ -218,6 +222,9 @@ func (g *Graph) ConnectedComponents() []VertexID {
 	parallelChunks(int(g.n), func(_, lo, hi int, _ *[]VertexID) {
 		for u := VertexID(lo); u < VertexID(hi); u++ {
 			for _, v := range g.Out(u) {
+				if !g.directed && v < u {
+					continue
+				}
 				union(int32(u), int32(v))
 			}
 		}

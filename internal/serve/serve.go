@@ -12,7 +12,7 @@
 // answer carries the epoch it was served at, and queries pin a
 // snapshot so they always see a consistent epoch regardless of
 // concurrent writers. After CompactEvery applied batches the overlay
-// is folded into a fresh CSR through the graph builder, the
+// is folded into a fresh CSR by copying its sorted lists, the
 // incrementally maintained component labels — the one derived view a
 // query reads — are cross-checked byte-identical against full
 // recomputation, and the serving state (batcher, result caches) is
@@ -168,6 +168,13 @@ type dataset struct {
 	batchesSince int // applied batches since last compaction
 	compactions  int64
 
+	// Counters (nil-safe when no obs session is attached):
+	//   serve.compact.failures  compactions refused by the cross-check
+	//   serve.compact.ns        wall time inside compactions that fold
+	//                           an overlay, failed ones included
+	//   serve.cc.rebuilds       deletion-triggered IncrementalCC rebuilds
+	compactFailures, compactNs, ccRebuilds *obs.Counter
+
 	// Component-label cache, keyed by the epoch it was computed at.
 	ccEpoch  uint64
 	ccLabels []graph.VertexID
@@ -203,11 +210,15 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 		g := p.GenerateCached(cfg.Scale, cfg.Seed, cfg.CacheDir) // "" disables the cache
+		reg := cfg.Obs.R()
 		d := &dataset{
-			name: p.Name,
-			n:    g.NumVertices(),
-			mut:  evolve.NewMutable(g),
-			cc:   algo.NewIncrementalCC(g),
+			name:            p.Name,
+			n:               g.NumVertices(),
+			mut:             evolve.NewMutable(g),
+			cc:              algo.NewIncrementalCC(g),
+			compactFailures: reg.Counter("serve.compact.failures"),
+			compactNs:       reg.Counter("serve.compact.ns"),
+			ccRebuilds:      reg.Counter("serve.cc.rebuilds"),
 		}
 		st := &dsState{g: g, sssp: newSSSPCache(s.cfg.ResultCacheSize)}
 		st.batcher = newBatcher(g, &s.cfg)
@@ -344,6 +355,7 @@ func (s *Server) Compact(dsName string) (*CompactAnswer, error) {
 // recomputation over the compacted CSR, swaps the serving state, and
 // retires the old batcher. An empty overlay is a no-op.
 func (d *dataset) compactLocked(cfg *Config) error {
+	start := time.Now()
 	snap := d.mut.Compact()
 	g := snap.Base()
 	old := d.st.Load()
@@ -354,7 +366,9 @@ func (d *dataset) compactLocked(cfg *Config) error {
 		old.epoch.Store(snap.Epoch())
 		return nil
 	}
-	if err := algo.CheckLabelsEqual(d.cc.Labels(snap), g.ConnectedComponents()); err != nil {
+	defer func() { d.compactNs.Add(time.Since(start).Nanoseconds()) }()
+	if err := algo.CheckLabelsEqual(d.labelsLocked(snap), g.ConnectedComponents()); err != nil {
+		d.compactFailures.Add(1)
 		return fmt.Errorf("serve: incremental CC diverged from full recompute at epoch %d: %w",
 			snap.Epoch(), err)
 	}
@@ -372,6 +386,15 @@ func (d *dataset) compactLocked(cfg *Config) error {
 		}
 	}
 	return nil
+}
+
+// labelsLocked (d.mu held) is d.cc.Labels, counting the rebuilds it
+// runs.
+func (d *dataset) labelsLocked(snap *evolve.Snapshot) []graph.VertexID {
+	before := d.cc.Rebuilds
+	labels := d.cc.Labels(snap)
+	d.ccRebuilds.Add(d.cc.Rebuilds - before)
+	return labels
 }
 
 // BFSAnswer is one point-query result derived from a certified BFS
@@ -524,7 +547,7 @@ func (s *Server) Component(ctx context.Context, dsName string, v graph.VertexID)
 	defer d.mu.Unlock()
 	snap := d.mut.Snapshot()
 	if d.ccLabels == nil || d.ccEpoch != snap.Epoch() {
-		d.ccLabels = d.cc.Labels(snap)
+		d.ccLabels = d.labelsLocked(snap)
 		d.ccSizes = make(map[graph.VertexID]int)
 		for _, label := range d.ccLabels {
 			d.ccSizes[label]++

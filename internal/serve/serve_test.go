@@ -294,7 +294,8 @@ func TestHandlerTable(t *testing.T) {
 			if path != "/metricz" {
 				continue
 			}
-			for _, name := range []string{"serve.certify.ns", "serve.certify.lanes", "serve.certify.failures", "serve.dispatch.immediate", "serve.dispatch.held"} {
+			for _, name := range []string{"serve.certify.ns", "serve.certify.lanes", "serve.certify.failures", "serve.dispatch.immediate", "serve.dispatch.held",
+				"serve.compact.failures", "serve.compact.ns", "serve.cc.rebuilds"} {
 				if !strings.Contains(rec.Body.String(), name) {
 					t.Fatalf("/metricz does not list %s", name)
 				}

@@ -47,6 +47,26 @@ func TestServerMutate(t *testing.T) {
 	if !ans.Compacted {
 		t.Fatalf("CompactEvery=2 with 2 applied batches did not compact: %+v", ans)
 	}
+	// The cross-check rebuilt the union-find once if a deletion dirtied
+	// it, passed, and its time was counted.
+	var rebuilds int64
+	for _, b := range batches[:2] {
+		for _, op := range b.Ops {
+			if op.Del {
+				rebuilds = 1
+			}
+		}
+	}
+	reg := s.Config().Obs.R()
+	if got := reg.Counter("serve.cc.rebuilds").Get(); got != rebuilds {
+		t.Fatalf("serve.cc.rebuilds = %d, want %d", got, rebuilds)
+	}
+	if got := reg.Counter("serve.compact.failures").Get(); got != 0 {
+		t.Fatalf("serve.compact.failures = %d after a passing cross-check", got)
+	}
+	if reg.Counter("serve.compact.ns").Get() <= 0 {
+		t.Fatal("serve.compact.ns did not count the compaction")
+	}
 	// The compacted snapshot landed in the cache dir under its evolved key.
 	key := datagen.EvolvedSnapshotKey("DotaLeague", s.Config().Scale, s.Config().Seed, 2)
 	if _, err := os.Stat(filepath.Join(cacheDir, key)); err != nil {
@@ -437,6 +457,18 @@ func TestCompactionDivergenceIsReported(t *testing.T) {
 
 	if _, err := s.Compact("DotaLeague"); err == nil || !strings.Contains(err.Error(), "incremental CC diverged") {
 		t.Fatalf("Compact over diverged labels returned %v, want the divergence error", err)
+	}
+	// The failure is counted, with its time; the one rebuild is the
+	// lookup's after the deletions.
+	reg := s.Config().Obs.R()
+	if got := reg.Counter("serve.compact.failures").Get(); got != 1 {
+		t.Fatalf("serve.compact.failures = %d, want 1", got)
+	}
+	if reg.Counter("serve.compact.ns").Get() <= 0 {
+		t.Fatal("serve.compact.ns did not count the failed compaction")
+	}
+	if got := reg.Counter("serve.cc.rebuilds").Get(); got != 1 {
+		t.Fatalf("serve.cc.rebuilds = %d, want 1", got)
 	}
 	after, err := s.Stats("DotaLeague")
 	if err != nil {

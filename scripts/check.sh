@@ -21,7 +21,9 @@
 #                CV-gated) into a throwaway bundle directory.
 #   --stream     additionally mirror CI's streaming gate: delta log and
 #                incremental-vs-full equivalence under the race
-#                detector, the read/write-mix sweep, and the 3-seed
+#                detector, the every-epoch isolation test under it and
+#                the per-batch allocation pin without it, 30 s of
+#                FuzzDeltaLog, the read/write-mix sweep, and the 3-seed
 #                chaos leg (byte-identical MATCH required throughout).
 set -eu
 
@@ -152,6 +154,11 @@ fi
 if [ "$run_stream" = 1 ]; then
     echo "== streaming gate (delta log + incremental equivalence under -race, sweep + chaos legs)"
     go test -race ./internal/evolve/
+    # The race detector changes allocation: the O(touched) pin skips
+    # itself under -race and runs by name without it.
+    go test -race -run '^TestIsolationAtEveryEpoch$' ./internal/evolve/
+    go test -run '^TestSubmitAllocatesWhatItTouches$' ./internal/evolve/
+    go test -run '^$' -fuzz FuzzDeltaLog -fuzztime 30s ./internal/evolve/
     go test -race -run 'Incremental' ./internal/algo/
     go test -race -run 'UpdateStream|EvolvedSnapshotKey' ./internal/datagen/
     go test -race -run 'Mutate|Overlay|StaleBatcher|CompactionDivergence|RunStream|StreamLoadSmoke' ./internal/serve/
