@@ -8,7 +8,9 @@
 package algo
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -209,33 +211,30 @@ func ChooseLabel(votes []LabelScore, attenuation float64) (label graph.VertexID,
 	}
 	// Sort votes so floating-point accumulation order — and therefore
 	// the result — is identical regardless of message delivery order.
-	sort.Slice(votes, func(i, j int) bool {
-		if votes[i].Label != votes[j].Label {
-			return votes[i].Label < votes[j].Label
+	slices.SortFunc(votes, func(a, b LabelScore) int {
+		if c := cmp.Compare(a.Label, b.Label); c != 0 {
+			return c
 		}
-		return votes[i].Score < votes[j].Score
+		return cmp.Compare(a.Score, b.Score)
 	})
-	sum := make(map[graph.VertexID]float64, 8)
-	best := make(map[graph.VertexID]float64, 8)
-	for _, v := range votes {
-		sum[v.Label] += v.Score
-		if b, seen := best[v.Label]; !seen || v.Score > b {
-			best[v.Label] = v.Score
+	// Walk each label's run; scores ascend within it, so its last vote
+	// is its best sender. Labels ascend too, so adopting only a strictly
+	// greater sum sends ties to the smaller label.
+	var bestSum, bestScore float64
+	for i := 0; i < len(votes); {
+		l, sum := votes[i].Label, 0.0
+		for ; i < len(votes) && votes[i].Label == l; i++ {
+			sum += votes[i].Score
+		}
+		if !ok || sum > bestSum {
+			label, bestSum, bestScore, ok = l, sum, votes[i-1].Score, true
 		}
 	}
-	first := true
-	var bestLabel graph.VertexID
-	var bestSum float64
-	for l, s := range sum {
-		if first || s > bestSum || (s == bestSum && l < bestLabel) {
-			bestLabel, bestSum, first = l, s, false
-		}
-	}
-	score = best[bestLabel] - attenuation
+	score = bestScore - attenuation
 	if score < 0 {
 		score = 0
 	}
-	return bestLabel, score, true
+	return label, score, true
 }
 
 // ---- Forest Fire core (shared deterministic burn) -------------------

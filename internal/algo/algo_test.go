@@ -329,10 +329,12 @@ func TestLCCHelpersMatchGraphLCC(t *testing.T) {
 				rec.In = g.In(v)
 			}
 			nbrs := NeighborhoodOf(rec)
+			lc := AcquireLinkCounter(n, nbrs)
 			var links int64
 			for _, u := range nbrs {
-				links += LCCLinks(nbrs, g.Out(u))
+				links += lc.Links(g.Out(u))
 			}
+			lc.Release()
 			if math.Abs(LCCOf(links, len(nbrs))-g.LCC(v)) > 1e-12 {
 				return false
 			}

@@ -1,6 +1,10 @@
 package algo
 
-import "repro/internal/graph"
+import (
+	"sync"
+
+	"repro/internal/graph"
+)
 
 // Record and message types shared by the record-oriented platforms
 // (MapReduce, PACT). Size methods report serialised byte footprints in
@@ -77,7 +81,9 @@ type LabelMsg struct {
 func (LabelMsg) Size() int64 { return 14 }
 
 // ListMsg carries a neighbour list (STATS neighbourhood exchange —
-// the message-volume bomb).
+// the message-volume bomb). Converting it to an engine's interface type
+// boxes the slice header on the heap, so a sender converts its list
+// once and sends that one value to every neighbour.
 type ListMsg []graph.VertexID
 
 // Size implements the engine Value interfaces.
@@ -99,25 +105,53 @@ type EdgeMsg graph.Edge
 // Size implements the engine Value interfaces.
 func (EdgeMsg) Size() int64 { return 10 }
 
-// LCCLinks counts, for a vertex with (sorted) neighbourhood nbrs, the
-// arcs contributed by one neighbour's out-list — the per-message step
-// of the distributed STATS.
-func LCCLinks(nbrs []graph.VertexID, senderOut []graph.VertexID) int64 {
-	var links int64
-	i, j := 0, 0
-	for i < len(nbrs) && j < len(senderOut) {
-		switch {
-		case nbrs[i] < senderOut[j]:
-			i++
-		case nbrs[i] > senderOut[j]:
-			j++
-		default:
-			links++
-			i++
-			j++
-		}
+// LinkCounter counts, for one vertex's neighbourhood, the closing links
+// each neighbour's out-list contributes — the per-message step of the
+// distributed STATS. The neighbourhood is marked once in a bitset over
+// vertex IDs, so counting a list costs one load and one add per element
+// instead of a branchy sorted merge (DESIGN.md §9). A counter belongs
+// to one goroutine between AcquireLinkCounter and Release.
+type LinkCounter struct {
+	bits []uint64
+	nbrs []graph.VertexID // the marked words, cleared by Release
+}
+
+var linkCounters = sync.Pool{New: func() any { return new(LinkCounter) }}
+
+// AcquireLinkCounter takes a pooled counter and marks nbrs, a distinct
+// neighbourhood of vertex IDs below n. The caller must not modify nbrs
+// before Release.
+func AcquireLinkCounter(n int, nbrs []graph.VertexID) *LinkCounter {
+	c := linkCounters.Get().(*LinkCounter)
+	if words := (n + 63) / 64; len(c.bits) < words {
+		c.bits = make([]uint64, words)
 	}
-	return links
+	for _, x := range nbrs {
+		c.bits[uint32(x)/64] |= 1 << (uint32(x) % 64)
+	}
+	c.nbrs = nbrs
+	return c
+}
+
+// Links returns how many vertices of list, a distinct out-list, are in
+// the marked neighbourhood.
+func (c *LinkCounter) Links(list []graph.VertexID) int64 {
+	bits := c.bits
+	var links uint64
+	for _, x := range list {
+		links += bits[uint32(x)/64] >> (uint32(x) % 64) & 1
+	}
+	return int64(links)
+}
+
+// Release zeroes the words the neighbourhood touched and returns the
+// counter to the pool.
+func (c *LinkCounter) Release() {
+	for _, x := range c.nbrs {
+		c.bits[uint32(x)/64] = 0
+	}
+	c.nbrs = nil
+	linkCounters.Put(c)
 }
 
 // LCCOf finishes a vertex's LCC from its link count and neighbourhood

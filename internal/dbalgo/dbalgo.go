@@ -35,12 +35,14 @@ func Stats(db *graphdb.DB, profile *cluster.ExecutionProfile) (algo.StatsResult,
 	var lccSum float64
 	for v := graph.VertexID(0); v < graph.VertexID(n); v++ {
 		nbrs := neighborhood(run, g, v)
+		lc := algo.AcquireLinkCounter(n, nbrs)
 		var links int64
 		for _, u := range nbrs {
 			uOut := run.Neighbors(u)
-			links += algo.LCCLinks(nbrs, uOut)
+			links += lc.Links(uOut)
 			run.Charge(2 * int64(len(nbrs)+len(uOut)))
 		}
+		lc.Release()
 		lccSum += algo.LCCOf(links, len(nbrs))
 	}
 	run.Finish("stats", profile)

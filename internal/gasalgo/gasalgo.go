@@ -41,7 +41,11 @@ type statsProgram struct {
 func (p statsProgram) Gather(src, v graph.VertexID, srcVal, vVal gas.Value) gas.Accum {
 	sv := srcVal.(*statsVal)
 	vv := vVal.(*statsVal)
-	links := float64(algo.LCCLinks(vv.Nbrs, sv.Out))
+	// Gather is per edge, as in PowerGraph: the neighbourhood is marked
+	// and cleared for every gathered edge.
+	lc := algo.AcquireLinkCounter(p.g.NumVertices(), vv.Nbrs)
+	links := float64(lc.Links(sv.Out))
+	lc.Release()
 	if p.g.Directed() && contains(p.g.Out(v), src) && contains(p.g.In(v), src) {
 		// src is gathered once per direction; halve so the pair of
 		// calls contributes the neighbour exactly once.

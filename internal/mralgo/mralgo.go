@@ -53,7 +53,7 @@ func Stats(e *mapreduce.Engine, g *graph.Graph) (algo.StatsResult, error) {
 		Mapper: mapreduce.MapperFunc(func(k int64, v mapreduce.Value, out *mapreduce.Emitter) {
 			rec := v.(*algo.VertexRec)
 			out.Emit(k, rec)
-			list := algo.ListMsg(rec.Out)
+			var list mapreduce.Value = algo.ListMsg(rec.Out)
 			for _, u := range algo.NeighborhoodOf(rec) {
 				out.Emit(int64(u), list)
 			}
@@ -64,13 +64,15 @@ func Stats(e *mapreduce.Engine, g *graph.Graph) (algo.StatsResult, error) {
 				return
 			}
 			nbrs := algo.NeighborhoodOf(rec)
+			lc := algo.AcquireLinkCounter(g.NumVertices(), nbrs)
 			var links int64
 			for _, v := range values {
 				if list, ok := v.(algo.ListMsg); ok {
-					links += algo.LCCLinks(nbrs, list)
+					links += lc.Links(list)
 					out.Charge(2 * int64(len(nbrs)+len(list)))
 				}
 			}
+			lc.Release()
 			lcc := algo.LCCOf(links, len(nbrs))
 			out.Incr("vertices", 1)
 			out.Incr("out-edges", int64(len(rec.Out)))

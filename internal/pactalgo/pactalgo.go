@@ -44,7 +44,7 @@ func Stats(e *dataflow.Engine, g *graph.Graph) (algo.StatsResult, error) {
 	shipped := p.Map("ship-lists", src, func(in dataflow.Record, out *dataflow.Collector) {
 		rec := in.Value.(*algo.VertexRec)
 		out.Collect(in.Key, rec)
-		list := algo.ListMsg(rec.Out)
+		var list dataflow.Value = algo.ListMsg(rec.Out)
 		for _, u := range algo.NeighborhoodOf(rec) {
 			out.Collect(int64(u), list)
 		}
@@ -60,13 +60,15 @@ func Stats(e *dataflow.Engine, g *graph.Graph) (algo.StatsResult, error) {
 			return
 		}
 		nbrs := algo.NeighborhoodOf(rec)
+		lc := algo.AcquireLinkCounter(g.NumVertices(), nbrs)
 		var links int64
 		for _, r := range in {
 			if list, ok := r.Value.(algo.ListMsg); ok {
-				links += algo.LCCLinks(nbrs, list)
+				links += lc.Links(list)
 				out.Charge(2 * int64(len(nbrs)+len(list)))
 			}
 		}
+		lc.Release()
 		out.Collect(0, algo.CountMsg{
 			Vertices: 1,
 			Edges:    int64(len(rec.Out)),

@@ -53,18 +53,20 @@ func Stats(g *graph.Graph, hw cluster.Hardware, sendLimit int64, profile *cluste
 			case 0:
 				ctx.Aggregate("V", 1)
 				ctx.Aggregate("E", float64(ctx.OutDegree()))
-				list := algo.ListMsg(ctx.Out())
+				var list pregel.Message = algo.ListMsg(ctx.Out())
 				for _, u := range neighborhood(ctx) {
 					ctx.Send(u, list)
 				}
 			case 1:
 				nbrs := neighborhood(ctx)
+				lc := algo.AcquireLinkCounter(ctx.NumVertices(), nbrs)
 				var links int64
 				for _, m := range msgs {
 					list := m.(algo.ListMsg)
-					links += algo.LCCLinks(nbrs, list)
+					links += lc.Links(list)
 					ctx.Charge(2 * int64(len(nbrs)+len(list)))
 				}
+				lc.Release()
 				// Aggregators are per-superstep; re-aggregate the counts
 				// so they survive to the final state.
 				ctx.Aggregate("V", 1)

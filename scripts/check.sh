@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Repo-wide verification: vet, build, full tests, and a race-detector
-# pass over the four engines' reused-buffer hot paths.
+# pass over the four engines' reused-buffer hot paths and the algorithm
+# programs that share the pooled STATS kernel.
 #
 #   --chaos      additionally run one short seeded chaos smoke per engine
 #                (fault-injected run must match the fault-free run).
@@ -80,14 +81,25 @@ go test ./...
 echo "== benchmark module (vet + test)"
 (cd benchmark && go vet ./... && go test ./...)
 
-echo "== go test -race -short (engines + ingest + obs)"
+echo "== go test -race -short (engines + algorithm programs + ingest + obs)"
 go test -race -short \
     ./internal/pregel/... \
     ./internal/gas/... \
     ./internal/mapreduce/... \
     ./internal/dataflow/... \
+    ./internal/pregelalgo/... \
+    ./internal/gasalgo/... \
+    ./internal/mralgo/... \
+    ./internal/pactalgo/... \
+    ./internal/dbalgo/... \
     ./internal/graph/... \
     ./internal/obs/...
+
+echo "== shared STATS/CD kernels (-race; allocation pins without it)"
+# The link counter is pooled across the engines' workers. The race
+# detector changes allocation: the pins skip themselves under -race.
+go test -race -run 'LinkCounter|ChooseLabel|LCC' ./internal/algo/
+go test -run '^(TestLinkCounterAllocatesNothing|TestChooseLabelAllocatesNothing)$' ./internal/algo/
 
 echo "== fuzz seed smoke (graph text reader + partitioners + delta log + batch certificate)"
 # Run every checked-in fuzz seed (plus any locally grown corpus)
