@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/datagen"
-	"repro/internal/gas"
 	"repro/internal/gasalgo"
 	"repro/internal/graph"
 	"repro/internal/graphdb"
@@ -333,71 +332,6 @@ func BenchmarkAblationNeo4jCacheSize(b *testing.B) {
 			b.ReportMetric(float64(misses), "hot-misses")
 		})
 	}
-}
-
-// BenchmarkAblationGasSyncVsAsync compares GraphLab's synchronous
-// engine (the paper's mode) against the asynchronous engine on CONN
-// convergence work.
-func BenchmarkAblationGasSyncVsAsync(b *testing.B) {
-	b.ReportAllocs()
-	g := ablationGraph(b, "KGS")
-	hw := cluster.DAS4(20, 1)
-	cfg := gas.Config{
-		Program: connMinProgram{},
-		InitialValue: func(v graph.VertexID) gas.Value {
-			return connV{v}
-		},
-	}
-	b.Run("mode=sync", func(b *testing.B) {
-		var applies int64
-		for i := 0; i < b.N; i++ {
-			res, err := gas.Run(g, hw, cfg, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			applies = res.Stats.ApplyCalls
-		}
-		b.ReportMetric(float64(applies), "vertex-updates")
-	})
-	b.Run("mode=async", func(b *testing.B) {
-		var applies int64
-		for i := 0; i < b.N; i++ {
-			res, err := gas.RunAsync(g, hw, cfg, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			applies = res.Stats.ApplyCalls
-		}
-		b.ReportMetric(float64(applies), "vertex-updates")
-	})
-}
-
-type connV struct{ l graph.VertexID }
-
-func (connV) Size() int64 { return 5 }
-
-type connMinProgram struct{}
-
-func (connMinProgram) Gather(src, v graph.VertexID, srcVal, vVal gas.Value) gas.Accum {
-	return srcVal.(connV)
-}
-func (connMinProgram) Sum(a, b gas.Accum) gas.Accum {
-	if a.(connV).l < b.(connV).l {
-		return a
-	}
-	return b
-}
-func (connMinProgram) Apply(v graph.VertexID, old gas.Value, acc gas.Accum) gas.Value {
-	if acc == nil {
-		return old
-	}
-	if m := acc.(connV); m.l < old.(connV).l {
-		return m
-	}
-	return old
-}
-func (connMinProgram) Scatter(v, dst graph.VertexID, newVal, dstVal gas.Value) bool {
-	return newVal.(connV).l < dstVal.(connV).l
 }
 
 // BenchmarkAblationGiraphCheckpointing measures the simulated cost of

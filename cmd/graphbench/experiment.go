@@ -33,9 +33,10 @@ func experimentDiffCmd(aPath, bPath string) {
 
 // experimentCmd runs `graphbench experiment <spec.json|dir> ...`: load
 // every spec, execute its run matrix with n-repetition statistics and
-// output validation, write one report bundle per spec, and exit
-// non-zero if any cell is INVALID or any leg breaches the CV ceiling.
-func experimentCmd(e *env, args []string) {
+// output validation, write one report bundle per spec, and return exit
+// status 1 if any cell is INVALID or any leg breaches the CV ceiling.
+// main exits with that status after writing -trace and -metrics.
+func experimentCmd(e *env, args []string) int {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, `usage: graphbench [flags] experiment [-out DIR] [-reps N] [-cold-reps N] [-max-cv X] <spec.json|dir> ...
@@ -100,7 +101,7 @@ validation or any leg's wall-clock CV exceeds the spec's cv_ceiling.`)
 				dir = filepath.Join(*out, experiment.DefaultBundleDir(spec))
 			}
 		}
-		d := &experiment.Driver{Spec: *spec, CacheDir: e.cache, Log: os.Stderr}
+		d := &experiment.Driver{Spec: *spec, CacheDir: e.cache, Log: os.Stderr, Obs: e.sess}
 		res, err := d.Run()
 		if err != nil {
 			fatal("experiment: %v", err)
@@ -115,5 +116,5 @@ validation or any leg's wall-clock CV exceeds the spec's cv_ceiling.`)
 			exit = 1
 		}
 	}
-	os.Exit(exit)
+	return exit
 }

@@ -75,6 +75,9 @@ type env struct {
 	scale, nodes, cores, shards int
 	seed, faultSeed             int64
 	cache                       string
+	// exit is the status main ends with once -trace and -metrics are
+	// written; a command that fails without aborting sets it.
+	exit int
 }
 
 func (e *env) hw() cluster.Hardware { return cluster.DAS4(e.nodes, e.cores) }
@@ -135,7 +138,8 @@ func commandTable() []command {
 			}},
 		{"partition-study", "", "strategy x platform x dataset placement study", 0,
 			func(e *env, _ []string) { e.emit(e.h.PartitionStudy(e.shards)) }},
-		{"experiment", "[-out DIR -reps N] <spec|dir> ...", "run experiment specs into validated report bundles", 0, experimentCmd},
+		{"experiment", "[-out DIR -reps N] <spec|dir> ...", "run experiment specs into validated report bundles", 0,
+			func(e *env, a []string) { e.exit = experimentCmd(e, a) }},
 		{"experiment-diff", "<a/results.json> <b/...json>", "compare two report bundles cell by cell", 2,
 			func(_ *env, a []string) { experimentDiffCmd(a[0], a[1]) }},
 		{"serve", "[-addr HOST:PORT -datasets LIST]", "HTTP graph-serving daemon", 0,
@@ -202,17 +206,25 @@ func main() {
 		usage()
 	}
 	cmd.run(e, args[1:])
+	e.writeSession(*traceOut, *metricsOut)
+	os.Exit(e.exit)
+}
 
-	if sess := e.sess; sess != nil {
-		sess.Close()
-		if *traceOut != "" {
-			writeFile(*traceOut, sess.T().WriteChromeTrace)
-			fmt.Fprintf(os.Stderr, "trace: wrote %s (open in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
-		}
-		if *metricsOut != "" {
-			writeFile(*metricsOut, sess.WriteMetricsJSON)
-			fmt.Fprintf(os.Stderr, "metrics: wrote %s\n", *metricsOut)
-		}
+// writeSession closes the observability session, if the global flags
+// opened one, and writes the -trace and -metrics files.
+func (e *env) writeSession(traceOut, metricsOut string) {
+	sess := e.sess
+	if sess == nil {
+		return
+	}
+	sess.Close()
+	if traceOut != "" {
+		writeFile(traceOut, sess.T().WriteChromeTrace)
+		fmt.Fprintf(os.Stderr, "trace: wrote %s (open in chrome://tracing or https://ui.perfetto.dev)\n", traceOut)
+	}
+	if metricsOut != "" {
+		writeFile(metricsOut, sess.WriteMetricsJSON)
+		fmt.Fprintf(os.Stderr, "metrics: wrote %s\n", metricsOut)
 	}
 }
 

@@ -2,17 +2,21 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/experiment"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/perf"
 )
 
@@ -215,5 +219,52 @@ func TestProcessViewsEndToEnd(t *testing.T) {
 	got := loadSummary(runProcess(e, spec).Cells[0])
 	if !strings.HasPrefix(got, "Giraph/STATS/WikiTalk: crash in all 3 reps (pregel: superstep 0 send buffer") {
 		t.Errorf("load test of a crashing cell: %q", got)
+	}
+}
+
+// TestExperimentWritesTrace is `graphbench -trace t.json -metrics
+// m.json experiment spec.json`: the command returns its exit status
+// instead of exiting, so main still writes both files, and the trace
+// holds the engine spans of the spec's cells.
+func TestExperimentWritesTrace(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "one.json")
+	if err := os.WriteFile(spec, []byte(`{"name": "one", "platforms": ["Giraph"], "algorithms": ["BFS"],
+		"datasets": ["DotaLeague"], "repetitions": 1, "cold_repetitions": 0,
+		"scale": 40, "seed": 42, "nodes": 4, "cores": 1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := &env{render: bench.Table.String, sess: obs.NewSession(obs.Options{})}
+	if status := experimentCmd(e, []string{"-out", filepath.Join(dir, "bundle"), spec}); status != 0 {
+		t.Fatalf("experiment exit status = %d, want 0", status)
+	}
+	traceOut, metricsOut := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.json")
+	e.writeSession(traceOut, metricsOut)
+
+	raw, err := os.ReadFile(traceOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct{ Cat string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &trace); err != nil {
+		t.Fatalf("trace does not parse: %v", err)
+	}
+	runs := 0
+	for _, ev := range trace.TraceEvents {
+		if ev.Cat == obs.KindRun.String() {
+			runs++
+		}
+	}
+	if runs == 0 {
+		t.Fatalf("trace has no engine run span among %d events", len(trace.TraceEvents))
+	}
+	raw, err = os.ReadFile(metricsOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(raw) {
+		t.Fatal("metrics file is not JSON")
 	}
 }

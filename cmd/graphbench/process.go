@@ -21,7 +21,7 @@ import (
 // flags describe.
 func runProcess(e *env, spec experiment.Spec) *experiment.Results {
 	spec.Scale, spec.Seed, spec.Nodes, spec.Cores = e.scale, e.seed, e.nodes, e.cores
-	d := &experiment.Driver{Spec: spec, CacheDir: e.cache}
+	d := &experiment.Driver{Spec: spec, CacheDir: e.cache, Obs: e.sess}
 	res, err := d.Run()
 	if err != nil {
 		fatal("%v", err)

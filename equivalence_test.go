@@ -16,6 +16,7 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/mralgo"
 	"repro/internal/pactalgo"
+	"repro/internal/platform"
 	"repro/internal/pregelalgo"
 )
 
@@ -197,6 +198,33 @@ func TestCrossEngineEquivalenceAllDatasets(t *testing.T) {
 			if evo.NewVertices != wantEVO.NewVertices || !reflect.DeepEqual(evo.Edges, wantEVO.Edges) {
 				t.Errorf("%s/%s: EVO differs from reference", prof.Name, e.name)
 			}
+		}
+	}
+}
+
+// TestCrossPlatformResultEquality checks the layer above the engines:
+// all six platforms, YARN's scheduler and Neo4j's record stores
+// included, label every vertex of a graph with the reference's CONN
+// components.
+func TestCrossPlatformResultEquality(t *testing.T) {
+	const scale = 50
+	prof, err := datagen.ByName("Citation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := prof.GenerateScaled(scale, 42)
+	want := algo.RefConn(g)
+	for _, p := range platform.All() {
+		r := p.Run(platform.Spec{
+			Algorithm: platform.CONN, Dataset: prof, G: g, HW: cluster.DAS4(20, 1),
+			Params: algo.DefaultParams(42), WarmCache: true, ScaleFactor: scale,
+		})
+		if r.Status != platform.OK {
+			t.Fatalf("%s: %v (%v)", p.Name(), r.Status, r.Err)
+		}
+		if conn := r.Output.(algo.ConnResult); !reflect.DeepEqual(conn.Labels, want.Labels) {
+			t.Errorf("%s: CONN labels differ from the reference (%d components, want %d)",
+				p.Name(), conn.Components, want.Components)
 		}
 	}
 }

@@ -151,6 +151,11 @@ type BFSTree struct {
 // set when the frontier becomes expensive (Beamer's alpha test), and
 // back when it thins out (beta test). Frontiers are 64-bit bitsets in
 // bottom-up mode and queues in top-down mode.
+//
+// No platform runs it. It is the oracle of the serving path: every lane
+// of BFSMultiSource and every daemon answer must equal a solo run from
+// the same source. It is also the kernel the perf gap suite and the
+// benchmark's algo.bfs_diropt.us probe time.
 func BFSDirOpt(g *graph.Graph, src graph.VertexID, opt GapOptions) *BFSTree {
 	n := g.NumVertices()
 	r := &BFSTree{

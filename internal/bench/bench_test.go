@@ -116,6 +116,9 @@ func TestTable6IngestionShape(t *testing.T) {
 
 func TestRunCachesResults(t *testing.T) {
 	h := quick()
+	if h.Graph("Amazon") != h.Graph("Amazon") {
+		t.Fatal("Graph should cache and return the same graph")
+	}
 	a := h.Run("Giraph", platform.BFS, "Amazon", BaseHW())
 	b := h.Run("Giraph", platform.BFS, "Amazon", BaseHW())
 	if a != b {

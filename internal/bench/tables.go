@@ -8,7 +8,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/graph"
 	"repro/internal/graphdb"
-	"repro/internal/hdfs"
 	"repro/internal/platform"
 )
 
@@ -123,7 +122,7 @@ func (h *Harness) Table6() Table {
 		g := h.Graph(prof.Name)
 		proj := int64(prof.EDivisor * h.cfg.Scale)
 		size := graph.TextSize(g) * proj
-		hdfsSecs := hdfs.IngestSeconds(size, hw)
+		hdfsSecs := hw.IngestSeconds(size)
 
 		cfg := graphdb.DefaultConfig()
 		cfg.Projection = proj

@@ -2,7 +2,7 @@
 // empirically validated performance-boundary model for predicting the
 // worst performance of these platforms" (Section 7). Given a dataset's
 // static characteristics and a platform's cost model — but without
-// executing anything — Predict returns an upper bound on the job
+// executing anything — PredictFor returns an upper bound on the job
 // execution time and a prediction of whether the run is feasible at
 // all (the crash matrix).
 //
@@ -14,7 +14,6 @@
 package boundary
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/cluster"
@@ -146,30 +145,8 @@ func opsBound(platformName, alg string, in Inputs) int64 {
 	return base
 }
 
-// Predict returns the worst-case estimate for one run.
-func Predict(platformName, alg string, in Inputs, hw cluster.Hardware) (Estimate, error) {
-	p, err := platform.ByName(platformName)
-	if err != nil {
-		return Estimate{}, err
-	}
-	cm := p.Costs()
-	iters := 0
-	// Resolve the dataset-independent iteration caps without a profile.
-	switch alg {
-	case platform.STATS:
-		iters = 1
-	case platform.CD:
-		iters = 5
-	case platform.EVO:
-		iters = 6
-	default:
-		return Estimate{}, fmt.Errorf("boundary: use PredictFor for traversal algorithms (needs a dataset profile)")
-	}
-	return predict(cm, platformName, alg, in, hw, iters), nil
-}
-
-// PredictFor is Predict with the dataset profile supplying the
-// traversal-depth class.
+// PredictFor returns the worst-case estimate for one run; the dataset
+// profile supplies the traversal-depth class.
 func PredictFor(platformName, alg string, prof datagen.Profile, in Inputs, hw cluster.Hardware) (Estimate, error) {
 	p, err := platform.ByName(platformName)
 	if err != nil {

@@ -149,9 +149,9 @@ func TestPredictsNeo4jStatsTimeout(t *testing.T) {
 
 func TestPredictFixedIterationAlgorithms(t *testing.T) {
 	hw := cluster.DAS4(20, 1)
-	in, _ := inputsFor(t, "Amazon")
+	in, prof := inputsFor(t, "Amazon")
 	for alg, want := range map[string]int{platform.STATS: 1, platform.CD: 5, platform.EVO: 6} {
-		est, err := Predict("Giraph", alg, in, hw)
+		est, err := PredictFor("Giraph", alg, prof, in, hw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,11 +159,7 @@ func TestPredictFixedIterationAlgorithms(t *testing.T) {
 			t.Fatalf("%s iterations = %d, want %d", alg, est.Iterations, want)
 		}
 	}
-	// Traversal algorithms need the dataset profile.
-	if _, err := Predict("Giraph", platform.BFS, in, hw); err == nil {
-		t.Fatal("Predict(BFS) should require PredictFor")
-	}
-	if _, err := Predict("Spark", platform.CD, in, hw); err == nil {
+	if _, err := PredictFor("Spark", platform.CD, prof, in, hw); err == nil {
 		t.Fatal("unknown platform accepted")
 	}
 }

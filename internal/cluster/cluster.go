@@ -82,6 +82,23 @@ func (hw Hardware) Validate() error {
 	return nil
 }
 
+// IngestSeconds models loading a local file of the given size into the
+// cluster's DFS (Section 3.1: single replica per block, no
+// compression): the transfer streams from the submitting node over the
+// network and onto the cluster's disks. On the paper's hardware this
+// comes to roughly 1 second per 100 MB, and it is linear in the graph
+// size (Table 6 key finding). Ingestion is out-of-band: it is not part
+// of any job's execution time.
+func (hw Hardware) IngestSeconds(size int64) float64 {
+	// The single source node's effective streaming rate is the
+	// bottleneck: min(local disk read, NIC).
+	rate := hw.DiskMBps
+	if hw.NetMBps < rate {
+		rate = hw.NetMBps
+	}
+	return float64(size) / (rate * 1e6)
+}
+
 // PhaseKind classifies a phase for the computation-vs-overhead
 // breakdown of Section 4.4 (computation time Tc is "the time used for
 // making progress with the graph algorithms"; everything else —

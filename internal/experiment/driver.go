@@ -8,6 +8,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/platform"
 )
 
@@ -44,6 +45,9 @@ type Driver struct {
 	CacheDir string
 	// Log, when non-nil, receives one progress line per cell.
 	Log io.Writer
+	// Obs, when non-nil, is the observability session every repetition's
+	// engines report spans and counters into.
+	Obs *obs.Session
 
 	// corrupt, when set (tests only), rewrites a repetition's result
 	// before the driver looks at it — the injected-wrong-output and
@@ -108,7 +112,7 @@ func (d *Driver) Run() (*Results, error) {
 		return nil, err
 	}
 	hw := cluster.DAS4(spec.Nodes, spec.Cores)
-	h := bench.New(bench.Config{Seed: spec.Seed, Scale: spec.Scale, CacheDir: d.CacheDir})
+	h := bench.New(bench.Config{Seed: spec.Seed, Scale: spec.Scale, CacheDir: d.CacheDir, Obs: d.Obs})
 	// Generate every dataset up front: the warm legs must start warm,
 	// and the validator needs the same graphs.
 	for _, ds := range spec.Datasets {
@@ -246,7 +250,7 @@ func (d *Driver) runCell(h *bench.Harness, v *validator, c Cell, hw cluster.Hard
 // would pay it.
 func (d *Driver) runOnce(h *bench.Harness, c Cell, hw cluster.Hardware, cold bool) (*platform.Result, error) {
 	if cold {
-		h = bench.New(bench.Config{Seed: d.Spec.Seed, Scale: d.Spec.Scale})
+		h = bench.New(bench.Config{Seed: d.Spec.Seed, Scale: d.Spec.Scale, Obs: d.Obs})
 	}
 	return h.RunFresh(bench.FreshRun{
 		Platform: c.Platform, Algorithm: c.Algorithm, Dataset: c.Dataset,

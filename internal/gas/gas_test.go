@@ -220,70 +220,3 @@ func TestDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestAsyncMinLabelConverges(t *testing.T) {
-	g := ringGraph(32)
-	res, err := RunAsync(g, cluster.DAS4(4, 1), minLabelConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, val := range res.Values {
-		if int64(val.(i64)) != 0 {
-			t.Fatalf("async label[%d] = %v, want 0", v, val)
-		}
-	}
-}
-
-func TestAsyncFewerUpdatesThanSyncWork(t *testing.T) {
-	// The asynchronous engine propagates fresh values immediately, so
-	// it needs fewer vertex updates than sync rounds do on a ring.
-	g := ringGraph(64)
-	sync, err := Run(g, cluster.DAS4(4, 1), minLabelConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	async, err := RunAsync(g, cluster.DAS4(4, 1), minLabelConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if async.Stats.ApplyCalls >= sync.Stats.ApplyCalls {
-		t.Fatalf("async %d updates should be below sync %d",
-			async.Stats.ApplyCalls, sync.Stats.ApplyCalls)
-	}
-}
-
-func TestAsyncNoBarriersInProfile(t *testing.T) {
-	g := ringGraph(16)
-	profile := &cluster.ExecutionProfile{}
-	if _, err := RunAsync(g, cluster.DAS4(3, 1), minLabelConfig(), profile); err != nil {
-		t.Fatal(err)
-	}
-	for _, ph := range profile.Phases {
-		if ph.Barriers != 0 {
-			t.Fatalf("async profile has barriers: %+v", ph)
-		}
-	}
-}
-
-func TestAsyncMissingProgram(t *testing.T) {
-	if _, err := RunAsync(ringGraph(4), cluster.DAS4(1, 1), Config{}, nil); err == nil {
-		t.Fatal("want error")
-	}
-}
-
-func TestAsyncDeterministic(t *testing.T) {
-	g := ringGraph(48)
-	run := func() []Value {
-		res, err := RunAsync(g, cluster.DAS4(5, 1), minLabelConfig(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Values
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i].(i64) != b[i].(i64) {
-			t.Fatalf("nondeterministic at %d", i)
-		}
-	}
-}

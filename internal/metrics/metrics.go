@@ -31,23 +31,3 @@ func NEPS(edges int64, seconds float64, nodes, cores int) float64 {
 func NVPS(vertices int64, seconds float64, nodes, cores int) float64 {
 	return NEPS(vertices, seconds, nodes, cores)
 }
-
-// Speedup returns t_base / t: >1 means faster than baseline.
-func Speedup(base, t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return base / t
-}
-
-// ScalingEfficiency returns the fraction of ideal linear speedup
-// achieved when scaling resources from n1 to n2 units with times t1
-// and t2.
-func ScalingEfficiency(n1, n2 int, t1, t2 float64) float64 {
-	if t2 <= 0 || n1 <= 0 || n2 <= 0 {
-		return 0
-	}
-	ideal := float64(n2) / float64(n1)
-	actual := t1 / t2
-	return actual / ideal
-}

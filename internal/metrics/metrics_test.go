@@ -74,20 +74,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestSpeedupAndEfficiency(t *testing.T) {
-	if got := Speedup(100, 50); got != 2 {
-		t.Fatalf("Speedup = %v", got)
-	}
-	// Doubling nodes, halving time: perfect efficiency.
-	if got := ScalingEfficiency(20, 40, 100, 50); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("efficiency = %v", got)
-	}
-	// Doubling nodes, same time: 50% efficiency.
-	if got := ScalingEfficiency(20, 40, 100, 100); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("efficiency = %v", got)
-	}
-}
-
 func TestQuickNEPSDecreasesWithUnits(t *testing.T) {
 	f := func(e uint32, n uint8) bool {
 		nodes := int(n)%50 + 1

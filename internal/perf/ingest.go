@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
-	"repro/internal/hdfs"
 )
 
 // IngestScale pins the ingest suite's dataset scale. Unlike the engine
@@ -60,7 +59,7 @@ func IngestSuite() []Bench {
 				}
 			},
 			Sim: func() float64 {
-				return hdfs.IngestSeconds(hdfs.DatasetBytes(g, hdfs.FormatText), hw)
+				return hw.IngestSeconds(graph.TextSize(g))
 			},
 		},
 		{
@@ -94,7 +93,7 @@ func IngestSuite() []Bench {
 				}
 			},
 			Sim: func() float64 {
-				return hdfs.IngestSeconds(hdfs.DatasetBytes(g, hdfs.FormatBinary), hw)
+				return hw.IngestSeconds(graph.BinarySize(g))
 			},
 		},
 	}

@@ -68,6 +68,9 @@ func TestRegistry(t *testing.T) {
 	if len(Distributed()) != 5 {
 		t.Fatalf("Distributed() = %d", len(Distributed()))
 	}
+	if len(Algorithms()) != 6 {
+		t.Fatalf("Algorithms() = %d, want 6 (Section 2.2.2 + SSSP)", len(Algorithms()))
+	}
 	for _, name := range []string{"Hadoop", "YARN", "Stratosphere", "Giraph", "GraphLab", "GraphLab(mp)", "Neo4j"} {
 		p, err := ByName(name)
 		if err != nil {
@@ -108,6 +111,9 @@ func TestAllPlatformsAgreeOnBFS(t *testing.T) {
 		if out.Visited != want.Visited || out.Iterations != want.Iterations {
 			t.Fatalf("%s: BFS %d/%d, want %d/%d", name,
 				out.Visited, out.Iterations, want.Visited, want.Iterations)
+		}
+		if r.ComputeSeconds+r.OverheadSeconds != r.Seconds {
+			t.Fatalf("%s: Tc %v + To %v != T %v", name, r.ComputeSeconds, r.OverheadSeconds, r.Seconds)
 		}
 	}
 }

@@ -78,25 +78,6 @@ type Config struct {
 	// several engine runs model phases of one platform job (EVO's
 	// per-iteration exchanges).
 	SkipSetup bool
-	// TrackPrevValues keeps a copy of every vertex value as of the
-	// start of the current superstep, readable through
-	// Context.PrevValue — what a bottom-up (pull) superstep needs to
-	// read neighbour state from the previous barrier without racing the
-	// neighbour's own update. Off by default: push algorithms never pay
-	// for the copy.
-	TrackPrevValues bool
-	// Reactivate, when set, runs once at every barrier after
-	// aggregators merge: it receives the finished superstep number and
-	// the fresh aggregate map (which it may mutate — the mutated map is
-	// what Aggregated exposes next superstep) and returns a wake
-	// predicate, or nil for no wake-up. Vertices the predicate selects
-	// are made active for the next superstep even though no message
-	// addressed them — the mechanism a dense-frontier bottom-up
-	// superstep uses, where unvisited vertices must pull from their
-	// in-neighbours rather than wait for pushed messages. The decision
-	// runs at the single consistent point between supersteps, so
-	// direction switching is deterministic and checkpoint-replay safe.
-	Reactivate func(superstep int, agg map[string]float64) func(v graph.VertexID) bool
 	// CheckpointEvery writes a fault-tolerance checkpoint (vertex
 	// values plus in-flight messages, to the DFS) every N supersteps —
 	// Giraph's periodic checkpointing (Section 3.1). Zero disables it,
@@ -163,17 +144,6 @@ func (c *Context) OutDegree() int { return c.w.e.g.OutDegree(c.id) }
 
 // Value returns the vertex state.
 func (c *Context) Value() Value { return c.w.e.values[c.id] }
-
-// PrevValue returns u's state as of the start of this superstep.
-// Requires Config.TrackPrevValues; it returns nil otherwise. Unlike
-// Value it is safe for any vertex, not just the one being computed —
-// the snapshot is immutable for the whole superstep.
-func (c *Context) PrevValue(u graph.VertexID) Value {
-	if c.w.e.prevValues == nil {
-		return nil
-	}
-	return c.w.e.prevValues[u]
-}
 
 // SetValue replaces the vertex state.
 func (c *Context) SetValue(v Value) { c.w.e.values[c.id] = v }
@@ -305,16 +275,13 @@ func (w *worker) send(dst graph.VertexID, m Message) {
 
 // Engine holds a run's state.
 type Engine struct {
-	g      *graph.Graph
-	hw     cluster.Hardware
-	cfg    Config
-	part   *partition.Partitioning
-	values []Value
-	// prevValues snapshots values at each superstep start when
-	// Config.TrackPrevValues is set (nil otherwise).
-	prevValues []Value
-	superstep  int
-	aggPrev    map[string]float64
+	g         *graph.Graph
+	hw        cluster.Hardware
+	cfg       Config
+	part      *partition.Partitioning
+	values    []Value
+	superstep int
+	aggPrev   map[string]float64
 	// nodeOfPart[p] is the machine hosting shard p: workers are placed
 	// round-robin, so with shards == nodes it is the identity and the
 	// engine's historical byte stream is reproduced exactly. Network
@@ -346,9 +313,6 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 		for v := 0; v < n; v++ {
 			e.values[v] = cfg.InitialValue(graph.VertexID(v))
 		}
-	}
-	if cfg.TrackPrevValues {
-		e.prevValues = make([]Value, n)
 	}
 	active := make([]bool, n)
 	var activeCount int64
@@ -483,12 +447,6 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 			}
 		}
 		ssSpan := tr.Begin("superstep", obs.KindSuperstep, int64(e.superstep), runSpan)
-
-		// Individual Values are immutable (replaced via SetValue), so a
-		// shallow copy freezes the pre-superstep state for PrevValue.
-		if e.prevValues != nil {
-			copy(e.prevValues, e.values)
-		}
 
 		var wg sync.WaitGroup
 		for p := 0; p < parts; p++ {
@@ -684,22 +642,6 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 		}
 
 		tr.End(ssSpan)
-		// Barrier wake-up: the mode-switch point for direction-optimizing
-		// programs. Runs on the merged aggregates of the superstep that
-		// just finished, before they become visible via Aggregated.
-		if cfg.Reactivate != nil {
-			if wake := cfg.Reactivate(e.superstep, agg); wake != nil {
-				activeCount = 0
-				for v := range active {
-					if wake(graph.VertexID(v)) {
-						active[v] = true
-					}
-					if active[v] {
-						activeCount++
-					}
-				}
-			}
-		}
 		e.aggPrev = agg
 		e.superstep++
 		if inj != nil && ckEvery > 0 && e.superstep%ckEvery == 0 {

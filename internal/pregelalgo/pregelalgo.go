@@ -159,152 +159,6 @@ func collectBFS(values []pregel.Value, n int) algo.BFSResult {
 	return out
 }
 
-// BFSDirOpt runs BFS with Beamer-style direction switching. Top-down
-// supersteps expand the frontier by messages, exactly like BFS; once
-// the frontier's unexplored out-arcs cross the alpha threshold, the
-// Reactivate barrier hook wakes every vertex and the next superstep
-// runs bottom-up — each unvisited vertex pulls over its in-arcs,
-// checking the frozen previous-superstep frontier through PrevValue
-// instead of the frontier pushing messages. The pull-side arc reads
-// are charged to the cost model with Charge. When the frontier decays
-// below |V|/beta the run hands back to top-down: the last pull-set
-// frontier pushes its out-arcs once and message expansion resumes.
-//
-// The mode decision is a pure function of (superstep, merged
-// aggregates), kept in a superstep-indexed table so checkpoint replay
-// after an injected fault reaches the identical schedule. Levels are
-// byte-identical to BFS for any switch points.
-func BFSDirOpt(g *graph.Graph, hw cluster.Hardware, src graph.VertexID, sendLimit int64, profile *cluster.ExecutionProfile) (algo.BFSResult, *pregel.Stats, error) {
-	const (
-		alpha  = 15 // TD->BU when frontier out-arcs exceed unexplored/alpha
-		beta   = 18 // BU->TD when the frontier shrinks below |V|/beta
-		modeTD = 0.0
-		modeBU = 1.0
-	)
-	n := g.NumVertices()
-	// duState is the direction-switching state after a superstep.
-	type duState struct {
-		mode    float64 // mode of the NEXT superstep
-		level   float64 // dist of the deepest set level so far
-		edges   float64 // out-arcs not yet expanded top-down
-		visited float64
-	}
-	states := map[int]duState{
-		-1: {mode: modeTD, level: -1, edges: float64(g.AdjSize())},
-	}
-	cfg := pregel.Config{
-		Combiner:         minDistCombiner{},
-		SendLimitPerNode: sendLimit,
-		TrackPrevValues:  true,
-		InitialValue: func(v graph.VertexID) pregel.Value {
-			if v == src {
-				return distVal(0)
-			}
-			return distVal(-1)
-		},
-		InitiallyActive: func(v graph.VertexID) bool { return v == src },
-		Reactivate: func(superstep int, agg map[string]float64) func(v graph.VertexID) bool {
-			prev := states[superstep-1]
-			frontier, scout := agg["frontier"], agg["scout"]
-			next := duState{
-				mode:    prev.mode,
-				level:   prev.level,
-				edges:   prev.edges - scout,
-				visited: prev.visited + frontier,
-			}
-			if next.edges < 0 {
-				next.edges = 0
-			}
-			if frontier > 0 {
-				next.level = prev.level + 1
-			}
-			switch {
-			case frontier == 0:
-				// Nothing new was set: fall back to top-down so the run
-				// either quiesces or finishes a bottom-up -> top-down
-				// handoff already in flight.
-				next.mode = modeTD
-			case prev.mode == modeTD && scout > next.edges/alpha:
-				next.mode = modeBU
-			case prev.mode == modeBU && frontier < float64(n)/beta:
-				next.mode = modeTD
-			}
-			states[superstep] = next
-			// Publish the schedule for the next superstep's vertices.
-			agg["mode"] = next.mode
-			agg["level"] = next.level
-			if next.mode == modeBU {
-				// Bottom-up scans every vertex; the unvisited ones do the
-				// pulling, the rest halt immediately.
-				return func(graph.VertexID) bool { return true }
-			}
-			return nil
-		},
-		Program: pregel.ProgramFunc(func(ctx *pregel.Context, msgs []pregel.Message) {
-			cur := int32(ctx.Value().(distVal))
-			if ctx.Superstep() == 0 {
-				// Only the source is active: seed the frontier.
-				ctx.Aggregate("frontier", 1)
-				ctx.Aggregate("scout", float64(ctx.OutDegree()))
-				ctx.SendToNeighbors(algo.DistMsg(1))
-				ctx.VoteToHalt()
-				return
-			}
-			level := int32(ctx.Aggregated("level"))
-			if ctx.Aggregated("mode") == modeBU {
-				// Bottom-up: pull from the frozen previous frontier. Any
-				// in-flight messages from the top-down superstep before
-				// the switch are redundant with the pull and dropped.
-				if cur < 0 {
-					in := ctx.In()
-					ctx.Charge(int64(len(in)))
-					for _, u := range in {
-						if int32(ctx.PrevValue(u).(distVal)) == level {
-							ctx.SetValue(distVal(level + 1))
-							ctx.Aggregate("frontier", 1)
-							ctx.Aggregate("scout", float64(ctx.OutDegree()))
-							// Stay active: if the next superstep switches
-							// to top-down this vertex pushes the handoff.
-							return
-						}
-					}
-				}
-				ctx.VoteToHalt()
-				return
-			}
-			// Top-down.
-			if cur >= 0 {
-				if len(msgs) == 0 && cur == level {
-					// Bottom-up -> top-down handoff: the pull-set frontier
-					// pushes its out-arcs once, then message expansion
-					// continues as in plain BFS.
-					ctx.SendToNeighbors(algo.DistMsg(cur + 1))
-				}
-				ctx.VoteToHalt()
-				return
-			}
-			best := int32(-1)
-			for _, m := range msgs {
-				if d := int32(m.(algo.DistMsg)); best < 0 || d < best {
-					best = d
-				}
-			}
-			if best >= 0 {
-				ctx.SetValue(distVal(best))
-				ctx.Aggregate("frontier", 1)
-				ctx.Aggregate("scout", float64(ctx.OutDegree()))
-				ctx.SendToNeighbors(algo.DistMsg(best + 1))
-			}
-			ctx.VoteToHalt()
-		}),
-	}
-	res, err := pregel.Run(g, hw, cfg, profile)
-	if err != nil {
-		return algo.BFSResult{}, nil, err
-	}
-	return collectBFS(res.Values, n), &res.Stats, nil
-}
-
 // wdistVal is a weighted SSSP distance vertex value (-1 unreached).
 type wdistVal int64
 

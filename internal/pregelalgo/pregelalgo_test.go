@@ -173,52 +173,6 @@ func TestConnCombinerBoundsInbox(t *testing.T) {
 	}
 }
 
-func TestBFSDirOptMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		src := algo.PickSource(g, 42)
-		want := algo.RefBFS(g, src)
-		got, _, err := BFSDirOpt(g, hw(), src, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Levels, want.Levels) {
-			t.Fatalf("%v: direction-optimizing BFS levels differ", g)
-		}
-		if got.Visited != want.Visited || got.Iterations != want.Iterations {
-			t.Fatalf("%v: got %d/%d want %d/%d", g,
-				got.Iterations, got.Visited, want.Iterations, want.Visited)
-		}
-		if err := algo.ValidateBFS(g, src, &got); err != nil {
-			t.Fatalf("%v: %v", g, err)
-		}
-	}
-}
-
-func TestBFSDirOptSwitchesToBottomUp(t *testing.T) {
-	// On a dense small-diameter graph the engine must spend at least one
-	// superstep in bottom-up mode, which charges pull-side arcs but
-	// sends no messages: total messages must be well below the classic
-	// top-down count (one message per arc).
-	p, _ := datagen.ByName("KGS")
-	g := p.GenerateScaled(60, 5)
-	src := algo.PickSource(g, 42)
-	_, classic, err := BFS(g, hw(), src, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, st, err := BFSDirOpt(g, hw(), src, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Visited < g.NumVertices()/2 {
-		t.Fatalf("traversal too small to exercise switching: %d", res.Visited)
-	}
-	if st.TotalMessages >= classic.TotalMessages {
-		t.Fatalf("dir-opt messages = %d, want < classic %d",
-			st.TotalMessages, classic.TotalMessages)
-	}
-}
-
 func TestSSSPMatchesReference(t *testing.T) {
 	for _, g := range testGraphs(t) {
 		wg := graph.WithWeights(g, 99)

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# Repo-wide verification: vet, build, full tests, and a race-detector
-# pass over the four engines' reused-buffer hot paths and the algorithm
-# programs that share the pooled STATS kernel.
+# Repo-wide verification: vet, build, full tests, one pass of every
+# ablation benchmark, and a race-detector pass over the four engines'
+# reused-buffer hot paths and the algorithm programs that share the
+# pooled STATS kernel.
 #
 #   --chaos      additionally run one short seeded chaos smoke per engine
 #                (fault-injected run must match the fault-free run).
@@ -75,6 +76,9 @@ go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+echo "== ablation benchmarks, once each"
+go test -run '^$' -bench Ablation -benchtime 1x .
 
 # The claim benchmark is a nested module importing repro/internal/...;
 # ./... does not descend into it.
