@@ -285,9 +285,9 @@ func bfsTopDown(g *graph.Graph, frontier []graph.VertexID, levels []int32,
 	// contiguous chunks otherwise.
 	var chunks [][]graph.VertexID
 	if part != nil {
-		chunks = partition.SplitByOwner(frontier, part.Shards, func(v graph.VertexID) int {
+		chunks = partition.SplitByOwner(part.Shards, func(v graph.VertexID) int {
 			return part.OwnerOf(int64(v))
-		})
+		}, frontier)
 	} else {
 		chunks = partition.SplitContiguous(frontier, workers*4)
 	}

@@ -1,8 +1,8 @@
 // Package dataflow is a parallel data-flow engine modelled on
-// Stratosphere 0.2 (Section 3.1 of the paper): PACT second-order
-// operators (Map, Reduce, Match, Cross, CoGroup) compiled into a
-// Nephele-style DAG of tasks connected by channels. The plan compiler
-// uses code annotations (the PACT "output contracts") to avoid
+// Stratosphere 0.2 (Section 3.1 of the paper): the PACT second-order
+// operators the algorithm programs use (Map, Reduce, CoGroup) compiled
+// into a Nephele-style DAG of tasks connected by channels. The plan
+// compiler uses code annotations (the PACT "output contracts") to avoid
 // repartitioning: an operator that declares it preserves keys lets the
 // next key-based operator consume its output over an in-memory channel
 // instead of shuffling over the network — the optimisation the paper
@@ -10,9 +10,7 @@
 package dataflow
 
 import (
-	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -70,13 +68,8 @@ type (
 	MapFunc func(in Record, out *Collector)
 	// ReduceFunc processes all records of one key.
 	ReduceFunc func(key int64, in []Record, out *Collector)
-	// MatchFunc processes each pair of left/right records sharing a key
-	// (an equi-join).
-	MatchFunc func(key int64, left, right Record, out *Collector)
 	// CoGroupFunc processes the full left and right groups of one key.
 	CoGroupFunc func(key int64, left, right []Record, out *Collector)
-	// CrossFunc processes each pair from the two inputs.
-	CrossFunc func(left, right Record, out *Collector)
 )
 
 // Annotation is a PACT output contract: a promise about an operator's
@@ -97,13 +90,11 @@ const (
 	opSource opKind = iota
 	opMap
 	opReduce
-	opMatch
 	opCoGroup
-	opCross
 	opSink
 )
 
-var opNames = [...]string{"source", "map", "reduce", "match", "cogroup", "cross", "sink"}
+var opNames = [...]string{"source", "map", "reduce", "cogroup", "sink"}
 
 // Node is one operator in a plan.
 type Node struct {
@@ -115,9 +106,7 @@ type Node struct {
 
 	mapFn     MapFunc
 	reduceFn  ReduceFunc
-	matchFn   MatchFunc
 	coGroupFn CoGroupFunc
-	crossFn   CrossFunc
 
 	source     Dataset
 	sourceSize int64
@@ -156,19 +145,9 @@ func (p *Plan) Reduce(name string, in *Node, fn ReduceFunc, ann Annotation) *Nod
 	return p.add(&Node{kind: opReduce, name: name, inputs: []*Node{in}, reduceFn: fn, annotation: ann})
 }
 
-// Match adds a Match contract (equi-join of two inputs).
-func (p *Plan) Match(name string, left, right *Node, fn MatchFunc, ann Annotation) *Node {
-	return p.add(&Node{kind: opMatch, name: name, inputs: []*Node{left, right}, matchFn: fn, annotation: ann})
-}
-
 // CoGroup adds a CoGroup contract.
 func (p *Plan) CoGroup(name string, left, right *Node, fn CoGroupFunc, ann Annotation) *Node {
 	return p.add(&Node{kind: opCoGroup, name: name, inputs: []*Node{left, right}, coGroupFn: fn, annotation: ann})
-}
-
-// Cross adds a Cross contract (cartesian product).
-func (p *Plan) Cross(name string, left, right *Node, fn CrossFunc) *Node {
-	return p.add(&Node{kind: opCross, name: name, inputs: []*Node{left, right}, crossFn: fn})
 }
 
 // Sink marks a node's output as a plan result. writeToDFS controls
@@ -288,7 +267,7 @@ func (e *Engine) Execute(p *Plan) ([]Dataset, error) {
 				out := &interim{parts: make([]Dataset, par), keyed: n.annotation == SameKey && in.keyed}
 				var ops, maxOps int64
 				var mu sync.Mutex
-				parallelParts(par, func(i int) {
+				partition.ParallelFor(par, func(i int) {
 					var c Collector
 					var local int64
 					for _, r := range in.parts[i] {
@@ -320,7 +299,7 @@ func (e *Engine) Execute(p *Plan) ([]Dataset, error) {
 				out := &interim{parts: make([]Dataset, par), keyed: n.annotation == SameKey}
 				var ops, maxOps int64
 				var mu sync.Mutex
-				parallelParts(par, func(i int) {
+				partition.ParallelFor(par, func(i int) {
 					var c Collector
 					local := groupApply(in.parts[i], func(key int64, group []Record) {
 						n.reduceFn(key, group, &c)
@@ -344,58 +323,17 @@ func (e *Engine) Execute(p *Plan) ([]Dataset, error) {
 			}
 			results[n.id] = out
 
-		case opMatch, opCoGroup:
+		case opCoGroup:
 			left := e.channel(n, results[n.inputs[0].id], true)
 			right := e.channel(n, results[n.inputs[1].id], true)
 			out, err := e.runOp(n, planStep, inj, func() (*interim, int64, int64) {
 				out := &interim{parts: make([]Dataset, par), keyed: n.annotation == SameKey}
 				var ops, maxOps int64
 				var mu sync.Mutex
-				parallelParts(par, func(i int) {
+				partition.ParallelFor(par, func(i int) {
 					var c Collector
-					local := joinParts(n, in2(left, i), in2(right, i), &c)
+					local := coGroupParts(n.coGroupFn, in2(left, i), in2(right, i), &c)
 					local += c.extraOps
-					mu.Lock()
-					out.parts[i] = c.out
-					out.records += int64(len(c.out))
-					out.bytes += c.bytes
-					ops += local
-					if local > maxOps {
-						maxOps = local
-					}
-					mu.Unlock()
-				})
-				return out, ops, maxOps
-			})
-			if err != nil {
-				tr.End(opSpan)
-				return nil, err
-			}
-			results[n.id] = out
-
-		case opCross:
-			left := results[n.inputs[0].id]
-			right := results[n.inputs[1].id]
-			// Cross broadcasts the (smaller) right input to every
-			// partition of the left.
-			rightAll := flatten(right.parts)
-			e.Profile.AddPhase(cluster.Phase{
-				Name: n.name + ":broadcast", Kind: cluster.PhaseShuffle,
-				Net: right.bytes * int64(e.HW.Nodes-1),
-			})
-			out, err := e.runOp(n, planStep, inj, func() (*interim, int64, int64) {
-				out := &interim{parts: make([]Dataset, par)}
-				var ops, maxOps int64
-				var mu sync.Mutex
-				parallelParts(par, func(i int) {
-					var c Collector
-					var local int64
-					for _, l := range left.parts[i] {
-						for _, r := range rightAll {
-							local++
-							n.crossFn(l, r, &c)
-						}
-					}
 					mu.Lock()
 					out.parts[i] = c.out
 					out.records += int64(len(c.out))
@@ -416,7 +354,7 @@ func (e *Engine) Execute(p *Plan) ([]Dataset, error) {
 
 		case opSink:
 			in := results[n.inputs[0].id]
-			flat := flatten(in.parts)
+			flat := slices.Concat(in.parts...)
 			if n.writes {
 				e.Profile.AddPhase(cluster.Phase{
 					Name: n.name + ":write", Kind: cluster.PhaseWrite,
@@ -533,8 +471,7 @@ func (e *Engine) channel(n *Node, in *interim, needKeyed bool) *interim {
 			e.Profile.Session().R().Counter("shuffle.refetch").Add(remote)
 		}
 	}
-	flat := flatten(in.parts)
-	return &interim{parts: e.split(flat), keyed: true,
+	return &interim{parts: e.split(in.parts...), keyed: true,
 		records: in.records, bytes: in.bytes}
 }
 
@@ -549,54 +486,42 @@ func (e *Engine) addCompute(n *Node, out *interim, ops, maxOps int64) {
 	reg.Counter("dataflow.bytes").Add(out.bytes)
 }
 
-// joinParts hash-joins two key-partitioned datasets within a
-// partition.
-func joinParts(n *Node, left, right Dataset, c *Collector) int64 {
-	rightByKey := make(map[int64][]Record)
-	for _, r := range right {
-		rightByKey[r.Key] = append(rightByKey[r.Key], r)
-	}
+// coGroupParts merges two key-partitioned datasets within a partition:
+// both sides are stably sorted by key and walked in ascending key
+// order, so each group keeps its side's partition order. Groups are
+// subslices capped at their length, so an append by fn cannot clobber
+// the next group.
+func coGroupParts(fn CoGroupFunc, left, right Dataset, c *Collector) int64 {
+	left, right = partition.SortByKey(left, recKey), partition.SortByKey(right, recKey)
 	var ops int64
-	if n.kind == opMatch {
-		for _, l := range left {
-			for _, r := range rightByKey[l.Key] {
-				ops++
-				n.matchFn(l.Key, l, r, c)
-			}
+	for i, j := 0, 0; i < len(left) || j < len(right); {
+		var k int64
+		switch {
+		case j == len(right):
+			k = left[i].Key
+		case i == len(left):
+			k = right[j].Key
+		default:
+			k = min(left[i].Key, right[j].Key)
 		}
-		return ops + int64(len(left)) + int64(len(right))
-	}
-	// CoGroup: group the left side, pair with the right group.
-	leftByKey := make(map[int64][]Record)
-	var keys []int64
-	for _, l := range left {
-		if _, ok := leftByKey[l.Key]; !ok {
-			keys = append(keys, l.Key)
+		li, rj := i, j
+		for i < len(left) && left[i].Key == k {
+			i++
 		}
-		leftByKey[l.Key] = append(leftByKey[l.Key], l)
-	}
-	for k := range rightByKey {
-		if _, ok := leftByKey[k]; !ok {
-			keys = append(keys, k)
+		for j < len(right) && right[j].Key == k {
+			j++
 		}
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		ops += int64(len(leftByKey[k]) + len(rightByKey[k]) + 1)
-		n.coGroupFn(k, leftByKey[k], rightByKey[k], c)
+		ops += int64(i - li + j - rj + 1)
+		fn(k, left[li:i:i], right[rj:j:j], c)
 	}
 	return ops
 }
 
 // groupApply sorts a partition by key and applies fn per group,
-// returning the op count.
+// returning the op count. The sort returns a copy: DAG inputs are
+// shared by several consumers.
 func groupApply(part Dataset, fn func(key int64, group []Record)) int64 {
-	if len(part) == 0 {
-		return 0
-	}
-	// Copy before sorting: DAG inputs are shared by several consumers.
-	sorted := append(Dataset(nil), part...)
-	slices.SortStableFunc(sorted, func(a, b Record) int { return cmp.Compare(a.Key, b.Key) })
+	sorted := partition.SortByKey(part, recKey)
 	var ops int64
 	for i := 0; i < len(sorted); {
 		j := i
@@ -612,56 +537,11 @@ func groupApply(part Dataset, fn func(key int64, group []Record)) int64 {
 	return ops
 }
 
-// split buckets records by the engine's key router (key hash without
-// an explicit partitioning, shard ownership with one).
-func (e *Engine) split(d Dataset) []Dataset {
-	return partition.SplitByOwner(d, e.par, func(r Record) int { return e.keyOwner(r.Key) })
-}
+func recKey(r Record) int64 { return r.Key }
 
-func flatten(parts []Dataset) Dataset {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make(Dataset, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-func parallelParts(n int, fn func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// split buckets the records of every part, in order, by the engine's
+// key router (key hash without an explicit partitioning, shard
+// ownership with one).
+func (e *Engine) split(parts ...Dataset) []Dataset {
+	return partition.SplitByOwner(e.par, func(r Record) int { return e.keyOwner(r.Key) }, parts...)
 }

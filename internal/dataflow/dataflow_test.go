@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -54,13 +56,21 @@ func TestMapReducePipeline(t *testing.T) {
 	}
 }
 
-func TestMatchJoin(t *testing.T) {
+// innerJoin is the equi-join a CoGroup expresses: one output per
+// left/right pair sharing a key, the sum of their values.
+func innerJoin(key int64, left, right []Record, out *Collector) {
+	for _, l := range left {
+		for _, r := range right {
+			out.Collect(key, i64(int64(l.Value.(i64))+int64(r.Value.(i64))))
+		}
+	}
+}
+
+func TestCoGroupJoin(t *testing.T) {
 	p := NewPlan("join")
 	left := p.Source("l", Dataset{{1, i64(10)}, {2, i64(20)}, {3, i64(30)}}, 0)
 	right := p.Source("r", Dataset{{2, i64(200)}, {3, i64(300)}, {4, i64(400)}}, 0)
-	j := p.Match("sum", left, right, func(key int64, l, r Record, out *Collector) {
-		out.Collect(key, i64(int64(l.Value.(i64))+int64(r.Value.(i64))))
-	}, SameKey)
+	j := p.CoGroup("sum", left, right, innerJoin, SameKey)
 	p.Sink(j, false)
 
 	outs, err := New(hw()).Execute(p)
@@ -98,21 +108,52 @@ func TestCoGroup(t *testing.T) {
 	}
 }
 
-func TestCross(t *testing.T) {
-	p := NewPlan("cross")
-	left := p.Source("l", Dataset{{1, i64(1)}, {2, i64(2)}}, 0)
-	right := p.Source("r", Dataset{{7, i64(3)}, {8, i64(4)}}, 0)
-	c := p.Cross("pairs", left, right, func(l, r Record, out *Collector) {
-		out.Collect(l.Key, i64(int64(l.Value.(i64))*int64(r.Value.(i64))))
-	})
-	p.Sink(c, false)
-
-	outs, err := New(hw()).Execute(p)
+// TestCoGroupSidesKeepPartitionOrder pins the stable sort under
+// CoGroup: within one key, each side's group lists its records in the
+// order its partition holds them — here source order, tagged by value —
+// both straight from a source and after a repartitioning map.
+func TestCoGroupSidesKeepPartitionOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var left, right Dataset
+	for i := 0; i < 5000; i++ {
+		left = append(left, Record{Key: int64(rng.Intn(300)), Value: i64(i)})
+		right = append(right, Record{Key: int64(rng.Intn(300)) - 150, Value: i64(i)})
+	}
+	p := NewPlan("order")
+	l := p.Source("l", left, 0)
+	// Negating the key twice leaves it unchanged but drops the key
+	// partitioning, so the right side crosses a network channel.
+	r := p.Map("neg", p.Map("neg", p.Source("r", right, 0), func(in Record, out *Collector) {
+		out.Collect(-in.Key, in.Value)
+	}, None), func(in Record, out *Collector) {
+		out.Collect(-in.Key, in.Value)
+	}, None)
+	var bad atomic.Int64
+	ascending := func(group []Record) {
+		for i := 1; i < len(group); i++ {
+			if group[i].Value.(i64) <= group[i-1].Value.(i64) {
+				bad.Add(1)
+			}
+		}
+	}
+	p.Sink(p.CoGroup("check", l, r, func(key int64, left, right []Record, out *Collector) {
+		ascending(left)
+		ascending(right)
+		out.Collect(key, i64(len(left)+len(right)))
+	}, SameKey), false)
+	outs, err := New(cluster.DAS4(3, 1)).Execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs[0]) != 4 {
-		t.Fatalf("cross produced %d records, want 4", len(outs[0]))
+	var total int64
+	for _, rec := range outs[0] {
+		total += int64(rec.Value.(i64))
+	}
+	if total != 10000 {
+		t.Fatalf("cogroup saw %d records, want 10000", total)
+	}
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d records out of partition order within their group", n)
 	}
 }
 

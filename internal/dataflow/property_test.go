@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -18,7 +19,7 @@ func TestQuickPartitionFlattenConserves(t *testing.T) {
 		for i := 0; i < n; i++ {
 			d = append(d, Record{Key: int64(rng.Intn(100)), Value: i64(1)})
 		}
-		parts := partition.SplitByOwner(d, p, func(r Record) int { return int(uint64(r.Key) % uint64(p)) })
+		parts := partition.SplitByOwner(p, func(r Record) int { return int(uint64(r.Key) % uint64(p)) }, d)
 		if len(parts) != p {
 			return false
 		}
@@ -32,14 +33,14 @@ func TestQuickPartitionFlattenConserves(t *testing.T) {
 				}
 			}
 		}
-		return total == n && len(flatten(parts)) == n
+		return total == n && len(slices.Concat(parts...)) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestQuickMatchEqualsNestedLoopJoin(t *testing.T) {
+func TestQuickCoGroupJoinEqualsNestedLoopJoin(t *testing.T) {
 	f := func(seed int64, rawL, rawR uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var left, right Dataset
@@ -63,9 +64,7 @@ func TestQuickMatchEqualsNestedLoopJoin(t *testing.T) {
 		p := NewPlan("join")
 		lsrc := p.Source("l", left, 0)
 		rsrc := p.Source("r", right, 0)
-		j := p.Match("j", lsrc, rsrc, func(key int64, l, r Record, out *Collector) {
-			out.Collect(key, i64(int64(l.Value.(i64))+int64(r.Value.(i64))))
-		}, None)
+		j := p.CoGroup("j", lsrc, rsrc, innerJoin, None)
 		p.Sink(j, false)
 		outs, err := New(cluster.DAS4(3, 1)).Execute(p)
 		if err != nil {

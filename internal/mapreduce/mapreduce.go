@@ -11,9 +11,7 @@
 package mapreduce
 
 import (
-	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -267,7 +265,7 @@ func (e *Engine) Run(cfg JobConfig, input Dataset, inputBytes int64) (Dataset, *
 	var splits []Dataset
 	var splitShard []int
 	if part != nil && nMaps == part.Shards {
-		for s, b := range partition.SplitByOwner(input, nMaps, func(kv KV) int { return part.OwnerOf(kv.Key) }) {
+		for s, b := range partition.SplitByOwner(nMaps, func(kv KV) int { return part.OwnerOf(kv.Key) }, input) {
 			if len(b) > 0 {
 				splits = append(splits, b)
 				splitShard = append(splitShard, s)
@@ -278,15 +276,22 @@ func (e *Engine) Run(cfg JobConfig, input Dataset, inputBytes int64) (Dataset, *
 	}
 	nMapTasks := len(splits)
 	partitions := make([][][]KV, nMapTasks) // [map][reduce][]KV
+	// bundleBytes[m][r] is the serialised size of partitions[m][r],
+	// taken once when the bundle is split: the shuffle, network and
+	// refetch accounts all sum bundles.
+	bundleBytes := make([][]int64, nMapTasks)
 	var mapOps, maxMapOps int64
 	var mu sync.Mutex
 
 	mapSpan := tr.Begin("map", obs.KindPhase, -1, jobSpan)
-	parallelFor(nMapTasks, func(m int) {
+	partition.ParallelFor(nMapTasks, func(m int) {
 		var em *Emitter
+		var buf *[]KV
 		var ops int64
 		for attempt := 0; ; attempt++ {
-			em = &Emitter{counters: stats.Counters}
+			// A failed attempt drops its emitter, buffer included.
+			buf = emitBuffers.Get().(*[]KV)
+			em = &Emitter{records: *buf, counters: stats.Counters}
 			var scratch *Counters
 			if inj != nil {
 				scratch = NewCounters()
@@ -328,27 +333,38 @@ func (e *Engine) Run(cfg JobConfig, input Dataset, inputBytes int64) (Dataset, *
 			break
 		}
 		// Partition map output by the key's owner (key hash without an
-		// explicit partitioning).
-		parts := partition.SplitByOwner(em.records, nReds, func(kv KV) int { return keyOwner(kv.Key) })
+		// explicit partitioning). The bundles are copies, so the map
+		// output buffer goes back to the pool, cleared so that no stale
+		// Value pins garbage.
+		parts := partition.SplitByOwner(nReds, func(kv KV) int { return keyOwner(kv.Key) }, em.records)
+		outRecs, outBytes := int64(len(em.records)), em.bytes
+		clear(em.records)
+		*buf = em.records[:0]
+		emitBuffers.Put(buf)
+
+		sizes := make([]int64, nReds)
 		var combineOut int64
-		if cfg.Combiner != nil {
-			for p := range parts {
-				parts[p] = runGroupFold(cfg.Combiner, parts[p], stats.Counters)
-				combineOut += int64(len(parts[p]))
-				ops += int64(len(parts[p]))
+		for p := range parts {
+			if cfg.Combiner == nil {
+				sizes[p] = Dataset(parts[p]).Bytes()
+				continue
 			}
+			parts[p], sizes[p] = runGroupFold(cfg.Combiner, parts[p], stats.Counters)
+			combineOut += int64(len(parts[p]))
+			ops += int64(len(parts[p]))
 		}
 		partitions[m] = parts
+		bundleBytes[m] = sizes
 
 		var spill int64
-		if em.bytes > sortBuffer {
-			spill = em.bytes - sortBuffer
+		if outBytes > sortBuffer {
+			spill = outBytes - sortBuffer
 		}
 
 		mu.Lock()
 		stats.MapInputRecords += int64(len(splits[m]))
-		stats.MapOutputRecs += int64(len(em.records))
-		stats.MapOutputBytes += em.bytes
+		stats.MapOutputRecs += outRecs
+		stats.MapOutputBytes += outBytes
 		stats.CombineOutputRecs += combineOut
 		stats.SpillBytes += spill
 		mapOps += ops
@@ -374,19 +390,19 @@ func (e *Engine) Run(cfg JobConfig, input Dataset, inputBytes int64) (Dataset, *
 	shuffleSpan := tr.Begin("sort-shuffle", obs.KindPhase, -1, jobSpan)
 	var shuffleBytes int64
 	reduceInput := make([][]KV, nReds)
+	reduceBytes := make([]int64, nReds)
 	for r := 0; r < nReds; r++ {
 		total := 0
 		for m := 0; m < nMapTasks; m++ {
 			total += len(partitions[m][r])
+			reduceBytes[r] += bundleBytes[m][r]
 		}
 		buf := make([]KV, 0, total)
 		for m := 0; m < nMapTasks; m++ {
 			buf = append(buf, partitions[m][r]...)
 		}
 		reduceInput[r] = buf
-		for _, kv := range buf {
-			shuffleBytes += 10 + kv.Value.Size()
-		}
+		shuffleBytes += reduceBytes[r]
 	}
 	stats.ShuffleBytes = shuffleBytes
 	remote := shuffleBytes
@@ -399,11 +415,8 @@ func (e *Engine) Run(cfg JobConfig, input Dataset, inputBytes int64) (Dataset, *
 		for m := 0; m < nMapTasks; m++ {
 			mNode := splitShard[m] % e.HW.Nodes
 			for r := 0; r < nReds; r++ {
-				if r%e.HW.Nodes == mNode {
-					continue
-				}
-				for _, kv := range partitions[m][r] {
-					remote += 10 + kv.Value.Size()
+				if r%e.HW.Nodes != mNode {
+					remote += bundleBytes[m][r]
 				}
 			}
 		}
@@ -427,9 +440,7 @@ func (e *Engine) Run(cfg JobConfig, input Dataset, inputBytes int64) (Dataset, *
 	if inj != nil {
 		for r := 0; r < nReds; r++ {
 			if inj.DropAt(fault.Site{Engine: "mapreduce", Op: "shuffle", Step: jobStep, Task: r}) {
-				for _, kv := range reduceInput[r] {
-					refetchBytes += 10 + kv.Value.Size()
-				}
+				refetchBytes += reduceBytes[r]
 			}
 		}
 		reg.Counter("shuffle.refetch").Add(refetchBytes)
@@ -441,11 +452,11 @@ func (e *Engine) Run(cfg JobConfig, input Dataset, inputBytes int64) (Dataset, *
 	reduceSpan := tr.Begin("reduce", obs.KindPhase, -1, jobSpan)
 	outputs := make([]Dataset, nReds)
 	var redOps, maxRedOps int64
-	parallelFor(nReds, func(r int) {
+	partition.ParallelFor(nReds, func(r int) {
 		var em *Emitter
 		var ops, groups int64
-		part := reduceInput[r]
-		slices.SortStableFunc(part, func(a, b KV) int { return cmp.Compare(a.Key, b.Key) })
+		part := partition.SortByKey(reduceInput[r], byKey)
+		reduceInput[r] = nil // the sorted copy replaces it
 		for attempt := 0; ; attempt++ {
 			em = &Emitter{counters: stats.Counters}
 			var scratch *Counters
@@ -504,6 +515,7 @@ func (e *Engine) Run(cfg JobConfig, input Dataset, inputBytes int64) (Dataset, *
 		mu.Lock()
 		stats.ReduceInputGroups += groups
 		stats.ReduceOutput += int64(len(em.records))
+		stats.OutputBytes += em.bytes
 		redOps += ops
 		if ops > maxRedOps {
 			maxRedOps = ops
@@ -519,11 +531,7 @@ func (e *Engine) Run(cfg JobConfig, input Dataset, inputBytes int64) (Dataset, *
 	reg.Counter("mapreduce.reduce_output_records").Add(stats.ReduceOutput)
 
 	matSpan := tr.Begin("materialise", obs.KindPhase, -1, jobSpan)
-	var out Dataset
-	for _, o := range outputs {
-		out = append(out, o...)
-	}
-	stats.OutputBytes = out.Bytes()
+	out := slices.Concat(outputs...)
 	tr.End(matSpan)
 	reg.Counter("mapreduce.output_bytes").Add(stats.OutputBytes)
 	reg.Counter("mapreduce.jobs").Add(1)
@@ -605,12 +613,13 @@ func scaleSkew(maxTask, total int64, tasks, workers int) int64 {
 }
 
 // runGroupFold sorts records by key, groups, and applies the reducer —
-// the combiner path.
-func runGroupFold(r Reducer, records []KV, c *Counters) []KV {
+// the combiner path. It returns the reducer's output and its
+// serialised size.
+func runGroupFold(r Reducer, records []KV, c *Counters) ([]KV, int64) {
 	if len(records) == 0 {
-		return records
+		return records, 0
 	}
-	slices.SortStableFunc(records, func(a, b KV) int { return cmp.Compare(a.Key, b.Key) })
+	records = partition.SortByKey(records, byKey)
 	em := &Emitter{counters: c}
 	var vals []Value // reused across groups; reducers must not retain it
 	for i := 0; i < len(records); {
@@ -623,35 +632,13 @@ func runGroupFold(r Reducer, records []KV, c *Counters) []KV {
 		r.Reduce(records[i].Key, vals, em)
 		i = j
 	}
-	return em.records
+	return em.records, em.bytes
 }
 
-// parallelFor runs fn(0..n-1) on up to GOMAXPROCS goroutines.
-func parallelFor(n int, fn func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
+func byKey(kv KV) int64 { return kv.Key }
+
+// emitBuffers recycles map tasks' output buffers: a map task's records
+// are dead once they are split into per-reducer bundles, so the next
+// task (of this job or the next) reuses the grown capacity instead of
+// regrowing it by append.
+var emitBuffers = sync.Pool{New: func() any { return new([]KV) }}

@@ -98,10 +98,3 @@ func FuzzPartition(f *testing.F) {
 		}
 	})
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -21,6 +21,7 @@ package partition
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"repro/internal/graph"
@@ -351,7 +352,7 @@ func (p *Partitioning) ComputeStats(g *graph.Graph) Stats {
 	return st
 }
 
-// ---- record splitting (shared by mapreduce and dataflow) -----------
+// ---- record splitting and sorting (shared by mapreduce and dataflow) -
 
 // SplitContiguous splits items into at most parts contiguous chunks of
 // near-equal record count — the range strategy over a record stream.
@@ -373,25 +374,141 @@ func SplitContiguous[S ~[]T, T any](items S, parts int) []S {
 	return splits
 }
 
-// SplitByOwner buckets items by owner(item) into exactly shards
-// buckets (empty buckets included — bucket index is the shard ID). Two
-// passes share one exactly-sized backing array instead of growing
-// shards slices by repeated append.
-func SplitByOwner[S ~[]T, T any](items S, shards int, owner func(T) int) []S {
+// SplitByOwner buckets the items of every slice given, in order, by
+// owner(item) into exactly shards buckets (empty buckets included —
+// bucket index is the shard ID), so a bucket keeps its items' input
+// order. Two passes share one exactly-sized backing array instead of
+// growing shards slices by repeated append, and several inputs are
+// bucketed without first being concatenated.
+func SplitByOwner[S ~[]T, T any](shards int, owner func(T) int, items ...S) []S {
 	counts := make([]int, shards)
-	for _, it := range items {
-		counts[owner(it)]++
+	total := 0
+	for _, in := range items {
+		for _, it := range in {
+			counts[owner(it)]++
+		}
+		total += len(in)
 	}
-	backing := make(S, 0, len(items))
+	backing := make(S, 0, total)
 	parts := make([]S, shards)
 	off := 0
 	for s := 0; s < shards; s++ {
 		parts[s] = backing[off : off : off+counts[s]]
 		off += counts[s]
 	}
-	for _, it := range items {
-		s := owner(it)
-		parts[s] = append(parts[s], it)
+	for _, in := range items {
+		for _, it := range in {
+			s := owner(it)
+			parts[s] = append(parts[s], it)
+		}
 	}
 	return parts
+}
+
+// SortByKey returns a new slice holding items stably ordered by
+// key(item): equal keys keep their input order. items is not modified.
+//
+// It is an LSD radix sort over pointer-free words. Each word packs an
+// item's key offset (key − min key) above the item's input index, so
+// the passes move 8-byte words — never the items, whose pointers would
+// each take a GC write barrier — and equal keys stay in index order,
+// which is what makes the sort stable. Only as many 8-bit passes run as
+// the key span needs; one gather then builds the result. When the key
+// offset and the index do not fit one word together (their bit lengths
+// sum past 64: a span near 2⁶⁴, or n and the span both past about
+// 2³²), the offset is sorted in chunks that do, low chunk first: each
+// chunk re-packs the order the previous one left and radix-sorts it
+// the same way.
+func SortByKey[S ~[]T, T any](items S, key func(T) int64) S {
+	n := len(items)
+	if n == 0 {
+		return items[:0:0]
+	}
+	lo, hi := key(items[0]), key(items[0])
+	for _, it := range items[1:] {
+		k := key(it)
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	span := uint64(hi) - uint64(lo) // hi − lo, exact for every int64 pair
+	keyBits := uint(bits.Len64(span))
+	idxBits := uint(bits.Len64(uint64(n - 1)))
+	idxMask := uint64(1)<<idxBits - 1
+	chunkBits := 64 - idxBits // ≥ 1: n−1 < 2⁶³
+
+	sc := radixScratch.Get().(*[2][]uint64)
+	if cap(sc[0]) < n {
+		sc[0], sc[1] = make([]uint64, n), make([]uint64, n)
+	}
+	words, spare := sc[0][:n], sc[1][:n]
+	for i := range words {
+		words[i] = uint64(i)
+	}
+	for shift := uint(0); shift < keyBits; shift += chunkBits {
+		width := min(chunkBits, keyBits-shift)
+		mask := uint64(1)<<width - 1
+		for i, w := range words {
+			j := w & idxMask
+			off := (uint64(key(items[j])) - uint64(lo)) >> shift & mask
+			words[i] = off<<idxBits | j
+		}
+		for d := uint(0); d < width; d += 8 {
+			radixPass(words, spare, idxBits+d)
+			words, spare = spare, words
+		}
+	}
+	out := make(S, n)
+	for i, w := range words {
+		out[i] = items[w&idxMask]
+	}
+	radixScratch.Put(sc)
+	return out
+}
+
+// radixScratch holds SortByKey's two word buffers between calls.
+var radixScratch = sync.Pool{New: func() any { return new([2][]uint64) }}
+
+// radixPass stably counting-sorts src into dst by the byte at shift.
+func radixPass(src, dst []uint64, shift uint) {
+	var count [256]int
+	for _, w := range src {
+		count[byte(w>>shift)]++
+	}
+	sum := 0
+	for d, c := range count {
+		count[d] = sum
+		sum += c
+	}
+	for _, w := range src {
+		d := byte(w >> shift)
+		dst[count[d]] = w
+		count[d]++
+	}
+}
+
+// ParallelFor runs fn(0..n-1) on up to GOMAXPROCS goroutines and
+// returns when every call has.
+func ParallelFor(n int, fn func(int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 }

@@ -300,7 +300,7 @@ func TestSplitContiguous(t *testing.T) {
 
 func TestSplitByOwner(t *testing.T) {
 	items := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	parts := SplitByOwner(items, 4, func(v int64) int { return int(v) % 4 })
+	parts := SplitByOwner(4, func(v int64) int { return int(v) % 4 }, items)
 	if len(parts) != 4 {
 		t.Fatalf("len = %d", len(parts))
 	}
@@ -315,5 +315,10 @@ func TestSplitByOwner(t *testing.T) {
 	}
 	if total != len(items) {
 		t.Fatalf("total = %d", total)
+	}
+	// Several inputs bucket as their concatenation would, in order.
+	parts = SplitByOwner(4, func(v int64) int { return int(v) % 4 }, items[6:], items[:6])
+	if want := []int64{8, 0, 4}; !reflect.DeepEqual(parts[0], want) {
+		t.Fatalf("bucket 0 of two inputs = %v, want %v", parts[0], want)
 	}
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Repo-wide verification: vet, build, full tests, one pass of every
 # ablation benchmark, and a race-detector pass over the four engines'
-# reused-buffer hot paths and the algorithm programs that share the
+# reused-buffer hot paths, the partition helpers (key sort, splitters)
+# the generic engines share, and the algorithm programs that share the
 # pooled STATS kernel.
 #
 #   --chaos      additionally run one short seeded chaos smoke per engine
@@ -85,7 +86,7 @@ go test -run '^$' -bench Ablation -benchtime 1x .
 echo "== benchmark module (vet + test)"
 (cd benchmark && go vet ./... && go test ./...)
 
-echo "== go test -race -short (engines + algorithm programs + ingest + obs)"
+echo "== go test -race -short (engines + algorithm programs + partition + ingest + obs)"
 go test -race -short \
     ./internal/pregel/... \
     ./internal/gas/... \
@@ -96,6 +97,7 @@ go test -race -short \
     ./internal/mralgo/... \
     ./internal/pactalgo/... \
     ./internal/dbalgo/... \
+    ./internal/partition/... \
     ./internal/graph/... \
     ./internal/obs/...
 
@@ -104,6 +106,9 @@ echo "== shared STATS/CD kernels (-race; allocation pins without it)"
 # detector changes allocation: the pins skip themselves under -race.
 go test -race -run 'LinkCounter|ChooseLabel|LCC' ./internal/algo/
 go test -run '^(TestLinkCounterAllocatesNothing|TestChooseLabelAllocatesNothing)$' ./internal/algo/
+
+echo "== pooled map output buffer (pins without -race)"
+go test -run '^(TestMapEmitBufferReused|TestPooledEmitBufferHoldsNoValues)$' ./internal/mapreduce/
 
 echo "== fuzz seed smoke (graph text reader + partitioners + delta log + batch certificate)"
 # Run every checked-in fuzz seed (plus any locally grown corpus)
