@@ -11,6 +11,13 @@
 //     the horizontal-scalability bottleneck the paper found — with the
 //     multi-part "GraphLab(mp)" loader as the fix (Section 4.3.1);
 //   - dynamic computation: only signalled vertices run each iteration.
+//
+// The engine is generic over the vertex value V and the gather
+// accumulator A: values live in a typed []V, and each worker folds a
+// vertex's gathers into one A it keeps across vertices, iterations and
+// failed attempts, so nothing is boxed per edge or per vertex. The
+// modelled wire sizes come from the program (ValueSize, AccumSize),
+// not from the Go values.
 package gas
 
 import (
@@ -25,38 +32,37 @@ import (
 	"repro/internal/partition"
 )
 
-// Value is a vertex state value.
-type Value interface {
-	Size() int64
-}
-
-// Accum is a gather accumulator.
-type Accum interface {
-	Size() int64
-}
-
-// Program is a GAS vertex program. Methods must be safe for concurrent
-// invocation on different vertices.
-type Program interface {
-	// Gather is called for every in-edge (src -> v) of an active vertex
-	// v, and returns the edge's contribution (nil contributes nothing).
-	Gather(src, v graph.VertexID, srcVal, vVal Value) Accum
-	// Sum merges two gather contributions.
-	Sum(a, b Accum) Accum
-	// Apply computes v's new value from the merged accumulator (which
-	// is nil if no edge contributed).
-	Apply(v graph.VertexID, old Value, acc Accum) Value
+// Program is a GAS vertex program over vertex values V and a gather
+// accumulator A. Methods must be safe for concurrent invocation on
+// different vertices.
+type Program[V, A any] interface {
+	// Gather folds the in-edge (src -> v) of an active vertex v into
+	// *acc and reports whether the edge contributed (false leaves *acc
+	// untouched). has reports whether *acc already holds a
+	// contribution for v; when it is false, *acc still holds whatever
+	// the worker's previous vertex (or a failed attempt) left there, so
+	// the program must overwrite it instead of merging into it. The
+	// engine folds left to right over In (then Out under GatherBoth).
+	Gather(acc *A, has bool, src, v graph.VertexID, srcVal, vVal V) bool
+	// Apply computes v's new value from the folded accumulator; has is
+	// false if no edge contributed, and *acc is then stale.
+	Apply(v graph.VertexID, old V, acc *A, has bool) V
 	// Scatter is called for every out-edge (v -> dst) of v after Apply,
 	// and reports whether dst should be signalled (activated) for the
 	// next iteration.
-	Scatter(v, dst graph.VertexID, newVal Value, dstVal Value) bool
+	Scatter(v, dst graph.VertexID, newVal, dstVal V) bool
+	// ValueSize and AccumSize are the modelled wire sizes of a value
+	// and of a folded accumulator (mirror synchronisation, ghost
+	// fetches, finalize).
+	ValueSize(V) int64
+	AccumSize(*A) int64
 }
 
 // Config configures a run.
-type Config struct {
-	Program       Program
+type Config[V, A any] struct {
+	Program       Program[V, A]
 	MaxIterations int
-	InitialValue  func(v graph.VertexID) Value
+	InitialValue  func(v graph.VertexID) V
 	// InitiallyActive selects the starting active set (nil = all).
 	InitiallyActive func(v graph.VertexID) bool
 	// MultiPartLoading enables the GraphLab(mp) input loader: the input
@@ -77,7 +83,7 @@ type Config struct {
 	// AfterIteration, when non-nil, runs at each iteration's global
 	// barrier with the fresh values (GraphLab's termination
 	// aggregation); returning true stops the engine.
-	AfterIteration func(iter int, values []Value) (stop bool)
+	AfterIteration func(iter int, values []V) (stop bool)
 }
 
 // Stats summarises measured behaviour.
@@ -92,22 +98,23 @@ type Stats struct {
 }
 
 // Result is the outcome of a run.
-type Result struct {
-	Values []Value
+type Result[V any] struct {
+	Values []V
 	Stats  Stats
 }
 
 // Run executes cfg over g on the simulated hardware, appending phases
 // to profile (which may be nil).
-func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.ExecutionProfile) (*Result, error) {
+func Run[V, A any](g *graph.Graph, hw cluster.Hardware, cfg Config[V, A], profile *cluster.ExecutionProfile) (*Result[V], error) {
 	if cfg.Program == nil {
 		return nil, fmt.Errorf("gas: Config.Program is required")
 	}
 	if err := hw.Validate(); err != nil {
 		return nil, err
 	}
+	prog := cfg.Program
 	n := g.NumVertices()
-	values := make([]Value, n)
+	values := make([]V, n)
 	if cfg.InitialValue != nil {
 		for v := 0; v < n; v++ {
 			values[v] = cfg.InitialValue(graph.VertexID(v))
@@ -201,23 +208,17 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 
 	st := Stats{ReplicationFactor: replFactor}
 	iter := 0
-	valSize := func(v Value) int64 {
-		if v == nil {
-			return 0
-		}
-		return v.Size()
-	}
 
 	// Double-buffered per-run state, allocated once and reused every
 	// iteration: the next active set, the new value array, the global
 	// per-machine op counters, and per-worker scratch (op counters,
-	// signalled list, bothNeighbors buffer).
+	// signalled list, bothNeighbors buffer, gather accumulator).
 	nextActive := graph.NewBitset(n)
-	newValues := make([]Value, n)
+	newValues := make([]V, n)
 	partOps := make([]int64, shards)
 	nodeOps := make([]int64, hw.Nodes)
 	nWorkers := maxChunks(n)
-	scratch := make([]workerScratch, nWorkers)
+	scratch := make([]workerScratch[A], nWorkers)
 	for w := range scratch {
 		scratch[w].partOps = make([]int64, shards)
 	}
@@ -256,8 +257,9 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 				active.Range(lo, hi, func(v graph.VertexID) {
 					vo := owner[v]
 					// Gather over in-edges (plus out-edges under GatherBoth
-					// on directed graphs).
-					var acc Accum
+					// on directed graphs), folded into the worker's
+					// accumulator: has is false until an edge contributes.
+					acc, has := &sc.acc, false
 					gatherFrom := g.In(v)
 					if cfg.GatherBoth && g.Directed() {
 						sc.both = bothNeighborsInto(g, v, sc.both[:0])
@@ -267,34 +269,27 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 						if !vertexCut && owner[u] != vo {
 							// Edge-cut: reading a remote neighbour's value
 							// fetches its ghost copy over the network.
-							lnet += valSize(values[u]) + 8
+							lnet += prog.ValueSize(values[u]) + 8
 						}
-						a := cfg.Program.Gather(u, v, values[u], values[v])
+						if prog.Gather(acc, has, u, v, values[u], values[v]) {
+							has = true
+						}
 						lg++
 						lops++
-						if a == nil {
-							continue
-						}
-						if acc == nil {
-							acc = a
-						} else {
-							acc = cfg.Program.Sum(acc, a)
-						}
 					}
 					// Apply.
-					nv := cfg.Program.Apply(v, values[v], acc)
+					nv := prog.Apply(v, values[v], acc, has)
 					newValues[v] = nv
 					la++
 					lops++
+					// Mirror synchronisation: the master ships the new
+					// value to every mirror (gather results came the other
+					// way — count both directions).
 					if vertexCut {
-						// Mirror synchronisation: the master ships the new
-						// value to every mirror (gather results came the
-						// other way — count both directions).
-						r := int64(replicas[v]) - 1
-						if r > 0 {
-							sz := valSize(nv) + 8
-							if acc != nil {
-								sz += acc.Size()
+						if r := int64(replicas[v]) - 1; r > 0 {
+							sz := prog.ValueSize(nv) + 8
+							if has {
+								sz += prog.AccumSize(acc)
 							}
 							lnet += r * sz
 						}
@@ -309,7 +304,7 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 					for _, dst := range scatterTo {
 						ls++
 						lops++
-						if cfg.Program.Scatter(v, dst, nv, values[dst]) {
+						if prog.Scatter(v, dst, nv, values[dst]) {
 							signalled = append(signalled, dst)
 							if !vertexCut && owner[dst] != vo {
 								// Edge-cut: signalling a remote owner is a
@@ -423,7 +418,7 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 	const perReplicaOverhead = 64
 	var valBytes int64
 	for _, v := range values {
-		valBytes += valSize(v)
+		valBytes += prog.ValueSize(v)
 	}
 	replicaBytes := int64(float64(valBytes+int64(n)*perReplicaOverhead) * replFactor)
 	st.PeakMemPerNode = (g.MemoryFootprint() + replicaBytes) / int64(hw.Nodes)
@@ -440,14 +435,17 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 			profile.PeakMemPerNode = st.PeakMemPerNode
 		}
 	}
-	return &Result{Values: values, Stats: st}, nil
+	return &Result[V]{Values: values, Stats: st}, nil
 }
 
-// workerScratch is per-worker reusable iteration state.
-type workerScratch struct {
+// workerScratch is per-worker reusable iteration state. acc outlives
+// the vertex that filled it, and a failed attempt: the next vertex's
+// first contributing Gather overwrites it (has == false).
+type workerScratch[A any] struct {
 	partOps   []int64
 	signalled []graph.VertexID
 	both      []graph.VertexID
+	acc       A
 }
 
 // bothNeighborsInto appends out+in adjacency of a directed vertex to

@@ -7,35 +7,27 @@ import (
 	"repro/internal/graph"
 )
 
-type i64 int64
-
-func (i64) Size() int64 { return 8 }
-
 // minLabel is a CONN-style GAS program: every vertex adopts the
 // minimum label among itself and its in-neighbours.
 type minLabel struct{}
 
-func (minLabel) Gather(src, v graph.VertexID, srcVal, vVal Value) Accum {
-	return srcVal.(i64)
-}
-func (minLabel) Sum(a, b Accum) Accum {
-	if a.(i64) < b.(i64) {
-		return a
+func (minLabel) Gather(acc *int64, has bool, src, v graph.VertexID, srcVal, vVal int64) bool {
+	if !has || srcVal < *acc {
+		*acc = srcVal
 	}
-	return b
+	return true
 }
-func (minLabel) Apply(v graph.VertexID, old Value, acc Accum) Value {
-	if acc == nil {
-		return old
-	}
-	if m := acc.(i64); m < old.(i64) {
-		return m
+func (minLabel) Apply(v graph.VertexID, old int64, acc *int64, has bool) int64 {
+	if has && *acc < old {
+		return *acc
 	}
 	return old
 }
-func (minLabel) Scatter(v, dst graph.VertexID, newVal, dstVal Value) bool {
-	return newVal.(i64) < dstVal.(i64)
+func (minLabel) Scatter(v, dst graph.VertexID, newVal, dstVal int64) bool {
+	return newVal < dstVal
 }
+func (minLabel) ValueSize(int64) int64  { return 8 }
+func (minLabel) AccumSize(*int64) int64 { return 8 }
 
 func ringGraph(n int) *graph.Graph {
 	b := graph.NewBuilder(n, false)
@@ -45,10 +37,10 @@ func ringGraph(n int) *graph.Graph {
 	return b.Build()
 }
 
-func minLabelConfig() Config {
-	return Config{
+func minLabelConfig() Config[int64, int64] {
+	return Config[int64, int64]{
 		Program:      minLabel{},
-		InitialValue: func(v graph.VertexID) Value { return i64(int64(v)) },
+		InitialValue: func(v graph.VertexID) int64 { return int64(v) },
 	}
 }
 
@@ -59,7 +51,7 @@ func TestMinLabelConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v, val := range res.Values {
-		if int64(val.(i64)) != 0 {
+		if val != 0 {
 			t.Fatalf("vertex %d label = %v, want 0", v, val)
 		}
 	}
@@ -183,7 +175,7 @@ func TestProfileShape(t *testing.T) {
 }
 
 func TestMissingProgram(t *testing.T) {
-	if _, err := Run(ringGraph(4), cluster.DAS4(1, 1), Config{}, nil); err == nil {
+	if _, err := Run(ringGraph(4), cluster.DAS4(1, 1), Config[int64, int64]{}, nil); err == nil {
 		t.Fatal("want error")
 	}
 }
@@ -199,14 +191,14 @@ func TestInitiallyActiveSubset(t *testing.T) {
 	// Label 0 can only spread after vertex 0 itself becomes active via
 	// signalling from 5's wave; min-label still converges to 0
 	// eventually because activation propagates.
-	if int64(res.Values[5].(i64)) != 0 {
+	if res.Values[5] != 0 {
 		t.Fatalf("label[5] = %v, want 0", res.Values[5])
 	}
 }
 
 func TestDeterministic(t *testing.T) {
 	g := ringGraph(64)
-	run := func() []Value {
+	run := func() []int64 {
 		res, err := Run(g, cluster.DAS4(5, 1), minLabelConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -215,7 +207,7 @@ func TestDeterministic(t *testing.T) {
 	}
 	a, b := run(), run()
 	for i := range a {
-		if a[i].(i64) != b[i].(i64) {
+		if a[i] != b[i] {
 			t.Fatalf("nondeterministic at %d", i)
 		}
 	}

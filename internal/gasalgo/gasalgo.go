@@ -3,11 +3,17 @@
 // programs exploit GraphLab's dynamic computation (only signalled
 // vertices run) and pay its structural costs: undirected edge doubling
 // and mirror-synchronisation traffic.
+//
+// Each program folds its gathers into a typed accumulator the engine
+// reuses per worker: a minimum for BFS, SSSP and CONN, the worker's
+// vote buffer for CD (sorted in place by algo.ChooseLabel), and for
+// STATS a link count plus the vertex's marked neighbourhood, acquired
+// at its first gathered edge and released by Apply.
 package gasalgo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/algo"
 	"repro/internal/cluster"
@@ -24,74 +30,70 @@ type statsVal struct {
 	LCC  float64
 }
 
-func (v *statsVal) Size() int64 {
-	return int64(len(v.Nbrs)+len(v.Out))*5 + 8
+// statsAccum folds closing-link counts (float: a neighbour reachable in
+// both directions contributes its count half per edge). It carries the
+// vertex's marked neighbourhood from its first gathered edge to Apply,
+// so the neighbourhood is marked once per vertex, not once per edge.
+type statsAccum struct {
+	links float64
+	lc    *algo.LinkCounter
 }
-
-// linksAccum accumulates closing-link counts (float: a neighbour
-// reachable in both directions contributes its count half per edge).
-type linksAccum float64
-
-func (linksAccum) Size() int64 { return 8 }
 
 type statsProgram struct {
 	g *graph.Graph
 }
 
-func (p statsProgram) Gather(src, v graph.VertexID, srcVal, vVal gas.Value) gas.Accum {
-	sv := srcVal.(*statsVal)
-	vv := vVal.(*statsVal)
-	// Gather is per edge, as in PowerGraph: the neighbourhood is marked
-	// and cleared for every gathered edge.
-	lc := algo.AcquireLinkCounter(p.g.NumVertices(), vv.Nbrs)
-	links := float64(lc.Links(sv.Out))
-	lc.Release()
+func (p statsProgram) Gather(acc *statsAccum, has bool, src, v graph.VertexID, srcVal, vVal statsVal) bool {
+	if !has {
+		*acc = statsAccum{lc: algo.AcquireLinkCounter(p.g.NumVertices(), vVal.Nbrs)}
+	}
+	links := float64(acc.lc.Links(srcVal.Out))
 	if p.g.Directed() && contains(p.g.Out(v), src) && contains(p.g.In(v), src) {
 		// src is gathered once per direction; halve so the pair of
 		// calls contributes the neighbour exactly once.
 		links /= 2
 	}
-	return linksAccum(links)
+	acc.links += links
+	return true
 }
 
-func (statsProgram) Sum(a, b gas.Accum) gas.Accum {
-	return linksAccum(float64(a.(linksAccum)) + float64(b.(linksAccum)))
-}
-
-func (statsProgram) Apply(v graph.VertexID, old gas.Value, acc gas.Accum) gas.Value {
-	vv := old.(*statsVal)
+func (statsProgram) Apply(v graph.VertexID, old statsVal, acc *statsAccum, has bool) statsVal {
 	links := 0.0
-	if acc != nil {
-		links = float64(acc.(linksAccum))
+	if has {
+		links = acc.links
+		acc.lc.Release()
+		acc.lc = nil
 	}
-	nv := *vv
-	nv.LCC = algo.LCCOf(int64(links+0.5), len(vv.Nbrs))
-	return &nv
+	old.LCC = algo.LCCOf(int64(links+0.5), len(old.Nbrs))
+	return old
 }
 
-func (statsProgram) Scatter(v, dst graph.VertexID, newVal, dstVal gas.Value) bool {
+func (statsProgram) Scatter(v, dst graph.VertexID, newVal, dstVal statsVal) bool {
 	return false // one round
 }
 
+func (statsProgram) ValueSize(v statsVal) int64  { return int64(len(v.Nbrs)+len(v.Out))*5 + 8 }
+func (statsProgram) AccumSize(*statsAccum) int64 { return 8 }
+
 func contains(sorted []graph.VertexID, x graph.VertexID) bool {
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= x })
-	return i < len(sorted) && sorted[i] == x
+	_, ok := slices.BinarySearch(sorted, x)
+	return ok
 }
 
 // Stats runs STATS as a one-round GAS program.
 func Stats(g *graph.Graph, hw cluster.Hardware, inputBytes int64, mp bool, profile *cluster.ExecutionProfile) (algo.StatsResult, *gas.Stats, error) {
-	cfg := gas.Config{
+	cfg := gas.Config[statsVal, statsAccum]{
 		Program:          statsProgram{g: g},
 		MaxIterations:    1,
 		GatherBoth:       true,
 		MultiPartLoading: mp,
 		InputBytes:       inputBytes,
-		InitialValue: func(v graph.VertexID) gas.Value {
+		InitialValue: func(v graph.VertexID) statsVal {
 			rec := &algo.VertexRec{Out: g.Out(v)}
 			if g.Directed() {
 				rec.In = g.In(v)
 			}
-			return &statsVal{Nbrs: algo.NeighborhoodOf(rec), Out: g.Out(v)}
+			return statsVal{Nbrs: algo.NeighborhoodOf(rec), Out: g.Out(v)}
 		},
 	}
 	res, err := gas.Run(g, hw, cfg, profile)
@@ -113,7 +115,7 @@ func Stats(g *graph.Graph, hw cluster.Hardware, inputBytes int64, mp bool, profi
 	}
 	var lccSum float64
 	for _, v := range res.Values {
-		lccSum += v.(*statsVal).LCC
+		lccSum += v.LCC
 	}
 	out := algo.StatsResult{
 		Vertices: int64(g.NumVertices()),
@@ -132,55 +134,47 @@ type bfsVal struct {
 	Changed bool
 }
 
-func (bfsVal) Size() int64 { return 5 }
-
-type distAccum int32
-
-func (distAccum) Size() int64 { return 5 }
-
+// bfsProgram folds the smallest in-neighbour distance + 1.
 type bfsProgram struct{}
 
-func (bfsProgram) Gather(src, v graph.VertexID, srcVal, vVal gas.Value) gas.Accum {
-	d := srcVal.(bfsVal).Dist
+func (bfsProgram) Gather(acc *int32, has bool, src, v graph.VertexID, srcVal, vVal bfsVal) bool {
+	d := srcVal.Dist
 	if d < 0 {
-		return nil
+		return false
 	}
-	return distAccum(d + 1)
+	if !has || d+1 < *acc {
+		*acc = d + 1
+	}
+	return true
 }
 
-func (bfsProgram) Sum(a, b gas.Accum) gas.Accum {
-	if a.(distAccum) < b.(distAccum) {
-		return a
-	}
-	return b
-}
-
-func (bfsProgram) Apply(v graph.VertexID, old gas.Value, acc gas.Accum) gas.Value {
-	ov := old.(bfsVal)
-	if acc == nil {
+func (bfsProgram) Apply(v graph.VertexID, old bfsVal, acc *int32, has bool) bfsVal {
+	if !has {
 		// Only the source's first activation gathers nothing while
 		// already holding a distance: it must scatter its frontier.
-		return bfsVal{Dist: ov.Dist, Changed: ov.Dist >= 0}
+		return bfsVal{Dist: old.Dist, Changed: old.Dist >= 0}
 	}
-	d := int32(acc.(distAccum))
-	if ov.Dist < 0 || d < ov.Dist {
+	if d := *acc; old.Dist < 0 || d < old.Dist {
 		return bfsVal{Dist: d, Changed: true}
 	}
-	return bfsVal{Dist: ov.Dist, Changed: false}
+	return bfsVal{Dist: old.Dist, Changed: false}
 }
 
-func (bfsProgram) Scatter(v, dst graph.VertexID, newVal, dstVal gas.Value) bool {
-	return newVal.(bfsVal).Changed
+func (bfsProgram) Scatter(v, dst graph.VertexID, newVal, dstVal bfsVal) bool {
+	return newVal.Changed
 }
+
+func (bfsProgram) ValueSize(bfsVal) int64 { return 5 }
+func (bfsProgram) AccumSize(*int32) int64 { return 5 }
 
 // BFS runs breadth-first search from src (out-edges only, as the paper
 // does for directed graphs).
 func BFS(g *graph.Graph, hw cluster.Hardware, src graph.VertexID, inputBytes int64, mp bool, profile *cluster.ExecutionProfile) (algo.BFSResult, *gas.Stats, error) {
-	cfg := gas.Config{
+	cfg := gas.Config[bfsVal, int32]{
 		Program:          bfsProgram{},
 		MultiPartLoading: mp,
 		InputBytes:       inputBytes,
-		InitialValue: func(v graph.VertexID) gas.Value {
+		InitialValue: func(v graph.VertexID) bfsVal {
 			if v == src {
 				return bfsVal{Dist: 0}
 			}
@@ -195,7 +189,7 @@ func BFS(g *graph.Graph, hw cluster.Hardware, src graph.VertexID, inputBytes int
 	out := algo.BFSResult{Levels: make([]int32, g.NumVertices())}
 	maxLevel := int32(0)
 	for v, val := range res.Values {
-		d := val.(bfsVal).Dist
+		d := val.Dist
 		out.Levels[v] = d
 		if d >= 0 {
 			out.Visited++
@@ -215,13 +209,7 @@ type ssspVal struct {
 	Changed bool
 }
 
-func (ssspVal) Size() int64 { return 9 }
-
-type wdistAccum int64
-
-func (wdistAccum) Size() int64 { return 9 }
-
-// ssspProgram relaxes weighted out-arcs: gather takes the minimum of
+// ssspProgram relaxes weighted out-arcs: gather folds the minimum of
 // in-neighbour distance + arc weight, recomputing the weight in O(1)
 // from the endpoints (WeightOf) instead of shipping weight arrays to
 // the mirrors.
@@ -229,38 +217,35 @@ type ssspProgram struct {
 	g *graph.Graph
 }
 
-func (p ssspProgram) Gather(src, v graph.VertexID, srcVal, vVal gas.Value) gas.Accum {
-	d := srcVal.(ssspVal).Dist
+func (p ssspProgram) Gather(acc *int64, has bool, src, v graph.VertexID, srcVal, vVal ssspVal) bool {
+	d := srcVal.Dist
 	if d < 0 {
-		return nil
+		return false
 	}
-	return wdistAccum(d + int64(p.g.WeightOf(src, v)))
+	if d += int64(p.g.WeightOf(src, v)); !has || d < *acc {
+		*acc = d
+	}
+	return true
 }
 
-func (ssspProgram) Sum(a, b gas.Accum) gas.Accum {
-	if a.(wdistAccum) < b.(wdistAccum) {
-		return a
-	}
-	return b
-}
-
-func (ssspProgram) Apply(v graph.VertexID, old gas.Value, acc gas.Accum) gas.Value {
-	ov := old.(ssspVal)
-	if acc == nil {
+func (ssspProgram) Apply(v graph.VertexID, old ssspVal, acc *int64, has bool) ssspVal {
+	if !has {
 		// Only the source's first activation gathers nothing while
 		// already holding a distance: it must scatter its frontier.
-		return ssspVal{Dist: ov.Dist, Changed: ov.Dist >= 0}
+		return ssspVal{Dist: old.Dist, Changed: old.Dist >= 0}
 	}
-	d := int64(acc.(wdistAccum))
-	if ov.Dist < 0 || d < ov.Dist {
+	if d := *acc; old.Dist < 0 || d < old.Dist {
 		return ssspVal{Dist: d, Changed: true}
 	}
-	return ssspVal{Dist: ov.Dist, Changed: false}
+	return ssspVal{Dist: old.Dist, Changed: false}
 }
 
-func (ssspProgram) Scatter(v, dst graph.VertexID, newVal, dstVal gas.Value) bool {
-	return newVal.(ssspVal).Changed
+func (ssspProgram) Scatter(v, dst graph.VertexID, newVal, dstVal ssspVal) bool {
+	return newVal.Changed
 }
+
+func (ssspProgram) ValueSize(ssspVal) int64 { return 9 }
+func (ssspProgram) AccumSize(*int64) int64  { return 9 }
 
 // SSSP runs weighted single-source shortest paths from src. The
 // integer weights make every relaxation order produce byte-identical
@@ -269,11 +254,11 @@ func SSSP(g *graph.Graph, hw cluster.Hardware, src graph.VertexID, inputBytes in
 	if !g.Weighted() {
 		return algo.SSSPResult{}, nil, fmt.Errorf("gasalgo: SSSP requires a weighted graph")
 	}
-	cfg := gas.Config{
+	cfg := gas.Config[ssspVal, int64]{
 		Program:          ssspProgram{g: g},
 		MultiPartLoading: mp,
 		InputBytes:       inputBytes,
-		InitialValue: func(v graph.VertexID) gas.Value {
+		InitialValue: func(v graph.VertexID) ssspVal {
 			if v == src {
 				return ssspVal{Dist: 0}
 			}
@@ -287,7 +272,7 @@ func SSSP(g *graph.Graph, hw cluster.Hardware, src graph.VertexID, inputBytes in
 	}
 	out := algo.SSSPResult{Dist: make([]int64, g.NumVertices())}
 	for v, val := range res.Values {
-		d := val.(ssspVal).Dist
+		d := val.Dist
 		out.Dist[v] = d
 		if d >= 0 {
 			out.Visited++
@@ -304,49 +289,39 @@ type connVal struct {
 	Changed bool
 }
 
-func (connVal) Size() int64 { return 5 }
-
-type labelAccum graph.VertexID
-
-func (labelAccum) Size() int64 { return 5 }
-
+// connProgram folds the smallest neighbour label.
 type connProgram struct{}
 
-func (connProgram) Gather(src, v graph.VertexID, srcVal, vVal gas.Value) gas.Accum {
-	return labelAccum(srcVal.(connVal).Label)
+func (connProgram) Gather(acc *graph.VertexID, has bool, src, v graph.VertexID, srcVal, vVal connVal) bool {
+	if !has || srcVal.Label < *acc {
+		*acc = srcVal.Label
+	}
+	return true
 }
 
-func (connProgram) Sum(a, b gas.Accum) gas.Accum {
-	if a.(labelAccum) < b.(labelAccum) {
-		return a
+func (connProgram) Apply(v graph.VertexID, old connVal, acc *graph.VertexID, has bool) connVal {
+	if has && *acc < old.Label {
+		return connVal{Label: *acc, Changed: true}
 	}
-	return b
+	return connVal{Label: old.Label}
 }
 
-func (connProgram) Apply(v graph.VertexID, old gas.Value, acc gas.Accum) gas.Value {
-	ov := old.(connVal)
-	if acc == nil {
-		return connVal{Label: ov.Label}
-	}
-	if l := graph.VertexID(acc.(labelAccum)); l < ov.Label {
-		return connVal{Label: l, Changed: true}
-	}
-	return connVal{Label: ov.Label}
+func (connProgram) Scatter(v, dst graph.VertexID, newVal, dstVal connVal) bool {
+	return newVal.Changed
 }
 
-func (connProgram) Scatter(v, dst graph.VertexID, newVal, dstVal gas.Value) bool {
-	return newVal.(connVal).Changed
-}
+func (connProgram) ValueSize(connVal) int64         { return 5 }
+func (connProgram) AccumSize(*graph.VertexID) int64 { return 5 }
 
 // Conn runs min-label weakly connected components.
 func Conn(g *graph.Graph, hw cluster.Hardware, inputBytes int64, mp bool, profile *cluster.ExecutionProfile) (algo.ConnResult, *gas.Stats, error) {
-	cfg := gas.Config{
+	cfg := gas.Config[connVal, graph.VertexID]{
 		Program:          connProgram{},
 		GatherBoth:       true,
 		ScatterBoth:      true,
 		MultiPartLoading: mp,
 		InputBytes:       inputBytes,
-		InitialValue: func(v graph.VertexID) gas.Value {
+		InitialValue: func(v graph.VertexID) connVal {
 			return connVal{Label: v}
 		},
 	}
@@ -356,7 +331,7 @@ func Conn(g *graph.Graph, hw cluster.Hardware, inputBytes int64, mp bool, profil
 	}
 	labels := make([]graph.VertexID, g.NumVertices())
 	for v, val := range res.Values {
-		labels[v] = val.(connVal).Label
+		labels[v] = val.Label
 	}
 	return algo.ConnResult{
 		Labels:     labels,
@@ -372,45 +347,38 @@ type cdVal struct {
 	Score float64
 }
 
-func (cdVal) Size() int64 { return 14 }
-
-// votesAccum collects the neighbourhood's (label, score) votes.
-type votesAccum []algo.LabelScore
-
-func (v votesAccum) Size() int64 { return int64(len(v)) * 14 }
-
+// cdProgram collects the neighbourhood's (label, score) votes in the
+// worker's reused vote buffer; Apply sorts it in place to choose.
 type cdProgram struct {
 	attenuation float64
 }
 
-func (cdProgram) Gather(src, v graph.VertexID, srcVal, vVal gas.Value) gas.Accum {
-	sv := srcVal.(cdVal)
-	return votesAccum{{Label: sv.Label, Score: sv.Score}}
-}
-
-func (cdProgram) Sum(a, b gas.Accum) gas.Accum {
-	// In-place append: the engine folds left-to-right and gather
-	// returns fresh slices, so a's backing array is owned here.
-	return append(a.(votesAccum), b.(votesAccum)...)
-}
-
-func (p cdProgram) Apply(v graph.VertexID, old gas.Value, acc gas.Accum) gas.Value {
-	ov := old.(cdVal)
-	if acc == nil {
-		return ov
+func (cdProgram) Gather(acc *[]algo.LabelScore, has bool, src, v graph.VertexID, srcVal, vVal cdVal) bool {
+	if !has {
+		*acc = (*acc)[:0]
 	}
-	votes := append([]algo.LabelScore(nil), acc.(votesAccum)...)
-	if l, s, ok := algo.ChooseLabel(votes, p.attenuation); ok {
+	*acc = append(*acc, algo.LabelScore{Label: srcVal.Label, Score: srcVal.Score})
+	return true
+}
+
+func (p cdProgram) Apply(v graph.VertexID, old cdVal, acc *[]algo.LabelScore, has bool) cdVal {
+	if !has {
+		return old
+	}
+	if l, s, ok := algo.ChooseLabel(*acc, p.attenuation); ok {
 		return cdVal{Label: l, Score: s}
 	}
-	return ov
+	return old
 }
 
-func (cdProgram) Scatter(v, dst graph.VertexID, newVal, dstVal gas.Value) bool {
+func (cdProgram) Scatter(v, dst graph.VertexID, newVal, dstVal cdVal) bool {
 	// Synchronous Leung label propagation recomputes every vertex each
 	// round; convergence is detected globally (AfterIteration).
 	return true
 }
+
+func (cdProgram) ValueSize(cdVal) int64                    { return 14 }
+func (cdProgram) AccumSize(votes *[]algo.LabelScore) int64 { return int64(len(*votes)) * 14 }
 
 // CD runs Leung et al. community detection with GraphLab's global
 // termination check.
@@ -419,23 +387,22 @@ func CD(g *graph.Graph, hw cluster.Hardware, p algo.Params, inputBytes int64, mp
 	for v := range prevLabels {
 		prevLabels[v] = graph.VertexID(v)
 	}
-	cfg := gas.Config{
+	cfg := gas.Config[cdVal, []algo.LabelScore]{
 		Program:          cdProgram{attenuation: p.CDHopAttenuation},
 		MaxIterations:    p.CDMaxIterations,
 		GatherBoth:       true,
 		ScatterBoth:      true,
 		MultiPartLoading: mp,
 		InputBytes:       inputBytes,
-		InitialValue: func(v graph.VertexID) gas.Value {
+		InitialValue: func(v graph.VertexID) cdVal {
 			return cdVal{Label: v, Score: p.CDInitialScore}
 		},
-		AfterIteration: func(iter int, values []gas.Value) bool {
+		AfterIteration: func(iter int, values []cdVal) bool {
 			changed := false
 			for v, val := range values {
-				l := val.(cdVal).Label
-				if l != prevLabels[v] {
+				if val.Label != prevLabels[v] {
 					changed = true
-					prevLabels[v] = l
+					prevLabels[v] = val.Label
 				}
 			}
 			return !changed
@@ -447,7 +414,7 @@ func CD(g *graph.Graph, hw cluster.Hardware, p algo.Params, inputBytes int64, mp
 	}
 	labels := make([]graph.VertexID, g.NumVertices())
 	for v, val := range res.Values {
-		labels[v] = val.(cdVal).Label
+		labels[v] = val.Label
 	}
 	return algo.CDResult{
 		Labels:      labels,

@@ -107,6 +107,12 @@ echo "== shared STATS/CD kernels (-race; allocation pins without it)"
 go test -race -run 'LinkCounter|ChooseLabel|LCC' ./internal/algo/
 go test -run '^(TestLinkCounterAllocatesNothing|TestChooseLabelAllocatesNothing)$' ./internal/algo/
 
+echo "== GAS engine allocation pins (without -race)"
+# Typed values and one reused accumulator per worker: the pins skip
+# themselves under -race.
+go test -run '^TestIterationAllocCeiling$' ./internal/gas/
+go test -run '^TestAllocsIndependentOfEdges$' ./internal/gasalgo/
+
 echo "== pooled map output buffer (pins without -race)"
 go test -run '^(TestMapEmitBufferReused|TestPooledEmitBufferHoldsNoValues)$' ./internal/mapreduce/
 
