@@ -39,8 +39,6 @@
 //	    HTTP graph-serving daemon
 //	stream [-mix 90/10,100/0 -users N -duration D -think T -reads live|mixed] [-chaos]
 //	    closed-loop user fleet against an in-process serving daemon: read/write sweep over an evolving graph, 100/0 is the serving load test
-//	bench <suite> <before|after> [file]
-//	    measure one perf suite (baseline ingest partition gap serve) into its BENCH_*.json and print the summary
 //
 // Flags (before the command) scale the datasets, size the cluster,
 // pick a placement and write traces; `graphbench` without arguments
@@ -52,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/bench"
@@ -61,7 +60,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/monitor"
 	"repro/internal/obs"
-	"repro/internal/perf"
 	"repro/internal/platform"
 )
 
@@ -110,6 +108,7 @@ func commandTable() []command {
 				ds := "DotaLeague"
 				if len(a) > 1 {
 					ds = a[1]
+					checkName("dataset", ds, datagen.Names())
 				}
 				e.emitOrFatal(e.h.RenderFigure(a[0], ds))
 			}},
@@ -130,6 +129,7 @@ func commandTable() []command {
 		{"curves", "<platform> [measured]", "100-point resource curves as CSV", 1, curvesCmd},
 		{"partition-quality", "<dataset>", "static quality of every partitioning strategy", 1,
 			func(e *env, a []string) {
+				checkName("dataset", a[0], datagen.Names())
 				n := e.shards
 				if n <= 0 {
 					n = e.nodes
@@ -147,8 +147,6 @@ func commandTable() []command {
 		{"stream", "[-mix 90/10,100/0 -users N -duration D -think T -reads live|mixed] [-chaos]",
 			"closed-loop user fleet against an in-process serving daemon: read/write sweep over an evolving graph, 100/0 is the serving load test", 0,
 			func(e *env, a []string) { streamCmd(a, e.cache, e.sess) }},
-		{"bench", "<suite> <before|after> [file]",
-			"measure one perf suite (baseline ingest partition gap serve) into its BENCH_*.json and print the summary", 2, benchCmd},
 	}
 }
 
@@ -178,7 +176,6 @@ func main() {
 	flag.IntVar(&e.shards, "shards", 0, "shard count for the placement (0 = node count)")
 	flag.Parse()
 
-	perf.CacheDir = e.cache
 	if *traceOut != "" || *metricsOut != "" {
 		e.sess = obs.NewSession(obs.Options{})
 	}
@@ -236,6 +233,7 @@ func (e *env) emitOrFatal(ts []bench.Table, err error) {
 }
 
 func runCmd(e *env, a []string) {
+	checkCell(a[0], a[1], a[2])
 	r := e.h.Run(a[0], a[1], a[2], e.hw())
 	fmt.Printf("platform=%s algorithm=%s dataset=%s status=%s\n",
 		r.Platform, r.Algorithm, r.Dataset, r.Status)
@@ -269,6 +267,8 @@ func chaosCmd(e *env, a []string) {
 	if len(a) > 2 {
 		ds = a[2]
 	}
+	checkName("algorithm", alg, platform.Algorithms())
+	checkName("dataset", ds, datagen.Names())
 	rep := e.h.Chaos(name, alg, ds, e.hw(), fault.DefaultPlan(e.faultSeed))
 	fmt.Print(rep)
 	if rep.Err != nil {
@@ -283,6 +283,7 @@ func chaosCmd(e *env, a []string) {
 }
 
 func curvesCmd(e *env, a []string) {
+	checkName("platform", a[0], platformNames())
 	var tr monitor.Trace
 	if len(a) > 1 && a[1] == "measured" {
 		tr = e.h.MeasuredCurves(a[0])
@@ -299,10 +300,8 @@ func curvesCmd(e *env, a []string) {
 }
 
 func predictCmd(e *env, a []string) {
-	prof, err := datagen.ByName(a[2])
-	if err != nil {
-		fatal("%v", err)
-	}
+	checkCell(a[0], a[1], a[2])
+	prof, _ := datagen.ByName(a[2]) // checkCell has vetted the name
 	in := boundary.MeasureInputs(e.h.Graph(a[2]), prof, e.scale)
 	est, err := boundary.PredictFor(a[0], a[1], prof, in, e.hw())
 	if err != nil {
@@ -318,23 +317,6 @@ func predictCmd(e *env, a []string) {
 	default:
 		fmt.Println("prediction: feasible")
 	}
-}
-
-// benchCmd is `bench <suite> <before|after> [file]`.
-func benchCmd(_ *env, a []string) {
-	suite, err := perf.SuiteByName(a[0])
-	if err != nil {
-		fatal("%v", err)
-	}
-	phase, out := a[1], suite.File
-	if len(a) > 2 {
-		out = a[2]
-	}
-	bl, err := suite.WriteBaseline(out, phase)
-	if err != nil {
-		fatal("%v", err)
-	}
-	fmt.Printf("wrote %s (%s)\n\n%s", out, phase, bl.Summary())
 }
 
 // writeFile creates path and streams one of the session exporters into
@@ -361,11 +343,31 @@ func usage() {
 	}
 	fmt.Fprintf(w, "\nflags:\n")
 	flag.PrintDefaults()
-	fmt.Fprintf(w, "\nplatforms:  %s GraphLab(mp)\n", strings.Join(bench.PlatformNames(), " "))
+	fmt.Fprintf(w, "\nplatforms:  %s\n", strings.Join(platformNames(), " "))
 	fmt.Fprintf(w, "chaos engines: pregel mapreduce yarn dataflow gas\n")
 	fmt.Fprintf(w, "algorithms: %s\n", strings.Join(platform.Algorithms(), " "))
 	fmt.Fprintf(w, "datasets:   %s\n", strings.Join(datagen.Names(), " "))
 	os.Exit(2)
+}
+
+// platformNames are the platforms run, curves and predict take: Table
+// 4's six and GraphLab's multi-part loader variant.
+func platformNames() []string { return append(bench.PlatformNames(), "GraphLab(mp)") }
+
+// checkName exits 1 with a one-line error that lists the valid names
+// when name is not one of them; the harness panics on an unknown name.
+func checkName(kind, name string, valid []string) {
+	if !slices.Contains(valid, name) {
+		fatal("unknown %s %q (have %s)", kind, name, strings.Join(valid, " "))
+	}
+}
+
+// checkCell is checkName over one cell's platform, algorithm and
+// dataset.
+func checkCell(platformName, alg, dataset string) {
+	checkName("platform", platformName, platformNames())
+	checkName("algorithm", alg, platform.Algorithms())
+	checkName("dataset", dataset, datagen.Names())
 }
 
 func fatal(format string, args ...any) {

@@ -3,10 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -17,7 +20,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/perf"
 )
 
 func TestCommandTable(t *testing.T) {
@@ -39,17 +41,6 @@ func TestCommandTable(t *testing.T) {
 			if c.min != 3 || strings.ContainsAny(c.args, "|-") {
 				t.Errorf("loadtest takes %q (min %d), want exactly <platform> <algorithm> <dataset>", c.args, c.min)
 			}
-		case "bench": // one form: record a suite; nothing re-measures committed files
-			if c.args != "<suite> <before|after> [file]" || c.min != 2 || strings.Contains(c.help, "check") {
-				t.Errorf("bench takes %q (min %d, help %q), want exactly <suite> <before|after> [file]", c.args, c.min, c.help)
-			}
-			var suites []string
-			for _, s := range perf.Registry {
-				suites = append(suites, s.Name)
-			}
-			if list := "(" + strings.Join(suites, " ") + ")"; !strings.Contains(c.help, list) {
-				t.Errorf("bench help %q does not list the suites as %s", c.help, list)
-			}
 		case "stream": // the serving load test lives here
 			for _, flag := range []string{"-mix", "-users", "-duration", "-think", "-reads", "-chaos"} {
 				if !strings.Contains(c.args, flag) {
@@ -58,7 +49,7 @@ func TestCommandTable(t *testing.T) {
 			}
 		}
 	}
-	for _, gone := range []string{"bench-baseline", "bench-ingest", "bench-partition", "bench-gap", "bench-serve", "bench-check"} {
+	for _, gone := range []string{"bench-baseline", "bench-ingest", "bench-partition", "bench-gap", "bench-serve", "bench-check", "bench"} {
 		if seen[gone] {
 			t.Errorf("old verb %q is still a command", gone)
 		}
@@ -80,6 +71,39 @@ func TestPackageCommentListsCommands(t *testing.T) {
 	}
 	if !strings.Contains(doc, want.String()) {
 		t.Fatalf("package comment is out of date; its command block should read:\n%s", want.String())
+	}
+}
+
+// TestUnknownNameExitsOne runs graphbench in a child process (this
+// test binary re-entering main with the arguments after "--") on names
+// the harness does not know: each must exit 1 with one line that names
+// the bad value and lists the valid ones, not panic.
+func TestUnknownNameExitsOne(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"graphbench", "-scale", "40"}, args...)
+		main()
+		return
+	}
+	for _, c := range []struct{ args, want string }{
+		{"run Foo BFS KGS", `unknown platform "Foo" (have Hadoop YARN Stratosphere Giraph GraphLab Neo4j GraphLab(mp))`},
+		{"run Giraph Nope KGS", `unknown algorithm "Nope" (have STATS BFS CONN CD EVO SSSP)`},
+		{"run Giraph BFS Nope", `unknown dataset "Nope" (have Amazon WikiTalk KGS Citation DotaLeague Synth Friendster)`},
+		{"curves Foo", `unknown platform "Foo"`},
+		{"chaos pregel BFS Nope", `unknown dataset "Nope"`},
+		{"predict Giraph Nope KGS", `unknown algorithm "Nope"`},
+		{"partition-quality Nope", `unknown dataset "Nope"`},
+		{"figure 11 Nope", `unknown dataset "Nope"`},
+	} {
+		args := append([]string{"-test.run=^TestUnknownNameExitsOne$", "--"}, strings.Fields(c.args)...)
+		out, err := exec.Command(os.Args[0], args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s: err = %v, want exit status 1; output:\n%s", c.args, err, out)
+			continue
+		}
+		if got := strings.TrimSuffix(string(out), "\n"); !strings.HasPrefix(got, c.want) || strings.Contains(got, "\n") {
+			t.Errorf("%s: output %q, want one line starting %q", c.args, got, c.want)
+		}
 	}
 }
 

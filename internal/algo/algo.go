@@ -86,14 +86,6 @@ type BFSResult struct {
 	Iterations int
 }
 
-// Coverage returns the fraction of vertices reached.
-func (r *BFSResult) Coverage() float64 {
-	if len(r.Levels) == 0 {
-		return 0
-	}
-	return float64(r.Visited) / float64(len(r.Levels))
-}
-
 // ConnResult is CONN output.
 type ConnResult struct {
 	// Labels[v] is the smallest vertex ID in v's (weak) component.

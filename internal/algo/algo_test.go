@@ -58,8 +58,8 @@ func TestRefBFS(t *testing.T) {
 	if r.Visited != 3 || r.Iterations != 2 {
 		t.Fatalf("bfs = %+v", r)
 	}
-	if r.Coverage() != 0.5 {
-		t.Fatalf("coverage = %v", r.Coverage())
+	if len(r.Levels) != 6 {
+		t.Fatalf("levels cover %d vertices, want all 6", len(r.Levels))
 	}
 }
 

@@ -154,7 +154,7 @@ type BFSTree struct {
 //
 // No platform runs it. It is the oracle of the serving path: every lane
 // of BFSMultiSource and every daemon answer must equal a solo run from
-// the same source. It is also the kernel the perf gap suite and the
+// the same source. It is also the kernel BenchmarkBFS/solo and the
 // benchmark's algo.bfs_diropt.us probe time.
 func BFSDirOpt(g *graph.Graph, src graph.VertexID, opt GapOptions) *BFSTree {
 	n := g.NumVertices()

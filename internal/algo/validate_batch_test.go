@@ -313,17 +313,50 @@ func TestValidateBFSBatchScratchReuse(t *testing.T) {
 	}
 }
 
-// BenchmarkValidateBFSBatch times the warm certificate of one finished
-// sweep on the graph the serving daemon holds by default, for a lone
-// lane and a full batch — what a lone cold query and a full closed-loop
-// batch wait for after their sweep. The certificate is single-threaded,
-// so -cpu does not move it; a parallel one has to (ROADMAP item 4).
-func BenchmarkValidateBFSBatch(b *testing.B) {
+// servingGraph is the graph the serving daemon holds by default:
+// DotaLeague scaled by 8, seed 42.
+func servingGraph(b *testing.B) *graph.Graph {
 	p, err := datagen.ByName("DotaLeague")
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := p.GenerateScaled(8, 42)
+	return p.GenerateScaled(8, 42)
+}
+
+// BenchmarkBFS times one BFS on servingGraph: the solo
+// direction-optimizing kernel, and the multi-source sweep at one lane
+// and at a full batch — what a lone cold query and a full closed-loop
+// batch run before their certificate. Its rows at -cpu 1 and 2 are the
+// direction-policy table of ROADMAP item 13.
+func BenchmarkBFS(b *testing.B) {
+	g := servingGraph(b)
+	src := PickSource(g, 42)
+	b.Run("solo", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if BFSDirOpt(g, src, GapOptions{}).Visited == 0 {
+				b.Fatal("solo BFS reached nothing")
+			}
+		}
+	})
+	for _, lanes := range []int{1, MaxBFSLanes} {
+		srcs := multiSources(g, lanes, 42)
+		b.Run("l"+itoa(lanes), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := BFSMultiSource(context.Background(), g, srcs, GapOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkValidateBFSBatch times the warm certificate of one finished
+// sweep on servingGraph, for a lone lane and a full batch — what a lone
+// cold query and a full closed-loop batch wait for after their sweep.
+// The certificate is single-threaded, so -cpu does not move it; a
+// parallel one has to (ROADMAP item 4).
+func BenchmarkValidateBFSBatch(b *testing.B) {
+	g := servingGraph(b)
 	for _, lanes := range []int{1, MaxBFSLanes} {
 		srcs := multiSources(g, lanes, 42)
 		results := sweepResults(b, g, srcs)

@@ -276,18 +276,6 @@ func TestCSVExport(t *testing.T) {
 	}
 }
 
-func TestNVPSFigureVariants(t *testing.T) {
-	h := quick()
-	f12 := h.Figure12NVPS("DotaLeague")
-	if len(f12.Rows) != len(HorizontalSizes()) {
-		t.Fatalf("Figure12NVPS rows = %d", len(f12.Rows))
-	}
-	f14 := h.Figure14NVPS("DotaLeague")
-	if len(f14.Rows) != len(VerticalCores()) {
-		t.Fatalf("Figure14NVPS rows = %d", len(f14.Rows))
-	}
-}
-
 func TestRenderByID(t *testing.T) {
 	h := quick()
 	if ts, err := h.RenderTable("3"); err != nil || len(ts) != 1 || len(ts[0].Rows) != 7 {

@@ -227,15 +227,14 @@ func cores(c int) cluster.Hardware    { return cluster.DAS4(20, c) }
 
 func timeCell(r *platform.Result, _ cluster.Hardware) string { return cell(r) }
 
-// perUnit renders a run as paper-scale elements per second per
-// computing unit (metrics.NEPS or metrics.NVPS over the dataset's
-// paper-scale edge or vertex count).
-func perUnit(normalise func(int64, float64, int, int) float64, elements int64) func(*platform.Result, cluster.Hardware) string {
+// nepsCell renders a run as paper-scale edges per second per computing
+// unit (metrics.NEPS over the dataset's paper-scale edge count).
+func nepsCell(edges int64) func(*platform.Result, cluster.Hardware) string {
 	return func(r *platform.Result, hw cluster.Hardware) string {
 		if r.Status != platform.OK {
 			return r.Status.String()
 		}
-		return fmtFloat(normalise(elements, r.Seconds, hw.Nodes, hw.CoresPerNode))
+		return fmtFloat(metrics.NEPS(edges, r.Seconds, hw.Nodes, hw.CoresPerNode))
 	}
 }
 
@@ -251,16 +250,8 @@ func (h *Harness) Figure11(dataset string) Table {
 // scaling.
 func (h *Harness) Figure12(dataset string) Table {
 	return h.capacity(fmt.Sprintf("Figure 12: NEPS of BFS on %s in horizontal scalability", dataset),
-		"#machines", dataset, HorizontalSizes(), machines, perUnit(metrics.NEPS, paperEdges(h, dataset)),
+		"#machines", dataset, HorizontalSizes(), machines, nepsCell(paperEdges(h, dataset)),
 		"paper: the general trend of NEPS is to decrease as machines are added")
-}
-
-// Figure12NVPS is the vertex-centric equivalent of Figure 12; the
-// paper reports "similar results for the vertex-centric equivalent of
-// NEPS, NVPS".
-func (h *Harness) Figure12NVPS(dataset string) Table {
-	return h.capacity(fmt.Sprintf("Figure 12 (NVPS variant): BFS on %s in horizontal scalability", dataset),
-		"#machines", dataset, HorizontalSizes(), machines, perUnit(metrics.NVPS, paperVertices(h, dataset)))
 }
 
 // Figure13 reproduces the paper's Figure 13: vertical scalability of
@@ -275,14 +266,8 @@ func (h *Harness) Figure13(dataset string) Table {
 // scaling (normalised by nodes x cores).
 func (h *Harness) Figure14(dataset string) Table {
 	return h.capacity(fmt.Sprintf("Figure 14: NEPS of BFS on %s in vertical scalability", dataset),
-		"#cores", dataset, VerticalCores(), cores, perUnit(metrics.NEPS, paperEdges(h, dataset)),
+		"#cores", dataset, VerticalCores(), cores, nepsCell(paperEdges(h, dataset)),
 		"paper: NEPS drops for all platforms as cores are added")
-}
-
-// Figure14NVPS is the vertex-centric equivalent of Figure 14.
-func (h *Harness) Figure14NVPS(dataset string) Table {
-	return h.capacity(fmt.Sprintf("Figure 14 (NVPS variant): BFS on %s in vertical scalability", dataset),
-		"#cores", dataset, VerticalCores(), cores, perUnit(metrics.NVPS, paperVertices(h, dataset)))
 }
 
 // Figure15 reproduces the paper's Figure 15: the execution time
@@ -340,14 +325,4 @@ func paperEdges(h *Harness, dataset string) int64 {
 	}
 	g := h.Graph(dataset)
 	return g.NumEdges() * int64(prof.EDivisor*h.cfg.Scale)
-}
-
-// paperVertices returns the paper-scale vertex count for NVPS.
-func paperVertices(h *Harness, dataset string) int64 {
-	prof, err := datagen.ByName(dataset)
-	if err != nil {
-		return 0
-	}
-	g := h.Graph(dataset)
-	return int64(g.NumVertices()) * int64(prof.VDivisor*h.cfg.Scale)
 }

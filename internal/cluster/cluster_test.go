@@ -238,15 +238,6 @@ func TestQuickMoreNodesNeverSlower(t *testing.T) {
 	}
 }
 
-func TestMemoryDemand(t *testing.T) {
-	c := GiraphCosts()
-	d := c.MemoryDemand(1000, 1000)
-	want := c.MemBase + 1000 + int64(c.MemPerMsgByte*1000)
-	if d != want {
-		t.Fatalf("MemoryDemand = %d, want %d", d, want)
-	}
-}
-
 func TestCostPresetsDistinct(t *testing.T) {
 	names := map[string]bool{}
 	for _, c := range []CostModel{HadoopCosts(), YARNCosts(), StratosphereCosts(), GiraphCosts(), GraphLabCosts(), Neo4jCosts()} {

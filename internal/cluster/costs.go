@@ -221,9 +221,3 @@ func (c CostModel) Time(p *ExecutionProfile, hw Hardware) Breakdown {
 	b.Overhead = b.Total - b.Compute
 	return b
 }
-
-// MemoryDemand applies the model's memory inflation to a raw demand:
-// base runtime memory plus object overhead on message bytes.
-func (c CostModel) MemoryDemand(graphBytes, msgBytes int64) int64 {
-	return c.MemBase + graphBytes + int64(float64(msgBytes)*c.MemPerMsgByte)
-}

@@ -66,11 +66,6 @@ func (p Profile) TargetV() int { return int(p.PaperV / int64(p.VDivisor)) }
 // TargetE returns the scaled edge-count target.
 func (p Profile) TargetE() int { return int(p.PaperE / int64(p.EDivisor)) }
 
-// Generate produces the dataset at its default scale.
-func (p Profile) Generate(seed int64) *graph.Graph {
-	return p.GenerateScaled(1, seed)
-}
-
 // GenerateScaled produces the dataset scaled down by an extra factor
 // on top of the default divisors (factor > 1 shrinks further, for
 // quick tests).

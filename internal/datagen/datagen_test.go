@@ -13,7 +13,7 @@ import (
 var generated = func() map[string]*graph.Graph {
 	m := make(map[string]*graph.Graph)
 	for _, p := range Profiles() {
-		m[p.Name] = p.Generate(42)
+		m[p.Name] = p.GenerateScaled(1, 42)
 	}
 	return m
 }()

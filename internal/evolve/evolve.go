@@ -205,12 +205,6 @@ func (s *Snapshot) In(v graph.VertexID) []graph.VertexID {
 	return s.base.In(v)
 }
 
-// OutDegree returns len(Out(v)) without materialising anything.
-func (s *Snapshot) OutDegree(v graph.VertexID) int { return len(s.Out(v)) }
-
-// InDegree returns len(In(v)).
-func (s *Snapshot) InDegree(v graph.VertexID) int { return len(s.In(v)) }
-
 // HasEdge reports whether the arc (or undirected edge) u→v exists at
 // this epoch.
 func (s *Snapshot) HasEdge(u, v graph.VertexID) bool {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -344,30 +343,11 @@ func (in *Injector) StragglerAt(s Site) (float64, bool) {
 	return r.Factor, true
 }
 
-// Backoff is the modelled wait before retry attempt (0-based): capped
-// exponential, 100ms doubling to a 3.2s ceiling — Hadoop's retry
-// pacing. The simulated engines never sleep; they convert this
-// duration into cost-model units (BackoffUnits) so the penalty shows
-// up in the simulated T instead of real wall-clock.
-func Backoff(attempt int) time.Duration {
-	const base = 100 * time.Millisecond
-	const cap = 3200 * time.Millisecond
-	if attempt < 0 {
-		attempt = 0
-	}
-	if attempt > 5 {
-		return cap
-	}
-	d := base << uint(attempt)
-	if d > cap {
-		return cap
-	}
-	return d
-}
-
-// BackoffUnits converts the capped-exponential backoff before retry
-// attempt into task-launch units for the cluster cost model (one unit
-// = one task-wave overhead): 1, 2, 4, ... capped at 8.
+// BackoffUnits is the modelled wait before retry attempt (0-based) in
+// task-launch units of the cluster cost model (one unit = one
+// task-wave overhead): capped exponential, 1, 2, 4, ... up to 8 —
+// Hadoop's retry pacing. The simulated engines never sleep, so the
+// penalty shows up in the simulated T instead of real wall-clock.
 func BackoffUnits(attempt int) int {
 	if attempt < 0 {
 		attempt = 0

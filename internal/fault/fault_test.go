@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -182,21 +181,12 @@ func TestCrashAtAndDefaults(t *testing.T) {
 }
 
 func TestBackoff(t *testing.T) {
-	if Backoff(0) != 100*time.Millisecond {
-		t.Fatalf("Backoff(0) = %v", Backoff(0))
-	}
-	if Backoff(1) != 200*time.Millisecond {
-		t.Fatalf("Backoff(1) = %v", Backoff(1))
-	}
-	if Backoff(10) != 3200*time.Millisecond {
-		t.Fatalf("Backoff(10) = %v (cap)", Backoff(10))
-	}
 	for i, want := range []int{1, 2, 4, 8, 8, 8} {
 		if got := BackoffUnits(i); got != want {
 			t.Fatalf("BackoffUnits(%d) = %d, want %d", i, got, want)
 		}
 	}
-	if BackoffUnits(-1) != 1 || Backoff(-1) != 100*time.Millisecond {
+	if BackoffUnits(-1) != 1 {
 		t.Fatal("negative attempt not clamped")
 	}
 }

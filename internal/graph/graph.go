@@ -201,9 +201,6 @@ func NewBuilder(n int, directed bool) *Builder {
 	return &Builder{directed: directed, n: int32(n)}
 }
 
-// NumVertices returns the declared vertex count.
-func (b *Builder) NumVertices() int { return int(b.n) }
-
 // AddEdge records the edge (u, v). Self-loops are ignored. Vertex IDs
 // outside [0, n) panic: generator bugs should fail loudly.
 func (b *Builder) AddEdge(u, v VertexID) {

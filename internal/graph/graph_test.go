@@ -559,18 +559,6 @@ func TestQuickBFSLevelsConsistent(t *testing.T) {
 	}
 }
 
-func TestOutDegreeStats(t *testing.T) {
-	b := NewBuilder(3, true)
-	b.AddEdge(0, 1)
-	b.AddEdge(0, 2)
-	b.AddEdge(1, 2)
-	g := b.Build()
-	s := g.OutDegreeStats()
-	if s.Min != 0 || s.Max != 2 || s.Mean != 1.0 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
 func TestMaxDegree(t *testing.T) {
 	b := NewBuilder(4, false)
 	b.AddEdge(0, 1)

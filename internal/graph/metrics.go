@@ -364,30 +364,3 @@ func (r *BFSResult) Coverage() float64 {
 	}
 	return float64(r.Visited) / float64(len(r.Level))
 }
-
-// DegreeStats summarises the degree distribution.
-type DegreeStats struct {
-	Min, Max int
-	Mean     float64
-}
-
-// OutDegreeStats computes min/max/mean out-degree.
-func (g *Graph) OutDegreeStats() DegreeStats {
-	if g.n == 0 {
-		return DegreeStats{}
-	}
-	s := DegreeStats{Min: g.OutDegree(0)}
-	var sum int64
-	for v := VertexID(0); v < VertexID(g.n); v++ {
-		d := g.OutDegree(v)
-		if d < s.Min {
-			s.Min = d
-		}
-		if d > s.Max {
-			s.Max = d
-		}
-		sum += int64(d)
-	}
-	s.Mean = float64(sum) / float64(g.n)
-	return s
-}

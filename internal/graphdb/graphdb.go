@@ -111,10 +111,6 @@ func (db *DB) ObjectBytesProjected() int64 {
 	return int64(float64(db.StoreBytes()*db.cfg.Projection) * db.cfg.ObjectInflation)
 }
 
-// FitsInMemory reports whether the whole graph's object cache fits the
-// heap (at paper-scale projection).
-func (db *DB) FitsInMemory() bool { return db.cachedFrac >= 1.0 }
-
 // IngestSeconds models batch-transaction ingestion at paper scale: a
 // per-vertex cost dominates (store allocation plus index update under
 // small transactions), with a smaller per-relationship cost and a
@@ -130,15 +126,6 @@ func (db *DB) IngestSeconds() float64 {
 	e := float64(db.g.NumEdges()) * float64(db.cfg.Projection)
 	commits := v/float64(db.cfg.BatchVertices) + e/float64(db.cfg.BatchEdges)
 	return v*perVertex + e*perEdge + commits*perCommit
-}
-
-// ResetCaches evicts every resident record, returning the database to
-// its just-opened cold state without re-ingesting. The experiment
-// driver's cold leg uses it to guarantee a cold first touch on a DB
-// that earlier repetitions may have warmed.
-func (db *DB) ResetCaches() {
-	clear(db.residentNode)
-	clear(db.residentAdj)
 }
 
 // Run is one algorithm execution session over the database, tracking

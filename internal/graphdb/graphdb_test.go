@@ -95,13 +95,13 @@ func TestLazyReadTouchesOnlyVisited(t *testing.T) {
 func TestFitsInMemoryProjection(t *testing.T) {
 	g := ring(1000)
 	small := Open(g, DefaultConfig())
-	if !small.FitsInMemory() {
+	if small.cachedFrac < 1 {
 		t.Fatal("small graph should fit")
 	}
 	cfg := DefaultConfig()
 	cfg.Projection = 1 << 22 // blow it up past the heap
 	big := Open(g, cfg)
-	if big.FitsInMemory() {
+	if big.cachedFrac >= 1 {
 		t.Fatal("projected graph should not fit")
 	}
 	// Thrashing: even a second (hot) pass keeps missing.
@@ -201,7 +201,7 @@ func TestOpenZeroConfigUsesDefaults(t *testing.T) {
 	}
 }
 
-func TestResetCachesRestoresColdBehaviour(t *testing.T) {
+func TestReopenRestoresColdBehaviour(t *testing.T) {
 	g := ring(100)
 	db := Open(g, DefaultConfig())
 
@@ -221,10 +221,10 @@ func TestResetCachesRestoresColdBehaviour(t *testing.T) {
 		t.Fatalf("hot run hit disk: %d bytes", hot.DiskBytes)
 	}
 
-	// Evicting everything must reproduce the cold run exactly — this
-	// is what the experiment driver's cold leg relies on.
-	db.ResetCaches()
-	again := db.NewRun()
+	// Opening the graph again must reproduce the cold run exactly: every
+	// Neo4j run opens its own database, and the experiment driver's
+	// cold leg relies on that first touch being cold.
+	again := Open(g, DefaultConfig()).NewRun()
 	for v := graph.VertexID(0); v < 100; v++ {
 		again.Neighbors(v)
 	}

@@ -71,25 +71,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// CV returns the coefficient of variation StdDev/Mean, 0 when the
-// mean is zero (or fewer than two samples).
-func CV(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return StdDev(xs) / m
-}
-
-// Quantile returns the p-quantile (0 ≤ p ≤ 1) with linear
-// interpolation between order statistics, 0 for an empty vector.
-func Quantile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return quantileSorted(sortedCopy(xs), p)
-}
-
 // NearestRank reads the p-quantile from an already sorted sample with
 // nearest-rank rounding: the estimator for latency percentiles, which
 // must be observed values (no interpolation between two requests).
@@ -102,6 +83,9 @@ func NearestRank[T any](sorted []T, p float64) T {
 	return sorted[min(max(idx, 0), len(sorted)-1)]
 }
 
+// quantileSorted reads the p-quantile (0 ≤ p ≤ 1) of a non-empty sorted
+// sample with linear interpolation between order statistics: the
+// Tukey fences' Q1 and Q3.
 func quantileSorted(s []float64, p float64) float64 {
 	if p <= 0 {
 		return s[0]

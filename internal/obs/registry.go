@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -12,16 +11,7 @@ import (
 // allocation-free and safe for concurrent use; all engine hot paths
 // either Add once per barrier or batch into local int64s first.
 type Counter struct {
-	name string
-	v    atomic.Int64
-}
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
+	v atomic.Int64
 }
 
 // Add increments the counter. Add on a nil counter is one branch.
@@ -42,16 +32,7 @@ func (c *Counter) Get() int64 {
 
 // Gauge is a last-value (or high-water, via SetMax) int64 metric.
 type Gauge struct {
-	name string
-	v    atomic.Int64
-}
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
+	v atomic.Int64
 }
 
 // Set stores the value.
@@ -115,7 +96,7 @@ func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c = r.counters[name]; c == nil {
-		c = &Counter{name: name}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
@@ -135,7 +116,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g = r.gauges[name]; g == nil {
-		g = &Gauge{name: name}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
@@ -165,26 +146,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[n] = g.Get()
 	}
 	return s
-}
-
-// Names returns all registered metric names, sorted, counters first.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	cs := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		cs = append(cs, n)
-	}
-	gs := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		gs = append(gs, n)
-	}
-	sort.Strings(cs)
-	sort.Strings(gs)
-	return append(cs, gs...)
 }
 
 // WriteJSON writes the registry snapshot as indented JSON.

@@ -60,9 +60,6 @@ type SpanRef struct {
 	id uint64 // 1-based global span ordinal; 0 = invalid
 }
 
-// Valid reports whether the ref points at a real span.
-func (r SpanRef) Valid() bool { return r.id != 0 }
-
 // span is one ring slot. The gen word is a per-slot seqlock: the
 // stable value is the owning span's id shifted left once, the low bit
 // marks a writer mid-update. Begin and End claim the slot by CAS
@@ -160,18 +157,6 @@ func (t *Tracer) End(ref SpanRef) {
 	s.gen.Store(ref.id << 1)
 }
 
-// Dropped reports how many spans were overwritten by ring wrap.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	n := t.next.Load()
-	if n <= uint64(len(t.spans)) {
-		return 0
-	}
-	return n - uint64(len(t.spans))
-}
-
 // SpanRecord is one exported span.
 type SpanRecord struct {
 	ID       uint64 `json:"id"`
@@ -209,20 +194,6 @@ func (t *Tracer) Export() []SpanRecord {
 		return out[i].ID < out[j].ID
 	})
 	return out
-}
-
-// traceDoc is the span-export JSON document.
-type traceDoc struct {
-	Spans   []SpanRecord `json:"spans"`
-	Dropped uint64       `json:"dropped,omitempty"`
-}
-
-// WriteJSON writes the completed spans as a JSON document
-// ({"spans": [...], "dropped": n}).
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(traceDoc{Spans: t.Export(), Dropped: t.Dropped()})
 }
 
 // chromeEvent is one trace_event entry. "X" (complete) events carry

@@ -58,27 +58,6 @@ func TestExportOrderingAndNesting(t *testing.T) {
 	}
 }
 
-func TestWriteJSONRoundTrip(t *testing.T) {
-	tr := buildTrace(t)
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Spans   []SpanRecord `json:"spans"`
-		Dropped uint64       `json:"dropped"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("export is not valid JSON: %v", err)
-	}
-	if len(doc.Spans) != 7 {
-		t.Fatalf("round-trip lost spans: got %d, want 7", len(doc.Spans))
-	}
-	if doc.Dropped != 0 {
-		t.Fatalf("unexpected drops: %d", doc.Dropped)
-	}
-}
-
 func TestWriteChromeTraceRoundTrip(t *testing.T) {
 	tr := buildTrace(t)
 	var buf bytes.Buffer
@@ -134,9 +113,6 @@ func TestRingWrapDropsOldest(t *testing.T) {
 		ref := tr.Begin("s", KindPhase, int64(i), SpanRef{})
 		tr.End(ref)
 	}
-	if got := tr.Dropped(); got != 40-16 {
-		t.Fatalf("dropped = %d, want %d", got, 40-16)
-	}
 	recs := tr.Export()
 	if len(recs) != 16 {
 		t.Fatalf("ring holds %d spans, want 16", len(recs))
@@ -152,11 +128,11 @@ func TestRingWrapDropsOldest(t *testing.T) {
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	ref := tr.Begin("x", KindRun, -1, SpanRef{})
-	if ref.Valid() {
+	if ref != (SpanRef{}) {
 		t.Fatal("nil tracer returned a valid ref")
 	}
 	tr.End(ref)
-	if tr.Export() != nil || tr.Dropped() != 0 {
+	if tr.Export() != nil {
 		t.Fatal("nil tracer exported spans")
 	}
 }

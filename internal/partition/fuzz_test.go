@@ -90,8 +90,8 @@ func FuzzPartition(f *testing.F) {
 			if p.IsVertexCut() {
 				// Every stored arc maps to exactly one in-range machine.
 				g.Edges(func(e graph.Edge) {
-					if s := p.EdgeShard(e.Src, e.Dst); s < 0 || s >= shards {
-						t.Fatalf("%s: EdgeShard out of range: %d", name, s)
+					if s := p.edgeShard(e.Src, e.Dst); s < 0 || s >= shards {
+						t.Fatalf("%s: edge placed out of range: %d", name, s)
 					}
 				})
 			}

@@ -55,8 +55,6 @@ func Names() []string { return []string{Hash, Range, EdgeCut, VertexCut, Grid} }
 
 // Partitioner splits a graph into shards.
 type Partitioner interface {
-	// Name is the strategy identifier.
-	Name() string
 	// Partition places g's vertices (and, for vertex-cut strategies,
 	// edges) onto the given number of shards.
 	Partition(g *graph.Graph, shards int) *Partitioning
@@ -132,15 +130,6 @@ func (p *Partitioning) NumVertices() int { return len(p.Owner) }
 // placement, implying mirror replicas on every shard holding one of a
 // vertex's edges.
 func (p *Partitioning) IsVertexCut() bool { return p.edgeShard != nil }
-
-// EdgeShard returns the shard that stores edge (u,v). For edge-cut
-// strategies the edge lives with its source's master.
-func (p *Partitioning) EdgeShard(u, v graph.VertexID) int {
-	if p.edgeShard != nil {
-		return p.edgeShard(u, v)
-	}
-	return int(p.Owner[u])
-}
 
 // OwnerOf maps an arbitrary record key to its shard: vertex keys use
 // the owner table, out-of-range keys (EVO's grown vertices,

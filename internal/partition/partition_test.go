@@ -32,13 +32,14 @@ func TestNamesAndByName(t *testing.T) {
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
+	g := testGraph(10, 20, true, false, 1)
 	for _, name := range Names() {
 		p, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
-		if p.Name() != name {
-			t.Fatalf("ByName(%q).Name() = %q", name, p.Name())
+		if got := p.Partition(g, 2).Strategy; got != name {
+			t.Fatalf("ByName(%q) partitions as %q", name, got)
 		}
 	}
 	if _, err := ByName("metis"); err == nil {
@@ -147,12 +148,12 @@ func TestVertexCutEveryEdgeOnce(t *testing.T) {
 		counts := make([]int64, 8)
 		var total int64
 		g.Edges(func(e graph.Edge) {
-			s := p.EdgeShard(e.Src, e.Dst)
+			s := p.edgeShard(e.Src, e.Dst)
 			if s < 0 || s >= 8 {
-				t.Fatalf("%s: EdgeShard(%d,%d) = %d", name, e.Src, e.Dst, s)
+				t.Fatalf("%s: edge (%d,%d) on shard %d", name, e.Src, e.Dst, s)
 			}
-			if s != p.EdgeShard(e.Src, e.Dst) {
-				t.Fatalf("%s: EdgeShard not deterministic", name)
+			if s != p.edgeShard(e.Src, e.Dst) {
+				t.Fatalf("%s: edge placement not deterministic", name)
 			}
 			counts[s]++
 			total++

@@ -12,8 +12,6 @@ import (
 // reproduces the historical byte stream bit for bit.
 type hashPartitioner struct{}
 
-func (hashPartitioner) Name() string { return Hash }
-
 func (hashPartitioner) Partition(g *graph.Graph, shards int) *Partitioning {
 	n := g.NumVertices()
 	owner := make([]int32, n)
@@ -43,8 +41,6 @@ func HashPartitioning(n, shards int) *Partitioning {
 // order, so contiguity doubles as cheap locality.
 type rangePartitioner struct{}
 
-func (rangePartitioner) Name() string { return Range }
-
 func (rangePartitioner) Partition(g *graph.Graph, shards int) *Partitioning {
 	n := g.NumVertices()
 	owner := make([]int32, n)
@@ -72,8 +68,6 @@ func (rangePartitioner) Partition(g *graph.Graph, shards int) *Partitioning {
 // balanced. Entirely deterministic: no randomness, ties break toward
 // the lowest shard ID.
 type edgeCutPartitioner struct{}
-
-func (edgeCutPartitioner) Name() string { return EdgeCut }
 
 func (edgeCutPartitioner) Partition(g *graph.Graph, shards int) *Partitioning {
 	n := g.NumVertices()
@@ -143,8 +137,6 @@ func (edgeCutPartitioner) Partition(g *graph.Graph, shards int) *Partitioning {
 // follow the hash rule so every engine family can route by owner.
 type vertexCutPartitioner struct{}
 
-func (vertexCutPartitioner) Name() string { return VertexCut }
-
 func (vertexCutPartitioner) Partition(g *graph.Graph, shards int) *Partitioning {
 	n := g.NumVertices()
 	owner := make([]int32, n)
@@ -182,8 +174,6 @@ func edgeMachine(u, v graph.VertexID, machines int) int {
 // replication factor by r+c-1 (SURFER/GraphBuilder-style 2D
 // placement).
 type gridPartitioner struct{}
-
-func (gridPartitioner) Name() string { return Grid }
 
 func (gridPartitioner) Partition(g *graph.Graph, shards int) *Partitioning {
 	n := g.NumVertices()

@@ -215,14 +215,6 @@ func All() []Platform {
 	}
 }
 
-// Distributed returns the five distributed platforms.
-func Distributed() []Platform {
-	return []Platform{
-		NewHadoop(), NewYARN(), NewStratosphere(),
-		NewGiraph(), NewGraphLab(false),
-	}
-}
-
 // ByName resolves a platform name ("GraphLab(mp)" selects the
 // multi-part loader variant).
 func ByName(name string) (Platform, error) {

@@ -65,9 +65,6 @@ func TestRegistry(t *testing.T) {
 	if len(All()) != 6 {
 		t.Fatalf("All() = %d", len(All()))
 	}
-	if len(Distributed()) != 5 {
-		t.Fatalf("Distributed() = %d", len(Distributed()))
-	}
 	if len(Algorithms()) != 6 {
 		t.Fatalf("Algorithms() = %d, want 6 (Section 2.2.2 + SSSP)", len(Algorithms()))
 	}
@@ -223,7 +220,7 @@ func fullGraph(t testing.TB, name string) *graph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := prof.Generate(42)
+	g := prof.GenerateScaled(1, 42)
 	fullGraphs[name] = g
 	return g
 }

@@ -20,7 +20,7 @@ func TestProbeMatrix(t *testing.T) {
 		if os.Getenv("DS") != "" && os.Getenv("DS") != prof.Name {
 			continue
 		}
-		g := prof.Generate(42)
+		g := prof.GenerateScaled(1, 42)
 		params := algo.DefaultParams(42)
 		params.BFSSource = algo.PickSource(g, 42)
 		for _, alg := range Algorithms() {

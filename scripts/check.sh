@@ -14,9 +14,9 @@
 #                the race detector and the SSSP engine matrix.
 #   --serve      additionally run the serving gate: batch equivalence and
 #                handler tests under the race detector, the dispatch
-#                regime and stop-drain tests twenty times over, the
-#                committed amortization gate, a short 200-user read-only
-#                fleet smoke, and a SIGTERM drain of the daemon (exit 0).
+#                regime and stop-drain tests twenty times over, a short
+#                200-user read-only fleet smoke, and a SIGTERM drain of
+#                the daemon (exit 0).
 #   --experiment additionally mirror CI's experiment gate locally: the
 #                experiment package tests, the one-cell cold-timeout /
 #                warm-ok run the nightly paper-core job depends on, plus
@@ -150,17 +150,16 @@ if [ "$run_gap" = 1 ]; then
     go test -race -run 'SSSP' \
         ./internal/pregelalgo/ ./internal/gasalgo/ ./internal/mralgo/ \
         ./internal/pactalgo/ ./internal/dbalgo/
-    go test -run 'TestSSSPEquivalenceMatrix|TestGapBFSSpeedupGate' .
+    go test -run 'TestSSSPEquivalenceMatrix' .
 fi
 
 if [ "$run_serve" = 1 ]; then
-    echo "== serving gate (batch equivalence + batch certificate + handlers under -race, dispatch regimes x20, amortization gate, fleet smoke, SIGTERM drain)"
+    echo "== serving gate (batch equivalence + batch certificate + handlers under -race, dispatch regimes x20, fleet smoke, SIGTERM drain)"
     go test -race -run 'BFSMultiSource|ValidateBFSBatch' ./internal/algo/
     go test -race ./internal/serve/
     # The dispatch regimes and the stop drain hang on goroutine
     # interleavings one pass may not meet.
     go test -race -count=20 -run 'TestDispatchIdleSweepsAtOnce|TestDispatchIdleTakesBacklog|TestDispatchRegimes|TestStopDrainsWithoutHolding|TestStopReleasesHeldBatch' ./internal/serve/
-    go test -run 'TestBatchSpeedupGate' .
     go run ./cmd/graphbench stream -mix 100/0 -users 200 -duration 2s -think 1ms
     # The daemon must drain and exit 0 on SIGTERM (built, not `go run`,
     # so the signal reaches it; `wait` carries its status under set -e).
@@ -197,7 +196,7 @@ fi
 
 if [ "$run_experiment" = 1 ]; then
     echo "== experiment gate (spec/driver tests + validated smoke run)"
-    go test ./internal/experiment/ ./internal/perf/
+    go test ./internal/experiment/
     go test -count=1 -run 'TestColdTimeoutWarmOKIsValid' ./internal/experiment/
     bundle=$(mktemp -d)
     trap 'rm -rf "$bundle"' EXIT

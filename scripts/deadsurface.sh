@@ -98,9 +98,6 @@ drive experiment -trace "$tmp/trace.json" -metrics "$tmp/metrics.json" \
 drive experiment-diff experiment-diff "$tmp/smoke/results.json" "$tmp/smoke/results.json"
 drive stream stream -mix 90/10 -users 16 -ops 16 -batches 16 -batch-size 8
 drive stream stream -chaos -chaos-seeds 1 -batches 16 -batch-size 8
-for suite in baseline ingest partition gap serve; do
-    drive bench bench "$suite" after "$tmp/bench-$suite.json"
-done
 
 echo "== graphbench serve over loopback" >&2
 "$tmp/graphbench" -metrics "$tmp/serve-metrics.json" serve -addr localhost:0 2>"$tmp/serve.log" &
