@@ -1,10 +1,10 @@
 package algo
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/partition"
 )
 
 // gapGraph builds a deterministic random graph with a dense core (so
@@ -49,19 +49,10 @@ func TestBFSDirOptMatchesRef(t *testing.T) {
 		for seed := int64(0); seed < 4; seed++ {
 			g := gapGraph(t, 800, 6000, directed, seed)
 			src := PickSource(g, seed)
-			want := RefBFS(g, src)
-			for _, alpha := range []int{0, 1, 1 << 20} { // default, always-BU, always-TD
-				got := BFSDirOpt(g, src, GapOptions{Alpha: alpha})
-				if !levelsEqual(got.Levels, want.Levels) {
-					t.Fatalf("directed=%v seed=%d alpha=%d: levels differ from reference", directed, seed, alpha)
-				}
-				if got.Visited != want.Visited || got.Iterations != want.Iterations {
-					t.Fatalf("directed=%v seed=%d alpha=%d: got (%d,%d), want (%d,%d)",
-						directed, seed, alpha, got.Visited, got.Iterations, want.Visited, want.Iterations)
-				}
-				if err := ValidateBFSTree(g, src, got); err != nil {
-					t.Fatalf("directed=%v seed=%d alpha=%d: tree certificate: %v", directed, seed, alpha, err)
-				}
+			got := BFSDirOpt(g, src, GapOptions{})
+			treesEqual(t, fmt.Sprintf("directed=%v seed=%d", directed, seed), got, RefBFSTree(g, src))
+			if err := ValidateBFSTree(g, src, got); err != nil {
+				t.Fatalf("directed=%v seed=%d: tree certificate: %v", directed, seed, err)
 			}
 		}
 	}
@@ -91,29 +82,6 @@ func TestBFSDirOptWorkerDeterminism(t *testing.T) {
 			}
 			if got.Visited != base.Visited || got.Iterations != base.Iterations {
 				t.Fatalf("directed=%v workers=%d: counters differ", directed, workers)
-			}
-		}
-	}
-}
-
-// TestBFSDirOptShardViews runs the kernel parallel over partitioned
-// shard views and pins the results to the unpartitioned run.
-func TestBFSDirOptShardViews(t *testing.T) {
-	g := gapGraph(t, 2000, 16000, false, 3)
-	src := PickSource(g, 3)
-	base := BFSDirOpt(g, src, GapOptions{})
-	for _, strategy := range []string{partition.Hash, partition.EdgeCut} {
-		for _, shards := range []int{1, 4} {
-			part, err := partition.Build(strategy, g, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := BFSDirOpt(g, src, GapOptions{Part: part})
-			if !levelsEqual(got.Levels, base.Levels) {
-				t.Fatalf("%s/%d: distances differ from unpartitioned run", strategy, shards)
-			}
-			if err := ValidateBFSTree(g, src, got); err != nil {
-				t.Fatalf("%s/%d: tree certificate: %v", strategy, shards, err)
 			}
 		}
 	}
@@ -196,7 +164,7 @@ func TestPageRankPullDeterministicAndStochastic(t *testing.T) {
 func TestValidateBFSTreeRejectsCorruption(t *testing.T) {
 	g := gapGraph(t, 200, 800, false, 2)
 	src := PickSource(g, 2)
-	base := BFSDirOpt(g, src, GapOptions{})
+	base := RefBFSTree(g, src)
 
 	corrupt := func(mutate func(c *BFSTree)) error {
 		c := &BFSTree{

@@ -17,14 +17,14 @@ import (
 // queries instead of across one frontier).
 //
 // The per-lane contract is byte-identical output, not a byte-identical
-// schedule: BFSDirOpt's two parent rules coincide (the top-down CAS-min
-// parent is the minimum frontier in-neighbour, and bottom-up scans the
-// ascending In(v) list so its first frontier hit is that same minimum),
-// and levels plus the Visited/Iterations counters are direction-
-// independent. That frees the batch to traverse however the sweeps
-// amortise best while TestBFSMultiSourceEquivalence pins every lane
-// byte-identical to a solo BFSDirOpt run from the same source, for
-// every worker count.
+// schedule: each lane's parent is the minimum in-neighbour one level up
+// in either direction (top-down sweeps frontier vertices in ascending
+// order, and bottom-up scans the ascending In(v) list so its first
+// frontier hit is that same minimum), and levels plus the
+// Visited/Iterations counters are direction-independent. That frees
+// the batch to traverse however the sweeps amortise best while
+// TestBFSMultiSourceEquivalence pins every lane byte-identical to the
+// sequential RefBFSTree from the same source, for every worker count.
 //
 // Both directions are word-parallel across lanes:
 //
@@ -33,26 +33,24 @@ import (
 //	            curFront[u] &^ visitedMask[v] with one mask op, so an
 //	            edge on 40 lanes' frontiers is scanned once, not 40
 //	            times. Ascending u makes the first claimer of each
-//	            (vertex, lane) the minimum frontier in-neighbour — the
-//	            solo CAS-min parent.
+//	            (vertex, lane) the minimum frontier in-neighbour.
 //	bottom-up   probes every vertex with lanes still pending
 //	            (activeMask &^ visitedMask[v]); one scan of the
 //	            ascending In(v) list claims each pending lane at its
-//	            first frontier in-neighbour — again the solo parent —
-//	            and stops early once no lane is pending.
+//	            first frontier in-neighbour — again the minimum — and
+//	            stops early once no lane is pending.
 //
-// The per-level direction choice generalises the PR 7 alpha/beta
-// guard. One O(n) word scan computes the exact bounds — sum of
-// out-degrees over the union frontier (top-down) versus sum of
-// in-degrees over still-pending vertices (bottom-up) — and when the
-// bottom-up bound loses, a stride sample of pending vertices
-// (bfsMultiEstimateBU, the batch analog of bfsEstimateBU) prices
-// bottom-up's early exit, which the bound cannot see. On saturated
-// mid-levels the sample tracks the bound (64 pending lanes rarely all
-// clear early) and the batch stays top-down; on late levels, where
-// most lanes already hold most vertices, probes clear whole pending
-// words in a few steps and the sampled cost collapses to a fraction of
-// the union sweep — the same asymmetry that makes the solo kernel's
+// The per-level direction choice replaces Beamer's alpha/beta test.
+// One O(n) word scan computes the exact bounds — sum of out-degrees
+// over the union frontier (top-down) versus sum of in-degrees over
+// still-pending vertices (bottom-up) — and when the bottom-up bound
+// loses, a stride sample of pending vertices (bfsMultiEstimateBU)
+// prices bottom-up's early exit, which the bound cannot see. On
+// saturated mid-levels the sample tracks the bound (64 pending lanes
+// rarely all clear early) and the batch stays top-down; on late
+// levels, where most lanes already hold most vertices, probes clear
+// whole pending words in a few steps and the sampled cost collapses to
+// a fraction of the union sweep — the asymmetry that makes GAP's
 // bottom-up levels nearly free.
 
 // MaxBFSLanes is the lane capacity of one batched sweep: one bit per
@@ -153,9 +151,8 @@ func BFSMultiSource(ctx context.Context, g *graph.Graph, srcs []graph.VertexID, 
 		// frontiers clear whole pending words in a handful of probes —
 		// so on saturated mid-levels the bound overstates the real
 		// cost by an order of magnitude and would pin the batch
-		// top-down. A stride sample of pending vertices (the batch
-		// analog of bfsEstimateBU) prices the early exit before the
-		// full sweep is paid.
+		// top-down. A stride sample of pending vertices prices the
+		// early exit before the full sweep is paid.
 		var tdCost, buBound int64
 		var pendingCount int
 		for vi := 0; vi < n; vi++ {
@@ -231,7 +228,7 @@ func BFSMultiSource(ctx context.Context, g *graph.Graph, srcs []graph.VertexID, 
 		} else {
 			// Top-down union sweep, sequential in ascending u so the
 			// first claimer of each (vertex, lane) is the minimum
-			// frontier in-neighbour — the canonical solo parent.
+			// frontier in-neighbour — the canonical parent.
 			for ui := 0; ui < n; ui++ {
 				fu := curFront[ui]
 				if fu == 0 {

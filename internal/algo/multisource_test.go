@@ -23,7 +23,7 @@ func multiSources(g *graph.Graph, k int, seed int64) []graph.VertexID {
 func treesEqual(t *testing.T, label string, got, want *BFSTree) {
 	t.Helper()
 	if !levelsEqual(got.Levels, want.Levels) {
-		t.Fatalf("%s: levels differ from solo BFSDirOpt", label)
+		t.Fatalf("%s: levels differ", label)
 	}
 	for v := range got.Parents {
 		if got.Parents[v] != want.Parents[v] {
@@ -31,25 +31,25 @@ func treesEqual(t *testing.T, label string, got, want *BFSTree) {
 		}
 	}
 	if got.Visited != want.Visited || got.Iterations != want.Iterations {
-		t.Fatalf("%s: counters (%d,%d) differ from solo (%d,%d)",
+		t.Fatalf("%s: counters (%d,%d), want (%d,%d)",
 			label, got.Visited, got.Iterations, want.Visited, want.Iterations)
 	}
 }
 
 // TestBFSMultiSourceEquivalence pins the batching contract: every lane
 // of a batched sweep is byte-identical — levels, parents, and counters
-// — to a solo BFSDirOpt run from the same source, across worker counts
-// and lane counts, on directed and undirected graphs.
+// — to the sequential RefBFSTree from the same source, across worker
+// counts and lane counts, on directed and undirected graphs.
 func TestBFSMultiSourceEquivalence(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		g := gapGraph(t, 1500, 12000, directed, 11)
-		solo := make(map[graph.VertexID]*BFSTree)
+		refs := make(map[graph.VertexID]*BFSTree)
 		ref := func(src graph.VertexID) *BFSTree {
-			if tr, ok := solo[src]; ok {
+			if tr, ok := refs[src]; ok {
 				return tr
 			}
-			tr := BFSDirOpt(g, src, GapOptions{Workers: 1})
-			solo[src] = tr
+			tr := RefBFSTree(g, src)
+			refs[src] = tr
 			return tr
 		}
 		for _, workers := range []int{1, 4, 8} {
@@ -139,7 +139,7 @@ func TestBFSMultiSourceDuplicateSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := BFSDirOpt(g, src, GapOptions{Workers: 1})
+	want := RefBFSTree(g, src)
 	for l := range trees {
 		treesEqual(t, "dup lane "+itoa(l), trees[l], want)
 	}

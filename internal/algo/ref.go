@@ -25,6 +25,31 @@ func RefBFS(g *graph.Graph, src graph.VertexID) BFSResult {
 	return BFSResult{Levels: r.Level, Visited: r.Visited, Iterations: r.Iterations}
 }
 
+// RefBFSTree is RefBFS with a parent array: the parent of each reached
+// non-source vertex is its smallest in-neighbour one level up. That is
+// the parent rule BFSMultiSource meets in either direction, so this is
+// the oracle every sweep lane and daemon answer is compared against.
+func RefBFSTree(g *graph.Graph, src graph.VertexID) *BFSTree {
+	t := &BFSTree{BFSResult: RefBFS(g, src), Parents: make([]graph.VertexID, g.NumVertices())}
+	for vi, lv := range t.Levels {
+		v := graph.VertexID(vi)
+		switch {
+		case lv < 0:
+			t.Parents[v] = -1
+		case lv == 0:
+			t.Parents[v] = v
+		default:
+			for _, u := range g.In(v) {
+				if t.Levels[u] == lv-1 {
+					t.Parents[v] = u
+					break
+				}
+			}
+		}
+	}
+	return t
+}
+
 // RefConn computes weakly connected components; labels are component
 // minima, matching the label-propagation fixed point. Iterations
 // reports the rounds synchronous label propagation would need, since
@@ -347,10 +372,10 @@ func RefPageRank(g *graph.Graph, iterations int, damping float64) PageRankResult
 
 // ValidateBFSTree checks a parent-array BFS certificate in O(V + E)
 // without re-running any traversal — the check the kernel tests use
-// instead of recomputing a reference BFS per call site. The rules: the
-// source is its own parent at level 0; every other reached vertex's
-// parent is reached one level above it across a real arc; unreached
-// vertices have no parent; and no arc skips a level.
+// instead of recomputing a reference BFS per call site. The levels and
+// counters must pass ValidateBFS; on top of that the source is its own
+// parent, every other reached vertex's parent is reached one level
+// above it across a real arc, and unreached vertices have no parent.
 func ValidateBFSTree(g *graph.Graph, src graph.VertexID, t *BFSTree) error {
 	n := g.NumVertices()
 	if len(t.Levels) != n || len(t.Parents) != n {
@@ -359,62 +384,28 @@ func ValidateBFSTree(g *graph.Graph, src graph.VertexID, t *BFSTree) error {
 	if n == 0 {
 		return nil
 	}
-	if t.Levels[src] != 0 || t.Parents[src] != src {
-		return fmt.Errorf("source: level %d parent %d, want 0 and self", t.Levels[src], t.Parents[src])
+	if err := ValidateBFS(g, src, &t.BFSResult); err != nil {
+		return err
 	}
-	visited := 0
-	maxLevel := int32(0)
+	if t.Parents[src] != src {
+		return fmt.Errorf("source parent %d, want self", t.Parents[src])
+	}
 	for vi, lv := range t.Levels {
 		v := graph.VertexID(vi)
 		p := t.Parents[vi]
-		if lv < 0 {
+		switch {
+		case v == src: // checked above
+		case lv < 0:
 			if p != -1 {
 				return fmt.Errorf("unreached vertex %d has parent %d", v, p)
 			}
-			continue
-		}
-		visited++
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-		if v == src {
-			continue
-		}
-		if lv == 0 {
-			return fmt.Errorf("vertex %d has level 0 but is not the source", v)
-		}
-		if p < 0 || int(p) >= n {
+		case p < 0 || int(p) >= n:
 			return fmt.Errorf("vertex %d has parent %d out of range", v, p)
-		}
-		if t.Levels[p] != lv-1 {
+		case t.Levels[p] != lv-1:
 			return fmt.Errorf("vertex %d at level %d has parent %d at level %d", v, lv, p, t.Levels[p])
-		}
-		if !g.HasEdge(p, v) {
+		case !g.HasEdge(p, v):
 			return fmt.Errorf("parent arc (%d,%d) does not exist", p, v)
 		}
-	}
-	// No arc may skip a level — one pass over the edges, no traversal.
-	var bad error
-	g.Edges(func(e graph.Edge) {
-		if bad != nil {
-			return
-		}
-		lu, lv := t.Levels[e.Src], t.Levels[e.Dst]
-		if lu >= 0 && (lv < 0 || lv > lu+1) {
-			bad = fmt.Errorf("edge (%d,%d) spans levels %d -> %d", e.Src, e.Dst, lu, lv)
-		}
-		if !g.Directed() && lv >= 0 && (lu < 0 || lu > lv+1) {
-			bad = fmt.Errorf("edge (%d,%d) spans levels %d -> %d", e.Src, e.Dst, lv, lu)
-		}
-	})
-	if bad != nil {
-		return bad
-	}
-	if visited != t.Visited {
-		return fmt.Errorf("Visited = %d, levels say %d", t.Visited, visited)
-	}
-	if int(maxLevel) != t.Iterations {
-		return fmt.Errorf("Iterations = %d, levels say %d", t.Iterations, maxLevel)
 	}
 	return nil
 }

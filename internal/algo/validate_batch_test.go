@@ -313,50 +313,98 @@ func TestValidateBFSBatchScratchReuse(t *testing.T) {
 	}
 }
 
-// servingGraph is the graph the serving daemon holds by default:
-// DotaLeague scaled by 8, seed 42.
-func servingGraph(b *testing.B) *graph.Graph {
-	p, err := datagen.ByName("DotaLeague")
+// profileGraph generates a dataset profile scaled down by scale, seed
+// 42 — the seed the serving daemon uses.
+func profileGraph(t testing.TB, name string, scale int) *graph.Graph {
+	t.Helper()
+	p, err := datagen.ByName(name)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	return p.GenerateScaled(8, 42)
+	return p.GenerateScaled(scale, 42)
 }
 
-// BenchmarkBFS times one BFS on servingGraph: the solo
-// direction-optimizing kernel, and the multi-source sweep at one lane
-// and at a full batch — what a lone cold query and a full closed-loop
-// batch run before their certificate. Its rows at -cpu 1 and 2 are the
-// direction-policy table of ROADMAP item 13.
-func BenchmarkBFS(b *testing.B) {
-	g := servingGraph(b)
-	src := PickSource(g, 42)
-	b.Run("solo", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if BFSDirOpt(g, src, GapOptions{}).Visited == 0 {
-				b.Fatal("solo BFS reached nothing")
-			}
-		}
-	})
-	for _, lanes := range []int{1, MaxBFSLanes} {
-		srcs := multiSources(g, lanes, 42)
-		b.Run("l"+itoa(lanes), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := BFSMultiSource(context.Background(), g, srcs, GapOptions{}); err != nil {
-					b.Fatal(err)
+// TestRefBFSTreeMatchesSweep pins every sweep lane to the sequential
+// oracle on generated datasets, where gapGraph's dense core reaches
+// neither a deep tree nor a low-reach one: Amazon@4 is directed and 67
+// levels deep (so its batches also take the certificate's per-lane
+// fallback), Citation@4 is directed and its PickSource source reaches
+// 20 of 9 410 vertices, and DotaLeague@8 is the dense graph the daemon
+// serves.
+func TestRefBFSTreeMatchesSweep(t *testing.T) {
+	for _, d := range []struct {
+		name  string
+		scale int
+		deep  bool // deeper than MaxBFSLanes levels
+	}{{"Amazon", 4, true}, {"Citation", 4, false}, {"DotaLeague", 8, false}} {
+		g := profileGraph(t, d.name, d.scale)
+		refs := make(map[graph.VertexID]*BFSTree)
+		for _, lanes := range []int{1, MaxBFSLanes} {
+			srcs := multiSources(g, lanes, 42)
+			for _, workers := range []int{1, 2} {
+				trees, err := BFSMultiSource(context.Background(), g, srcs, GapOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				results := make([]*BFSResult, lanes)
+				depth := 0
+				for l, src := range srcs {
+					if refs[src] == nil {
+						refs[src] = RefBFSTree(g, src)
+					}
+					label := d.name + "/lanes=" + itoa(lanes) + "/workers=" + itoa(workers) + "/lane=" + itoa(l)
+					treesEqual(t, label, trees[l], refs[src])
+					results[l] = &trees[l].BFSResult
+					depth = max(depth, trees[l].Iterations+1)
+				}
+				for l, err := range ValidateBFSBatch(g, srcs, results) {
+					if err != nil {
+						t.Fatalf("%s/lanes=%d/workers=%d: certificate rejects lane %d: %v", d.name, lanes, workers, l, err)
+					}
+				}
+				if (depth > MaxBFSLanes) != d.deep {
+					t.Fatalf("%s/lanes=%d: depth %d, want deep=%v", d.name, lanes, depth, d.deep)
 				}
 			}
-		})
+		}
+	}
+}
+
+// BenchmarkBFS times the multi-source sweep at one lane (BFSDirOpt, a
+// lone cold query) and at a full batch (a closed-loop batch before its
+// certificate). The datasets span density and diameter: dense
+// DotaLeague and KGS, Kronecker Synth, 67-level Amazon, low-reach
+// Citation, sparse WikiTalk and Friendster. Its rows at -cpu 1 and 2
+// are the direction-policy table of DESIGN.md §14.
+func BenchmarkBFS(b *testing.B) {
+	for _, d := range []struct {
+		name  string
+		scale int
+	}{
+		{"DotaLeague", 8}, {"KGS", 8}, {"KGS", 1}, {"Synth", 1},
+		{"Amazon", 4}, {"WikiTalk", 4}, {"Citation", 4}, {"Friendster", 8},
+	} {
+		g := profileGraph(b, d.name, d.scale)
+		for _, lanes := range []int{1, MaxBFSLanes} {
+			srcs := multiSources(g, lanes, 42)
+			b.Run(d.name+"@"+itoa(d.scale)+"/l"+itoa(lanes), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := BFSMultiSource(context.Background(), g, srcs, GapOptions{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
 // BenchmarkValidateBFSBatch times the warm certificate of one finished
-// sweep on servingGraph, for a lone lane and a full batch — what a lone
+// sweep on DotaLeague@8, the graph the serving daemon holds, for a lone lane and a full batch — what a lone
 // cold query and a full closed-loop batch wait for after their sweep.
 // The certificate is single-threaded, so -cpu does not move it; a
 // parallel one has to (ROADMAP item 4).
 func BenchmarkValidateBFSBatch(b *testing.B) {
-	g := servingGraph(b)
+	g := profileGraph(b, "DotaLeague", 8)
 	for _, lanes := range []int{1, MaxBFSLanes} {
 		srcs := multiSources(g, lanes, 42)
 		results := sweepResults(b, g, srcs)

@@ -34,9 +34,9 @@ func newTestServer(t *testing.T, mut func(*Config)) *Server {
 	return s
 }
 
-// TestServeBFSMatchesSolo pins served answers to the solo kernel:
-// distance and reachability for a spread of (src, target) pairs must
-// equal BFSDirOpt on the same graph.
+// TestServeBFSMatchesSolo pins served answers to a lone sequential
+// BFS: distance and reachability for a spread of (src, target) pairs
+// must equal RefBFSTree on the same graph.
 func TestServeBFSMatchesSolo(t *testing.T) {
 	s := newTestServer(t, nil)
 	g, err := s.Graph("DotaLeague")
@@ -52,15 +52,15 @@ func TestServeBFSMatchesSolo(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BFS(%d,%d): %v", src, target, err)
 		}
-		want := algo.BFSDirOpt(g, src, algo.GapOptions{})
+		want := algo.RefBFSTree(g, src)
 		if ans.Dist != want.Levels[target] {
-			t.Fatalf("BFS(%d,%d): dist %d, solo says %d", src, target, ans.Dist, want.Levels[target])
+			t.Fatalf("BFS(%d,%d): dist %d, reference says %d", src, target, ans.Dist, want.Levels[target])
 		}
 		if ans.Reachable != (want.Levels[target] >= 0) {
 			t.Fatalf("BFS(%d,%d): reachable %v contradicts dist", src, target, ans.Reachable)
 		}
 		if ans.Visited != want.Visited {
-			t.Fatalf("BFS(%d,%d): visited %d, solo says %d", src, target, ans.Visited, want.Visited)
+			t.Fatalf("BFS(%d,%d): visited %d, reference says %d", src, target, ans.Visited, want.Visited)
 		}
 	}
 }
@@ -107,9 +107,9 @@ func TestBatchCoalesce(t *testing.T) {
 	}
 	for i, ans := range answers {
 		src := graph.VertexID((i * (n/q + 1)) % n)
-		want := algo.BFSDirOpt(g, src, algo.GapOptions{})
+		want := algo.RefBFSTree(g, src)
 		if ans.Dist != want.Levels[0] {
-			t.Fatalf("query %d: dist %d, solo says %d", i, ans.Dist, want.Levels[0])
+			t.Fatalf("query %d: dist %d, reference says %d", i, ans.Dist, want.Levels[0])
 		}
 	}
 }
@@ -352,9 +352,9 @@ func TestStaleBatcherFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := s.Graph("DotaLeague")
-	want := algo.BFSDirOpt(g, 2, algo.GapOptions{})
+	want := algo.RefBFSTree(g, 2)
 	if ans.Dist != want.Levels[3] || ans.Cached {
-		t.Fatalf("fallback answer %+v disagrees with solo kernel (want dist %d, uncached)",
+		t.Fatalf("fallback answer %+v disagrees with the reference (want dist %d, uncached)",
 			ans, want.Levels[3])
 	}
 }
@@ -465,8 +465,8 @@ func TestCertificateFailureIsolated(t *testing.T) {
 	if err != nil || cached {
 		t.Fatalf("retry of the failed source: cached=%v err=%v, want a fresh certified sweep", cached, err)
 	}
-	if want := algo.BFSDirOpt(g, bad, algo.GapOptions{}); tree.Visited != want.Visited || tree.Levels[0] != want.Levels[0] {
-		t.Fatal("retry answered a tree that disagrees with the solo kernel")
+	if want := algo.RefBFSTree(g, bad); tree.Visited != want.Visited || tree.Levels[0] != want.Levels[0] {
+		t.Fatal("retry answered a tree that disagrees with the reference")
 	}
 	if b.lookup(bad) != tree {
 		t.Fatal("retried source not cached")

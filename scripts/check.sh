@@ -146,7 +146,7 @@ fi
 
 if [ "$run_gap" = 1 ]; then
     echo "== gap kernels (equivalence under -race + SSSP engine matrix)"
-    go test -race -run 'BFSDirOpt|SSSPDeltaStep|PageRankPull|Validate' ./internal/algo/
+    go test -race -run 'BFSDirOpt|RefBFSTree|SSSPDeltaStep|PageRankPull|Validate' ./internal/algo/
     go test -race -run 'SSSP' \
         ./internal/pregelalgo/ ./internal/gasalgo/ ./internal/mralgo/ \
         ./internal/pactalgo/ ./internal/dbalgo/
