@@ -38,7 +38,6 @@ func serveCmd(args []string, cacheDir string, sess *obs.Session) {
 	datasets := fs.String("datasets", "DotaLeague", "comma-separated datasets to keep resident")
 	scale := fs.Int("scale", 8, "down-scaling factor for the resident datasets")
 	seed := fs.Int64("seed", 42, "generation seed")
-	window := fs.Duration("window", 0, "how long a batch is held open behind the previous one; an idle dispatcher sweeps at once (0 = default 100µs)")
 	queue := fs.Int("queue", 0, "admission-control queue depth (0 = default 1024)")
 	timeout := fs.Duration("timeout", 0, "per-query deadline (0 = default 200ms)")
 	workers := fs.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS)")
@@ -50,7 +49,6 @@ func serveCmd(args []string, cacheDir string, sess *obs.Session) {
 		Seed:         *seed,
 		CacheDir:     cacheDir,
 		Workers:      *workers,
-		BatchWindow:  *window,
 		QueueDepth:   *queue,
 		QueryTimeout: *timeout,
 		Obs:          sess,

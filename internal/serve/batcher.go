@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -14,12 +15,12 @@ import (
 
 // batcher coalesces concurrent BFS-backed point queries into
 // multi-source lane sweeps. One dispatcher goroutine per dataset pulls
-// queries off a bounded queue, gathers a batch (see collect: at once
-// when the dispatcher was idle, held open for BatchWindow when the
-// query came in right behind the previous batch), runs
-// algo.BFSMultiSource once, certifies the whole batch with one
-// word-parallel algo.ValidateBFSBatch pass, installs the lanes that
-// passed in the result cache, and fans results out to the waiters.
+// queries off a bounded queue, gathers a batch by group commit (see
+// collect: the first waiter opens it, everything already queued rides
+// along), runs algo.BFSMultiSource once, certifies the whole batch
+// with one word-parallel algo.ValidateBFSBatch pass, installs the
+// lanes that passed in the result cache, and fans results out to the
+// waiters.
 //
 // The queue bound IS the admission controller: tree() never blocks on
 // a full queue, it fails fast with ErrOverloaded so callers shed load
@@ -38,16 +39,6 @@ type batcher struct {
 	// in tests that fail a sweep or damage a lane on its way to the
 	// certificate.
 	sweep func(context.Context, *graph.Graph, []graph.VertexID, algo.GapOptions) ([]*algo.BFSTree, error)
-	// now is the clock behind the dispatch regime: time.Now, except in
-	// tests that script it. Only the dispatcher goroutine calls it, once
-	// when a batch opens and once when it has fanned out.
-	now func() time.Time
-	// lastDone is when the previous batch finished fanning out (zero
-	// before the first), and timer the one window timer, created and
-	// armed only when a batch is held. Both belong to the dispatcher
-	// goroutine.
-	lastDone time.Time
-	timer    *time.Timer
 	// cert and results are the batch certificate's scratch — mask
 	// planes and the per-lane result views — touched only by the
 	// dispatcher goroutine and reused across batches.
@@ -67,10 +58,6 @@ type batcher struct {
 	//   serve.queries     point queries admitted
 	//   serve.cache.hits  served straight from the result cache
 	//   serve.batches     sweeps executed
-	//   serve.dispatch.immediate  batches swept with what was queued
-	//                     (dispatcher idle, or stopping)
-	//   serve.dispatch.held       batches held open for BatchWindow;
-	//                     the two sum to serve.batches
 	//   serve.lanes       total lanes across sweeps (lanes/batches =
 	//                     achieved amortization)
 	//   serve.overloads   queries rejected by admission control
@@ -79,7 +66,6 @@ type batcher struct {
 	//   serve.certify.lanes     lanes put to a certificate
 	//   serve.certify.failures  lanes whose certificate failed
 	queries, hits, batches, lanes, overloads, deadlines *obs.Counter
-	immediate, held                                     *obs.Counter
 	certifyNs, certifyLanes, certifyFailures            *obs.Counter
 }
 
@@ -114,7 +100,6 @@ func buildBatcher(g *graph.Graph, cfg *Config) *batcher {
 		g:               g,
 		cfg:             cfg,
 		sweep:           algo.BFSMultiSource,
-		now:             time.Now,
 		queue:           make(chan bfsWaiter, cfg.QueueDepth),
 		stopCh:          make(chan struct{}),
 		doneCh:          make(chan struct{}),
@@ -123,8 +108,6 @@ func buildBatcher(g *graph.Graph, cfg *Config) *batcher {
 		queries:         reg.Counter("serve.queries"),
 		hits:            reg.Counter("serve.cache.hits"),
 		batches:         reg.Counter("serve.batches"),
-		immediate:       reg.Counter("serve.dispatch.immediate"),
-		held:            reg.Counter("serve.dispatch.held"),
 		lanes:           reg.Counter("serve.lanes"),
 		overloads:       reg.Counter("serve.overloads"),
 		deadlines:       reg.Counter("serve.deadlines"),
@@ -205,12 +188,12 @@ func (b *batcher) dispatch() {
 	for {
 		select {
 		case w := <-b.queue:
-			b.batchFrom(w)
+			b.runBatch(b.collect(w))
 		case <-b.stopCh:
 			for {
 				select {
 				case w := <-b.queue:
-					b.batchFrom(w)
+					b.runBatch(b.collect(w))
 				default:
 					return
 				}
@@ -219,107 +202,37 @@ func (b *batcher) dispatch() {
 	}
 }
 
-// batchFrom runs the batch that first opens and notes when it was done.
-func (b *batcher) batchFrom(first bfsWaiter) {
-	b.runBatch(b.collect(first))
-	b.lastDone = b.now()
-}
-
-// collect gathers queries for one sweep, starting from the first
-// waiter; duplicate sources share a lane and a batch never exceeds
-// algo.MaxBFSLanes distinct sources. How long it waits for more depends
-// on what the dispatcher was doing when first arrived:
+// collect gathers one batch by group commit: the first waiter opens
+// it, and it takes whatever else is already queued — non-blocking
+// receives, so it never waits for more — up to algo.MaxBFSLanes
+// distinct sources, duplicates sharing a lane. Queries that arrive
+// while a batch sweeps queue up and form the next one, so under load
+// the batch size follows the arrival rate with no clock (DESIGN.md
+// §15). A stopping batcher drains its queue through the same path.
 //
-//	immediate  no batch has run yet, or the previous one finished more
-//	           than BatchWindow ago: the dispatcher was idle, there is
-//	           no burst to wait for. The batch takes whatever else is
-//	           already queued and sweeps at once; no timer is armed. A
-//	           stopping batcher drains its queue the same way.
-//	held       first came in within BatchWindow of the previous batch's
-//	           end — callers re-issuing together behind their answers.
-//	           The batch stays open until algo.MaxBFSLanes distinct
-//	           sources fill or the window closes, and goes as it then
-//	           is; a batcher that stops meanwhile takes what is queued.
-//
-// The held window is a runtime timer, and a Go process with nothing
-// else to run sleeps in whole milliseconds: a 100 µs window that no
-// query cuts short ends after about 1.1 ms. A dispatcher that loses the
-// processor past the window finds timer and queue both ready, and
-// select picks either: some held batches close short of a full queue
-// (DESIGN.md §15 for both).
+// Before it looks at the queue, collect yields the processor once.
+// A send to the idle dispatcher hands it the first waiter directly
+// and makes it the next goroutine to run, ahead of callers that are
+// already runnable but have not enqueued yet; on a single processor
+// every batch would then close at one lane. The yield lets those
+// callers enqueue first. It is one yield, not a wait: whoever has not
+// enqueued by then rides the next batch.
 func (b *batcher) collect(first bfsWaiter) ([]graph.VertexID, map[graph.VertexID][]chan bfsOutcome) {
+	runtime.Gosched()
 	srcs := []graph.VertexID{first.src}
 	waiters := map[graph.VertexID][]chan bfsOutcome{first.src: {first.done}}
-	admit := func(w bfsWaiter) {
-		if _, dup := waiters[w.src]; !dup {
-			srcs = append(srcs, w.src)
-		}
-		waiters[w.src] = append(waiters[w.src], w.done)
-	}
-
-	if b.holds() {
-		window := b.armWindow()
-		defer b.disarmWindow()
-	hold:
-		for len(srcs) < algo.MaxBFSLanes {
-			select {
-			case w := <-b.queue:
-				admit(w)
-			case <-window:
-				return srcs, waiters
-			case <-b.stopCh:
-				break hold
-			}
-		}
-	}
 	for len(srcs) < algo.MaxBFSLanes {
 		select {
 		case w := <-b.queue:
-			admit(w)
+			if _, dup := waiters[w.src]; !dup {
+				srcs = append(srcs, w.src)
+			}
+			waiters[w.src] = append(waiters[w.src], w.done)
 		default:
 			return srcs, waiters
 		}
 	}
 	return srcs, waiters
-}
-
-// holds decides the regime of the batch opening now, and counts it.
-func (b *batcher) holds() bool {
-	opened := b.now()
-	hold := !b.lastDone.IsZero() && opened.Sub(b.lastDone) <= b.cfg.BatchWindow
-	select {
-	case <-b.stopCh:
-		hold = false
-	default:
-	}
-	if hold {
-		b.held.Add(1)
-	} else {
-		b.immediate.Add(1)
-	}
-	return hold
-}
-
-// armWindow starts the dispatcher's one window timer; disarmWindow
-// leaves it stopped with its channel empty, fired or not, which is what
-// the next Reset needs (go.mod predates Go 1.23's timers, which drain
-// on Stop).
-func (b *batcher) armWindow() <-chan time.Time {
-	if b.timer == nil {
-		b.timer = time.NewTimer(b.cfg.BatchWindow)
-	} else {
-		b.timer.Reset(b.cfg.BatchWindow)
-	}
-	return b.timer.C
-}
-
-func (b *batcher) disarmWindow() {
-	if !b.timer.Stop() {
-		select {
-		case <-b.timer.C:
-		default:
-		}
-	}
 }
 
 // runBatch executes one multi-source sweep and fans the lanes out.

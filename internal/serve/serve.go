@@ -22,8 +22,10 @@
 // The perf core is the batching scheduler in batcher.go: concurrent
 // BFS-backed point queries coalesce into one multi-source
 // lane-bitmask sweep (algo.BFSMultiSource), so a batch of 64 queries
-// costs a handful of shared CSR sweeps instead of 64 traversals. Full
-// per-source trees are kept in a bounded result cache — a point query
+// costs a handful of shared CSR sweeps instead of 64 traversals. A
+// batch forms by group commit: the first waiting query opens it and
+// takes whatever else is already queued, so the load sets its size.
+// Full per-source trees are kept in a bounded result cache — a point query
 // is then one map lookup, and every tree entering the cache has been
 // checked by algo.ValidateBFSBatch first, so served answers are
 // certified. Every certificate is unconditional: ValidateBFSBatch on
@@ -86,14 +88,6 @@ type Config struct {
 	CacheDir string
 	// Workers caps kernel parallelism (0: kernel default).
 	Workers int
-	// BatchWindow is how long a batch is held open for callers that
-	// re-issue right behind the previous batch: a query reaching the
-	// dispatcher within BatchWindow of the previous batch's end waits
-	// for 64 distinct sources or the window, one that finds the
-	// dispatcher idle for longer sweeps at once (default 100µs; the
-	// window is a runtime timer and on an idle process closes after
-	// about 1.1 ms — DESIGN.md §15).
-	BatchWindow time.Duration
 	// QueueDepth bounds the execution queue; admission beyond it fails
 	// with ErrOverloaded (default 1024).
 	QueueDepth int
@@ -122,9 +116,6 @@ func (c *Config) fill() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 100 * time.Microsecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024

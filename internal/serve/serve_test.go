@@ -71,7 +71,6 @@ func TestBatchCoalesce(t *testing.T) {
 	sess := obs.NewSession(obs.Options{NoSampler: true})
 	s := newTestServer(t, func(c *Config) {
 		c.Obs = sess
-		c.BatchWindow = 2 * time.Millisecond
 		// Not a deadline test: under the race detector a full batch's
 		// certificates run ~10x slower, so give lanes ample time.
 		c.QueryTimeout = 10 * time.Second
@@ -294,7 +293,7 @@ func TestHandlerTable(t *testing.T) {
 			if path != "/metricz" {
 				continue
 			}
-			for _, name := range []string{"serve.certify.ns", "serve.certify.lanes", "serve.certify.failures", "serve.dispatch.immediate", "serve.dispatch.held",
+			for _, name := range []string{"serve.certify.ns", "serve.certify.lanes", "serve.certify.failures",
 				"serve.compact.failures", "serve.compact.ns", "serve.cc.rebuilds"} {
 				if !strings.Contains(rec.Body.String(), name) {
 					t.Fatalf("/metricz does not list %s", name)
@@ -383,7 +382,7 @@ func seamBatcher(t *testing.T, sess *obs.Session) (*batcher, *graph.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := &Config{Obs: sess, BatchWindow: 10 * time.Second, QueryTimeout: 30 * time.Second}
+	cfg := &Config{Obs: sess, QueryTimeout: 30 * time.Second}
 	cfg.fill()
 	return buildBatcher(g, cfg), g
 }
@@ -394,6 +393,7 @@ func seamBatcher(t *testing.T, sess *obs.Session) (*batcher, *graph.Graph) {
 // the cache; the other 63 lanes answer and are cached; and asking for
 // the failed source again sweeps it afresh and succeeds.
 func TestCertificateFailureIsolated(t *testing.T) {
+	noGoroutineLeak(t)
 	sess := obs.NewSession(obs.Options{NoSampler: true})
 	b, g := seamBatcher(t, sess)
 	n := g.NumVertices()
@@ -460,7 +460,6 @@ func TestCertificateFailureIsolated(t *testing.T) {
 		t.Fatal("serve.certify.ns not counted")
 	}
 
-	b.cfg.BatchWindow = time.Millisecond // the retry rides alone
 	tree, cached, err := b.tree(context.Background(), bad)
 	if err != nil || cached {
 		t.Fatalf("retry of the failed source: cached=%v err=%v, want a fresh certified sweep", cached, err)
@@ -480,6 +479,7 @@ func TestCertificateFailureIsolated(t *testing.T) {
 // batch with the sweep's error, and serve.deadlines counts waiters —
 // not lanes — and only when the error is the deadline.
 func TestSweepErrorDeadlineCount(t *testing.T) {
+	noGoroutineLeak(t)
 	for _, tc := range []struct {
 		err  error
 		want int64
@@ -489,7 +489,6 @@ func TestSweepErrorDeadlineCount(t *testing.T) {
 	} {
 		sess := obs.NewSession(obs.Options{NoSampler: true})
 		b, _ := seamBatcher(t, sess)
-		b.cfg.BatchWindow = time.Millisecond
 		b.sweep = func(context.Context, *graph.Graph, []graph.VertexID, algo.GapOptions) ([]*algo.BFSTree, error) {
 			return nil, tc.err
 		}
@@ -512,20 +511,6 @@ func TestSweepErrorDeadlineCount(t *testing.T) {
 	}
 }
 
-// scriptedClock is a now seam that reads epoch+offsets[i] on its i-th
-// call and stays on the last offset. The dispatcher reads its clock
-// twice a batch — when the batch opens and when it has fanned out — and
-// nothing else does, so a script fixes every regime decision however the
-// test's own goroutines are scheduled.
-func scriptedClock(offsets ...time.Duration) func() time.Time {
-	epoch, i := time.Unix(1_000_000, 0), 0
-	return func() time.Time {
-		t := epoch.Add(offsets[min(i, len(offsets)-1)])
-		i++
-		return t
-	}
-}
-
 // enqueue puts one waiter per source on the batcher's queue, behind the
 // result cache's back.
 func enqueue(b *batcher, srcs ...graph.VertexID) []bfsWaiter {
@@ -537,109 +522,73 @@ func enqueue(b *batcher, srcs ...graph.VertexID) []bfsWaiter {
 	return waiters
 }
 
-// requireDispatch checks the dispatch counters: batches in each regime,
-// their sum in serve.batches, and the lanes swept so far.
-func requireDispatch(t *testing.T, sess *obs.Session, immediate, held, lanes int64) {
+// requireDispatch checks the batches and the lanes swept so far.
+func requireDispatch(t *testing.T, sess *obs.Session, batches, lanes int64) {
 	t.Helper()
 	reg := sess.R()
-	gotI, gotH := reg.Counter("serve.dispatch.immediate").Get(), reg.Counter("serve.dispatch.held").Get()
-	gotB, gotL := reg.Counter("serve.batches").Get(), reg.Counter("serve.lanes").Get()
-	if gotI != immediate || gotH != held || gotB != immediate+held || gotL != lanes {
-		t.Fatalf("dispatch: %d immediate + %d held = %d batches, %d lanes; want %d + %d = %d batches, %d lanes",
-			gotI, gotH, gotB, gotL, immediate, held, immediate+held, lanes)
+	if gotB, gotL := reg.Counter("serve.batches").Get(), reg.Counter("serve.lanes").Get(); gotB != batches || gotL != lanes {
+		t.Fatalf("dispatch: %d batches, %d lanes; want %d batches, %d lanes", gotB, gotL, batches, lanes)
 	}
 }
 
-// TestDispatchIdleSweepsAtOnce: a fresh batcher counts as idle, so a
-// lone query is answered by a one-lane batch at once — the ten-second
-// window of the seam batcher never opens.
+// TestDispatchIdleSweepsAtOnce: a lone query on an idle batcher is
+// answered by a one-lane batch; nothing holds it open for company.
 func TestDispatchIdleSweepsAtOnce(t *testing.T) {
+	noGoroutineLeak(t)
 	sess := obs.NewSession(obs.Options{NoSampler: true})
 	b, _ := seamBatcher(t, sess)
 	go b.dispatch()
 	defer b.stop()
 
-	start := time.Now()
 	if _, cached, err := b.tree(context.Background(), 5); err != nil || cached {
 		t.Fatalf("lone query: cached=%v err=%v", cached, err)
 	}
-	if waited := time.Since(start); waited >= b.cfg.BatchWindow {
-		t.Fatalf("lone query on an idle batcher waited %v, the whole window", waited)
-	}
-	requireDispatch(t, sess, 1, 0, 1)
+	requireDispatch(t, sess, 1, 1)
 }
 
 // TestDispatchIdleTakesBacklog: what is already queued when an idle
-// dispatcher wakes rides its one immediate batch, duplicates on a
-// shared lane.
+// dispatcher wakes rides its batches, duplicates on a shared lane, and
+// a batch takes all it may: 128 distinct queued sources drain as
+// exactly two batches of 64 lanes, never a short batch that leaves a
+// full queue behind.
 func TestDispatchIdleTakesBacklog(t *testing.T) {
-	sess := obs.NewSession(obs.Options{NoSampler: true})
-	b, _ := seamBatcher(t, sess)
-	waiters := enqueue(b, 3, 9, 3, 14, 21)
-	go b.dispatch()
-	defer b.stop()
+	wide := make([]graph.VertexID, 2*algo.MaxBFSLanes)
+	for l := range wide {
+		wide[l] = graph.VertexID(300 + l)
+	}
+	for _, tc := range []struct {
+		name           string
+		srcs           []graph.VertexID
+		batches, lanes int64
+	}{
+		{"duplicates share a lane", []graph.VertexID{3, 9, 3, 14, 21}, 1, 4},
+		{"two full batches", wide, 2, 2 * algo.MaxBFSLanes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			noGoroutineLeak(t)
+			sess := obs.NewSession(obs.Options{NoSampler: true})
+			b, _ := seamBatcher(t, sess)
+			waiters := enqueue(b, tc.srcs...)
+			go b.dispatch()
+			defer b.stop()
 
-	for _, w := range waiters {
-		if out := <-w.done; out.err != nil {
-			t.Fatalf("source %d: %v", w.src, out.err)
-		}
+			for _, w := range waiters {
+				if out := <-w.done; out.err != nil {
+					t.Fatalf("source %d: %v", w.src, out.err)
+				}
+			}
+			requireDispatch(t, sess, tc.batches, tc.lanes)
+		})
 	}
-	requireDispatch(t, sess, 1, 0, 4)
-}
-
-// TestDispatchRegimes scripts the clock through the window's edge: a
-// batch opened exactly BatchWindow after the previous one fanned out is
-// held until 64 distinct sources fill, one opened a nanosecond later
-// sweeps its lone query at once.
-func TestDispatchRegimes(t *testing.T) {
-	sess := obs.NewSession(obs.Options{NoSampler: true})
-	b, _ := seamBatcher(t, sess)
-	w := b.cfg.BatchWindow
-	b.now = scriptedClock(
-		0, time.Millisecond, // batch 1: fresh, so immediate whatever the clock says
-		time.Millisecond+w, 2*time.Millisecond+w, // batch 2 opens w after batch 1 was done: held
-		2*time.Millisecond+2*w+1, 3*time.Millisecond+2*w+1, // batch 3 opens w+1ns after batch 2: immediate
-	)
-	go b.dispatch()
-	defer b.stop()
-
-	if _, _, err := b.tree(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	requireDispatch(t, sess, 1, 0, 1)
-
-	// 63 distinct sources and a duplicate leave the held batch open...
-	srcs := make([]graph.VertexID, algo.MaxBFSLanes)
-	for l := range srcs {
-		srcs[l] = graph.VertexID(100 + l)
-	}
-	waiters := enqueue(b, append([]graph.VertexID{srcs[0]}, srcs[:len(srcs)-1]...)...)
-	if got := sess.R().Counter("serve.batches").Get(); got != 1 {
-		t.Fatalf("%d batches swept with the held batch one source short, want 1", got)
-	}
-	// ...and the 64th closes it.
-	waiters = append(waiters, enqueue(b, srcs[len(srcs)-1])...)
-	for _, w := range waiters {
-		if out := <-w.done; out.err != nil {
-			t.Fatalf("source %d: %v", w.src, out.err)
-		}
-	}
-	requireDispatch(t, sess, 1, 1, 1+algo.MaxBFSLanes)
-
-	if _, cached, err := b.tree(context.Background(), 2); err != nil || cached {
-		t.Fatalf("lone query past the window: cached=%v err=%v", cached, err)
-	}
-	requireDispatch(t, sess, 2, 1, 2+algo.MaxBFSLanes)
 }
 
 // TestStopDrainsWithoutHolding: stopping a batcher answers everything
-// queued without waiting for a window, even where the clock says the
-// next batch should be held — compaction calls stop with the writer
-// paused.
+// queued through the batches group commit forms — compaction calls
+// stop with the writer paused, so no waiter may be stranded.
 func TestStopDrainsWithoutHolding(t *testing.T) {
+	noGoroutineLeak(t)
 	sess := obs.NewSession(obs.Options{NoSampler: true})
 	b, _ := seamBatcher(t, sess)
-	b.now = scriptedClock(0) // no time passes: every batch after the first opens inside the window
 	srcs := make([]graph.VertexID, algo.MaxBFSLanes+6)
 	for l := range srcs {
 		srcs[l] = graph.VertexID(200 + l)
@@ -647,12 +596,8 @@ func TestStopDrainsWithoutHolding(t *testing.T) {
 	// A duplicate in each of the two batches the 70 sources make.
 	waiters := enqueue(b, append(append([]graph.VertexID{srcs[0]}, srcs...), srcs[len(srcs)-1])...)
 	go b.dispatch()
-
-	start := time.Now()
 	b.stop()
-	if took := time.Since(start); took >= b.cfg.BatchWindow/2 {
-		t.Fatalf("stop took %v: the drain held a batch window", took)
-	}
+
 	for _, w := range waiters {
 		select {
 		case out := <-w.done:
@@ -663,49 +608,7 @@ func TestStopDrainsWithoutHolding(t *testing.T) {
 			t.Fatalf("source %d was queued at stop and never answered", w.src)
 		}
 	}
-	// Which regime the second batch opened in depends on whether stop
-	// got in first; that it was not waited out does not.
-	reg := sess.R()
-	if batches, lanes := reg.Counter("serve.batches").Get(), reg.Counter("serve.lanes").Get(); batches != 2 || lanes != int64(len(srcs)) {
-		t.Fatalf("%d waiters drained in %d batches of %d lanes, want 2 of %d", len(waiters), batches, lanes, len(srcs))
-	}
-}
-
-// TestStopReleasesHeldBatch: a batch already held open when the batcher
-// stops closes at once and answers its waiter.
-func TestStopReleasesHeldBatch(t *testing.T) {
-	sess := obs.NewSession(obs.Options{NoSampler: true})
-	b, _ := seamBatcher(t, sess)
-	reads, secondOpens := 0, make(chan struct{})
-	b.now = func() time.Time {
-		if reads++; reads == 3 { // batch 1 opened and was done; this is batch 2 opening
-			close(secondOpens)
-		}
-		return time.Unix(1_000_000, 0) // no time passes: batch 2 opens inside the window
-	}
-	go b.dispatch()
-	if _, _, err := b.tree(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	w := enqueue(b, 2)[0]
-	<-secondOpens
-
-	start := time.Now()
-	b.stop()
-	if took := time.Since(start); took >= b.cfg.BatchWindow/2 {
-		t.Fatalf("stop took %v: it waited out a held batch's window", took)
-	}
-	select {
-	case out := <-w.done:
-		if out.err != nil {
-			t.Fatal(out.err)
-		}
-	default:
-		t.Fatal("the held batch's waiter was never answered")
-	}
-	if got := sess.R().Counter("serve.lanes").Get(); got != 2 {
-		t.Fatalf("%d lanes swept, want 2", got)
-	}
+	requireDispatch(t, sess, 2, int64(len(srcs)))
 }
 
 // warmAll fills the result cache for every vertex (batched, certified)

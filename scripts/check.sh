@@ -13,8 +13,9 @@
 #   --gap        additionally run the GAP kernel equivalence tests under
 #                the race detector and the SSSP engine matrix.
 #   --serve      additionally run the serving gate: batch equivalence and
-#                handler tests under the race detector, the dispatch
-#                regime and stop-drain tests twenty times over, a short
+#                handler tests under the race detector, the group-commit
+#                and stop-drain tests twenty times over at GOMAXPROCS 1
+#                and 2 (scripts/dispatch-race.sh), a short
 #                200-user read-only fleet smoke, and a SIGTERM drain of
 #                the daemon (exit 0).
 #   --experiment additionally mirror CI's experiment gate locally: the
@@ -154,12 +155,10 @@ if [ "$run_gap" = 1 ]; then
 fi
 
 if [ "$run_serve" = 1 ]; then
-    echo "== serving gate (batch equivalence + batch certificate + handlers under -race, dispatch regimes x20, fleet smoke, SIGTERM drain)"
+    echo "== serving gate (batch equivalence + batch certificate + handlers under -race, group commit x20, fleet smoke, SIGTERM drain)"
     go test -race -run 'BFSMultiSource|ValidateBFSBatch' ./internal/algo/
     go test -race ./internal/serve/
-    # The dispatch regimes and the stop drain hang on goroutine
-    # interleavings one pass may not meet.
-    go test -race -count=20 -run 'TestDispatchIdleSweepsAtOnce|TestDispatchIdleTakesBacklog|TestDispatchRegimes|TestStopDrainsWithoutHolding|TestStopReleasesHeldBatch' ./internal/serve/
+    sh scripts/dispatch-race.sh
     go run ./cmd/graphbench stream -mix 100/0 -users 200 -duration 2s -think 1ms
     # The daemon must drain and exit 0 on SIGTERM (built, not `go run`,
     # so the signal reaches it; `wait` carries its status under set -e).
