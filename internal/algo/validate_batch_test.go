@@ -401,8 +401,9 @@ func BenchmarkBFS(b *testing.B) {
 // BenchmarkValidateBFSBatch times the warm certificate of one finished
 // sweep on DotaLeague@8, the graph the serving daemon holds, for a lone lane and a full batch — what a lone
 // cold query and a full closed-loop batch wait for after their sweep.
-// The certificate is single-threaded, so -cpu does not move it; a
-// parallel one has to (ROADMAP item 4).
+// The certificate is single-threaded, so -cpu does not move it. The
+// serving daemon runs it on a goroutine of its own beside the next
+// batch's sweep, so on two cores it already has a core to itself.
 func BenchmarkValidateBFSBatch(b *testing.B) {
 	g := profileGraph(b, "DotaLeague", 8)
 	for _, lanes := range []int{1, MaxBFSLanes} {

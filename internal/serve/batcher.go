@@ -14,13 +14,16 @@ import (
 )
 
 // batcher coalesces concurrent BFS-backed point queries into
-// multi-source lane sweeps. One dispatcher goroutine per dataset pulls
-// queries off a bounded queue, gathers a batch by group commit (see
-// collect: the first waiter opens it, everything already queued rides
-// along), runs algo.BFSMultiSource once, certifies the whole batch
-// with one word-parallel algo.ValidateBFSBatch pass, installs the
-// lanes that passed in the result cache, and fans results out to the
-// waiters.
+// multi-source lane sweeps, in two pipelined stages per dataset. The
+// sweep stage (dispatch) pulls queries off a bounded queue, gathers a
+// batch by group commit (see collect: the first waiter opens it,
+// everything already queued rides along) and runs algo.BFSMultiSource
+// once. It hands the swept lanes over an unbuffered channel to the
+// certificate stage (certify), which certifies the whole batch with
+// one word-parallel algo.ValidateBFSBatch pass, installs the lanes
+// that passed in the result cache and fans every lane out to its
+// waiters. So batch N+1 forms and sweeps while batch N is certified,
+// and no lane reaches a waiter or the cache uncertified.
 //
 // The queue bound IS the admission controller: tree() never blocks on
 // a full queue, it fails fast with ErrOverloaded so callers shed load
@@ -39,13 +42,20 @@ type batcher struct {
 	// in tests that fail a sweep or damage a lane on its way to the
 	// certificate.
 	sweep func(context.Context, *graph.Graph, []graph.VertexID, algo.GapOptions) ([]*algo.BFSTree, error)
+	// validate is the batch certificate: cert.Validate, except in
+	// tests that hold a certificate open to watch the next sweep run.
+	validate func(*graph.Graph, []graph.VertexID, []*algo.BFSResult) []error
 	// cert and results are the batch certificate's scratch — mask
 	// planes and the per-lane result views — touched only by the
-	// dispatcher goroutine and reused across batches.
+	// certificate stage and reused across batches.
 	cert    algo.BFSBatchValidator
 	results []*algo.BFSResult
 
-	queue    chan bfsWaiter
+	queue chan bfsWaiter
+	// swept is the handoff from the sweep stage to the certificate
+	// stage. It is unbuffered: a second swept batch never waits in
+	// between, so at most one batch sweeps while one is certified.
+	swept    chan sweptBatch
 	stopCh   chan struct{}
 	doneCh   chan struct{}
 	stopOnce sync.Once
@@ -62,11 +72,21 @@ type batcher struct {
 	//                     achieved amortization)
 	//   serve.overloads   queries rejected by admission control
 	//   serve.deadlines   queries that missed their deadline
+	//   serve.handoff.ns        wall time the sweep stage waited for a
+	//                           busy certificate stage (zero while the
+	//                           sweep is the slower stage)
 	//   serve.certify.ns        wall time inside batch certificates
 	//   serve.certify.lanes     lanes put to a certificate
 	//   serve.certify.failures  lanes whose certificate failed
 	queries, hits, batches, lanes, overloads, deadlines *obs.Counter
-	certifyNs, certifyLanes, certifyFailures            *obs.Counter
+	handoffNs, certifyNs, certifyLanes, certifyFailures *obs.Counter
+}
+
+// sweptBatch is one swept batch on its way to the certificate stage.
+type sweptBatch struct {
+	srcs    []graph.VertexID
+	waiters map[graph.VertexID][]chan bfsOutcome
+	trees   []*algo.BFSTree
 }
 
 // bfsWaiter is one queued query: a source plus the channel its result
@@ -88,19 +108,21 @@ var errStaleBatcher = errors.New("serve: batcher retired by compaction")
 
 func newBatcher(g *graph.Graph, cfg *Config) *batcher {
 	b := buildBatcher(g, cfg)
-	go b.dispatch()
+	b.start()
 	return b
 }
 
-// buildBatcher is newBatcher short of starting the dispatcher, so a
-// test can swap the sweep seam or pre-load the queue first.
+// buildBatcher is newBatcher short of starting the two stages, so a
+// test can swap the sweep or certificate seam or pre-load the queue
+// first.
 func buildBatcher(g *graph.Graph, cfg *Config) *batcher {
 	reg := cfg.Obs.R()
-	return &batcher{
+	b := &batcher{
 		g:               g,
 		cfg:             cfg,
 		sweep:           algo.BFSMultiSource,
 		queue:           make(chan bfsWaiter, cfg.QueueDepth),
+		swept:           make(chan sweptBatch),
 		stopCh:          make(chan struct{}),
 		doneCh:          make(chan struct{}),
 		cache:           make(map[graph.VertexID]*algo.BFSTree),
@@ -111,10 +133,21 @@ func buildBatcher(g *graph.Graph, cfg *Config) *batcher {
 		lanes:           reg.Counter("serve.lanes"),
 		overloads:       reg.Counter("serve.overloads"),
 		deadlines:       reg.Counter("serve.deadlines"),
+		handoffNs:       reg.Counter("serve.handoff.ns"),
 		certifyNs:       reg.Counter("serve.certify.ns"),
 		certifyLanes:    reg.Counter("serve.certify.lanes"),
 		certifyFailures: reg.Counter("serve.certify.failures"),
 	}
+	b.validate = b.cert.Validate
+	return b
+}
+
+// start runs the sweep stage and the certificate stage. stop ends
+// both: the sweep stage drains the queue and closes the handoff, and
+// the certificate stage answers what it was handed and closes doneCh.
+func (b *batcher) start() {
+	go b.dispatch()
+	go b.certify()
 }
 
 func (b *batcher) stop() {
@@ -166,9 +199,10 @@ func (b *batcher) tree(ctx context.Context, src graph.VertexID) (t *algo.BFSTree
 	case out := <-w.done:
 		return answered(out)
 	case <-b.doneCh:
-		// The batcher retired mid-query. The dispatcher's shutdown
-		// drain may still have answered this waiter (done is
-		// buffered), so check once more before reporting staleness.
+		// The batcher retired mid-query. The shutdown drain may still
+		// have answered this waiter (done is buffered, and doneCh
+		// closes only after the last certificate), so check once more
+		// before reporting staleness.
 		select {
 		case out := <-w.done:
 			return answered(out)
@@ -181,19 +215,20 @@ func (b *batcher) tree(ctx context.Context, src graph.VertexID) (t *algo.BFSTree
 	}
 }
 
-// dispatch is the scheduler loop: collect a batch, sweep, fan out;
-// on stop, drain whatever is still queued so no waiter is stranded.
+// dispatch is the sweep stage: collect a batch, sweep it, hand it to
+// the certificate stage; on stop, drain whatever is still queued so no
+// waiter is stranded, then close the handoff.
 func (b *batcher) dispatch() {
-	defer close(b.doneCh)
+	defer close(b.swept)
 	for {
 		select {
 		case w := <-b.queue:
-			b.runBatch(b.collect(w))
+			b.sweepBatch(b.collect(w))
 		case <-b.stopCh:
 			for {
 				select {
 				case w := <-b.queue:
-					b.runBatch(b.collect(w))
+					b.sweepBatch(b.collect(w))
 				default:
 					return
 				}
@@ -235,11 +270,12 @@ func (b *batcher) collect(first bfsWaiter) ([]graph.VertexID, map[graph.VertexID
 	return srcs, waiters
 }
 
-// runBatch executes one multi-source sweep and fans the lanes out.
-// Every lane is certified before it may enter the cache or answer a
-// query; the batch runs under the per-query deadline so an expired
-// sweep cancels mid-flight via the kernel's context checks.
-func (b *batcher) runBatch(srcs []graph.VertexID, waiters map[graph.VertexID][]chan bfsOutcome) {
+// sweepBatch executes one multi-source sweep under the per-query
+// deadline, so an expired sweep cancels mid-flight via the kernel's
+// context checks. A failed sweep fans its error out here; a swept
+// batch goes to the certificate stage, waiting while that stage is
+// still busy with the previous batch.
+func (b *batcher) sweepBatch(srcs []graph.VertexID, waiters map[graph.VertexID][]chan bfsOutcome) {
 	span := b.tracer.Begin("serve.batch", obs.KindJob, int64(len(srcs)), obs.SpanRef{})
 	bctx, cancel := context.WithTimeout(context.Background(), b.cfg.QueryTimeout)
 	trees, err := b.sweep(bctx, b.g, srcs, algo.GapOptions{Workers: b.cfg.Workers})
@@ -257,40 +293,58 @@ func (b *batcher) runBatch(srcs []graph.VertexID, waiters map[graph.VertexID][]c
 		}
 		return
 	}
-	// One certificate for the whole batch, then install and fan out
-	// lane by lane; the cache lock is never held across the
-	// certificate. A failed certificate fails only its own lane.
-	//
-	// The certificate is on the books as counters only. It gets no obs
-	// span, and serve.batch above is not stretched over it: the claim
-	// benchmark reads every span of this session as serve.batch.sweep,
-	// so either would redefine its serve.batch.sweep_ms.
-	b.results = b.results[:0]
-	for _, t := range trees {
-		b.results = append(b.results, &t.BFSResult)
+	// Only a wait for a busy certificate stage is timed, so
+	// serve.handoff.ns stays zero while the sweep is the slower stage.
+	batch := sweptBatch{srcs: srcs, waiters: waiters, trees: trees}
+	select {
+	case b.swept <- batch:
+	default:
+		start := time.Now()
+		b.swept <- batch
+		b.handoffNs.Add(int64(time.Since(start)))
 	}
-	start := time.Now()
-	verrs := b.cert.Validate(b.g, srcs, b.results)
-	b.certifyNs.Add(int64(time.Since(start)))
-	b.certifyLanes.Add(int64(len(srcs)))
-	for l, src := range srcs {
-		out := bfsOutcome{tree: trees[l]}
-		if verrs[l] != nil {
-			b.certifyFailures.Add(1)
-			out = bfsOutcome{err: fmt.Errorf("serve: BFS certificate failed for source %d: %w", src, verrs[l])}
-		} else {
-			b.mu.Lock()
-			if len(b.cache) >= b.cfg.ResultCacheSize {
-				for k := range b.cache {
-					delete(b.cache, k)
-					break
-				}
-			}
-			b.cache[src] = trees[l]
-			b.mu.Unlock()
+}
+
+// certify is the certificate stage. For each swept batch it runs one
+// certificate for the whole batch, then installs and fans out lane by
+// lane; the cache lock is never held across the certificate. A failed
+// certificate fails only its own lane. It closes doneCh once the sweep
+// stage has closed the handoff and the last batch is answered.
+//
+// The certificate is on the books as counters only. It gets no obs
+// span: the claim benchmark reads every span of this session as
+// serve.batch.sweep, so a certificate span would redefine its
+// serve.batch.sweep_ms.
+func (b *batcher) certify() {
+	defer close(b.doneCh)
+	for batch := range b.swept {
+		b.results = b.results[:0]
+		for _, t := range batch.trees {
+			b.results = append(b.results, &t.BFSResult)
 		}
-		for _, ch := range waiters[src] {
-			ch <- out
+		start := time.Now()
+		verrs := b.validate(b.g, batch.srcs, b.results)
+		b.certifyNs.Add(int64(time.Since(start)))
+		b.certifyLanes.Add(int64(len(batch.srcs)))
+		for l, src := range batch.srcs {
+			out := bfsOutcome{tree: batch.trees[l]}
+			if verrs[l] != nil {
+				b.certifyFailures.Add(1)
+				out = bfsOutcome{err: fmt.Errorf("serve: BFS certificate failed for source %d: %w", src, verrs[l])}
+			} else {
+				b.mu.Lock()
+				if len(b.cache) >= b.cfg.ResultCacheSize {
+					for k := range b.cache {
+						delete(b.cache, k)
+						break
+					}
+				}
+				b.cache[src] = batch.trees[l]
+				b.mu.Unlock()
+			}
+			for _, ch := range batch.waiters[src] {
+				ch <- out
+			}
 		}
 	}
 }

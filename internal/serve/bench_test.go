@@ -17,8 +17,9 @@ import (
 // N callers each issue Server.BFS back to back on DotaLeague@8, query i
 // taking the i-th source of a seeded vertex permutation, with a
 // 128-source result cache as in the claim benchmark's serve-cold-batch,
-// so nearly every query rides a batch. It reports sustained q/s and
-// the lanes a batch achieved.
+// so nearly every query rides a batch. It reports sustained q/s, the
+// lanes a batch achieved and how long a swept batch waited, on
+// average, for the certificate stage to take it (serve.handoff.ns).
 //
 //	go test -run '^$' -bench ClosedLoop -benchtime 2s -cpu 1,2 ./internal/serve/
 func BenchmarkClosedLoop(b *testing.B) {
@@ -39,13 +40,13 @@ func BenchmarkClosedLoop(b *testing.B) {
 	}
 	perm := rand.New(rand.NewSource(42)).Perm(g.NumVertices())
 	reg := sess.R()
-	batches, lanes := reg.Counter("serve.batches"), reg.Counter("serve.lanes")
+	batches, lanes, handoff := reg.Counter("serve.batches"), reg.Counter("serve.lanes"), reg.Counter("serve.handoff.ns")
 
 	for _, callers := range []int{1, 4, 16, 32, 64, 96, 128} {
 		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
 			var next atomic.Int64
 			var wg sync.WaitGroup
-			batches0, lanes0 := batches.Get(), lanes.Get()
+			batches0, lanes0, handoff0 := batches.Get(), lanes.Get(), handoff.Get()
 			b.ResetTimer()
 			for c := 0; c < callers; c++ {
 				wg.Add(1)
@@ -65,6 +66,7 @@ func BenchmarkClosedLoop(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "q/s")
 			if nb := batches.Get() - batches0; nb > 0 {
 				b.ReportMetric(float64(lanes.Get()-lanes0)/float64(nb), "lanes/batch")
+				b.ReportMetric(float64(handoff.Get()-handoff0)/float64(nb)/1e3, "handoff-us/batch")
 			}
 		})
 	}

@@ -25,8 +25,10 @@
 // costs a handful of shared CSR sweeps instead of 64 traversals. A
 // batch forms by group commit: the first waiting query opens it and
 // takes whatever else is already queued, so the load sets its size.
-// Full per-source trees are kept in a bounded result cache — a point query
-// is then one map lookup, and every tree entering the cache has been
+// Sweep and certificate are pipelined stages: while one batch is
+// certified the next forms and sweeps. Full per-source trees are kept
+// in a bounded result cache — a point query is then one map lookup,
+// and every tree entering the cache or answering a query has been
 // checked by algo.ValidateBFSBatch first, so served answers are
 // certified. Every certificate is unconditional: ValidateBFSBatch on
 // each executed batch, evolve.CheckBFS on each snapshot-path answer,

@@ -68,6 +68,7 @@ func TestServeBFSMatchesSolo(t *testing.T) {
 // TestBatchCoalesce: concurrent distinct-source queries must coalesce
 // into far fewer sweeps than queries, and every answer stays correct.
 func TestBatchCoalesce(t *testing.T) {
+	noGoroutineLeak(t)
 	sess := obs.NewSession(obs.Options{NoSampler: true})
 	s := newTestServer(t, func(c *Config) {
 		c.Obs = sess
@@ -204,6 +205,7 @@ func postJSON(h http.Handler, path, body string) *httptest.ResponseRecorder {
 // missing/unknown fields, unknown dataset, out-of-range vertex, plus
 // the happy paths for every endpoint.
 func TestHandlerTable(t *testing.T) {
+	noGoroutineLeak(t)
 	s := newTestServer(t, nil)
 	h := s.Handler()
 	g, _ := s.Graph("DotaLeague")
@@ -293,7 +295,7 @@ func TestHandlerTable(t *testing.T) {
 			if path != "/metricz" {
 				continue
 			}
-			for _, name := range []string{"serve.certify.ns", "serve.certify.lanes", "serve.certify.failures",
+			for _, name := range []string{"serve.handoff.ns", "serve.certify.ns", "serve.certify.lanes", "serve.certify.failures",
 				"serve.compact.failures", "serve.compact.ns", "serve.cc.rebuilds"} {
 				if !strings.Contains(rec.Body.String(), name) {
 					t.Fatalf("/metricz does not list %s", name)
@@ -315,6 +317,7 @@ func TestHandlerTable(t *testing.T) {
 // queue pre-filled, admission control must answer 429 with the typed
 // error, deterministically.
 func TestHandlerOverload(t *testing.T) {
+	noGoroutineLeak(t)
 	s := newTestServer(t, func(c *Config) { c.QueueDepth = 2 })
 	bt := s.datasets["DotaLeague"].st.Load().batcher
 	bt.stop() // nothing drains the queue from here on
@@ -335,6 +338,7 @@ func TestHandlerOverload(t *testing.T) {
 // stale error, and the serve layer transparently re-answers on the
 // live snapshot — the client still gets a correct 200.
 func TestStaleBatcherFallback(t *testing.T) {
+	noGoroutineLeak(t)
 	s := newTestServer(t, nil)
 	bt := s.datasets["DotaLeague"].st.Load().batcher
 	bt.stop()
@@ -362,6 +366,7 @@ func TestStaleBatcherFallback(t *testing.T) {
 // back 504 with the kernel's typed error — whether the waiter times
 // out or the sweep itself is cancelled mid-flight.
 func TestHandlerDeadline(t *testing.T) {
+	noGoroutineLeak(t)
 	s := newTestServer(t, func(c *Config) { c.QueryTimeout = time.Nanosecond })
 	_, err := s.BFS(context.Background(), "DotaLeague", 1, 2)
 	if !errors.Is(err, algo.ErrDeadlineExceeded) {
@@ -374,7 +379,8 @@ func TestHandlerDeadline(t *testing.T) {
 }
 
 // seamBatcher is a batcher over the test server's graph whose sweep
-// seam and queue the caller may set up before starting the dispatcher.
+// and certificate seams and queue the caller may set up before
+// starting its two stages.
 func seamBatcher(t *testing.T, sess *obs.Session) (*batcher, *graph.Graph) {
 	t.Helper()
 	s := newTestServer(t, nil)
@@ -385,6 +391,17 @@ func seamBatcher(t *testing.T, sess *obs.Session) (*batcher, *graph.Graph) {
 	cfg := &Config{Obs: sess, QueryTimeout: 30 * time.Second}
 	cfg.fill()
 	return buildBatcher(g, cfg), g
+}
+
+// damageLane puts one vertex at level 2 a level too deep, so an arc
+// now skips a level and the lane's certificate must fail.
+func damageLane(t *algo.BFSTree) {
+	for v, d := range t.Levels {
+		if d == 2 {
+			t.Levels[v] = 3
+			return
+		}
+	}
 }
 
 // TestCertificateFailureIsolated damages one lane of a full batch
@@ -411,13 +428,7 @@ func TestCertificateFailureIsolated(t *testing.T) {
 				continue
 			}
 			damaged = true
-			levels := trees[l].Levels
-			for v := range levels {
-				if levels[v] == 2 { // one vertex a level too deep: an arc now skips a level
-					levels[v] = 3
-					break
-				}
-			}
+			damageLane(trees[l])
 		}
 		return trees, err
 	}
@@ -431,7 +442,7 @@ func TestCertificateFailureIsolated(t *testing.T) {
 		waiters[i] = bfsWaiter{src: src, done: make(chan bfsOutcome, 1)}
 		b.queue <- waiters[i]
 	}
-	go b.dispatch()
+	b.start()
 	defer b.stop()
 
 	for _, w := range waiters {
@@ -492,7 +503,7 @@ func TestSweepErrorDeadlineCount(t *testing.T) {
 		b.sweep = func(context.Context, *graph.Graph, []graph.VertexID, algo.GapOptions) ([]*algo.BFSTree, error) {
 			return nil, tc.err
 		}
-		go b.dispatch()
+		b.start()
 		var wg sync.WaitGroup
 		for _, src := range []graph.VertexID{4, 4, 9} { // two lanes, three waiters
 			wg.Add(1)
@@ -537,7 +548,7 @@ func TestDispatchIdleSweepsAtOnce(t *testing.T) {
 	noGoroutineLeak(t)
 	sess := obs.NewSession(obs.Options{NoSampler: true})
 	b, _ := seamBatcher(t, sess)
-	go b.dispatch()
+	b.start()
 	defer b.stop()
 
 	if _, cached, err := b.tree(context.Background(), 5); err != nil || cached {
@@ -569,7 +580,7 @@ func TestDispatchIdleTakesBacklog(t *testing.T) {
 			sess := obs.NewSession(obs.Options{NoSampler: true})
 			b, _ := seamBatcher(t, sess)
 			waiters := enqueue(b, tc.srcs...)
-			go b.dispatch()
+			b.start()
 			defer b.stop()
 
 			for _, w := range waiters {
@@ -584,7 +595,9 @@ func TestDispatchIdleTakesBacklog(t *testing.T) {
 
 // TestStopDrainsWithoutHolding: stopping a batcher answers everything
 // queued through the batches group commit forms — compaction calls
-// stop with the writer paused, so no waiter may be stranded.
+// stop with the writer paused, so no waiter may be stranded — and
+// returns only once the certificate stage has certified every lane
+// the sweep stage swept.
 func TestStopDrainsWithoutHolding(t *testing.T) {
 	noGoroutineLeak(t)
 	sess := obs.NewSession(obs.Options{NoSampler: true})
@@ -595,7 +608,7 @@ func TestStopDrainsWithoutHolding(t *testing.T) {
 	}
 	// A duplicate in each of the two batches the 70 sources make.
 	waiters := enqueue(b, append(append([]graph.VertexID{srcs[0]}, srcs...), srcs[len(srcs)-1])...)
-	go b.dispatch()
+	b.start()
 	b.stop()
 
 	for _, w := range waiters {
@@ -609,6 +622,86 @@ func TestStopDrainsWithoutHolding(t *testing.T) {
 		}
 	}
 	requireDispatch(t, sess, 2, int64(len(srcs)))
+	if got := sess.R().Counter("serve.certify.lanes").Get(); got != int64(len(srcs)) {
+		t.Fatalf("stop returned with %d of %d swept lanes certified", got, len(srcs))
+	}
+}
+
+// TestCertificateOverlapsNextSweep holds batch 1's certificate open
+// and requires batch 2 to form and sweep meanwhile: the sweep stage
+// does not wait for the certificate stage. Released, both batches
+// answer, and the lane damaged on its way to batch 1's certificate
+// fails alone and stays out of the cache.
+func TestCertificateOverlapsNextSweep(t *testing.T) {
+	noGoroutineLeak(t)
+	sess := obs.NewSession(obs.Options{NoSampler: true})
+	b, _ := seamBatcher(t, sess)
+	first, second := []graph.VertexID{11, 22, 33}, []graph.VertexID{44, 55}
+	bad := first[1]
+
+	// Each counter is touched by one stage's goroutine only.
+	sweeps, certs := 0, 0
+	secondSwept := make(chan struct{})
+	b.sweep = func(ctx context.Context, g *graph.Graph, batch []graph.VertexID, opt algo.GapOptions) ([]*algo.BFSTree, error) {
+		sweeps++
+		trees, err := algo.BFSMultiSource(ctx, g, batch, opt)
+		for l, src := range batch {
+			if err == nil && sweeps == 1 && src == bad {
+				damageLane(trees[l])
+			}
+		}
+		if sweeps == 2 {
+			close(secondSwept)
+		}
+		return trees, err
+	}
+	certHeld, release := make(chan struct{}), make(chan struct{})
+	validate := b.validate
+	b.validate = func(g *graph.Graph, srcs []graph.VertexID, results []*algo.BFSResult) []error {
+		if certs++; certs == 1 {
+			close(certHeld)
+			<-release
+		}
+		return validate(g, srcs, results)
+	}
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+
+	waiters := enqueue(b, first...)
+	b.start()
+	defer b.stop()
+	defer releaseOnce() // before stop, or a failed wait below would hang it
+	<-certHeld
+	waiters = append(waiters, enqueue(b, second...)...)
+	select {
+	case <-secondSwept:
+	case <-time.After(10 * time.Second):
+		t.Fatal("batch 2 did not sweep while batch 1's certificate was held")
+	}
+	releaseOnce()
+
+	for _, w := range waiters {
+		out := <-w.done
+		if w.src == bad {
+			if out.err == nil || !strings.Contains(out.err.Error(), "certificate failed") {
+				t.Fatalf("damaged lane answered with error %v, want the certificate error", out.err)
+			}
+			continue
+		}
+		if out.err != nil {
+			t.Fatalf("source %d: %v", w.src, out.err)
+		}
+		if b.lookup(w.src) != out.tree {
+			t.Fatalf("source %d answered but is not the cached tree", w.src)
+		}
+	}
+	if b.lookup(bad) != nil {
+		t.Fatal("a lane with a failed certificate entered the result cache")
+	}
+	reg := sess.R()
+	want := int64(len(first) + len(second))
+	if lanes, failures := reg.Counter("serve.certify.lanes").Get(), reg.Counter("serve.certify.failures").Get(); lanes != want || failures != 1 {
+		t.Fatalf("serve.certify.lanes = %d, failures = %d, want %d and 1", lanes, failures, want)
+	}
 }
 
 // warmAll fills the result cache for every vertex (batched, certified)

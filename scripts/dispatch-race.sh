@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Runs the batcher's group-commit and stop-drain tests twenty times
-# under the race detector at GOMAXPROCS 1 and 2. They hang on goroutine
+# Runs the batcher's group-commit, stage-overlap and stop-drain tests
+# twenty times under the race detector at GOMAXPROCS 1 and 2. They hang on goroutine
 # interleavings one pass may not meet, and one processor is where a
 # send hands the idle dispatcher the processor before other callers
 # enqueue. The -run pattern must match every test it names, so a
@@ -9,7 +9,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-tests='TestBatchCoalesce TestDispatchIdleSweepsAtOnce TestDispatchIdleTakesBacklog TestStopDrainsWithoutHolding'
+tests='TestBatchCoalesce TestCertificateOverlapsNextSweep TestDispatchIdleSweepsAtOnce TestDispatchIdleTakesBacklog TestStopDrainsWithoutHolding'
 pattern="^($(echo $tests | tr ' ' '|'))\$"
 named=$(echo $tests | wc -w)
 listed=$(go test -list "$pattern" ./internal/serve/ | grep -c '^Test' || true)
