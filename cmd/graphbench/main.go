@@ -41,8 +41,8 @@
 //	    closed-loop user fleet against an in-process serving daemon: read/write sweep over an evolving graph, 100/0 is the serving load test
 //
 // Flags (before the command) scale the datasets, size the cluster,
-// pick a placement and write traces; `graphbench` without arguments
-// lists them with their defaults.
+// pick a placement and write traces and profiles; `graphbench`
+// without arguments lists them with their defaults.
 package main
 
 import (
@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"slices"
 	"strings"
 
@@ -171,6 +172,8 @@ func main() {
 		"dataset snapshot cache directory (empty disables; default $GRAPHBENCH_CACHE)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event file of the run's spans (open in chrome://tracing or Perfetto)")
 	metricsOut := flag.String("metrics", "", "write the run's counters, gauges, and resource samples as JSON")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the command (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write the command's allocation profile (go tool pprof)")
 	flag.Int64Var(&e.faultSeed, "fault-seed", 1, "seed of the fault plan for chaos")
 	partitioner := flag.String("partitioner", "", "placement strategy for distributed runs (hash range edgecut vertexcut grid; empty keeps engine defaults)")
 	flag.IntVar(&e.shards, "shards", 0, "shard count for the placement (0 = node count)")
@@ -202,9 +205,35 @@ func main() {
 	if len(args)-1 < cmd.min {
 		usage()
 	}
+	stopCPU := startCPUProfile(*cpuProfile)
 	cmd.run(e, args[1:])
+	stopCPU()
+	if *memProfile != "" {
+		writeFile(*memProfile, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) })
+	}
 	e.writeSession(*traceOut, *metricsOut)
 	os.Exit(e.exit)
+}
+
+// startCPUProfile starts profiling the CPU into path, when set, and
+// returns the function that stops it and closes the file.
+func startCPUProfile(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatal("%v", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fatal("%v", err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fatal("%v", err)
+		}
+	}
 }
 
 // writeSession closes the observability session, if the global flags

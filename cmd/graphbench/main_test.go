@@ -107,6 +107,32 @@ func TestUnknownNameExitsOne(t *testing.T) {
 	}
 }
 
+// TestProfileFlagsWriteFiles runs one Hadoop cell with -cpuprofile and
+// -memprofile and checks that both files are written and non-empty.
+func TestProfileFlagsWriteFiles(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"graphbench"}, args...)
+		main()
+		return
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	args := []string{"-test.run=^TestProfileFlagsWriteFiles$", "--",
+		"-scale", "40", "-nodes", "4", "-cpuprofile", cpu, "-memprofile", mem, "run", "Hadoop", "CONN", "KGS"}
+	out, err := exec.Command(os.Args[0], args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("graphbench: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "status=ok") {
+		t.Fatalf("run did not complete:\n%s", out)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: not written or empty (%v)", filepath.Base(path), err)
+		}
+	}
+}
+
 // TestServeHTTPDrains is `graphbench serve` under SIGTERM (the signal
 // is the context's cancellation): with a request in flight, the daemon
 // stops accepting, lets the request finish, and returns nil — exit 0.
