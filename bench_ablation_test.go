@@ -12,6 +12,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graphdb"
 	"repro/internal/mapreduce"
+	"repro/internal/mralgo"
+	"repro/internal/pactalgo"
 	"repro/internal/pregel"
 	"repro/internal/pregelalgo"
 )
@@ -30,49 +32,41 @@ func ablationGraph(b *testing.B, name string) *graph.Graph {
 }
 
 // minLabelMRJob is a single CONN round used by the combiner ablation.
-func minLabelMRJob(withCombiner bool) mapreduce.JobConfig {
-	mapper := mapreduce.MapperFunc(func(k int64, v mapreduce.Value, out *mapreduce.Emitter) {
-		rec := v.(*algo.VertexRec)
+func minLabelMRJob(adj *algo.Adjacency, withCombiner bool) mapreduce.JobConfig[algo.Rec] {
+	mapper := mapreduce.MapperFunc[algo.Rec](func(k int64, rec algo.Rec, out *mapreduce.Emitter[algo.Rec]) {
 		out.Emit(k, rec)
-		msg := algo.LabelMsg{Label: rec.Label}
-		for _, u := range rec.Both() {
+		msg := algo.LabelRec(rec.Label, 0)
+		for _, u := range adj.Out(rec) {
+			out.Emit(int64(u), msg)
+		}
+		for _, u := range adj.In(rec) {
 			out.Emit(int64(u), msg)
 		}
 	})
-	reducer := mapreduce.ReducerFunc(func(k int64, values []mapreduce.Value, out *mapreduce.Emitter) {
-		var rec *algo.VertexRec
-		smallest := graph.VertexID(1 << 30)
+	reducer := mapreduce.ReducerFunc[algo.Rec](func(k int64, values []algo.Rec, out *mapreduce.Emitter[algo.Rec]) {
 		for _, v := range values {
-			switch x := v.(type) {
-			case *algo.VertexRec:
-				rec = x
-			case algo.LabelMsg:
-				if x.Label < smallest {
-					smallest = x.Label
-				}
+			if v.Kind == algo.KindVertex {
+				out.Emit(k, v)
+				return
 			}
 		}
-		if rec != nil {
-			out.Emit(k, rec)
-		}
 	})
-	cfg := mapreduce.JobConfig{Name: "conn-round", Mapper: mapper, Reducer: reducer}
+	cfg := mapreduce.JobConfig[algo.Rec]{Name: "conn-round", Mapper: mapper, Reducer: reducer}
 	if withCombiner {
-		cfg.Combiner = mapreduce.ReducerFunc(func(k int64, values []mapreduce.Value, out *mapreduce.Emitter) {
-			var best *algo.LabelMsg
+		cfg.Combiner = mapreduce.ReducerFunc[algo.Rec](func(k int64, values []algo.Rec, out *mapreduce.Emitter[algo.Rec]) {
+			var best algo.Rec
 			for _, v := range values {
-				switch x := v.(type) {
-				case *algo.VertexRec:
-					out.Emit(k, x)
-				case algo.LabelMsg:
-					if best == nil || x.Label < best.Label {
-						y := x
-						best = &y
+				switch v.Kind {
+				case algo.KindVertex:
+					out.Emit(k, v)
+				case algo.KindLabel:
+					if best.Kind == 0 || v.Label < best.Label {
+						best = v
 					}
 				}
 			}
-			if best != nil {
-				out.Emit(k, *best)
+			if best.Kind != 0 {
+				out.Emit(k, best)
 			}
 		})
 	}
@@ -84,12 +78,8 @@ func minLabelMRJob(withCombiner bool) mapreduce.JobConfig {
 func BenchmarkAblationHadoopCombiner(b *testing.B) {
 	b.ReportAllocs()
 	g := ablationGraph(b, "KGS")
-	input := make(mapreduce.Dataset, g.NumVertices())
-	for v := 0; v < g.NumVertices(); v++ {
-		input[v] = mapreduce.KV{Key: int64(v), Value: &algo.VertexRec{
-			Out: g.Out(graph.VertexID(v)), Label: graph.VertexID(v),
-		}}
-	}
+	adj := algo.NewAdjacency(g)
+	input := mralgo.BuildDataset(g, adj, false)
 	for _, withCombiner := range []bool{false, true} {
 		name := "off"
 		if withCombiner {
@@ -99,7 +89,7 @@ func BenchmarkAblationHadoopCombiner(b *testing.B) {
 			var shuffle int64
 			for i := 0; i < b.N; i++ {
 				e := mapreduce.New(cluster.DAS4(20, 1))
-				_, stats, err := e.Run(minLabelMRJob(withCombiner), input, input.Bytes())
+				_, stats, err := mapreduce.Run(e, minLabelMRJob(adj, withCombiner), input, input.Bytes())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -116,28 +106,31 @@ func BenchmarkAblationHadoopCombiner(b *testing.B) {
 func BenchmarkAblationStratosphereChannels(b *testing.B) {
 	b.ReportAllocs()
 	g := ablationGraph(b, "KGS")
-	input := make(dataflow.Dataset, g.NumVertices())
-	for v := 0; v < g.NumVertices(); v++ {
-		input[v] = dataflow.Record{Key: int64(v), Value: &algo.VertexRec{
-			Out: g.Out(graph.VertexID(v)), Label: graph.VertexID(v),
-		}}
-	}
+	adj := algo.NewAdjacency(g)
+	input := pactalgo.BuildDataset(g, adj, false)
+	type (
+		record    = dataflow.Record[algo.Rec]
+		collector = dataflow.Collector[algo.Rec]
+	)
 	round := func(e *dataflow.Engine) {
-		p := dataflow.NewPlan("conn-round")
+		p := dataflow.NewPlan[algo.Rec]("conn-round")
 		src := p.Source("state", input, 0)
-		msgs := p.Map("expand", src, func(in dataflow.Record, out *dataflow.Collector) {
-			rec := in.Value.(*algo.VertexRec)
-			for _, u := range rec.Both() {
-				out.Collect(int64(u), algo.LabelMsg{Label: rec.Label})
+		msgs := p.Map("expand", src, func(in record, out *collector) {
+			msg := algo.LabelRec(in.Value.Label, 0)
+			for _, u := range adj.Out(in.Value) {
+				out.Collect(int64(u), msg)
+			}
+			for _, u := range adj.In(in.Value) {
+				out.Collect(int64(u), msg)
 			}
 		}, dataflow.None)
-		next := p.CoGroup("apply", src, msgs, func(key int64, left, right []dataflow.Record, out *dataflow.Collector) {
+		next := p.CoGroup("apply", src, msgs, func(key int64, left, right []record, out *collector) {
 			for _, l := range left {
 				out.Collect(key, l.Value)
 			}
 		}, dataflow.SameKey)
 		p.Sink(next, false)
-		if _, err := e.Execute(p); err != nil {
+		if _, err := dataflow.Execute(e, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -393,12 +386,8 @@ func pregelBFSConfig(src graph.VertexID) pregel.Config {
 func BenchmarkAblationHadoopSortBuffer(b *testing.B) {
 	b.ReportAllocs()
 	g := ablationGraph(b, "KGS")
-	input := make(mapreduce.Dataset, g.NumVertices())
-	for v := 0; v < g.NumVertices(); v++ {
-		input[v] = mapreduce.KV{Key: int64(v), Value: &algo.VertexRec{
-			Out: g.Out(graph.VertexID(v)), Label: graph.VertexID(v),
-		}}
-	}
+	adj := algo.NewAdjacency(g)
+	input := mralgo.BuildDataset(g, adj, false)
 	for _, bufKB := range []int64{0, 64, 16} {
 		name := "1.5GB-default"
 		if bufKB > 0 {
@@ -411,7 +400,7 @@ func BenchmarkAblationHadoopSortBuffer(b *testing.B) {
 				if bufKB > 0 {
 					e.SortBufferBytes = bufKB << 10
 				}
-				_, stats, err := e.Run(minLabelMRJob(false), input, input.Bytes())
+				_, stats, err := mapreduce.Run(e, minLabelMRJob(adj, false), input, input.Bytes())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -248,14 +248,18 @@ func TestValidateSSSPRejectsCorruption(t *testing.T) {
 }
 
 func TestWeightedVertexRecSize(t *testing.T) {
-	r := &VertexRec{Out: []graph.VertexID{1, 2}, In: []graph.VertexID{3}}
-	plain := r.Size()
-	r.WOut = []uint32{4, 9}
+	b := graph.NewBuilder(4, true)
+	b.AddEdge(1, 2)
+	b.AddEdge(1, 3)
+	b.AddEdge(0, 1)
+	g := graph.WithWeights(b.Build(), 7)
+	adj := NewAdjacency(g)
+	plain := adj.Vertex(1, false).Size()
+	r := adj.Vertex(1, true)
 	if got, want := r.Size(), plain+2*4+12; got != want {
 		t.Fatalf("weighted Size = %d, want %d", got, want)
 	}
-	c := r.Clone()
-	if len(c.WOut) != 2 || c.WOut[0] != 4 {
-		t.Fatal("Clone dropped weights")
+	if ws, want := adj.Weights(r), g.OutWeights(1); len(ws) != 2 || ws[0] != want[0] || ws[1] != want[1] {
+		t.Fatalf("weights = %v, want %v", ws, want)
 	}
 }

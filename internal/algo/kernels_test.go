@@ -113,11 +113,11 @@ func TestLinkCounterMatchesMerge(t *testing.T) {
 			g := boundaryGraph(n, 4*n, directed, 7)
 			probe := NewRand(11, int64(n))
 			for v := graph.VertexID(0); v < graph.VertexID(n); v++ {
-				rec := &VertexRec{Out: g.Out(v)}
+				var in []graph.VertexID
 				if directed {
-					rec.In = g.In(v)
+					in = g.In(v)
 				}
-				nbrs := NeighborhoodOf(rec)
+				nbrs := NeighborhoodOf(g.Out(v), in)
 				lc := AcquireLinkCounter(n, nbrs)
 				// Every neighbour's list, a few arbitrary ones, and the
 				// empty list.
@@ -190,7 +190,7 @@ func TestLinkCounterConcurrent(t *testing.T) {
 	}
 	var want int64
 	for v := graph.VertexID(0); v < graph.VertexID(n); v++ {
-		nbrs := NeighborhoodOf(&VertexRec{Out: g.Out(v), In: g.In(v)})
+		nbrs := NeighborhoodOf(g.Out(v), g.In(v))
 		for _, u := range nbrs {
 			want += mergeLinks(nbrs, g.Out(u))
 		}
@@ -202,7 +202,7 @@ func TestLinkCounterConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for v := graph.VertexID(0); v < graph.VertexID(n); v++ {
-				nbrs := NeighborhoodOf(&VertexRec{Out: g.Out(v), In: g.In(v)})
+				nbrs := NeighborhoodOf(g.Out(v), g.In(v))
 				lc := AcquireLinkCounter(n, nbrs)
 				for _, u := range nbrs {
 					got[w] += lc.Links(g.Out(u))
@@ -328,11 +328,11 @@ func BenchmarkLinkCounter(b *testing.B) {
 	n := g.NumVertices()
 	nbrs := make([][]graph.VertexID, n)
 	for v := range nbrs {
-		rec := &VertexRec{Out: g.Out(graph.VertexID(v))}
+		var in []graph.VertexID
 		if g.Directed() {
-			rec.In = g.In(graph.VertexID(v))
+			in = g.In(graph.VertexID(v))
 		}
-		nbrs[v] = NeighborhoodOf(rec)
+		nbrs[v] = NeighborhoodOf(g.Out(graph.VertexID(v)), in)
 	}
 	var sink int64
 	b.Run("merge", func(b *testing.B) {

@@ -19,16 +19,16 @@ func chaosEngine(plan fault.Plan) (*Engine, *fault.Injector, *obs.Session) {
 	return e, inj, sess
 }
 
-func sumPlan() *Plan {
-	p := NewPlan("chaos-sum")
+func sumPlan() *Plan[i64] {
+	p := NewPlan[i64]("chaos-sum")
 	src := p.Source("in", nums(120), 1200)
-	m := p.Map("mod", src, func(in Record, out *Collector) {
+	m := p.Map("mod", src, func(in Record[i64], out *Collector[i64]) {
 		out.Collect(in.Key%7, in.Value)
 	}, None)
-	r := p.Reduce("sum", m, func(key int64, in []Record, out *Collector) {
+	r := p.Reduce("sum", m, func(key int64, in []Record[i64], out *Collector[i64]) {
 		var s int64
 		for _, rec := range in {
-			s += int64(rec.Value.(i64))
+			s += int64(rec.Value)
 		}
 		out.Collect(key, i64(s))
 	}, SameKey)
@@ -40,7 +40,7 @@ func sumPlan() *Plan {
 // first attempt restarts the operator from its channel inputs and the
 // plan output matches the fault-free run, with the retry observable.
 func TestOperatorRestartEquivalence(t *testing.T) {
-	base, err := New(hw()).Execute(sumPlan())
+	base, err := Execute(New(hw()), sumPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestOperatorRestartEquivalence(t *testing.T) {
 		},
 	})
 	defer sess.Close()
-	outs, err := e.Execute(sumPlan())
+	outs, err := Execute(e, sumPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestOperatorRestartEquivalence(t *testing.T) {
 // TestShuffleDropRetransmits: a dropped network channel is retransmitted
 // — the data still arrives, the overhead is recorded.
 func TestShuffleDropRetransmits(t *testing.T) {
-	base, err := New(hw()).Execute(sumPlan())
+	base, err := Execute(New(hw()), sumPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestShuffleDropRetransmits(t *testing.T) {
 		},
 	})
 	defer sess.Close()
-	outs, err := e.Execute(sumPlan())
+	outs, err := Execute(e, sumPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDataflowBudgetExhausted(t *testing.T) {
 		},
 	})
 	defer sess.Close()
-	_, err := e.Execute(sumPlan())
+	_, err := Execute(e, sumPlan())
 	if err == nil {
 		t.Fatal("expected budget exhaustion, got nil")
 	}

@@ -14,31 +14,31 @@ func (i64) Size() int64 { return 8 }
 
 func hw() cluster.Hardware { return cluster.DAS4(4, 1) }
 
-func nums(n int) Dataset {
-	var d Dataset
+func nums(n int) Dataset[i64] {
+	var d Dataset[i64]
 	for i := 0; i < n; i++ {
-		d = append(d, Record{int64(i), i64(1)})
+		d = append(d, Record[i64]{int64(i), i64(1)})
 	}
 	return d
 }
 
 func TestMapReducePipeline(t *testing.T) {
-	p := NewPlan("wordcount")
+	p := NewPlan[i64]("wordcount")
 	src := p.Source("in", nums(100), 1000)
-	m := p.Map("mod", src, func(in Record, out *Collector) {
+	m := p.Map("mod", src, func(in Record[i64], out *Collector[i64]) {
 		out.Collect(in.Key%5, in.Value)
 	}, None)
-	r := p.Reduce("sum", m, func(key int64, in []Record, out *Collector) {
+	r := p.Reduce("sum", m, func(key int64, in []Record[i64], out *Collector[i64]) {
 		var s int64
 		for _, rec := range in {
-			s += int64(rec.Value.(i64))
+			s += int64(rec.Value)
 		}
 		out.Collect(key, i64(s))
 	}, SameKey)
 	p.Sink(r, true)
 
 	e := New(hw())
-	outs, err := e.Execute(p)
+	outs, err := Execute(e, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestMapReducePipeline(t *testing.T) {
 	}
 	got := map[int64]int64{}
 	for _, rec := range outs[0] {
-		got[rec.Key] = int64(rec.Value.(i64))
+		got[rec.Key] = int64(rec.Value)
 	}
 	for k := int64(0); k < 5; k++ {
 		if got[k] != 20 {
@@ -58,28 +58,28 @@ func TestMapReducePipeline(t *testing.T) {
 
 // innerJoin is the equi-join a CoGroup expresses: one output per
 // left/right pair sharing a key, the sum of their values.
-func innerJoin(key int64, left, right []Record, out *Collector) {
+func innerJoin(key int64, left, right []Record[i64], out *Collector[i64]) {
 	for _, l := range left {
 		for _, r := range right {
-			out.Collect(key, i64(int64(l.Value.(i64))+int64(r.Value.(i64))))
+			out.Collect(key, i64(int64(l.Value)+int64(r.Value)))
 		}
 	}
 }
 
 func TestCoGroupJoin(t *testing.T) {
-	p := NewPlan("join")
-	left := p.Source("l", Dataset{{1, i64(10)}, {2, i64(20)}, {3, i64(30)}}, 0)
-	right := p.Source("r", Dataset{{2, i64(200)}, {3, i64(300)}, {4, i64(400)}}, 0)
+	p := NewPlan[i64]("join")
+	left := p.Source("l", Dataset[i64]{{1, i64(10)}, {2, i64(20)}, {3, i64(30)}}, 0)
+	right := p.Source("r", Dataset[i64]{{2, i64(200)}, {3, i64(300)}, {4, i64(400)}}, 0)
 	j := p.CoGroup("sum", left, right, innerJoin, SameKey)
 	p.Sink(j, false)
 
-	outs, err := New(hw()).Execute(p)
+	outs, err := Execute(New(hw()), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := map[int64]int64{}
 	for _, rec := range outs[0] {
-		got[rec.Key] = int64(rec.Value.(i64))
+		got[rec.Key] = int64(rec.Value)
 	}
 	if len(got) != 2 || got[2] != 220 || got[3] != 330 {
 		t.Fatalf("join = %v", got)
@@ -87,21 +87,21 @@ func TestCoGroupJoin(t *testing.T) {
 }
 
 func TestCoGroup(t *testing.T) {
-	p := NewPlan("cogroup")
-	left := p.Source("l", Dataset{{1, i64(1)}, {1, i64(2)}}, 0)
-	right := p.Source("r", Dataset{{1, i64(3)}, {2, i64(4)}}, 0)
-	cg := p.CoGroup("counts", left, right, func(key int64, l, r []Record, out *Collector) {
+	p := NewPlan[i64]("cogroup")
+	left := p.Source("l", Dataset[i64]{{1, i64(1)}, {1, i64(2)}}, 0)
+	right := p.Source("r", Dataset[i64]{{1, i64(3)}, {2, i64(4)}}, 0)
+	cg := p.CoGroup("counts", left, right, func(key int64, l, r []Record[i64], out *Collector[i64]) {
 		out.Collect(key, i64(int64(len(l)*10+len(r))))
 	}, None)
 	p.Sink(cg, false)
 
-	outs, err := New(hw()).Execute(p)
+	outs, err := Execute(New(hw()), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := map[int64]int64{}
 	for _, rec := range outs[0] {
-		got[rec.Key] = int64(rec.Value.(i64))
+		got[rec.Key] = int64(rec.Value)
 	}
 	if got[1] != 21 || got[2] != 1 {
 		t.Fatalf("cogroup = %v", got)
@@ -114,40 +114,40 @@ func TestCoGroup(t *testing.T) {
 // both straight from a source and after a repartitioning map.
 func TestCoGroupSidesKeepPartitionOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var left, right Dataset
+	var left, right Dataset[i64]
 	for i := 0; i < 5000; i++ {
-		left = append(left, Record{Key: int64(rng.Intn(300)), Value: i64(i)})
-		right = append(right, Record{Key: int64(rng.Intn(300)) - 150, Value: i64(i)})
+		left = append(left, Record[i64]{Key: int64(rng.Intn(300)), Value: i64(i)})
+		right = append(right, Record[i64]{Key: int64(rng.Intn(300)) - 150, Value: i64(i)})
 	}
-	p := NewPlan("order")
+	p := NewPlan[i64]("order")
 	l := p.Source("l", left, 0)
 	// Negating the key twice leaves it unchanged but drops the key
 	// partitioning, so the right side crosses a network channel.
-	r := p.Map("neg", p.Map("neg", p.Source("r", right, 0), func(in Record, out *Collector) {
+	r := p.Map("neg", p.Map("neg", p.Source("r", right, 0), func(in Record[i64], out *Collector[i64]) {
 		out.Collect(-in.Key, in.Value)
-	}, None), func(in Record, out *Collector) {
+	}, None), func(in Record[i64], out *Collector[i64]) {
 		out.Collect(-in.Key, in.Value)
 	}, None)
 	var bad atomic.Int64
-	ascending := func(group []Record) {
+	ascending := func(group []Record[i64]) {
 		for i := 1; i < len(group); i++ {
-			if group[i].Value.(i64) <= group[i-1].Value.(i64) {
+			if group[i].Value <= group[i-1].Value {
 				bad.Add(1)
 			}
 		}
 	}
-	p.Sink(p.CoGroup("check", l, r, func(key int64, left, right []Record, out *Collector) {
+	p.Sink(p.CoGroup("check", l, r, func(key int64, left, right []Record[i64], out *Collector[i64]) {
 		ascending(left)
 		ascending(right)
 		out.Collect(key, i64(len(left)+len(right)))
 	}, SameKey), false)
-	outs, err := New(cluster.DAS4(3, 1)).Execute(p)
+	outs, err := Execute(New(cluster.DAS4(3, 1)), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var total int64
 	for _, rec := range outs[0] {
-		total += int64(rec.Value.(i64))
+		total += int64(rec.Value)
 	}
 	if total != 10000 {
 		t.Fatalf("cogroup saw %d records, want 10000", total)
@@ -161,17 +161,17 @@ func TestOptimizerAvoidsShuffle(t *testing.T) {
 	// A SameKey map followed by a reduce must not shuffle; a None map
 	// must.
 	run := func(ann Annotation) int64 {
-		p := NewPlan("opt")
+		p := NewPlan[i64]("opt")
 		src := p.Source("in", nums(1000), 0)
-		m := p.Map("keep", src, func(in Record, out *Collector) {
+		m := p.Map("keep", src, func(in Record[i64], out *Collector[i64]) {
 			out.Collect(in.Key, in.Value)
 		}, ann)
-		r := p.Reduce("count", m, func(key int64, in []Record, out *Collector) {
+		r := p.Reduce("count", m, func(key int64, in []Record[i64], out *Collector[i64]) {
 			out.Collect(key, i64(int64(len(in))))
 		}, SameKey)
 		p.Sink(r, false)
 		e := New(hw())
-		if _, err := e.Execute(p); err != nil {
+		if _, err := Execute(e, p); err != nil {
 			t.Fatal(err)
 		}
 		return e.Profile.TotalNet()
@@ -188,12 +188,12 @@ func TestOptimizerAvoidsShuffle(t *testing.T) {
 func TestForcedFileChannel(t *testing.T) {
 	// The ablation switch: forcing file channels converts shuffles into
 	// disk round-trips.
-	p := NewPlan("file")
+	p := NewPlan[i64]("file")
 	src := p.Source("in", nums(500), 0)
-	m := p.Map("scatter", src, func(in Record, out *Collector) {
+	m := p.Map("scatter", src, func(in Record[i64], out *Collector[i64]) {
 		out.Collect(in.Key+1, in.Value) // breaks partitioning
 	}, None)
-	r := p.Reduce("count", m, func(key int64, in []Record, out *Collector) {
+	r := p.Reduce("count", m, func(key int64, in []Record[i64], out *Collector[i64]) {
 		out.Collect(key, i64(int64(len(in))))
 	}, None)
 	p.Sink(r, false)
@@ -201,7 +201,7 @@ func TestForcedFileChannel(t *testing.T) {
 	e := New(hw())
 	file := ChannelFile
 	e.ChannelForced = &file
-	if _, err := e.Execute(p); err != nil {
+	if _, err := Execute(e, p); err != nil {
 		t.Fatal(err)
 	}
 	var disk int64
@@ -219,19 +219,19 @@ func TestForcedFileChannel(t *testing.T) {
 }
 
 func TestPlanWithoutSinks(t *testing.T) {
-	p := NewPlan("empty")
+	p := NewPlan[i64]("empty")
 	p.Source("in", nums(1), 0)
-	if _, err := New(hw()).Execute(p); err == nil {
+	if _, err := Execute(New(hw()), p); err == nil {
 		t.Fatal("want error for sink-less plan")
 	}
 }
 
 func TestProfileJobCount(t *testing.T) {
-	p := NewPlan("p")
+	p := NewPlan[i64]("p")
 	src := p.Source("in", nums(10), 100)
 	p.Sink(src, true)
 	e := New(hw())
-	if _, err := e.Execute(p); err != nil {
+	if _, err := Execute(e, p); err != nil {
 		t.Fatal(err)
 	}
 	jobs := 0
@@ -253,12 +253,12 @@ func TestProfileJobCount(t *testing.T) {
 }
 
 func TestMultipleSinksOrder(t *testing.T) {
-	p := NewPlan("two")
-	a := p.Source("a", Dataset{{1, i64(1)}}, 0)
-	b := p.Source("b", Dataset{{2, i64(2)}}, 0)
+	p := NewPlan[i64]("two")
+	a := p.Source("a", Dataset[i64]{{1, i64(1)}}, 0)
+	b := p.Source("b", Dataset[i64]{{2, i64(2)}}, 0)
 	p.Sink(a, false)
 	p.Sink(b, false)
-	outs, err := New(hw()).Execute(p)
+	outs, err := Execute(New(hw()), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,22 +269,22 @@ func TestMultipleSinksOrder(t *testing.T) {
 
 func TestDeterministicReduce(t *testing.T) {
 	run := func() map[int64]int64 {
-		p := NewPlan("det")
+		p := NewPlan[i64]("det")
 		src := p.Source("in", nums(997), 0)
-		m := p.Map("mod", src, func(in Record, out *Collector) {
+		m := p.Map("mod", src, func(in Record[i64], out *Collector[i64]) {
 			out.Collect(in.Key%13, in.Value)
 		}, None)
-		r := p.Reduce("count", m, func(key int64, in []Record, out *Collector) {
+		r := p.Reduce("count", m, func(key int64, in []Record[i64], out *Collector[i64]) {
 			out.Collect(key, i64(int64(len(in))))
 		}, SameKey)
 		p.Sink(r, false)
-		outs, err := New(cluster.DAS4(7, 1)).Execute(p)
+		outs, err := Execute(New(cluster.DAS4(7, 1)), p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := map[int64]int64{}
 		for _, rec := range outs[0] {
-			got[rec.Key] = int64(rec.Value.(i64))
+			got[rec.Key] = int64(rec.Value)
 		}
 		return got
 	}

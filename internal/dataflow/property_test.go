@@ -15,11 +15,11 @@ func TestQuickPartitionFlattenConserves(t *testing.T) {
 		n := int(rawN) % 400
 		p := int(par)%16 + 1
 		rng := rand.New(rand.NewSource(seed))
-		var d Dataset
+		var d Dataset[i64]
 		for i := 0; i < n; i++ {
-			d = append(d, Record{Key: int64(rng.Intn(100)), Value: i64(1)})
+			d = append(d, Record[i64]{Key: int64(rng.Intn(100)), Value: i64(1)})
 		}
-		parts := partition.SplitByOwner(p, func(r Record) int { return int(uint64(r.Key) % uint64(p)) }, d)
+		parts := partition.SplitByOwner(nil, p, func(r Record[i64]) int { return int(uint64(r.Key) % uint64(p)) }, d)
 		if len(parts) != p {
 			return false
 		}
@@ -43,12 +43,12 @@ func TestQuickPartitionFlattenConserves(t *testing.T) {
 func TestQuickCoGroupJoinEqualsNestedLoopJoin(t *testing.T) {
 	f := func(seed int64, rawL, rawR uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var left, right Dataset
+		var left, right Dataset[i64]
 		for i := 0; i < int(rawL)%40; i++ {
-			left = append(left, Record{Key: int64(rng.Intn(10)), Value: i64(rng.Intn(100))})
+			left = append(left, Record[i64]{Key: int64(rng.Intn(10)), Value: i64(rng.Intn(100))})
 		}
 		for i := 0; i < int(rawR)%40; i++ {
-			right = append(right, Record{Key: int64(rng.Intn(10)), Value: i64(rng.Intn(100))})
+			right = append(right, Record[i64]{Key: int64(rng.Intn(10)), Value: i64(rng.Intn(100))})
 		}
 		// Reference: nested loops.
 		want := 0
@@ -57,16 +57,16 @@ func TestQuickCoGroupJoinEqualsNestedLoopJoin(t *testing.T) {
 			for _, r := range right {
 				if l.Key == r.Key {
 					want++
-					wantSum += int64(l.Value.(i64)) + int64(r.Value.(i64))
+					wantSum += int64(l.Value) + int64(r.Value)
 				}
 			}
 		}
-		p := NewPlan("join")
+		p := NewPlan[i64]("join")
 		lsrc := p.Source("l", left, 0)
 		rsrc := p.Source("r", right, 0)
 		j := p.CoGroup("j", lsrc, rsrc, innerJoin, None)
 		p.Sink(j, false)
-		outs, err := New(cluster.DAS4(3, 1)).Execute(p)
+		outs, err := Execute(New(cluster.DAS4(3, 1)), p)
 		if err != nil {
 			return false
 		}
@@ -74,7 +74,7 @@ func TestQuickCoGroupJoinEqualsNestedLoopJoin(t *testing.T) {
 		var gotSum int64
 		for _, r := range outs[0] {
 			got++
-			gotSum += int64(r.Value.(i64))
+			gotSum += int64(r.Value)
 		}
 		return got == want && gotSum == wantSum
 	}
@@ -86,15 +86,15 @@ func TestQuickCoGroupJoinEqualsNestedLoopJoin(t *testing.T) {
 func TestQuickGroupApplyCoversEveryKeyOnce(t *testing.T) {
 	f := func(seed int64, rawN uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var d Dataset
+		var d Dataset[i64]
 		keys := map[int64]int{}
 		for i := 0; i < int(rawN)%100; i++ {
 			k := int64(rng.Intn(12))
 			keys[k]++
-			d = append(d, Record{Key: k, Value: i64(1)})
+			d = append(d, Record[i64]{Key: k, Value: i64(1)})
 		}
 		seen := map[int64]int{}
-		groupApply(d, func(key int64, group []Record) {
+		groupApply(new(partition.Spare[Record[i64]]), d, func(key int64, group []Record[i64]) {
 			seen[key] += len(group)
 		})
 		if len(seen) != len(keys) {
@@ -113,15 +113,15 @@ func TestQuickGroupApplyCoversEveryKeyOnce(t *testing.T) {
 }
 
 func TestCollectorCharge(t *testing.T) {
-	p := NewPlan("charge")
+	p := NewPlan[i64]("charge")
 	src := p.Source("in", nums(10), 0)
-	m := p.Map("charged", src, func(in Record, out *Collector) {
+	m := p.Map("charged", src, func(in Record[i64], out *Collector[i64]) {
 		out.Charge(100)
 		out.Collect(in.Key, in.Value)
 	}, None)
 	p.Sink(m, false)
 	e := New(cluster.DAS4(2, 1))
-	if _, err := e.Execute(p); err != nil {
+	if _, err := Execute(e, p); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Profile.TotalOps(); got < 10*100 {

@@ -23,8 +23,7 @@ func neighborhood(r *graphdb.Run, g *graph.Graph, v graph.VertexID) []graph.Vert
 	if !g.Directed() {
 		return r.Neighbors(v)
 	}
-	rec := &algo.VertexRec{Out: r.Neighbors(v), In: r.InNeighbors(v)}
-	return algo.NeighborhoodOf(rec)
+	return algo.NeighborhoodOf(r.Neighbors(v), r.InNeighbors(v))
 }
 
 // Stats computes STATS by brute-force neighbourhood traversal.

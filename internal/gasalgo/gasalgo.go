@@ -89,11 +89,11 @@ func Stats(g *graph.Graph, hw cluster.Hardware, inputBytes int64, mp bool, profi
 		MultiPartLoading: mp,
 		InputBytes:       inputBytes,
 		InitialValue: func(v graph.VertexID) statsVal {
-			rec := &algo.VertexRec{Out: g.Out(v)}
+			var in []graph.VertexID
 			if g.Directed() {
-				rec.In = g.In(v)
+				in = g.In(v)
 			}
-			return statsVal{Nbrs: algo.NeighborhoodOf(rec), Out: g.Out(v)}
+			return statsVal{Nbrs: algo.NeighborhoodOf(g.Out(v), in), Out: g.Out(v)}
 		},
 	}
 	res, err := gas.Run(g, hw, cfg, profile)

@@ -110,6 +110,20 @@ func (g *Graph) In(v VertexID) []VertexID {
 	return g.inAdj[g.inOffsets[v]:g.inOffsets[v+1]]
 }
 
+// OutCSR returns the out-adjacency arrays: Out(v) is
+// arcs[offsets[v]:offsets[v+1]] and OutWeights(v) the same range of
+// weights (nil for unweighted graphs). All three are shared and
+// read-only.
+func (g *Graph) OutCSR() (offsets []int64, arcs []VertexID, weights []uint32) {
+	return g.offsets, g.adj, g.weights
+}
+
+// InCSR returns the in-adjacency arrays of a directed graph, as OutCSR
+// does the out-adjacency; nil for undirected graphs.
+func (g *Graph) InCSR() (offsets []int64, arcs []VertexID) {
+	return g.inOffsets, g.inAdj
+}
+
 // HasEdge reports whether the arc (u, v) exists (edge {u, v} for
 // undirected graphs). It is O(log deg(u)).
 func (g *Graph) HasEdge(u, v VertexID) bool {

@@ -22,17 +22,17 @@ func chaosEngine(nodes int, plan fault.Plan) (*Engine, *fault.Injector, *obs.Ses
 
 // countJob emits one record and one counter bump per input record, so
 // both outputs and counters expose non-idempotent re-execution.
-func countJob() JobConfig {
-	return JobConfig{
+func countJob() JobConfig[intVal] {
+	return JobConfig[intVal]{
 		Name: "count",
-		Mapper: MapperFunc(func(k int64, v Value, out *Emitter) {
+		Mapper: MapperFunc[intVal](func(k int64, v intVal, out *Emitter[intVal]) {
 			out.Incr("mapped", 1)
 			out.Emit(k%5, v)
 		}),
-		Reducer: ReducerFunc(func(k int64, vals []Value, out *Emitter) {
+		Reducer: ReducerFunc[intVal](func(k int64, vals []intVal, out *Emitter[intVal]) {
 			var s int64
 			for _, v := range vals {
-				s += int64(v.(intVal))
+				s += int64(v)
 			}
 			out.Incr("reduced", 1)
 			out.Emit(k, intVal(s))
@@ -47,7 +47,7 @@ func countJob() JobConfig {
 func TestRetryIdempotence(t *testing.T) {
 	input := makeInput(200)
 	base := New(cluster.DAS4(4, 1))
-	wantOut, wantStats, err := base.Run(countJob(), input, input.Bytes())
+	wantOut, wantStats, err := Run(base, countJob(), input, input.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestRetryIdempotence(t *testing.T) {
 			},
 		}
 		e, inj, sess := chaosEngine(4, plan)
-		out, stats, err := e.Run(countJob(), input, input.Bytes())
+		out, stats, err := Run(e, countJob(), input, input.Bytes())
 		sess.Close()
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -89,7 +89,7 @@ func TestRetryIdempotence(t *testing.T) {
 func TestTaskRetryRecoveryVisible(t *testing.T) {
 	input := makeInput(100)
 	base := New(cluster.DAS4(3, 1))
-	wantOut, _, err := base.Run(countJob(), input, input.Bytes())
+	wantOut, _, err := Run(base, countJob(), input, input.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTaskRetryRecoveryVisible(t *testing.T) {
 		},
 	})
 	defer sess.Close()
-	out, stats, err := e.Run(countJob(), input, input.Bytes())
+	out, stats, err := Run(e, countJob(), input, input.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestMapReduceBudgetExhausted(t *testing.T) {
 				{Kind: fault.TaskFail, Op: op, Step: fault.Any, Task: 1, Attempt: fault.Any, Prob: 1},
 			},
 		})
-		_, _, err := e.Run(countJob(), input, input.Bytes())
+		_, _, err := Run(e, countJob(), input, input.Bytes())
 		sess.Close()
 		if err == nil {
 			t.Fatalf("%s: expected budget exhaustion, got nil", op)

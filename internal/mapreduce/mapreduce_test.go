@@ -22,16 +22,16 @@ func newEngine(nodes int) *Engine {
 }
 
 // sumJob: map emits (key%3, v), reduce sums values per key.
-func sumJob(combiner bool) JobConfig {
-	cfg := JobConfig{
+func sumJob(combiner bool) JobConfig[intVal] {
+	cfg := JobConfig[intVal]{
 		Name: "sum",
-		Mapper: MapperFunc(func(k int64, v Value, out *Emitter) {
+		Mapper: MapperFunc[intVal](func(k int64, v intVal, out *Emitter[intVal]) {
 			out.Emit(k%3, v)
 		}),
-		Reducer: ReducerFunc(func(k int64, vals []Value, out *Emitter) {
+		Reducer: ReducerFunc[intVal](func(k int64, vals []intVal, out *Emitter[intVal]) {
 			var s int64
 			for _, v := range vals {
-				s += int64(v.(intVal))
+				s += int64(v)
 			}
 			out.Emit(k, intVal(s))
 		}),
@@ -42,26 +42,26 @@ func sumJob(combiner bool) JobConfig {
 	return cfg
 }
 
-func makeInput(n int) Dataset {
-	var d Dataset
+func makeInput(n int) Dataset[intVal] {
+	var d Dataset[intVal]
 	for i := 0; i < n; i++ {
-		d = append(d, KV{int64(i), intVal(1)})
+		d = append(d, KV[intVal]{int64(i), intVal(1)})
 	}
 	return d
 }
 
-func collectSums(t *testing.T, out Dataset) map[int64]int64 {
+func collectSums(t *testing.T, out Dataset[intVal]) map[int64]int64 {
 	t.Helper()
 	got := map[int64]int64{}
 	for _, kv := range out {
-		got[kv.Key] += int64(kv.Value.(intVal))
+		got[kv.Key] += int64(kv.Value)
 	}
 	return got
 }
 
 func TestRunBasicJob(t *testing.T) {
 	e := newEngine(4)
-	out, stats, err := e.Run(sumJob(false), makeInput(300), 3000)
+	out, stats, err := Run(e, sumJob(false), makeInput(300), 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +85,14 @@ func TestRunBasicJob(t *testing.T) {
 
 func TestCombinerReducesShuffle(t *testing.T) {
 	in := makeInput(1000)
-	without, _ := func() (*JobStats, Dataset) {
+	without, _ := func() (*JobStats, Dataset[intVal]) {
 		e := newEngine(4)
-		out, s, _ := e.Run(sumJob(false), in, 0)
+		out, s, _ := Run(e, sumJob(false), in, 0)
 		return s, out
 	}()
-	with, outC := func() (*JobStats, Dataset) {
+	with, outC := func() (*JobStats, Dataset[intVal]) {
 		e := newEngine(4)
-		out, s, _ := e.Run(sumJob(true), in, 0)
+		out, s, _ := Run(e, sumJob(true), in, 0)
 		return s, out
 	}()
 	if with.ShuffleBytes >= without.ShuffleBytes {
@@ -106,17 +106,17 @@ func TestCombinerReducesShuffle(t *testing.T) {
 
 func TestCountersFlow(t *testing.T) {
 	e := newEngine(2)
-	cfg := JobConfig{
+	cfg := JobConfig[intVal]{
 		Name: "count",
-		Mapper: MapperFunc(func(k int64, v Value, out *Emitter) {
+		Mapper: MapperFunc[intVal](func(k int64, v intVal, out *Emitter[intVal]) {
 			out.Incr("mapped", 1)
 			out.Emit(k, v)
 		}),
-		Reducer: ReducerFunc(func(k int64, vals []Value, out *Emitter) {
+		Reducer: ReducerFunc[intVal](func(k int64, vals []intVal, out *Emitter[intVal]) {
 			out.Incr("reduced", 1)
 		}),
 	}
-	_, stats, err := e.Run(cfg, makeInput(50), 0)
+	_, stats, err := Run(e, cfg, makeInput(50), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCountersFlow(t *testing.T) {
 
 func TestProfilePhases(t *testing.T) {
 	e := newEngine(4)
-	if _, _, err := e.Run(sumJob(false), makeInput(100), 12345); err != nil {
+	if _, _, err := Run(e, sumJob(false), makeInput(100), 12345); err != nil {
 		t.Fatal(err)
 	}
 	kinds := map[cluster.PhaseKind]int{}
@@ -156,14 +156,14 @@ func TestProfilePhases(t *testing.T) {
 
 func TestMissingMapperOrReducer(t *testing.T) {
 	e := newEngine(1)
-	if _, _, err := e.Run(JobConfig{Name: "bad"}, nil, 0); err == nil {
+	if _, _, err := Run(e, JobConfig[intVal]{Name: "bad"}, nil, 0); err == nil {
 		t.Fatal("want error for missing mapper/reducer")
 	}
 }
 
 func TestEmptyInput(t *testing.T) {
 	e := newEngine(4)
-	out, stats, err := e.Run(sumJob(false), nil, 0)
+	out, stats, err := Run(e, sumJob(false), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,22 +215,22 @@ func TestScaleSkew(t *testing.T) {
 
 func TestVariableSizeValues(t *testing.T) {
 	e := newEngine(2)
-	in := Dataset{
+	in := Dataset[listVal]{
 		{1, listVal{1, 2, 3}},
 		{2, listVal{4}},
 	}
-	cfg := JobConfig{
+	cfg := JobConfig[listVal]{
 		Name: "ident",
-		Mapper: MapperFunc(func(k int64, v Value, out *Emitter) {
+		Mapper: MapperFunc[listVal](func(k int64, v listVal, out *Emitter[listVal]) {
 			out.Emit(k, v)
 		}),
-		Reducer: ReducerFunc(func(k int64, vals []Value, out *Emitter) {
+		Reducer: ReducerFunc[listVal](func(k int64, vals []listVal, out *Emitter[listVal]) {
 			for _, v := range vals {
 				out.Emit(k, v)
 			}
 		}),
 	}
-	out, stats, err := e.Run(cfg, in, in.Bytes())
+	out, stats, err := Run(e, cfg, in, in.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,15 +244,15 @@ func TestVariableSizeValues(t *testing.T) {
 
 func TestNegativeKeysPartitionSafely(t *testing.T) {
 	e := newEngine(4)
-	in := Dataset{{-5, intVal(1)}, {-1, intVal(1)}, {3, intVal(1)}}
-	cfg := JobConfig{
+	in := Dataset[intVal]{{-5, intVal(1)}, {-1, intVal(1)}, {3, intVal(1)}}
+	cfg := JobConfig[intVal]{
 		Name:   "neg",
-		Mapper: MapperFunc(func(k int64, v Value, out *Emitter) { out.Emit(k, v) }),
-		Reducer: ReducerFunc(func(k int64, vals []Value, out *Emitter) {
+		Mapper: MapperFunc[intVal](func(k int64, v intVal, out *Emitter[intVal]) { out.Emit(k, v) }),
+		Reducer: ReducerFunc[intVal](func(k int64, vals []intVal, out *Emitter[intVal]) {
 			out.Emit(k, intVal(len(vals)))
 		}),
 	}
-	out, _, err := e.Run(cfg, in, 0)
+	out, _, err := Run(e, cfg, in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestNegativeKeysPartitionSafely(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() map[int64]int64 {
 		e := newEngine(8)
-		out, _, _ := e.Run(sumJob(true), makeInput(500), 0)
+		out, _, _ := Run(e, sumJob(true), makeInput(500), 0)
 		return collectSums(t, out)
 	}
 	a, b := run(), run()

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"runtime"
 	"runtime/debug"
 	"testing"
 )
@@ -16,14 +15,14 @@ var raceEnabled bool
 // precede task m+1's.
 func TestReducerSeesValuesInMapTaskOrder(t *testing.T) {
 	in := makeInput(6000)
-	cfg := JobConfig{
+	cfg := JobConfig[intVal]{
 		Name: "order",
-		Mapper: MapperFunc(func(k int64, v Value, out *Emitter) {
+		Mapper: MapperFunc[intVal](func(k int64, v intVal, out *Emitter[intVal]) {
 			out.Emit(k*7919%257-128, intVal(k))
 		}),
-		Reducer: ReducerFunc(func(k int64, vals []Value, out *Emitter) {
+		Reducer: ReducerFunc[intVal](func(k int64, vals []intVal, out *Emitter[intVal]) {
 			for i := 1; i < len(vals); i++ {
-				if vals[i].(intVal) <= vals[i-1].(intVal) {
+				if vals[i] <= vals[i-1] {
 					out.Incr("unordered", 1)
 				}
 			}
@@ -31,7 +30,7 @@ func TestReducerSeesValuesInMapTaskOrder(t *testing.T) {
 		}),
 		NumMaps: 6, NumReduces: 3,
 	}
-	out, stats, err := newEngine(4).Run(cfg, in, 0)
+	out, stats, err := Run(newEngine(4), cfg, in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,65 +45,43 @@ func TestReducerSeesValuesInMapTaskOrder(t *testing.T) {
 // fanoutJob emits fanout records of distinct keys per input record
 // and reduces to nothing, so a job's allocation count is fixed apart
 // from what grows with the map output.
-func fanoutJob(fanout int) JobConfig {
-	one := Value(intVal(1)) // boxed once: Emit allocates nothing itself
-	return JobConfig{
+func fanoutJob(fanout int) JobConfig[intVal] {
+	return JobConfig[intVal]{
 		Name: "fanout",
-		Mapper: MapperFunc(func(k int64, v Value, out *Emitter) {
+		Mapper: MapperFunc[intVal](func(k int64, v intVal, out *Emitter[intVal]) {
 			for i := 0; i < fanout; i++ {
-				out.Emit(k*int64(fanout)+int64(i), one)
+				out.Emit(k*int64(fanout)+int64(i), 1)
 			}
 		}),
-		Reducer:    ReducerFunc(func(int64, []Value, *Emitter) {}),
+		Reducer:    ReducerFunc[intVal](func(int64, []intVal, *Emitter[intVal]) {}),
 		NumMaps:    1,
 		NumReduces: 1,
 	}
 }
 
-// TestMapEmitBufferReused pins the pooled map output: once a job has
-// run, an identical job's map phase takes its emit buffer from the
-// pool, so a job's allocation count does not grow with its map output.
-// (Regrowing the buffer by append costs one allocation per growth step.)
+// TestMapEmitBufferReused pins the reused map output: once a job has
+// run on an engine, the next job's map phase takes its emit buffer
+// from the engine's scratch, so a job's allocation count does not grow
+// with its map output. (Regrowing the buffer by append costs one
+// allocation per growth step.)
 func TestMapEmitBufferReused(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector changes allocation and drops pooled buffers")
+		t.Skip("the race detector changes allocation")
 	}
-	// No collection may empty the pool between two runs.
+	// No collection may empty the key sort's pooled scratch between
+	// two runs.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	in := makeInput(10)
 	allocs := func(fanout int) float64 {
 		cfg := fanoutJob(fanout)
+		e := newEngine(1)
 		return testing.AllocsPerRun(5, func() {
-			if _, _, err := newEngine(1).Run(cfg, in, 0); err != nil {
+			if _, _, err := Run(e, cfg, in, 0); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	if small, big := allocs(10), allocs(5000); big != small {
 		t.Fatalf("a job emitting 50 000 records allocates %v times, one emitting 100 %v times: the map output buffer is not reused", big, small)
-	}
-}
-
-// TestPooledEmitBufferHoldsNoValues pins the clear before the pool:
-// a released map output buffer must not keep the job's values alive.
-func TestPooledEmitBufferHoldsNoValues(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled buffers")
-	}
-	// One processor: the pool hands back what this goroutine put.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if _, _, err := newEngine(1).Run(fanoutJob(100), makeInput(10), 0); err != nil {
-		t.Fatal(err)
-	}
-	buf := emitBuffers.Get().(*[]KV)
-	defer emitBuffers.Put(buf)
-	if cap(*buf) < 1000 {
-		t.Fatalf("pool returned a buffer of capacity %d, not the map task's", cap(*buf))
-	}
-	for i, kv := range (*buf)[:cap(*buf)] {
-		if kv.Value != nil {
-			t.Fatalf("pooled emit buffer still holds record %d's value", i)
-		}
 	}
 }

@@ -9,11 +9,11 @@ import (
 )
 
 // identity job: map and reduce pass records through untouched.
-func identityJob() JobConfig {
-	return JobConfig{
+func identityJob() JobConfig[intVal] {
+	return JobConfig[intVal]{
 		Name:   "identity",
-		Mapper: MapperFunc(func(k int64, v Value, out *Emitter) { out.Emit(k, v) }),
-		Reducer: ReducerFunc(func(k int64, vals []Value, out *Emitter) {
+		Mapper: MapperFunc[intVal](func(k int64, v intVal, out *Emitter[intVal]) { out.Emit(k, v) }),
+		Reducer: ReducerFunc[intVal](func(k int64, vals []intVal, out *Emitter[intVal]) {
 			for _, v := range vals {
 				out.Emit(k, v)
 			}
@@ -25,15 +25,15 @@ func TestQuickIdentityJobConservesRecords(t *testing.T) {
 	f := func(seed int64, rawN uint16, nodes uint8) bool {
 		n := int(rawN) % 500
 		rng := rand.New(rand.NewSource(seed))
-		in := make(Dataset, n)
+		in := make(Dataset[intVal], n)
 		var sum int64
 		for i := range in {
 			v := intVal(rng.Intn(1000))
-			in[i] = KV{Key: int64(rng.Intn(50)), Value: v}
+			in[i] = KV[intVal]{Key: int64(rng.Intn(50)), Value: v}
 			sum += int64(v)
 		}
 		e := New(cluster.DAS4(int(nodes)%8+1, 1))
-		out, stats, err := e.Run(identityJob(), in, in.Bytes())
+		out, stats, err := Run(e, identityJob(), in, in.Bytes())
 		if err != nil {
 			return false
 		}
@@ -42,7 +42,7 @@ func TestQuickIdentityJobConservesRecords(t *testing.T) {
 		}
 		var got int64
 		for _, kv := range out {
-			got += int64(kv.Value.(intVal))
+			got += int64(kv.Value)
 		}
 		return got == sum
 	}
@@ -57,12 +57,12 @@ func TestQuickShuffleBytesMatchReduceInput(t *testing.T) {
 	f := func(seed int64, rawN uint16) bool {
 		n := int(rawN)%300 + 1
 		rng := rand.New(rand.NewSource(seed))
-		in := make(Dataset, n)
+		in := make(Dataset[intVal], n)
 		for i := range in {
-			in[i] = KV{Key: int64(rng.Intn(20)), Value: intVal(1)}
+			in[i] = KV[intVal]{Key: int64(rng.Intn(20)), Value: intVal(1)}
 		}
 		e := New(cluster.DAS4(4, 1))
-		_, stats, err := e.Run(identityJob(), in, 0)
+		_, stats, err := Run(e, identityJob(), in, 0)
 		if err != nil {
 			return false
 		}
@@ -80,7 +80,7 @@ func TestExplicitTaskCounts(t *testing.T) {
 	e := newEngine(4)
 	cfg := identityJob()
 	cfg.NumMaps, cfg.NumReduces = 3, 2
-	out, _, err := e.Run(cfg, in, 0)
+	out, _, err := Run(e, cfg, in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +101,15 @@ func TestChargeFlowsIntoOps(t *testing.T) {
 	in := makeInput(10)
 	run := func(charge int64) int64 {
 		e := newEngine(2)
-		cfg := JobConfig{
+		cfg := JobConfig[intVal]{
 			Name: "charge",
-			Mapper: MapperFunc(func(k int64, v Value, out *Emitter) {
+			Mapper: MapperFunc[intVal](func(k int64, v intVal, out *Emitter[intVal]) {
 				out.Charge(charge)
 				out.Emit(k, v)
 			}),
-			Reducer: ReducerFunc(func(k int64, vals []Value, out *Emitter) {}),
+			Reducer: ReducerFunc[intVal](func(k int64, vals []intVal, out *Emitter[intVal]) {}),
 		}
-		if _, _, err := e.Run(cfg, in, 0); err != nil {
+		if _, _, err := Run(e, cfg, in, 0); err != nil {
 			t.Fatal(err)
 		}
 		return e.Profile.TotalOps()
@@ -123,17 +123,17 @@ func TestPeakJobBytesTracksLargestJob(t *testing.T) {
 	e := newEngine(2)
 	small := makeInput(10)
 	big := makeInput(1000)
-	if _, _, err := e.Run(identityJob(), small, small.Bytes()); err != nil {
+	if _, _, err := Run(e, identityJob(), small, small.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	after1 := e.PeakJobBytesPerNode
-	if _, _, err := e.Run(identityJob(), big, big.Bytes()); err != nil {
+	if _, _, err := Run(e, identityJob(), big, big.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if e.PeakJobBytesPerNode <= after1 {
 		t.Fatalf("peak %d did not grow past %d", e.PeakJobBytesPerNode, after1)
 	}
-	if _, _, err := e.Run(identityJob(), small, small.Bytes()); err != nil {
+	if _, _, err := Run(e, identityJob(), small, small.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if e.PeakJobBytesPerNode < after1 {
@@ -146,7 +146,7 @@ func TestSpillAccounting(t *testing.T) {
 	run := func(buffer int64) int64 {
 		e := newEngine(2)
 		e.SortBufferBytes = buffer
-		_, stats, err := e.Run(identityJob(), in, 0)
+		_, stats, err := Run(e, identityJob(), in, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestSpillAccounting(t *testing.T) {
 	}
 	e := newEngine(2)
 	e.SortBufferBytes = 64
-	if _, _, err := e.Run(identityJob(), in, 0); err != nil {
+	if _, _, err := Run(e, identityJob(), in, 0); err != nil {
 		t.Fatal(err)
 	}
 	var disk int64

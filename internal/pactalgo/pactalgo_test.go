@@ -138,7 +138,7 @@ func TestBFSOneJobPerLevelPlusStore(t *testing.T) {
 	}
 	// Unlike Hadoop, the DFS is read once: intermediates ride in
 	// memory between jobs.
-	if maxRead := 2 * BuildDataset(g).Bytes(); reads > maxRead {
+	if maxRead := 2 * BuildDataset(g, algo.NewAdjacency(g), false).Bytes(); reads > maxRead {
 		t.Fatalf("DFS reads = %d, want <= %d (single initial read)", reads, maxRead)
 	}
 }

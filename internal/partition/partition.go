@@ -368,8 +368,10 @@ func SplitContiguous[S ~[]T, T any](items S, parts int) []S {
 // bucket index is the shard ID), so a bucket keeps its items' input
 // order. Two passes share one exactly-sized backing array instead of
 // growing shards slices by repeated append, and several inputs are
-// bucketed without first being concatenated.
-func SplitByOwner[S ~[]T, T any](shards int, owner func(T) int, items ...S) []S {
+// bucketed without first being concatenated. The buckets live in
+// backing's array when it can hold every item (it must not overlap
+// them), else in a new one.
+func SplitByOwner[S ~[]T, T any](backing S, shards int, owner func(T) int, items ...S) []S {
 	counts := make([]int, shards)
 	total := 0
 	for _, in := range items {
@@ -378,7 +380,9 @@ func SplitByOwner[S ~[]T, T any](shards int, owner func(T) int, items ...S) []S 
 		}
 		total += len(in)
 	}
-	backing := make(S, 0, total)
+	if cap(backing) < total {
+		backing = make(S, 0, total)
+	}
 	parts := make([]S, shards)
 	off := 0
 	for s := 0; s < shards; s++ {
@@ -394,8 +398,10 @@ func SplitByOwner[S ~[]T, T any](shards int, owner func(T) int, items ...S) []S 
 	return parts
 }
 
-// SortByKey returns a new slice holding items stably ordered by
-// key(item): equal keys keep their input order. items is not modified.
+// SortByKey returns items stably ordered by key(item): equal keys keep
+// their input order. items is not modified. The result lives in dst's
+// array when it can hold len(items) items (it must not overlap items),
+// else in a new one.
 //
 // It is an LSD radix sort over pointer-free words. Each word packs an
 // item's key offset (key − min key) above the item's input index, so
@@ -408,10 +414,10 @@ func SplitByOwner[S ~[]T, T any](shards int, owner func(T) int, items ...S) []S 
 // 2³²), the offset is sorted in chunks that do, low chunk first: each
 // chunk re-packs the order the previous one left and radix-sorts it
 // the same way.
-func SortByKey[S ~[]T, T any](items S, key func(T) int64) S {
+func SortByKey[S ~[]T, T any](dst, items S, key func(T) int64) S {
 	n := len(items)
 	if n == 0 {
-		return items[:0:0]
+		return dst[:0]
 	}
 	lo, hi := key(items[0]), key(items[0])
 	for _, it := range items[1:] {
@@ -445,7 +451,11 @@ func SortByKey[S ~[]T, T any](items S, key func(T) int64) S {
 			words, spare = spare, words
 		}
 	}
-	out := make(S, n)
+	out := dst[:0]
+	if cap(out) < n {
+		out = make(S, 0, n)
+	}
+	out = out[:n]
 	for i, w := range words {
 		out[i] = items[w&idxMask]
 	}
@@ -472,6 +482,50 @@ func radixPass(src, dst []uint64, shift uint) {
 		dst[count[d]] = w
 		count[d]++
 	}
+}
+
+// Room returns s emptied, or a new slice when s cannot hold n items:
+// how an engine refills a scratch array it keeps between jobs.
+func Room[S ~[]T, T any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, 0, n)
+	}
+	return s[:0]
+}
+
+// Spare is a stack of spare arrays for the scratch only a running task
+// holds: a task takes one, refills it (Room, append, SortByKey) and
+// gives it back, so an engine keeps about one per worker rather than
+// one per task. A spare array keeps what it last held reachable, so
+// Spare is for pointer-free items. The zero Spare is empty; it is safe
+// for concurrent use.
+type Spare[T any] struct {
+	mu    sync.Mutex
+	stack [][]T
+}
+
+// Get returns the last array given back, emptied, or nil.
+func (p *Spare[T]) Get() []T {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.stack)
+	if n == 0 {
+		return nil
+	}
+	s := p.stack[n-1]
+	p.stack[n-1] = nil
+	p.stack = p.stack[:n-1]
+	return s[:0]
+}
+
+// Put gives s back. The caller must hold no other reference into it.
+func (p *Spare[T]) Put(s []T) {
+	if cap(s) == 0 {
+		return
+	}
+	p.mu.Lock()
+	p.stack = append(p.stack, s)
+	p.mu.Unlock()
 }
 
 // ParallelFor runs fn(0..n-1) on up to GOMAXPROCS goroutines and

@@ -35,7 +35,7 @@ func checkSortByKey(t *testing.T, name string, keys []int64) {
 		}
 		return 0
 	})
-	got := SortByKey(in, taggedKey)
+	got := SortByKey(nil, in, taggedKey)
 	if !slices.Equal(in, before) {
 		t.Fatalf("%s: SortByKey modified its input", name)
 	}
@@ -46,6 +46,18 @@ func checkSortByKey(t *testing.T, name string, keys []int64) {
 		if got[i] != want[i] {
 			t.Fatalf("%s: item %d = %+v, want %+v", name, i, got[i], want[i])
 		}
+	}
+	// Into a used array with room: the same order, in that array.
+	dst := make([]tagged, len(in)+1)
+	for i := range dst {
+		dst[i] = tagged{-1, -1}
+	}
+	again := SortByKey(dst[:1], in, taggedKey)
+	if !slices.Equal(again, got) {
+		t.Fatalf("%s: sorting into a used array gives another order", name)
+	}
+	if len(in) > 0 && &again[0] != &dst[0] {
+		t.Fatalf("%s: SortByKey did not reuse an array with room", name)
 	}
 }
 

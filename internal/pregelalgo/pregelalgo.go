@@ -37,8 +37,7 @@ func neighborhood(ctx *pregel.Context) []graph.VertexID {
 	if !ctx.Directed() {
 		return ctx.Out()
 	}
-	rec := &algo.VertexRec{Out: ctx.Out(), In: ctx.In()}
-	return algo.NeighborhoodOf(rec)
+	return algo.NeighborhoodOf(ctx.Out(), ctx.In())
 }
 
 // Stats runs STATS in two supersteps: every vertex ships its out-list

@@ -73,20 +73,20 @@ func TestEngineRunsJobs(t *testing.T) {
 	}
 	defer am.Finish()
 
-	in := mapreduce.Dataset{}
+	in := mapreduce.Dataset[unit]{}
 	for i := 0; i < 30; i++ {
-		in = append(in, mapreduce.KV{Key: int64(i), Value: unit{}})
+		in = append(in, mapreduce.KV[unit]{Key: int64(i), Value: unit{}})
 	}
-	cfg := mapreduce.JobConfig{
+	cfg := mapreduce.JobConfig[unit]{
 		Name: "count",
-		Mapper: mapreduce.MapperFunc(func(k int64, v mapreduce.Value, out *mapreduce.Emitter) {
+		Mapper: mapreduce.MapperFunc[unit](func(k int64, v unit, out *mapreduce.Emitter[unit]) {
 			out.Emit(0, v)
 		}),
-		Reducer: mapreduce.ReducerFunc(func(k int64, vals []mapreduce.Value, out *mapreduce.Emitter) {
+		Reducer: mapreduce.ReducerFunc[unit](func(k int64, vals []unit, out *mapreduce.Emitter[unit]) {
 			out.Incr("n", int64(len(vals)))
 		}),
 	}
-	_, stats, err := am.Engine().Run(cfg, in, 0)
+	_, stats, err := mapreduce.Run(am.Engine(), cfg, in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
