@@ -114,8 +114,11 @@ echo "== GAS engine allocation pins (without -race)"
 go test -run '^TestIterationAllocCeiling$' ./internal/gas/
 go test -run '^TestAllocsIndependentOfEdges$' ./internal/gasalgo/
 
-echo "== pooled map output buffer (pins without -race)"
-go test -run '^(TestMapEmitBufferReused|TestPooledEmitBufferHoldsNoValues)$' ./internal/mapreduce/
+echo "== generic engine allocation pins (without -race)"
+# Typed, pointer-free records and one run's scratch arrays refilled job
+# after job: the pins skip themselves under -race.
+go test -run '^TestMapEmitBufferReused$' ./internal/mapreduce/
+go test -run '^TestWarmConnJobAllocCeiling$' ./internal/mralgo/ ./internal/pactalgo/
 
 echo "== fuzz seed smoke (graph text reader + partitioners + delta log + batch certificate)"
 # Run every checked-in fuzz seed (plus any locally grown corpus)
