@@ -272,5 +272,9 @@ func fmtFloat(x float64) string {
 
 // PlatformNames lists the six platforms in Table 4 order.
 func PlatformNames() []string {
-	return []string{"Hadoop", "YARN", "Stratosphere", "Giraph", "GraphLab", "Neo4j"}
+	var names []string
+	for _, p := range platform.All() {
+		names = append(names, p.Name())
+	}
+	return names
 }

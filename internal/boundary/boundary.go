@@ -152,10 +152,10 @@ func PredictFor(platformName, alg string, prof datagen.Profile, in Inputs, hw cl
 	if err != nil {
 		return Estimate{}, err
 	}
-	return predict(p.Costs(), platformName, alg, in, hw, iterationBound(alg, prof)), nil
+	return predict(p.Costs(), platform.TimeoutOf(p), platformName, alg, in, hw, iterationBound(alg, prof)), nil
 }
 
-func predict(cm cluster.CostModel, platformName, alg string, in Inputs, hw cluster.Hardware, iters int) Estimate {
+func predict(cm cluster.CostModel, timeout float64, platformName, alg string, in Inputs, hw cluster.Hardware, iters int) Estimate {
 	est := Estimate{Iterations: iters, MsgBytes: msgBound(platformName, alg, in)}
 	if platformName == "Neo4j" {
 		// Embedded traversals are single-threaded.
@@ -170,9 +170,9 @@ func predict(cm cluster.CostModel, platformName, alg string, in Inputs, hw clust
 	if in.V > 0 {
 		// The busiest worker holds the hottest vertex plus its fair
 		// share.
-		avg := 2 * in.AdjSize / max64(1, in.V)
+		avg := 2 * in.AdjSize / max(1, in.V)
 		if avg > 0 {
-			skew = 1 + in.MaxDegree/max64(1, avg)/max64(1, int64(hw.Workers()))
+			skew = 1 + in.MaxDegree/max(1, avg)/max(1, int64(hw.Workers()))
 		}
 	}
 	maxPart := perIterOps / int64(hw.Workers()) * skew
@@ -250,24 +250,6 @@ func predict(cm cluster.CostModel, platformName, alg string, in Inputs, hw clust
 	}
 	est.Crash = demand > hw.MemPerNode
 
-	timeout := float64(platform.DistributedTimeout)
-	if platformName == "Neo4j" {
-		timeout = platform.SingleNodeTimeout
-	}
 	est.Timeout = !est.Crash && est.Seconds > timeout
 	return est
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

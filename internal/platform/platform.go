@@ -1,9 +1,10 @@
 // Package platform presents the six systems of the paper's Table 4 —
 // Hadoop, YARN, Stratosphere, Giraph, GraphLab (plus the GraphLab(mp)
-// tuning variant), and Neo4j — behind one interface. Each platform
-// wires its engine, its algorithm implementations, its cost model, and
-// its failure semantics (out-of-memory crashes, the paper's run
-// terminations) into a single Run call, which is what the benchmark
+// tuning variant), and Neo4j — behind one interface. Each platform is
+// one row: its Table 4 entry, its cost model and timeout, and an exec
+// hook that opens its engine and runs an algorithm on it. One Run
+// drives every row and decides each run's status (the paper's crash,
+// timeout and N/A entries) in one place; it is what the benchmark
 // harness drives for every experiment.
 package platform
 
@@ -74,7 +75,7 @@ const (
 
 // Spec describes one experiment run.
 type Spec struct {
-	// Algorithm is one of STATS, BFS, CONN, CD, EVO.
+	// Algorithm is one of STATS, BFS, CONN, CD, EVO, SSSP.
 	Algorithm string
 	// Dataset supplies the name and the scale projection divisors.
 	Dataset datagen.Profile
@@ -164,7 +165,7 @@ type Result struct {
 
 	// Profile is the measured execution record.
 	Profile *cluster.ExecutionProfile
-	// Output is the algorithm result (*algo.StatsResult etc.).
+	// Output is the algorithm result, a value (algo.StatsResult etc.).
 	Output any
 	// Iterations executed.
 	Iterations int
@@ -179,7 +180,7 @@ func (r *Result) EPS() float64 {
 	if r.Seconds <= 0 || r.Status != OK {
 		return 0
 	}
-	return float64(r.paperEdges()) / r.Seconds
+	return float64(r.projE) / r.Seconds
 }
 
 // VPS returns vertices per second at paper scale.
@@ -187,11 +188,8 @@ func (r *Result) VPS() float64 {
 	if r.Seconds <= 0 || r.Status != OK {
 		return 0
 	}
-	return float64(r.paperVertices()) / r.Seconds
+	return float64(r.projV) / r.Seconds
 }
-
-func (r *Result) paperEdges() int64    { return r.projE }
-func (r *Result) paperVertices() int64 { return r.projV }
 
 // Platform is one system under test.
 type Platform interface {
@@ -207,34 +205,131 @@ type Platform interface {
 	Run(spec Spec) *Result
 }
 
+// rows are the platforms, the six of Table 4 in its order and then
+// GraphLab's multi-part loader variant GraphLab(mp) (Section 4.3.1).
+var rows = []*row{
+	{name: "Hadoop", version: "hadoop-0.20.203.0", kind: "Generic, Distributed",
+		costs: cluster.HadoopCosts(), timeout: DistributedTimeout, exec: mrExec(openHadoop)},
+	{name: "YARN", version: "hadoop-2.0.3-alpha", kind: "Generic, Distributed",
+		costs: cluster.YARNCosts(), timeout: DistributedTimeout, exec: mrExec(openYARN)},
+	{name: "Stratosphere", version: "Stratosphere-0.2", kind: "Generic, Distributed",
+		costs: cluster.StratosphereCosts(), timeout: DistributedTimeout, exec: stratoExec},
+	{name: "Giraph", version: "Giraph 0.2 (rev 1336743)", kind: "Graph, Distributed",
+		costs: cluster.GiraphCosts(), timeout: DistributedTimeout, exec: giraphExec},
+	{name: "GraphLab", version: "GraphLab 2.1.4434", kind: "Graph, Distributed",
+		costs: cluster.GraphLabCosts(), timeout: DistributedTimeout, exec: graphlabExec(false)},
+	{name: "Neo4j", version: "Neo4j 1.5", kind: "Graph, Non-distributed",
+		costs: cluster.Neo4jCosts(), timeout: SingleNodeTimeout, single: true, exec: neo4jExec},
+	{name: "GraphLab(mp)", version: "GraphLab 2.1.4434", kind: "Graph, Distributed",
+		costs: cluster.GraphLabCosts(), timeout: DistributedTimeout, exec: graphlabExec(true)},
+}
+
 // All returns the six platforms in Table 4 order.
 func All() []Platform {
-	return []Platform{
-		NewHadoop(), NewYARN(), NewStratosphere(),
-		NewGiraph(), NewGraphLab(false), NewNeo4j(),
+	all := make([]Platform, 6)
+	for i, p := range rows[:6] {
+		all[i] = p
 	}
+	return all
 }
 
 // ByName resolves a platform name ("GraphLab(mp)" selects the
 // multi-part loader variant).
 func ByName(name string) (Platform, error) {
-	switch name {
-	case "Hadoop":
-		return NewHadoop(), nil
-	case "YARN":
-		return NewYARN(), nil
-	case "Stratosphere":
-		return NewStratosphere(), nil
-	case "Giraph":
-		return NewGiraph(), nil
-	case "GraphLab":
-		return NewGraphLab(false), nil
-	case "GraphLab(mp)":
-		return NewGraphLab(true), nil
-	case "Neo4j":
-		return NewNeo4j(), nil
+	for _, p := range rows {
+		if p.name == name {
+			return p, nil
+		}
 	}
 	return nil, fmt.Errorf("platform: unknown platform %q", name)
+}
+
+// TimeoutOf returns the projected seconds after which p terminates a
+// run: SingleNodeTimeout for Neo4j, DistributedTimeout for the rest. p
+// must come from All or ByName.
+func TimeoutOf(p Platform) float64 { return p.(*row).timeout }
+
+// row is one platform: its Table 4 entry, its cost model and timeout,
+// and exec, which opens the platform's engine and runs an algorithm on
+// it. Run scores what exec returns.
+type row struct {
+	name, version, kind string
+	costs               cluster.CostModel
+	timeout             float64
+	// single marks a one-machine platform, priced on
+	// cluster.SingleNode rather than on the spec's cluster.
+	single bool
+	exec   execFunc
+}
+
+// execFunc runs spec on a platform, recording into r.Profile or
+// pointing it at the engine's own profile. It returns the algorithm's
+// output and the run's memory demand per node at paper scale (zero
+// where the platform spills instead of crashing). An error is a crash
+// before or during the run, errNotIngested a refusal (n/a).
+type execFunc func(r *Result, spec Spec, cm cluster.CostModel, proj int64) (out any, demand int64, err error)
+
+func (p *row) Name() string             { return p.name }
+func (p *row) Version() string          { return p.version }
+func (p *row) Kind() string             { return p.kind }
+func (p *row) Costs() cluster.CostModel { return p.costs }
+
+// errNotIngested is Neo4j's refusal of a dataset a single machine
+// cannot ingest (Neo4j's Friendster entry in Table 6).
+var errNotIngested = errors.New("data ingestion infeasible on a single machine (Table 6: N/A)")
+
+// Run executes spec on the platform and decides the run's status, in
+// this order:
+//  1. a refusal before the run: Giraph's graph partition alone
+//     exceeding node memory is a crash, Neo4j's ingestion limit n/a;
+//  2. an error opening the engine (YARN's submit), placing the graph
+//     or running the algorithm is a crash;
+//  3. the run's memory demand over the node budget is a crash (Hadoop
+//     and YARN: task JVMs; GraphLab: its in-memory graph);
+//  4. the projected time over the platform's timeout is a timeout
+//     (Stratosphere spills rather than crashing; its paper failure is
+//     STATS on DotaLeague terminated near 4 hours).
+func (p *row) Run(spec Spec) *Result {
+	proj := projection(spec)
+	vdiv := max(1, int64(spec.Dataset.VDivisor))
+	if spec.ScaleFactor > 1 {
+		vdiv *= int64(spec.ScaleFactor)
+	}
+	r := &Result{
+		Platform: p.name, Algorithm: spec.Algorithm, Dataset: spec.Dataset.Name,
+		Profile: &cluster.ExecutionProfile{Obs: spec.Obs, Fault: spec.Fault},
+		projV:   int64(spec.G.NumVertices()) * vdiv,
+		projE:   spec.G.NumEdges() * proj,
+	}
+	hw := spec.HW
+	if p.single {
+		hw = cluster.SingleNode()
+	}
+	out, demand, err := p.exec(r, spec, p.costs, proj)
+	if err == nil {
+		r.Output = out
+		err = cluster.CheckMemory(demand, hw)
+	}
+	if err != nil {
+		r.Status, r.Err = Crashed, err
+		if errors.Is(err, errNotIngested) {
+			r.Status = NotSupported
+		}
+		return r
+	}
+
+	b := p.costs.Time(r.Profile, hw)
+	r.Breakdown = b
+	r.Seconds = b.Setup + max(0, b.Total-b.Setup)*float64(proj)
+	r.ComputeSeconds = b.Compute * float64(proj)
+	r.OverheadSeconds = r.Seconds - r.ComputeSeconds
+	r.Iterations = r.Profile.Iterations
+	if r.Seconds > p.timeout {
+		r.Status = Timeout
+		r.Err = fmt.Errorf("terminated after exceeding %.0f h (projected %.1f h)",
+			p.timeout/3600, r.Seconds/3600)
+	}
+	return r
 }
 
 // projection returns the scale divisor used to project data-dependent
@@ -250,57 +345,15 @@ func projection(spec Spec) int64 {
 	return p
 }
 
-// finish computes the breakdown, projection, and timeout status shared
-// by every platform.
-func finish(r *Result, cm cluster.CostModel, hw cluster.Hardware, proj int64, timeout float64) {
-	b := cm.Time(r.Profile, hw)
-	r.Breakdown = b
-	dataTime := b.Total - b.Setup
-	if dataTime < 0 {
-		dataTime = 0
-	}
-	r.Seconds = b.Setup + dataTime*float64(proj)
-	r.ComputeSeconds = b.Compute * float64(proj)
-	r.OverheadSeconds = r.Seconds - r.ComputeSeconds
-	r.Iterations = r.Profile.Iterations
-	if r.Status == OK && timeout > 0 && r.Seconds > timeout {
-		r.Status = Timeout
-		r.Err = fmt.Errorf("terminated after exceeding %.0f h (projected %.1f h)",
-			timeout/3600, r.Seconds/3600)
-	}
-}
-
-// crashed marks r as crashed with err, for a Run to return.
-func crashed(r *Result, err error) *Result {
-	r.Status = Crashed
-	r.Err = err
-	return r
-}
-
-func fillIDs(r *Result, spec Spec, platformName string) {
-	r.Platform = platformName
-	r.Algorithm = spec.Algorithm
-	r.Dataset = spec.Dataset.Name
-	vdiv := max64(1, int64(spec.Dataset.VDivisor))
-	if spec.ScaleFactor > 1 {
-		vdiv *= int64(spec.ScaleFactor)
-	}
-	r.projV = int64(spec.G.NumVertices()) * vdiv
-	r.projE = spec.G.NumEdges() * projection(spec)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// partitionFor builds the placement a spec requests, or nil for the
-// engines' default layouts.
-func partitionFor(spec Spec) (*partition.Partitioning, error) {
+// place builds the placement a spec requests, if any, attaches it to
+// the profile, accounts the placement pass itself (a streaming
+// assignment over vertices and arcs, shipping each cut arc's record to
+// its remote owner), and reports the quality stats as gauges so
+// monitor curves show them. Without Partitioner and Shards the engines
+// keep their default layouts.
+func place(spec Spec, profile *cluster.ExecutionProfile) error {
 	if spec.Partitioner == "" && spec.Shards <= 0 {
-		return nil, nil
+		return nil
 	}
 	strategy := spec.Partitioner
 	if strategy == "" {
@@ -310,16 +363,12 @@ func partitionFor(spec Spec) (*partition.Partitioning, error) {
 	if shards <= 0 {
 		shards = spec.HW.Nodes
 	}
-	return partition.Build(strategy, spec.G, shards)
-}
-
-// recordPartition attaches the placement to the profile, accounts the
-// placement pass itself (a streaming assignment over vertices and
-// arcs, shipping each cut arc's record to its remote owner), and
-// reports the quality stats as gauges so monitor curves show them.
-func recordPartition(pt *partition.Partitioning, g *graph.Graph, profile *cluster.ExecutionProfile) {
+	pt, err := partition.Build(strategy, spec.G, shards)
+	if err != nil {
+		return err
+	}
 	profile.Part = pt
-	st := pt.ComputeStats(g)
+	st := pt.ComputeStats(spec.G)
 	profile.AddPhase(cluster.Phase{
 		Name: "partition:" + pt.Strategy, Kind: cluster.PhaseShuffle,
 		Ops:      int64(st.Vertices) + st.Arcs,
@@ -331,324 +380,181 @@ func recordPartition(pt *partition.Partitioning, g *graph.Graph, profile *cluste
 	reg.Gauge("partition.cut_arcs").Set(st.CutArcs)
 	reg.Gauge("partition.replication_x1000").Set(int64(st.ReplicationFactor * 1000))
 	reg.Gauge("partition.load_skew_x1000").Set(int64(st.LoadSkew * 1000))
+	return nil
 }
 
-// ---- Hadoop ---------------------------------------------------------
-
-type mrPlatform struct {
-	name, version string
-	costs         cluster.CostModel
-	newEngine     func(hw cluster.Hardware, sess *obs.Session, inj *fault.Injector) (*mapreduce.Engine, func(), error)
+func unknownAlgorithm(spec Spec) error {
+	return fmt.Errorf("unknown algorithm %q", spec.Algorithm)
 }
 
-// NewHadoop returns the Hadoop platform (hadoop-0.20.203.0 in the
-// paper).
-func NewHadoop() Platform {
-	return &mrPlatform{
-		name: "Hadoop", version: "hadoop-0.20.203.0", costs: cluster.HadoopCosts(),
-		newEngine: func(hw cluster.Hardware, sess *obs.Session, inj *fault.Injector) (*mapreduce.Engine, func(), error) {
-			e := mapreduce.New(hw)
-			e.Profile.Obs = sess
-			e.Profile.Fault = inj
-			return e, func() {}, nil
-		},
-	}
+// ---- Hadoop and YARN ------------------------------------------------
+
+// openHadoop opens a MapReduce engine.
+func openHadoop(spec Spec) (*mapreduce.Engine, func(), error) {
+	e := mapreduce.New(spec.HW)
+	e.Profile.Obs, e.Profile.Fault = spec.Obs, spec.Fault
+	return e, func() {}, nil
 }
 
-// NewYARN returns the YARN platform (hadoop-2.0.3-alpha): the same
-// MapReduce execution inside an RM/AM container deployment.
-func NewYARN() Platform {
-	return &mrPlatform{
-		name: "YARN", version: "hadoop-2.0.3-alpha", costs: cluster.YARNCosts(),
-		newEngine: func(hw cluster.Hardware, sess *obs.Session, inj *fault.Injector) (*mapreduce.Engine, func(), error) {
-			rm := yarn.NewResourceManager(hw)
-			rm.Obs = sess
-			rm.Fault = inj
-			am, err := rm.Submit("graphbench", 1<<30)
-			if err != nil {
-				return nil, nil, err
-			}
-			return am.Engine(), am.Finish, nil
-		},
-	}
-}
-
-func (p *mrPlatform) Name() string             { return p.name }
-func (p *mrPlatform) Version() string          { return p.version }
-func (p *mrPlatform) Kind() string             { return "Generic, Distributed" }
-func (p *mrPlatform) Costs() cluster.CostModel { return p.costs }
-
-func (p *mrPlatform) Run(spec Spec) *Result {
-	r := &Result{Profile: &cluster.ExecutionProfile{}}
-	fillIDs(r, spec, p.name)
-	eng, release, err := p.newEngine(spec.HW, spec.Obs, spec.Fault)
+// openYARN opens the same MapReduce engine inside an RM/AM container
+// deployment; its profile starts with any AM relaunches.
+func openYARN(spec Spec) (*mapreduce.Engine, func(), error) {
+	rm := yarn.NewResourceManager(spec.HW)
+	rm.Obs, rm.Fault = spec.Obs, spec.Fault
+	am, err := rm.Submit("graphbench", 1<<30)
 	if err != nil {
-		return crashed(r, err)
+		return nil, nil, err
 	}
-	defer release()
-	pt, err := partitionFor(spec)
-	if err != nil {
-		return crashed(r, err)
-	}
-	if pt != nil {
-		recordPartition(pt, spec.G, eng.Profile)
-	}
-
-	var out any
-	switch spec.Algorithm {
-	case STATS:
-		out, err = boxed(mralgo.Stats(eng, spec.G))
-	case BFS:
-		out, err = boxed(mralgo.BFS(eng, spec.G, spec.Params.BFSSource))
-	case CONN:
-		out, err = boxed(mralgo.Conn(eng, spec.G))
-	case CD:
-		out, err = boxed(mralgo.CD(eng, spec.G, spec.Params))
-	case EVO:
-		out, err = boxed(mralgo.EVO(eng, spec.G, spec.Params))
-	case SSSP:
-		out, err = boxed(mralgo.SSSP(eng, weightedFor(spec.G), spec.Params.BFSSource))
-	default:
-		err = fmt.Errorf("unknown algorithm %q", spec.Algorithm)
-	}
-	if err != nil {
-		return crashed(r, err)
-	}
-	r.Output = out
-	r.Profile = eng.Profile
-
-	// Memory: the busiest node must hold its split, its map output,
-	// and its shuffle input in the task JVMs (projected to paper
-	// scale).
-	proj := projection(spec)
-	demand := int64(float64(p.costs.MemBase) +
-		p.costs.GCFactor*p.costs.GraphMemFactor*float64(eng.PeakJobBytesPerNode*proj))
-	if err := cluster.CheckMemory(demand, spec.HW); err != nil {
-		return crashed(r, err)
-	}
-	finish(r, p.costs, spec.HW, proj, DistributedTimeout)
-	return r
+	return am.Engine(), am.Finish, nil
 }
 
-// boxed lets a typed (result, error) pair be assigned to (out any, err).
-func boxed[T any](v T, err error) (any, error) { return v, err }
+// mrExec runs the MapReduce algorithms on the engine open returns. The
+// busiest node must hold its split, its map output, and its shuffle
+// input in the task JVMs.
+func mrExec(open func(Spec) (*mapreduce.Engine, func(), error)) execFunc {
+	return func(r *Result, spec Spec, cm cluster.CostModel, proj int64) (out any, demand int64, err error) {
+		eng, release, err := open(spec)
+		if err != nil {
+			return nil, 0, err
+		}
+		defer release()
+		r.Profile = eng.Profile
+		if err := place(spec, eng.Profile); err != nil {
+			return nil, 0, err
+		}
+		switch spec.Algorithm {
+		case STATS:
+			out, err = mralgo.Stats(eng, spec.G)
+		case BFS:
+			out, err = mralgo.BFS(eng, spec.G, spec.Params.BFSSource)
+		case CONN:
+			out, err = mralgo.Conn(eng, spec.G)
+		case CD:
+			out, err = mralgo.CD(eng, spec.G, spec.Params)
+		case EVO:
+			out, err = mralgo.EVO(eng, spec.G, spec.Params)
+		case SSSP:
+			out, err = mralgo.SSSP(eng, weightedFor(spec.G), spec.Params.BFSSource)
+		default:
+			err = unknownAlgorithm(spec)
+		}
+		demand = int64(float64(cm.MemBase) +
+			cm.GCFactor*cm.GraphMemFactor*float64(eng.PeakJobBytesPerNode*proj))
+		return out, demand, err
+	}
+}
 
 // ---- Stratosphere ---------------------------------------------------
 
-type stratoPlatform struct{}
-
-// NewStratosphere returns the Stratosphere platform (0.2).
-func NewStratosphere() Platform { return stratoPlatform{} }
-
-func (stratoPlatform) Name() string             { return "Stratosphere" }
-func (stratoPlatform) Version() string          { return "Stratosphere-0.2" }
-func (stratoPlatform) Kind() string             { return "Generic, Distributed" }
-func (stratoPlatform) Costs() cluster.CostModel { return cluster.StratosphereCosts() }
-
-func (p stratoPlatform) Run(spec Spec) *Result {
-	r := &Result{Profile: &cluster.ExecutionProfile{}}
-	fillIDs(r, spec, p.Name())
+// stratoExec runs the PACT algorithms. Stratosphere manages its
+// pre-allocated memory and spills rather than crashing.
+func stratoExec(r *Result, spec Spec, _ cluster.CostModel, _ int64) (out any, _ int64, err error) {
 	eng := dataflow.New(spec.HW)
-	eng.Profile.Obs = spec.Obs
-	eng.Profile.Fault = spec.Fault
-	pt, err := partitionFor(spec)
-	if err != nil {
-		return crashed(r, err)
+	eng.Profile = r.Profile
+	if err := place(spec, eng.Profile); err != nil {
+		return nil, 0, err
 	}
-	if pt != nil {
-		recordPartition(pt, spec.G, eng.Profile)
-	}
-
-	var out any
 	switch spec.Algorithm {
 	case STATS:
-		out, err = boxed(pactalgo.Stats(eng, spec.G))
+		out, err = pactalgo.Stats(eng, spec.G)
 	case BFS:
-		out, err = boxed(pactalgo.BFS(eng, spec.G, spec.Params.BFSSource))
+		out, err = pactalgo.BFS(eng, spec.G, spec.Params.BFSSource)
 	case CONN:
-		out, err = boxed(pactalgo.Conn(eng, spec.G))
+		out, err = pactalgo.Conn(eng, spec.G)
 	case CD:
-		out, err = boxed(pactalgo.CD(eng, spec.G, spec.Params))
+		out, err = pactalgo.CD(eng, spec.G, spec.Params)
 	case EVO:
-		out, err = boxed(pactalgo.EVO(eng, spec.G, spec.Params))
+		out, err = pactalgo.EVO(eng, spec.G, spec.Params)
 	case SSSP:
-		out, err = boxed(pactalgo.SSSP(eng, weightedFor(spec.G), spec.Params.BFSSource))
+		out, err = pactalgo.SSSP(eng, weightedFor(spec.G), spec.Params.BFSSource)
 	default:
-		err = fmt.Errorf("unknown algorithm %q", spec.Algorithm)
+		err = unknownAlgorithm(spec)
 	}
-	if err != nil {
-		return crashed(r, err)
-	}
-	r.Output = out
-	r.Profile = eng.Profile
-	// Stratosphere manages its pre-allocated memory and spills rather
-	// than crashing; its failure mode in the paper is running out of
-	// *time* (STATS on DotaLeague terminated near 4 hours), which the
-	// shared timeout check below applies.
-	finish(r, p.Costs(), spec.HW, projection(spec), DistributedTimeout)
-	return r
+	return out, 0, err
 }
 
 // ---- Giraph ---------------------------------------------------------
 
-type giraphPlatform struct{}
-
-// NewGiraph returns the Giraph platform (0.2, revision 1336743).
-func NewGiraph() Platform { return giraphPlatform{} }
-
-func (giraphPlatform) Name() string             { return "Giraph" }
-func (giraphPlatform) Version() string          { return "Giraph 0.2 (rev 1336743)" }
-func (giraphPlatform) Kind() string             { return "Graph, Distributed" }
-func (giraphPlatform) Costs() cluster.CostModel { return cluster.GiraphCosts() }
-
-func (p giraphPlatform) Run(spec Spec) *Result {
-	r := &Result{Profile: &cluster.ExecutionProfile{Obs: spec.Obs, Fault: spec.Fault}}
-	fillIDs(r, spec, p.Name())
-	cm := p.Costs()
-	proj := projection(spec)
+// giraphExec runs the vertex-centric algorithms. What remains of the
+// node budget after the graph (at paper scale) bounds the
+// per-superstep message buffers; a superstep sending more aborts the
+// run out of memory.
+func giraphExec(r *Result, spec Spec, cm cluster.CostModel, proj int64) (out any, _ int64, err error) {
 	hw := spec.HW
-
-	// Graph memory at paper scale; what remains of the node budget
-	// bounds the per-superstep message buffers.
 	graphPerNode := float64(spec.G.MemoryFootprint()) * float64(proj) / float64(hw.Nodes)
 	budget := float64(hw.MemPerNode)/cm.GCFactor - float64(cm.MemBase) - cm.GraphMemFactor*graphPerNode
 	if budget <= 0 {
-		return crashed(r, fmt.Errorf("graph partition alone exceeds node memory: %w", cluster.ErrOutOfMemory))
+		return nil, 0, fmt.Errorf("graph partition alone exceeds node memory: %w", cluster.ErrOutOfMemory)
 	}
-	sendLimit := int64(budget / (cm.MemPerMsgByte * float64(proj)))
-	pt, err := partitionFor(spec)
-	if err != nil {
-		return crashed(r, err)
+	limit := int64(budget / (cm.MemPerMsgByte * float64(proj)))
+	if err := place(spec, r.Profile); err != nil {
+		return nil, 0, err
 	}
-	if pt != nil {
-		recordPartition(pt, spec.G, r.Profile)
-	}
-
-	var out any
+	g, src, prof := spec.G, spec.Params.BFSSource, r.Profile
 	switch spec.Algorithm {
 	case STATS:
-		res, _, e := pregelalgo.Stats(spec.G, hw, sendLimit, r.Profile)
-		out, err = res, e
+		out, _, err = pregelalgo.Stats(g, hw, limit, prof)
 	case BFS:
-		res, _, e := pregelalgo.BFS(spec.G, hw, spec.Params.BFSSource, sendLimit, r.Profile)
-		out, err = res, e
+		out, _, err = pregelalgo.BFS(g, hw, src, limit, prof)
 	case CONN:
-		res, _, e := pregelalgo.Conn(spec.G, hw, sendLimit, r.Profile)
-		out, err = res, e
+		out, _, err = pregelalgo.Conn(g, hw, limit, prof)
 	case CD:
-		res, _, e := pregelalgo.CD(spec.G, hw, spec.Params, sendLimit, r.Profile)
-		out, err = res, e
+		out, _, err = pregelalgo.CD(g, hw, spec.Params, limit, prof)
 	case EVO:
-		res, _, e := pregelalgo.EVO(spec.G, hw, spec.Params, sendLimit, r.Profile)
-		out, err = res, e
+		out, _, err = pregelalgo.EVO(g, hw, spec.Params, limit, prof)
 	case SSSP:
-		res, _, e := pregelalgo.SSSP(weightedFor(spec.G), hw, spec.Params.BFSSource, sendLimit, r.Profile)
-		out, err = res, e
+		out, _, err = pregelalgo.SSSP(weightedFor(g), hw, src, limit, prof)
 	default:
-		err = fmt.Errorf("unknown algorithm %q", spec.Algorithm)
+		err = unknownAlgorithm(spec)
 	}
-	if err != nil {
-		return crashed(r, err)
+	if err == nil {
+		// Giraph reads its input once and holds everything in memory.
+		prof.Phases = append([]cluster.Phase{{
+			Name: "giraph:read", Kind: cluster.PhaseRead, DiskRead: graph.TextSize(g),
+		}}, prof.Phases...)
 	}
-	r.Output = out
-	// Giraph reads its input once and holds everything in memory.
-	r.Profile.Phases = append([]cluster.Phase{{
-		Name: "giraph:read", Kind: cluster.PhaseRead,
-		DiskRead: graph.TextSize(spec.G),
-	}}, r.Profile.Phases...)
-	finish(r, cm, hw, proj, DistributedTimeout)
-	return r
+	return out, 0, err
 }
 
 // ---- GraphLab -------------------------------------------------------
 
-type graphlabPlatform struct {
-	mp bool
-}
-
-// NewGraphLab returns the GraphLab platform (2.1.4434); mp selects the
-// multi-part loading variant GraphLab(mp) of Section 4.3.1.
-func NewGraphLab(mp bool) Platform { return graphlabPlatform{mp: mp} }
-
-func (p graphlabPlatform) Name() string {
-	if p.mp {
-		return "GraphLab(mp)"
+// graphlabExec runs the GAS algorithms; mp selects the multi-part
+// loader. The busiest node must hold its graph state after the run.
+func graphlabExec(mp bool) execFunc {
+	return func(r *Result, spec Spec, cm cluster.CostModel, proj int64) (out any, demand int64, err error) {
+		if err := place(spec, r.Profile); err != nil {
+			return nil, 0, err
+		}
+		g, hw, src, prof := spec.G, spec.HW, spec.Params.BFSSource, r.Profile
+		in := graph.TextSize(g)
+		switch spec.Algorithm {
+		case STATS:
+			out, _, err = gasalgo.Stats(g, hw, in, mp, prof)
+		case BFS:
+			out, _, err = gasalgo.BFS(g, hw, src, in, mp, prof)
+		case CONN:
+			out, _, err = gasalgo.Conn(g, hw, in, mp, prof)
+		case CD:
+			out, _, err = gasalgo.CD(g, hw, spec.Params, in, mp, prof)
+		case EVO:
+			out, err = gasalgo.EVO(g, hw, spec.Params, in, mp, prof)
+		case SSSP:
+			out, _, err = gasalgo.SSSP(weightedFor(g), hw, src, in, mp, prof)
+		default:
+			err = unknownAlgorithm(spec)
+		}
+		demand = int64(cm.GCFactor * (float64(cm.MemBase) +
+			cm.GraphMemFactor*float64(prof.PeakMemPerNode*proj)))
+		return out, demand, err
 	}
-	return "GraphLab"
-}
-func (graphlabPlatform) Version() string          { return "GraphLab 2.1.4434" }
-func (graphlabPlatform) Kind() string             { return "Graph, Distributed" }
-func (graphlabPlatform) Costs() cluster.CostModel { return cluster.GraphLabCosts() }
-
-func (p graphlabPlatform) Run(spec Spec) *Result {
-	r := &Result{Profile: &cluster.ExecutionProfile{Obs: spec.Obs, Fault: spec.Fault}}
-	fillIDs(r, spec, p.Name())
-	inputBytes := graph.TextSize(spec.G)
-	pt, err := partitionFor(spec)
-	if err != nil {
-		return crashed(r, err)
-	}
-	if pt != nil {
-		recordPartition(pt, spec.G, r.Profile)
-	}
-
-	var out any
-	switch spec.Algorithm {
-	case STATS:
-		res, _, e := gasalgo.Stats(spec.G, spec.HW, inputBytes, p.mp, r.Profile)
-		out, err = res, e
-	case BFS:
-		res, _, e := gasalgo.BFS(spec.G, spec.HW, spec.Params.BFSSource, inputBytes, p.mp, r.Profile)
-		out, err = res, e
-	case CONN:
-		res, _, e := gasalgo.Conn(spec.G, spec.HW, inputBytes, p.mp, r.Profile)
-		out, err = res, e
-	case CD:
-		res, _, e := gasalgo.CD(spec.G, spec.HW, spec.Params, inputBytes, p.mp, r.Profile)
-		out, err = res, e
-	case EVO:
-		res, e := gasalgo.EVO(spec.G, spec.HW, spec.Params, inputBytes, p.mp, r.Profile)
-		out, err = res, e
-	case SSSP:
-		res, _, e := gasalgo.SSSP(weightedFor(spec.G), spec.HW, spec.Params.BFSSource, inputBytes, p.mp, r.Profile)
-		out, err = res, e
-	default:
-		err = fmt.Errorf("unknown algorithm %q", spec.Algorithm)
-	}
-	if err != nil {
-		return crashed(r, err)
-	}
-	r.Output = out
-
-	cm := p.Costs()
-	proj := projection(spec)
-	demand := int64(cm.GCFactor * (float64(cm.MemBase) +
-		cm.GraphMemFactor*float64(r.Profile.PeakMemPerNode*proj)))
-	if err := cluster.CheckMemory(demand, spec.HW); err != nil {
-		return crashed(r, err)
-	}
-	finish(r, cm, spec.HW, proj, DistributedTimeout)
-	return r
 }
 
 // ---- Neo4j ----------------------------------------------------------
 
-type neo4jPlatform struct{}
-
-// NewNeo4j returns the Neo4j platform (1.5), a single-machine graph
-// database.
-func NewNeo4j() Platform { return neo4jPlatform{} }
-
-func (neo4jPlatform) Name() string             { return "Neo4j" }
-func (neo4jPlatform) Version() string          { return "Neo4j 1.5" }
-func (neo4jPlatform) Kind() string             { return "Graph, Non-distributed" }
-func (neo4jPlatform) Costs() cluster.CostModel { return cluster.Neo4jCosts() }
-
-func (p neo4jPlatform) Run(spec Spec) *Result {
-	r := &Result{Profile: &cluster.ExecutionProfile{Obs: spec.Obs}}
-	fillIDs(r, spec, p.Name())
-	proj := projection(spec)
-
+// neo4jExec runs the embedded-database algorithms on one machine. It
+// ignores placement, and fault injection is out of its scope.
+func neo4jExec(r *Result, spec Spec, _ cluster.CostModel, proj int64) (any, int64, error) {
+	r.Profile.Fault = nil
 	cfg := graphdb.DefaultConfig()
 	cfg.Projection = proj
 	sg := spec.G
@@ -658,14 +564,9 @@ func (p neo4jPlatform) Run(spec Spec) *Result {
 		sg = weightedFor(sg)
 	}
 	db := graphdb.Open(sg, cfg)
-
 	if db.IngestSeconds() > IngestionLimit {
-		r.Status = NotSupported
-		r.Err = errors.New("data ingestion infeasible on a single machine (Table 6: N/A)")
-		return r
+		return nil, 0, errNotIngested
 	}
-
-	hw := cluster.SingleNode()
 	run := func(profile *cluster.ExecutionProfile) (any, error) {
 		switch spec.Algorithm {
 		case STATS:
@@ -681,21 +582,15 @@ func (p neo4jPlatform) Run(spec Spec) *Result {
 		case SSSP:
 			return dbalgo.SSSP(db, spec.Params.BFSSource, profile)
 		}
-		return nil, fmt.Errorf("unknown algorithm %q", spec.Algorithm)
+		return nil, unknownAlgorithm(spec)
 	}
-
 	if spec.WarmCache && !spec.Cold {
 		// Cold pass to fill the caches, discarded (the paper reports
 		// hot-cache numbers in Figure 1).
 		if _, err := run(&cluster.ExecutionProfile{}); err != nil {
-			return crashed(r, err)
+			return nil, 0, err
 		}
 	}
 	out, err := run(r.Profile)
-	if err != nil {
-		return crashed(r, err)
-	}
-	r.Output = out
-	finish(r, p.Costs(), hw, proj, SingleNodeTimeout)
-	return r
+	return out, 0, err
 }
