@@ -51,6 +51,7 @@ type Harness struct {
 
 	mu      sync.Mutex
 	graphs  map[string]*graph.Graph
+	oracles map[string]*platform.Oracle
 	results map[string]*platform.Result
 }
 
@@ -62,6 +63,7 @@ func New(cfg Config) *Harness {
 	return &Harness{
 		cfg:     cfg,
 		graphs:  make(map[string]*graph.Graph),
+		oracles: make(map[string]*platform.Oracle),
 		results: make(map[string]*platform.Result),
 	}
 }
@@ -84,6 +86,28 @@ func (h *Harness) Graph(dataset string) *graph.Graph {
 	g := prof.GenerateCached(h.cfg.Scale, h.cfg.Seed, h.cfg.CacheDir)
 	h.graphs[dataset] = g
 	return g
+}
+
+// params are the algorithm parameters every run on g gets: the harness
+// seed picks them and the BFS source.
+func (h *Harness) params(g *graph.Graph) algo.Params {
+	params := algo.DefaultParams(h.cfg.Seed)
+	params.BFSSource = algo.PickSource(g, h.cfg.Seed)
+	return params
+}
+
+// Oracle returns the dataset's oracle, over the graph and parameters
+// its runs get: one per dataset, so each reference is computed once.
+func (h *Harness) Oracle(dataset string) *platform.Oracle {
+	g := h.Graph(dataset)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	o, ok := h.oracles[dataset]
+	if !ok {
+		o = platform.NewOracle(g, h.params(g))
+		h.oracles[dataset] = o
+	}
+	return o
 }
 
 // Run executes (or reuses) one experiment under the harness's
@@ -134,10 +158,10 @@ type FreshRun struct {
 }
 
 // execute is the only place a cell becomes a platform.Spec: the
-// harness seed picks the algorithm parameters and the BFS source, the
-// dataset comes from the harness cache, and placement, observability
-// session, fault injector and cache temperature ride along. It never
-// consults the result memo, so every call performs real work.
+// parameters come from params, the dataset from the harness cache, and
+// placement, observability session, fault injector and cache
+// temperature ride along. It never consults the result memo, so every
+// call performs real work.
 func (h *Harness) execute(fr FreshRun, sess *obs.Session, inj *fault.Injector) (*platform.Result, error) {
 	p, err := platform.ByName(fr.Platform)
 	if err != nil {
@@ -148,11 +172,9 @@ func (h *Harness) execute(fr FreshRun, sess *obs.Session, inj *fault.Injector) (
 		return nil, err
 	}
 	g := h.Graph(fr.Dataset)
-	params := algo.DefaultParams(h.cfg.Seed)
-	params.BFSSource = algo.PickSource(g, h.cfg.Seed)
 	return p.Run(platform.Spec{
 		Algorithm: fr.Algorithm, Dataset: prof, G: g, HW: fr.HW,
-		Params: params, WarmCache: !fr.Cold, Cold: fr.Cold,
+		Params: h.params(g), WarmCache: !fr.Cold, Cold: fr.Cold,
 		ScaleFactor: h.cfg.Scale, Obs: sess, Fault: inj,
 		Partitioner: fr.Partitioner, Shards: fr.Shards,
 	}), nil

@@ -20,7 +20,8 @@ type ChaosReport struct {
 	Seed      int64
 
 	// Match is the determinism contract: the fault-injected run
-	// produced exactly the fault-free algorithm output.
+	// produced exactly the fault-free algorithm output, and that output
+	// passes the dataset's oracle.
 	Match bool
 	// BaselineSeconds / FaultSeconds are the projected execution times
 	// T of the two runs; PenaltyPct is the relative recovery overhead.
@@ -39,7 +40,8 @@ type ChaosReport struct {
 	Restores int64
 
 	// Err is set when either run failed outright (e.g. the retry
-	// budget was exhausted and the engine degraded to a clean abort).
+	// budget was exhausted and the engine degraded to a clean abort) or
+	// the fault-injected output fails the oracle.
 	Err error
 }
 
@@ -68,7 +70,8 @@ func (c ChaosReport) String() string {
 // reports whether recovery preserved the algorithm output along with
 // the T/EPS penalty the recovery cost. The determinism contract is
 // that Match is true for every plan the engines can absorb within the
-// retry budget; an exhausted budget surfaces as Err.
+// retry budget; an exhausted budget surfaces as Err, and so does an
+// output the oracle rejects, even one equal to the fault-free output.
 func (h *Harness) Chaos(platformName, alg, dataset string, hw cluster.Hardware, plan fault.Plan) ChaosReport {
 	rep := ChaosReport{
 		Platform: platformName, Algorithm: alg, Dataset: dataset,
@@ -106,6 +109,10 @@ func (h *Harness) Chaos(platformName, alg, dataset string, hw cluster.Hardware, 
 	rep.FaultSeconds = res.Seconds
 	rep.FaultEPS = res.EPS()
 	rep.PenaltyPct = 100 * fault.Overhead(base.Seconds, res.Seconds)
+	if err := h.Oracle(dataset).Check(res.Output); err != nil {
+		rep.Err = fmt.Errorf("chaos output fails the oracle: %w", err)
+		return rep
+	}
 	rep.Match = reflect.DeepEqual(res.Output, base.Output)
 	return rep
 }

@@ -1,8 +1,6 @@
 package dbalgo
 
 import (
-	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/algo"
@@ -27,86 +25,6 @@ func testGraphs(t *testing.T) []*graph.Graph {
 
 func open(g *graph.Graph) *graphdb.DB {
 	return graphdb.Open(g, graphdb.DefaultConfig())
-}
-
-func TestStatsMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		want := algo.RefStats(g)
-		got, err := Stats(open(g), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Vertices != want.Vertices || got.Edges != want.Edges {
-			t.Fatalf("%v: stats = %+v, want %+v", g, got, want)
-		}
-		if math.Abs(got.AvgLCC-want.AvgLCC) > 1e-9 {
-			t.Fatalf("%v: AvgLCC = %v, want %v", g, got.AvgLCC, want.AvgLCC)
-		}
-	}
-}
-
-func TestBFSMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		src := algo.PickSource(g, 42)
-		want := algo.RefBFS(g, src)
-		got, err := BFS(open(g), src, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Levels, want.Levels) {
-			t.Fatalf("%v: BFS levels differ", g)
-		}
-		if got.Iterations != want.Iterations || got.Visited != want.Visited {
-			t.Fatalf("%v: got %d/%d want %d/%d", g, got.Iterations, got.Visited, want.Iterations, want.Visited)
-		}
-	}
-}
-
-func TestConnMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		want := algo.RefConn(g)
-		got, err := Conn(open(g), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Labels, want.Labels) {
-			t.Fatalf("%v: CONN labels differ", g)
-		}
-		if got.Components != want.Components {
-			t.Fatalf("%v: components = %d, want %d", g, got.Components, want.Components)
-		}
-	}
-}
-
-func TestCDMatchesReference(t *testing.T) {
-	p := algo.DefaultParams(42)
-	for _, g := range testGraphs(t) {
-		want := algo.RefCD(g, p)
-		got, err := CD(open(g), p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Labels, want.Labels) {
-			t.Fatalf("%v: CD labels differ", g)
-		}
-		if got.Iterations != want.Iterations {
-			t.Fatalf("%v: iterations = %d, want %d", g, got.Iterations, want.Iterations)
-		}
-	}
-}
-
-func TestEVOMatchesReference(t *testing.T) {
-	p := algo.DefaultParams(42)
-	for _, g := range testGraphs(t) {
-		want := algo.RefEVO(g, p)
-		got, err := EVO(open(g), p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NewVertices != want.NewVertices || !reflect.DeepEqual(got.Edges, want.Edges) {
-			t.Fatalf("%v: EVO differs from reference", g)
-		}
-	}
 }
 
 func TestBFSLazyReadOnLowCoverage(t *testing.T) {
@@ -197,24 +115,6 @@ func TestEVOWritesRelationships(t *testing.T) {
 	}
 	if disk < int64(res.NewEdges)*graphdb.RelRecordBytes {
 		t.Fatalf("EVO disk accounting %d below relationship writes", disk)
-	}
-}
-
-func TestSSSPMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		wg := graph.WithWeights(g, 99)
-		src := algo.PickSource(wg, 42)
-		want := algo.RefSSSP(wg, src)
-		got, err := SSSP(open(wg), src, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Dist, want.Dist) {
-			t.Fatalf("%v: SSSP distances differ", wg)
-		}
-		if err := algo.ValidateSSSP(wg, src, &got); err != nil {
-			t.Fatalf("%v: %v", wg, err)
-		}
 	}
 }
 

