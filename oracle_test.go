@@ -16,8 +16,8 @@ import (
 	"repro/internal/platform"
 )
 
-// oracleRow is one row of TestOracle: the cluster a graph runs on, its
-// placement and its fault plan.
+// oracleRow is one row of the oracle table: the cluster a graph runs
+// on, its placement and its fault plan.
 type oracleRow struct {
 	hw          cluster.Hardware
 	scaleFactor int
@@ -38,9 +38,9 @@ func (r oracleRow) String() string {
 	return s
 }
 
-// oracleGraph is one graph of the table and its rows. The first row is
-// every platform's default layout, fault-free; the other rows must
-// reproduce its outputs.
+// oracleGraph is one graph of the oracle table and its rows. The first
+// row is every platform's default layout, fault-free; the other rows
+// must reproduce its outputs.
 type oracleGraph struct {
 	profile    string
 	scale      int
@@ -57,44 +57,62 @@ func (og oracleGraph) String() string {
 	return s
 }
 
-// oracleTable lists the graphs and rows: every profile at scale 80;
-// KGS@80 under every placement strategy and shard count, and under a
-// recoverable fault plan; KGS@80 carrying its own weights, so SSSP runs
-// on them rather than on the derived ones; the adapter-sized graphs at
-// scale 60; and Citation@50 projected to the paper's cluster.
-func oracleTable() []oracleGraph {
-	das4, das5, das7 := cluster.DAS4(4, 1), cluster.DAS4(5, 1), cluster.DAS4(7, 1)
+// The oracle table is split in five parts, one top-level test each, so
+// that `go test -run` can pick a part; runOracle checks every part
+// alike. The parts are every profile at scale 80; KGS@80 under every
+// placement strategy and shard count, and under a recoverable fault
+// plan; KGS@80 carrying its own weights, so SSSP runs on them rather
+// than on the derived ones; Citation@50 projected to the paper's
+// cluster; and the adapter-sized graphs at scale 60.
+var das4, das5, das7 = cluster.DAS4(4, 1), cluster.DAS4(5, 1), cluster.DAS4(7, 1)
+
+func TestCrossEngineEquivalenceAllDatasets(t *testing.T) {
 	var table []oracleGraph
 	for _, p := range datagen.Profiles() {
-		og := oracleGraph{profile: p.Name, scale: 80, seed: 5,
-			rows: []oracleRow{{hw: das7, short: p.Name == "Amazon" || p.Name == "KGS"}}}
-		if p.Name == "KGS" {
-			for _, strategy := range partition.Names() {
-				for _, shards := range []int{1, 2, 4, 8} {
-					og.rows = append(og.rows, oracleRow{hw: das4, partitioner: strategy, shards: shards})
-				}
-			}
-			og.rows = append(og.rows, oracleRow{hw: das4, partitioner: partition.Hash, shards: 4, faultSeed: 7, short: true})
-		}
-		table = append(table, og)
+		table = append(table, oracleGraph{profile: p.Name, scale: 80, seed: 5,
+			rows: []oracleRow{{hw: das7, short: p.Name == "Amazon"}}})
 	}
-	return append(table,
-		oracleGraph{profile: "KGS", scale: 80, seed: 5, weightSeed: 99, rows: []oracleRow{{hw: das4}}},
-		oracleGraph{profile: "Amazon", scale: 60, seed: 5, rows: []oracleRow{{hw: das4}, {hw: das5}}},
-		oracleGraph{profile: "KGS", scale: 60, seed: 5, rows: []oracleRow{{hw: das4}, {hw: das5}}},
-		oracleGraph{profile: "Citation", scale: 60, seed: 5, rows: []oracleRow{{hw: das5}}},
-		oracleGraph{profile: "Citation", scale: 50, seed: 42, rows: []oracleRow{{hw: cluster.DAS4(20, 1), scaleFactor: 50}}},
-	)
+	runOracle(t, table)
 }
 
-// TestOracle is the correctness keystone: every platform runs every
-// algorithm in every row, and each cell must complete, pass the
-// platform oracle, report the reference's visit and iteration counts,
-// and equal the same platform's default-layout output on the same
-// graph. Any performance difference between platforms, placements or
-// fault plans is then about how they compute, never what.
+func TestCrossStrategyShardEquivalence(t *testing.T) {
+	og := oracleGraph{profile: "KGS", scale: 80, seed: 5, rows: []oracleRow{{hw: das4, short: true}}}
+	for _, strategy := range partition.Names() {
+		for _, shards := range []int{1, 2, 4, 8} {
+			og.rows = append(og.rows, oracleRow{hw: das4, partitioner: strategy, shards: shards})
+		}
+	}
+	og.rows = append(og.rows, oracleRow{hw: das4, partitioner: partition.Hash, shards: 4, faultSeed: 7, short: true})
+	runOracle(t, []oracleGraph{og})
+}
+
+func TestSSSPEquivalenceMatrix(t *testing.T) {
+	runOracle(t, []oracleGraph{{profile: "KGS", scale: 80, seed: 5, weightSeed: 99, rows: []oracleRow{{hw: das4}}}})
+}
+
+func TestCrossPlatformResultEquality(t *testing.T) {
+	runOracle(t, []oracleGraph{{profile: "Citation", scale: 50, seed: 42,
+		rows: []oracleRow{{hw: cluster.DAS4(20, 1), scaleFactor: 50}}}})
+}
+
 func TestOracle(t *testing.T) {
-	for _, og := range oracleTable() {
+	runOracle(t, []oracleGraph{
+		{profile: "Amazon", scale: 60, seed: 5, rows: []oracleRow{{hw: das4}, {hw: das5}}},
+		{profile: "KGS", scale: 60, seed: 5, rows: []oracleRow{{hw: das4}, {hw: das5}}},
+		{profile: "Citation", scale: 60, seed: 5, rows: []oracleRow{{hw: das5}}},
+	})
+}
+
+// runOracle is the correctness keystone: every platform runs every
+// algorithm in every row of table, and each cell must complete, pass
+// the platform oracle, report the reference's visit and iteration
+// counts, and equal the same platform's default-layout output on the
+// same graph. Any performance difference between platforms, placements
+// or fault plans is then about how they compute, never what. Under
+// -short only the rows marked short run.
+func runOracle(t *testing.T, table []oracleGraph) {
+	t.Parallel()
+	for _, og := range table {
 		rows := og.rows
 		if testing.Short() {
 			rows = nil

@@ -11,7 +11,7 @@
 #                an explicit 4-shard placement for each strategy x engine
 #                pair, plus the quality table.
 #   --gap        additionally run the GAP kernel equivalence tests under
-#                the race detector and the full oracle table (TestOracle).
+#                the race detector and the full root oracle table.
 #   --serve      additionally run the serving gate: batch equivalence and
 #                handler tests under the race detector, the group-commit
 #                and stop-drain tests twenty times over at GOMAXPROCS 1
@@ -103,7 +103,7 @@ go test -race -short \
     ./internal/obs/...
 
 echo "== oracle table, short rows (-race)"
-go test -race -short -run '^TestOracle$' .
+go test -race -short -run '^Test(Oracle|Cross|SSSPEquivalence)' .
 
 echo "== shared STATS/CD kernels (-race; allocation pins without it)"
 # The link counter is pooled across the engines' workers. The race
@@ -154,7 +154,7 @@ fi
 if [ "$run_gap" = 1 ]; then
     echo "== gap kernels (equivalence under -race + oracle table)"
     go test -race -run 'BFSDirOpt|RefBFSTree|SSSPDeltaStep|PageRankPull|Validate' ./internal/algo/
-    go test -run '^TestOracle$' .
+    go test -run '^Test(Oracle|Cross|SSSPEquivalence)' .
 fi
 
 if [ "$run_serve" = 1 ]; then
