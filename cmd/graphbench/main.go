@@ -12,7 +12,7 @@
 //	figure <1-16|5-7|8-10> [dataset]
 //	    regenerate one figure (dataset picks the panel of 11-14)
 //	all
-//	    every table and figure, in report_full.txt order
+//	    every table and figure, then the key findings: report_full.txt
 //	findings
 //	    check the paper's ten key findings against live runs
 //	run <platform> <algorithm> <dataset>
@@ -113,13 +113,8 @@ func commandTable() []command {
 				}
 				e.emitOrFatal(e.h.RenderFigure(a[0], ds))
 			}},
-		{"all", "", "every table and figure, in report_full.txt order", 0,
-			func(e *env, _ []string) {
-				e.h.Report(func(panels []bench.Table) {
-					e.emit(panels...)
-					fmt.Println()
-				})
-			}},
+		{"all", "", "every table and figure, then the key findings: report_full.txt", 0,
+			func(e *env, _ []string) { e.h.Report(os.Stdout, e.render) }},
 		{"findings", "", "check the paper's ten key findings against live runs", 0,
 			func(e *env, _ []string) { e.emit(e.h.FindingsTable()) }},
 		{"run", "<platform> <algorithm> <dataset>", "one experiment: status, T, Tc/To, EPS/VPS", 3, runCmd},

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 )
@@ -81,12 +82,19 @@ func (h *Harness) RenderFigure(id, dataset string) ([]Table, error) {
 	return a.render(h, dataset), nil
 }
 
-// Report generates the whole evaluation in the order of the archived
-// report (report_full.txt) — Tables 2-8, the DotaLeague figures, then
-// the scalability figures for Friendster and DotaLeague — handing each
-// table's or figure's panels to emit as soon as they are ready. The
-// archived layout prints a blank line after each.
-func (h *Harness) Report(emit func(panels []Table)) {
+// Report writes the whole evaluation in the order of the archived
+// report (report_full.txt) — Tables 2-8, the DotaLeague figures, the
+// scalability figures for Friendster and DotaLeague, then the
+// key-findings table — rendering each table's or figure's panels with
+// render as soon as they are ready and a blank line after each. The
+// findings reuse the cells the tables and figures already ran.
+func (h *Harness) Report(w io.Writer, render func(Table) string) {
+	emit := func(panels []Table) {
+		for _, p := range panels {
+			io.WriteString(w, render(p))
+		}
+		io.WriteString(w, "\n")
+	}
 	for _, a := range tables {
 		emit(a.render(h, ""))
 	}
@@ -105,4 +113,5 @@ func (h *Harness) Report(emit func(panels []Table)) {
 			figure(id, ds)
 		}
 	}
+	io.WriteString(w, render(h.FindingsTable()))
 }

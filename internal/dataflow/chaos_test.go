@@ -36,9 +36,10 @@ func sumPlan() *Plan[i64] {
 	return p
 }
 
-// TestOperatorRestartEquivalence: a guaranteed operator failure on the
-// first attempt restarts the operator from its channel inputs and the
-// plan output matches the fault-free run, with the retry observable.
+// TestOperatorRestartEquivalence: a guaranteed failure on the first
+// attempt of each of the two operators restarts it from its channel
+// inputs and the plan output matches the fault-free run, with the
+// retries observable.
 func TestOperatorRestartEquivalence(t *testing.T) {
 	base, err := Execute(New(hw()), sumPlan())
 	if err != nil {
@@ -47,8 +48,9 @@ func TestOperatorRestartEquivalence(t *testing.T) {
 	e, inj, sess := chaosEngine(fault.Plan{
 		Seed: 1,
 		Rules: []fault.Rule{
-			{Kind: fault.TaskFail, Engine: "dataflow", Step: fault.Any, Task: fault.Any, Attempt: 0, Prob: 1, MaxShots: 2},
-			{Kind: fault.Straggler, Engine: "dataflow", Step: fault.Any, Task: fault.Any, Attempt: fault.Any, Prob: 0.5, MaxShots: 2},
+			{Kind: fault.TaskFail, Engine: "dataflow", Op: "mod", Step: fault.Any, Task: fault.Any, Attempt: 0, Prob: 1},
+			{Kind: fault.TaskFail, Engine: "dataflow", Op: "sum", Step: fault.Any, Task: fault.Any, Attempt: 0, Prob: 1},
+			{Kind: fault.Straggler, Engine: "dataflow", Step: fault.Any, Task: fault.Any, Attempt: fault.Any, Prob: 0.5},
 		},
 	})
 	defer sess.Close()
@@ -91,7 +93,7 @@ func TestShuffleDropRetransmits(t *testing.T) {
 	e, _, sess := chaosEngine(fault.Plan{
 		Seed: 2,
 		Rules: []fault.Rule{
-			{Kind: fault.MsgDrop, Engine: "dataflow", Step: fault.Any, Task: fault.Any, Attempt: fault.Any, Prob: 1, MaxShots: 1},
+			{Kind: fault.MsgDrop, Engine: "dataflow", Step: fault.Any, Task: fault.Any, Attempt: fault.Any, Prob: 1},
 		},
 	})
 	defer sess.Close()
@@ -111,8 +113,7 @@ func TestShuffleDropRetransmits(t *testing.T) {
 // failing operator surfaces fault.ErrBudgetExhausted.
 func TestDataflowBudgetExhausted(t *testing.T) {
 	e, _, sess := chaosEngine(fault.Plan{
-		Seed:        1,
-		MaxAttempts: 2,
+		Seed: 1,
 		Rules: []fault.Rule{
 			{Kind: fault.TaskFail, Op: "sum", Step: fault.Any, Task: fault.Any, Attempt: fault.Any, Prob: 1},
 		},

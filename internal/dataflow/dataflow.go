@@ -400,7 +400,7 @@ func runOp[V Sized](e *Engine, n *Node[V], planStep int, inj *fault.Injector, co
 					Name: n.name + ":restart", Kind: cluster.PhaseSetup,
 					Tasks: fault.BackoffUnits(attempt),
 				})
-				if attempt+1 >= inj.MaxAttempts() {
+				if attempt+1 >= fault.DefaultMaxAttempts {
 					return nil, fmt.Errorf("dataflow: operator %q (node %d): injected %v persisted through %d attempts: %w",
 						n.name, n.id, kind, attempt+1, fault.ErrBudgetExhausted)
 				}

@@ -7,10 +7,11 @@ import (
 )
 
 // chaosMaxRounds bounds retransmission rounds. StreamPlan rules are
-// probabilistic with per-attempt re-rolls and MaxShots caps, so every
-// batch is delivered well within the bound; hitting it means a plan
-// was configured with always-fire drop rules and is reported as a
-// budget exhaustion, not a hang.
+// probabilistic and every attempt of a batch is a new site, so a batch
+// misses a round with probability 0.36 (delayed 0.2, else dropped 0.2)
+// and is delivered well within the bound; hitting it means a plan was
+// configured with always-fire drop rules and is reported as a budget
+// exhaustion, not a hang.
 const chaosMaxRounds = 256
 
 // DeliverStats summarises one chaos delivery run.

@@ -12,7 +12,9 @@
 //
 // Determinism is the hard contract. Injection decisions are pure
 // functions of (plan seed, rule index, site): a site either always or
-// never fires for a given plan, independent of goroutine scheduling.
+// never fires for a given plan, independent of goroutine scheduling,
+// and the injector keeps no other decision state, so a whole chaos run
+// — faults, recovery and penalty — is a pure function of (seed, plan).
 // Combined with recovery paths that replay only deterministic work,
 // this guarantees that a fault-injected run converges to results
 // byte-identical to the fault-free run — the property the chaos CI
@@ -42,9 +44,9 @@ const (
 	MsgDrop
 	// MsgDelay delays a message bundle past the barrier; recovery waits.
 	MsgDelay
-	// Straggler slows one worker down by Rule.Factor without failing it;
-	// recovery is speculative re-execution (where the engine supports
-	// it) or barrier skew.
+	// Straggler slows one worker down by StragglerFactor without
+	// failing it; recovery is speculative re-execution (where the
+	// engine supports it) or barrier skew.
 	Straggler
 	// OOM makes one task or worker exceed its memory budget. Engines
 	// recover exactly as from Crash (the container is killed and the
@@ -72,10 +74,13 @@ func (k Kind) String() string {
 // Any matches every value of a Site field in a Rule.
 const Any = -1
 
-// DefaultMaxAttempts is the per-site retry budget when the plan does
-// not set one — Hadoop's mapred.map.max.attempts default of 4 (one
-// original attempt plus three retries).
+// DefaultMaxAttempts is the per-site retry budget — Hadoop's
+// mapred.map.max.attempts default of 4 (one original attempt plus three
+// retries).
 const DefaultMaxAttempts = 4
+
+// StragglerFactor is how many times slower a straggling worker runs.
+const StragglerFactor = 4
 
 // ErrBudgetExhausted is the typed error every engine degrades to when
 // a site keeps failing past the plan's retry budget: a clean abort, no
@@ -118,13 +123,6 @@ type Rule struct {
 	// hash of (seed, rule, site), not a shared RNG, so it is identical
 	// across runs and goroutine schedules.
 	Prob float64
-	// MaxShots caps how many times the rule fires in one run (0 =
-	// unlimited). The cap is enforced with an atomic counter, so under
-	// parallel evaluation which sites win the last shots can vary — but
-	// recovery makes every outcome converge to identical results.
-	MaxShots int
-	// Factor is the straggler slowdown multiplier (default 4).
-	Factor float64
 }
 
 func (r Rule) matches(s Site) bool {
@@ -150,8 +148,6 @@ func (r Rule) matches(s Site) bool {
 type Plan struct {
 	// Seed drives every injection decision.
 	Seed int64
-	// MaxAttempts is the per-site retry budget (0 = DefaultMaxAttempts).
-	MaxAttempts int
 	// CheckpointEvery hints the pregel engine's checkpoint cadence for
 	// runs whose config does not set one (0 = restart from the initial
 	// state).
@@ -159,29 +155,30 @@ type Plan struct {
 	Rules           []Rule
 }
 
-// CrashAt returns a rule that kills exactly the first attempt at the
-// given step — the building block of the checkpoint-restore
-// equivalence tests.
+// CrashAt returns a rule that fails the first attempt of every site at
+// the given step: one crash at a pregel superstep or gas iteration, one
+// per task at a mapreduce job or per operator at a dataflow plan, each
+// recovered by one retry or restore.
 func CrashAt(step int) Rule {
-	return Rule{Kind: Crash, Step: step, Task: Any, Attempt: 0, Prob: 1, MaxShots: 1}
+	return Rule{Kind: Crash, Step: step, Task: Any, Attempt: 0, Prob: 1}
 }
 
-// DefaultPlan is the standard chaos plan: a bounded number of
-// first-attempt crashes (each recovered by exactly one retry or
-// restore), a sprinkle of dropped and delayed message bundles, and an
-// occasional straggler. Every fault is recoverable within the default
-// budget, so a DefaultPlan run must converge to fault-free results.
+// DefaultPlan is the standard chaos plan: CrashAt(0), so every engine
+// recovers on every workload, then 2 % first-attempt crashes and OOMs,
+// dropped and delayed messages, and stragglers. No rule fires on a
+// retry, so every fault is recovered within the retry budget and a
+// DefaultPlan run must converge to fault-free results.
 func DefaultPlan(seed int64) Plan {
 	return Plan{
 		Seed:            seed,
-		MaxAttempts:     DefaultMaxAttempts,
 		CheckpointEvery: 2,
 		Rules: []Rule{
-			{Kind: Crash, Step: Any, Task: Any, Attempt: 0, Prob: 1, MaxShots: 2},
-			{Kind: OOM, Step: Any, Task: Any, Attempt: 0, Prob: 0.10, MaxShots: 1},
-			{Kind: MsgDrop, Step: Any, Task: Any, Attempt: Any, Prob: 0.05, MaxShots: 16},
-			{Kind: MsgDelay, Step: Any, Task: Any, Attempt: Any, Prob: 0.05, MaxShots: 8},
-			{Kind: Straggler, Step: Any, Task: Any, Attempt: Any, Prob: 0.02, MaxShots: 4, Factor: 4},
+			CrashAt(0),
+			{Kind: Crash, Step: Any, Task: Any, Attempt: 0, Prob: 0.02},
+			{Kind: OOM, Step: Any, Task: Any, Attempt: 0, Prob: 0.02},
+			{Kind: MsgDrop, Step: Any, Task: Any, Attempt: Any, Prob: 0.02},
+			{Kind: MsgDelay, Step: Any, Task: Any, Attempt: Any, Prob: 0.02},
+			{Kind: Straggler, Step: Any, Task: Any, Attempt: Any, Prob: 0.02},
 		},
 	}
 }
@@ -196,12 +193,11 @@ func DefaultPlan(seed int64) Plan {
 // asserts across seeds.
 func StreamPlan(seed int64) Plan {
 	return Plan{
-		Seed:        seed,
-		MaxAttempts: DefaultMaxAttempts,
+		Seed: seed,
 		Rules: []Rule{
-			{Kind: MsgDrop, Engine: "stream", Op: "deliver", Step: Any, Task: Any, Attempt: Any, Prob: 0.20, MaxShots: 64},
-			{Kind: MsgDup, Engine: "stream", Op: "deliver", Step: Any, Task: Any, Attempt: Any, Prob: 0.15, MaxShots: 64},
-			{Kind: MsgDelay, Engine: "stream", Op: "deliver", Step: Any, Task: Any, Attempt: Any, Prob: 0.20, MaxShots: 64},
+			{Kind: MsgDrop, Engine: "stream", Op: "deliver", Step: Any, Task: Any, Attempt: Any, Prob: 0.20},
+			{Kind: MsgDup, Engine: "stream", Op: "deliver", Step: Any, Task: Any, Attempt: Any, Prob: 0.15},
+			{Kind: MsgDelay, Engine: "stream", Op: "deliver", Step: Any, Task: Any, Attempt: Any, Prob: 0.20},
 		},
 	}
 }
@@ -211,7 +207,6 @@ func StreamPlan(seed int64) Plan {
 // obs.Session).
 type Injector struct {
 	plan     Plan
-	shots    []atomic.Int64
 	injected atomic.Int64
 	byKind   [numKinds]atomic.Int64
 
@@ -225,23 +220,11 @@ type Injector struct {
 // injector advances fault.injected and per-kind fault.<kind> counters
 // on every firing.
 func New(plan Plan, reg *obs.Registry) *Injector {
-	in := &Injector{
-		plan:      plan,
-		shots:     make([]atomic.Int64, len(plan.Rules)),
-		cInjected: reg.Counter("fault.injected"),
-	}
+	in := &Injector{plan: plan, cInjected: reg.Counter("fault.injected")}
 	for k := Kind(0); k < numKinds; k++ {
 		in.cKind[k] = reg.Counter("fault." + k.String())
 	}
 	return in
-}
-
-// MaxAttempts returns the plan's per-site retry budget.
-func (in *Injector) MaxAttempts() int {
-	if in == nil || in.plan.MaxAttempts <= 0 {
-		return DefaultMaxAttempts
-	}
-	return in.plan.MaxAttempts
 }
 
 // CheckpointHint returns the plan's pregel checkpoint cadence hint.
@@ -269,10 +252,10 @@ func (in *Injector) InjectedOf(k Kind) int64 {
 }
 
 // fire evaluates the plan's rules of the given kinds at s, in rule
-// order, and returns the first that fires.
-func (in *Injector) fire(s Site, kinds ...Kind) (Rule, bool) {
+// order, and returns the kind of the first that fires.
+func (in *Injector) fire(s Site, kinds ...Kind) (Kind, bool) {
 	if in == nil {
-		return Rule{}, false
+		return 0, false
 	}
 	for i, r := range in.plan.Rules {
 		wanted := false
@@ -288,24 +271,20 @@ func (in *Injector) fire(s Site, kinds ...Kind) (Rule, bool) {
 		if !decide(in.plan.Seed, i, s, r.Prob) {
 			continue
 		}
-		if r.MaxShots > 0 && in.shots[i].Add(1) > int64(r.MaxShots) {
-			continue
-		}
 		in.injected.Add(1)
 		in.byKind[r.Kind].Add(1)
 		in.cInjected.Add(1)
 		in.cKind[r.Kind].Add(1)
-		return r, true
+		return r.Kind, true
 	}
-	return Rule{}, false
+	return 0, false
 }
 
 // FailAt reports whether a process-failure fault (Crash, TaskFail, or
 // OOM) fires at s. Engines treat all three the same way for recovery:
 // discard the attempt's work and retry or restore.
 func (in *Injector) FailAt(s Site) (Kind, bool) {
-	r, ok := in.fire(s, Crash, TaskFail, OOM)
-	return r.Kind, ok
+	return in.fire(s, Crash, TaskFail, OOM)
 }
 
 // DropAt reports whether a message bundle is lost at s; the engine
@@ -331,16 +310,12 @@ func (in *Injector) DupAt(s Site) bool {
 }
 
 // StragglerAt reports whether the worker at s is slowed down, and by
-// what factor.
+// what factor (StragglerFactor when it is).
 func (in *Injector) StragglerAt(s Site) (float64, bool) {
-	r, ok := in.fire(s, Straggler)
-	if !ok {
+	if _, ok := in.fire(s, Straggler); !ok {
 		return 1, false
 	}
-	if r.Factor <= 1 {
-		return 4, true
-	}
-	return r.Factor, true
+	return StragglerFactor, true
 }
 
 // BackoffUnits is the modelled wait before retry attempt (0-based) in

@@ -3,7 +3,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -82,44 +81,6 @@ func TestRuleMatching(t *testing.T) {
 	}
 }
 
-func TestMaxShots(t *testing.T) {
-	in := New(Plan{Seed: 1, Rules: []Rule{
-		{Kind: TaskFail, Step: Any, Task: Any, Attempt: Any, Prob: 1, MaxShots: 3},
-	}}, nil)
-	fired := 0
-	for i := 0; i < 10; i++ {
-		if _, ok := in.FailAt(Site{Engine: "mapreduce", Op: "map", Step: 0, Task: i}); ok {
-			fired++
-		}
-	}
-	if fired != 3 {
-		t.Fatalf("MaxShots 3: fired %d times", fired)
-	}
-	if in.Injected() != 3 || in.InjectedOf(TaskFail) != 3 {
-		t.Fatalf("counts: injected=%d task_fail=%d", in.Injected(), in.InjectedOf(TaskFail))
-	}
-}
-
-func TestMaxShotsConcurrent(t *testing.T) {
-	in := New(Plan{Seed: 1, Rules: []Rule{
-		{Kind: Crash, Step: Any, Task: Any, Attempt: Any, Prob: 1, MaxShots: 5},
-	}}, nil)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				in.FailAt(Site{Engine: "e", Op: "o", Step: w, Task: i})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := in.Injected(); got != 5 {
-		t.Fatalf("MaxShots 5 under concurrency: fired %d times", got)
-	}
-}
-
 func TestNilInjector(t *testing.T) {
 	var in *Injector
 	if _, ok := in.FailAt(Site{}); ok {
@@ -131,9 +92,6 @@ func TestNilInjector(t *testing.T) {
 	if _, ok := in.StragglerAt(Site{}); ok {
 		t.Fatal("nil injector straggled")
 	}
-	if in.MaxAttempts() != DefaultMaxAttempts {
-		t.Fatalf("nil MaxAttempts = %d", in.MaxAttempts())
-	}
 	if in.CheckpointHint() != 0 || in.Injected() != 0 {
 		t.Fatal("nil accessors not zero")
 	}
@@ -142,13 +100,13 @@ func TestNilInjector(t *testing.T) {
 func TestRegistryCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	in := New(Plan{Seed: 1, Rules: []Rule{
-		{Kind: MsgDrop, Step: Any, Task: Any, Attempt: Any, Prob: 1, MaxShots: 2},
-		{Kind: Straggler, Step: Any, Task: Any, Attempt: Any, Prob: 1, MaxShots: 1, Factor: 3},
+		{Kind: MsgDrop, Step: 0, Task: Any, Attempt: Any, Prob: 1},
+		{Kind: Straggler, Step: 1, Task: Any, Attempt: Any, Prob: 1},
 	}}, reg)
 	in.DropAt(Site{Engine: "pregel", Op: "deliver", Step: 0, Task: 0})
 	in.DropAt(Site{Engine: "pregel", Op: "deliver", Step: 0, Task: 1})
-	in.DropAt(Site{Engine: "pregel", Op: "deliver", Step: 0, Task: 2}) // capped
-	if f, ok := in.StragglerAt(Site{Engine: "gas", Op: "worker", Step: 1, Task: 0}); !ok || f != 3 {
+	in.DropAt(Site{Engine: "pregel", Op: "deliver", Step: 1, Task: 2}) // no rule matches
+	if f, ok := in.StragglerAt(Site{Engine: "gas", Op: "worker", Step: 1, Task: 0}); !ok || f != StragglerFactor {
 		t.Fatalf("straggler factor = %v ok=%v", f, ok)
 	}
 	if got := reg.Counter("fault.injected").Get(); got != 3 {
@@ -164,7 +122,7 @@ func TestRegistryCounters(t *testing.T) {
 
 func TestCrashAtAndDefaults(t *testing.T) {
 	r := CrashAt(4)
-	if r.Step != 4 || r.Attempt != 0 || r.MaxShots != 1 || r.Kind != Crash {
+	if r.Step != 4 || r.Task != Any || r.Attempt != 0 || r.Kind != Crash {
 		t.Fatalf("CrashAt: %+v", r)
 	}
 	in := New(Plan{Seed: 9, Rules: []Rule{r}}, nil)
@@ -175,7 +133,7 @@ func TestCrashAtAndDefaults(t *testing.T) {
 		t.Fatal("CrashAt(4) fired on the retry attempt")
 	}
 	p := DefaultPlan(1)
-	if p.MaxAttempts != DefaultMaxAttempts || len(p.Rules) == 0 || p.CheckpointEvery == 0 {
+	if len(p.Rules) == 0 || p.CheckpointEvery == 0 {
 		t.Fatalf("DefaultPlan: %+v", p)
 	}
 }

@@ -80,8 +80,7 @@ func TestGASDefaultPlanEquivalence(t *testing.T) {
 func TestGASBudgetExhausted(t *testing.T) {
 	g := ringGraph(16)
 	profile, _, sess := chaosProfile(fault.Plan{
-		Seed:        1,
-		MaxAttempts: 3,
+		Seed: 1,
 		Rules: []fault.Rule{{
 			Kind: fault.Crash, Op: "iteration", Step: 1, Task: fault.Any, Attempt: fault.Any, Prob: 1,
 		}},

@@ -362,7 +362,7 @@ func Run[V, A any](g *graph.Graph, hw cluster.Hardware, cfg Config[V, A], profil
 						Net: netBytes, Barriers: 1,
 					})
 				}
-				if attempt+1 >= inj.MaxAttempts() {
+				if attempt+1 >= fault.DefaultMaxAttempts {
 					budgetErr = fmt.Errorf("gas: iteration %d: injected %v persisted through %d attempts: %w",
 						iter, kind, attempt+1, fault.ErrBudgetExhausted)
 					break

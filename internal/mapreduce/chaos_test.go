@@ -56,10 +56,10 @@ func TestRetryIdempotence(t *testing.T) {
 		plan := fault.Plan{
 			Seed: rng.Int63(),
 			Rules: []fault.Rule{
-				{Kind: fault.TaskFail, Step: fault.Any, Task: fault.Any, Attempt: 0, Prob: 0.5, MaxShots: 8},
-				{Kind: fault.OOM, Step: fault.Any, Task: fault.Any, Attempt: 0, Prob: 0.2, MaxShots: 2},
-				{Kind: fault.Straggler, Step: fault.Any, Task: fault.Any, Attempt: fault.Any, Prob: 0.2, MaxShots: 4},
-				{Kind: fault.MsgDrop, Step: fault.Any, Task: fault.Any, Attempt: fault.Any, Prob: 0.3, MaxShots: 4},
+				{Kind: fault.TaskFail, Step: fault.Any, Task: fault.Any, Attempt: 0, Prob: 0.5},
+				{Kind: fault.OOM, Step: fault.Any, Task: fault.Any, Attempt: 0, Prob: 0.2},
+				{Kind: fault.Straggler, Step: fault.Any, Task: fault.Any, Attempt: fault.Any, Prob: 0.2},
+				{Kind: fault.MsgDrop, Step: fault.Any, Task: fault.Any, Attempt: fault.Any, Prob: 0.3},
 			},
 		}
 		e, inj, sess := chaosEngine(4, plan)
@@ -84,8 +84,8 @@ func TestRetryIdempotence(t *testing.T) {
 }
 
 // TestTaskRetryRecoveryVisible pins the observable side: a guaranteed
-// first-attempt failure yields nonzero task.retries and a recovery
-// phase in the profile, while the output still matches.
+// first-attempt failure of one map task yields one task retry and a
+// recovery phase in the profile, while the output still matches.
 func TestTaskRetryRecoveryVisible(t *testing.T) {
 	input := makeInput(100)
 	base := New(cluster.DAS4(3, 1))
@@ -96,7 +96,7 @@ func TestTaskRetryRecoveryVisible(t *testing.T) {
 	e, _, sess := chaosEngine(3, fault.Plan{
 		Seed: 7,
 		Rules: []fault.Rule{
-			{Kind: fault.TaskFail, Step: fault.Any, Task: 0, Attempt: 0, Prob: 1, MaxShots: 1},
+			{Kind: fault.TaskFail, Op: "map", Step: 0, Task: 0, Attempt: 0, Prob: 1},
 		},
 	})
 	defer sess.Close()
@@ -134,8 +134,7 @@ func TestMapReduceBudgetExhausted(t *testing.T) {
 	input := makeInput(60)
 	for _, op := range []string{"map", "reduce"} {
 		e, _, sess := chaosEngine(3, fault.Plan{
-			Seed:        1,
-			MaxAttempts: 3,
+			Seed: 1,
 			Rules: []fault.Rule{
 				{Kind: fault.TaskFail, Op: op, Step: fault.Any, Task: 1, Attempt: fault.Any, Prob: 1},
 			},

@@ -320,12 +320,12 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 				stats.TaskRetries++
 				wastedOps += ops
 				relaunchUnits += int64(fault.BackoffUnits(attempt))
-				if attempt+1 >= inj.MaxAttempts() && firstErr == nil {
+				if attempt+1 >= fault.DefaultMaxAttempts && firstErr == nil {
 					firstErr = fmt.Errorf("mapreduce: job %q map task %d: injected %v persisted through %d attempts: %w",
 						cfg.Name, m, kind, attempt+1, fault.ErrBudgetExhausted)
 				}
 				mu.Unlock()
-				if attempt+1 >= inj.MaxAttempts() {
+				if attempt+1 >= fault.DefaultMaxAttempts {
 					return
 				}
 				continue
@@ -512,12 +512,12 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 				stats.TaskRetries++
 				wastedOps += ops
 				relaunchUnits += int64(fault.BackoffUnits(attempt))
-				if attempt+1 >= inj.MaxAttempts() && firstErr == nil {
+				if attempt+1 >= fault.DefaultMaxAttempts && firstErr == nil {
 					firstErr = fmt.Errorf("mapreduce: job %q reduce task %d: injected %v persisted through %d attempts: %w",
 						cfg.Name, r, kind, attempt+1, fault.ErrBudgetExhausted)
 				}
 				mu.Unlock()
-				if attempt+1 >= inj.MaxAttempts() {
+				if attempt+1 >= fault.DefaultMaxAttempts {
 					return
 				}
 				continue

@@ -38,17 +38,18 @@ func BuildDataset(g *graph.Graph, adj *algo.Adjacency, weighted bool) dataflow.D
 	return d
 }
 
-// sumCounts totals a group's count records, in group order.
+// sumCounts totals a group's count records. The clustering
+// coefficients are summed as int64 fixed point, as Hadoop's lccE12
+// counter does, so that the total ignores the group's placement order.
 func sumCounts(group []record) algo.Rec {
-	var vertices, edges int64
-	var lcc float64
+	var vertices, edges, lccE12 int64
 	for _, r := range group {
 		v, e, l := r.Value.Count()
 		vertices += v
 		edges += e
-		lcc += l
+		lccE12 += int64(l * 1e12)
 	}
-	return algo.CountRec(vertices, edges, lcc)
+	return algo.CountRec(vertices, edges, float64(lccE12)/1e12)
 }
 
 // Stats runs STATS as a single job: map ships neighbour lists, a

@@ -128,8 +128,7 @@ func TestRecoveryOverheadVisible(t *testing.T) {
 func TestBudgetExhaustedTypedError(t *testing.T) {
 	g := path(8)
 	profile, _, sess := chaosProfile(fault.Plan{
-		Seed:        1,
-		MaxAttempts: 3,
+		Seed: 1,
 		Rules: []fault.Rule{{
 			Kind: fault.Crash, Step: 2, Task: fault.Any, Attempt: fault.Any, Prob: 1,
 		}},

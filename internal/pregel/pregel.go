@@ -424,7 +424,7 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 			a := attempts[e.superstep]
 			if kind, ok := inj.FailAt(fault.Site{Engine: "pregel", Op: "superstep", Step: e.superstep, Task: fault.Any, Attempt: a}); ok {
 				attempts[e.superstep] = a + 1
-				if a+1 >= inj.MaxAttempts() {
+				if a+1 >= fault.DefaultMaxAttempts {
 					return nil, fmt.Errorf("pregel: superstep %d: injected %v persisted through %d attempts: %w",
 						e.superstep, kind, a+1, fault.ErrBudgetExhausted)
 				}

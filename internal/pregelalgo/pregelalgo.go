@@ -41,9 +41,12 @@ func neighborhood(ctx *pregel.Context) []graph.VertexID {
 }
 
 // Stats runs STATS in two supersteps: every vertex ships its out-list
-// to its whole neighbourhood, then counts closing links. The sums
-// travel through aggregators.
+// to its whole neighbourhood, then counts closing links. The counts
+// travel through aggregators; each vertex writes its clustering
+// coefficient to its own slot, summed in vertex order so that AvgLCC
+// ignores placement (a replayed superstep rewrites the same values).
 func Stats(g *graph.Graph, hw cluster.Hardware, sendLimit int64, profile *cluster.ExecutionProfile) (algo.StatsResult, *pregel.Stats, error) {
+	lcc := make([]float64, g.NumVertices())
 	cfg := pregel.Config{
 		MaxSupersteps:    2,
 		SendLimitPerNode: sendLimit,
@@ -70,7 +73,7 @@ func Stats(g *graph.Graph, hw cluster.Hardware, sendLimit int64, profile *cluste
 				// so they survive to the final state.
 				ctx.Aggregate("V", 1)
 				ctx.Aggregate("E", float64(ctx.OutDegree()))
-				ctx.Aggregate("lccSum", algo.LCCOf(links, len(nbrs)))
+				lcc[ctx.ID()] = algo.LCCOf(links, len(nbrs))
 				ctx.VoteToHalt()
 			}
 		}),
@@ -86,7 +89,11 @@ func Stats(g *graph.Graph, hw cluster.Hardware, sendLimit int64, profile *cluste
 	}
 	out := algo.StatsResult{Vertices: v, Edges: edges}
 	if v > 0 {
-		out.AvgLCC = res.Aggregators["lccSum"] / float64(v)
+		var lccSum float64
+		for _, x := range lcc {
+			lccSum += x
+		}
+		out.AvgLCC = lccSum / float64(v)
 	}
 	return out, &res.Stats, nil
 }

@@ -20,7 +20,7 @@ func TestAMRelaunchRecovers(t *testing.T) {
 	rm, sess := chaosRM(fault.Plan{
 		Seed: 1,
 		Rules: []fault.Rule{
-			{Kind: fault.Crash, Op: "am-launch", Step: fault.Any, Task: fault.Any, Attempt: 0, Prob: 1, MaxShots: 1},
+			{Kind: fault.Crash, Op: "am-launch", Step: fault.Any, Task: fault.Any, Attempt: 0, Prob: 1},
 		},
 	})
 	defer sess.Close()
@@ -51,8 +51,7 @@ func TestAMRelaunchRecovers(t *testing.T) {
 
 func TestAMBudgetExhausted(t *testing.T) {
 	rm, sess := chaosRM(fault.Plan{
-		Seed:        1,
-		MaxAttempts: 3,
+		Seed: 1,
 		Rules: []fault.Rule{
 			{Kind: fault.Crash, Op: "am-launch", Step: fault.Any, Task: fault.Any, Attempt: fault.Any, Prob: 1},
 		},

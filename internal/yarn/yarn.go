@@ -92,7 +92,7 @@ func (rm *ResourceManager) Submit(name string, amMemory int64) (*ApplicationMast
 		relaunchUnits += fault.BackoffUnits(attempt)
 		reg.Counter("task.retries").Add(1)
 		reg.Counter("yarn.am_restarts").Add(1)
-		if attempt+1 >= rm.Fault.MaxAttempts() {
+		if attempt+1 >= fault.DefaultMaxAttempts {
 			rm.allocated -= amMemory
 			return nil, fmt.Errorf("yarn: %s AM launch: injected %v persisted through %d attempts: %w",
 				id, kind, attempt+1, fault.ErrBudgetExhausted)

@@ -210,7 +210,7 @@ func (c *oracleCase) run(t *testing.T, row oracleRow, base map[string]any) map[s
 				t.Errorf("%s: %v", cell, err)
 			}
 			key := p.Name() + " " + alg
-			if want, ok := base[key]; ok && !sameOutput(want, r.Output) {
+			if want, ok := base[key]; ok && !reflect.DeepEqual(want, r.Output) {
 				t.Errorf("%s: output differs from the default layout", cell)
 			}
 			outs[key] = r.Output
@@ -254,16 +254,4 @@ func (c *oracleCase) counts(platformName string, out any) error {
 		}
 	}
 	return nil
-}
-
-// sameOutput is output equality across layouts. STATS AvgLCC may move
-// in its last bits, since some engines fold the per-vertex
-// coefficients in placement order.
-func sameOutput(a, b any) bool {
-	if sa, ok := a.(algo.StatsResult); ok {
-		sb, ok := b.(algo.StatsResult)
-		return ok && sa.Vertices == sb.Vertices && sa.Edges == sb.Edges &&
-			math.Abs(sa.AvgLCC-sb.AvgLCC) <= 1e-12
-	}
-	return reflect.DeepEqual(a, b)
 }

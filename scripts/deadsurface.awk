@@ -1,8 +1,10 @@
 # Writes DEADSURFACE.md for scripts/deadsurface.sh. Input: the drive's
 # `go tool covdata func` lines ("<file>:<line>: <name> <percent>").
 # Variables: verdicts (scripts/deadsurface.verdicts), testfunc (`go
-# tool cover -func` lines of the go test pass), pkgs (`go tool covdata
-# percent` lines of the drive), sources (non-test Go files, one a line).
+# tool cover -func` lines of the go test pass), sources (non-test Go
+# files, one a line). Coverage percentages move between runs of one
+# commit (scheduling decides how much of a concurrent path runs), so
+# the file records only whether a function is reached at all.
 
 # key turns "repro/internal/graph/graph.go:12:" and "*Graph.Equal" into
 # "graph.Graph.Equal", the name scripts/deadsurface.verdicts uses.
@@ -18,6 +20,8 @@ function fileof(field) {
     sub(/:[0-9]+:$/, "", field)
     return field
 }
+# reach renders a coverage percentage as reached or unreached.
+function reach(p) { return p == "0.0%" ? "unreached" : "reached" }
 # verdict renders "<tag> | <reason>" for k and marks the verdict used.
 function verdict(k) {
     used[k] = 1
@@ -104,14 +108,18 @@ BEGIN {
 }
 {
     k = key($1, $2)
-    dkey[NR] = k; dpct[NR] = $3; pct[k] = $3
+    dkey[NR] = k; pct[k] = $3
     file = fileof($1)
+    pkg = file; sub(/\/[^\/]*$/, "", pkg)
+    if (!(pkg in pfuncs)) porder[++npkg] = pkg
+    pfuncs[pkg]++
+    if ($3 != "0.0%") preached[pkg]++
     name = $2; sub(/.*\./, "", name)
     n = ++dseen[file SUBSEP name]
     t = tested[file SUBSEP name SUBSEP n]
     if ($3 != "0.0%") next
     if (t == "" || t == "0.0%") dead[++ndead] = "| `" k "` | " verdict(k) " |"
-    else testonly[++ntest] = "| `" k "` | " t " | " verdict(k) " |"
+    else testonly[++ntest] = "| `" k "` | " verdict(k) " |"
 }
 END {
     print "# Dead surface"
@@ -128,14 +136,11 @@ END {
     print "`-trace 0` and `1`, and `graphbench serve` over loopback with one"
     print "200-answered request per route."
     print ""
-    print "## 1. Per-function coverage of the drive"
+    print "## 1. Functions the drive reaches"
     print ""
-    print "| Package | Statements covered |"
+    print "| Package | Functions reached |"
     print "|---|---|"
-    while ((getline line < pkgs) > 0) {
-        split(line, f, /[ \t]+/)
-        printf "| `%s` | %s |\n", f[2], f[4]
-    }
+    for (i = 1; i <= npkg; i++) printf "| `%s` | %d of %d |\n", porder[i], preached[porder[i]], pfuncs[porder[i]]
     print ""
     print "Functions at 0 % in the drive that `go test` does not reach either:"
     print ""
@@ -144,11 +149,11 @@ END {
     for (i = 1; i <= ndead; i++) print dead[i]
     if (ndead == 0) print "| (none) | | |"
     print ""
-    print "<details><summary>Every function, drive coverage</summary>"
+    print "<details><summary>Every function, reached by the drive or not</summary>"
     print ""
     print "| Function | Drive |"
     print "|---|---|"
-    for (i = 1; i <= NR; i++) printf "| `%s` | %s |\n", dkey[i], dpct[i]
+    for (i = 1; i <= NR; i++) printf "| `%s` | %s |\n", dkey[i], reach(pct[dkey[i]])
     print ""
     print "</details>"
     print ""
@@ -184,12 +189,12 @@ END {
     print "## 3. Reached by tests only"
     print ""
     print "Functions `go test -coverpkg=repro/... ./...` reaches but the drive"
-    print "leaves at 0 %, with their test coverage."
+    print "leaves at 0 %."
     print ""
-    print "| Function | Tests | Tag | Reason |"
-    print "|---|---|---|---|"
+    print "| Function | Tag | Reason |"
+    print "|---|---|---|"
     for (i = 1; i <= ntest; i++) print testonly[i]
-    if (ntest == 0) print "| (none) | | | |"
+    if (ntest == 0) print "| (none) | | |"
     print ""
     print "## Oracles"
     print ""
@@ -203,7 +208,7 @@ END {
         k = vorder[i]
         if (vtag[k] == "oracle" && (k in pct)) {
             used[k] = 1
-            printf "| `%s` | %s | %s |\n", k, pct[k], vwhy[k]
+            printf "| `%s` | %s | %s |\n", k, reach(pct[k]), vwhy[k]
         }
         if (!(k in used)) stale = stale "\n- `" k "`"
     }

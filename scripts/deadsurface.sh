@@ -5,12 +5,16 @@
 # drives them the way their users and the benchmark do, and writes
 # DEADSURFACE.md at the repository root:
 #
-#   1. per-function coverage of the drive (go tool covdata func), with
+#   1. which functions the drive reaches (go tool covdata func), with
 #      the functions neither the drive nor the tests reach;
 #   2. exported names that no non-test file references (identifier
 #      grep, approximate);
 #   3. functions `go test -coverpkg=repro/... ./...` reaches but the
 #      drive leaves at 0 %.
+#
+# It records reached or unreached, never a percentage: how much of a
+# concurrent path runs moves between runs, so two regenerations on one
+# commit write the same file.
 #
 # Every 0 % entry carries the tag and reason scripts/deadsurface.verdicts
 # gives it: oracle (a reference tests compare against; never delete),
@@ -157,16 +161,15 @@ env -u GOCOVERDIR go test -coverpkg=repro/... -coverprofile="$tmp/test.out" ./..
 }
 
 # Coverage tables of the main module: "<file>:<line>: <name> <percent>"
-# per function and "<package> coverage: <percent>" per package.
+# per function.
 mine='$1 ~ /^repro\/(internal|cmd)\//'
 go tool covdata func -i="$tmp/cov" | awk "$mine" >"$tmp/drive.func"
 go tool cover -func="$tmp/test.out" | awk "$mine" >"$tmp/test.func"
-go tool covdata percent -i="$tmp/cov" | awk "$mine" >"$tmp/drive.pkg"
 
 echo "== writing DEADSURFACE.md" >&2
 # The non-test sources list 2 reads: the main module and the benchmark.
 git ls-files '*.go' | grep -v '_test\.go$' >"$tmp/sources"
 awk -v verdicts=scripts/deadsurface.verdicts -v testfunc="$tmp/test.func" \
-    -v pkgs="$tmp/drive.pkg" -v sources="$tmp/sources" \
+    -v sources="$tmp/sources" \
     -f scripts/deadsurface.awk "$tmp/drive.func" >DEADSURFACE.md
 echo "deadsurface: wrote DEADSURFACE.md" >&2
