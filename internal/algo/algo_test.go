@@ -283,6 +283,36 @@ func TestOverlayNeighbors(t *testing.T) {
 	}
 }
 
+// TestOverlayRewind: rewinding to a mark leaves the overlay as it was
+// at the mark, and regrowing from there equals growing once.
+func TestOverlayRewind(t *testing.T) {
+	grow := func(ov *Overlay, edges ...graph.Edge) {
+		ov.AddVertex()
+		ov.AddEdges(edges)
+	}
+	once, twice := NewOverlay(triangle()), NewOverlay(triangle())
+	grow(once, graph.Edge{Src: 3, Dst: 0})
+	grow(twice, graph.Edge{Src: 3, Dst: 0})
+	vertices, edges := twice.Mark()
+	grow(twice, graph.Edge{Src: 4, Dst: 0}, graph.Edge{Src: 4, Dst: 3})
+	twice.Rewind(vertices, edges)
+	if twice.NumVertices() != 4 || !reflect.DeepEqual(twice.Result(), once.Result()) {
+		t.Fatalf("rewound to %d vertices, %+v; want 4, %+v", twice.NumVertices(), twice.Result(), once.Result())
+	}
+	for v := graph.VertexID(0); v < 5; v++ {
+		gotOut, gotIn := twice.Neighbors(v)
+		wantOut, wantIn := once.Neighbors(v)
+		if !reflect.DeepEqual(gotOut, wantOut) || !reflect.DeepEqual(gotIn, wantIn) {
+			t.Fatalf("vertex %d: neighbours %v/%v after rewind, want %v/%v", v, gotOut, gotIn, wantOut, wantIn)
+		}
+	}
+	grow(once, graph.Edge{Src: 4, Dst: 1})
+	grow(twice, graph.Edge{Src: 4, Dst: 1})
+	if !reflect.DeepEqual(twice.Result(), once.Result()) {
+		t.Fatalf("regrown %+v, want %+v", twice.Result(), once.Result())
+	}
+}
+
 // pathGraph returns the directed path 0 → 1 → … → n-1.
 func pathGraph(n int, directed bool) *graph.Graph {
 	b := graph.NewBuilder(n, directed)

@@ -203,6 +203,30 @@ func (o *Overlay) AddEdges(edges []graph.Edge) {
 	}
 }
 
+// Mark returns how far the overlay has grown: its vertex count and the
+// number of edges added. Rewind returns to a mark.
+func (o *Overlay) Mark() (vertices, edges int) { return int(o.nextID), len(o.added) }
+
+// Rewind drops every vertex and edge added since Mark returned
+// vertices and edges.
+func (o *Overlay) Rewind(vertices, edges int) {
+	for _, e := range o.added[edges:] {
+		dropLast(o.extraOut, e.Src)
+		dropLast(o.extraIn, e.Dst)
+	}
+	o.added = o.added[:edges]
+	o.nextID = graph.VertexID(vertices)
+}
+
+// dropLast removes the last neighbour m holds for v.
+func dropLast(m map[graph.VertexID][]graph.VertexID, v graph.VertexID) {
+	if s := m[v]; len(s) > 1 {
+		m[v] = s[:len(s)-1]
+	} else {
+		delete(m, v)
+	}
+}
+
 // Neighbors is the NeighborFn view over base + overlay.
 func (o *Overlay) Neighbors(v graph.VertexID) (out, in []graph.VertexID) {
 	if int(v) < o.base.NumVertices() {

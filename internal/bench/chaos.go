@@ -51,6 +51,10 @@ func (c ChaosReport) String() string {
 	if !c.Match {
 		status = "MISMATCH"
 	}
+	if p, err := platform.ByName(c.Platform); err == nil && c.FaultSeconds > platform.TimeoutOf(p) {
+		status += fmt.Sprintf(" (past the %.0f h limit: projected %.1f h)",
+			platform.TimeoutOf(p)/3600, c.FaultSeconds/3600)
+	}
 	if c.Err != nil {
 		status = "ERROR: " + c.Err.Error()
 	}
@@ -102,7 +106,11 @@ func (h *Harness) Chaos(platformName, alg, dataset string, hw cluster.Hardware, 
 	rep.Retries = snap.Counters["task.retries"] + snap.Counters["yarn.am_restarts"]
 	rep.Restores = snap.Counters["checkpoint.restore"]
 
-	if res.Status != platform.OK {
+	// A run past the platform's time limit still finished, recovery
+	// included: its output is checked and its penalty reported like any
+	// other, and String says it crossed the limit. A crash, or a retry
+	// budget exhausted, is an error.
+	if res.Status != platform.OK && res.Status != platform.Timeout {
 		rep.Err = fmt.Errorf("chaos run failed (%v): %v", res.Status, res.Err)
 		return rep
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/datagen"
-	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -120,7 +119,8 @@ func (h *Harness) Figure4() Table {
 // exports as CSV.
 func (h *Harness) Curves(p string) monitor.Trace {
 	r := h.Run(p, platform.BFS, "DotaLeague", BaseHW())
-	return monitor.Record(p, r.Breakdown, r.Iterations)
+	pl, _ := platform.ByName(p) // h.Run has panicked on an unknown name
+	return monitor.Record(p, platform.SignatureOf(pl), r.Breakdown, r.Iterations)
 }
 
 // Figures5to7 reproduces the paper's Figures 5-7: master-node CPU,
@@ -227,15 +227,13 @@ func cores(c int) cluster.Hardware    { return cluster.DAS4(20, c) }
 
 func timeCell(r *platform.Result, _ cluster.Hardware) string { return cell(r) }
 
-// nepsCell renders a run as paper-scale edges per second per computing
-// unit (metrics.NEPS over the dataset's paper-scale edge count).
-func nepsCell(edges int64) func(*platform.Result, cluster.Hardware) string {
-	return func(r *platform.Result, hw cluster.Hardware) string {
-		if r.Status != platform.OK {
-			return r.Status.String()
-		}
-		return fmtFloat(metrics.NEPS(edges, r.Seconds, hw.Nodes, hw.CoresPerNode))
+// nepsCell renders a run as NEPS: its paper-scale edges per second per
+// computing unit, over nodes × cores (Table 1).
+func nepsCell(r *platform.Result, hw cluster.Hardware) string {
+	if r.Status != platform.OK {
+		return r.Status.String()
 	}
+	return fmtFloat(r.EPS() / float64(hw.Workers()))
 }
 
 // Figure11 reproduces the paper's Figure 11: horizontal scalability of
@@ -250,7 +248,7 @@ func (h *Harness) Figure11(dataset string) Table {
 // scaling.
 func (h *Harness) Figure12(dataset string) Table {
 	return h.capacity(fmt.Sprintf("Figure 12: NEPS of BFS on %s in horizontal scalability", dataset),
-		"#machines", dataset, HorizontalSizes(), machines, nepsCell(paperEdges(h, dataset)),
+		"#machines", dataset, HorizontalSizes(), machines, nepsCell,
 		"paper: the general trend of NEPS is to decrease as machines are added")
 }
 
@@ -266,7 +264,7 @@ func (h *Harness) Figure13(dataset string) Table {
 // scaling (normalised by nodes x cores).
 func (h *Harness) Figure14(dataset string) Table {
 	return h.capacity(fmt.Sprintf("Figure 14: NEPS of BFS on %s in vertical scalability", dataset),
-		"#cores", dataset, VerticalCores(), cores, nepsCell(paperEdges(h, dataset)),
+		"#cores", dataset, VerticalCores(), cores, nepsCell,
 		"paper: NEPS drops for all platforms as cores are added")
 }
 
@@ -315,14 +313,4 @@ func (h *Harness) Figure16() Table {
 	t.Notes = append(t.Notes,
 		"paper: most GraphLab time goes to loading the graph and finalising results")
 	return t
-}
-
-// paperEdges returns the paper-scale edge count for NEPS.
-func paperEdges(h *Harness, dataset string) int64 {
-	prof, err := datagen.ByName(dataset)
-	if err != nil {
-		return 0
-	}
-	g := h.Graph(dataset)
-	return g.NumEdges() * int64(prof.EDivisor*h.cfg.Scale)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/platform"
 )
@@ -126,9 +125,7 @@ func (h *Harness) KeyFindings() []Finding {
 		h20.Seconds, h50.Seconds, gl20.Seconds, gl50.Seconds, mp20.Seconds, mp50.Seconds)
 
 	// F8: NEPS decreases as machines are added.
-	edges := paperEdges(h, "Friendster")
-	neps20 := metrics.NEPS(edges, h20.Seconds, 20, 1)
-	neps50 := metrics.NEPS(edges, h50.Seconds, 50, 1)
+	neps20, neps50 := h20.EPS()/20, h50.EPS()/50
 	holds = h20.Status == platform.OK && h50.Status == platform.OK && neps50 < neps20
 	add("F8", "The normalized performance per computing unit mostly decreases with cluster size",
 		holds, "Hadoop Friendster NEPS: %.0f at 20 nodes -> %.0f at 50", neps20, neps50)
@@ -144,7 +141,7 @@ func (h *Harness) KeyFindings() []Finding {
 		c1.Seconds, c3.Seconds, c7.Seconds)
 
 	// F10: the master node is nearly idle.
-	tr := monitor.Record("Hadoop", h.Run("Hadoop", platform.BFS, "DotaLeague", hw).Breakdown, 6)
+	tr := h.Curves("Hadoop")
 	holds = monitor.Max(tr.Master.CPU) < 0.5 && monitor.Max(tr.Master.NetMbps) < 1.1
 	add("F10", "Few resources are needed for the master node of all platforms",
 		holds, "master CPU max %.2f%%, net max %.2f Mbit/s",

@@ -119,7 +119,7 @@ func (h *Harness) Table6() Table {
 	hw := BaseHW()
 	for _, prof := range datagen.Profiles() {
 		g := h.Graph(prof.Name)
-		proj := int64(prof.EDivisor * h.cfg.Scale)
+		_, proj := prof.Projection(h.cfg.Scale)
 		size := graph.TextSize(g) * proj
 		hdfsSecs := hw.IngestSeconds(size)
 

@@ -58,12 +58,13 @@ type Inputs struct {
 // MeasureInputs extracts Inputs from a generated graph (in a real
 // deployment these come from dataset metadata).
 func MeasureInputs(g *graph.Graph, prof datagen.Profile, extraScale int) Inputs {
+	_, proj := prof.Projection(extraScale)
 	in := Inputs{
 		V:          int64(g.NumVertices()),
 		E:          g.NumEdges(),
 		AdjSize:    g.AdjSize(),
 		DiskBytes:  graph.TextSize(g),
-		Projection: int64(prof.EDivisor * max(1, extraScale)),
+		Projection: proj,
 	}
 	for v := graph.VertexID(0); v < graph.VertexID(g.NumVertices()); v++ {
 		d := int64(g.Degree(v))

@@ -177,7 +177,7 @@ func TestMeasureInputs(t *testing.T) {
 	if in.MaxDegree <= 0 || in.SumDeg2 < in.MaxDegree*in.MaxDegree {
 		t.Fatalf("degree stats: %+v", in)
 	}
-	if in.Projection != int64(prof.EDivisor*100) {
+	if in.Projection != 10*100 { // KGS's edge divisor times the extra scale
 		t.Fatalf("projection = %d", in.Projection)
 	}
 }

@@ -71,6 +71,15 @@ func SingleNode() Hardware {
 // Workers returns the total number of parallel computation slots.
 func (hw Hardware) Workers() int { return hw.Nodes * hw.CoresPerNode }
 
+// BusiestWorker is a phase's MaxPartOps from the busiest machine's ops
+// and the total: the machine's threads share its ops over its cores,
+// but no worker does less than the mean over all workers. At one core
+// per node the floor never binds, since a machine maximum is at least
+// the machine mean.
+func (hw Hardware) BusiestWorker(maxNode, total int64) int64 {
+	return max(maxNode/int64(hw.CoresPerNode), total/int64(hw.Workers()))
+}
+
 // Validate checks the configuration is usable.
 func (hw Hardware) Validate() error {
 	if hw.Nodes < 1 || hw.CoresPerNode < 1 {

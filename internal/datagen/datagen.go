@@ -66,6 +66,16 @@ func (p Profile) TargetV() int { return int(p.PaperV / int64(p.VDivisor)) }
 // TargetE returns the scaled edge-count target.
 func (p Profile) TargetE() int { return int(p.PaperE / int64(p.EDivisor)) }
 
+// Projection returns the factors that project the dataset generated at
+// an extra down-scaling factor back to paper scale: the default
+// divisors times the factor (factors below 1 count as 1). Scaled
+// vertex and edge counts times v and e are the paper-scale counts;
+// data-dependent time and memory project by e.
+func (p Profile) Projection(extraScale int) (v, e int64) {
+	f := int64(max(1, extraScale))
+	return int64(max(1, p.VDivisor)) * f, int64(max(1, p.EDivisor)) * f
+}
+
 // GenerateScaled produces the dataset scaled down by an extra factor
 // on top of the default divisors (factor > 1 shrinks further, for
 // quick tests).
@@ -73,8 +83,9 @@ func (p Profile) GenerateScaled(factor int, seed int64) *graph.Graph {
 	if factor < 1 {
 		panic("datagen: factor must be >= 1")
 	}
-	v := int(p.PaperV / int64(p.VDivisor*factor))
-	e := int(p.PaperE / int64(p.EDivisor*factor))
+	vproj, eproj := p.Projection(factor)
+	v := int(p.PaperV / vproj)
+	e := int(p.PaperE / eproj)
 	if v < 10 {
 		v = 10
 	}
@@ -468,11 +479,4 @@ func genSocial(p Profile, v, e int, rng *rand.Rand) *graph.Graph {
 		}
 	}
 	return b.Build()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -152,6 +152,27 @@ func TestDotaLeaguePreservesDensity(t *testing.T) {
 	}
 }
 
+// TestProjection: the paper-scale factors are the divisors times the
+// extra scale, V and E apart where the divisors differ, and an
+// undivided profile or a factor below 1 projects by 1.
+func TestProjection(t *testing.T) {
+	p, _ := ByName("DotaLeague")
+	for _, c := range []struct {
+		prof         Profile
+		extra        int
+		wantV, wantE int64
+	}{
+		{p, 0, 5, 25},
+		{p, 1, 5, 25},
+		{p, 40, 200, 1000},
+		{Profile{}, 3, 3, 3},
+	} {
+		if v, e := c.prof.Projection(c.extra); v != c.wantV || e != c.wantE {
+			t.Errorf("%q.Projection(%d) = %d, %d; want %d, %d", c.prof.Name, c.extra, v, e, c.wantV, c.wantE)
+		}
+	}
+}
+
 func TestWikiTalkSkew(t *testing.T) {
 	// WikiTalk must have an extreme degree skew: max degree hundreds of
 	// times the average.

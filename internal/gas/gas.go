@@ -358,7 +358,7 @@ func Run[V, A any](g *graph.Graph, hw cluster.Hardware, cfg Config[V, A], profil
 					// The failed attempt's full pass is wasted work.
 					profile.AddPhase(cluster.Phase{
 						Name: fmt.Sprintf("gas:iter-%d:recovery", iter), Kind: cluster.PhaseCompute,
-						Ops: totalOps, MaxPartOps: perWorkerMax(maxOps, totalOps, hw),
+						Ops: totalOps, MaxPartOps: hw.BusiestWorker(maxOps, totalOps),
 						Net: netBytes, Barriers: 1,
 					})
 				}
@@ -396,7 +396,7 @@ func Run[V, A any](g *graph.Graph, hw cluster.Hardware, cfg Config[V, A], profil
 		if profile != nil {
 			profile.AddPhase(cluster.Phase{
 				Name: fmt.Sprintf("gas:iter-%d", iter), Kind: cluster.PhaseCompute,
-				Ops: totalOps, MaxPartOps: perWorkerMax(maxOps, totalOps, hw),
+				Ops: totalOps, MaxPartOps: hw.BusiestWorker(maxOps, totalOps),
 				Net: netBytes, Barriers: 1,
 			})
 		}
@@ -454,20 +454,6 @@ func bothNeighborsInto(g *graph.Graph, v graph.VertexID, buf []graph.VertexID) [
 	buf = append(buf, g.Out(v)...)
 	buf = append(buf, g.In(v)...)
 	return buf
-}
-
-// perWorkerMax converts a per-machine ops max into a per-worker bound
-// when machines have several cores.
-func perWorkerMax(maxNode, total int64, hw cluster.Hardware) int64 {
-	if maxNode == 0 {
-		return 0
-	}
-	scaled := maxNode / int64(hw.CoresPerNode)
-	mean := total / int64(hw.Workers())
-	if scaled < mean {
-		return mean
-	}
-	return scaled
 }
 
 // maxChunks reports how many chunks parallelVertices will use for n

@@ -1,6 +1,7 @@
 package gasalgo
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -107,5 +108,37 @@ func TestCDVotesDoNotLeak(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Labels, want.Labels) {
 		t.Fatalf("labels = %v, want %v", got.Labels, want.Labels)
+	}
+}
+
+// TestEVORestartEquivalence: a failed EVO batch reruns from the
+// pre-batch overlay, so the grown graph equals the fault-free run's;
+// a batch that fails on every attempt exhausts the retry budget.
+func TestEVORestartEquivalence(t *testing.T) {
+	g := testGraphs(t)[1]
+	p := algo.DefaultParams(42)
+	base, err := EVO(g, hw(), p, 1000, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, p.EVOIterations - 1} {
+		profile, check := crashProfile(t, k)
+		got, err := EVO(g, hw(), p, 1000, false, profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check()
+		if !reflect.DeepEqual(got, base) {
+			t.Fatalf("k=%d: EVO diverged from the fault-free run", k)
+		}
+	}
+	sess := obs.NewSession(obs.Options{NoSampler: true})
+	defer sess.Close()
+	inj := fault.New(fault.Plan{Seed: 1, Rules: []fault.Rule{{
+		Kind: fault.Crash, Op: "iteration", Step: 0, Task: fault.Any, Attempt: fault.Any, Prob: 1,
+	}}}, sess.R())
+	_, err = EVO(g, hw(), p, 1000, false, &cluster.ExecutionProfile{Obs: sess, Fault: inj})
+	if !errors.Is(err, fault.ErrBudgetExhausted) {
+		t.Fatalf("every attempt failing: err = %v, want ErrBudgetExhausted", err)
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/gas"
 	"repro/internal/graph"
 )
@@ -428,7 +429,9 @@ func CD(g *graph.Graph, hw cluster.Hardware, p algo.Params, inputBytes int64, mp
 // EVO runs Forest Fire evolution. The burn model is the shared
 // deterministic one; the engine-level work per iteration — touched
 // vertices synchronising their new edges to their mirrors — is charged
-// to the profile directly.
+// to the profile directly. Each batch is one synchronous iteration at
+// the same fault site as gas.Run's: a failed attempt is charged as a
+// recovery phase and the batch reruns from the pre-batch overlay.
 func EVO(g *graph.Graph, hw cluster.Hardware, p algo.Params, inputBytes int64, mp bool, profile *cluster.ExecutionProfile) (algo.EVOResult, error) {
 	if profile != nil {
 		profile.AddPhase(cluster.Phase{
@@ -445,16 +448,40 @@ func EVO(g *graph.Graph, hw cluster.Hardware, p algo.Params, inputBytes int64, m
 			Ops: parseOps, MaxPartOps: parseOps / int64(loaders),
 		})
 	}
+	inj := profile.Injector()
 	ov := algo.NewOverlay(g)
 	for it, batch := range algo.BatchSizes(g.NumVertices(), p) {
+		vertices, added := ov.Mark()
 		var ops, net int64
-		for i := 0; i < batch; i++ {
-			newID := ov.AddVertex()
-			edges := algo.ForestFireBurn(newID, int(newID), p, ov.Neighbors)
-			ov.AddEdges(edges)
-			// Each burn edge is an apply+mirror-sync on its target.
-			ops += int64(len(edges))
-			net += int64(len(edges)) * 10
+		for attempt := 0; ; attempt++ {
+			ops, net = 0, 0
+			for i := 0; i < batch; i++ {
+				newID := ov.AddVertex()
+				edges := algo.ForestFireBurn(newID, int(newID), p, ov.Neighbors)
+				ov.AddEdges(edges)
+				// Each burn edge is an apply+mirror-sync on its target.
+				ops += int64(len(edges))
+				net += int64(len(edges)) * 10
+			}
+			if inj == nil {
+				break
+			}
+			site := fault.Site{Engine: "gas", Op: "iteration", Step: it, Task: fault.Any, Attempt: attempt}
+			kind, ok := inj.FailAt(site)
+			if !ok {
+				break
+			}
+			// The failed attempt's burns are wasted work.
+			profile.Session().R().Counter("task.retries").Add(1)
+			profile.AddPhase(cluster.Phase{
+				Name: evoPhaseName(it) + ":recovery", Kind: cluster.PhaseCompute,
+				Ops: ops, Net: net, Barriers: 1,
+			})
+			if attempt+1 >= fault.DefaultMaxAttempts {
+				return algo.EVOResult{}, fmt.Errorf("gas: EVO iteration %d: injected %v persisted through %d attempts: %w",
+					it, kind, attempt+1, fault.ErrBudgetExhausted)
+			}
+			ov.Rewind(vertices, added)
 		}
 		if profile != nil {
 			profile.AddPhase(cluster.Phase{

@@ -7,37 +7,6 @@ import (
 	"testing/quick"
 )
 
-// VPS is the same quotient over #V (platform.Result.VPS).
-func TestEPSVPS(t *testing.T) {
-	if got := EPS(1000, 10); got != 100 {
-		t.Fatalf("EPS = %v", got)
-	}
-	if got := EPS(500, 10); got != 50 {
-		t.Fatalf("EPS over vertices = %v", got)
-	}
-	if EPS(100, 0) != 0 || EPS(100, -1) != 0 {
-		t.Fatal("non-positive time should yield 0")
-	}
-}
-
-func TestNEPSNVPS(t *testing.T) {
-	// 1000 edges in 10 s on 20 nodes x 1 core: 100 EPS / 20 = 5.
-	if got := NEPS(1000, 10, 20, 1); got != 5 {
-		t.Fatalf("NEPS = %v", got)
-	}
-	// Vertical variant normalises by cores too.
-	if got := NEPS(1000, 10, 20, 4); got != 1.25 {
-		t.Fatalf("NEPS cores = %v", got)
-	}
-	// Over a vertex count it is NVPS: 1000 vertices, 10 s, 10 nodes.
-	if got := NEPS(1000, 10, 10, 1); got != 10 {
-		t.Fatalf("NEPS over vertices = %v", got)
-	}
-	if NEPS(1, 1, 0, 1) != 0 {
-		t.Fatal("zero units should yield 0")
-	}
-}
-
 func near(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestSummarize(t *testing.T) {
@@ -170,18 +139,6 @@ func TestMedianDoesNotReorderInput(t *testing.T) {
 	Summarize(xs)
 	if !reflect.DeepEqual(xs, []float64{9, 1, 5}) {
 		t.Fatalf("input reordered: %v", xs)
-	}
-}
-
-func TestQuickNEPSDecreasesWithUnits(t *testing.T) {
-	f := func(e uint32, n uint8) bool {
-		nodes := int(n)%50 + 1
-		a := NEPS(int64(e), 10, nodes, 1)
-		b := NEPS(int64(e), 10, nodes+1, 1)
-		return b <= a
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,10 +1,12 @@
-// Repetition statistics — the repository's one home for them: the
-// paper repeats each experiment 10 times, reports the average and
-// observes at most 10% variance, so every repeated measurement is
-// summarised as mean/median/CV over the vector plus Tukey-fence
-// (1.5×IQR) outlier flags, the dispersion reporting "SoK: The Faults
-// in our Graph Benchmarks" calls out as missing from single-shot
-// benchmark numbers.
+// Package metrics is the repository's one home for repetition
+// statistics: the paper repeats each experiment 10 times, reports the
+// average and observes at most 10% variance, so every repeated
+// measurement is summarised as mean/median/CV over the vector plus
+// Tukey-fence (1.5×IQR) outlier flags, the dispersion reporting "SoK:
+// The Faults in our Graph Benchmarks" calls out as missing from
+// single-shot benchmark numbers. The throughput metrics of the paper's
+// Table 1 live with the run they measure: EPS and VPS are
+// platform.Result's, and NEPS is EPS over nodes × cores.
 package metrics
 
 import (

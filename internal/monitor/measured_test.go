@@ -3,6 +3,7 @@ package monitor
 import (
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 )
 
@@ -79,8 +80,31 @@ func TestMeasuredEmpty(t *testing.T) {
 }
 
 func TestRecordIsModelled(t *testing.T) {
-	tr := Record("Giraph", sampleBreakdown(300), 3)
+	tr := Record("Giraph", Signature{}, cluster.Breakdown{Total: 300}, 3)
 	if tr.Source != SourceModelled {
 		t.Fatalf("Record Source = %q, want %q", tr.Source, SourceModelled)
+	}
+}
+
+func TestNormalizeEdgeCases(t *testing.T) {
+	if got := normalize(nil); got[0] != 0 || got[Points-1] != 0 {
+		t.Fatal("normalize(nil) should be zeros")
+	}
+	got := normalize([]float64{7})
+	if got[0] != 7 || got[Points-1] != 7 {
+		t.Fatal("normalize(single) should be constant")
+	}
+	// Linear series stays linear under interpolation.
+	in := make([]float64, 1000)
+	for i := range in {
+		in[i] = float64(i)
+	}
+	out := normalize(in)
+	if out[0] != 0 || out[Points-1] != 999 {
+		t.Fatalf("normalize endpoints: %v, %v", out[0], out[Points-1])
+	}
+	mid := out[Points/2]
+	if mid < 480 || mid > 520 {
+		t.Fatalf("normalize midpoint = %v", mid)
 	}
 }

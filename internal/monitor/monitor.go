@@ -6,11 +6,12 @@
 // so that runs of different lengths are comparable (Figures 5-10).
 //
 // The underlying samples are synthesised from the simulated phase
-// timeline of a run plus per-platform resource signatures (memory
-// behaviour, network intensity) that mirror what the paper observed:
-// Stratosphere pre-allocates its full worker memory and is the
-// heaviest network user; Hadoop and YARN oscillate per iteration;
-// Giraph and GraphLab touch far fewer resources.
+// timeline of a run plus the platform's resource signature (memory
+// behaviour, network intensity), which its row in internal/platform
+// carries. The signatures mirror what the paper observed: Stratosphere
+// pre-allocates its full worker memory and is the heaviest network
+// user; Hadoop and YARN oscillate per iteration; Giraph and GraphLab
+// touch far fewer resources.
 package monitor
 
 import (
@@ -77,39 +78,11 @@ type Signature struct {
 	MasterNetKbps float64
 }
 
-// Signatures returns the per-platform resource signature observed in
-// Section 4.2 of the paper.
-func Signatures(platform string) Signature {
-	switch platform {
-	case "Hadoop":
-		return Signature{ComputeCPU: 8, BaseMemGB: 2.5, PeakMemGB: 12, Sawtooth: true,
-			PeakNetMbps: 96, MasterMemGB: 8, MasterNetKbps: 320}
-	case "YARN":
-		return Signature{ComputeCPU: 8, BaseMemGB: 2.5, PeakMemGB: 11, Sawtooth: true,
-			PeakNetMbps: 90, MasterMemGB: 8, MasterNetKbps: 320}
-	case "Stratosphere":
-		return Signature{ComputeCPU: 6, BaseMemGB: 2.5, PeakMemGB: 20, Preallocates: true,
-			PeakNetMbps: 128, MasterMemGB: 8, MasterNetKbps: 1000}
-	case "Giraph":
-		return Signature{ComputeCPU: 3, BaseMemGB: 2.5, PeakMemGB: 7,
-			PeakNetMbps: 14, MasterMemGB: 8, MasterNetKbps: 360}
-	case "GraphLab":
-		return Signature{ComputeCPU: 2.5, BaseMemGB: 2.5, PeakMemGB: 5,
-			PeakNetMbps: 10, MasterMemGB: 8, MasterNetKbps: 240}
-	case "Neo4j":
-		return Signature{ComputeCPU: 12, BaseMemGB: 2, PeakMemGB: 20,
-			PeakNetMbps: 0, MasterMemGB: 0, MasterNetKbps: 0}
-	default:
-		return Signature{ComputeCPU: 5, BaseMemGB: 2.5, PeakMemGB: 8,
-			PeakNetMbps: 32, MasterMemGB: 8, MasterNetKbps: 300}
-	}
-}
-
-// Record synthesises the monitoring trace for a simulated run: it
-// samples the phase timeline once per simulated second (minimum 100
-// samples) and interpolates onto the 100 normalised points.
-func Record(platform string, b cluster.Breakdown, iterations int) Trace {
-	sig := Signatures(platform)
+// Record synthesises the monitoring trace for a simulated run of a
+// platform with resource signature sig: it samples the phase timeline
+// once per simulated second (minimum 100 samples) and interpolates
+// onto the 100 normalised points.
+func Record(platform string, sig Signature, b cluster.Breakdown, iterations int) Trace {
 	if iterations < 1 {
 		iterations = 1
 	}

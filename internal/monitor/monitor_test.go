@@ -1,10 +1,21 @@
-package monitor
+package monitor_test
 
 import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/monitor"
+	"repro/internal/platform"
 )
+
+// record is Record with the named platform's own signature.
+func record(name string, b cluster.Breakdown, iterations int) monitor.Trace {
+	p, err := platform.ByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return monitor.Record(name, platform.SignatureOf(p), b, iterations)
+}
 
 func sampleBreakdown(total float64) cluster.Breakdown {
 	return cluster.Breakdown{
@@ -20,24 +31,24 @@ func sampleBreakdown(total float64) cluster.Breakdown {
 
 func TestRecordShapes(t *testing.T) {
 	for _, p := range []string{"Hadoop", "YARN", "Stratosphere", "Giraph", "GraphLab"} {
-		tr := Record(p, sampleBreakdown(300), 6)
+		tr := record(p, sampleBreakdown(300), 6)
 		if tr.Platform != p {
 			t.Fatalf("platform = %q", tr.Platform)
 		}
 		// Master nearly idle: CPU below 0.5%, net below ~1 Mbit/s
 		// (Figures 5 and 7).
-		if m := Max(tr.Master.CPU); m > 0.5 {
+		if m := monitor.Max(tr.Master.CPU); m > 0.5 {
 			t.Errorf("%s: master CPU max %.2f%%, want < 0.5%%", p, m)
 		}
-		if m := Max(tr.Master.NetMbps); m > 1.05 {
+		if m := monitor.Max(tr.Master.NetMbps); m > 1.05 {
 			t.Errorf("%s: master net max %.2f Mbit/s, want ≈ < 1", p, m)
 		}
 		// Master memory ≈ 8 GB (Figure 6).
-		if avg := Mean(tr.Master.MemGB); avg < 7 || avg > 9 {
+		if avg := monitor.Mean(tr.Master.MemGB); avg < 7 || avg > 9 {
 			t.Errorf("%s: master mem %.1f GB, want ≈ 8", p, avg)
 		}
 		// Compute node curves positive and bounded.
-		if m := Max(tr.Compute.CPU); m <= 0 || m > 100 {
+		if m := monitor.Max(tr.Compute.CPU); m <= 0 || m > 100 {
 			t.Errorf("%s: compute CPU max %.2f", p, m)
 		}
 	}
@@ -45,8 +56,8 @@ func TestRecordShapes(t *testing.T) {
 
 func TestStratospherePreallocation(t *testing.T) {
 	// Figure 9: Stratosphere workers hold ~20 GB throughout.
-	tr := Record("Stratosphere", sampleBreakdown(200), 6)
-	if avg := Mean(tr.Compute.MemGB); avg < 18 {
+	tr := record("Stratosphere", sampleBreakdown(200), 6)
+	if avg := monitor.Mean(tr.Compute.MemGB); avg < 18 {
 		t.Fatalf("Stratosphere mem avg %.1f GB, want ≈ 20", avg)
 	}
 }
@@ -55,10 +66,10 @@ func TestStratosphereHeaviestNetwork(t *testing.T) {
 	// Figure 10: Stratosphere has the heaviest network traffic,
 	// Giraph/GraphLab the lightest.
 	b := sampleBreakdown(200)
-	strato := Max(Record("Stratosphere", b, 6).Compute.NetMbps)
-	hadoop := Max(Record("Hadoop", b, 6).Compute.NetMbps)
-	giraph := Max(Record("Giraph", b, 6).Compute.NetMbps)
-	graphlab := Max(Record("GraphLab", b, 6).Compute.NetMbps)
+	strato := monitor.Max(record("Stratosphere", b, 6).Compute.NetMbps)
+	hadoop := monitor.Max(record("Hadoop", b, 6).Compute.NetMbps)
+	giraph := monitor.Max(record("Giraph", b, 6).Compute.NetMbps)
+	graphlab := monitor.Max(record("GraphLab", b, 6).Compute.NetMbps)
 	if !(strato > hadoop && hadoop > giraph && giraph >= graphlab) {
 		t.Fatalf("network ordering: strato=%.0f hadoop=%.0f giraph=%.0f graphlab=%.0f",
 			strato, hadoop, giraph, graphlab)
@@ -68,7 +79,7 @@ func TestStratosphereHeaviestNetwork(t *testing.T) {
 func TestHadoopSawtooth(t *testing.T) {
 	// Hadoop memory oscillates per iteration; the curve must not be
 	// flat.
-	tr := Record("Hadoop", sampleBreakdown(300), 6)
+	tr := record("Hadoop", sampleBreakdown(300), 6)
 	min, max := tr.Compute.MemGB[0], tr.Compute.MemGB[0]
 	for _, x := range tr.Compute.MemGB {
 		if x < min {
@@ -86,66 +97,36 @@ func TestHadoopSawtooth(t *testing.T) {
 func TestGiraphLightResources(t *testing.T) {
 	// "the resource usage of Giraph and GraphLab are much smaller"
 	b := sampleBreakdown(200)
-	if g, h := Mean(Record("Giraph", b, 6).Compute.MemGB), Mean(Record("Hadoop", b, 6).Compute.MemGB); g >= h {
+	if g, h := monitor.Mean(record("Giraph", b, 6).Compute.MemGB), monitor.Mean(record("Hadoop", b, 6).Compute.MemGB); g >= h {
 		t.Fatalf("Giraph mem %.1f should be below Hadoop %.1f", g, h)
 	}
 }
 
 func TestNormalizeShortAndLong(t *testing.T) {
 	// Short runs (< 100 s) and long runs both produce exactly 100 points.
-	short := Record("Giraph", sampleBreakdown(10), 2)
-	long := Record("Hadoop", sampleBreakdown(5000), 20)
-	if len(short.Compute.CPU) != Points || len(long.Compute.CPU) != Points {
+	short := record("Giraph", sampleBreakdown(10), 2)
+	long := record("Hadoop", sampleBreakdown(5000), 20)
+	if len(short.Compute.CPU) != monitor.Points || len(long.Compute.CPU) != monitor.Points {
 		t.Fatal("curves must have exactly 100 points")
 	}
 }
 
-func TestNormalizeEdgeCases(t *testing.T) {
-	if got := normalize(nil); got[0] != 0 || got[Points-1] != 0 {
-		t.Fatal("normalize(nil) should be zeros")
-	}
-	got := normalize([]float64{7})
-	if got[0] != 7 || got[Points-1] != 7 {
-		t.Fatal("normalize(single) should be constant")
-	}
-	// Linear series stays linear under interpolation.
-	in := make([]float64, 1000)
-	for i := range in {
-		in[i] = float64(i)
-	}
-	out := normalize(in)
-	if out[0] != 0 || out[Points-1] != 999 {
-		t.Fatalf("normalize endpoints: %v, %v", out[0], out[Points-1])
-	}
-	mid := out[Points/2]
-	if mid < 480 || mid > 520 {
-		t.Fatalf("normalize midpoint = %v", mid)
-	}
-}
-
 func TestMeanMax(t *testing.T) {
-	var c [Points]float64
+	var c [monitor.Points]float64
 	for i := range c {
 		c[i] = float64(i % 10)
 	}
-	if m := Mean(c); m < 4 || m > 5 {
+	if m := monitor.Mean(c); m < 4 || m > 5 {
 		t.Fatalf("Mean = %v", m)
 	}
-	if m := Max(c); m != 9 {
+	if m := monitor.Max(c); m != 9 {
 		t.Fatalf("Max = %v", m)
 	}
 }
 
-func TestSignaturesUnknownPlatform(t *testing.T) {
-	s := Signatures("SomethingElse")
-	if s.ComputeCPU <= 0 || s.PeakMemGB <= 0 {
-		t.Fatal("default signature should be usable")
-	}
-}
-
 func TestZeroDurationBreakdown(t *testing.T) {
-	tr := Record("Giraph", cluster.Breakdown{}, 0)
-	if len(tr.Compute.CPU) != Points {
+	tr := record("Giraph", cluster.Breakdown{}, 0)
+	if len(tr.Compute.CPU) != monitor.Points {
 		t.Fatal("empty breakdown should still produce curves")
 	}
 }

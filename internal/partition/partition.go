@@ -1,6 +1,6 @@
 // Package partition is the sharded execution layer shared by every
-// distributed engine: a Partitioner interface with pluggable placement
-// strategies (hash, range, edge-cut, vertex-cut, 2D grid), the
+// distributed engine: a table of named placement strategies (hash,
+// range, edge-cut, vertex-cut, 2D grid) that Build dispatches from, the
 // Partitioning they produce — owner tables, per-shard member lists,
 // mirror/master replica sets over the shared CSR — and the quality
 // statistics (cut edges, replication factor, load skew) that the
@@ -50,43 +50,40 @@ const (
 	Grid = "grid"
 )
 
-// Names lists the strategies in report order.
-func Names() []string { return []string{Hash, Range, EdgeCut, VertexCut, Grid} }
-
-// Partitioner splits a graph into shards.
-type Partitioner interface {
-	// Partition places g's vertices (and, for vertex-cut strategies,
-	// edges) onto the given number of shards.
-	Partition(g *graph.Graph, shards int) *Partitioning
+// strategies is the strategy table, in report order: each name and
+// the function that places a graph on a number of shards under it.
+var strategies = []struct {
+	name  string
+	build func(g *graph.Graph, shards int) *Partitioning
+}{
+	{Hash, func(g *graph.Graph, shards int) *Partitioning { return HashPartitioning(g.NumVertices(), shards) }},
+	{Range, rangePartitioning},
+	{EdgeCut, edgeCutPartitioning},
+	{VertexCut, VertexCutPartitioning},
+	{Grid, gridPartitioning},
 }
 
-// ByName resolves a strategy name to its partitioner.
-func ByName(name string) (Partitioner, error) {
-	switch name {
-	case Hash:
-		return hashPartitioner{}, nil
-	case Range:
-		return rangePartitioner{}, nil
-	case EdgeCut:
-		return edgeCutPartitioner{}, nil
-	case VertexCut:
-		return vertexCutPartitioner{}, nil
-	case Grid:
-		return gridPartitioner{}, nil
+// Names lists the strategies in report order.
+func Names() []string {
+	names := make([]string, len(strategies))
+	for i, s := range strategies {
+		names[i] = s.name
 	}
-	return nil, fmt.Errorf("partition: unknown strategy %q (have %v)", name, Names())
+	return names
 }
 
 // Build partitions g with the named strategy.
 func Build(strategy string, g *graph.Graph, shards int) (*Partitioning, error) {
-	p, err := ByName(strategy)
-	if err != nil {
-		return nil, err
+	for _, s := range strategies {
+		if s.name != strategy {
+			continue
+		}
+		if shards < 1 {
+			return nil, fmt.Errorf("partition: need at least one shard, got %d", shards)
+		}
+		return s.build(g, shards), nil
 	}
-	if shards < 1 {
-		return nil, fmt.Errorf("partition: need at least one shard, got %d", shards)
-	}
-	return p.Partition(g, shards), nil
+	return nil, fmt.Errorf("partition: unknown strategy %q (have %v)", strategy, Names())
 }
 
 // maxMachines caps the replica bitsets: shard sets per vertex are

@@ -28,6 +28,8 @@ func testGraph(n int, edges int, directed, skewDegree bool, seed int64) *graph.G
 	return b.Build()
 }
 
+// TestNamesAndByName: every listed name builds a placement under that
+// name, and a name outside the table does not build.
 func TestNamesAndByName(t *testing.T) {
 	want := []string{Hash, Range, EdgeCut, VertexCut, Grid}
 	if got := Names(); !reflect.DeepEqual(got, want) {
@@ -35,16 +37,16 @@ func TestNamesAndByName(t *testing.T) {
 	}
 	g := testGraph(10, 20, true, false, 1)
 	for _, name := range Names() {
-		p, err := ByName(name)
+		p, err := Build(name, g, 2)
 		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
+			t.Fatalf("Build(%q): %v", name, err)
 		}
-		if got := p.Partition(g, 2).Strategy; got != name {
-			t.Fatalf("ByName(%q) partitions as %q", name, got)
+		if p.Strategy != name {
+			t.Fatalf("Build(%q) partitions as %q", name, p.Strategy)
 		}
 	}
-	if _, err := ByName("metis"); err == nil {
-		t.Fatal("ByName accepted an unknown strategy")
+	if _, err := Build("metis", g, 2); err == nil {
+		t.Fatal("Build accepted an unknown strategy")
 	}
 }
 

@@ -6,42 +6,33 @@ import (
 
 // ---- hash ----------------------------------------------------------
 
-// hashPartitioner assigns vertex v to shard v mod k. This is exactly
-// the layout the pregel engine always used (Giraph's default
+// hashOwners assigns vertex v to shard v mod k. This is exactly the
+// layout the pregel engine always used (Giraph's default
 // HashPartitionerFactory), so a hash partitioning over hw.Nodes shards
-// reproduces the historical byte stream bit for bit.
-type hashPartitioner struct{}
-
-func (hashPartitioner) Partition(g *graph.Graph, shards int) *Partitioning {
-	n := g.NumVertices()
+// reproduces the historical byte stream bit for bit; the vertex-cut
+// strategies place vertex masters by it too.
+func hashOwners(n, shards int) []int32 {
 	owner := make([]int32, n)
-	for v := 0; v < n; v++ {
+	for v := range owner {
 		owner[v] = int32(v % shards)
 	}
-	return newPartitioning(Hash, shards, owner, nil)
+	return owner
 }
 
-// HashPartitioning builds the default hash layout directly from a
-// vertex count, for engines that need a placement before (or without)
-// a graph.
+// HashPartitioning builds the hash layout from a vertex count, for
+// engines that need a placement before (or without) a graph.
 func HashPartitioning(n, shards int) *Partitioning {
-	owner := make([]int32, n)
-	for v := 0; v < n; v++ {
-		owner[v] = int32(v % shards)
-	}
-	return newPartitioning(Hash, shards, owner, nil)
+	return newPartitioning(Hash, shards, hashOwners(n, shards), nil)
 }
 
 // ---- range ---------------------------------------------------------
 
-// rangePartitioner assigns contiguous vertex ID ranges, with
+// rangePartitioning assigns contiguous vertex ID ranges, with
 // boundaries chosen so each shard carries a near-equal share of the
 // adjacency volume (degree-weighted, each vertex weighted 1+outdeg so
 // isolated vertices still spread). Generators emit IDs in community
 // order, so contiguity doubles as cheap locality.
-type rangePartitioner struct{}
-
-func (rangePartitioner) Partition(g *graph.Graph, shards int) *Partitioning {
+func rangePartitioning(g *graph.Graph, shards int) *Partitioning {
 	n := g.NumVertices()
 	owner := make([]int32, n)
 	total := g.AdjSize() + int64(n)
@@ -61,15 +52,13 @@ func (rangePartitioner) Partition(g *graph.Graph, shards int) *Partitioning {
 
 // ---- edge-cut (LDG) ------------------------------------------------
 
-// edgeCutPartitioner is a greedy streaming edge-cut in the style of
+// edgeCutPartitioning is a greedy streaming edge-cut in the style of
 // Linear Deterministic Greedy (Stanton & Kliot): vertices arrive in ID
 // order and each joins the shard holding the most already-placed
 // neighbours, discounted by that shard's fullness so placement stays
 // balanced. Entirely deterministic: no randomness, ties break toward
 // the lowest shard ID.
-type edgeCutPartitioner struct{}
-
-func (edgeCutPartitioner) Partition(g *graph.Graph, shards int) *Partitioning {
+func edgeCutPartitioning(g *graph.Graph, shards int) *Partitioning {
 	n := g.NumVertices()
 	owner := make([]int32, n)
 	for v := range owner {
@@ -129,32 +118,17 @@ func (edgeCutPartitioner) Partition(g *graph.Graph, shards int) *Partitioning {
 
 // ---- vertex-cut ----------------------------------------------------
 
-// vertexCutPartitioner hashes each edge to a shard and replicates its
-// endpoints there — PowerGraph's random vertex-cut. The edge hash is
-// the exact mix the gas engine has always used for its implicit
+// VertexCutPartitioning hashes each edge to a shard and replicates its
+// endpoints there — PowerGraph's random vertex-cut, and the gas
+// engine's default layout over hw.Nodes machines. The edge hash is the
+// exact mix the gas engine has always used for its implicit
 // replication model, so a vertex-cut over hw.Nodes shards reproduces
 // the historical replication factors bit for bit. Vertex masters
 // follow the hash rule so every engine family can route by owner.
-type vertexCutPartitioner struct{}
-
-func (vertexCutPartitioner) Partition(g *graph.Graph, shards int) *Partitioning {
-	n := g.NumVertices()
-	owner := make([]int32, n)
-	for v := 0; v < n; v++ {
-		owner[v] = int32(v % shards)
-	}
-	machines := shards
-	if machines > maxMachines {
-		machines = maxMachines
-	}
-	es := func(u, v graph.VertexID) int { return edgeMachine(u, v, machines) }
-	return newPartitioning(VertexCut, shards, owner, es)
-}
-
-// VertexCutPartitioning builds the random vertex-cut layout directly —
-// the gas engine's historical default over hw.Nodes machines.
 func VertexCutPartitioning(g *graph.Graph, shards int) *Partitioning {
-	return vertexCutPartitioner{}.Partition(g, shards)
+	machines := min(shards, maxMachines)
+	es := func(u, v graph.VertexID) int { return edgeMachine(u, v, machines) }
+	return newPartitioning(VertexCut, shards, hashOwners(g.NumVertices(), shards), es)
 }
 
 // edgeMachine deterministically assigns edge (u,v) to a machine, as
@@ -168,29 +142,19 @@ func edgeMachine(u, v graph.VertexID, machines int) int {
 
 // ---- 2D grid -------------------------------------------------------
 
-// gridPartitioner is a constrained vertex-cut: shards form an r×c grid
-// and edge (u,v) lands in the shard at (row(u), col(v)). Any vertex's
-// edges therefore touch at most one row plus one column, bounding its
-// replication factor by r+c-1 (SURFER/GraphBuilder-style 2D
-// placement).
-type gridPartitioner struct{}
-
-func (gridPartitioner) Partition(g *graph.Graph, shards int) *Partitioning {
-	n := g.NumVertices()
-	owner := make([]int32, n)
-	for v := 0; v < n; v++ {
-		owner[v] = int32(v % shards)
-	}
-	gs := shards
-	if gs > maxMachines {
-		gs = maxMachines
-	}
+// gridPartitioning is a constrained vertex-cut: shards form an r×c
+// grid and edge (u,v) lands in the shard at (row(u), col(v)). Any
+// vertex's edges therefore touch at most one row plus one column,
+// bounding its replication factor by r+c-1 (SURFER/GraphBuilder-style
+// 2D placement).
+func gridPartitioning(g *graph.Graph, shards int) *Partitioning {
+	gs := min(shards, maxMachines)
 	r := gridRows(gs)
 	c := gs / r
 	es := func(u, v graph.VertexID) int {
 		return int(vertexMix(u)%uint64(r))*c + int(vertexMix(v)%uint64(c))
 	}
-	return newPartitioning(Grid, shards, owner, es)
+	return newPartitioning(Grid, shards, hashOwners(g.NumVertices(), shards), es)
 }
 
 // gridRows returns the largest divisor of shards not exceeding its

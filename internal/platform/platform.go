@@ -1,12 +1,12 @@
 // Package platform presents the six systems of the paper's Table 4 —
 // Hadoop, YARN, Stratosphere, Giraph, GraphLab (plus the GraphLab(mp)
 // tuning variant), and Neo4j — behind one interface. Each platform is
-// one row: its Table 4 entry, its cost model and timeout, and an exec
-// hook that opens its engine and runs an algorithm on it. One Run
-// drives every row and decides each run's status (the paper's crash,
-// timeout and N/A entries) in one place; it is what the benchmark
-// harness drives for every experiment. One Oracle decides whether a
-// run's output is right.
+// one row: its Table 4 entry, its cost model, timeout and resource
+// signature, and an exec hook that opens its engine and runs an
+// algorithm on it. One Run drives every row and decides each run's
+// status (the paper's crash, timeout and N/A entries) in one place; it
+// is what the benchmark harness drives for every experiment. One
+// Oracle decides whether a run's output is right.
 package platform
 
 import (
@@ -26,6 +26,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graphdb"
 	"repro/internal/mapreduce"
+	"repro/internal/monitor"
 	"repro/internal/mralgo"
 	"repro/internal/obs"
 	"repro/internal/pactalgo"
@@ -293,20 +294,36 @@ type Platform interface {
 // GraphLab's multi-part loader variant GraphLab(mp) (Section 4.3.1).
 var rows = []*row{
 	{name: "Hadoop", version: "hadoop-0.20.203.0", kind: "Generic, Distributed",
-		costs: cluster.HadoopCosts(), timeout: DistributedTimeout, exec: mrExec(openHadoop)},
+		costs: cluster.HadoopCosts(), timeout: DistributedTimeout, exec: mrExec(openHadoop),
+		sig: monitor.Signature{ComputeCPU: 8, BaseMemGB: 2.5, PeakMemGB: 12, Sawtooth: true,
+			PeakNetMbps: 96, MasterMemGB: 8, MasterNetKbps: 320}},
 	{name: "YARN", version: "hadoop-2.0.3-alpha", kind: "Generic, Distributed",
-		costs: cluster.YARNCosts(), timeout: DistributedTimeout, exec: mrExec(openYARN)},
+		costs: cluster.YARNCosts(), timeout: DistributedTimeout, exec: mrExec(openYARN),
+		sig: monitor.Signature{ComputeCPU: 8, BaseMemGB: 2.5, PeakMemGB: 11, Sawtooth: true,
+			PeakNetMbps: 90, MasterMemGB: 8, MasterNetKbps: 320}},
 	{name: "Stratosphere", version: "Stratosphere-0.2", kind: "Generic, Distributed",
-		costs: cluster.StratosphereCosts(), timeout: DistributedTimeout, exec: stratoExec},
+		costs: cluster.StratosphereCosts(), timeout: DistributedTimeout, exec: stratoExec,
+		sig: monitor.Signature{ComputeCPU: 6, BaseMemGB: 2.5, PeakMemGB: 20, Preallocates: true,
+			PeakNetMbps: 128, MasterMemGB: 8, MasterNetKbps: 1000}},
 	{name: "Giraph", version: "Giraph 0.2 (rev 1336743)", kind: "Graph, Distributed",
-		costs: cluster.GiraphCosts(), timeout: DistributedTimeout, exec: giraphExec},
+		costs: cluster.GiraphCosts(), timeout: DistributedTimeout, exec: giraphExec,
+		sig: monitor.Signature{ComputeCPU: 3, BaseMemGB: 2.5, PeakMemGB: 7,
+			PeakNetMbps: 14, MasterMemGB: 8, MasterNetKbps: 360}},
 	{name: "GraphLab", version: "GraphLab 2.1.4434", kind: "Graph, Distributed",
-		costs: cluster.GraphLabCosts(), timeout: DistributedTimeout, exec: graphlabExec(false)},
+		costs: cluster.GraphLabCosts(), timeout: DistributedTimeout, exec: graphlabExec(false),
+		sig: graphLabSignature},
 	{name: "Neo4j", version: "Neo4j 1.5", kind: "Graph, Non-distributed",
-		costs: cluster.Neo4jCosts(), timeout: SingleNodeTimeout, single: true, exec: neo4jExec},
+		costs: cluster.Neo4jCosts(), timeout: SingleNodeTimeout, single: true, exec: neo4jExec,
+		sig: monitor.Signature{ComputeCPU: 12, BaseMemGB: 2, PeakMemGB: 20}},
 	{name: "GraphLab(mp)", version: "GraphLab 2.1.4434", kind: "Graph, Distributed",
-		costs: cluster.GraphLabCosts(), timeout: DistributedTimeout, exec: graphlabExec(true)},
+		costs: cluster.GraphLabCosts(), timeout: DistributedTimeout, exec: graphlabExec(true),
+		sig: graphLabSignature},
 }
+
+// graphLabSignature is GraphLab's resource signature, which the
+// multi-part loader does not change.
+var graphLabSignature = monitor.Signature{ComputeCPU: 2.5, BaseMemGB: 2.5, PeakMemGB: 5,
+	PeakNetMbps: 10, MasterMemGB: 8, MasterNetKbps: 240}
 
 // All returns the six platforms in Table 4 order.
 func All() []Platform {
@@ -333,13 +350,19 @@ func ByName(name string) (Platform, error) {
 // must come from All or ByName.
 func TimeoutOf(p Platform) float64 { return p.(*row).timeout }
 
-// row is one platform: its Table 4 entry, its cost model and timeout,
-// and exec, which opens the platform's engine and runs an algorithm on
-// it. Run scores what exec returns.
+// SignatureOf returns p's resource signature, what Section 4.2 of the
+// paper observed of its nodes' CPU, memory and network. p must come
+// from All or ByName.
+func SignatureOf(p Platform) monitor.Signature { return p.(*row).sig }
+
+// row is one platform: its Table 4 entry, its cost model, timeout and
+// resource signature, and exec, which opens the platform's engine and
+// runs an algorithm on it. Run scores what exec returns.
 type row struct {
 	name, version, kind string
 	costs               cluster.CostModel
 	timeout             float64
+	sig                 monitor.Signature
 	// single marks a one-machine platform, priced on
 	// cluster.SingleNode rather than on the spec's cluster.
 	single bool
@@ -374,15 +397,11 @@ var errNotIngested = errors.New("data ingestion infeasible on a single machine (
 //     (Stratosphere spills rather than crashing; its paper failure is
 //     STATS on DotaLeague terminated near 4 hours).
 func (p *row) Run(spec Spec) *Result {
-	proj := projection(spec)
-	vdiv := max(1, int64(spec.Dataset.VDivisor))
-	if spec.ScaleFactor > 1 {
-		vdiv *= int64(spec.ScaleFactor)
-	}
+	vproj, proj := spec.Dataset.Projection(spec.ScaleFactor)
 	r := &Result{
 		Platform: p.name, Algorithm: spec.Algorithm, Dataset: spec.Dataset.Name,
 		Profile: &cluster.ExecutionProfile{Obs: spec.Obs, Fault: spec.Fault},
-		projV:   int64(spec.G.NumVertices()) * vdiv,
+		projV:   int64(spec.G.NumVertices()) * vproj,
 		projE:   spec.G.NumEdges() * proj,
 	}
 	hw := spec.HW
@@ -414,19 +433,6 @@ func (p *row) Run(spec Spec) *Result {
 			p.timeout/3600, r.Seconds/3600)
 	}
 	return r
-}
-
-// projection returns the scale divisor used to project data-dependent
-// time and memory back to paper scale.
-func projection(spec Spec) int64 {
-	p := int64(1)
-	if spec.Dataset.EDivisor > 0 {
-		p = int64(spec.Dataset.EDivisor)
-	}
-	if spec.ScaleFactor > 1 {
-		p *= int64(spec.ScaleFactor)
-	}
-	return p
 }
 
 // place builds the placement a spec requests, if any, attaches it to

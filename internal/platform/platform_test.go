@@ -87,6 +87,21 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestSignatures: every platform carries a Section 4.2 resource
+// signature, and the multi-part loader leaves GraphLab's unchanged.
+func TestSignatures(t *testing.T) {
+	for _, p := range rows {
+		if s := SignatureOf(p); s.ComputeCPU <= 0 || s.PeakMemGB <= s.BaseMemGB {
+			t.Errorf("%s: signature %+v", p.name, s)
+		}
+	}
+	gl, _ := ByName("GraphLab")
+	mp, _ := ByName("GraphLab(mp)")
+	if SignatureOf(mp) != SignatureOf(gl) {
+		t.Fatalf("GraphLab(mp) signature %+v, GraphLab's %+v", SignatureOf(mp), SignatureOf(gl))
+	}
+}
+
 func TestUnknownAlgorithm(t *testing.T) {
 	for _, name := range pinnedPlatforms {
 		r := runOne(t, name, "PageRank", "Amazon", cluster.DAS4(4, 1))
@@ -376,14 +391,13 @@ func TestEPSAndVPSScale(t *testing.T) {
 	if r.Status != OK {
 		t.Fatal(r.Err)
 	}
+	// KGS is scaled down 10 times in both V and E before testScale.
 	g := testGraph(t, "KGS")
-	prof, _ := datagen.ByName("KGS")
-	wantE := float64(g.NumEdges()*int64(prof.EDivisor*testScale)) / r.Seconds
-	if got := r.EPS(); got != wantE {
-		t.Fatalf("EPS = %v, want %v", got, wantE)
+	if got, want := r.EPS(), float64(g.NumEdges()*10*testScale)/r.Seconds; got != want {
+		t.Fatalf("EPS = %v, want %v", got, want)
 	}
-	if r.VPS() <= 0 {
-		t.Fatal("VPS should be positive")
+	if got, want := r.VPS(), float64(g.NumVertices()*10*testScale)/r.Seconds; got != want {
+		t.Fatalf("VPS = %v, want %v", got, want)
 	}
 }
 

@@ -620,7 +620,7 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 		if profile != nil {
 			profile.AddPhase(cluster.Phase{
 				Name: fmt.Sprintf("superstep-%d", e.superstep), Kind: cluster.PhaseCompute,
-				Ops: totalOps, MaxPartOps: scaleToWorkers(maxOps, totalOps, hw.Nodes, hw.Workers()),
+				Ops: totalOps, MaxPartOps: hw.BusiestWorker(maxOps, totalOps),
 				Net: superNet, Barriers: 1,
 			})
 			if ckEvery > 0 && (e.superstep+1)%ckEvery == 0 {
@@ -654,25 +654,6 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 		profile.Iterations = e.superstep
 	}
 	return &Result{Values: e.values, Stats: st, Aggregators: e.aggPrev}, nil
-}
-
-// scaleToWorkers adjusts a per-partition max-ops figure when a node
-// has several cores: within a node, a partition's vertices are
-// processed by CoresPerNode threads.
-func scaleToWorkers(maxPart, total int64, parts, workers int) int64 {
-	if workers <= parts || maxPart == 0 {
-		return maxPart
-	}
-	cores := workers / parts
-	if cores < 1 {
-		cores = 1
-	}
-	scaled := maxPart / int64(cores)
-	mean := total / int64(workers)
-	if scaled < mean {
-		return mean
-	}
-	return scaled
 }
 
 // snapshot is an in-memory checkpoint: everything needed to restart

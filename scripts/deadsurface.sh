@@ -92,6 +92,7 @@ for engine in pregel mapreduce yarn dataflow gas; do
     drive chaos -scale 40 -nodes 4 chaos "$engine" BFS KGS
 done
 drive chaos -scale 40 -nodes 4 -partitioner edgecut -shards 4 chaos pregel CONN KGS
+drive chaos -scale 40 -nodes 4 chaos gas EVO KGS
 drive curves -scale 40 curves Giraph
 drive curves -scale 40 curves Giraph measured
 drive partition-quality -scale 40 -shards 8 partition-quality KGS
