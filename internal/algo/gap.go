@@ -3,11 +3,10 @@ package algo
 import (
 	"context"
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/partition"
 )
 
@@ -27,7 +26,7 @@ import (
 
 // GapOptions tunes the kernels. The zero value is ready to use.
 type GapOptions struct {
-	// Workers caps kernel parallelism; 0 means min(GOMAXPROCS, 16).
+	// Workers caps kernel parallelism; 0 means par.Workers().
 	// Results are identical for every value.
 	Workers int
 
@@ -40,7 +39,7 @@ func (o GapOptions) workers() int {
 	if o.Workers > 0 {
 		return o.Workers
 	}
-	return min(runtime.GOMAXPROCS(0), 16)
+	return par.Workers()
 }
 
 func (o GapOptions) delta() int64 {
@@ -63,40 +62,6 @@ func alignedRanges(n, parts int) [][2]int {
 		out = append(out, [2]int{lo, hi})
 	}
 	return out
-}
-
-// runTasks executes fn(taskID) for taskID in [0, count) across the
-// given number of workers. Task outputs must be indexed by taskID so
-// that merges are schedule-independent.
-func runTasks(count, workers int, fn func(task int)) {
-	if count == 0 {
-		return
-	}
-	if workers > count {
-		workers = count
-	}
-	if workers <= 1 {
-		for t := 0; t < count; t++ {
-			fn(t)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= count {
-					return
-				}
-				fn(t)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // BFSTree is a BFS result with its parent-array certificate: Parents[v]
@@ -183,7 +148,7 @@ func SSSPDeltaStep(g *graph.Graph, src graph.VertexID, opt GapOptions) *SSSPResu
 
 			chunks := partition.SplitContiguous(frontier, workers*4)
 			updated := make([][]graph.VertexID, len(chunks))
-			runTasks(len(chunks), workers, func(t int) {
+			par.For(len(chunks), workers, func(_, t int) {
 				var local []graph.VertexID
 				for _, u := range chunks[t] {
 					du := atomic.LoadInt64(&dist[u])
@@ -269,7 +234,7 @@ func PageRankPull(g *graph.Graph, iterations int, damping float64, opt GapOption
 	vertexRanges := alignedRanges(n, workers*4)
 	for it := 0; it < iterations; it++ {
 		// Contributions and per-chunk dangling partials.
-		runTasks(nChunks, workers, func(c int) {
+		par.For(nChunks, workers, func(_, c int) {
 			lo := c * prDanglingChunk
 			hi := min(lo+prDanglingChunk, n)
 			var dangling float64
@@ -291,7 +256,7 @@ func PageRankPull(g *graph.Graph, iterations int, damping float64, opt GapOption
 		share := base + damping*dangling/float64(n)
 
 		// Pull phase: strictly in-order accumulation per vertex.
-		runTasks(len(vertexRanges), workers, func(t int) {
+		par.For(len(vertexRanges), workers, func(_, t int) {
 			for vi := vertexRanges[t][0]; vi < vertexRanges[t][1]; vi++ {
 				sum := 0.0
 				for _, u := range g.In(graph.VertexID(vi)) {

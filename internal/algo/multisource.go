@@ -7,6 +7,7 @@ import (
 	"math/bits"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // Batched multi-source BFS: the serving daemon's perf core. A 64-bit
@@ -184,7 +185,7 @@ func BFSMultiSource(ctx context.Context, g *graph.Graph, srcs []graph.VertexID, 
 			// Bottom-up: tasks own disjoint aligned vertex ranges, so
 			// every visitedMask/nextFront/levels/parents write is
 			// race-free; per-task counters merge after the barrier.
-			runTasks(len(ranges), workers, func(t int) {
+			par.For(len(ranges), workers, func(_, t int) {
 				cnt := &taskCounts[t]
 				clear(cnt[:])
 				var anyClaim uint64

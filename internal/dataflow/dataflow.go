@@ -11,12 +11,14 @@ package dataflow
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/partition"
 )
 
@@ -219,27 +221,26 @@ func Execute[V Sized](e *Engine, p *Plan[V]) ([]Dataset[V], error) {
 	if len(p.sinks) == 0 {
 		return nil, fmt.Errorf("dataflow: plan %q has no sinks", p.name)
 	}
-	par := e.HW.Workers()
-	if par < 1 {
-		par = 1
+	dop := e.HW.Workers()
+	if dop < 1 {
+		dop = 1
 	}
 	if pt := e.Profile.Partitioning(); pt != nil {
-		par = pt.Shards
+		dop = pt.Shards
 		e.keyOwner = pt.OwnerOf
 		e.exactNet = true
 	} else {
-		modulus := par
-		e.keyOwner = func(k int64) int { return int(uint64(k) % uint64(modulus)) }
+		e.keyOwner = func(k int64) int { return partition.HashOwner(k, dop) }
 		e.exactNet = false
 	}
-	e.par = par
+	e.par = dop
 	inj := e.Profile.Injector()
 	planStep := e.planSeq
 	e.planSeq++
 
 	e.Profile.AddPhase(cluster.Phase{
 		Name: p.name + ":deploy", Kind: cluster.PhaseSetup,
-		Jobs: 1, Tasks: len(p.nodes) * par / max(1, len(p.nodes)),
+		Jobs: 1, Tasks: len(p.nodes) * dop / max(1, len(p.nodes)),
 	})
 
 	// Observability: one plan span, one child span per operator
@@ -251,7 +252,7 @@ func Execute[V Sized](e *Engine, p *Plan[V]) ([]Dataset[V], error) {
 	defer tr.End(planSpan)
 
 	sc := scratchFor[V](e)
-	sc.size(len(p.nodes), par)
+	sc.size(len(p.nodes), dop)
 	results := make([]*interim[V], len(p.nodes))
 	var outputs []Dataset[V]
 
@@ -273,10 +274,10 @@ func Execute[V Sized](e *Engine, p *Plan[V]) ([]Dataset[V], error) {
 		case opMap:
 			in := channel(e, n, results[n.inputs[0].id], false, &ns.split[0])
 			out, err := runOp(e, n, planStep, inj, func() (*interim[V], int64, int64) {
-				out := &interim[V]{parts: make([]Dataset[V], par), keyed: n.annotation == SameKey && in.keyed}
+				out := &interim[V]{parts: make([]Dataset[V], dop), keyed: n.annotation == SameKey && in.keyed}
 				var ops, maxOps int64
 				var mu sync.Mutex
-				partition.ParallelFor(par, func(i int) {
+				par.For(dop, runtime.GOMAXPROCS(0), func(_, i int) {
 					c := Collector[V]{out: ns.out[i][:0]}
 					var local int64
 					for _, r := range in.parts[i] {
@@ -305,10 +306,10 @@ func Execute[V Sized](e *Engine, p *Plan[V]) ([]Dataset[V], error) {
 		case opReduce:
 			in := channel(e, n, results[n.inputs[0].id], true, &ns.split[0])
 			out, err := runOp(e, n, planStep, inj, func() (*interim[V], int64, int64) {
-				out := &interim[V]{parts: make([]Dataset[V], par), keyed: n.annotation == SameKey}
+				out := &interim[V]{parts: make([]Dataset[V], dop), keyed: n.annotation == SameKey}
 				var ops, maxOps int64
 				var mu sync.Mutex
-				partition.ParallelFor(par, func(i int) {
+				par.For(dop, runtime.GOMAXPROCS(0), func(_, i int) {
 					c := Collector[V]{out: ns.out[i][:0]}
 					local := groupApply(&sc.spare, in.parts[i], func(key int64, group []Record[V]) {
 						n.reduceFn(key, group, &c)
@@ -336,10 +337,10 @@ func Execute[V Sized](e *Engine, p *Plan[V]) ([]Dataset[V], error) {
 			left := channel(e, n, results[n.inputs[0].id], true, &ns.split[0])
 			right := channel(e, n, results[n.inputs[1].id], true, &ns.split[1])
 			out, err := runOp(e, n, planStep, inj, func() (*interim[V], int64, int64) {
-				out := &interim[V]{parts: make([]Dataset[V], par), keyed: n.annotation == SameKey}
+				out := &interim[V]{parts: make([]Dataset[V], dop), keyed: n.annotation == SameKey}
 				var ops, maxOps int64
 				var mu sync.Mutex
-				partition.ParallelFor(par, func(i int) {
+				par.For(dop, runtime.GOMAXPROCS(0), func(_, i int) {
 					c := Collector[V]{out: ns.out[i][:0]}
 					local := coGroupParts(&sc.spare, n.coGroupFn, in2(left, i), in2(right, i), &c)
 					local += c.extraOps

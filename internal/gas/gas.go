@@ -12,6 +12,9 @@
 //     multi-part "GraphLab(mp)" loader as the fix (Section 4.3.1);
 //   - dynamic computation: only signalled vertices run each iteration.
 //
+// Each iteration runs its vertices in contiguous ranges, one per
+// processor, through par.For.
+//
 // The engine is generic over the vertex value V and the gather
 // accumulator A: values live in a typed []V, and each worker folds a
 // vertex's gathers into one A it keeps across vertices, iterations and
@@ -29,6 +32,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/partition"
 )
 
@@ -217,8 +221,12 @@ func Run[V, A any](g *graph.Graph, hw cluster.Hardware, cfg Config[V, A], profil
 	newValues := make([]V, n)
 	partOps := make([]int64, shards)
 	nodeOps := make([]int64, hw.Nodes)
-	nWorkers := maxChunks(n)
-	scratch := make([]workerScratch[A], nWorkers)
+	// Each iteration cuts [0, n) into tasks contiguous ranges of size
+	// vertices, one per processor (fewer when n is small).
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
+	size := max(1, (n+workers-1)/workers)
+	tasks := (n + size - 1) / size
+	scratch := make([]workerScratch[A], tasks)
 	for w := range scratch {
 		scratch[w].partOps = make([]int64, shards)
 	}
@@ -248,7 +256,8 @@ func Run[V, A any](g *graph.Graph, hw cluster.Hardware, cfg Config[V, A], profil
 
 			var mu sync.Mutex
 
-			parallelVertices(n, func(w, lo, hi int) {
+			par.For(tasks, tasks, func(w, t int) {
+				lo, hi := t*size, min(t*size+size, n)
 				var lg, ls, la, lnet, lops int64
 				sc := &scratch[w]
 				localPartOps := sc.partOps
@@ -454,44 +463,4 @@ func bothNeighborsInto(g *graph.Graph, v graph.VertexID, buf []graph.VertexID) [
 	buf = append(buf, g.Out(v)...)
 	buf = append(buf, g.In(v)...)
 	return buf
-}
-
-// maxChunks reports how many chunks parallelVertices will use for n
-// vertices, so callers can size per-worker scratch.
-func maxChunks(n int) int {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// parallelVertices splits [0, n) into contiguous chunks processed on
-// up to GOMAXPROCS goroutines. fn receives the chunk (worker) index so
-// callers can hand each chunk its own reusable scratch.
-func parallelVertices(n int, fn func(w, lo, hi int)) {
-	workers := maxChunks(n)
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	w := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-		w++
-	}
-	wg.Wait()
 }

@@ -7,11 +7,11 @@ import (
 	"io"
 	mathbits "math/bits"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // The paper's plain-text interchange format (Section 2.2.1):
@@ -123,15 +123,13 @@ func readAll(r io.Reader) ([]byte, error) {
 // not worth the fan-out.
 const parseSeqThreshold = 64 << 10
 
-// maxParseWorkers caps the fan-out (and with it the per-chunk
-// duplicate-detection bitmaps).
-const maxParseWorkers = 16
-
+// parseWorkers is the chunk count for an input of size bytes; the cap
+// in par.Workers also bounds the per-chunk duplicate-detection bitmaps.
 func parseWorkers(size int) int {
 	if size < parseSeqThreshold {
 		return 1
 	}
-	return min(runtime.GOMAXPROCS(0), maxParseWorkers)
+	return par.Workers()
 }
 
 // chunkSurvey is the output of the survey pass over one byte chunk.
@@ -208,15 +206,9 @@ func parseText(data []byte, workers int) (*Graph, error) {
 		inDeg = make([]int32, n)
 	}
 	surveys := make([]chunkSurvey, len(chunks))
-	var wg sync.WaitGroup
-	for i, c := range chunks {
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			surveys[i] = surveyChunk(body, lo, hi, int32(n), directed, outDeg, inDeg)
-		}(i, c[0], c[1])
-	}
-	wg.Wait()
+	par.For(len(chunks), len(chunks), func(_, i int) {
+		surveys[i] = surveyChunk(body, chunks[i][0], chunks[i][1], int32(n), directed, outDeg, inDeg)
+	})
 
 	// Report the first malformed line in file order (chunks are in file
 	// order, and each chunk stops at its first error).
@@ -265,15 +257,10 @@ func parseText(data []byte, workers int) (*Graph, error) {
 		inFill = make([]int32, n)
 	}
 	fills := make([]chunkSurvey, len(chunks))
-	for i, c := range chunks {
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			fills[i] = fillChunk(body, lo, hi, int32(n), directed,
-				offsets, adj, outFill, inOffsets, inAdj, inFill)
-		}(i, c[0], c[1])
-	}
-	wg.Wait()
+	par.For(len(chunks), len(chunks), func(_, i int) {
+		fills[i] = fillChunk(body, chunks[i][0], chunks[i][1], int32(n), directed,
+			offsets, adj, outFill, inOffsets, inAdj, inFill)
+	})
 	for i := range fills {
 		if fills[i].err != nil {
 			return nil, fileErr(fills[i].errOff, fills[i].err)

@@ -9,14 +9,18 @@
 // Undirected graphs store each edge in both adjacency lists; NumEdges
 // reports the number of logical edges (each undirected edge counted
 // once), matching the #E column of Table 2 in the paper.
+//
+// The parallel loops here (text parse, CSR build, weights, metrics)
+// all run through par.For; each fixes its own ranges or chunks, so
+// results never depend on the worker count.
 package graph
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // VertexID identifies a vertex. IDs are dense: every ID in
@@ -245,15 +249,14 @@ func (b *Builder) Build() *Graph {
 // costs more than it saves.
 const buildSeqThreshold = 1 << 15
 
-// maxBuildWorkers caps the fan-out and with it the per-worker histogram
+// buildWorkers is the fan-out of a build over the given number of
+// arcs; the cap in par.Workers also bounds the per-range histogram
 // memory (workers * n * 4 bytes per direction).
-const maxBuildWorkers = 16
-
 func buildWorkers(edges int) int {
 	if edges < buildSeqThreshold {
 		return 1
 	}
-	return min(runtime.GOMAXPROCS(0), maxBuildWorkers)
+	return par.Workers()
 }
 
 func (b *Builder) build(workers int) *Graph {
@@ -274,30 +277,20 @@ func (b *Builder) build(workers int) *Graph {
 	return g
 }
 
-// parallelRanges runs fn over `workers` contiguous, disjoint subranges
-// of [0, total). The partition depends only on (total, workers), so two
-// phases that must visit identical ranges per worker (histogram and
-// scatter) agree by construction.
-func parallelRanges(total, workers int, fn func(p, lo, hi int)) {
-	if workers <= 1 || total == 0 {
-		fn(0, 0, total)
-		return
+// ranges cuts [0, total) into at most parts contiguous, disjoint,
+// near-equal ranges, always at least one. The cut depends only on
+// (total, parts), so two phases that must visit identical ranges
+// (histogram and scatter) agree by construction.
+func ranges(total, parts int) [][2]int {
+	if parts <= 1 || total == 0 {
+		return [][2]int{{0, total}}
 	}
-	chunk := (total + workers - 1) / workers
-	var wg sync.WaitGroup
-	for p := 0; p < workers; p++ {
-		lo := p * chunk
-		if lo >= total {
-			break
-		}
-		hi := min(lo+chunk, total)
-		wg.Add(1)
-		go func(p, lo, hi int) {
-			defer wg.Done()
-			fn(p, lo, hi)
-		}(p, lo, hi)
+	size := (total + parts - 1) / parts
+	var out [][2]int
+	for lo := 0; lo < total; lo += size {
+		out = append(out, [2]int{lo, min(lo+size, total)})
 	}
-	wg.Wait()
+	return out
 }
 
 // buildCSRCounting builds offset + adjacency arrays from arcs with
@@ -315,11 +308,12 @@ func buildCSRCounting(n int32, arcs []Edge, reverse, symmetric bool, workers int
 		P /= 2
 	}
 
-	// Pass 1: per-worker degree histograms over disjoint arc ranges.
-	counts := make([][]int32, P)
-	parallelRanges(len(arcs), P, func(p, lo, hi int) {
+	// Pass 1: per-range degree histograms over disjoint arc ranges.
+	arcRanges, vertexRanges := ranges(len(arcs), P), ranges(int(n), P)
+	counts := make([][]int32, len(arcRanges))
+	par.For(len(arcRanges), len(arcRanges), func(_, p int) {
 		c := make([]int32, n)
-		for _, e := range arcs[lo:hi] {
+		for _, e := range arcs[arcRanges[p][0]:arcRanges[p][1]] {
 			s, d := e.Src, e.Dst
 			if reverse {
 				s, d = d, s
@@ -333,19 +327,16 @@ func buildCSRCounting(n int32, arcs []Edge, reverse, symmetric bool, workers int
 	})
 
 	// Sum the histograms into bucket sizes, prefix-sum into offsets,
-	// then expand each worker's histogram into absolute write cursors —
+	// then expand each range's histogram into absolute write cursors —
 	// one load+increment per scattered arc instead of an offset lookup
 	// plus a relative-cursor update.
 	offsets := make([]int64, int(n)+1)
-	parallelRanges(int(n), P, func(_, lo, hi int) {
+	par.For(len(vertexRanges), len(vertexRanges), func(_, t int) {
+		lo, hi := vertexRanges[t][0], vertexRanges[t][1]
 		for v := lo; v < hi; v++ {
 			total := int64(0)
-			for p := 0; p < P; p++ {
-				// Workers past the end of a short arc slice never ran and
-				// left a nil histogram; they scatter nothing either.
-				if c := counts[p]; c != nil {
-					total += int64(c[v])
-				}
+			for _, c := range counts {
+				total += int64(c[v])
 			}
 			offsets[v+1] = total
 		}
@@ -355,32 +346,29 @@ func buildCSRCounting(n int32, arcs []Edge, reverse, symmetric bool, workers int
 	}
 	total := offsets[n]
 
-	cursors := make([][]int64, P)
-	for p := range counts {
-		if counts[p] != nil {
-			cursors[p] = make([]int64, n)
-		}
+	cursors := make([][]int64, len(counts))
+	for p := range cursors {
+		cursors[p] = make([]int64, n)
 	}
-	parallelRanges(int(n), P, func(_, lo, hi int) {
+	par.For(len(vertexRanges), len(vertexRanges), func(_, t int) {
+		lo, hi := vertexRanges[t][0], vertexRanges[t][1]
 		for v := lo; v < hi; v++ {
 			at := offsets[v]
-			for p := 0; p < P; p++ {
-				if c := counts[p]; c != nil {
-					cursors[p][v] = at
-					at += int64(c[v])
-				}
+			for p, c := range counts {
+				cursors[p][v] = at
+				at += int64(c[v])
 			}
 		}
 	})
 
-	// Pass 2: scatter. Worker p revisits exactly the arc range it
+	// Pass 2: scatter. Task p revisits exactly the arc range it
 	// counted, so its cursors line up and no write races: every slot is
-	// owned by one worker. Arc order is preserved within each bucket,
+	// owned by one task. Arc order is preserved within each bucket,
 	// but any order works — the sort below canonicalises.
 	adj := make([]VertexID, total)
-	parallelRanges(len(arcs), P, func(p, lo, hi int) {
+	par.For(len(arcRanges), len(arcRanges), func(_, p int) {
 		cur := cursors[p]
-		for _, e := range arcs[lo:hi] {
+		for _, e := range arcs[arcRanges[p][0]:arcRanges[p][1]] {
 			s, d := e.Src, e.Dst
 			if reverse {
 				s, d = d, s
@@ -408,7 +396,9 @@ func buildCSRCounting(n int32, arcs []Edge, reverse, symmetric bool, workers int
 // nil means every bucket is full.
 func canonicalizeCSR(n int32, offsets []int64, adj []VertexID, fill []int32, workers int) ([]int64, []VertexID) {
 	newLen := make([]int32, n)
-	parallelRanges(int(n), workers, func(_, lo, hi int) {
+	vertexRanges := ranges(int(n), workers)
+	par.For(len(vertexRanges), len(vertexRanges), func(_, t int) {
+		lo, hi := vertexRanges[t][0], vertexRanges[t][1]
 		for v := lo; v < hi; v++ {
 			end := offsets[v+1]
 			if fill != nil {
@@ -458,7 +448,8 @@ func canonicalizeCSR(n int32, offsets []int64, adj []VertexID, fill []int32, wor
 		fOffsets[v+1] = fOffsets[v] + int64(newLen[v])
 	}
 	fAdj := make([]VertexID, total2)
-	parallelRanges(int(n), workers, func(_, lo, hi int) {
+	par.For(len(vertexRanges), len(vertexRanges), func(_, t int) {
+		lo, hi := vertexRanges[t][0], vertexRanges[t][1]
 		for v := lo; v < hi; v++ {
 			src := adj[offsets[v] : offsets[v]+int64(newLen[v])]
 			copy(fAdj[fOffsets[v]:fOffsets[v+1]], src)

@@ -3,8 +3,9 @@ package graph
 import (
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // LCC returns the local clustering coefficient of v: the number of
@@ -46,12 +47,17 @@ func (g *Graph) AvgLCC() float64 {
 		return 0
 	}
 	sums := make([]float64, numChunks(int(g.n)))
-	parallelChunks(int(g.n), func(ci, lo, hi int, buf *[]VertexID) {
+	// One reusable neighbourhood buffer per worker, copied in and out
+	// so workers never write neighbouring slice headers per vertex.
+	bufs := make([][]VertexID, runtime.GOMAXPROCS(0))
+	par.For(len(sums), len(bufs), func(w, ci int) {
+		buf := bufs[w]
 		s := 0.0
+		lo, hi := chunk(ci, int(g.n))
 		for v := lo; v < hi; v++ {
-			s += g.lccInto(VertexID(v), buf)
+			s += g.lccInto(VertexID(v), &buf)
 		}
-		sums[ci] = s
+		sums[ci], bufs[w] = s, buf
 	})
 	sum := 0.0
 	for _, s := range sums {
@@ -116,8 +122,9 @@ func (g *Graph) Triangles() int64 {
 		panic("graph: Triangles requires an undirected graph")
 	}
 	sums := make([]int64, numChunks(int(g.n)))
-	parallelChunks(int(g.n), func(ci, lo, hi int, _ *[]VertexID) {
+	par.For(len(sums), runtime.GOMAXPROCS(0), func(_, ci int) {
 		var t int64
+		lo, hi := chunk(ci, int(g.n))
 		for u := VertexID(lo); u < VertexID(hi); u++ {
 			nbrs := g.Out(u)
 			for _, v := range nbrs {
@@ -219,7 +226,9 @@ func (g *Graph) ConnectedComponents() []VertexID {
 			}
 		}
 	}
-	parallelChunks(int(g.n), func(_, lo, hi int, _ *[]VertexID) {
+	chunks := numChunks(int(g.n))
+	par.For(chunks, runtime.GOMAXPROCS(0), func(_, ci int) {
+		lo, hi := chunk(ci, int(g.n))
 		for u := VertexID(lo); u < VertexID(hi); u++ {
 			for _, v := range g.Out(u) {
 				if !g.directed && v < u {
@@ -230,7 +239,8 @@ func (g *Graph) ConnectedComponents() []VertexID {
 		}
 	})
 	labels := make([]VertexID, g.n)
-	parallelChunks(int(g.n), func(_, lo, hi int, _ *[]VertexID) {
+	par.For(chunks, runtime.GOMAXPROCS(0), func(_, ci int) {
+		lo, hi := chunk(ci, int(g.n))
 		for i := lo; i < hi; i++ {
 			labels[i] = VertexID(find(int32(i)))
 		}
@@ -246,49 +256,10 @@ const metricChunk = 2048
 
 func numChunks(n int) int { return (n + metricChunk - 1) / metricChunk }
 
-// parallelChunks processes fixed-size vertex chunks on up to
-// GOMAXPROCS workers. Each worker owns one reusable scratch slice it
-// passes to fn for neighbourhood storage.
-func parallelChunks(n int, fn func(ci, lo, hi int, buf *[]VertexID)) {
-	nChunks := numChunks(n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nChunks {
-		workers = nChunks
-	}
-	if workers <= 1 {
-		var buf []VertexID
-		for ci := 0; ci < nChunks; ci++ {
-			lo := ci * metricChunk
-			hi := lo + metricChunk
-			if hi > n {
-				hi = n
-			}
-			fn(ci, lo, hi, &buf)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []VertexID
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nChunks {
-					return
-				}
-				lo := ci * metricChunk
-				hi := lo + metricChunk
-				if hi > n {
-					hi = n
-				}
-				fn(ci, lo, hi, &buf)
-			}
-		}()
-	}
-	wg.Wait()
+// chunk returns the vertex range [lo, hi) of chunk ci of n vertices.
+func chunk(ci, n int) (lo, hi int) {
+	lo = ci * metricChunk
+	return lo, min(lo+metricChunk, n)
 }
 
 // LargestComponent returns the vertex IDs of the largest (weakly)

@@ -1,5 +1,7 @@
 package graph
 
+import "repro/internal/par"
+
 // Edge weights.
 //
 // Weighted graphs carry one uint32 weight per stored arc, aligned with
@@ -110,8 +112,9 @@ func deriveWeights(g *Graph, seed uint64, reverse bool) []uint32 {
 		offsets, adj = g.inOffsets, g.inAdj
 	}
 	w := make([]uint32, len(adj))
-	workers := buildWorkers(len(adj))
-	parallelRanges(int(g.n), workers, func(_, lo, hi int) {
+	vertexRanges := ranges(int(g.n), buildWorkers(len(adj)))
+	par.For(len(vertexRanges), len(vertexRanges), func(_, t int) {
+		lo, hi := vertexRanges[t][0], vertexRanges[t][1]
 		for vi := lo; vi < hi; vi++ {
 			v := VertexID(vi)
 			for i := offsets[v]; i < offsets[v+1]; i++ {

@@ -12,12 +12,14 @@ package mapreduce
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/partition"
 )
 
@@ -229,7 +231,7 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 			nReds = part.Shards
 		}
 	}
-	keyOwner := func(k int64) int { return int(uint64(k) % uint64(nReds)) }
+	keyOwner := func(k int64) int { return partition.HashOwner(k, nReds) }
 	if part != nil && nReds == part.Shards {
 		keyOwner = part.OwnerOf
 	}
@@ -294,7 +296,7 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 	var mu sync.Mutex
 
 	mapSpan := tr.Begin("map", obs.KindPhase, -1, jobSpan)
-	partition.ParallelFor(nMapTasks, func(m int) {
+	par.For(nMapTasks, runtime.GOMAXPROCS(0), func(_, m int) {
 		var em *Emitter[V]
 		var ops int64
 		for attempt := 0; ; attempt++ {
@@ -470,7 +472,7 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 	reduceSpan := tr.Begin("reduce", obs.KindPhase, -1, jobSpan)
 	outputs := make([]Dataset[V], nReds)
 	var redOps, maxRedOps int64
-	partition.ParallelFor(nReds, func(r int) {
+	par.For(nReds, runtime.GOMAXPROCS(0), func(_, r int) {
 		var em *Emitter[V]
 		var ops, groups int64
 		in := partition.Room(sc.spare.Get(), reduceRecs[r])

@@ -4,11 +4,14 @@
 // Partitioning they produce — owner tables, per-shard member lists,
 // mirror/master replica sets over the shared CSR — and the quality
 // statistics (cut edges, replication factor, load skew) that the
-// partitioning-strategy study reports. The engines consume a
-// Partitioning through cluster.ExecutionProfile the same way they
-// consume observability sessions and fault injectors: a nil
-// partitioning selects each engine's historical default layout, so the
-// byte-identical determinism contract is preserved.
+// partitioning-strategy study reports. It also holds the hash rule
+// (HashOwner) and the split, key-sort and spare-buffer helpers the
+// generic engines share; their tasks run through par.For, which owns
+// every parallel loop. The engines consume a Partitioning through
+// cluster.ExecutionProfile the same way they consume observability
+// sessions and fault injectors: a nil partitioning selects each
+// engine's historical default layout, so the byte-identical
+// determinism contract is preserved.
 //
 // Placement only decides *where* work runs and *what* crosses the
 // simulated network; it never changes algorithm results. Every
@@ -21,7 +24,6 @@ package partition
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"repro/internal/graph"
@@ -136,8 +138,14 @@ func (p *Partitioning) OwnerOf(key int64) int {
 	if key >= 0 && key < int64(len(p.Owner)) {
 		return int(p.Owner[key])
 	}
-	return int(uint64(key) % uint64(p.Shards))
+	return HashOwner(key, p.Shards)
 }
+
+// HashOwner is the hash placement rule: key k goes to shard k mod
+// shards. It is Giraph's default HashPartitionerFactory, and every
+// engine's layout without a partitioning. A negative key is placed by
+// its unsigned wrap.
+func HashOwner(key int64, shards int) int { return int(uint64(key) % uint64(shards)) }
 
 // ResizeFor adapts the partitioning to a graph with n vertices: the
 // placement of existing vertices is kept and new vertices (EVO's
@@ -150,7 +158,7 @@ func (p *Partitioning) ResizeFor(n int) *Partitioning {
 	owner := make([]int32, n)
 	copy(owner, p.Owner)
 	for v := len(p.Owner); v < n; v++ {
-		owner[v] = int32(v % p.Shards)
+		owner[v] = int32(HashOwner(int64(v), p.Shards))
 	}
 	if n < len(p.Owner) {
 		owner = owner[:n]
@@ -238,7 +246,7 @@ func (p *Partitioning) ownerClamped(v graph.VertexID) int32 {
 	if int(v) < len(p.Owner) {
 		return p.Owner[v]
 	}
-	return int32(int(v) % p.Shards)
+	return int32(HashOwner(int64(v), p.Shards))
 }
 
 // ReplicaCounts returns per-vertex replica counts (>= 1): 1 means the
@@ -523,32 +531,4 @@ func (p *Spare[T]) Put(s []T) {
 	p.mu.Lock()
 	p.stack = append(p.stack, s)
 	p.mu.Unlock()
-}
-
-// ParallelFor runs fn(0..n-1) on up to GOMAXPROCS goroutines and
-// returns when every call has.
-func ParallelFor(n int, fn func(int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

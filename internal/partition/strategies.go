@@ -6,15 +6,14 @@ import (
 
 // ---- hash ----------------------------------------------------------
 
-// hashOwners assigns vertex v to shard v mod k. This is exactly the
-// layout the pregel engine always used (Giraph's default
-// HashPartitionerFactory), so a hash partitioning over hw.Nodes shards
-// reproduces the historical byte stream bit for bit; the vertex-cut
-// strategies place vertex masters by it too.
+// hashOwners assigns every vertex by HashOwner. This is exactly the
+// layout the pregel engine always used, so a hash partitioning over
+// hw.Nodes shards reproduces the historical byte stream bit for bit;
+// the vertex-cut strategies place vertex masters by it too.
 func hashOwners(n, shards int) []int32 {
 	owner := make([]int32, n)
 	for v := range owner {
-		owner[v] = int32(v % shards)
+		owner[v] = int32(HashOwner(int64(v), shards))
 	}
 	return owner
 }

@@ -12,13 +12,13 @@ package pregel
 import (
 	"fmt"
 	"maps"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/partition"
 )
 
@@ -53,6 +53,10 @@ type ProgramFunc func(ctx *Context, msgs []Message)
 // Compute implements Program.
 func (f ProgramFunc) Compute(ctx *Context, msgs []Message) { f(ctx, msgs) }
 
+// messageEnvelope is the per-message framing overhead in bytes
+// (destination ID plus headers); Giraph's wire format uses ~16.
+const messageEnvelope = 16
+
 // Config configures a run.
 type Config struct {
 	// Program is the vertex computation.
@@ -65,9 +69,6 @@ type Config struct {
 	InitialValue func(v graph.VertexID) Value
 	// InitiallyActive selects the starting active set (nil = all).
 	InitiallyActive func(v graph.VertexID) bool
-	// MessageEnvelope is the per-message framing overhead in bytes
-	// (destination ID plus headers); Giraph's wire format uses ~16.
-	MessageEnvelope int64
 	// SendLimitPerNode aborts the run with ErrOutOfMemory when any
 	// worker's outgoing message buffer for one superstep exceeds this
 	// many bytes (0 = unlimited) — Giraph's crash mode when "the
@@ -246,7 +247,7 @@ func (w *worker) resetForSuperstep() {
 func (w *worker) send(dst graph.VertexID, m Message) {
 	p := w.e.partitionOf(dst)
 	w.ops += 1 + m.Size()/64 // the compute work of producing the message
-	w.rawBytes += m.Size() + w.e.cfg.MessageEnvelope
+	w.rawBytes += m.Size() + messageEnvelope
 	if comb := w.e.cfg.Combiner; comb != nil {
 		if w.combSeen[dst] == w.combEpoch {
 			i := w.combSlot[dst]
@@ -265,7 +266,7 @@ func (w *worker) send(dst graph.VertexID, m Message) {
 		w.combSlot[dst] = int32(len(w.outbox[p]))
 	}
 	w.outbox[p] = append(w.outbox[p], envelope{dst, m})
-	size := m.Size() + w.e.cfg.MessageEnvelope
+	size := m.Size() + messageEnvelope
 	w.sentMsgs++
 	w.sentBytes += size
 	if int(w.e.nodeOfPart[p]) != w.node {
@@ -302,9 +303,6 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 	}
 	if err := hw.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.MessageEnvelope == 0 {
-		cfg.MessageEnvelope = 16
 	}
 	e := &Engine{g: g, hw: hw, cfg: cfg, aggPrev: map[string]float64{}}
 	n := g.NumVertices()
@@ -448,38 +446,34 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 		}
 		ssSpan := tr.Begin("superstep", obs.KindSuperstep, int64(e.superstep), runSpan)
 
-		var wg sync.WaitGroup
-		for p := 0; p < parts; p++ {
-			wg.Add(1)
-			go func(p int, w *worker) {
-				defer wg.Done()
-				w.resetForSuperstep()
-				ctx := &w.ctx
-				for _, v := range members[p] {
-					msgs := inbox[v]
-					if !active[v] && len(msgs) == 0 {
-						continue
-					}
-					ctx.id = v
-					ctx.active = true
-					var inBytes int64
-					for _, m := range msgs {
-						inBytes += m.Size()
-					}
-					w.ops += 1 + inBytes/64
-					cfg.Program.Compute(ctx, msgs)
-					active[v] = ctx.active
-					if ctx.active {
-						w.activeAfter++
-					}
-					// Keep the consumed slice's capacity: the next
-					// barrier delivers into it.
-					inbox[v] = msgs[:0]
+		// One goroutine per partition: each owns its worker's state.
+		par.For(parts, parts, func(_, p int) {
+			w := workers[p]
+			w.resetForSuperstep()
+			ctx := &w.ctx
+			for _, v := range members[p] {
+				msgs := inbox[v]
+				if !active[v] && len(msgs) == 0 {
+					continue
 				}
-				partOps[p] = w.ops
-			}(p, workers[p])
-		}
-		wg.Wait()
+				ctx.id = v
+				ctx.active = true
+				var inBytes int64
+				for _, m := range msgs {
+					inBytes += m.Size()
+				}
+				w.ops += 1 + inBytes/64
+				cfg.Program.Compute(ctx, msgs)
+				active[v] = ctx.active
+				if ctx.active {
+					w.activeAfter++
+				}
+				// Keep the consumed slice's capacity: the next
+				// barrier delivers into it.
+				inbox[v] = msgs[:0]
+			}
+			partOps[p] = w.ops
+		})
 
 		// Barrier: merge outboxes deterministically (source partition
 		// order), apply the combiner, gather aggregators and stats.
@@ -521,44 +515,38 @@ func Run(g *graph.Graph, hw cluster.Hardware, cfg Config, profile *cluster.Execu
 		// extra barrier, so both show up as overhead without perturbing
 		// the algorithm.
 		var retransBytes, delayedBundles int64
-		var dwg sync.WaitGroup
-		for dp := 0; dp < parts; dp++ {
-			dwg.Add(1)
-			go func(dp int) {
-				defer dwg.Done()
-				var bytes int64
-				for sp := 0; sp < parts; sp++ {
-					bundle := workers[sp].outbox[dp]
-					if inj != nil && len(bundle) > 0 {
-						site := fault.Site{Engine: "pregel", Op: "deliver", Step: e.superstep, Task: sp*parts + dp}
-						if inj.DropAt(site) {
-							var bb int64
-							for _, env := range bundle {
-								bb += env.msg.Size() + cfg.MessageEnvelope
-							}
-							atomic.AddInt64(&retransBytes, bb)
+		par.For(parts, parts, func(_, dp int) {
+			var bytes int64
+			for sp := 0; sp < parts; sp++ {
+				bundle := workers[sp].outbox[dp]
+				if inj != nil && len(bundle) > 0 {
+					site := fault.Site{Engine: "pregel", Op: "deliver", Step: e.superstep, Task: sp*parts + dp}
+					if inj.DropAt(site) {
+						var bb int64
+						for _, env := range bundle {
+							bb += env.msg.Size() + messageEnvelope
 						}
-						if inj.DelayAt(site) {
-							atomic.AddInt64(&delayedBundles, 1)
-						}
+						atomic.AddInt64(&retransBytes, bb)
 					}
-					for _, env := range bundle {
-						if box := inbox[env.dst]; cfg.Combiner != nil && len(box) == 1 {
-							box[0] = cfg.Combiner.Combine(box[0], env.msg)
-						} else {
-							inbox[env.dst] = append(box, env.msg)
-						}
+					if inj.DelayAt(site) {
+						atomic.AddInt64(&delayedBundles, 1)
 					}
 				}
-				for _, v := range members[dp] {
-					for _, m := range inbox[v] {
-						bytes += m.Size() + cfg.MessageEnvelope
+				for _, env := range bundle {
+					if box := inbox[env.dst]; cfg.Combiner != nil && len(box) == 1 {
+						box[0] = cfg.Combiner.Combine(box[0], env.msg)
+					} else {
+						inbox[env.dst] = append(box, env.msg)
 					}
 				}
-				inboxBytesPer[dp] = bytes
-			}(dp)
-		}
-		dwg.Wait()
+			}
+			for _, v := range members[dp] {
+				for _, m := range inbox[v] {
+					bytes += m.Size() + messageEnvelope
+				}
+			}
+			inboxBytesPer[dp] = bytes
+		})
 		if retransBytes > 0 || delayedBundles > 0 {
 			cRedelivered.Add(retransBytes)
 			if profile != nil {

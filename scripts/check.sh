@@ -102,6 +102,9 @@ go test -race -short \
     ./internal/graph/... \
     ./internal/obs/...
 
+echo "== fork-join primitive (-race, GOMAXPROCS 1, 2 and 4)"
+go test -race -cpu 1,2,4 ./internal/par/
+
 echo "== oracle table, short rows (-race)"
 go test -race -short -run '^Test(Oracle|Cross|SSSPEquivalence)' .
 
