@@ -99,9 +99,13 @@ const unreachedW = math.MaxInt64
 // SSSPDeltaStep runs delta-stepping SSSP over a weighted graph:
 // vertices are bucketed by distance/Delta, buckets are drained in
 // order, and each drain relaxes the bucket's out-arcs in parallel with
-// atomic distance minimisation. Distances are exact shortest paths —
-// integer weights make every engine's result byte-identical to this
-// kernel's. Panics if g is unweighted.
+// atomic distance minimisation. Each phase relaxes from the distances
+// its frontier held when the phase began; a frontier vertex lowered
+// mid-phase is queued again and relaxes from its new distance in a
+// later phase. So Iterations, like the distances, depends on the input
+// alone, never on the order the chunks of a phase run. Distances are
+// exact shortest paths — integer weights make every engine's result
+// byte-identical to this kernel's. Panics if g is unweighted.
 func SSSPDeltaStep(g *graph.Graph, src graph.VertexID, opt GapOptions) *SSSPResult {
 	if !g.Weighted() {
 		panic("algo: SSSPDeltaStep on unweighted graph (use graph.WithWeights)")
@@ -122,6 +126,13 @@ func SSSPDeltaStep(g *graph.Graph, src graph.VertexID, opt GapOptions) *SSSPResu
 	buckets := map[int64][]graph.VertexID{0: {src}}
 	maxBucket := int64(0)
 	inPhase := graph.NewBitset(n)
+	// frontier holds a phase's vertices with their distances at the
+	// phase's start, the distances they relax from.
+	type relaxFrom struct {
+		v graph.VertexID
+		d int64
+	}
+	var frontier []relaxFrom
 
 	for b := int64(0); b <= maxBucket; b++ {
 		for len(buckets[b]) > 0 {
@@ -130,16 +141,16 @@ func SSSPDeltaStep(g *graph.Graph, src graph.VertexID, opt GapOptions) *SSSPResu
 
 			// Deduplicate and drop stale entries (vertices relaxed into
 			// an earlier bucket since they were queued).
-			frontier := raw[:0]
+			frontier = frontier[:0]
 			for _, v := range raw {
 				if dist[v]/delta != b || inPhase.Get(v) {
 					continue
 				}
 				inPhase.Set(v)
-				frontier = append(frontier, v)
+				frontier = append(frontier, relaxFrom{v, dist[v]})
 			}
-			for _, v := range frontier {
-				inPhase.Unset(v)
+			for _, f := range frontier {
+				inPhase.Unset(f.v)
 			}
 			if len(frontier) == 0 {
 				continue
@@ -151,10 +162,9 @@ func SSSPDeltaStep(g *graph.Graph, src graph.VertexID, opt GapOptions) *SSSPResu
 			par.For(len(chunks), workers, func(_, t int) {
 				var local []graph.VertexID
 				for _, u := range chunks[t] {
-					du := atomic.LoadInt64(&dist[u])
-					out, ws := g.Out(u), g.OutWeights(u)
+					out, ws := g.Out(u.v), g.OutWeights(u.v)
 					for i, v := range out {
-						cand := du + int64(ws[i])
+						cand := u.d + int64(ws[i])
 						for {
 							old := atomic.LoadInt64(&dist[v])
 							if old <= cand {

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -130,6 +131,63 @@ func TestSSSPDeltaStepWorkerDeterminism(t *testing.T) {
 		if got.Iterations != base.Iterations || got.Visited != base.Visited {
 			t.Fatalf("workers=%d: counters differ (%d,%d) vs (%d,%d)",
 				workers, got.Visited, got.Iterations, base.Visited, base.Iterations)
+		}
+	}
+}
+
+// phaseSyncDeltaSteps counts the phases of delta-stepping from src when
+// every phase relaxes its frontier from the distances at the phase's
+// start: the frontier is every vertex lowered since it last relaxed
+// whose distance lies in the lowest such bucket.
+func phaseSyncDeltaSteps(g *graph.Graph, src graph.VertexID, delta int64) int {
+	n := g.NumVertices()
+	dist := make([]int64, n)
+	for i := range dist {
+		dist[i] = math.MaxInt64
+	}
+	dist[src] = 0
+	pending := map[graph.VertexID]bool{src: true}
+	phases := 0
+	for len(pending) > 0 {
+		b := int64(math.MaxInt64)
+		for v := range pending {
+			b = min(b, dist[v]/delta)
+		}
+		start := map[graph.VertexID]int64{}
+		for v := range pending {
+			if dist[v]/delta == b {
+				start[v] = dist[v]
+				delete(pending, v)
+			}
+		}
+		phases++
+		for u, du := range start {
+			for i, v := range g.Out(u) {
+				if cand := du + int64(g.OutWeights(u)[i]); cand < dist[v] {
+					dist[v] = cand
+					pending[v] = true
+				}
+			}
+		}
+	}
+	return phases
+}
+
+// TestSSSPDeltaStepPhaseCount pins Iterations to the phase-synchronous
+// count for every worker count: a phase that read distances lowered by
+// another chunk of the same phase would run a different number of
+// phases depending on which chunk ran first.
+func TestSSSPDeltaStepPhaseCount(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g := graph.WithWeights(gapGraph(t, 2500, 20000, directed, 5), 9)
+		src := PickSource(g, 5)
+		for _, delta := range []int64{0, 1, 300} {
+			want := phaseSyncDeltaSteps(g, src, GapOptions{Delta: delta}.delta())
+			for workers := 1; workers <= 8; workers++ {
+				if got := SSSPDeltaStep(g, src, GapOptions{Workers: workers, Delta: delta}).Iterations; got != want {
+					t.Fatalf("directed=%v delta=%d workers=%d: %d phases, want %d", directed, delta, workers, got, want)
+				}
+			}
 		}
 	}
 }
