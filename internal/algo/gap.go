@@ -200,83 +200,3 @@ func SSSPDeltaStep(g *graph.Graph, src graph.VertexID, opt GapOptions) *SSSPResu
 	}
 	return r
 }
-
-// PageRankResult is PageRank output.
-type PageRankResult struct {
-	Ranks      []float64
-	Iterations int
-}
-
-// prDanglingChunk is the fixed reduction-chunk size for dangling mass:
-// partial sums are computed per chunk and reduced in chunk order, so
-// the floating-point result is independent of the worker count.
-const prDanglingChunk = 2048
-
-// PageRankPull runs pull-mode PageRank for a fixed number of
-// iterations: every vertex gathers rank/degree contributions over its
-// in-arcs (no scatter contention, sequential reads of the in-CSR), and
-// dangling mass is folded in through a fixed-chunk deterministic
-// reduction. damping 0 selects 0.85; iterations 0 selects 20.
-func PageRankPull(g *graph.Graph, iterations int, damping float64, opt GapOptions) *PageRankResult {
-	n := g.NumVertices()
-	if iterations <= 0 {
-		iterations = 20
-	}
-	if damping <= 0 {
-		damping = 0.85
-	}
-	r := &PageRankResult{Ranks: make([]float64, n), Iterations: iterations}
-	if n == 0 {
-		return r
-	}
-	workers := opt.workers()
-	ranks := r.Ranks
-	for i := range ranks {
-		ranks[i] = 1 / float64(n)
-	}
-	contrib := make([]float64, n)
-	newRanks := make([]float64, n)
-	base := (1 - damping) / float64(n)
-
-	nChunks := (n + prDanglingChunk - 1) / prDanglingChunk
-	partials := make([]float64, nChunks)
-
-	vertexRanges := alignedRanges(n, workers*4)
-	for it := 0; it < iterations; it++ {
-		// Contributions and per-chunk dangling partials.
-		par.For(nChunks, workers, func(_, c int) {
-			lo := c * prDanglingChunk
-			hi := min(lo+prDanglingChunk, n)
-			var dangling float64
-			for vi := lo; vi < hi; vi++ {
-				v := graph.VertexID(vi)
-				if d := g.OutDegree(v); d > 0 {
-					contrib[vi] = ranks[vi] / float64(d)
-				} else {
-					contrib[vi] = 0
-					dangling += ranks[vi]
-				}
-			}
-			partials[c] = dangling
-		})
-		var dangling float64
-		for _, p := range partials {
-			dangling += p
-		}
-		share := base + damping*dangling/float64(n)
-
-		// Pull phase: strictly in-order accumulation per vertex.
-		par.For(len(vertexRanges), workers, func(_, t int) {
-			for vi := vertexRanges[t][0]; vi < vertexRanges[t][1]; vi++ {
-				sum := 0.0
-				for _, u := range g.In(graph.VertexID(vi)) {
-					sum += contrib[u]
-				}
-				newRanks[vi] = share + damping*sum
-			}
-		})
-		ranks, newRanks = newRanks, ranks
-	}
-	copy(r.Ranks, ranks)
-	return r
-}

@@ -192,33 +192,6 @@ func TestSSSPDeltaStepPhaseCount(t *testing.T) {
 	}
 }
 
-func TestPageRankPullDeterministicAndStochastic(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		g := gapGraph(t, 1500, 9000, directed, 13)
-		want := RefPageRank(g, 20, 0.85)
-		for _, workers := range []int{1, 2, 4, 8} {
-			got := PageRankPull(g, 20, 0.85, GapOptions{Workers: workers})
-			for v := range got.Ranks {
-				if got.Ranks[v] != want.Ranks[v] {
-					t.Fatalf("directed=%v workers=%d: rank[%d] = %v, want exactly %v",
-						directed, workers, v, got.Ranks[v], want.Ranks[v])
-				}
-			}
-		}
-		// Ranks form a distribution.
-		sum := 0.0
-		for _, r := range want.Ranks {
-			if r <= 0 {
-				t.Fatalf("non-positive rank %v", r)
-			}
-			sum += r
-		}
-		if sum < 0.999999 || sum > 1.000001 {
-			t.Fatalf("ranks sum to %v, want 1", sum)
-		}
-	}
-}
-
 func TestValidateBFSTreeRejectsCorruption(t *testing.T) {
 	g := gapGraph(t, 200, 800, false, 2)
 	src := PickSource(g, 2)

@@ -342,58 +342,6 @@ func RefSSSP(g *graph.Graph, src graph.VertexID) SSSPResult {
 	return r
 }
 
-// RefPageRank runs sequential pull-mode PageRank with exactly the
-// accumulation order PageRankPull fixes (per-vertex in-order gather,
-// fixed-chunk dangling reduction), so the parallel kernel must match
-// it bit for bit at any worker count.
-func RefPageRank(g *graph.Graph, iterations int, damping float64) PageRankResult {
-	if iterations <= 0 {
-		iterations = 20
-	}
-	if damping <= 0 {
-		damping = 0.85
-	}
-	n := g.NumVertices()
-	r := PageRankResult{Ranks: make([]float64, n), Iterations: iterations}
-	if n == 0 {
-		return r
-	}
-	ranks := r.Ranks
-	for i := range ranks {
-		ranks[i] = 1 / float64(n)
-	}
-	contrib := make([]float64, n)
-	newRanks := make([]float64, n)
-	base := (1 - damping) / float64(n)
-	for it := 0; it < iterations; it++ {
-		var dangling float64
-		for lo := 0; lo < n; lo += prDanglingChunk {
-			hi := min(lo+prDanglingChunk, n)
-			var part float64
-			for vi := lo; vi < hi; vi++ {
-				if d := g.OutDegree(graph.VertexID(vi)); d > 0 {
-					contrib[vi] = ranks[vi] / float64(d)
-				} else {
-					contrib[vi] = 0
-					part += ranks[vi]
-				}
-			}
-			dangling += part
-		}
-		share := base + damping*dangling/float64(n)
-		for vi := 0; vi < n; vi++ {
-			sum := 0.0
-			for _, u := range g.In(graph.VertexID(vi)) {
-				sum += contrib[u]
-			}
-			newRanks[vi] = share + damping*sum
-		}
-		ranks, newRanks = newRanks, ranks
-	}
-	copy(r.Ranks, ranks)
-	return r
-}
-
 // ValidateBFSTree checks a parent-array BFS certificate in O(V + E)
 // without re-running any traversal — the check the kernel tests use
 // instead of recomputing a reference BFS per call site. The levels and

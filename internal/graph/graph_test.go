@@ -165,32 +165,12 @@ func TestLCCTriangle(t *testing.T) {
 	if got := g.AvgLCC(); got != 1.0 {
 		t.Fatalf("AvgLCC = %v, want 1.0", got)
 	}
-	if got := g.Triangles(); got != 1 {
-		t.Fatalf("Triangles = %d, want 1", got)
-	}
 }
 
 func TestLCCPath(t *testing.T) {
 	g := buildPath(4, false)
 	if got := g.AvgLCC(); got != 0 {
 		t.Fatalf("path AvgLCC = %v, want 0", got)
-	}
-	if got := g.Triangles(); got != 0 {
-		t.Fatalf("path Triangles = %d, want 0", got)
-	}
-}
-
-func TestTrianglesCount(t *testing.T) {
-	// Two triangles sharing an edge: 0-1-2 and 1-2-3.
-	b := NewBuilder(4, false)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(0, 2)
-	b.AddEdge(1, 3)
-	b.AddEdge(2, 3)
-	g := b.Build()
-	if got := g.Triangles(); got != 2 {
-		t.Fatalf("Triangles = %d, want 2", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"runtime"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/par"
@@ -112,40 +111,6 @@ func countIntersect(a, b []VertexID) int {
 		}
 	}
 	return n
-}
-
-// Triangles returns the total number of triangles in an undirected
-// graph, counting in parallel over fixed-size vertex chunks. Panics on
-// directed graphs.
-func (g *Graph) Triangles() int64 {
-	if g.directed {
-		panic("graph: Triangles requires an undirected graph")
-	}
-	sums := make([]int64, numChunks(int(g.n)))
-	par.For(len(sums), runtime.GOMAXPROCS(0), func(_, ci int) {
-		var t int64
-		lo, hi := chunk(ci, int(g.n))
-		for u := VertexID(lo); u < VertexID(hi); u++ {
-			nbrs := g.Out(u)
-			for _, v := range nbrs {
-				if v <= u {
-					continue
-				}
-				// Count common neighbours w with w > v to count each
-				// triangle exactly once.
-				vn := g.Out(v)
-				i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] > v })
-				j := sort.Search(len(vn), func(i int) bool { return vn[i] > v })
-				t += int64(countIntersect(nbrs[i:], vn[j:]))
-			}
-		}
-		sums[ci] = t
-	})
-	var total int64
-	for _, s := range sums {
-		total += s
-	}
-	return total
 }
 
 // ConnectedComponents assigns each vertex a component label (the

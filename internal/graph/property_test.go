@@ -19,7 +19,22 @@ func TestQuickTrianglesMatchLCCLinks(t *testing.T) {
 				links += int64(countIntersect(g.Out(u), nbrs))
 			}
 		}
-		return links == 6*g.Triangles()
+		// An independent count: every vertex triple u < v < w whose
+		// three pairs are all edges.
+		var triangles int64
+		for u := VertexID(0); u < VertexID(n); u++ {
+			for v := u + 1; v < VertexID(n); v++ {
+				if !g.HasEdge(u, v) {
+					continue
+				}
+				for w := v + 1; w < VertexID(n); w++ {
+					if g.HasEdge(u, w) && g.HasEdge(v, w) {
+						triangles++
+					}
+				}
+			}
+		}
+		return links == 6*triangles
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

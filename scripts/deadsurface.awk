@@ -15,6 +15,18 @@ function key(file, name,    dir) {
     gsub(/\*/, "", name)
     return dir "." name
 }
+# recvtype returns the receiver type of a method declaration line,
+# without pointer or type parameters: "func (c *Context[V, M]) ID()"
+# gives "Context".
+function recvtype(line,    recv) {
+    recv = line
+    sub(/^func \(/, "", recv)
+    sub(/\).*/, "", recv)
+    sub(/^[A-Za-z0-9_]+ /, "", recv)
+    gsub(/\*/, "", recv)
+    sub(/\[.*/, "", recv)
+    return recv
+}
 # fileof strips ":<line>:" from a coverage line's first field.
 function fileof(field) {
     sub(/:[0-9]+:$/, "", field)
@@ -68,6 +80,9 @@ BEGIN {
             lineno++
             if (line ~ /^[ \t]*\/\//) continue
             sub(/ \/\/.*$/, "", line)
+            # covdata names a method of a generic type without its
+            # type; remember every method's receiver by file:line.
+            if (line ~ /^func \(/) recvat["repro/" file ":" lineno ":"] = recvtype(line)
             if (line ~ /^package /) { split(line, f, " "); pkg = f[2] }
             if (line ~ /^(const|var) \($/) block = "value"
             else if (line ~ /^type [A-Za-z0-9_]+ interface \{$/) block = "iface"
@@ -82,9 +97,7 @@ BEGIN {
                     name = line; sub(/^func /, "", name); sub(/[\[(].*/, "", name); declare(dir, pkg, name, "func", where)
                 } else if (line ~ /^func \([^)]*\) [A-Z][A-Za-z0-9_]*[\[(]/) {
                     name = line; sub(/^func \([^)]*\) /, "", name); sub(/[\[(].*/, "", name)
-                    recv = line; sub(/^func \(/, "", recv); sub(/\).*/, "", recv)
-                    n = split(recv, f, " "); recv = f[n]; gsub(/\*/, "", recv); sub(/\[.*/, "", recv)
-                    declare(dir, pkg, recv "." name, "method", where)
+                    declare(dir, pkg, recvtype(line) "." name, "method", where)
                 } else if (line ~ /^(type|const|var) [A-Z][A-Za-z0-9_]*[ \[]/) {
                     split(line, f, /[ \[]/); declare(dir, pkg, f[2], f[1], where)
                 }
@@ -107,6 +120,7 @@ BEGIN {
     }
 }
 {
+    if ($2 !~ /\./ && ($1 in recvat)) $2 = recvat[$1] "." $2
     k = key($1, $2)
     dkey[NR] = k; pct[k] = $3
     file = fileof($1)
