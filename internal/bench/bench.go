@@ -300,3 +300,15 @@ func PlatformNames() []string {
 	}
 	return names
 }
+
+// distributedNames lists the Table 4 platforms that run on a cluster,
+// in Table 4 order.
+func distributedNames() []string {
+	var names []string
+	for _, p := range platform.All() {
+		if !platform.TraitsOf(p).Single {
+			names = append(names, p.Name())
+		}
+	}
+	return names
+}

@@ -34,7 +34,7 @@ func (h *Harness) Figure1() Table {
 // Figure2 reproduces the paper's Figure 2: the EPS and VPS throughput
 // of BFS for the distributed platforms.
 func (h *Harness) Figure2() (eps, vps Table) {
-	names := []string{"Hadoop", "YARN", "Stratosphere", "Giraph", "GraphLab"}
+	names := distributedNames()
 	eps = Table{
 		Title:  "Figure 2 (left): Edges per second of BFS",
 		Header: append([]string{"Dataset"}, names...),
@@ -132,7 +132,7 @@ func (h *Harness) Figures5to7() Table {
 		Header: []string{"Platform", "CPU mean [%]", "CPU max [%]",
 			"Mem mean [GB]", "Net mean [Mbit/s]", "Net max [Mbit/s]"},
 	}
-	for _, p := range []string{"Hadoop", "YARN", "Stratosphere", "Giraph", "GraphLab"} {
+	for _, p := range distributedNames() {
 		tr := h.Curves(p)
 		t.Rows = append(t.Rows, []string{
 			p,
@@ -156,7 +156,7 @@ func (h *Harness) Figures8to10() Table {
 		Header: []string{"Platform", "CPU mean [%]", "Mem mean [GB]", "Mem max [GB]",
 			"Net mean [Mbit/s]", "Net max [Mbit/s]"},
 	}
-	for _, p := range []string{"Hadoop", "YARN", "Stratosphere", "Giraph", "GraphLab"} {
+	for _, p := range distributedNames() {
 		tr := h.Curves(p)
 		t.Rows = append(t.Rows, []string{
 			p,

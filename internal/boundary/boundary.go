@@ -6,6 +6,13 @@
 // execution time and a prediction of whether the run is feasible at
 // all (the crash matrix).
 //
+// Everything the model knows of a platform it reads from the platform's
+// row: the cost model, the timeout and the traits (platform.TraitsOf:
+// jobs per iteration, materialisation, CD vote costs, one machine or
+// many, and how memory runs out). Node memory demand is the cost
+// model's own rule, cluster.CostModel.Demand, the one the engines'
+// runs are checked by.
+//
 // The model deliberately over-approximates: it assumes every vertex is
 // active in every iteration (no dynamic-computation savings), full
 // per-iteration materialisation for the job-per-iteration platforms,
@@ -14,8 +21,6 @@
 package boundary
 
 import (
-	"strings"
-
 	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/graph"
@@ -103,7 +108,7 @@ func iterationBound(alg string, prof datagen.Profile) int {
 }
 
 // msgBound bounds the per-iteration message bytes.
-func msgBound(platformName, alg string, in Inputs) int64 {
+func msgBound(t platform.Traits, alg string, in Inputs) int64 {
 	const labelBytes = 30 // message + envelope
 	switch alg {
 	case platform.STATS:
@@ -115,14 +120,9 @@ func msgBound(platformName, alg string, in Inputs) int64 {
 		// headroom for deep burns).
 		return in.V/100*64 + 4096
 	case platform.CD:
-		b := 2 * in.AdjSize * labelBytes
-		if strings.HasPrefix(platformName, "GraphLab") {
-			// GraphLab also synchronises the per-vertex vote
-			// accumulators to the mirrors (14 bytes per vote, at most
-			// one replica per neighbour).
-			b += 14 * in.SumDeg2
-		}
-		return b
+		// Vote mirroring synchronises each vertex's vote accumulator
+		// to at most one replica per neighbour.
+		return 2*in.AdjSize*labelBytes + t.VoteMirrorBytes*in.SumDeg2
 	default:
 		// Every edge carries a message both ways, worst case.
 		return 2 * in.AdjSize * labelBytes
@@ -130,18 +130,14 @@ func msgBound(platformName, alg string, in Inputs) int64 {
 }
 
 // opsBound bounds the per-iteration record operations.
-func opsBound(platformName, alg string, in Inputs) int64 {
+func opsBound(t platform.Traits, alg string, in Inputs) int64 {
 	base := in.V + 2*in.AdjSize
 	switch alg {
 	case platform.STATS:
 		// Quadratic intersections dominate.
 		return base + 4*in.SumDeg2
 	case platform.CD:
-		if platformName == "Neo4j" {
-			// The embedded database pays ~60 record operations per vote
-			// (transactional property reads, chooser updates).
-			return base + 60*in.SumDeg
-		}
+		return base + t.VoteOps*in.SumDeg
 	}
 	return base
 }
@@ -153,12 +149,13 @@ func PredictFor(platformName, alg string, prof datagen.Profile, in Inputs, hw cl
 	if err != nil {
 		return Estimate{}, err
 	}
-	return predict(p.Costs(), platform.TimeoutOf(p), platformName, alg, in, hw, iterationBound(alg, prof)), nil
+	return predict(p, alg, in, hw, iterationBound(alg, prof)), nil
 }
 
-func predict(cm cluster.CostModel, timeout float64, platformName, alg string, in Inputs, hw cluster.Hardware, iters int) Estimate {
-	est := Estimate{Iterations: iters, MsgBytes: msgBound(platformName, alg, in)}
-	if platformName == "Neo4j" {
+func predict(p platform.Platform, alg string, in Inputs, hw cluster.Hardware, iters int) Estimate {
+	cm, t := p.Costs(), platform.TraitsOf(p)
+	est := Estimate{Iterations: iters, MsgBytes: msgBound(t, alg, in)}
+	if t.Single {
 		// Embedded traversals are single-threaded.
 		hw.Nodes, hw.CoresPerNode = 1, 1
 	}
@@ -166,7 +163,7 @@ func predict(cm cluster.CostModel, timeout float64, platformName, alg string, in
 	// Build the worst-case profile and price it with the platform's
 	// own cost model.
 	profile := &cluster.ExecutionProfile{}
-	perIterOps := opsBound(platformName, alg, in)
+	perIterOps := opsBound(t, alg, in)
 	skew := int64(1)
 	if in.V > 0 {
 		// The busiest worker holds the hottest vertex plus its fair
@@ -181,18 +178,11 @@ func predict(cm cluster.CostModel, timeout float64, platformName, alg string, in
 		maxPart = perIterOps
 	}
 
-	jobsPerIter, materialise := 0, false
-	barriers := 0
-	switch platformName {
-	case "Hadoop", "YARN":
-		jobsPerIter, materialise = 1, true
-		if alg == platform.EVO {
-			jobsPerIter = 2
-		}
-	case "Stratosphere":
-		jobsPerIter = 1
-	default:
-		barriers = 1
+	jobsPerIter := t.JobsPerIter
+	if t.Materialises && alg == platform.EVO {
+		// The driver recounts the materialised graph in a second job
+		// each iteration.
+		jobsPerIter *= 2
 	}
 
 	profile.AddPhase(cluster.Phase{
@@ -210,13 +200,14 @@ func predict(cm cluster.CostModel, timeout float64, platformName, alg string, in
 		ph := cluster.Phase{
 			Name: "iter", Kind: cluster.PhaseCompute,
 			Ops: perIterOps, MaxPartOps: maxPart,
-			Net: est.MsgBytes, Barriers: barriers,
+			Net: est.MsgBytes,
 		}
 		if jobsPerIter > 0 {
-			ph.Jobs = jobsPerIter
-			ph.Tasks = 2 * hw.Workers()
+			ph.Jobs, ph.Tasks = jobsPerIter, 2*hw.Workers()
+		} else {
+			ph.Barriers = 1
 		}
-		if materialise {
+		if t.Materialises {
 			ph.DiskRead = in.DiskBytes
 			ph.DiskWrite = in.DiskBytes
 		}
@@ -242,15 +233,9 @@ func predict(cm cluster.CostModel, timeout float64, platformName, alg string, in
 	}
 	perNodeMsg := (est.MsgBytes/int64(hw.Nodes) + hotVertex) * in.Projection
 	perNodeGraph := in.AdjSize * 8 / int64(hw.Nodes) * in.Projection
-	demand := int64(cm.GCFactor * (float64(cm.MemBase) +
-		cm.GraphMemFactor*float64(perNodeGraph) +
-		cm.MemPerMsgByte*float64(perNodeMsg)))
-	if platformName == "Stratosphere" || platformName == "Neo4j" {
-		// These platforms degrade (spill / thrash) instead of crashing.
-		demand = 0
-	}
-	est.Crash = demand > hw.MemPerNode
+	est.Crash = t.Memory != platform.Spills &&
+		cm.Demand(float64(perNodeGraph), float64(perNodeMsg)) > hw.MemPerNode
 
-	est.Timeout = !est.Crash && est.Seconds > timeout
+	est.Timeout = !est.Crash && est.Seconds > platform.TimeoutOf(p)
 	return est
 }

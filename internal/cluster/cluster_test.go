@@ -68,6 +68,35 @@ func TestCheckMemory(t *testing.T) {
 	}
 }
 
+func TestMsgBudgetInvertsDemand(t *testing.T) {
+	// For every preset and graph sizes from zero past a full node: a
+	// node holding its graph and its whole message budget is exactly
+	// full, and the budget runs out exactly where the graph alone
+	// fills the node.
+	mem := DAS4(1, 1).MemPerNode
+	for _, c := range []CostModel{HadoopCosts(), YARNCosts(), StratosphereCosts(), GiraphCosts(), GraphLabCosts(), Neo4jCosts()} {
+		var fits, full int
+		for g := 0.0; g < 2*float64(mem); g = 1.5*g + 1 {
+			budget := c.MsgBudget(g, mem)
+			if alone := c.Demand(g, 0) >= mem; alone != (budget <= 0) {
+				t.Fatalf("%s graph %.0f: budget %.0f, but graph alone needs %d of %d",
+					c.Name, g, budget, c.Demand(g, 0), mem)
+			}
+			if budget <= 0 {
+				full++
+				continue
+			}
+			fits++
+			if d := c.Demand(g, budget); d < mem-1 || d > mem+1 {
+				t.Fatalf("%s graph %.0f: Demand(graph, MsgBudget) = %d, want %d ± 1", c.Name, g, d, mem)
+			}
+		}
+		if fits == 0 || full == 0 {
+			t.Fatalf("%s: %d sizes fit and %d fill the node, want both", c.Name, fits, full)
+		}
+	}
+}
+
 func TestPhaseKindString(t *testing.T) {
 	if PhaseCompute.String() != "compute" || PhaseIngest.String() != "ingest" {
 		t.Fatal("PhaseKind names wrong")

@@ -129,6 +129,24 @@ func Neo4jCosts() CostModel {
 	}
 }
 
+// Demand is the memory a node needs, in bytes, to hold graphBytes of
+// graph or job data and msgBytes of messages:
+// GCFactor·(MemBase + GraphMemFactor·graph + MemPerMsgByte·msg). It is
+// the one rule behind every memory check. Hadoop and YARN once left
+// MemBase outside the GC factor; both have GCFactor 1.0, and
+// multiplying by 1.0 is exact, so that form and this one agree bit for
+// bit.
+func (c CostModel) Demand(graphBytes, msgBytes float64) int64 {
+	return int64(c.GCFactor * (float64(c.MemBase) + c.GraphMemFactor*graphBytes + c.MemPerMsgByte*msgBytes))
+}
+
+// MsgBudget inverts Demand: the message bytes a node of mem bytes holds
+// beside graphBytes of data. It is zero or less when the data alone
+// fills the node.
+func (c CostModel) MsgBudget(graphBytes float64, mem int64) float64 {
+	return (float64(mem)/c.GCFactor - float64(c.MemBase) - c.GraphMemFactor*graphBytes) / c.MemPerMsgByte
+}
+
 // PhaseTime is the simulated duration of one profile phase.
 type PhaseTime struct {
 	Name    string

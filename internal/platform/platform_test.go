@@ -102,6 +102,26 @@ func TestSignatures(t *testing.T) {
 	}
 }
 
+// TestTraits: every platform says how it meets its memory limit, only
+// a platform that launches jobs materialises between them, and the
+// multi-part loader leaves GraphLab's traits unchanged.
+func TestTraits(t *testing.T) {
+	for _, p := range rows {
+		tr := TraitsOf(p)
+		if tr.Memory != AbortsInRun && tr.Memory != CheckedAfterRun && tr.Memory != Spills {
+			t.Errorf("%s: memory rule %d", p.name, tr.Memory)
+		}
+		if tr.Materialises && tr.JobsPerIter == 0 {
+			t.Errorf("%s: materialises but launches no jobs", p.name)
+		}
+	}
+	gl, _ := ByName("GraphLab")
+	mp, _ := ByName("GraphLab(mp)")
+	if TraitsOf(mp) != TraitsOf(gl) {
+		t.Fatalf("GraphLab(mp) traits %+v, GraphLab's %+v", TraitsOf(mp), TraitsOf(gl))
+	}
+}
+
 func TestUnknownAlgorithm(t *testing.T) {
 	for _, name := range pinnedPlatforms {
 		r := runOne(t, name, "PageRank", "Amazon", cluster.DAS4(4, 1))
