@@ -183,9 +183,9 @@ type ExecutionProfile struct {
 
 	Phases []Phase
 
-	// PeakMemPerNode is the maximum simultaneous memory demand on any
-	// single computing node (graph partition + message queues +
-	// runtime base).
+	// PeakMemPerNode is the most data any single computing node held
+	// at once, in raw bytes at the run's scale; CostModel.Demand turns
+	// it into the runtime's memory demand.
 	PeakMemPerNode int64
 
 	// Iterations is the number of algorithm iterations executed.
