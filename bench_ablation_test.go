@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/datagen"
+	"repro/internal/fault"
 	"repro/internal/gasalgo"
 	"repro/internal/graph"
 	"repro/internal/graphdb"
@@ -335,11 +336,9 @@ func BenchmarkAblationGiraphCheckpointing(b *testing.B) {
 		b.Run(fmt.Sprintf("every=%d", every), func(b *testing.B) {
 			var secs float64
 			for i := 0; i < b.N; i++ {
-				profile := &cluster.ExecutionProfile{}
+				profile := &cluster.ExecutionProfile{Fault: fault.New(fault.Plan{CheckpointEvery: every}, nil)}
 				src := algo.PickSource(g, 42)
-				cfg := pregelBFSConfig(src)
-				cfg.CheckpointEvery = every
-				if _, err := pregel.Run(g, hw, cfg, profile); err != nil {
+				if _, err := pregel.Run(g, hw, pregelBFSConfig(src), profile); err != nil {
 					b.Fatal(err)
 				}
 				secs = cluster.GiraphCosts().Time(profile, hw).Total

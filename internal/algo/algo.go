@@ -186,24 +186,19 @@ func (r *Rand01) Geometric(mean float64) int {
 
 // ---- CD update rule (shared by the reference and every platform) ---
 
-// LabelScore is one neighbour's vote in community detection.
-type LabelScore struct {
-	Label graph.VertexID
-	Score float64
-}
-
 // ChooseLabel applies Leung et al.'s update rule to a vertex's
 // received votes: pick the label with the greatest total score (ties
 // to the smaller label), with the adopted score being the best
 // sender's score minus the hop attenuation. ok is false when there are
-// no votes.
-func ChooseLabel(votes []LabelScore, attenuation float64) (label graph.VertexID, score float64, ok bool) {
+// no votes. It sorts votes in place, so a caller may pass the messages
+// it received.
+func ChooseLabel(votes []LabelMsg, attenuation float64) (label graph.VertexID, score float64, ok bool) {
 	if len(votes) == 0 {
 		return 0, 0, false
 	}
 	// Sort votes so floating-point accumulation order — and therefore
 	// the result — is identical regardless of message delivery order.
-	slices.SortFunc(votes, func(a, b LabelScore) int {
+	slices.SortFunc(votes, func(a, b LabelMsg) int {
 		if c := cmp.Compare(a.Label, b.Label); c != 0 {
 			return c
 		}

@@ -91,7 +91,7 @@ func TestRefConnDirectedWeak(t *testing.T) {
 }
 
 func TestChooseLabel(t *testing.T) {
-	votes := []LabelScore{{1, 0.5}, {2, 0.8}, {1, 0.6}}
+	votes := []LabelMsg{{1, 0.5}, {2, 0.8}, {1, 0.6}}
 	l, s, ok := ChooseLabel(votes, 0.1)
 	if !ok || l != 1 {
 		t.Fatalf("label = %d (sum 1.1 beats 0.8)", l)
@@ -101,7 +101,7 @@ func TestChooseLabel(t *testing.T) {
 	}
 
 	// Tie: smaller label wins.
-	l, _, _ = ChooseLabel([]LabelScore{{5, 1.0}, {3, 1.0}}, 0)
+	l, _, _ = ChooseLabel([]LabelMsg{{5, 1.0}, {3, 1.0}}, 0)
 	if l != 3 {
 		t.Fatalf("tie label = %d, want 3", l)
 	}
@@ -112,17 +112,17 @@ func TestChooseLabel(t *testing.T) {
 	}
 
 	// Score floors at zero.
-	_, s, _ = ChooseLabel([]LabelScore{{1, 0.05}}, 0.1)
+	_, s, _ = ChooseLabel([]LabelMsg{{1, 0.05}}, 0.1)
 	if s != 0 {
 		t.Fatalf("score = %v, want 0 floor", s)
 	}
 }
 
 func TestChooseLabelOrderInsensitive(t *testing.T) {
-	a := []LabelScore{{1, 0.3}, {2, 0.4}, {1, 0.1}, {2, 0.2}, {3, 0.9}}
-	b := []LabelScore{{3, 0.9}, {2, 0.2}, {1, 0.1}, {2, 0.4}, {1, 0.3}}
-	la, sa, _ := ChooseLabel(append([]LabelScore(nil), a...), 0.1)
-	lb, sb, _ := ChooseLabel(append([]LabelScore(nil), b...), 0.1)
+	a := []LabelMsg{{1, 0.3}, {2, 0.4}, {1, 0.1}, {2, 0.2}, {3, 0.9}}
+	b := []LabelMsg{{3, 0.9}, {2, 0.2}, {1, 0.1}, {2, 0.4}, {1, 0.3}}
+	la, sa, _ := ChooseLabel(append([]LabelMsg(nil), a...), 0.1)
+	lb, sb, _ := ChooseLabel(append([]LabelMsg(nil), b...), 0.1)
 	if la != lb || sa != sb {
 		t.Fatalf("order-sensitive: (%d,%v) vs (%d,%v)", la, sa, lb, sb)
 	}

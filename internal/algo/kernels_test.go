@@ -38,7 +38,7 @@ func mergeLinks(nbrs []graph.VertexID, senderOut []graph.VertexID) int64 {
 // is the independent oracle for the update rule itself: RefCD calls
 // ChooseLabel too, so engine-vs-reference tests cannot see a change to
 // the rule.
-func chooseLabelMaps(votes []LabelScore, attenuation float64) (label graph.VertexID, score float64, ok bool) {
+func chooseLabelMaps(votes []LabelMsg, attenuation float64) (label graph.VertexID, score float64, ok bool) {
 	if len(votes) == 0 {
 		return 0, 0, false
 	}
@@ -249,7 +249,7 @@ func TestChooseLabelMatchesMaps(t *testing.T) {
 		bits  uint64
 		ok    bool
 	}
-	sets := [][]LabelScore{
+	sets := [][]LabelMsg{
 		{{4, 0.5}, {4, 0.5}, {2, 1.0}},           // equal sums across labels
 		{{7, 0.6}, {3, 0.3}, {3, 0.3}, {7, 0.0}}, // equal sums, equal scores within a label
 		{{5, 0.25}, {5, 0.25}, {5, 0.25}},        // one label only, equal scores
@@ -262,7 +262,7 @@ func TestChooseLabelMatchesMaps(t *testing.T) {
 	rng := NewRand(21)
 	pick := []float64{0, att, 0.2, 0.25, 0.3, 0.5, 0.7, 0.9, 1.0}
 	for i := 0; i < 2000; i++ {
-		votes := make([]LabelScore, 1+rng.Intn(24))
+		votes := make([]LabelMsg, 1+rng.Intn(24))
 		labels := 1 + rng.Intn(6)
 		for j := range votes {
 			votes[j].Label = graph.VertexID(rng.Intn(labels) * 61)
@@ -277,12 +277,12 @@ func TestChooseLabelMatchesMaps(t *testing.T) {
 	for si, set := range sets {
 		var first choice
 		for order := 0; order < 4; order++ {
-			a := append([]LabelScore(nil), set...)
+			a := append([]LabelMsg(nil), set...)
 			for i := len(a) - 1; i > 0; i-- { // Fisher–Yates
 				j := rng.Intn(i + 1)
 				a[i], a[j] = a[j], a[i]
 			}
-			b := append([]LabelScore(nil), a...)
+			b := append([]LabelMsg(nil), a...)
 			l, s, ok := ChooseLabel(a, att)
 			wl, ws, wok := chooseLabelMaps(b, att)
 			got, want := choice{l, math.Float64bits(s), ok}, choice{wl, math.Float64bits(ws), wok}
@@ -299,8 +299,8 @@ func TestChooseLabelMatchesMaps(t *testing.T) {
 }
 
 func TestChooseLabelAllocatesNothing(t *testing.T) {
-	votes := []LabelScore{{5, 0.3}, {2, 0.9}, {5, 0.4}, {7, 1.0}, {2, 0.1}, {5, 0.3}}
-	scratch := make([]LabelScore, len(votes))
+	votes := []LabelMsg{{5, 0.3}, {2, 0.9}, {5, 0.4}, {7, 1.0}, {2, 0.1}, {5, 0.3}}
+	scratch := make([]LabelMsg, len(votes))
 	if allocs := testing.AllocsPerRun(200, func() {
 		copy(scratch, votes)
 		ChooseLabel(scratch, 0.1)
@@ -379,15 +379,15 @@ func BenchmarkChooseLabel(b *testing.B) {
 	p := DefaultParams(1)
 	p.CDMaxIterations = 2
 	labels := RefCD(g, p).Labels
-	votes := make([][]LabelScore, g.NumVertices())
+	votes := make([][]LabelMsg, g.NumVertices())
 	longest := 0
 	for v := range votes {
 		for _, u := range neighborsBoth(g, graph.VertexID(v)) {
-			votes[v] = append(votes[v], LabelScore{labels[u], 1 - 0.1*float64(u%3)})
+			votes[v] = append(votes[v], LabelMsg{labels[u], 1 - 0.1*float64(u%3)})
 		}
 		longest = max(longest, len(votes[v]))
 	}
-	scratch := make([]LabelScore, longest)
+	scratch := make([]LabelMsg, longest)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, vs := range votes {

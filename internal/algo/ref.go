@@ -127,9 +127,9 @@ func RefCD(g *graph.Graph, p Params) CDResult {
 		newScores := make([]float64, n)
 		changed := false
 		for v := 0; v < n; v++ {
-			votes := make([]LabelScore, 0, 8)
+			votes := make([]LabelMsg, 0, 8)
 			for _, u := range neighborsBoth(g, graph.VertexID(v)) {
-				votes = append(votes, LabelScore{labels[u], scores[u]})
+				votes = append(votes, LabelMsg{labels[u], scores[u]})
 			}
 			l, s, ok := ChooseLabel(votes, p.CDHopAttenuation)
 			if !ok {

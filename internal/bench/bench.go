@@ -306,7 +306,7 @@ func PlatformNames() []string {
 func distributedNames() []string {
 	var names []string
 	for _, p := range platform.All() {
-		if !platform.TraitsOf(p).Single {
+		if !p.Traits().Single {
 			names = append(names, p.Name())
 		}
 	}

@@ -51,9 +51,9 @@ func (c ChaosReport) String() string {
 	if !c.Match {
 		status = "MISMATCH"
 	}
-	if p, err := platform.ByName(c.Platform); err == nil && c.FaultSeconds > platform.TimeoutOf(p) {
+	if p, err := platform.ByName(c.Platform); err == nil && c.FaultSeconds > p.Timeout() {
 		status += fmt.Sprintf(" (past the %.0f h limit: projected %.1f h)",
-			platform.TimeoutOf(p)/3600, c.FaultSeconds/3600)
+			p.Timeout()/3600, c.FaultSeconds/3600)
 	}
 	if c.Err != nil {
 		status = "ERROR: " + c.Err.Error()

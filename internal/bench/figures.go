@@ -120,7 +120,7 @@ func (h *Harness) Figure4() Table {
 func (h *Harness) Curves(p string) monitor.Trace {
 	r := h.Run(p, platform.BFS, "DotaLeague", BaseHW())
 	pl, _ := platform.ByName(p) // h.Run has panicked on an unknown name
-	return monitor.Record(p, platform.SignatureOf(pl), r.Breakdown, r.Iterations)
+	return monitor.Record(p, pl.Signature(), r.Breakdown, r.Iterations)
 }
 
 // Figures5to7 reproduces the paper's Figures 5-7: master-node CPU,

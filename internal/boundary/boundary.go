@@ -7,7 +7,7 @@
 // all (the crash matrix).
 //
 // Everything the model knows of a platform it reads from the platform's
-// row: the cost model, the timeout and the traits (platform.TraitsOf:
+// row: the cost model, the timeout and the traits (platform.Platform.Traits:
 // jobs per iteration, materialisation, CD vote costs, one machine or
 // many, and how memory runs out). Node memory demand is the cost
 // model's own rule, cluster.CostModel.Demand, the one the engines'
@@ -153,7 +153,7 @@ func PredictFor(platformName, alg string, prof datagen.Profile, in Inputs, hw cl
 }
 
 func predict(p platform.Platform, alg string, in Inputs, hw cluster.Hardware, iters int) Estimate {
-	cm, t := p.Costs(), platform.TraitsOf(p)
+	cm, t := p.Costs(), p.Traits()
 	est := Estimate{Iterations: iters, MsgBytes: msgBound(t, alg, in)}
 	if t.Single {
 		// Embedded traversals are single-threaded.
@@ -236,6 +236,6 @@ func predict(p platform.Platform, alg string, in Inputs, hw cluster.Hardware, it
 	est.Crash = t.Memory != platform.Spills &&
 		cm.Demand(float64(perNodeGraph), float64(perNodeMsg)) > hw.MemPerNode
 
-	est.Timeout = !est.Crash && est.Seconds > platform.TimeoutOf(p)
+	est.Timeout = !est.Crash && est.Seconds > p.Timeout()
 	return est
 }

@@ -387,35 +387,31 @@ func Execute[V Sized](e *Engine, p *Plan[V]) ([]Dataset[V], error) {
 // lands in recovery phases; an exhausted budget degrades to a clean
 // typed abort of the whole plan.
 func runOp[V Sized](e *Engine, n *Node[V], planStep int, inj *fault.Injector, compute func() (*interim[V], int64, int64)) (*interim[V], error) {
-	for attempt := 0; ; attempt++ {
-		out, ops, maxOps := compute()
-		if inj != nil {
-			site := fault.Site{Engine: "dataflow", Op: n.name, Step: planStep, Task: n.id, Attempt: attempt}
-			if kind, ok := inj.FailAt(site); ok {
-				e.Profile.Session().R().Counter("task.retries").Add(1)
-				e.Profile.AddPhase(cluster.Phase{
-					Name: n.name + ":recovery", Kind: cluster.PhaseCompute,
-					Ops: ops, MaxPartOps: maxOps,
-				})
-				e.Profile.AddPhase(cluster.Phase{
-					Name: n.name + ":restart", Kind: cluster.PhaseSetup,
-					Tasks: fault.BackoffUnits(attempt),
-				})
-				if attempt+1 >= fault.DefaultMaxAttempts {
-					return nil, fmt.Errorf("dataflow: operator %q (node %d): injected %v persisted through %d attempts: %w",
-						n.name, n.id, kind, attempt+1, fault.ErrBudgetExhausted)
-				}
-				continue
-			}
-			if f, ok := inj.StragglerAt(site); ok {
-				// A straggling subtask stretches the operator's barrier
-				// wait; the answer is unaffected.
-				maxOps = int64(float64(maxOps) * f)
-			}
-		}
-		addCompute(e, n, out, ops, maxOps)
-		return out, nil
+	var out *interim[V]
+	var ops, maxOps int64
+	site, err := inj.Retry(fault.Site{Engine: "dataflow", Op: n.name, Step: planStep, Task: n.id}, func(int) {
+		out, ops, maxOps = compute()
+	}, func(attempt int) {
+		e.Profile.Session().R().Counter("task.retries").Add(1)
+		e.Profile.AddPhase(cluster.Phase{
+			Name: n.name + ":recovery", Kind: cluster.PhaseCompute,
+			Ops: ops, MaxPartOps: maxOps,
+		})
+		e.Profile.AddPhase(cluster.Phase{
+			Name: n.name + ":restart", Kind: cluster.PhaseSetup,
+			Tasks: fault.BackoffUnits(attempt),
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
+	if f, ok := inj.StragglerAt(site); ok {
+		// A straggling subtask stretches the operator's barrier wait;
+		// the answer is unaffected.
+		maxOps = int64(float64(maxOps) * f)
+	}
+	addCompute(e, n, out, ops, maxOps)
+	return out, nil
 }
 
 func in2[V Sized](in *interim[V], i int) Dataset[V] {

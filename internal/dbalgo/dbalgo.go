@@ -232,9 +232,9 @@ func CD(db *graphdb.DB, p algo.Params, profile *cluster.ExecutionProfile) (algo.
 			if g.Directed() {
 				nbrs = append(append([]graph.VertexID{}, nbrs...), run.InNeighbors(v)...)
 			}
-			votes := make([]algo.LabelScore, 0, len(nbrs))
+			votes := make([]algo.LabelMsg, 0, len(nbrs))
 			for _, u := range nbrs {
-				votes = append(votes, algo.LabelScore{Label: labels[u], Score: scores[u]})
+				votes = append(votes, algo.LabelMsg{Label: labels[u], Score: scores[u]})
 			}
 			// Each vote costs two transactional property reads (label
 			// and score) plus the chooser's map updates — ~200 us of

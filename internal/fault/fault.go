@@ -103,8 +103,9 @@ type Site struct {
 	// Task is the task, partition, or operator index (Any if not
 	// meaningful).
 	Task int
-	// Attempt is how many times this site has already failed; retry
-	// loops increment it so rules can target first attempts only.
+	// Attempt is how many times this site has already failed; Retry
+	// and pregel's restore loop number it, so rules can target first
+	// attempts only.
 	Attempt int
 }
 
@@ -148,9 +149,9 @@ func (r Rule) matches(s Site) bool {
 type Plan struct {
 	// Seed drives every injection decision.
 	Seed int64
-	// CheckpointEvery hints the pregel engine's checkpoint cadence for
-	// runs whose config does not set one (0 = restart from the initial
-	// state).
+	// CheckpointEvery is the pregel engine's checkpoint cadence under
+	// the plan: a checkpoint every N supersteps, which a crash restores
+	// (0 = no checkpoint; a crash restarts from the initial state).
 	CheckpointEvery int
 	Rules           []Rule
 }
@@ -227,8 +228,9 @@ func New(plan Plan, reg *obs.Registry) *Injector {
 	return in
 }
 
-// CheckpointHint returns the plan's pregel checkpoint cadence hint.
-func (in *Injector) CheckpointHint() int {
+// CheckpointEvery returns the plan's pregel checkpoint cadence (0 for
+// a nil injector: no checkpoints).
+func (in *Injector) CheckpointEvery() int {
 	if in == nil {
 		return 0
 	}
@@ -280,10 +282,11 @@ func (in *Injector) fire(s Site, kinds ...Kind) (Kind, bool) {
 	return 0, false
 }
 
-// FailAt reports whether a process-failure fault (Crash, TaskFail, or
-// OOM) fires at s. Engines treat all three the same way for recovery:
-// discard the attempt's work and retry or restore.
-func (in *Injector) FailAt(s Site) (Kind, bool) {
+// failAt reports whether a process-failure fault (Crash, TaskFail, or
+// OOM) fires at s. Engines reach it only through Attempt and treat all
+// three the same way for recovery: discard the attempt's work and
+// retry or restore.
+func (in *Injector) failAt(s Site) (Kind, bool) {
 	return in.fire(s, Crash, TaskFail, OOM)
 }
 
@@ -307,6 +310,51 @@ func (in *Injector) DelayAt(s Site) bool {
 func (in *Injector) DupAt(s Site) bool {
 	_, ok := in.fire(s, MsgDup)
 	return ok
+}
+
+// Attempt is the one attempt rule: it consults failAt for attempt
+// s.Attempt at s. lost reports that the attempt failed; err is non-nil
+// when that was the site's DefaultMaxAttempts-th failure, and it wraps
+// ErrBudgetExhausted and names the site. A caller that recovers by other
+// means than re-running the unit in place (pregel's checkpoint restore)
+// numbers the attempts itself; the others call Retry.
+func (in *Injector) Attempt(s Site) (lost bool, err error) {
+	kind, ok := in.failAt(s)
+	if !ok {
+		return false, nil
+	}
+	if s.Attempt+1 < DefaultMaxAttempts {
+		return true, nil
+	}
+	where := fmt.Sprintf("%s %s at step %d", s.Engine, s.Op, s.Step)
+	if s.Task != Any {
+		where += fmt.Sprintf(", task %d", s.Task)
+	}
+	return true, fmt.Errorf("%s: injected %v persisted through %d attempts: %w",
+		where, kind, s.Attempt+1, ErrBudgetExhausted)
+}
+
+// Retry runs body for attempts 0, 1, ... of the unit at s until one is
+// not lost, calling lost after each attempt that is, and returns the
+// site of the attempt that held, where the caller consults StragglerAt.
+// The DefaultMaxAttempts-th lost attempt ends it with Attempt's error.
+// A nil injector runs body once and never calls lost.
+func (in *Injector) Retry(s Site, body, lost func(attempt int)) (Site, error) {
+	if in == nil {
+		body(0)
+		return s, nil
+	}
+	for s.Attempt = 0; ; s.Attempt++ {
+		body(s.Attempt)
+		failed, err := in.Attempt(s)
+		if !failed {
+			return s, nil
+		}
+		lost(s.Attempt)
+		if err != nil {
+			return s, err
+		}
+	}
 }
 
 // StragglerAt reports whether the worker at s is slowed down, and by

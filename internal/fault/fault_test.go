@@ -3,6 +3,8 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -19,8 +21,8 @@ func TestDecisionDeterminism(t *testing.T) {
 	for step := 0; step < 50; step++ {
 		for task := 0; task < 10; task++ {
 			s := Site{Engine: "pregel", Op: "superstep", Step: step, Task: task}
-			_, af := a.FailAt(s)
-			_, bf := b.FailAt(s)
+			_, af := a.failAt(s)
+			_, bf := b.failAt(s)
 			if af != bf {
 				t.Fatalf("site %+v: injector a=%v b=%v", s, af, bf)
 			}
@@ -45,7 +47,7 @@ func TestSeedChangesDecisions(t *testing.T) {
 		}}, nil)
 		out := map[int]bool{}
 		for step := 0; step < 64; step++ {
-			_, f := in.FailAt(Site{Engine: "gas", Op: "iteration", Step: step, Task: Any})
+			_, f := in.failAt(Site{Engine: "gas", Op: "iteration", Step: step, Task: Any})
 			out[step] = f
 		}
 		return out
@@ -66,16 +68,16 @@ func TestRuleMatching(t *testing.T) {
 	in := New(Plan{Seed: 1, Rules: []Rule{
 		{Kind: Crash, Engine: "pregel", Op: "superstep", Step: 3, Task: Any, Attempt: 0, Prob: 1},
 	}}, nil)
-	if _, ok := in.FailAt(Site{Engine: "pregel", Op: "superstep", Step: 2, Task: Any}); ok {
+	if _, ok := in.failAt(Site{Engine: "pregel", Op: "superstep", Step: 2, Task: Any}); ok {
 		t.Fatal("fired at non-matching step")
 	}
-	if _, ok := in.FailAt(Site{Engine: "gas", Op: "superstep", Step: 3, Task: Any}); ok {
+	if _, ok := in.failAt(Site{Engine: "gas", Op: "superstep", Step: 3, Task: Any}); ok {
 		t.Fatal("fired at non-matching engine")
 	}
-	if _, ok := in.FailAt(Site{Engine: "pregel", Op: "superstep", Step: 3, Task: Any, Attempt: 1}); ok {
+	if _, ok := in.failAt(Site{Engine: "pregel", Op: "superstep", Step: 3, Task: Any, Attempt: 1}); ok {
 		t.Fatal("fired at non-matching attempt")
 	}
-	kind, ok := in.FailAt(Site{Engine: "pregel", Op: "superstep", Step: 3, Task: Any})
+	kind, ok := in.failAt(Site{Engine: "pregel", Op: "superstep", Step: 3, Task: Any})
 	if !ok || kind != Crash {
 		t.Fatalf("expected crash at the matching site, got %v %v", kind, ok)
 	}
@@ -83,7 +85,7 @@ func TestRuleMatching(t *testing.T) {
 
 func TestNilInjector(t *testing.T) {
 	var in *Injector
-	if _, ok := in.FailAt(Site{}); ok {
+	if _, ok := in.failAt(Site{}); ok {
 		t.Fatal("nil injector fired")
 	}
 	if in.DropAt(Site{}) || in.DelayAt(Site{}) {
@@ -92,7 +94,7 @@ func TestNilInjector(t *testing.T) {
 	if _, ok := in.StragglerAt(Site{}); ok {
 		t.Fatal("nil injector straggled")
 	}
-	if in.CheckpointHint() != 0 || in.Injected() != 0 {
+	if in.CheckpointEvery() != 0 || in.Injected() != 0 {
 		t.Fatal("nil accessors not zero")
 	}
 }
@@ -126,10 +128,10 @@ func TestCrashAtAndDefaults(t *testing.T) {
 		t.Fatalf("CrashAt: %+v", r)
 	}
 	in := New(Plan{Seed: 9, Rules: []Rule{r}}, nil)
-	if _, ok := in.FailAt(Site{Engine: "pregel", Op: "superstep", Step: 4, Task: Any, Attempt: 0}); !ok {
+	if _, ok := in.failAt(Site{Engine: "pregel", Op: "superstep", Step: 4, Task: Any, Attempt: 0}); !ok {
 		t.Fatal("CrashAt(4) did not fire at step 4 attempt 0")
 	}
-	if _, ok := in.FailAt(Site{Engine: "pregel", Op: "superstep", Step: 4, Task: Any, Attempt: 1}); ok {
+	if _, ok := in.failAt(Site{Engine: "pregel", Op: "superstep", Step: 4, Task: Any, Attempt: 1}); ok {
 		t.Fatal("CrashAt(4) fired on the retry attempt")
 	}
 	p := DefaultPlan(1)
@@ -153,6 +155,68 @@ func TestErrBudgetExhaustedIsTyped(t *testing.T) {
 	wrapped := fmt.Errorf("engine: superstep 3 failed 4 attempts: %w", ErrBudgetExhausted)
 	if !errors.Is(wrapped, ErrBudgetExhausted) {
 		t.Fatal("wrapped budget error not matched by errors.Is")
+	}
+}
+
+// TestRetry pins the one attempt rule: attempts are numbered from 0,
+// lost runs once per failed attempt, and the DefaultMaxAttempts-th
+// failure ends the retries with an error naming the site.
+func TestRetry(t *testing.T) {
+	site := Site{Engine: "mapreduce", Op: "map", Step: 2, Task: 5}
+	run := func(in *Injector) (bodies, losts []int, held Site, err error) {
+		held, err = in.Retry(site,
+			func(a int) { bodies = append(bodies, a) },
+			func(a int) { losts = append(losts, a) })
+		return bodies, losts, held, err
+	}
+
+	once := New(Plan{Seed: 1, Rules: []Rule{{Kind: TaskFail, Step: Any, Task: Any, Attempt: 0}}}, nil)
+	bodies, losts, held, err := run(once)
+	if err != nil || !slices.Equal(bodies, []int{0, 1}) || !slices.Equal(losts, []int{0}) || held.Attempt != 1 {
+		t.Fatalf("first attempt lost: bodies %v, lost %v, held attempt %d, err %v", bodies, losts, held.Attempt, err)
+	}
+
+	always := New(Plan{Seed: 1, Rules: []Rule{{Kind: OOM, Step: Any, Task: Any, Attempt: Any}}}, nil)
+	bodies, losts, _, err = run(always)
+	var want []int
+	for a := 0; a < DefaultMaxAttempts; a++ {
+		want = append(want, a)
+	}
+	if !slices.Equal(bodies, want) || !slices.Equal(losts, want) {
+		t.Fatalf("every attempt lost: bodies %v, lost %v, want %v each", bodies, losts, want)
+	}
+	if !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("every attempt lost: err = %v, want ErrBudgetExhausted", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "mapreduce map at step 2, task 5") {
+		t.Fatalf("budget error %q does not name the site", msg)
+	}
+
+	bodies, losts, held, err = run(nil)
+	if err != nil || !slices.Equal(bodies, []int{0}) || losts != nil || held != site {
+		t.Fatalf("nil injector: bodies %v, lost %v, held %+v, err %v", bodies, losts, held, err)
+	}
+}
+
+// TestAttempt is the single-attempt form a caller that numbers its own
+// attempts uses: every failure is lost, only the last one is an error.
+func TestAttempt(t *testing.T) {
+	in := New(Plan{Seed: 1, Rules: []Rule{{Kind: Crash, Step: 3, Task: Any, Attempt: Any}}}, nil)
+	for a := 0; a < DefaultMaxAttempts; a++ {
+		lost, err := in.Attempt(Site{Engine: "pregel", Op: "superstep", Step: 3, Task: Any, Attempt: a})
+		if last := a == DefaultMaxAttempts-1; !lost || (err != nil) != last {
+			t.Fatalf("attempt %d: lost %v, err %v", a, lost, err)
+		}
+		if err != nil && (!errors.Is(err, ErrBudgetExhausted) || !strings.Contains(err.Error(), "pregel superstep at step 3:")) {
+			t.Fatalf("attempt %d: err %q, want ErrBudgetExhausted naming the site", a, err)
+		}
+	}
+	if lost, err := in.Attempt(Site{Engine: "pregel", Op: "superstep", Step: 4, Task: Any}); lost || err != nil {
+		t.Fatalf("unmatched site: lost %v, err %v", lost, err)
+	}
+	var none *Injector
+	if lost, err := none.Attempt(Site{Step: 3, Task: Any, Attempt: DefaultMaxAttempts - 1}); lost || err != nil {
+		t.Fatalf("nil injector: lost %v, err %v", lost, err)
 	}
 }
 

@@ -242,8 +242,7 @@ func Run[V, A any](g *graph.Graph, hw cluster.Hardware, cfg Config[V, A], profil
 
 		var totalOps, maxOps int64
 		var gatherEdges, scatterEdges, applyCalls, netBytes int64
-		var budgetErr error
-		for attempt := 0; ; attempt++ {
+		site, err := inj.Retry(fault.Site{Engine: "gas", Op: "iteration", Step: iter, Task: fault.Any}, func(attempt int) {
 			if attempt > 0 {
 				// Discard the failed attempt's double-buffered state and
 				// rerun the iteration from the committed values.
@@ -357,36 +356,24 @@ func Run[V, A any](g *graph.Graph, hw cluster.Hardware, cfg Config[V, A], profil
 					maxOps = o
 				}
 			}
-			if inj == nil {
-				break
+		}, func(int) {
+			cRetries.Add(1)
+			if profile != nil {
+				// The failed attempt's full pass is wasted work.
+				profile.AddPhase(cluster.Phase{
+					Name: fmt.Sprintf("gas:iter-%d:recovery", iter), Kind: cluster.PhaseCompute,
+					Ops: totalOps, MaxPartOps: hw.BusiestWorker(maxOps, totalOps),
+					Net: netBytes, Barriers: 1,
+				})
 			}
-			site := fault.Site{Engine: "gas", Op: "iteration", Step: iter, Task: fault.Any, Attempt: attempt}
-			if kind, ok := inj.FailAt(site); ok {
-				cRetries.Add(1)
-				if profile != nil {
-					// The failed attempt's full pass is wasted work.
-					profile.AddPhase(cluster.Phase{
-						Name: fmt.Sprintf("gas:iter-%d:recovery", iter), Kind: cluster.PhaseCompute,
-						Ops: totalOps, MaxPartOps: hw.BusiestWorker(maxOps, totalOps),
-						Net: netBytes, Barriers: 1,
-					})
-				}
-				if attempt+1 >= fault.DefaultMaxAttempts {
-					budgetErr = fmt.Errorf("gas: iteration %d: injected %v persisted through %d attempts: %w",
-						iter, kind, attempt+1, fault.ErrBudgetExhausted)
-					break
-				}
-				continue
-			}
-			if f, ok := inj.StragglerAt(site); ok {
-				// A straggling machine stretches the barrier wait.
-				maxOps = int64(float64(maxOps) * f)
-			}
-			break
-		}
-		if budgetErr != nil {
+		})
+		if err != nil {
 			tr.End(iterSpan)
-			return nil, budgetErr
+			return nil, err
+		}
+		if f, ok := inj.StragglerAt(site); ok {
+			// A straggling machine stretches the barrier wait.
+			maxOps = int64(float64(maxOps) * f)
 		}
 
 		st.GatherEdges += gatherEdges

@@ -48,7 +48,7 @@ func TestAllocsIndependentOfEdges(t *testing.T) {
 	}
 	params := algo.DefaultParams(42)
 	cd := func(g *graph.Graph) float64 {
-		return runAllocs(t, g, gas.Config[cdVal, []algo.LabelScore]{
+		return runAllocs(t, g, gas.Config[cdVal, []algo.LabelMsg]{
 			Program:       cdProgram{attenuation: params.CDHopAttenuation},
 			MaxIterations: iters, GatherBoth: true, ScatterBoth: true,
 			InitialValue: func(v graph.VertexID) cdVal {

@@ -354,15 +354,15 @@ type cdProgram struct {
 	attenuation float64
 }
 
-func (cdProgram) Gather(acc *[]algo.LabelScore, has bool, src, v graph.VertexID, srcVal, vVal cdVal) bool {
+func (cdProgram) Gather(acc *[]algo.LabelMsg, has bool, src, v graph.VertexID, srcVal, vVal cdVal) bool {
 	if !has {
 		*acc = (*acc)[:0]
 	}
-	*acc = append(*acc, algo.LabelScore{Label: srcVal.Label, Score: srcVal.Score})
+	*acc = append(*acc, algo.LabelMsg{Label: srcVal.Label, Score: srcVal.Score})
 	return true
 }
 
-func (p cdProgram) Apply(v graph.VertexID, old cdVal, acc *[]algo.LabelScore, has bool) cdVal {
+func (p cdProgram) Apply(v graph.VertexID, old cdVal, acc *[]algo.LabelMsg, has bool) cdVal {
 	if !has {
 		return old
 	}
@@ -378,8 +378,8 @@ func (cdProgram) Scatter(v, dst graph.VertexID, newVal, dstVal cdVal) bool {
 	return true
 }
 
-func (cdProgram) ValueSize(cdVal) int64                    { return 14 }
-func (cdProgram) AccumSize(votes *[]algo.LabelScore) int64 { return int64(len(*votes)) * 14 }
+func (cdProgram) ValueSize(cdVal) int64                  { return 14 }
+func (cdProgram) AccumSize(votes *[]algo.LabelMsg) int64 { return int64(len(*votes)) * 14 }
 
 // CD runs Leung et al. community detection with GraphLab's global
 // termination check.
@@ -388,7 +388,7 @@ func CD(g *graph.Graph, hw cluster.Hardware, p algo.Params, inputBytes int64, mp
 	for v := range prevLabels {
 		prevLabels[v] = graph.VertexID(v)
 	}
-	cfg := gas.Config[cdVal, []algo.LabelScore]{
+	cfg := gas.Config[cdVal, []algo.LabelMsg]{
 		Program:          cdProgram{attenuation: p.CDHopAttenuation},
 		MaxIterations:    p.CDMaxIterations,
 		GatherBoth:       true,
@@ -453,7 +453,7 @@ func EVO(g *graph.Graph, hw cluster.Hardware, p algo.Params, inputBytes int64, m
 	for it, batch := range algo.BatchSizes(g.NumVertices(), p) {
 		vertices, added := ov.Mark()
 		var ops, net int64
-		for attempt := 0; ; attempt++ {
+		_, err := inj.Retry(fault.Site{Engine: "gas", Op: "iteration", Step: it, Task: fault.Any}, func(int) {
 			ops, net = 0, 0
 			for i := 0; i < batch; i++ {
 				newID := ov.AddVertex()
@@ -463,25 +463,17 @@ func EVO(g *graph.Graph, hw cluster.Hardware, p algo.Params, inputBytes int64, m
 				ops += int64(len(edges))
 				net += int64(len(edges)) * 10
 			}
-			if inj == nil {
-				break
-			}
-			site := fault.Site{Engine: "gas", Op: "iteration", Step: it, Task: fault.Any, Attempt: attempt}
-			kind, ok := inj.FailAt(site)
-			if !ok {
-				break
-			}
+		}, func(int) {
 			// The failed attempt's burns are wasted work.
 			profile.Session().R().Counter("task.retries").Add(1)
 			profile.AddPhase(cluster.Phase{
 				Name: evoPhaseName(it) + ":recovery", Kind: cluster.PhaseCompute,
 				Ops: ops, Net: net, Barriers: 1,
 			})
-			if attempt+1 >= fault.DefaultMaxAttempts {
-				return algo.EVOResult{}, fmt.Errorf("gas: EVO iteration %d: injected %v persisted through %d attempts: %w",
-					it, kind, attempt+1, fault.ErrBudgetExhausted)
-			}
 			ov.Rewind(vertices, added)
+		})
+		if err != nil {
+			return algo.EVOResult{}, err
 		}
 		if profile != nil {
 			profile.AddPhase(cluster.Phase{

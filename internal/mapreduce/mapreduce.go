@@ -175,9 +175,6 @@ type Engine struct {
 	// drivers read it after the final job.
 	Profile *cluster.ExecutionProfile
 
-	// PeakShufflePerNode tracks the largest single-job shuffle volume
-	// landing on one node, for the memory model.
-	PeakShufflePerNode int64
 	// PeakJobBytesPerNode tracks the largest per-node data volume of
 	// any single job (input split + map output + shuffle input), which
 	// is what blows task memory on shuffle-heavy jobs (the paper's
@@ -265,6 +262,49 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 	e.jobSeq++
 	var wastedOps, relaunchUnits int64
 	var firstErr error
+	var mu sync.Mutex
+	// runTask runs a map or reduce task's attempts at site: attempt
+	// counts into the counters it is given and returns its ops. Under
+	// injection each attempt counts into its own scratch, merged only
+	// once an attempt holds. It reports false when the budget ran out.
+	runTask := func(site fault.Site, attempt func(c *Counters) int64) bool {
+		var ops int64
+		var scratch *Counters
+		site, err := inj.Retry(site, func(int) {
+			c := stats.Counters
+			if inj != nil {
+				scratch = NewCounters()
+				c = scratch
+			}
+			ops = attempt(c)
+		}, func(a int) {
+			mu.Lock()
+			stats.TaskRetries++
+			wastedOps += ops
+			relaunchUnits += int64(fault.BackoffUnits(a))
+			mu.Unlock()
+		})
+		if err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+			return false
+		}
+		if inj == nil {
+			return true
+		}
+		stats.Counters.merge(scratch)
+		if _, slow := inj.StragglerAt(site); slow {
+			mu.Lock()
+			stats.SpeculativeTasks++
+			wastedOps += ops
+			relaunchUnits++
+			mu.Unlock()
+		}
+		return true
+	}
 
 	// ---- Map phase -------------------------------------------------
 	// Only non-empty splits become tasks, so small inputs spawn fewer
@@ -293,54 +333,23 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 	// refetch accounts all sum bundles.
 	bundleBytes := make([][]int64, nMapTasks)
 	var mapOps, maxMapOps int64
-	var mu sync.Mutex
 
 	mapSpan := tr.Begin("map", obs.KindPhase, -1, jobSpan)
 	par.For(nMapTasks, runtime.GOMAXPROCS(0), func(_, m int) {
 		var em *Emitter[V]
 		var ops int64
-		for attempt := 0; ; attempt++ {
+		if !runTask(fault.Site{Engine: "mapreduce", Op: "map", Step: jobStep, Task: m}, func(c *Counters) int64 {
 			// A failed attempt drops its emitter, buffer included.
-			em = &Emitter[V]{records: sc.spare.Get(), counters: stats.Counters}
-			var scratch *Counters
-			if inj != nil {
-				scratch = NewCounters()
-				em.counters = scratch
-			}
+			em = &Emitter[V]{records: sc.spare.Get(), counters: c}
 			ops = 0
 			for _, kv := range splits[m] {
 				ops += opsFor(kv.Value.Size())
 				cfg.Mapper.Map(kv.Key, kv.Value, em)
 			}
 			ops += em.extraOps
-			if inj == nil {
-				break
-			}
-			site := fault.Site{Engine: "mapreduce", Op: "map", Step: jobStep, Task: m, Attempt: attempt}
-			if kind, ok := inj.FailAt(site); ok {
-				mu.Lock()
-				stats.TaskRetries++
-				wastedOps += ops
-				relaunchUnits += int64(fault.BackoffUnits(attempt))
-				if attempt+1 >= fault.DefaultMaxAttempts && firstErr == nil {
-					firstErr = fmt.Errorf("mapreduce: job %q map task %d: injected %v persisted through %d attempts: %w",
-						cfg.Name, m, kind, attempt+1, fault.ErrBudgetExhausted)
-				}
-				mu.Unlock()
-				if attempt+1 >= fault.DefaultMaxAttempts {
-					return
-				}
-				continue
-			}
-			stats.Counters.merge(scratch)
-			if _, slow := inj.StragglerAt(site); slow {
-				mu.Lock()
-				stats.SpeculativeTasks++
-				wastedOps += ops
-				relaunchUnits++
-				mu.Unlock()
-			}
-			break
+			return ops
+		}) {
+			return
 		}
 		// Partition map output by the key's owner (key hash without an
 		// explicit partitioning), into the task's bundle array; the map
@@ -445,10 +454,6 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 		// (n-1)/n of the bytes cross the network.
 		remote = shuffleBytes * int64(e.HW.Nodes-1) / int64(e.HW.Nodes)
 	}
-	perNodeShuffle := shuffleBytes / int64(e.HW.Nodes)
-	if perNodeShuffle > e.PeakShufflePerNode {
-		e.PeakShufflePerNode = perNodeShuffle
-	}
 	perNodeJob := (inputBytes + stats.MapOutputBytes + shuffleBytes) / int64(e.HW.Nodes)
 	if perNodeJob > e.PeakJobBytesPerNode {
 		e.PeakJobBytesPerNode = perNodeJob
@@ -481,13 +486,8 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 		}
 		part := partition.SortByKey(sc.spare.Get(), in, byKey[V])
 		sc.spare.Put(in)
-		for attempt := 0; ; attempt++ {
-			em = &Emitter[V]{records: sc.reduced[r][:0], counters: stats.Counters}
-			var scratch *Counters
-			if inj != nil {
-				scratch = NewCounters()
-				em.counters = scratch
-			}
+		if !runTask(fault.Site{Engine: "mapreduce", Op: "reduce", Step: jobStep, Task: r}, func(c *Counters) int64 {
+			em = &Emitter[V]{records: sc.reduced[r][:0], counters: c}
 			ops, groups = 0, 0
 			var vals []V // reused across groups; reducers must not retain it
 			for i := 0; i < len(part); {
@@ -505,34 +505,9 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 				i = j
 			}
 			ops += em.extraOps
-			if inj == nil {
-				break
-			}
-			site := fault.Site{Engine: "mapreduce", Op: "reduce", Step: jobStep, Task: r, Attempt: attempt}
-			if kind, ok := inj.FailAt(site); ok {
-				mu.Lock()
-				stats.TaskRetries++
-				wastedOps += ops
-				relaunchUnits += int64(fault.BackoffUnits(attempt))
-				if attempt+1 >= fault.DefaultMaxAttempts && firstErr == nil {
-					firstErr = fmt.Errorf("mapreduce: job %q reduce task %d: injected %v persisted through %d attempts: %w",
-						cfg.Name, r, kind, attempt+1, fault.ErrBudgetExhausted)
-				}
-				mu.Unlock()
-				if attempt+1 >= fault.DefaultMaxAttempts {
-					return
-				}
-				continue
-			}
-			stats.Counters.merge(scratch)
-			if _, slow := inj.StragglerAt(site); slow {
-				mu.Lock()
-				stats.SpeculativeTasks++
-				wastedOps += ops
-				relaunchUnits++
-				mu.Unlock()
-			}
-			break
+			return ops
+		}) {
+			return
 		}
 		outputs[r] = em.records
 		sc.reduced[r] = em.records

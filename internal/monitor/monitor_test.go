@@ -14,7 +14,7 @@ func record(name string, b cluster.Breakdown, iterations int) monitor.Trace {
 	if err != nil {
 		panic(err)
 	}
-	return monitor.Record(name, platform.SignatureOf(p), b, iterations)
+	return monitor.Record(name, p.Signature(), b, iterations)
 }
 
 func sampleBreakdown(total float64) cluster.Breakdown {

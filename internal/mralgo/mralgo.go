@@ -415,13 +415,13 @@ func CD(e *mapreduce.Engine, g *graph.Graph, p algo.Params) (algo.CDResult, erro
 			}),
 			Reducer: mapreduce.ReducerFunc[algo.Rec](func(k int64, values []algo.Rec, out *emitter) {
 				var rec algo.Rec
-				votes := make([]algo.LabelScore, 0, len(values))
+				votes := make([]algo.LabelMsg, 0, len(values))
 				for _, v := range values {
 					switch v.Kind {
 					case algo.KindVertex:
 						rec = v
 					case algo.KindLabel:
-						votes = append(votes, algo.LabelScore{Label: v.Label, Score: v.Score})
+						votes = append(votes, algo.LabelMsg{Label: v.Label, Score: v.Score})
 					}
 				}
 				if rec.Kind != algo.KindVertex {

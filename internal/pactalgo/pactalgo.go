@@ -341,10 +341,10 @@ func CD(e *dataflow.Engine, g *graph.Graph, p algo.Params) (algo.CDResult, error
 			collectBoth(adj, in.Value, algo.LabelRec(in.Value.Label, in.Value.Score), out)
 		},
 		func(key int64, r algo.Rec, msgs []record, changed *int64) algo.Rec {
-			votes := make([]algo.LabelScore, 0, len(msgs))
+			votes := make([]algo.LabelMsg, 0, len(msgs))
 			for _, m := range msgs {
 				if lm := m.Value; lm.Kind == algo.KindLabel {
-					votes = append(votes, algo.LabelScore{Label: lm.Label, Score: lm.Score})
+					votes = append(votes, algo.LabelMsg{Label: lm.Label, Score: lm.Score})
 				}
 			}
 			l, s, ok := algo.ChooseLabel(votes, p.CDHopAttenuation)

@@ -1,6 +1,6 @@
 // Package platform presents the six systems of the paper's Table 4 —
 // Hadoop, YARN, Stratosphere, Giraph, GraphLab (plus the GraphLab(mp)
-// tuning variant), and Neo4j — behind one interface. Each platform is
+// tuning variant), and Neo4j — as one type, Platform. Each platform is
 // one row: its Table 4 entry, its cost model, timeout, resource
 // signature and traits, and an exec hook that opens its engine and
 // runs an algorithm on it. One Run drives every row and decides each
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 
 	"repro/internal/algo"
@@ -276,18 +277,18 @@ func (r *Result) VPS() float64 {
 	return float64(r.projV) / r.Seconds
 }
 
-// Platform is one system under test.
-type Platform interface {
-	// Name as in Table 4.
-	Name() string
-	// Version as in Table 4.
-	Version() string
-	// Kind is the taxonomy cell ("Generic, Distributed", ...).
-	Kind() string
-	// Costs returns the platform's calibrated cost model.
-	Costs() cluster.CostModel
-	// Run executes one experiment.
-	Run(spec Spec) *Result
+// Platform is one system under test, one row of the platform table:
+// its Table 4 entry, its cost model, timeout, resource signature and
+// traits, and exec, which opens the platform's engine and runs an
+// algorithm on it. Run scores what exec returns. A Platform comes from
+// All or ByName.
+type Platform struct {
+	name, version, kind string
+	costs               cluster.CostModel
+	timeout             float64
+	sig                 monitor.Signature
+	traits              Traits
+	exec                execFunc
 }
 
 // Memory is how a platform meets its node memory limit.
@@ -331,7 +332,7 @@ type Traits struct {
 
 // rows are the platforms, the six of Table 4 in its order and then
 // GraphLab's multi-part loader variant GraphLab(mp) (Section 4.3.1).
-var rows = []*row{
+var rows = []Platform{
 	{name: "Hadoop", version: "hadoop-0.20.203.0", kind: "Generic, Distributed",
 		costs: cluster.HadoopCosts(), timeout: DistributedTimeout, exec: mrExec(openHadoop),
 		traits: Traits{JobsPerIter: 1, Materialises: true, Memory: CheckedAfterRun},
@@ -373,13 +374,7 @@ var (
 )
 
 // All returns the six platforms in Table 4 order.
-func All() []Platform {
-	all := make([]Platform, 6)
-	for i, p := range rows[:6] {
-		all[i] = p
-	}
-	return all
-}
+func All() []Platform { return slices.Clone(rows[:6]) }
 
 // ByName resolves a platform name ("GraphLab(mp)" selects the
 // multi-part loader variant).
@@ -389,32 +384,7 @@ func ByName(name string) (Platform, error) {
 			return p, nil
 		}
 	}
-	return nil, fmt.Errorf("platform: unknown platform %q", name)
-}
-
-// TimeoutOf returns the projected seconds after which p terminates a
-// run: SingleNodeTimeout for Neo4j, DistributedTimeout for the rest. p
-// must come from All or ByName.
-func TimeoutOf(p Platform) float64 { return p.(*row).timeout }
-
-// SignatureOf returns p's resource signature, what Section 4.2 of the
-// paper observed of its nodes' CPU, memory and network. p must come
-// from All or ByName.
-func SignatureOf(p Platform) monitor.Signature { return p.(*row).sig }
-
-// TraitsOf returns p's traits. p must come from All or ByName.
-func TraitsOf(p Platform) Traits { return p.(*row).traits }
-
-// row is one platform: its Table 4 entry, its cost model, timeout,
-// resource signature and traits, and exec, which opens the platform's
-// engine and runs an algorithm on it. Run scores what exec returns.
-type row struct {
-	name, version, kind string
-	costs               cluster.CostModel
-	timeout             float64
-	sig                 monitor.Signature
-	traits              Traits
-	exec                execFunc
+	return Platform{}, fmt.Errorf("platform: unknown platform %q", name)
 }
 
 // execFunc runs spec on a platform, recording into r.Profile or
@@ -424,10 +394,29 @@ type row struct {
 // before or during the run, errNotIngested a refusal (n/a).
 type execFunc func(r *Result, spec Spec, cm cluster.CostModel, proj int64) (out any, err error)
 
-func (p *row) Name() string             { return p.name }
-func (p *row) Version() string          { return p.version }
-func (p *row) Kind() string             { return p.kind }
-func (p *row) Costs() cluster.CostModel { return p.costs }
+// Name as in Table 4.
+func (p *Platform) Name() string { return p.name }
+
+// Version as in Table 4.
+func (p *Platform) Version() string { return p.version }
+
+// Kind is the taxonomy cell ("Generic, Distributed", ...).
+func (p *Platform) Kind() string { return p.kind }
+
+// Costs returns the platform's calibrated cost model.
+func (p *Platform) Costs() cluster.CostModel { return p.costs }
+
+// Timeout returns the projected seconds after which the platform
+// terminates a run: SingleNodeTimeout for Neo4j, DistributedTimeout
+// for the rest.
+func (p *Platform) Timeout() float64 { return p.timeout }
+
+// Signature returns the platform's resource signature, what Section
+// 4.2 of the paper observed of its nodes' CPU, memory and network.
+func (p *Platform) Signature() monitor.Signature { return p.sig }
+
+// Traits returns the platform's traits.
+func (p *Platform) Traits() Traits { return p.traits }
 
 // errNotIngested is Neo4j's refusal of a dataset a single machine
 // cannot ingest (Neo4j's Friendster entry in Table 6).
@@ -445,7 +434,7 @@ var errNotIngested = errors.New("data ingestion infeasible on a single machine (
 //  4. the projected time over the platform's timeout is a timeout
 //     (Stratosphere spills rather than crashing; its paper failure is
 //     STATS on DotaLeague terminated near 4 hours).
-func (p *row) Run(spec Spec) *Result {
+func (p *Platform) Run(spec Spec) *Result {
 	vproj, proj := spec.Dataset.Projection(spec.ScaleFactor)
 	r := &Result{
 		Platform: p.name, Algorithm: spec.Algorithm, Dataset: spec.Dataset.Name,

@@ -91,14 +91,14 @@ func TestRegistry(t *testing.T) {
 // signature, and the multi-part loader leaves GraphLab's unchanged.
 func TestSignatures(t *testing.T) {
 	for _, p := range rows {
-		if s := SignatureOf(p); s.ComputeCPU <= 0 || s.PeakMemGB <= s.BaseMemGB {
+		if s := p.Signature(); s.ComputeCPU <= 0 || s.PeakMemGB <= s.BaseMemGB {
 			t.Errorf("%s: signature %+v", p.name, s)
 		}
 	}
 	gl, _ := ByName("GraphLab")
 	mp, _ := ByName("GraphLab(mp)")
-	if SignatureOf(mp) != SignatureOf(gl) {
-		t.Fatalf("GraphLab(mp) signature %+v, GraphLab's %+v", SignatureOf(mp), SignatureOf(gl))
+	if mp.Signature() != gl.Signature() {
+		t.Fatalf("GraphLab(mp) signature %+v, GraphLab's %+v", mp.Signature(), gl.Signature())
 	}
 }
 
@@ -107,7 +107,7 @@ func TestSignatures(t *testing.T) {
 // multi-part loader leaves GraphLab's traits unchanged.
 func TestTraits(t *testing.T) {
 	for _, p := range rows {
-		tr := TraitsOf(p)
+		tr := p.Traits()
 		if tr.Memory != AbortsInRun && tr.Memory != CheckedAfterRun && tr.Memory != Spills {
 			t.Errorf("%s: memory rule %d", p.name, tr.Memory)
 		}
@@ -117,8 +117,8 @@ func TestTraits(t *testing.T) {
 	}
 	gl, _ := ByName("GraphLab")
 	mp, _ := ByName("GraphLab(mp)")
-	if TraitsOf(mp) != TraitsOf(gl) {
-		t.Fatalf("GraphLab(mp) traits %+v, GraphLab's %+v", TraitsOf(mp), TraitsOf(gl))
+	if mp.Traits() != gl.Traits() {
+		t.Fatalf("GraphLab(mp) traits %+v, GraphLab's %+v", mp.Traits(), gl.Traits())
 	}
 }
 
@@ -455,9 +455,9 @@ func TestTimeoutsSurfaceSeconds(t *testing.T) {
 }
 
 // TestConcurrentRuns runs every platform from several goroutines at
-// once: All and ByName hand out shared rows, so a run must keep all of
-// its state in the run. Under -race this checks the rows stay
-// read-only; every run must also price the same as a lone one.
+// once, so a run must keep all of its state in the run. Under -race
+// this checks a Platform stays read-only; every run must also price
+// the same as a lone one.
 func TestConcurrentRuns(t *testing.T) {
 	g := testGraph(t, "Amazon")
 	prof, _ := datagen.ByName("Amazon")

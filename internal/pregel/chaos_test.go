@@ -31,13 +31,12 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	}
 	for _, ckEvery := range []int{0, 1, 2, 3} {
 		for _, k := range []int{0, 1, 3, 5, 8} {
-			cfg := bfsProgram()
-			cfg.CheckpointEvery = ckEvery
 			profile, inj, sess := chaosProfile(fault.Plan{
-				Seed:  1,
-				Rules: []fault.Rule{fault.CrashAt(k)},
+				Seed:            1,
+				CheckpointEvery: ckEvery,
+				Rules:           []fault.Rule{fault.CrashAt(k)},
 			})
-			res, err := Run(g, hw, cfg, profile)
+			res, err := Run(g, hw, bfsProgram(), profile)
 			sess.Close()
 			if err != nil {
 				t.Fatalf("ckEvery=%d k=%d: %v", ckEvery, k, err)
@@ -100,10 +99,8 @@ func TestRecoveryOverheadVisible(t *testing.T) {
 	if _, err := Run(g, hw, bfsProgram(), baseProfile); err != nil {
 		t.Fatal(err)
 	}
-	cfg := bfsProgram()
-	cfg.CheckpointEvery = 2
-	profile, _, sess := chaosProfile(fault.Plan{Seed: 3, Rules: []fault.Rule{fault.CrashAt(5)}})
-	if _, err := Run(g, hw, cfg, profile); err != nil {
+	profile, _, sess := chaosProfile(fault.Plan{Seed: 3, CheckpointEvery: 2, Rules: []fault.Rule{fault.CrashAt(5)}})
+	if _, err := Run(g, hw, bfsProgram(), profile); err != nil {
 		t.Fatal(err)
 	}
 	sess.Close()

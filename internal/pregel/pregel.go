@@ -43,7 +43,9 @@ type Config[V, M Sized] struct {
 	// Program is the vertex computation, invoked once per active vertex
 	// per superstep with the messages delivered to it. It must be safe
 	// for concurrent calls on different vertices, and must not keep
-	// msgs past the call: the engine reuses the buffer.
+	// msgs past the call: the engine reuses the buffer. It may reorder
+	// or overwrite msgs, which the engine reads only before the call
+	// (a checkpoint copies the inboxes of the next superstep).
 	Program func(ctx *Context[V, M], msgs []M)
 	// Combine, when non-nil, folds m into *dst: Giraph's message
 	// combiner, which merges the messages bound for one vertex,
@@ -66,20 +68,6 @@ type Config[V, M Sized] struct {
 	// several engine runs model phases of one platform job (EVO's
 	// per-iteration exchanges).
 	SkipSetup bool
-	// CheckpointEvery writes a fault-tolerance checkpoint (vertex
-	// values plus in-flight messages, to the DFS) every N supersteps —
-	// Giraph's periodic checkpointing (Section 3.1). Zero disables it,
-	// unless an active fault injector supplies a cadence hint. Under
-	// fault injection the checkpoint is also retained in memory and an
-	// injected worker crash rolls the engine back to it, replaying the
-	// lost supersteps; with no checkpoint the run restarts from the
-	// initial state. The checkpoint copies values and messages, so a V
-	// or M that is a plain value needs no care; one that holds a
-	// pointer (algo.ListMsg's slice) must be treated as immutable —
-	// replaced via SetValue or a new message, never mutated through —
-	// for restore to reproduce fault-free results exactly. Every
-	// shipped algorithm already follows this rule.
-	CheckpointEvery int
 }
 
 // Stats summarises a run's measured behaviour.
@@ -441,15 +429,20 @@ func Run[V, M Sized](g *graph.Graph, hw cluster.Hardware, cfg Config[V, M], prof
 	defer tr.End(runSpan)
 
 	// Fault injection: when a chaos run attaches an injector through
-	// the profile, the engine keeps its latest checkpoint in memory and
-	// an injected crash rolls back to it, replaying the lost supersteps
-	// — Giraph's checkpoint-restore. Snapshots are maintained only under
-	// injection, so fault-free runs pay nothing.
+	// the profile, the engine writes a checkpoint (vertex values plus
+	// in-flight messages, to the DFS) every plan.CheckpointEvery
+	// supersteps — Giraph's periodic checkpointing (Section 3.1) — and
+	// keeps the latest in memory; an injected crash rolls back to it,
+	// replaying the lost supersteps, or to the initial state when the
+	// plan sets no cadence. Snapshots are maintained only under
+	// injection, so fault-free runs pay nothing. A snapshot copies
+	// values and messages, so a V or M that is a plain value needs no
+	// care; one that holds a pointer (algo.ListMsg's slice) must be
+	// treated as immutable — replaced via SetValue or a new message,
+	// never mutated through — for restore to reproduce fault-free
+	// results exactly. Every shipped algorithm follows this rule.
 	inj := profile.Injector()
-	ckEvery := cfg.CheckpointEvery
-	if ckEvery == 0 {
-		ckEvery = inj.CheckpointHint()
-	}
+	ckEvery := inj.CheckpointEvery()
 	cRestores := reg.Counter("checkpoint.restore")
 	cRedelivered := reg.Counter("msg.redelivered")
 	var snap *snapshot[V, M]
@@ -475,12 +468,12 @@ func Run[V, M Sized](g *graph.Graph, hw cluster.Hardware, cfg Config[V, M], prof
 		}
 		if inj != nil {
 			a := attempts[e.superstep]
-			if kind, ok := inj.FailAt(fault.Site{Engine: "pregel", Op: "superstep", Step: e.superstep, Task: fault.Any, Attempt: a}); ok {
+			lost, err := inj.Attempt(fault.Site{Engine: "pregel", Op: "superstep", Step: e.superstep, Task: fault.Any, Attempt: a})
+			if err != nil {
+				return nil, err
+			}
+			if lost {
 				attempts[e.superstep] = a + 1
-				if a+1 >= fault.DefaultMaxAttempts {
-					return nil, fmt.Errorf("pregel: superstep %d: injected %v persisted through %d attempts: %w",
-						e.superstep, kind, a+1, fault.ErrBudgetExhausted)
-				}
 				// A worker died: all in-memory state on that node is
 				// gone, so every worker rolls back to the last
 				// checkpoint and the lost supersteps replay. The replay
@@ -675,7 +668,7 @@ func Run[V, M Sized](g *graph.Graph, hw cluster.Hardware, cfg Config[V, M], prof
 		tr.End(ssSpan)
 		e.aggPrev = agg
 		e.superstep++
-		if inj != nil && ckEvery > 0 && e.superstep%ckEvery == 0 {
+		if ckEvery > 0 && e.superstep%ckEvery == 0 {
 			snap = e.capture(active, activeCount, inboxes, pendingMsgs, st)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
@@ -283,10 +284,10 @@ func TestDeterministicResults(t *testing.T) {
 
 func TestCheckpointing(t *testing.T) {
 	g := path(12)
-	profile := &cluster.ExecutionProfile{}
-	cfg := bfsProgram()
-	cfg.CheckpointEvery = 3
-	if _, err := Run(g, cluster.DAS4(3, 1), cfg, profile); err != nil {
+	// A plan with no rules injects nothing but still sets the cadence.
+	profile := &cluster.ExecutionProfile{Fault: fault.New(fault.Plan{CheckpointEvery: 3}, nil)}
+	ck, err := Run(g, cluster.DAS4(3, 1), bfsProgram(), profile)
+	if err != nil {
 		t.Fatal(err)
 	}
 	checkpoints := 0
@@ -302,10 +303,6 @@ func TestCheckpointing(t *testing.T) {
 
 	// Checkpointing must not change results.
 	plain, err := Run(g, cluster.DAS4(3, 1), bfsProgram(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := Run(g, cluster.DAS4(3, 1), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,11 +323,9 @@ func CD(g *graph.Graph, hw cluster.Hardware, p algo.Params, sendLimit int64, pro
 				ctx.VoteToHalt()
 				return
 			}
-			votes := make([]algo.LabelScore, 0, len(msgs))
-			for _, m := range msgs {
-				votes = append(votes, algo.LabelScore{Label: m.Label, Score: m.Score})
-			}
-			if l, s, ok := algo.ChooseLabel(votes, p.CDHopAttenuation); ok {
+			// The votes are sorted where they were delivered, which
+			// Config.Program allows.
+			if l, s, ok := algo.ChooseLabel(msgs, p.CDHopAttenuation); ok {
 				if l != val.Label {
 					ctx.Aggregate("changed", 1)
 				}

@@ -27,9 +27,6 @@ const DefaultMaxAllocation = 20 << 30
 type ResourceManager struct {
 	hw cluster.Hardware
 
-	// MaxAllocation caps a single container request.
-	MaxAllocation int64
-
 	// Obs, when non-nil, receives an app-lifetime span per submitted
 	// application plus container-allocation counters, and is handed to
 	// each application's MapReduce engine.
@@ -48,7 +45,7 @@ type ResourceManager struct {
 
 // NewResourceManager creates a ResourceManager for the cluster.
 func NewResourceManager(hw cluster.Hardware) *ResourceManager {
-	return &ResourceManager{hw: hw, MaxAllocation: DefaultMaxAllocation}
+	return &ResourceManager{hw: hw}
 }
 
 // Capacity returns the cluster's total container memory.
@@ -62,8 +59,8 @@ func (rm *ResourceManager) Submit(name string, amMemory int64) (*ApplicationMast
 	if amMemory <= 0 {
 		amMemory = 1 << 30
 	}
-	if amMemory > rm.MaxAllocation {
-		return nil, fmt.Errorf("yarn: AM container %d exceeds maximum allocation %d", amMemory, rm.MaxAllocation)
+	if amMemory > DefaultMaxAllocation {
+		return nil, fmt.Errorf("yarn: AM container %d exceeds maximum allocation %d", amMemory, DefaultMaxAllocation)
 	}
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
@@ -84,19 +81,13 @@ func (rm *ResourceManager) Submit(name string, amMemory int64) (*ApplicationMast
 	// a fresh container; the job itself has not started yet, so the
 	// only cost is the extra launches (with backoff).
 	var relaunchUnits int
-	for attempt := 0; ; attempt++ {
-		kind, ok := rm.Fault.FailAt(fault.Site{Engine: "yarn", Op: "am-launch", Step: rm.nextAppID, Task: 0, Attempt: attempt})
-		if !ok {
-			break
-		}
+	if _, err := rm.Fault.Retry(fault.Site{Engine: "yarn", Op: "am-launch", Step: rm.nextAppID, Task: 0}, func(int) {}, func(attempt int) {
 		relaunchUnits += fault.BackoffUnits(attempt)
 		reg.Counter("task.retries").Add(1)
 		reg.Counter("yarn.am_restarts").Add(1)
-		if attempt+1 >= fault.DefaultMaxAttempts {
-			rm.allocated -= amMemory
-			return nil, fmt.Errorf("yarn: %s AM launch: injected %v persisted through %d attempts: %w",
-				id, kind, attempt+1, fault.ErrBudgetExhausted)
-		}
+	}); err != nil {
+		rm.allocated -= amMemory
+		return nil, err
 	}
 	if relaunchUnits > 0 {
 		am.engine.Profile.AddPhase(cluster.Phase{
