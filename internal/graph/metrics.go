@@ -11,52 +11,52 @@ import (
 // edges among v's neighbours divided by the number of possible such
 // edges. Directed graphs use the union of in- and out-neighbours as
 // the neighbourhood and count directed arcs among them, following the
-// STATS algorithm in the paper (Algorithm 1).
+// STATS algorithm in the paper (Algorithm 1). LCC is the definition,
+// one sorted merge per neighbour; AvgLCC counts the same links by
+// another method and is tested against it.
 func (g *Graph) LCC(v VertexID) float64 {
-	var buf []VertexID
-	return g.lccInto(v, &buf)
-}
-
-// lccInto is LCC with a caller-owned neighbourhood scratch buffer.
-func (g *Graph) lccInto(v VertexID, buf *[]VertexID) float64 {
-	nbrs := g.neighbourhoodInto(v, buf)
+	nbrs := g.Out(v)
+	if g.directed {
+		nbrs = make([]VertexID, g.Degree(v))
+		nbrs = nbrs[:g.unionInto(v, nbrs, make([]uint8, len(nbrs)))]
+	}
 	k := len(nbrs)
 	if k < 2 {
 		return 0
 	}
+	// Each arc among the neighbours counts once: k(k-1) ordered pairs
+	// are possible, and an undirected edge is two arcs.
 	links := 0
 	for _, u := range nbrs {
 		links += countIntersect(g.Out(u), nbrs)
 	}
-	if g.directed {
-		// Directed: k(k-1) ordered pairs possible; each arc counted once.
-		return float64(links) / float64(k*(k-1))
-	}
-	// Undirected: each edge counted twice by the loop above.
 	return float64(links) / float64(k*(k-1))
 }
 
 // AvgLCC returns the average local clustering coefficient over all
-// vertices, as computed by STATS. Vertices are processed in fixed-size
-// chunks on up to GOMAXPROCS workers; per-chunk partial sums are
-// reduced in chunk order, so the result does not depend on the worker
-// count.
+// vertices, as computed by STATS. Each vertex's link count is the
+// integer LCC's merge finds, but counted by enumerating every triangle
+// of the undirected union graph once (orient, credit). The
+// coefficients are summed over fixed-size chunks whose partial sums
+// reduce in chunk order, so the result does not depend on the worker
+// count and has the bits of LCC summed the same way.
 func (g *Graph) AvgLCC() float64 {
 	if g.n == 0 {
 		return 0
 	}
-	sums := make([]float64, numChunks(int(g.n)))
-	// One reusable neighbourhood buffer per worker, copied in and out
-	// so workers never write neighbouring slice headers per vertex.
-	bufs := make([][]VertexID, runtime.GOMAXPROCS(0))
-	par.For(len(sums), len(bufs), func(w, ci int) {
-		buf := bufs[w]
+	o := g.orient()
+	links := o.credit()
+	n := int(g.n)
+	sums := make([]float64, numChunks(n))
+	par.For(len(sums), runtime.GOMAXPROCS(0), func(_, ci int) {
 		s := 0.0
-		lo, hi := chunk(ci, int(g.n))
+		lo, hi := chunk(ci, n)
 		for v := lo; v < hi; v++ {
-			s += g.lccInto(VertexID(v), &buf)
+			if k := int(o.deg[v]); k >= 2 {
+				s += float64(links[v]) / float64(k*(k-1))
+			}
 		}
-		sums[ci], bufs[w] = s, buf
+		sums[ci] = s
 	})
 	sum := 0.0
 	for _, s := range sums {
@@ -65,33 +65,180 @@ func (g *Graph) AvgLCC() float64 {
 	return sum / float64(g.n)
 }
 
-// neighbourhoodInto returns the sorted distinct neighbours of v (union
-// of in and out for directed graphs). Undirected graphs return the CSR
-// adjacency directly; directed graphs merge into *buf, which is grown
-// and reused across calls.
-func (g *Graph) neighbourhoodInto(v VertexID, buf *[]VertexID) []VertexID {
-	if !g.directed {
-		return g.Out(v)
+// oriented is the undirected union graph with every edge pointing from
+// its lower- to its higher-ranked end, vertices ranked by (union
+// degree, ID). u's forward list, its higher-ranked neighbours in ID
+// order, is fwd[base[u] : base[u]+flen[u]]; mul holds beside each
+// entry w the arc multiplicity [u→w] + [w→u], which is 2 on undirected
+// graphs. Ranking by degree keeps every forward list within O(√E)
+// entries.
+type oriented struct {
+	deg  []int32 // union degree
+	base []int64 // slot of each vertex, len n+1
+	flen []int32
+	fwd  []VertexID
+	mul  []uint8
+}
+
+// triangleBlock is the number of vertices per task of orient and
+// credit: finer than metricChunk, because per-vertex work is uneven
+// and the references often run on graphs of less than one chunk. The
+// tasks only add integers, so nothing depends on how they are split.
+const triangleBlock = 128
+
+// blocks calls fn(worker, lo, hi) for every triangleBlock range of
+// [0, n) on up to workers goroutines.
+func blocks(n, workers int, fn func(w, lo, hi int)) {
+	par.For((n+triangleBlock-1)/triangleBlock, workers, func(w, b int) {
+		lo := b * triangleBlock
+		fn(w, lo, min(lo+triangleBlock, n))
+	})
+}
+
+// orient builds the oriented union graph. An undirected graph's union
+// is its adjacency, so a vertex's slot is its CSR range. A directed
+// graph's union is merged from Out and In into a slot of Degree
+// entries, in a pass of its own, because ranking a neighbour needs its
+// union degree. Each forward list is then written to the front of its
+// slot.
+func (g *Graph) orient() *oriented {
+	n := int(g.n)
+	o := &oriented{deg: make([]int32, n), flen: make([]int32, n)}
+	if g.directed {
+		o.base = make([]int64, n+1)
+		for v := range o.base {
+			o.base[v] = g.offsets[v] + g.inOffsets[v]
+		}
+		o.fwd = make([]VertexID, o.base[n])
+		o.mul = make([]uint8, o.base[n])
+		blocks(n, par.Workers(), func(_, lo, hi int) {
+			for v := lo; v < hi; v++ {
+				at := o.base[v]
+				o.deg[v] = int32(g.unionInto(VertexID(v), o.fwd[at:], o.mul[at:]))
+			}
+		})
+	} else {
+		o.base = g.offsets
+		o.fwd = make([]VertexID, len(g.adj))
+		o.mul = make([]uint8, len(g.adj))
+		for v := range o.deg {
+			o.deg[v] = int32(g.offsets[v+1] - g.offsets[v])
+		}
 	}
+	blocks(n, par.Workers(), func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			at, du := o.base[u], o.deg[u]
+			union, mul := o.fwd[at:at+int64(du)], o.mul[at:at+int64(du)]
+			if !g.directed {
+				union = g.Out(VertexID(u))
+			}
+			// Directed slots are filtered in place: entry k is written
+			// after entry i >= k is read.
+			fwd, fmul := o.fwd[at:], o.mul[at:]
+			k := 0
+			for i, w := range union {
+				if dw := o.deg[w]; dw > du || (dw == du && int(w) > u) {
+					m := uint8(2)
+					if g.directed {
+						m = mul[i]
+					}
+					fwd[k], fmul[k] = w, m
+					k++
+				}
+			}
+			o.flen[u] = int32(k)
+		}
+	})
+	return o
+}
+
+// forward returns u's forward list and the multiplicities beside it.
+func (o *oriented) forward(u VertexID) ([]VertexID, []uint8) {
+	at := o.base[u]
+	end := at + int64(o.flen[u])
+	return o.fwd[at:end], o.mul[at:end]
+}
+
+// credit returns every vertex's links, the arcs among its union
+// neighbours that LCC counts, by enumerating each triangle once: from
+// its lowest-ranked corner u through its middle corner w in F(u), every
+// x in F(u) ∩ F(w) closes it, and each corner is credited with the
+// multiplicity of the side opposite it. A worker marks F(u), with its
+// multiplicities, in a byte array and scans each F(w) against it.
+// Workers count into arrays of their own, summed at the end: the
+// counts are integers, so which worker ran which block moves nothing.
+// The extra memory is one int64 and one byte per vertex per worker.
+func (o *oriented) credit() []int64 {
+	n := len(o.deg)
+	counts := make([][]int64, min(par.Workers(), (n+triangleBlock-1)/triangleBlock))
+	marks := make([][]uint8, len(counts))
+	for w := range counts {
+		counts[w], marks[w] = make([]int64, n), make([]uint8, n)
+	}
+	blocks(n, len(counts), func(wk, lo, hi int) {
+		cnt, mark := counts[wk], marks[wk]
+		for u := lo; u < hi; u++ {
+			fu, mu := o.forward(VertexID(u))
+			if len(fu) < 2 {
+				continue
+			}
+			for i, x := range fu {
+				mark[x] = mu[i]
+			}
+			var cu int64
+			for i, w := range fu {
+				fw, mw := o.forward(w)
+				muw := int64(mu[i])
+				var cw int64
+				for j, x := range fw {
+					if m := mark[x]; m != 0 {
+						cu += int64(mw[j])
+						cw += int64(m)
+						cnt[x] += muw
+					}
+				}
+				cnt[w] += cw
+			}
+			cnt[u] += cu
+			for _, x := range fu {
+				mark[x] = 0
+			}
+		}
+	})
+	links := counts[0]
+	blocks(n, len(counts), func(_, lo, hi int) {
+		for _, c := range counts[1:] {
+			for v := lo; v < hi; v++ {
+				links[v] += c[v]
+			}
+		}
+	})
+	return links
+}
+
+// unionInto writes the sorted distinct neighbours of v, the union of
+// Out(v) and In(v) of a directed graph, to dst, with the multiplicity
+// [v→w] + [w→v] of each w to mul at the same index, and returns how
+// many it wrote. dst and mul need Degree(v) entries.
+func (g *Graph) unionInto(v VertexID, dst []VertexID, mul []uint8) int {
 	out, in := g.Out(v), g.In(v)
-	merged := (*buf)[:0]
-	i, j := 0, 0
+	i, j, k := 0, 0, 0
 	for i < len(out) || j < len(in) {
 		switch {
 		case j >= len(in) || (i < len(out) && out[i] < in[j]):
-			merged = append(merged, out[i])
+			dst[k], mul[k] = out[i], 1
 			i++
 		case i >= len(out) || in[j] < out[i]:
-			merged = append(merged, in[j])
+			dst[k], mul[k] = in[j], 1
 			j++
-		default: // equal
-			merged = append(merged, out[i])
+		default: // both arcs
+			dst[k], mul[k] = out[i], 2
 			i++
 			j++
 		}
+		k++
 	}
-	*buf = merged
-	return merged
+	return k
 }
 
 // countIntersect returns |a ∩ b| for two sorted slices.

@@ -26,7 +26,8 @@ func Workers() int { return min(runtime.GOMAXPROCS(0), 16) }
 // goroutine claims the next unclaimed task until none are left, so
 // worker w may run any task. Outputs a merge reads must be indexed by
 // task, and only reusable scratch by worker (worker < min(workers,
-// tasks)). When min(workers, tasks) ≤ 1 the tasks run inline, in
+// tasks)), unless the merge does not depend on which worker ran which
+// task, as integer sums do not. When min(workers, tasks) ≤ 1 the tasks run inline, in
 // order, on the calling goroutine as worker 0.
 func For(tasks, workers int, fn func(worker, task int)) {
 	workers = min(workers, tasks)

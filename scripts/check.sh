@@ -108,6 +108,10 @@ echo "== pregel delivery order (-race, GOMAXPROCS 1, 2 and 4)"
 # One flat inbox per shard, filled for all shards in parallel.
 go test -race -cpu 1,2,4 ./internal/pregel/ ./internal/pregelalgo/
 
+echo "== STATS reference (-race, GOMAXPROCS 1, 2 and 4)"
+# Per-worker triangle credits must give the definition's bits.
+go test -race -cpu 1,2,4 -run 'LCC' ./internal/graph/
+
 echo "== oracle table, short rows (-race)"
 go test -race -short -run '^Test(Oracle|Cross|SSSPEquivalence)' .
 

@@ -2,7 +2,9 @@
 # `go tool covdata func` lines ("<file>:<line>: <name> <percent>").
 # Variables: verdicts (scripts/deadsurface.verdicts), testfunc (`go
 # tool cover -func` lines of the go test pass), sources (non-test Go
-# files, one a line). Coverage percentages move between runs of one
+# files, one a line, relative to the repository root), snapshot (the
+# directory the script copied those files to before it built, which is
+# what is read). Coverage percentages move between runs of one
 # commit (scheduling decides how much of a concurrent path runs), so
 # the file records only whether a function is reached at all.
 
@@ -76,7 +78,7 @@ BEGIN {
         if (file !~ /\//) dir = "."
         block = ""
         lineno = 0
-        while ((getline line < file) > 0) {
+        while ((getline line < (snapshot "/" file)) > 0) {
             lineno++
             if (line ~ /^[ \t]*\/\//) continue
             sub(/ \/\/.*$/, "", line)
@@ -116,7 +118,7 @@ BEGIN {
                 prev = (line ~ /^\./) ? tok : ""
             }
         }
-        close(file)
+        close(snapshot "/" file)
     }
 }
 {

@@ -49,6 +49,13 @@ die() {
     exit 1
 }
 
+# The non-test sources section 2 reads, the main module's and the
+# benchmark's, snapshotted beside the build: the report names methods
+# from the tree that was built, whatever is edited during the run.
+git ls-files '*.go' | grep -v '_test\.go$' >"$tmp/sources"
+mkdir -p "$tmp/src"
+tar -cf - -T "$tmp/sources" | tar -xf - -C "$tmp/src"
+
 echo "== build with -cover -coverpkg=repro/..." >&2
 go build -cover -coverpkg=repro/... -o "$tmp/graphbench" ./cmd/graphbench
 go build -cover -coverpkg=repro/... -o "$tmp/datagen" ./cmd/datagen
@@ -168,9 +175,7 @@ go tool covdata func -i="$tmp/cov" | awk "$mine" >"$tmp/drive.func"
 go tool cover -func="$tmp/test.out" | awk "$mine" >"$tmp/test.func"
 
 echo "== writing DEADSURFACE.md" >&2
-# The non-test sources list 2 reads: the main module and the benchmark.
-git ls-files '*.go' | grep -v '_test\.go$' >"$tmp/sources"
 awk -v verdicts=scripts/deadsurface.verdicts -v testfunc="$tmp/test.func" \
-    -v sources="$tmp/sources" \
+    -v sources="$tmp/sources" -v snapshot="$tmp/src" \
     -f scripts/deadsurface.awk "$tmp/drive.func" >DEADSURFACE.md
 echo "deadsurface: wrote DEADSURFACE.md" >&2
