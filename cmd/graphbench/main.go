@@ -37,7 +37,7 @@
 //	    compare two report bundles cell by cell
 //	serve [-addr HOST:PORT -datasets LIST]
 //	    HTTP graph-serving daemon
-//	stream [-mix 90/10,100/0 -users N -duration D -think T -reads live|mixed] [-chaos]
+//	stream [-mix 90/10,100/0 -users N -duration D -think T] [-chaos]
 //	    closed-loop user fleet against an in-process serving daemon: read/write sweep over an evolving graph, 100/0 is the serving load test
 //
 // Flags (before the command) scale the datasets, size the cluster,
@@ -140,7 +140,7 @@ func commandTable() []command {
 			func(_ *env, a []string) { experimentDiffCmd(a[0], a[1]) }},
 		{"serve", "[-addr HOST:PORT -datasets LIST]", "HTTP graph-serving daemon", 0,
 			func(e *env, a []string) { serveCmd(a, e.cache, e.sess) }},
-		{"stream", "[-mix 90/10,100/0 -users N -duration D -think T -reads live|mixed] [-chaos]",
+		{"stream", "[-mix 90/10,100/0 -users N -duration D -think T] [-chaos]",
 			"closed-loop user fleet against an in-process serving daemon: read/write sweep over an evolving graph, 100/0 is the serving load test", 0,
 			func(e *env, a []string) { streamCmd(a, e.cache, e.sess) }},
 	}

@@ -42,7 +42,7 @@ func TestCommandTable(t *testing.T) {
 				t.Errorf("loadtest takes %q (min %d), want exactly <platform> <algorithm> <dataset>", c.args, c.min)
 			}
 		case "stream": // the serving load test lives here
-			for _, flag := range []string{"-mix", "-users", "-duration", "-think", "-reads", "-chaos"} {
+			for _, flag := range []string{"-mix", "-users", "-duration", "-think", "-chaos"} {
 				if !strings.Contains(c.args, flag) {
 					t.Errorf("stream synopsis %q does not name %s", c.args, flag)
 				}

@@ -38,7 +38,6 @@ func streamCmd(args []string, cacheDir string, sess *obs.Session) {
 	fs.IntVar(&cfg.OpsPerUser, "ops", def.OpsPerUser, "operations per user")
 	fs.DurationVar(&cfg.Duration, "duration", 0, "run each mix for this long instead of -ops operations per user")
 	fs.DurationVar(&cfg.Think, "think", 0, "mean exponential think time between a user's operations (0 = back-to-back)")
-	fs.StringVar(&cfg.Reads, "reads", def.Reads, "read workload: live (bfs/component/stats) or mixed (adds khop and sssp)")
 	fs.IntVar(&cfg.Batches, "batches", def.Batches, "update batches in the stream")
 	fs.IntVar(&cfg.BatchSize, "batch-size", def.BatchSize, "edge operations per batch")
 	fs.IntVar(&cfg.CompactEvery, "compact-every", def.CompactEvery, "compact after this many applied batches (<0 disables)")

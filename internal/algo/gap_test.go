@@ -2,7 +2,6 @@ package algo
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -88,110 +87,6 @@ func TestBFSDirOptWorkerDeterminism(t *testing.T) {
 	}
 }
 
-func TestSSSPDeltaStepMatchesDijkstra(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		for seed := int64(0); seed < 3; seed++ {
-			g := graph.WithWeights(gapGraph(t, 600, 4500, directed, seed+20), uint64(seed+1))
-			src := PickSource(g, seed)
-			want := RefSSSP(g, src)
-			if err := ValidateSSSP(g, src, &want); err != nil {
-				t.Fatalf("reference SSSP fails its own certificate: %v", err)
-			}
-			for _, delta := range []int64{0, 1, 1024} { // default, Dijkstra-ish, near-Bellman-Ford
-				got := SSSPDeltaStep(g, src, GapOptions{Delta: delta})
-				for v := range got.Dist {
-					if got.Dist[v] != want.Dist[v] {
-						t.Fatalf("directed=%v seed=%d delta=%d: dist[%d]=%d, want %d",
-							directed, seed, delta, v, got.Dist[v], want.Dist[v])
-					}
-				}
-				if got.Visited != want.Visited {
-					t.Fatalf("directed=%v seed=%d delta=%d: Visited %d, want %d",
-						directed, seed, delta, got.Visited, want.Visited)
-				}
-				if err := ValidateSSSP(g, src, got); err != nil {
-					t.Fatalf("directed=%v seed=%d delta=%d: certificate: %v", directed, seed, delta, err)
-				}
-			}
-		}
-	}
-}
-
-func TestSSSPDeltaStepWorkerDeterminism(t *testing.T) {
-	g := graph.WithWeights(gapGraph(t, 2500, 20000, true, 5), 9)
-	src := PickSource(g, 5)
-	base := SSSPDeltaStep(g, src, GapOptions{Workers: 1})
-	for _, workers := range []int{2, 4, 8} {
-		got := SSSPDeltaStep(g, src, GapOptions{Workers: workers})
-		for v := range got.Dist {
-			if got.Dist[v] != base.Dist[v] {
-				t.Fatalf("workers=%d: dist[%d] differs", workers, v)
-			}
-		}
-		if got.Iterations != base.Iterations || got.Visited != base.Visited {
-			t.Fatalf("workers=%d: counters differ (%d,%d) vs (%d,%d)",
-				workers, got.Visited, got.Iterations, base.Visited, base.Iterations)
-		}
-	}
-}
-
-// phaseSyncDeltaSteps counts the phases of delta-stepping from src when
-// every phase relaxes its frontier from the distances at the phase's
-// start: the frontier is every vertex lowered since it last relaxed
-// whose distance lies in the lowest such bucket.
-func phaseSyncDeltaSteps(g *graph.Graph, src graph.VertexID, delta int64) int {
-	n := g.NumVertices()
-	dist := make([]int64, n)
-	for i := range dist {
-		dist[i] = math.MaxInt64
-	}
-	dist[src] = 0
-	pending := map[graph.VertexID]bool{src: true}
-	phases := 0
-	for len(pending) > 0 {
-		b := int64(math.MaxInt64)
-		for v := range pending {
-			b = min(b, dist[v]/delta)
-		}
-		start := map[graph.VertexID]int64{}
-		for v := range pending {
-			if dist[v]/delta == b {
-				start[v] = dist[v]
-				delete(pending, v)
-			}
-		}
-		phases++
-		for u, du := range start {
-			for i, v := range g.Out(u) {
-				if cand := du + int64(g.OutWeights(u)[i]); cand < dist[v] {
-					dist[v] = cand
-					pending[v] = true
-				}
-			}
-		}
-	}
-	return phases
-}
-
-// TestSSSPDeltaStepPhaseCount pins Iterations to the phase-synchronous
-// count for every worker count: a phase that read distances lowered by
-// another chunk of the same phase would run a different number of
-// phases depending on which chunk ran first.
-func TestSSSPDeltaStepPhaseCount(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		g := graph.WithWeights(gapGraph(t, 2500, 20000, directed, 5), 9)
-		src := PickSource(g, 5)
-		for _, delta := range []int64{0, 1, 300} {
-			want := phaseSyncDeltaSteps(g, src, GapOptions{Delta: delta}.delta())
-			for workers := 1; workers <= 8; workers++ {
-				if got := SSSPDeltaStep(g, src, GapOptions{Workers: workers, Delta: delta}).Iterations; got != want {
-					t.Fatalf("directed=%v delta=%d workers=%d: %d phases, want %d", directed, delta, workers, got, want)
-				}
-			}
-		}
-	}
-}
-
 func TestValidateBFSTreeRejectsCorruption(t *testing.T) {
 	g := gapGraph(t, 200, 800, false, 2)
 	src := PickSource(g, 2)
@@ -237,7 +132,7 @@ func TestValidateBFSTreeRejectsCorruption(t *testing.T) {
 func TestValidateSSSPRejectsCorruption(t *testing.T) {
 	g := graph.WithWeights(gapGraph(t, 200, 800, false, 4), 6)
 	src := PickSource(g, 4)
-	base := SSSPDeltaStep(g, src, GapOptions{})
+	base := RefSSSP(g, src)
 
 	corrupt := func(mutate func(d []int64) (visited int)) error {
 		d := append([]int64(nil), base.Dist...)

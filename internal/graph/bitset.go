@@ -29,11 +29,6 @@ func (b *Bitset) Set(v VertexID) {
 	b.words[uint32(v)>>6] |= 1 << (uint32(v) & 63)
 }
 
-// Unset removes v from the set.
-func (b *Bitset) Unset(v VertexID) {
-	b.words[uint32(v)>>6] &^= 1 << (uint32(v) & 63)
-}
-
 // Zero clears the whole set, keeping capacity.
 func (b *Bitset) Zero() { clear(b.words) }
 

@@ -27,9 +27,7 @@ import (
 // Handler returns the daemon's HTTP API:
 //
 //	POST /query/bfs        {dataset, src, target}  -> BFSAnswer
-//	POST /query/khop       {dataset, src, k}       -> KHopAnswer
 //	POST /query/component  {dataset, vertex}       -> ComponentAnswer
-//	POST /query/sssp       {dataset, src, target}  -> SSSPAnswer
 //	POST /mutate           {dataset, seq, ops}     -> MutateAnswer
 //	POST /compact          {dataset}               -> CompactAnswer
 //	GET  /stats?dataset=D                          -> StatsAnswer
@@ -39,9 +37,7 @@ import (
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query/bfs", s.handleBFS)
-	mux.HandleFunc("POST /query/khop", s.handleKHop)
 	mux.HandleFunc("POST /query/component", s.handleComponent)
-	mux.HandleFunc("POST /query/sssp", s.handleSSSP)
 	mux.HandleFunc("POST /mutate", s.handleMutate)
 	mux.HandleFunc("POST /compact", s.handleCompact)
 	mux.HandleFunc("GET /stats", s.handleStats)
@@ -62,7 +58,6 @@ type queryBody struct {
 	Src     *int64 `json:"src,omitempty"`
 	Target  *int64 `json:"target,omitempty"`
 	Vertex  *int64 `json:"vertex,omitempty"`
-	K       *int32 `json:"k,omitempty"`
 }
 
 // maxBodyBytes bounds every POST body. The largest legitimate request
@@ -130,27 +125,6 @@ func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ans)
 }
 
-func (s *Server) handleKHop(w http.ResponseWriter, r *http.Request) {
-	q, ok := decodeBody(w, r)
-	if !ok {
-		return
-	}
-	src, ok := need(w, "src", q.Src)
-	if !ok {
-		return
-	}
-	if q.K == nil {
-		writeError(w, http.StatusBadRequest, "missing field: k")
-		return
-	}
-	ans, err := s.KHop(r.Context(), q.Dataset, src, *q.K)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ans)
-}
-
 func (s *Server) handleComponent(w http.ResponseWriter, r *http.Request) {
 	q, ok := decodeBody(w, r)
 	if !ok {
@@ -161,27 +135,6 @@ func (s *Server) handleComponent(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ans, err := s.Component(r.Context(), q.Dataset, v)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ans)
-}
-
-func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
-	q, ok := decodeBody(w, r)
-	if !ok {
-		return
-	}
-	src, ok := need(w, "src", q.Src)
-	if !ok {
-		return
-	}
-	target, ok := need(w, "target", q.Target)
-	if !ok {
-		return
-	}
-	ans, err := s.SSSP(r.Context(), q.Dataset, src, target)
 	if err != nil {
 		writeQueryError(w, err)
 		return

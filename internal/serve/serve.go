@@ -1,9 +1,8 @@
 // Package serve is the graph-serving daemon: generated datasets stay
 // memory-resident (loaded through the binary-snapshot cache, so a warm
 // start is one GCSR read instead of a regeneration) and point queries —
-// BFS distance/reachability, connected-component lookup, k-hop
-// neighbourhood counts, SSSP distance, graph stats — are answered over
-// an in-process API and an HTTP/JSON front end.
+// BFS distance/reachability, connected-component lookup, graph stats —
+// are answered over an in-process API and an HTTP/JSON front end.
 //
 // Datasets are EVOLVING: each one is an evolve.Mutable — an immutable
 // compacted base CSR plus an overlay of applied edge-mutation batches.
@@ -15,9 +14,9 @@
 // is folded into a fresh CSR by copying its sorted lists, the
 // incrementally maintained component labels — the one derived view a
 // query reads — are cross-checked byte-identical against full
-// recomputation, and the serving state (batcher, result caches) is
-// swapped atomically. A failed cross-check fails the compaction and
-// leaves the serving state as it was.
+// recomputation, and the serving state (the batcher and its result
+// cache) is swapped atomically. A failed cross-check fails the
+// compaction and leaves the serving state as it was.
 //
 // The perf core is the batching scheduler in batcher.go: concurrent
 // BFS-backed point queries coalesce into one multi-source
@@ -31,8 +30,7 @@
 // and every tree entering the cache or answering a query has been
 // checked by algo.ValidateBFSBatch first, so served answers are
 // certified. Every certificate is unconditional: ValidateBFSBatch on
-// each executed batch, evolve.CheckBFS on each snapshot-path answer,
-// algo.ValidateSSSP on each cold SSSP.
+// each executed batch, evolve.CheckBFS on each snapshot-path answer.
 // The batcher serves exactly one compacted epoch; while the overlay is
 // non-empty, BFS-backed queries run on the pinned snapshot directly
 // (certified by evolve.CheckBFS) so answers are always current.
@@ -98,7 +96,7 @@ type Config struct {
 	// milliseconds, so this leaves room for some dozens of batches
 	// queued ahead; warm queries answer in microseconds).
 	QueryTimeout time.Duration
-	// ResultCacheSize bounds the per-dataset result caches, in source
+	// ResultCacheSize bounds the per-dataset BFS result cache, in source
 	// vertices (default 8192).
 	ResultCacheSize int
 	// CompactEvery folds the mutation overlay into a fresh CSR after
@@ -185,10 +183,6 @@ type dsState struct {
 	epoch   atomic.Uint64
 	g       *graph.Graph
 	batcher *batcher
-
-	weightedOnce sync.Once
-	weighted     *graph.Graph
-	sssp         *ssspCache
 }
 
 // New loads every configured dataset resident (through the snapshot
@@ -213,7 +207,7 @@ func New(cfg Config) (*Server, error) {
 			compactNs:       reg.Counter("serve.compact.ns"),
 			ccRebuilds:      reg.Counter("serve.cc.rebuilds"),
 		}
-		st := &dsState{g: g, sssp: newSSSPCache(s.cfg.ResultCacheSize)}
+		st := &dsState{g: g}
 		st.batcher = newBatcher(g, &s.cfg)
 		d.st.Store(st)
 		s.datasets[p.Name] = d
@@ -365,7 +359,7 @@ func (d *dataset) compactLocked(cfg *Config) error {
 		return fmt.Errorf("serve: incremental CC diverged from full recompute at epoch %d: %w",
 			snap.Epoch(), err)
 	}
-	st := &dsState{g: g, sssp: newSSSPCache(cfg.ResultCacheSize)}
+	st := &dsState{g: g}
 	st.epoch.Store(snap.Epoch())
 	st.batcher = newBatcher(g, cfg)
 	d.st.Store(st)
@@ -467,49 +461,6 @@ func (s *Server) BFS(ctx context.Context, dsName string, src, target graph.Verte
 	}, nil
 }
 
-// KHopAnswer reports the size of a k-hop neighbourhood.
-type KHopAnswer struct {
-	Dataset string `json:"dataset"`
-	Src     int64  `json:"src"`
-	K       int32  `json:"k"`
-	// Count is the number of vertices within k hops, the source
-	// included.
-	Count int `json:"count"`
-	// Frontier is the number at exactly k hops.
-	Frontier int `json:"frontier"`
-	// Epoch is the dataset epoch this answer reflects.
-	Epoch uint64 `json:"epoch"`
-}
-
-// KHop counts the vertices within k hops of src. It shares the BFS
-// result cache — the k-hop set is a level filter over the same tree.
-func (s *Server) KHop(ctx context.Context, dsName string, src graph.VertexID, k int32) (*KHopAnswer, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("serve: negative hop count %d", k)
-	}
-	d, err := s.dataset(dsName)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.checkVertex(src); err != nil {
-		return nil, err
-	}
-	levels, _, _, epoch, err := s.bfsLevels(ctx, d, src)
-	if err != nil {
-		return nil, err
-	}
-	ans := &KHopAnswer{Dataset: d.name, Src: int64(src), K: k, Epoch: epoch}
-	for _, lv := range levels {
-		if lv >= 0 && lv <= k {
-			ans.Count++
-			if lv == k {
-				ans.Frontier++
-			}
-		}
-	}
-	return ans, nil
-}
-
 // ComponentAnswer locates a vertex's connected component.
 type ComponentAnswer struct {
 	Dataset string `json:"dataset"`
@@ -555,65 +506,6 @@ func (s *Server) Component(ctx context.Context, dsName string, v graph.VertexID)
 		Size:      d.ccSizes[label],
 		Epoch:     snap.Epoch(),
 	}, nil
-}
-
-// SSSPAnswer is a weighted-distance query result.
-type SSSPAnswer struct {
-	Dataset   string `json:"dataset"`
-	Src       int64  `json:"src"`
-	Target    int64  `json:"target"`
-	Reachable bool   `json:"reachable"`
-	// Dist is the exact weighted distance, -1 when unreachable.
-	Dist int64 `json:"dist"`
-	// Cached reports a result-cache hit.
-	Cached bool `json:"cached"`
-	// Epoch is the COMPACTED epoch this answer reflects: weights are
-	// derived from the compacted CSR, so SSSP serves the base graph
-	// and picks up mutations at the next compaction.
-	Epoch uint64 `json:"epoch"`
-}
-
-// SSSP answers a weighted shortest-distance query. Weights are derived
-// deterministically from the dataset seed (graph.WithWeights), so
-// answers are stable across restarts; they are a function of the
-// compacted CSR, so the answer's epoch is the serving state's
-// compaction epoch. Results are cached per source and invalidated by
-// compaction (each serving state owns its cache).
-func (s *Server) SSSP(ctx context.Context, dsName string, src, target graph.VertexID) (*SSSPAnswer, error) {
-	d, err := s.dataset(dsName)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.checkVertex(src); err != nil {
-		return nil, err
-	}
-	if err := d.checkVertex(target); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", algo.ErrDeadlineExceeded, err)
-	}
-	st := d.st.Load()
-	st.weightedOnce.Do(func() {
-		st.weighted = graph.WithWeights(st.g, uint64(s.cfg.Seed))
-	})
-	res, cached := st.sssp.get(src)
-	if res == nil {
-		res = algo.SSSPDeltaStep(st.weighted, src, algo.GapOptions{Workers: s.cfg.Workers})
-		if err := algo.ValidateSSSP(st.weighted, src, res); err != nil {
-			return nil, fmt.Errorf("serve: SSSP certificate failed: %w", err)
-		}
-		st.sssp.put(src, res)
-	}
-	dist := res.Dist[target]
-	ans := &SSSPAnswer{Dataset: d.name, Src: int64(src), Target: int64(target), Cached: cached, Epoch: st.epoch.Load()}
-	if dist < 0 {
-		ans.Dist = -1
-	} else {
-		ans.Reachable = true
-		ans.Dist = dist
-	}
-	return ans, nil
 }
 
 // StatsAnswer summarises a resident dataset.
@@ -690,36 +582,4 @@ func (s *Server) Snapshot(dsName string) (*evolve.Snapshot, error) {
 		return nil, err
 	}
 	return d.mut.Snapshot(), nil
-}
-
-// ssspCache is the bounded per-source SSSP result cache. Eviction is
-// map-order (effectively random) — fine for a cache whose hit path is
-// one lock + one lookup.
-type ssspCache struct {
-	mu  sync.RWMutex
-	cap int
-	m   map[graph.VertexID]*algo.SSSPResult
-}
-
-func newSSSPCache(cap int) *ssspCache {
-	return &ssspCache{cap: cap, m: make(map[graph.VertexID]*algo.SSSPResult)}
-}
-
-func (c *ssspCache) get(src graph.VertexID) (*algo.SSSPResult, bool) {
-	c.mu.RLock()
-	r := c.m[src]
-	c.mu.RUnlock()
-	return r, r != nil
-}
-
-func (c *ssspCache) put(src graph.VertexID, r *algo.SSSPResult) {
-	c.mu.Lock()
-	if len(c.m) >= c.cap {
-		for k := range c.m {
-			delete(c.m, k)
-			break
-		}
-	}
-	c.m[src] = r
-	c.mu.Unlock()
 }

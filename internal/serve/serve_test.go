@@ -142,25 +142,12 @@ func TestResultCache(t *testing.T) {
 	}
 }
 
-// TestKHopComponentSSSP covers the remaining query kinds against
-// directly computed expectations.
+// TestKHopComponentSSSP checks the component lookup against the
+// labels ConnectedComponents computes directly.
 func TestKHopComponentSSSP(t *testing.T) {
 	s := newTestServer(t, nil)
 	g, _ := s.Graph("DotaLeague")
 	ctx := context.Background()
-
-	khop, err := s.KHop(ctx, "DotaLeague", 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCount := 1 + len(g.Out(3))
-	if khop.Count != wantCount || khop.Frontier != len(g.Out(3)) {
-		t.Fatalf("khop(3,1) = (%d,%d), want (%d,%d)",
-			khop.Count, khop.Frontier, wantCount, len(g.Out(3)))
-	}
-	if _, err := s.KHop(ctx, "DotaLeague", 3, -1); err == nil {
-		t.Fatal("negative k accepted")
-	}
 
 	comp, err := s.Component(ctx, "DotaLeague", 7)
 	if err != nil {
@@ -172,23 +159,6 @@ func TestKHopComponentSSSP(t *testing.T) {
 	}
 	if comp.Size <= 0 {
 		t.Fatalf("component size %d", comp.Size)
-	}
-
-	sp, err := s.SSSP(ctx, "DotaLeague", 2, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg := graph.WithWeights(g, uint64(s.Config().Seed))
-	want := algo.SSSPDeltaStep(wg, 2, algo.GapOptions{})
-	if sp.Reachable && sp.Dist != want.Dist[11] {
-		t.Fatalf("sssp(2,11) = %d, want %d", sp.Dist, want.Dist[11])
-	}
-	sp2, err := s.SSSP(ctx, "DotaLeague", 2, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sp2.Cached {
-		t.Fatal("repeated SSSP source missed its cache")
 	}
 }
 
@@ -229,17 +199,16 @@ func TestHandlerTable(t *testing.T) {
 		// 2^32+1 and 1-2^32 both wrap onto vertex 1 when narrowed to int32.
 		{"src wraps", "/query/bfs", `{"dataset":"DotaLeague","src":4294967297,"target":2}`, 404},
 		{"src wraps negative", "/query/bfs", `{"dataset":"DotaLeague","src":-4294967295,"target":2}`, 404},
-		{"target wraps", "/query/sssp", `{"dataset":"DotaLeague","src":1,"target":4294967297}`, 404},
-		{"target wraps negative", "/query/sssp", `{"dataset":"DotaLeague","src":1,"target":-4294967295}`, 404},
+		{"target wraps", "/query/bfs", `{"dataset":"DotaLeague","src":1,"target":4294967297}`, 404},
+		{"target wraps negative", "/query/bfs", `{"dataset":"DotaLeague","src":1,"target":-4294967295}`, 404},
 		{"vertex wraps", "/query/component", `{"dataset":"DotaLeague","vertex":4294967297}`, 404},
 		{"vertex wraps negative", "/query/component", `{"dataset":"DotaLeague","vertex":-4294967295}`, 404},
-		{"khop ok", "/query/khop", `{"dataset":"DotaLeague","src":1,"k":2}`, 200},
-		{"khop missing k", "/query/khop", `{"dataset":"DotaLeague","src":1}`, 400},
 		{"component ok", "/query/component", `{"dataset":"DotaLeague","vertex":4}`, 200},
 		{"component missing vertex", "/query/component", `{"dataset":"DotaLeague"}`, 400},
 		{"component bad dataset", "/query/component", `{"dataset":"x","vertex":4}`, 404},
-		{"sssp ok", "/query/sssp", `{"dataset":"DotaLeague","src":1,"target":3}`, 200},
-		{"sssp bad vertex", "/query/sssp", `{"dataset":"DotaLeague","src":1,"target":` + itoa64(n+5) + `}`, 404},
+		{"target too big", "/query/bfs", `{"dataset":"DotaLeague","src":1,"target":` + itoa64(n+5) + `}`, 404},
+		// No endpoint reads a hop count, so the decoder rejects it.
+		{"k on bfs", "/query/bfs", `{"dataset":"DotaLeague","src":1,"target":2,"k":2}`, 400},
 		{"oversized body", "/query/bfs", `{"dataset":"` + strings.Repeat("x", maxBodyBytes) + `","src":1,"target":2}`, 413},
 	}
 	for _, tc := range cases {

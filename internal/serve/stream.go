@@ -27,9 +27,10 @@ import (
 // in-process server — reads are epoch-tagged point queries, writes are
 // seeded update-stream batches claimed from a shared sequencer (so
 // batch submission order is racy on purpose and exercises the
-// exactly-once reorder buffer). StreamConfig sets the stop rule, the
-// think time and the read workload; a 100/0 mix is a read-only load
-// test. Each row runs on a fresh server.
+// exactly-once reorder buffer). Reads are BFS, component and stats
+// queries, 80/15/5. StreamConfig sets the stop rule and the think
+// time; a 100/0 mix is a read-only load test. Each row runs on a fresh
+// server.
 //
 // Every row carries the load figures (QPS, errors by class, read
 // latency percentiles) and two invariants:
@@ -49,16 +50,6 @@ type StreamMix struct {
 }
 
 func (m StreamMix) String() string { return fmt.Sprintf("%d/%d", m.Read, m.Write) }
-
-// readMixes are the read workloads by name: cumulative percentage
-// cuts for BFS, k-hop, component and SSSP, the remainder being stats
-// polls. "live" (BFS 80, component 15, stats 5) asks only for answers
-// served at the live epoch; "mixed" (88/5/4/2/1) adds k-hop counts and
-// SSSP, which answers at the compacted epoch.
-var readMixes = map[string][4]int{
-	"live":  {80, 80, 95, 95},
-	"mixed": {88, 93, 97, 99},
-}
 
 // deleteFrac is the share of update-stream operations that delete an
 // edge; the rest insert.
@@ -84,8 +75,6 @@ type StreamConfig struct {
 	// Think, when set, is the mean of the exponential think time a user
 	// sleeps between operations (Poisson arrivals; unset: back-to-back).
 	Think time.Duration
-	// Reads names the read workload: "live" or "mixed" (see readMixes).
-	Reads string
 	// Batches × BatchSize shape the update stream.
 	Batches   int
 	BatchSize int
@@ -111,7 +100,6 @@ func DefaultStreamConfig() StreamConfig {
 		Mixes:        []StreamMix{{90, 10}, {70, 30}, {50, 50}},
 		Users:        64,
 		OpsPerUser:   64,
-		Reads:        "live",
 		Batches:      1024,
 		BatchSize:    16,
 		CompactEvery: 8,
@@ -125,7 +113,6 @@ func (c *StreamConfig) fill() error {
 	c.Seed = cmp.Or(c.Seed, def.Seed)
 	c.Users = cmp.Or(c.Users, def.Users)
 	c.OpsPerUser = cmp.Or(c.OpsPerUser, def.OpsPerUser)
-	c.Reads = cmp.Or(c.Reads, def.Reads)
 	c.Batches = cmp.Or(c.Batches, def.Batches)
 	c.BatchSize = cmp.Or(c.BatchSize, def.BatchSize)
 	c.CompactEvery = cmp.Or(c.CompactEvery, def.CompactEvery)
@@ -136,9 +123,6 @@ func (c *StreamConfig) fill() error {
 		if m.Read < 0 || m.Write < 0 || m.Read+m.Write != 100 {
 			return fmt.Errorf("serve: invalid mix %d/%d (want read+write = 100)", m.Read, m.Write)
 		}
-	}
-	if _, ok := readMixes[c.Reads]; !ok {
-		return fmt.Errorf("serve: unknown read workload %q (want live or mixed)", c.Reads)
 	}
 	if c.Scale < 0 || c.Users < 0 || c.OpsPerUser < 0 || c.Batches < 0 || c.BatchSize < 0 || c.Duration < 0 || c.Think < 0 {
 		return errors.New("serve: negative size or duration in stream config")
@@ -210,7 +194,7 @@ func (r *StreamRow) String() string {
 // StreamReport is a full sweep.
 type StreamReport struct {
 	Dataset string `json:"dataset"`
-	// Load is the fleet's shape: users, stop rule, think time, reads.
+	// Load is the fleet's shape: users, stop rule, think time.
 	Load string      `json:"load"`
 	Rows []StreamRow `json:"rows"`
 }
@@ -251,8 +235,7 @@ func (r *StreamReport) Ok() bool {
 // the update stream, and the bytes every row must land on.
 type streamRun struct {
 	cfg     StreamConfig
-	n       int    // vertex count
-	reads   [4]int // cfg.Reads' cuts
+	n       int // vertex count
 	batches []evolve.Batch
 	want    []byte // the clean in-order replay's compacted CSR
 }
@@ -267,7 +250,7 @@ func newStreamRun(cfg StreamConfig) (*streamRun, error) {
 	}
 	cfg.Dataset = p.Name
 	base := p.GenerateCached(cfg.Scale, cfg.Seed, cfg.CacheDir)
-	s := &streamRun{cfg: cfg, n: base.NumVertices(), reads: readMixes[cfg.Reads]}
+	s := &streamRun{cfg: cfg, n: base.NumVertices()}
 	s.batches = datagen.UpdateStream(base, cfg.Seed, cfg.Batches, cfg.BatchSize, deleteFrac)
 	m := evolve.NewMutable(base)
 	for _, b := range s.batches {
@@ -343,7 +326,7 @@ func (f *fleet) verdict(row *StreamRow) error {
 
 // sweep runs one row per element of over, each on a fresh server.
 func sweep[T any](s *streamRun, load string, over []T, row func(*Server, T) (*StreamRow, error)) (*StreamReport, error) {
-	rep := &StreamReport{Dataset: s.cfg.Dataset, Load: load + ", " + s.cfg.Reads + " reads"}
+	rep := &StreamReport{Dataset: s.cfg.Dataset, Load: load}
 	for _, x := range over {
 		srv, err := s.server()
 		if err != nil {
@@ -486,7 +469,7 @@ func (f *fleet) user(ctx context.Context, u int, st *userStats) {
 		}
 		span := tracer.Begin("stream.read", obs.KindPhase, int64(u), obs.SpanRef{})
 		t0 := time.Now()
-		epoch, live, err := f.read(rng)
+		epoch, err := f.read(rng)
 		lat := time.Since(t0)
 		tracer.End(span)
 		if err != nil {
@@ -494,51 +477,36 @@ func (f *fleet) user(ctx context.Context, u int, st *userStats) {
 			continue
 		}
 		st.lat = append(st.lat, lat)
-		if live {
-			observe(epoch)
-		}
+		observe(epoch)
 	}
 }
 
-// read issues one point query per the read workload and returns the
-// epoch it was answered at. live is false for SSSP, which answers at
-// the compacted epoch by design and so stays out of the torn-epoch
-// check.
-func (f *fleet) read(rng *rand.Rand) (epoch uint64, live bool, err error) {
+// read issues one point query, BFS 80 %, component 15 % and stats 5 %
+// of the time, and returns the epoch it was answered at. Every answer
+// is served at the live epoch.
+func (f *fleet) read(rng *rand.Rand) (uint64, error) {
 	ctx := context.Background()
 	src := graph.VertexID(rng.Intn(f.n))
 	target := graph.VertexID(rng.Intn(f.n))
 	switch p := rng.Intn(100); {
-	case p < f.reads[0]:
+	case p < 80:
 		ans, err := f.srv.BFS(ctx, f.cfg.Dataset, src, target)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
-		return ans.Epoch, true, nil
-	case p < f.reads[1]:
-		ans, err := f.srv.KHop(ctx, f.cfg.Dataset, src, int32(1+rng.Intn(3)))
-		if err != nil {
-			return 0, false, err
-		}
-		return ans.Epoch, true, nil
-	case p < f.reads[2]:
+		return ans.Epoch, nil
+	case p < 95:
 		ans, err := f.srv.Component(ctx, f.cfg.Dataset, src)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
-		return ans.Epoch, true, nil
-	case p < f.reads[3]:
-		ans, err := f.srv.SSSP(ctx, f.cfg.Dataset, src, target)
-		if err != nil {
-			return 0, false, err
-		}
-		return ans.Epoch, false, nil
+		return ans.Epoch, nil
 	default:
 		ans, err := f.srv.Stats(f.cfg.Dataset)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
-		return ans.Epoch, true, nil
+		return ans.Epoch, nil
 	}
 }
 

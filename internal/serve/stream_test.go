@@ -375,18 +375,17 @@ func TestStreamReadOnlyLoad(t *testing.T) {
 	}
 }
 
-// TestStreamThinkMixed exercises think time and the mixed read
-// workload briefly, read-only and beside writers: SSSP answers at the
-// compacted epoch and must not count as torn. The servers' generous
-// QueryTimeout matters here — the mix's first SSSP and component
-// queries compute (and certify) their answers cold, which under the
-// race detector can overrun the default per-query deadline.
+// TestStreamThinkMixed exercises think time briefly, read-only and
+// beside writers, and every answer enters the torn-epoch check. The
+// servers' generous QueryTimeout matters here — the first component
+// query at each epoch computes the component labels cold, which under
+// the race detector can overrun the default per-query deadline.
 func TestStreamThinkMixed(t *testing.T) {
 	noGoroutineLeak(t)
 	rep, err := RunStream(StreamConfig{
 		Mixes: []StreamMix{{100, 0}, {80, 20}},
 		Users: 8, Duration: 200 * time.Millisecond,
-		Think: 200 * time.Microsecond, Reads: "mixed",
+		Think:   200 * time.Microsecond,
 		Batches: 32, BatchSize: 8,
 	})
 	if err != nil {
@@ -398,7 +397,7 @@ func TestStreamThinkMixed(t *testing.T) {
 			t.Fatalf("mix %s: no queries issued", row.Mix)
 		}
 		if !row.ok() {
-			t.Fatalf("mix %s: mixed workload failed the gate: %+v", row.Mix, row)
+			t.Fatalf("mix %s: think-time workload failed the gate: %+v", row.Mix, row)
 		}
 	}
 	if rep.Rows[1].Mutations == 0 {
@@ -407,7 +406,6 @@ func TestStreamThinkMixed(t *testing.T) {
 	for name, bad := range map[string]StreamConfig{
 		"invalid mix":     {Mixes: []StreamMix{{80, 30}}},
 		"unknown dataset": {Dataset: "nope"},
-		"unknown reads":   {Reads: "bogus"},
 	} {
 		if _, err := RunStream(bad); err == nil {
 			t.Errorf("%s accepted", name)

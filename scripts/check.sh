@@ -163,7 +163,7 @@ fi
 
 if [ "$run_gap" = 1 ]; then
     echo "== gap kernels (equivalence under -race + oracle table)"
-    go test -race -run 'BFSDirOpt|RefBFSTree|SSSPDeltaStep|Validate' ./internal/algo/
+    go test -race -run 'BFSDirOpt|RefBFSTree|Validate' ./internal/algo/
     go test -run '^Test(Oracle|Cross|SSSPEquivalence)' .
 fi
 

@@ -133,9 +133,7 @@ request() {
     asked="$asked$1 ${2%%\?*}"$'\n'
 }
 request POST /query/bfs '{"dataset":"DotaLeague","src":7,"target":23}'
-request POST /query/khop '{"dataset":"DotaLeague","src":7,"k":2}'
 request POST /query/component '{"dataset":"DotaLeague","vertex":7}'
-request POST /query/sssp '{"dataset":"DotaLeague","src":7,"target":23}'
 request POST /mutate '{"dataset":"DotaLeague","seq":1,"ops":[{"src":7,"dst":23}]}'
 request POST /compact '{"dataset":"DotaLeague"}'
 request GET '/stats?dataset=DotaLeague'
