@@ -1,7 +1,9 @@
 package algo
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -69,6 +71,151 @@ func chooseLabelMaps(votes []LabelMsg, attenuation float64) (label graph.VertexI
 		score = 0
 	}
 	return bestLabel, score, true
+}
+
+// refCDSerial is RefCD as it was before its rounds ran by vertex
+// blocks: one vertex at a time, fresh arrays every round and a fresh
+// vote slice for every vertex. It is the oracle the blocked rounds must
+// equal bit for bit.
+func refCDSerial(g *graph.Graph, p Params) CDResult {
+	n := g.NumVertices()
+	labels := make([]graph.VertexID, n)
+	scores := make([]float64, n)
+	for v := range labels {
+		labels[v] = graph.VertexID(v)
+		scores[v] = p.CDInitialScore
+	}
+	iters := 0
+	for iter := 0; iter < p.CDMaxIterations; iter++ {
+		newLabels := make([]graph.VertexID, n)
+		newScores := make([]float64, n)
+		changed := false
+		for v := 0; v < n; v++ {
+			nbrs := g.Out(graph.VertexID(v))
+			if g.Directed() {
+				nbrs = append(append([]graph.VertexID(nil), nbrs...), g.In(graph.VertexID(v))...)
+			}
+			votes := make([]LabelMsg, 0, 8)
+			for _, u := range nbrs {
+				votes = append(votes, LabelMsg{labels[u], scores[u]})
+			}
+			l, s, ok := ChooseLabel(votes, p.CDHopAttenuation)
+			if !ok {
+				newLabels[v], newScores[v] = labels[v], scores[v]
+				continue
+			}
+			newLabels[v], newScores[v] = l, s
+			if l != labels[v] {
+				changed = true
+			}
+		}
+		labels, scores = newLabels, newScores
+		iters++
+		if !changed {
+			break
+		}
+	}
+	return CDResult{Labels: labels, Communities: CountLabels(labels), Iterations: iters}
+}
+
+// raggedCDGraph has three full blocks of RefCD and seven vertices over:
+// a sparse random graph on the blocks, with extra arcs across every
+// block edge, and a seven-vertex clique of its own at the tail. The
+// clique settles in a few rounds while the rest keeps changing, so a
+// round that took its changed flag from one block would stop early.
+func raggedCDGraph(directed bool) *graph.Graph {
+	const body = 3 * cdBlock
+	n := body + 7
+	rng := NewRand(5, int64(n))
+	b := graph.NewBuilder(n, directed)
+	for i := 0; i < 3*body; i++ {
+		b.AddEdge(graph.VertexID(rng.Intn(body)), graph.VertexID(rng.Intn(body)))
+	}
+	for edge := cdBlock; edge < body; edge += cdBlock {
+		for i := 0; i < 16; i++ {
+			b.AddEdge(graph.VertexID(edge-1-rng.Intn(4)), graph.VertexID(edge+rng.Intn(4)))
+		}
+	}
+	for u := body; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			b.AddEdge(graph.VertexID(u), graph.VertexID(v))
+		}
+	}
+	return b.Build()
+}
+
+// TestRefCDMatchesSerial holds RefCD's blocked rounds to the
+// one-vertex-at-a-time loop: random graphs of 1-24 vertices (edgeless
+// and disconnected ones included) in one block, and a graph of three
+// blocks and a ragged tail at GOMAXPROCS 1, 2 and 4, with round limits
+// of 0 and 1 and runs that converge before their limit.
+func TestRefCDMatchesSerial(t *testing.T) {
+	check := func(label string, g *graph.Graph, p Params) (early bool) {
+		t.Helper()
+		got, want := RefCD(g, p), refCDSerial(g, p)
+		if !reflect.DeepEqual(got, want) {
+			v := 0
+			for v < min(len(got.Labels), len(want.Labels)) && got.Labels[v] == want.Labels[v] {
+				v++
+			}
+			t.Fatalf("%s, %d rounds: RefCD gives %d communities in %d rounds, one vertex at a time %d in %d; first label difference at vertex %d",
+				label, p.CDMaxIterations, got.Communities, got.Iterations, want.Communities, want.Iterations, v)
+		}
+		return got.Iterations < p.CDMaxIterations
+	}
+	rng := NewRand(17)
+	early := 0
+	for i := 0; i < 400; i++ {
+		n, directed := 1+rng.Intn(24), rng.Intn(2) == 1
+		b := graph.NewBuilder(n, directed)
+		for e := rng.Intn(2 * n); e > 0; e-- {
+			b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
+		}
+		p := DefaultParams(1)
+		p.CDMaxIterations = []int{0, 1, 2, 5, 20}[rng.Intn(5)]
+		p.CDHopAttenuation = []float64{0, 0.1, 0.25}[rng.Intn(3)]
+		p.CDInitialScore = []float64{1, 0.5}[rng.Intn(2)]
+		if check(fmt.Sprintf("graph %d (n=%d directed=%v)", i, n, directed), b.Build(), p) {
+			early++
+		}
+	}
+	if early == 0 {
+		t.Fatal("no random graph converged before its round limit")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, directed := range []bool{false, true} {
+		g := raggedCDGraph(directed)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for _, rounds := range []int{0, 1, 5, 40} {
+				p := DefaultParams(1)
+				p.CDMaxIterations = rounds
+				check(fmt.Sprintf("ragged graph (directed=%v) at GOMAXPROCS %d", directed, procs), g, p)
+			}
+		}
+	}
+}
+
+// TestRefCDAllocsIndependentOfEdges pins that RefCD allocates per call
+// and per worker, not per vertex or per round: KGS@8 has twice the
+// vertices and edges of KGS@16 and must allocate the same count within
+// a small slack (a further doubling of the reused vote buffer, and
+// CountLabels's map). testing.AllocsPerRun runs at GOMAXPROCS 1.
+func TestRefCDAllocsIndependentOfEdges(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	const slack = 16
+	p := DefaultParams(42)
+	allocs := func(g *graph.Graph) float64 {
+		return testing.AllocsPerRun(3, func() { RefCD(g, p) })
+	}
+	small, large := profileGraph(t, "KGS", 16), profileGraph(t, "KGS", 8)
+	a, b := allocs(small), allocs(large)
+	t.Logf("%.0f allocations on %v, %.0f on %v", a, small, b, large)
+	if b > a+slack {
+		t.Errorf("%.0f allocations on %v, %.0f on %v; want at most %d more", a, small, b, large, slack)
+	}
 }
 
 // boundaryGraph is a random graph on n vertices whose vertices at the
@@ -382,8 +529,14 @@ func BenchmarkChooseLabel(b *testing.B) {
 	votes := make([][]LabelMsg, g.NumVertices())
 	longest := 0
 	for v := range votes {
-		for _, u := range neighborsBoth(g, graph.VertexID(v)) {
-			votes[v] = append(votes[v], LabelMsg{labels[u], 1 - 0.1*float64(u%3)})
+		var in []graph.VertexID
+		if g.Directed() {
+			in = g.In(graph.VertexID(v))
+		}
+		for _, nbrs := range [2][]graph.VertexID{g.Out(graph.VertexID(v)), in} {
+			for _, u := range nbrs {
+				votes[v] = append(votes[v], LabelMsg{labels[u], 1 - 0.1*float64(u%3)})
+			}
 		}
 		longest = max(longest, len(votes[v]))
 	}
@@ -395,5 +548,24 @@ func BenchmarkChooseLabel(b *testing.B) {
 			copy(s, vs)
 			ChooseLabel(s, p.CDHopAttenuation)
 		}
+	}
+}
+
+// BenchmarkRefCD times the CD reference on the batch workloads' set-up
+// graphs (seed 42): KGS@16 and WikiTalk@2 are batch-generic's, KGS@8
+// and Amazon@2 batch-graph's. Its rows at -cpu 1 and 2 are the RefCD
+// table of DESIGN.md §9.
+func BenchmarkRefCD(b *testing.B) {
+	p := DefaultParams(42)
+	for _, d := range []struct {
+		name  string
+		scale int
+	}{{"KGS", 16}, {"KGS", 8}, {"Amazon", 2}, {"WikiTalk", 2}} {
+		g := profileGraph(b, d.name, d.scale)
+		b.Run(d.name+"@"+itoa(d.scale), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				RefCD(g, p)
+			}
+		})
 	}
 }

@@ -3,8 +3,10 @@ package algo
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // Reference sequential implementations. Every platform implementation
@@ -77,10 +79,17 @@ func RefConn(g *graph.Graph) ConnResult {
 	for len(frontier) > 0 {
 		var next []graph.VertexID
 		for _, u := range frontier {
-			for _, v := range neighborsBoth(g, u) {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					next = append(next, v)
+			// Weak connectivity: In as well as Out on directed graphs.
+			var in []graph.VertexID
+			if g.Directed() {
+				in = g.In(u)
+			}
+			for _, nbrs := range [2][]graph.VertexID{g.Out(u), in} {
+				for _, v := range nbrs {
+					if dist[v] < 0 {
+						dist[v] = dist[u] + 1
+						next = append(next, v)
+					}
 				}
 			}
 		}
@@ -97,53 +106,63 @@ func RefConn(g *graph.Graph) ConnResult {
 	}
 }
 
-// neighborsBoth returns out+in neighbours for directed graphs (weak
-// connectivity), plain adjacency for undirected.
-func neighborsBoth(g *graph.Graph, v graph.VertexID) []graph.VertexID {
-	if !g.Directed() {
-		return g.Out(v)
-	}
-	out := g.Out(v)
-	in := g.In(v)
-	all := make([]graph.VertexID, 0, len(out)+len(in))
-	all = append(all, out...)
-	all = append(all, in...)
-	return all
-}
+// cdBlock is the number of vertices per task of a RefCD round, as
+// graph's triangleBlock is of AvgLCC: per-vertex work follows degree,
+// which is uneven, so blocks are small enough to balance.
+const cdBlock = 256
 
 // RefCD runs synchronous community detection (Leung et al.) for up to
-// p.CDMaxIterations rounds.
+// p.CDMaxIterations rounds. A round is a pure function of the previous
+// round's labels and scores, so it runs over cdBlock-vertex blocks in
+// parallel, each worker filling one vote buffer of its own. Every
+// vertex hands ChooseLabel the same votes whatever the schedule (Out,
+// then In on directed graphs), and ChooseLabel sorts them, so the
+// result does not depend on the worker count.
 func RefCD(g *graph.Graph, p Params) CDResult {
 	n := g.NumVertices()
-	labels := make([]graph.VertexID, n)
-	scores := make([]float64, n)
+	labels, newLabels := make([]graph.VertexID, n), make([]graph.VertexID, n)
+	scores, newScores := make([]float64, n), make([]float64, n)
 	for v := range labels {
 		labels[v] = graph.VertexID(v)
 		scores[v] = p.CDInitialScore
 	}
-	iters := 0
-	for iter := 0; iter < p.CDMaxIterations; iter++ {
-		newLabels := make([]graph.VertexID, n)
-		newScores := make([]float64, n)
-		changed := false
-		for v := 0; v < n; v++ {
-			votes := make([]LabelMsg, 0, 8)
-			for _, u := range neighborsBoth(g, graph.VertexID(v)) {
-				votes = append(votes, LabelMsg{labels[u], scores[u]})
+	tasks := (n + cdBlock - 1) / cdBlock
+	workers := par.Workers()
+	votes := make([][]LabelMsg, min(workers, tasks))
+	changed := make([]bool, tasks)
+	round := func(w, b int) {
+		lo, hi := b*cdBlock, min((b+1)*cdBlock, n)
+		buf, ch := votes[w], false
+		for v := graph.VertexID(lo); v < graph.VertexID(hi); v++ {
+			var in []graph.VertexID
+			if g.Directed() {
+				in = g.In(v)
 			}
-			l, s, ok := ChooseLabel(votes, p.CDHopAttenuation)
+			buf = buf[:0]
+			for _, nbrs := range [2][]graph.VertexID{g.Out(v), in} {
+				for _, u := range nbrs {
+					buf = append(buf, LabelMsg{labels[u], scores[u]})
+				}
+			}
+			l, s, ok := ChooseLabel(buf, p.CDHopAttenuation)
 			if !ok {
 				newLabels[v], newScores[v] = labels[v], scores[v]
 				continue
 			}
 			newLabels[v], newScores[v] = l, s
 			if l != labels[v] {
-				changed = true
+				ch = true
 			}
 		}
-		labels, scores = newLabels, newScores
+		votes[w], changed[b] = buf, ch
+	}
+	iters := 0
+	for iter := 0; iter < p.CDMaxIterations; iter++ {
+		par.For(tasks, workers, round)
+		labels, newLabels = newLabels, labels
+		scores, newScores = newScores, scores
 		iters++
-		if !changed {
+		if !slices.Contains(changed, true) {
 			break
 		}
 	}

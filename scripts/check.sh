@@ -112,6 +112,10 @@ echo "== STATS reference (-race, GOMAXPROCS 1, 2 and 4)"
 # Per-worker triangle credits must give the definition's bits.
 go test -race -cpu 1,2,4 -run 'LCC' ./internal/graph/
 
+echo "== CD reference (-race, GOMAXPROCS 1, 2 and 4)"
+# Blocked rounds must give the one-vertex-at-a-time loop's labels.
+go test -race -cpu 1,2,4 -run 'RefCD' ./internal/algo/
+
 echo "== oracle table, short rows (-race)"
 go test -race -short -run '^Test(Oracle|Cross|SSSPEquivalence)' .
 
@@ -119,7 +123,7 @@ echo "== shared STATS/CD kernels (-race; allocation pins without it)"
 # The link counter is pooled across the engines' workers. The race
 # detector changes allocation: the pins skip themselves under -race.
 go test -race -run 'LinkCounter|ChooseLabel|LCC' ./internal/algo/
-go test -run '^(TestLinkCounterAllocatesNothing|TestChooseLabelAllocatesNothing)$' ./internal/algo/
+go test -run '^(TestLinkCounterAllocatesNothing|TestChooseLabelAllocatesNothing|TestRefCDAllocsIndependentOfEdges)$' ./internal/algo/
 
 echo "== GAS engine allocation pins (without -race)"
 # Typed values and one reused accumulator per worker: the pins skip
