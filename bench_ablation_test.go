@@ -13,8 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graphdb"
 	"repro/internal/mapreduce"
-	"repro/internal/mralgo"
-	"repro/internal/pactalgo"
+	"repro/internal/partition"
 	"repro/internal/pregel"
 	"repro/internal/pregelalgo"
 )
@@ -80,7 +79,7 @@ func BenchmarkAblationHadoopCombiner(b *testing.B) {
 	b.ReportAllocs()
 	g := ablationGraph(b, "KGS")
 	adj := algo.NewAdjacency(g)
-	input := mralgo.BuildDataset(g, adj, false)
+	input := algo.VertexRecords(g, adj, false)
 	for _, withCombiner := range []bool{false, true} {
 		name := "off"
 		if withCombiner {
@@ -108,9 +107,9 @@ func BenchmarkAblationStratosphereChannels(b *testing.B) {
 	b.ReportAllocs()
 	g := ablationGraph(b, "KGS")
 	adj := algo.NewAdjacency(g)
-	input := pactalgo.BuildDataset(g, adj, false)
+	input := algo.VertexRecords(g, adj, false)
 	type (
-		record    = dataflow.Record[algo.Rec]
+		record    = partition.Record[algo.Rec]
 		collector = dataflow.Collector[algo.Rec]
 	)
 	round := func(e *dataflow.Engine) {
@@ -384,7 +383,7 @@ func BenchmarkAblationHadoopSortBuffer(b *testing.B) {
 	b.ReportAllocs()
 	g := ablationGraph(b, "KGS")
 	adj := algo.NewAdjacency(g)
-	input := mralgo.BuildDataset(g, adj, false)
+	input := algo.VertexRecords(g, adj, false)
 	for _, bufKB := range []int64{0, 64, 16} {
 		name := "1.5GB-default"
 		if bufKB > 0 {

@@ -86,6 +86,44 @@ type BFSResult struct {
 	Iterations int
 }
 
+// BFSOf makes the BFSResult of per-vertex levels, -1 where a vertex is
+// unreached, and keeps levels as its Levels. Iterations is the deepest
+// level, the source's eccentricity within the reached set.
+func BFSOf(levels []int32) BFSResult {
+	r := BFSResult{Levels: levels}
+	for _, l := range levels {
+		if l >= 0 {
+			r.Visited++
+			r.Iterations = max(r.Iterations, int(l))
+		}
+	}
+	return r
+}
+
+// SSSPResult is single-source shortest paths output.
+type SSSPResult struct {
+	// Dist[v] is the weighted distance from the source, -1 if
+	// unreached.
+	Dist []int64
+	// Visited counts reached vertices.
+	Visited int
+	// Iterations is the number of relaxation phases executed.
+	Iterations int
+}
+
+// SSSPOf makes the SSSPResult of per-vertex distances from the source,
+// -1 where a vertex is unreached, after iterations relaxation phases,
+// and keeps dist as its Dist.
+func SSSPOf(dist []int64, iterations int) SSSPResult {
+	r := SSSPResult{Dist: dist, Iterations: iterations}
+	for _, d := range dist {
+		if d >= 0 {
+			r.Visited++
+		}
+	}
+	return r
+}
+
 // ConnResult is CONN output.
 type ConnResult struct {
 	// Labels[v] is the smallest vertex ID in v's (weak) component.

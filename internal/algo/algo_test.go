@@ -2,6 +2,7 @@ package algo
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 func triangle() *graph.Graph {
@@ -63,6 +65,96 @@ func TestRefBFS(t *testing.T) {
 	}
 	if len(r.Levels) != 6 {
 		t.Fatalf("levels cover %d vertices, want all 6", len(r.Levels))
+	}
+}
+
+func TestRefBFSPath(t *testing.T) {
+	r := RefBFS(pathGraph(5, false), 0)
+	if r.Visited != 5 {
+		t.Fatalf("Visited = %d, want 5", r.Visited)
+	}
+	if r.Iterations != 4 {
+		t.Fatalf("Iterations = %d, want 4", r.Iterations)
+	}
+	for i, want := range []int32{0, 1, 2, 3, 4} {
+		if r.Levels[i] != want {
+			t.Fatalf("Levels[%d] = %d, want %d", i, r.Levels[i], want)
+		}
+	}
+	// Coverage as Table 5 computes it.
+	if got := float64(r.Visited) / float64(len(r.Levels)); got != 1.0 {
+		t.Fatalf("coverage = %v, want 1", got)
+	}
+}
+
+func TestRefBFSDirectedPartialCoverage(t *testing.T) {
+	// 0 -> 1, 2 -> 1: from 0 we reach {0, 1} only (out-edges).
+	b := graph.NewBuilder(3, true)
+	b.AddEdge(0, 1)
+	b.AddEdge(2, 1)
+	r := RefBFS(b.Build(), 0)
+	if r.Visited != 2 {
+		t.Fatalf("Visited = %d, want 2", r.Visited)
+	}
+	if r.Levels[2] != -1 {
+		t.Fatalf("Levels[2] = %d, want -1", r.Levels[2])
+	}
+}
+
+func TestQuickRefBFSLevelsConsistent(t *testing.T) {
+	f := func(seed int64, rawN uint8, rawE uint16, directed bool) bool {
+		n := int(rawN)%40 + 2
+		e := int(rawE) % 200
+		rng := rand.New(rand.NewSource(seed))
+		b := graph.NewBuilder(n, directed)
+		for i := 0; i < e; i++ {
+			b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
+		}
+		g := b.Build()
+		r := RefBFS(g, 0)
+		if r.Levels[0] != 0 {
+			return false
+		}
+		// Edge relaxation: level[v] <= level[u]+1 for every arc u->v
+		// with u reached.
+		for u := graph.VertexID(0); u < graph.VertexID(n); u++ {
+			if r.Levels[u] < 0 {
+				continue
+			}
+			for _, v := range g.Out(u) {
+				if r.Levels[v] < 0 || r.Levels[v] > r.Levels[u]+1 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestResultsOfPerVertexState(t *testing.T) {
+	b := BFSOf([]int32{2, -1, 0, 5})
+	if !slices.Equal(b.Levels, []int32{2, -1, 0, 5}) || b.Visited != 3 || b.Iterations != 5 {
+		t.Fatalf("BFSOf = %+v", b)
+	}
+	s := SSSPOf([]int64{2, -1, 0, 5}, 7)
+	if !slices.Equal(s.Dist, []int64{2, -1, 0, 5}) || s.Visited != 3 || s.Iterations != 7 {
+		t.Fatalf("SSSPOf = %+v", s)
+	}
+	// A final state in any order; Dists marks a vertex without a
+	// record unreached, and messages are not vertex state.
+	g := pathGraph(3, false)
+	adj := NewAdjacency(g)
+	recs := VertexRecords(g, adj, false)
+	recs[0].Value.Dist, recs[1].Value.Label = 4, 7
+	final := partition.Dataset[Rec]{recs[1], {Key: 2, Value: DistRec(9)}, recs[0]}
+	if got := Dists[int32](final, 3); !slices.Equal(got, []int32{4, -1, -1}) {
+		t.Fatalf("Dists = %v", got)
+	}
+	if got := Labels(final, 3); !slices.Equal(got, []graph.VertexID{0, 7, 0}) {
+		t.Fatalf("Labels = %v", got)
 	}
 }
 

@@ -11,9 +11,7 @@ import (
 // Suite): GapOptions, the one-lane entry point BFSDirOpt and the
 // BFSTree it returns, and the 64-aligned work ranges (alignedRanges)
 // that BFSMultiSource sweeps. The kernel itself is BFSMultiSource; no
-// simulated cluster accounting runs here. SSSPResult, the
-// single-source shortest-paths output, is the type every engine's SSSP
-// returns and RefSSSP and ValidateSSSP check.
+// simulated cluster accounting runs here.
 //
 // The kernel is deterministic in its inputs: for any worker count the
 // outputs are byte-identical. BFS levels are unique fixed points and
@@ -66,15 +64,4 @@ func BFSDirOpt(g *graph.Graph, src graph.VertexID, opt GapOptions) *BFSTree {
 		panic(err)
 	}
 	return trees[0]
-}
-
-// SSSPResult is single-source shortest paths output.
-type SSSPResult struct {
-	// Dist[v] is the weighted distance from the source, -1 if
-	// unreached.
-	Dist []int64
-	// Visited counts reached vertices.
-	Visited int
-	// Iterations is the number of relaxation phases executed.
-	Iterations int
 }

@@ -21,10 +21,31 @@ func RefStats(g *graph.Graph) StatsResult {
 	}
 }
 
-// RefBFS runs the reference breadth-first search.
+// RefBFS runs the reference breadth-first search: a sequential search
+// from src through one FIFO queue, following out-edges only (as the
+// paper does for directed graphs). The queue holds each level after
+// the one before, so a vertex's level is that of the first vertex it
+// is reached from, plus one.
 func RefBFS(g *graph.Graph, src graph.VertexID) BFSResult {
-	r := g.BFSFrom(src)
-	return BFSResult{Levels: r.Level, Visited: r.Visited, Iterations: r.Iterations}
+	level := make([]int32, g.NumVertices())
+	for i := range level {
+		level[i] = -1
+	}
+	level[src] = 0
+	queue := make([]graph.VertexID, len(level))
+	queue[0] = src
+	tail := 1
+	for head := 0; head < tail; head++ {
+		u := queue[head]
+		for _, v := range g.Out(u) {
+			if level[v] < 0 {
+				level[v] = level[u] + 1
+				queue[tail] = v
+				tail++
+			}
+		}
+	}
+	return BFSOf(level)
 }
 
 // RefBFSTree is RefBFS with a parent array: the parent of each reached

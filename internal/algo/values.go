@@ -6,16 +6,25 @@ import (
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
-// Rec is the one record the record-oriented platforms (MapReduce,
-// PACT) shuffle, by value: a vertex's state or one of the messages
-// their jobs exchange, told apart by Kind. It holds no pointer — a
-// neighbour list rides as a Span into the run's Adjacency — so a
-// dataset of records is one pointer-free array the garbage collector
-// never scans and an append never write-barriers. Size reproduces the
-// serialised footprint of the paper's plain-text-like framing; it
-// drives every shuffle, disk and memory account.
+// The values the platform programs move. Rec is the value of the
+// record-oriented platforms (MapReduce, PACT), which read
+// VertexRecords and whose final state Labels and Dists read; the
+// *Msg types are the Pregel programs' messages, and DistMsg and
+// WDistMsg their BFS and SSSP vertex values too. Every one is a
+// partition.Sized value: its Size is the footprint every shuffle,
+// disk and memory account charges.
+
+// Rec is the one value the record-oriented platforms shuffle, by
+// value, in a partition.Record: a vertex's state or one of the
+// messages their jobs exchange, told apart by Kind. It holds no
+// pointer — a neighbour list rides as a Span into the run's
+// Adjacency — so a dataset of records is one pointer-free array the
+// garbage collector never scans and an append never write-barriers.
+// Size reproduces the serialised footprint of the paper's
+// plain-text-like framing.
 type Rec struct {
 	// Dist is a vertex's BFS level or SSSP distance (-1 when
 	// unreached) and a distance candidate's value.
@@ -159,6 +168,46 @@ func spanOf(offsets []int64, v graph.VertexID) Span {
 	return Span{Off: uint32(offsets[v]), Len: uint32(offsets[v+1] - offsets[v])}
 }
 
+// VertexRecords returns g's vertex records keyed by vertex: the
+// dataset MapReduce and PACT read from the DFS, one record per vertex
+// in the paper's vertex-line layout, its lists named in adj
+// (NewAdjacency(g)). weighted adds the out-arc weights SSSP relaxes.
+func VertexRecords(g *graph.Graph, adj *Adjacency, weighted bool) partition.Dataset[Rec] {
+	d := make(partition.Dataset[Rec], g.NumVertices())
+	for v := range d {
+		d[v] = partition.Record[Rec]{Key: int64(v), Value: adj.Vertex(graph.VertexID(v), weighted)}
+	}
+	return d
+}
+
+// Labels reads each vertex's label off state, a final dataset of an
+// n-vertex graph's vertex records in any order.
+func Labels(state partition.Dataset[Rec], n int) []graph.VertexID {
+	labels := make([]graph.VertexID, n)
+	for _, r := range state {
+		if r.Value.Kind == KindVertex {
+			labels[r.Key] = r.Value.Label
+		}
+	}
+	return labels
+}
+
+// Dists reads each vertex's Dist off state as Labels reads its label,
+// -1 for a vertex with no record: BFS levels as D int32, SSSP
+// distances as D int64.
+func Dists[D int32 | int64](state partition.Dataset[Rec], n int) []D {
+	dist := make([]D, n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	for _, r := range state {
+		if r.Value.Kind == KindVertex {
+			dist[r.Key] = D(r.Value.Dist)
+		}
+	}
+	return dist
+}
+
 // Out returns the list r.Out names: a vertex's out-list or a list
 // message's list. It must not run concurrently with Extend.
 func (a *Adjacency) Out(r Rec) []graph.VertexID { return a.out[r.Out.Off : r.Out.Off+r.Out.Len] }
@@ -206,16 +255,18 @@ func extend(store *[]graph.VertexID, old Span, add []graph.VertexID) Span {
 // message's serialised byte footprint, the same figure the matching
 // Rec kind reports.
 
-// DistMsg is a BFS distance candidate.
+// DistMsg is a BFS distance candidate, and a BFS vertex's level (-1
+// when unreached).
 type DistMsg int32
 
-// Size makes DistMsg a pregel.Sized message.
+// Size makes DistMsg a partition.Sized value.
 func (DistMsg) Size() int64 { return 5 }
 
-// WDistMsg is a weighted (SSSP) distance candidate.
+// WDistMsg is a weighted (SSSP) distance candidate, and an SSSP
+// vertex's distance (-1 when unreached).
 type WDistMsg int64
 
-// Size makes WDistMsg a pregel.Sized message.
+// Size makes WDistMsg a partition.Sized value.
 func (WDistMsg) Size() int64 { return 9 }
 
 // LabelMsg is a CONN label or CD vote.
@@ -224,7 +275,7 @@ type LabelMsg struct {
 	Score float64
 }
 
-// Size makes LabelMsg a pregel.Sized message.
+// Size makes LabelMsg a partition.Sized value.
 func (LabelMsg) Size() int64 { return 14 }
 
 // ListMsg carries a neighbour list. STATS sends the graph's own
@@ -232,13 +283,13 @@ func (LabelMsg) Size() int64 { return 14 }
 // modify it (a pregel checkpoint shares it too).
 type ListMsg []graph.VertexID
 
-// Size makes ListMsg a pregel.Sized message.
+// Size makes ListMsg a partition.Sized value.
 func (l ListMsg) Size() int64 { return int64(len(l))*5 + 4 }
 
 // EdgeMsg carries one evolution edge.
 type EdgeMsg graph.Edge
 
-// Size makes EdgeMsg a pregel.Sized message.
+// Size makes EdgeMsg a partition.Sized value.
 func (EdgeMsg) Size() int64 { return 10 }
 
 // LinkCounter counts, for one vertex's neighbourhood, the closing links

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/partition"
 )
 
 func chaosEngine(plan fault.Plan) (*Engine, *fault.Injector, *obs.Session) {
@@ -22,10 +23,10 @@ func chaosEngine(plan fault.Plan) (*Engine, *fault.Injector, *obs.Session) {
 func sumPlan() *Plan[i64] {
 	p := NewPlan[i64]("chaos-sum")
 	src := p.Source("in", nums(120), 1200)
-	m := p.Map("mod", src, func(in Record[i64], out *Collector[i64]) {
+	m := p.Map("mod", src, func(in partition.Record[i64], out *Collector[i64]) {
 		out.Collect(in.Key%7, in.Value)
 	}, None)
-	r := p.Reduce("sum", m, func(key int64, in []Record[i64], out *Collector[i64]) {
+	r := p.Reduce("sum", m, func(key int64, in []partition.Record[i64], out *Collector[i64]) {
 		var s int64
 		for _, rec := range in {
 			s += int64(rec.Value)

@@ -7,6 +7,8 @@
 // next key-based operator consume its output over an in-memory channel
 // instead of shuffling over the network — the optimisation the paper
 // credits for Stratosphere's order-of-magnitude advantage over Hadoop.
+// Operators move keyed partition.Records, the record MapReduce moves
+// too, and a plan's sources and sinks are partition.Datasets.
 package dataflow
 
 import (
@@ -22,35 +24,9 @@ import (
 	"repro/internal/partition"
 )
 
-// Sized is the constraint on a plan's record values, which the engine
-// moves by value: Size reports a value's serialised bytes.
-type Sized interface {
-	Size() int64
-}
-
-// Record is one keyed record flowing through the plan.
-type Record[V Sized] struct {
-	Key   int64
-	Value V
-}
-
-func recBytes[V Sized](r Record[V]) int64 { return 10 + r.Value.Size() }
-
-// Dataset is a materialised record collection.
-type Dataset[V Sized] []Record[V]
-
-// Bytes returns the dataset's serialised size.
-func (d Dataset[V]) Bytes() int64 {
-	var n int64
-	for _, r := range d {
-		n += recBytes(r)
-	}
-	return n
-}
-
 // Collector receives operator output.
-type Collector[V Sized] struct {
-	out      []Record[V]
+type Collector[V partition.Sized] struct {
+	out      []partition.Record[V]
 	bytes    int64
 	extraOps int64
 }
@@ -61,18 +37,19 @@ func (c *Collector[V]) Charge(ops int64) { c.extraOps += ops }
 
 // Collect appends an output record.
 func (c *Collector[V]) Collect(key int64, v V) {
-	c.out = append(c.out, Record[V]{key, v})
-	c.bytes += 10 + v.Size()
+	r := partition.Record[V]{Key: key, Value: v}
+	c.out = append(c.out, r)
+	c.bytes += r.Bytes()
 }
 
 // User function types (the PACT first-order functions).
 type (
 	// MapFunc processes one record.
-	MapFunc[V Sized] func(in Record[V], out *Collector[V])
+	MapFunc[V partition.Sized] func(in partition.Record[V], out *Collector[V])
 	// ReduceFunc processes all records of one key.
-	ReduceFunc[V Sized] func(key int64, in []Record[V], out *Collector[V])
+	ReduceFunc[V partition.Sized] func(key int64, in []partition.Record[V], out *Collector[V])
 	// CoGroupFunc processes the full left and right groups of one key.
-	CoGroupFunc[V Sized] func(key int64, left, right []Record[V], out *Collector[V])
+	CoGroupFunc[V partition.Sized] func(key int64, left, right []partition.Record[V], out *Collector[V])
 )
 
 // Annotation is a PACT output contract: a promise about an operator's
@@ -100,7 +77,7 @@ const (
 var opNames = [...]string{"source", "map", "reduce", "cogroup", "sink"}
 
 // Node is one operator in a plan.
-type Node[V Sized] struct {
+type Node[V partition.Sized] struct {
 	id         int
 	kind       opKind
 	name       string
@@ -111,20 +88,20 @@ type Node[V Sized] struct {
 	reduceFn  ReduceFunc[V]
 	coGroupFn CoGroupFunc[V]
 
-	source     Dataset[V]
+	source     partition.Dataset[V]
 	sourceSize int64
 	writes     bool // sink only: materialise to the DFS
 }
 
 // Plan is a DAG of operators over records of value type V.
-type Plan[V Sized] struct {
+type Plan[V partition.Sized] struct {
 	name  string
 	nodes []*Node[V]
 	sinks []*Node[V]
 }
 
 // NewPlan creates an empty plan.
-func NewPlan[V Sized](name string) *Plan[V] { return &Plan[V]{name: name} }
+func NewPlan[V partition.Sized](name string) *Plan[V] { return &Plan[V]{name: name} }
 
 func (p *Plan[V]) add(n *Node[V]) *Node[V] {
 	n.id = len(p.nodes)
@@ -134,7 +111,7 @@ func (p *Plan[V]) add(n *Node[V]) *Node[V] {
 
 // Source adds an input dataset; diskBytes is its on-DFS size (0 for
 // in-memory intermediates carried between iterations).
-func (p *Plan[V]) Source(name string, d Dataset[V], diskBytes int64) *Node[V] {
+func (p *Plan[V]) Source(name string, d partition.Dataset[V], diskBytes int64) *Node[V] {
 	return p.add(&Node[V]{kind: opSource, name: name, source: d, sourceSize: diskBytes})
 }
 
@@ -208,16 +185,16 @@ func New(hw cluster.Hardware) *Engine {
 }
 
 // result of a node during execution.
-type interim[V Sized] struct {
-	parts   []Dataset[V] // partitioned by key hash when keyed
-	keyed   bool         // true if partitioned by key
+type interim[V partition.Sized] struct {
+	parts   []partition.Dataset[V] // partitioned by key hash when keyed
+	keyed   bool                   // true if partitioned by key
 	records int64
 	bytes   int64
 }
 
 // Execute runs the plan as one Nephele job on e and returns the
 // datasets of each sink, in Sink() order: fresh arrays the caller owns.
-func Execute[V Sized](e *Engine, p *Plan[V]) ([]Dataset[V], error) {
+func Execute[V partition.Sized](e *Engine, p *Plan[V]) ([]partition.Dataset[V], error) {
 	if len(p.sinks) == 0 {
 		return nil, fmt.Errorf("dataflow: plan %q has no sinks", p.name)
 	}
@@ -254,7 +231,7 @@ func Execute[V Sized](e *Engine, p *Plan[V]) ([]Dataset[V], error) {
 	sc := scratchFor[V](e)
 	sc.size(len(p.nodes), dop)
 	results := make([]*interim[V], len(p.nodes))
-	var outputs []Dataset[V]
+	var outputs []partition.Dataset[V]
 
 	for _, n := range p.nodes {
 		opSpan := tr.Begin(n.name, obs.KindOperator, int64(n.id), planSpan)
@@ -274,14 +251,14 @@ func Execute[V Sized](e *Engine, p *Plan[V]) ([]Dataset[V], error) {
 		case opMap:
 			in := channel(e, n, results[n.inputs[0].id], false, &ns.split[0])
 			out, err := runOp(e, n, planStep, inj, func() (*interim[V], int64, int64) {
-				out := &interim[V]{parts: make([]Dataset[V], dop), keyed: n.annotation == SameKey && in.keyed}
+				out := &interim[V]{parts: make([]partition.Dataset[V], dop), keyed: n.annotation == SameKey && in.keyed}
 				var ops, maxOps int64
 				var mu sync.Mutex
 				par.For(dop, runtime.GOMAXPROCS(0), func(_, i int) {
 					c := Collector[V]{out: ns.out[i][:0]}
 					var local int64
 					for _, r := range in.parts[i] {
-						local += 1 + recBytes(r)/64
+						local += 1 + r.Bytes()/64
 						n.mapFn(r, &c)
 					}
 					local += c.extraOps
@@ -306,12 +283,12 @@ func Execute[V Sized](e *Engine, p *Plan[V]) ([]Dataset[V], error) {
 		case opReduce:
 			in := channel(e, n, results[n.inputs[0].id], true, &ns.split[0])
 			out, err := runOp(e, n, planStep, inj, func() (*interim[V], int64, int64) {
-				out := &interim[V]{parts: make([]Dataset[V], dop), keyed: n.annotation == SameKey}
+				out := &interim[V]{parts: make([]partition.Dataset[V], dop), keyed: n.annotation == SameKey}
 				var ops, maxOps int64
 				var mu sync.Mutex
 				par.For(dop, runtime.GOMAXPROCS(0), func(_, i int) {
 					c := Collector[V]{out: ns.out[i][:0]}
-					local := groupApply(&sc.spare, in.parts[i], func(key int64, group []Record[V]) {
+					local := groupApply(&sc.spare, in.parts[i], func(key int64, group []partition.Record[V]) {
 						n.reduceFn(key, group, &c)
 					})
 					local += c.extraOps
@@ -337,7 +314,7 @@ func Execute[V Sized](e *Engine, p *Plan[V]) ([]Dataset[V], error) {
 			left := channel(e, n, results[n.inputs[0].id], true, &ns.split[0])
 			right := channel(e, n, results[n.inputs[1].id], true, &ns.split[1])
 			out, err := runOp(e, n, planStep, inj, func() (*interim[V], int64, int64) {
-				out := &interim[V]{parts: make([]Dataset[V], dop), keyed: n.annotation == SameKey}
+				out := &interim[V]{parts: make([]partition.Dataset[V], dop), keyed: n.annotation == SameKey}
 				var ops, maxOps int64
 				var mu sync.Mutex
 				par.For(dop, runtime.GOMAXPROCS(0), func(_, i int) {
@@ -386,7 +363,7 @@ func Execute[V Sized](e *Engine, p *Plan[V]) ([]Dataset[V], error) {
 // channel inputs, so retries never change the data. The wasted work
 // lands in recovery phases; an exhausted budget degrades to a clean
 // typed abort of the whole plan.
-func runOp[V Sized](e *Engine, n *Node[V], planStep int, inj *fault.Injector, compute func() (*interim[V], int64, int64)) (*interim[V], error) {
+func runOp[V partition.Sized](e *Engine, n *Node[V], planStep int, inj *fault.Injector, compute func() (*interim[V], int64, int64)) (*interim[V], error) {
 	var out *interim[V]
 	var ops, maxOps int64
 	site, err := inj.Retry(fault.Site{Engine: "dataflow", Op: n.name, Step: planStep, Task: n.id}, func(int) {
@@ -414,7 +391,7 @@ func runOp[V Sized](e *Engine, n *Node[V], planStep int, inj *fault.Injector, co
 	return out, nil
 }
 
-func in2[V Sized](in *interim[V], i int) Dataset[V] {
+func in2[V partition.Sized](in *interim[V], i int) partition.Dataset[V] {
 	if i < len(in.parts) {
 		return in.parts[i]
 	}
@@ -425,7 +402,7 @@ func in2[V Sized](in *interim[V], i int) Dataset[V] {
 // the operator needs key grouping and the producer did not preserve a
 // key partitioning. Repartitioning is a network shuffle; preserved
 // partitionings ride an in-memory channel for free — the optimiser.
-func channel[V Sized](e *Engine, n *Node[V], in *interim[V], needKeyed bool, slot *[]Record[V]) *interim[V] {
+func channel[V partition.Sized](e *Engine, n *Node[V], in *interim[V], needKeyed bool, slot *[]partition.Record[V]) *interim[V] {
 	ct := ChannelInMemory
 	if needKeyed && !in.keyed {
 		ct = ChannelNetwork
@@ -454,7 +431,7 @@ func channel[V Sized](e *Engine, n *Node[V], in *interim[V], needKeyed bool, slo
 				iNode := i % e.HW.Nodes
 				for _, r := range p {
 					if e.keyOwner(r.Key)%e.HW.Nodes != iNode {
-						remote += recBytes(r)
+						remote += r.Bytes()
 					}
 				}
 			}
@@ -481,7 +458,7 @@ func channel[V Sized](e *Engine, n *Node[V], in *interim[V], needKeyed bool, slo
 		records: in.records, bytes: in.bytes}
 }
 
-func addCompute[V Sized](e *Engine, n *Node[V], out *interim[V], ops, maxOps int64) {
+func addCompute[V partition.Sized](e *Engine, n *Node[V], out *interim[V], ops, maxOps int64) {
 	e.Profile.AddPhase(cluster.Phase{
 		Name: n.name + ":" + opNames[n.kind], Kind: cluster.PhaseCompute,
 		Ops: ops, MaxPartOps: maxOps,
@@ -497,9 +474,9 @@ func addCompute[V Sized](e *Engine, n *Node[V], out *interim[V], ops, maxOps int
 // order, so each group keeps its side's partition order. Groups are
 // subslices capped at their length, so an append by fn cannot clobber
 // the next group.
-func coGroupParts[V Sized](spare *partition.Spare[Record[V]], fn CoGroupFunc[V], left, right Dataset[V], c *Collector[V]) int64 {
-	left = partition.SortByKey(spare.Get(), left, recKey[V])
-	right = partition.SortByKey(spare.Get(), right, recKey[V])
+func coGroupParts[V partition.Sized](spare *partition.Spare[partition.Record[V]], fn CoGroupFunc[V], left, right partition.Dataset[V], c *Collector[V]) int64 {
+	left = partition.SortByKey(spare.Get(), left, partition.KeyOf[V])
+	right = partition.SortByKey(spare.Get(), right, partition.KeyOf[V])
 	defer spare.Put(left)
 	defer spare.Put(right)
 	var ops int64
@@ -529,15 +506,15 @@ func coGroupParts[V Sized](spare *partition.Spare[Record[V]], fn CoGroupFunc[V],
 // groupApply sorts a partition by key and applies fn per group,
 // returning the op count. The sort returns a copy, in a spare array:
 // DAG inputs are shared by several consumers.
-func groupApply[V Sized](spare *partition.Spare[Record[V]], part Dataset[V], fn func(key int64, group []Record[V])) int64 {
-	sorted := partition.SortByKey(spare.Get(), part, recKey[V])
+func groupApply[V partition.Sized](spare *partition.Spare[partition.Record[V]], part partition.Dataset[V], fn func(key int64, group []partition.Record[V])) int64 {
+	sorted := partition.SortByKey(spare.Get(), part, partition.KeyOf[V])
 	defer spare.Put(sorted)
 	var ops int64
 	for i := 0; i < len(sorted); {
 		j := i
 		var groupBytes int64
 		for j < len(sorted) && sorted[j].Key == sorted[i].Key {
-			groupBytes += recBytes(sorted[j])
+			groupBytes += sorted[j].Bytes()
 			j++
 		}
 		ops += 1 + groupBytes/64 + int64(j-i)
@@ -547,8 +524,6 @@ func groupApply[V Sized](spare *partition.Spare[Record[V]], part Dataset[V], fn 
 	return ops
 }
 
-func recKey[V Sized](r Record[V]) int64 { return r.Key }
-
 // scratch holds the arrays a plan fills besides its sink outputs, for
 // the engine's next plan to refill instead of allocating and zeroing
 // fresh ones: records hold no pointer, so a stale one pins nothing,
@@ -556,21 +531,21 @@ func recKey[V Sized](r Record[V]) int64 { return r.Key }
 // that live across operators are kept by node and partition; the
 // sorts only a running operator holds come from spare. Every sink
 // copies its result out, so nothing a plan returns lives in scratch.
-type scratch[V Sized] struct {
+type scratch[V partition.Sized] struct {
 	nodes []nodeScratch[V]
-	spare partition.Spare[Record[V]]
+	spare partition.Spare[partition.Record[V]]
 }
 
 // nodeScratch is one plan node's arrays. Partition i's slot is touched
 // only by the goroutine running partition i.
-type nodeScratch[V Sized] struct {
-	split [2][]Record[V] // per input: its repartitioning
-	out   [][]Record[V]  // per partition: the operator's output
+type nodeScratch[V partition.Sized] struct {
+	split [2][]partition.Record[V] // per input: its repartitioning
+	out   [][]partition.Record[V]  // per partition: the operator's output
 }
 
 // scratchFor returns e's scratch for records of value type V, starting
 // a fresh one when e last ran another value type.
-func scratchFor[V Sized](e *Engine) *scratch[V] {
+func scratchFor[V partition.Sized](e *Engine) *scratch[V] {
 	sc, ok := e.scratch.(*scratch[V])
 	if !ok {
 		sc = new(scratch[V])
@@ -587,7 +562,7 @@ func (sc *scratch[V]) size(nodes, par int) {
 	for i := range sc.nodes[:nodes] {
 		ns := &sc.nodes[i]
 		if len(ns.out) < par {
-			ns.out = append(ns.out, make([][]Record[V], par-len(ns.out))...)
+			ns.out = append(ns.out, make([][]partition.Record[V], par-len(ns.out))...)
 		}
 	}
 }
@@ -595,11 +570,11 @@ func (sc *scratch[V]) size(nodes, par int) {
 // split buckets the records of every part, in order, by the engine's
 // key router (key hash without an explicit partitioning, shard
 // ownership with one), refilling *slot.
-func split[V Sized](e *Engine, slot *[]Record[V], parts ...Dataset[V]) []Dataset[V] {
+func split[V partition.Sized](e *Engine, slot *[]partition.Record[V], parts ...partition.Dataset[V]) []partition.Dataset[V] {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
 	}
 	*slot = partition.Room(*slot, n)
-	return partition.SplitByOwner(Dataset[V](*slot), e.par, func(r Record[V]) int { return e.keyOwner(r.Key) }, parts...)
+	return partition.SplitByOwner(partition.Dataset[V](*slot), e.par, func(r partition.Record[V]) int { return e.keyOwner(r.Key) }, parts...)
 }

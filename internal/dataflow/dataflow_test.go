@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/partition"
 )
 
 type i64 int64
@@ -14,10 +15,10 @@ func (i64) Size() int64 { return 8 }
 
 func hw() cluster.Hardware { return cluster.DAS4(4, 1) }
 
-func nums(n int) Dataset[i64] {
-	var d Dataset[i64]
+func nums(n int) partition.Dataset[i64] {
+	var d partition.Dataset[i64]
 	for i := 0; i < n; i++ {
-		d = append(d, Record[i64]{int64(i), i64(1)})
+		d = append(d, partition.Record[i64]{Key: int64(i), Value: i64(1)})
 	}
 	return d
 }
@@ -25,10 +26,10 @@ func nums(n int) Dataset[i64] {
 func TestMapReducePipeline(t *testing.T) {
 	p := NewPlan[i64]("wordcount")
 	src := p.Source("in", nums(100), 1000)
-	m := p.Map("mod", src, func(in Record[i64], out *Collector[i64]) {
+	m := p.Map("mod", src, func(in partition.Record[i64], out *Collector[i64]) {
 		out.Collect(in.Key%5, in.Value)
 	}, None)
-	r := p.Reduce("sum", m, func(key int64, in []Record[i64], out *Collector[i64]) {
+	r := p.Reduce("sum", m, func(key int64, in []partition.Record[i64], out *Collector[i64]) {
 		var s int64
 		for _, rec := range in {
 			s += int64(rec.Value)
@@ -58,7 +59,7 @@ func TestMapReducePipeline(t *testing.T) {
 
 // innerJoin is the equi-join a CoGroup expresses: one output per
 // left/right pair sharing a key, the sum of their values.
-func innerJoin(key int64, left, right []Record[i64], out *Collector[i64]) {
+func innerJoin(key int64, left, right []partition.Record[i64], out *Collector[i64]) {
 	for _, l := range left {
 		for _, r := range right {
 			out.Collect(key, i64(int64(l.Value)+int64(r.Value)))
@@ -68,8 +69,8 @@ func innerJoin(key int64, left, right []Record[i64], out *Collector[i64]) {
 
 func TestCoGroupJoin(t *testing.T) {
 	p := NewPlan[i64]("join")
-	left := p.Source("l", Dataset[i64]{{1, i64(10)}, {2, i64(20)}, {3, i64(30)}}, 0)
-	right := p.Source("r", Dataset[i64]{{2, i64(200)}, {3, i64(300)}, {4, i64(400)}}, 0)
+	left := p.Source("l", partition.Dataset[i64]{{Key: 1, Value: i64(10)}, {Key: 2, Value: i64(20)}, {Key: 3, Value: i64(30)}}, 0)
+	right := p.Source("r", partition.Dataset[i64]{{Key: 2, Value: i64(200)}, {Key: 3, Value: i64(300)}, {Key: 4, Value: i64(400)}}, 0)
 	j := p.CoGroup("sum", left, right, innerJoin, SameKey)
 	p.Sink(j, false)
 
@@ -88,9 +89,9 @@ func TestCoGroupJoin(t *testing.T) {
 
 func TestCoGroup(t *testing.T) {
 	p := NewPlan[i64]("cogroup")
-	left := p.Source("l", Dataset[i64]{{1, i64(1)}, {1, i64(2)}}, 0)
-	right := p.Source("r", Dataset[i64]{{1, i64(3)}, {2, i64(4)}}, 0)
-	cg := p.CoGroup("counts", left, right, func(key int64, l, r []Record[i64], out *Collector[i64]) {
+	left := p.Source("l", partition.Dataset[i64]{{Key: 1, Value: i64(1)}, {Key: 1, Value: i64(2)}}, 0)
+	right := p.Source("r", partition.Dataset[i64]{{Key: 1, Value: i64(3)}, {Key: 2, Value: i64(4)}}, 0)
+	cg := p.CoGroup("counts", left, right, func(key int64, l, r []partition.Record[i64], out *Collector[i64]) {
 		out.Collect(key, i64(int64(len(l)*10+len(r))))
 	}, None)
 	p.Sink(cg, false)
@@ -114,29 +115,29 @@ func TestCoGroup(t *testing.T) {
 // both straight from a source and after a repartitioning map.
 func TestCoGroupSidesKeepPartitionOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var left, right Dataset[i64]
+	var left, right partition.Dataset[i64]
 	for i := 0; i < 5000; i++ {
-		left = append(left, Record[i64]{Key: int64(rng.Intn(300)), Value: i64(i)})
-		right = append(right, Record[i64]{Key: int64(rng.Intn(300)) - 150, Value: i64(i)})
+		left = append(left, partition.Record[i64]{Key: int64(rng.Intn(300)), Value: i64(i)})
+		right = append(right, partition.Record[i64]{Key: int64(rng.Intn(300)) - 150, Value: i64(i)})
 	}
 	p := NewPlan[i64]("order")
 	l := p.Source("l", left, 0)
 	// Negating the key twice leaves it unchanged but drops the key
 	// partitioning, so the right side crosses a network channel.
-	r := p.Map("neg", p.Map("neg", p.Source("r", right, 0), func(in Record[i64], out *Collector[i64]) {
+	r := p.Map("neg", p.Map("neg", p.Source("r", right, 0), func(in partition.Record[i64], out *Collector[i64]) {
 		out.Collect(-in.Key, in.Value)
-	}, None), func(in Record[i64], out *Collector[i64]) {
+	}, None), func(in partition.Record[i64], out *Collector[i64]) {
 		out.Collect(-in.Key, in.Value)
 	}, None)
 	var bad atomic.Int64
-	ascending := func(group []Record[i64]) {
+	ascending := func(group []partition.Record[i64]) {
 		for i := 1; i < len(group); i++ {
 			if group[i].Value <= group[i-1].Value {
 				bad.Add(1)
 			}
 		}
 	}
-	p.Sink(p.CoGroup("check", l, r, func(key int64, left, right []Record[i64], out *Collector[i64]) {
+	p.Sink(p.CoGroup("check", l, r, func(key int64, left, right []partition.Record[i64], out *Collector[i64]) {
 		ascending(left)
 		ascending(right)
 		out.Collect(key, i64(len(left)+len(right)))
@@ -163,10 +164,10 @@ func TestOptimizerAvoidsShuffle(t *testing.T) {
 	run := func(ann Annotation) int64 {
 		p := NewPlan[i64]("opt")
 		src := p.Source("in", nums(1000), 0)
-		m := p.Map("keep", src, func(in Record[i64], out *Collector[i64]) {
+		m := p.Map("keep", src, func(in partition.Record[i64], out *Collector[i64]) {
 			out.Collect(in.Key, in.Value)
 		}, ann)
-		r := p.Reduce("count", m, func(key int64, in []Record[i64], out *Collector[i64]) {
+		r := p.Reduce("count", m, func(key int64, in []partition.Record[i64], out *Collector[i64]) {
 			out.Collect(key, i64(int64(len(in))))
 		}, SameKey)
 		p.Sink(r, false)
@@ -190,10 +191,10 @@ func TestForcedFileChannel(t *testing.T) {
 	// disk round-trips.
 	p := NewPlan[i64]("file")
 	src := p.Source("in", nums(500), 0)
-	m := p.Map("scatter", src, func(in Record[i64], out *Collector[i64]) {
+	m := p.Map("scatter", src, func(in partition.Record[i64], out *Collector[i64]) {
 		out.Collect(in.Key+1, in.Value) // breaks partitioning
 	}, None)
-	r := p.Reduce("count", m, func(key int64, in []Record[i64], out *Collector[i64]) {
+	r := p.Reduce("count", m, func(key int64, in []partition.Record[i64], out *Collector[i64]) {
 		out.Collect(key, i64(int64(len(in))))
 	}, None)
 	p.Sink(r, false)
@@ -254,8 +255,8 @@ func TestProfileJobCount(t *testing.T) {
 
 func TestMultipleSinksOrder(t *testing.T) {
 	p := NewPlan[i64]("two")
-	a := p.Source("a", Dataset[i64]{{1, i64(1)}}, 0)
-	b := p.Source("b", Dataset[i64]{{2, i64(2)}}, 0)
+	a := p.Source("a", partition.Dataset[i64]{{Key: 1, Value: i64(1)}}, 0)
+	b := p.Source("b", partition.Dataset[i64]{{Key: 2, Value: i64(2)}}, 0)
 	p.Sink(a, false)
 	p.Sink(b, false)
 	outs, err := Execute(New(hw()), p)
@@ -271,10 +272,10 @@ func TestDeterministicReduce(t *testing.T) {
 	run := func() map[int64]int64 {
 		p := NewPlan[i64]("det")
 		src := p.Source("in", nums(997), 0)
-		m := p.Map("mod", src, func(in Record[i64], out *Collector[i64]) {
+		m := p.Map("mod", src, func(in partition.Record[i64], out *Collector[i64]) {
 			out.Collect(in.Key%13, in.Value)
 		}, None)
-		r := p.Reduce("count", m, func(key int64, in []Record[i64], out *Collector[i64]) {
+		r := p.Reduce("count", m, func(key int64, in []partition.Record[i64], out *Collector[i64]) {
 			out.Collect(key, i64(int64(len(in))))
 		}, SameKey)
 		p.Sink(r, false)

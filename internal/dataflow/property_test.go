@@ -15,11 +15,11 @@ func TestQuickPartitionFlattenConserves(t *testing.T) {
 		n := int(rawN) % 400
 		p := int(par)%16 + 1
 		rng := rand.New(rand.NewSource(seed))
-		var d Dataset[i64]
+		var d partition.Dataset[i64]
 		for i := 0; i < n; i++ {
-			d = append(d, Record[i64]{Key: int64(rng.Intn(100)), Value: i64(1)})
+			d = append(d, partition.Record[i64]{Key: int64(rng.Intn(100)), Value: i64(1)})
 		}
-		parts := partition.SplitByOwner(nil, p, func(r Record[i64]) int { return int(uint64(r.Key) % uint64(p)) }, d)
+		parts := partition.SplitByOwner(nil, p, func(r partition.Record[i64]) int { return int(uint64(r.Key) % uint64(p)) }, d)
 		if len(parts) != p {
 			return false
 		}
@@ -43,12 +43,12 @@ func TestQuickPartitionFlattenConserves(t *testing.T) {
 func TestQuickCoGroupJoinEqualsNestedLoopJoin(t *testing.T) {
 	f := func(seed int64, rawL, rawR uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var left, right Dataset[i64]
+		var left, right partition.Dataset[i64]
 		for i := 0; i < int(rawL)%40; i++ {
-			left = append(left, Record[i64]{Key: int64(rng.Intn(10)), Value: i64(rng.Intn(100))})
+			left = append(left, partition.Record[i64]{Key: int64(rng.Intn(10)), Value: i64(rng.Intn(100))})
 		}
 		for i := 0; i < int(rawR)%40; i++ {
-			right = append(right, Record[i64]{Key: int64(rng.Intn(10)), Value: i64(rng.Intn(100))})
+			right = append(right, partition.Record[i64]{Key: int64(rng.Intn(10)), Value: i64(rng.Intn(100))})
 		}
 		// Reference: nested loops.
 		want := 0
@@ -86,15 +86,15 @@ func TestQuickCoGroupJoinEqualsNestedLoopJoin(t *testing.T) {
 func TestQuickGroupApplyCoversEveryKeyOnce(t *testing.T) {
 	f := func(seed int64, rawN uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var d Dataset[i64]
+		var d partition.Dataset[i64]
 		keys := map[int64]int{}
 		for i := 0; i < int(rawN)%100; i++ {
 			k := int64(rng.Intn(12))
 			keys[k]++
-			d = append(d, Record[i64]{Key: k, Value: i64(1)})
+			d = append(d, partition.Record[i64]{Key: k, Value: i64(1)})
 		}
 		seen := map[int64]int{}
-		groupApply(new(partition.Spare[Record[i64]]), d, func(key int64, group []Record[i64]) {
+		groupApply(new(partition.Spare[partition.Record[i64]]), d, func(key int64, group []partition.Record[i64]) {
 			seen[key] += len(group)
 		})
 		if len(seen) != len(keys) {
@@ -115,7 +115,7 @@ func TestQuickGroupApplyCoversEveryKeyOnce(t *testing.T) {
 func TestCollectorCharge(t *testing.T) {
 	p := NewPlan[i64]("charge")
 	src := p.Source("in", nums(10), 0)
-	m := p.Map("charged", src, func(in Record[i64], out *Collector[i64]) {
+	m := p.Map("charged", src, func(in partition.Record[i64], out *Collector[i64]) {
 		out.Charge(100)
 		out.Collect(in.Key, in.Value)
 	}, None)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/algo"
 	"repro/internal/graph"
 )
 
@@ -125,14 +126,14 @@ func TestBFSDepthClassMatchesTable5(t *testing.T) {
 	for _, p := range Profiles() {
 		g := generated[p.Name]
 		src := graph.VertexID(rng.Intn(g.NumVertices()))
-		r := g.BFSFrom(src)
+		r := algo.RefBFS(g, src)
 		b := bounds[p.Name]
 		if r.Iterations < b[0] || r.Iterations > b[1] {
 			t.Errorf("%s: BFS iterations = %d, want in [%d,%d] (paper: %d)",
 				p.Name, r.Iterations, b[0], b[1], p.PaperBFSIterations)
 		}
 		// Coverage class: Citation tiny, everything else near-complete.
-		cov := 100 * r.Coverage()
+		cov := 100 * float64(r.Visited) / float64(len(r.Levels))
 		if p.Name == "Citation" {
 			if cov > 2.0 {
 				t.Errorf("Citation: coverage %.2f%%, want < 2%% (paper: 0.1%%)", cov)

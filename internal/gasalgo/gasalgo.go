@@ -187,20 +187,11 @@ func BFS(g *graph.Graph, hw cluster.Hardware, src graph.VertexID, inputBytes int
 	if err != nil {
 		return algo.BFSResult{}, nil, err
 	}
-	out := algo.BFSResult{Levels: make([]int32, g.NumVertices())}
-	maxLevel := int32(0)
+	levels := make([]int32, len(res.Values))
 	for v, val := range res.Values {
-		d := val.Dist
-		out.Levels[v] = d
-		if d >= 0 {
-			out.Visited++
-			if d > maxLevel {
-				maxLevel = d
-			}
-		}
+		levels[v] = val.Dist
 	}
-	out.Iterations = int(maxLevel)
-	return out, &res.Stats, nil
+	return algo.BFSOf(levels), &res.Stats, nil
 }
 
 // ---- SSSP -----------------------------------------------------------
@@ -271,16 +262,11 @@ func SSSP(g *graph.Graph, hw cluster.Hardware, src graph.VertexID, inputBytes in
 	if err != nil {
 		return algo.SSSPResult{}, nil, err
 	}
-	out := algo.SSSPResult{Dist: make([]int64, g.NumVertices())}
+	dist := make([]int64, len(res.Values))
 	for v, val := range res.Values {
-		d := val.Dist
-		out.Dist[v] = d
-		if d >= 0 {
-			out.Visited++
-		}
+		dist[v] = val.Dist
 	}
-	out.Iterations = res.Stats.Iterations
-	return out, &res.Stats, nil
+	return algo.SSSPOf(dist, res.Stats.Iterations), &res.Stats, nil
 }
 
 // ---- CONN -----------------------------------------------------------

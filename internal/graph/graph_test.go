@@ -203,40 +203,6 @@ func TestConnectedComponentsDirectedWeak(t *testing.T) {
 	}
 }
 
-func TestBFSFrom(t *testing.T) {
-	g := buildPath(5, false)
-	r := g.BFSFrom(0)
-	if r.Visited != 5 {
-		t.Fatalf("Visited = %d, want 5", r.Visited)
-	}
-	if r.Iterations != 4 {
-		t.Fatalf("Iterations = %d, want 4", r.Iterations)
-	}
-	for i, want := range []int32{0, 1, 2, 3, 4} {
-		if r.Level[i] != want {
-			t.Fatalf("Level[%d] = %d, want %d", i, r.Level[i], want)
-		}
-	}
-	if got := r.Coverage(); got != 1.0 {
-		t.Fatalf("Coverage = %v, want 1", got)
-	}
-}
-
-func TestBFSDirectedPartialCoverage(t *testing.T) {
-	// 0 -> 1, 2 -> 1: from 0 we reach {0, 1} only (out-edges).
-	b := NewBuilder(3, true)
-	b.AddEdge(0, 1)
-	b.AddEdge(2, 1)
-	g := b.Build()
-	r := g.BFSFrom(0)
-	if r.Visited != 2 {
-		t.Fatalf("Visited = %d, want 2", r.Visited)
-	}
-	if r.Level[2] != -1 {
-		t.Fatalf("Level[2] = %d, want -1", r.Level[2])
-	}
-}
-
 func TestSubgraph(t *testing.T) {
 	b := NewBuilder(5, false)
 	b.AddEdge(0, 1)
@@ -508,34 +474,6 @@ func TestConnectedComponentsBothPaths(t *testing.T) {
 				t.Fatalf("directed=%v GOMAXPROCS=%d: labels differ from the traversal oracle", directed, procs)
 			}
 		}
-	}
-}
-
-func TestQuickBFSLevelsConsistent(t *testing.T) {
-	f := func(seed int64, rawN uint8, rawE uint16, directed bool) bool {
-		n := int(rawN)%40 + 2
-		e := int(rawE) % 200
-		g := randomGraph(seed, n, e, directed)
-		r := g.BFSFrom(0)
-		if r.Level[0] != 0 {
-			return false
-		}
-		// Edge relaxation: level[v] <= level[u]+1 for every arc u->v
-		// with u reached.
-		for u := VertexID(0); u < VertexID(n); u++ {
-			if r.Level[u] < 0 {
-				continue
-			}
-			for _, v := range g.Out(u) {
-				if r.Level[v] < 0 || r.Level[v] > r.Level[u]+1 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

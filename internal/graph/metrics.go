@@ -396,54 +396,3 @@ func (g *Graph) LargestComponent() []VertexID {
 	}
 	return out
 }
-
-// BFSResult holds the outcome of a reference breadth-first search.
-type BFSResult struct {
-	// Level[v] is the BFS depth of v, or -1 if unreached.
-	Level []int32
-	// Visited is the number of vertices reached (including the source).
-	Visited int
-	// Iterations is the number of BFS levels expanded beyond the
-	// source, i.e. the eccentricity of the source within the reached
-	// set. This matches the per-dataset iteration counts of Table 5.
-	Iterations int
-}
-
-// BFSFrom runs a sequential breadth-first search from src, following
-// out-edges only (as the paper does for directed graphs). It is the
-// reference implementation used to validate the platform BFS.
-func (g *Graph) BFSFrom(src VertexID) *BFSResult {
-	level := make([]int32, g.n)
-	for i := range level {
-		level[i] = -1
-	}
-	level[src] = 0
-	frontier := []VertexID{src}
-	visited := 1
-	depth := 0
-	for len(frontier) > 0 {
-		var next []VertexID
-		for _, u := range frontier {
-			for _, v := range g.Out(u) {
-				if level[v] < 0 {
-					level[v] = int32(depth + 1)
-					next = append(next, v)
-					visited++
-				}
-			}
-		}
-		if len(next) > 0 {
-			depth++
-		}
-		frontier = next
-	}
-	return &BFSResult{Level: level, Visited: visited, Iterations: depth}
-}
-
-// Coverage returns the fraction of vertices reached.
-func (r *BFSResult) Coverage() float64 {
-	if len(r.Level) == 0 {
-		return 0
-	}
-	return float64(r.Visited) / float64(len(r.Level))
-}

@@ -7,7 +7,8 @@
 // object). Algorithms written against this engine genuinely execute;
 // the engine meanwhile records an execution profile (records, bytes,
 // job launches) that the cluster cost model converts to simulated
-// DAS-4 time.
+// DAS-4 time. A job reads and writes a partition.Dataset of keyed
+// partition.Records, whose Bytes is every disk and network account.
 package mapreduce
 
 import (
@@ -23,53 +24,26 @@ import (
 	"repro/internal/partition"
 )
 
-// Sized is the constraint on a job's record values, which the engine
-// moves by value: Size reports a value's serialised byte footprint,
-// used for every disk, network, and memory account.
-type Sized interface {
-	Size() int64
-}
-
-// KV is one key-value record. Keys are int64 (vertex IDs in the graph
-// jobs).
-type KV[V Sized] struct {
-	Key   int64
-	Value V
-}
-
-// Dataset is an in-memory materialisation of a DFS file's records.
-type Dataset[V Sized] []KV[V]
-
-// Bytes returns the serialised size of the dataset: per record, the
-// key (8 bytes framed to ~10 in text form) plus the value.
-func (d Dataset[V]) Bytes() int64 {
-	var n int64
-	for _, kv := range d {
-		n += 10 + kv.Value.Size()
-	}
-	return n
-}
-
 // Mapper transforms one input record into any number of output
 // records.
-type Mapper[V Sized] interface {
+type Mapper[V partition.Sized] interface {
 	Map(key int64, value V, out *Emitter[V])
 }
 
 // Reducer folds all values sharing a key into output records. It is
 // also the interface for combiners.
-type Reducer[V Sized] interface {
+type Reducer[V partition.Sized] interface {
 	Reduce(key int64, values []V, out *Emitter[V])
 }
 
 // MapperFunc adapts a function to the Mapper interface.
-type MapperFunc[V Sized] func(key int64, value V, out *Emitter[V])
+type MapperFunc[V partition.Sized] func(key int64, value V, out *Emitter[V])
 
 // Map implements Mapper.
 func (f MapperFunc[V]) Map(key int64, value V, out *Emitter[V]) { f(key, value, out) }
 
 // ReducerFunc adapts a function to the Reducer interface.
-type ReducerFunc[V Sized] func(key int64, values []V, out *Emitter[V])
+type ReducerFunc[V partition.Sized] func(key int64, values []V, out *Emitter[V])
 
 // Reduce implements Reducer.
 func (f ReducerFunc[V]) Reduce(key int64, values []V, out *Emitter[V]) { f(key, values, out) }
@@ -108,8 +82,8 @@ func (c *Counters) merge(src *Counters) {
 
 // Emitter collects records emitted by a map or reduce function and
 // accounts their sizes.
-type Emitter[V Sized] struct {
-	records  []KV[V]
+type Emitter[V partition.Sized] struct {
+	records  []partition.Record[V]
 	bytes    int64
 	extraOps int64
 	counters *Counters
@@ -122,15 +96,16 @@ func (e *Emitter[V]) Charge(ops int64) { e.extraOps += ops }
 
 // Emit appends an output record.
 func (e *Emitter[V]) Emit(key int64, v V) {
-	e.records = append(e.records, KV[V]{key, v})
-	e.bytes += 10 + v.Size()
+	r := partition.Record[V]{Key: key, Value: v}
+	e.records = append(e.records, r)
+	e.bytes += r.Bytes()
 }
 
 // Incr bumps a job counter.
 func (e *Emitter[V]) Incr(name string, n int64) { e.counters.Add(name, n) }
 
 // JobConfig describes one MapReduce job over records of value type V.
-type JobConfig[V Sized] struct {
+type JobConfig[V partition.Sized] struct {
 	Name     string
 	Mapper   Mapper[V]
 	Reducer  Reducer[V]
@@ -205,7 +180,7 @@ func opsFor(size int64) int64 { return 1 + size/64 }
 // output dataset, a fresh array the caller owns. inputBytes is the DFS
 // size of the input (what the map phase reads); the output's DFS size
 // is measured from the emitted records.
-func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int64) (Dataset[V], *JobStats, error) {
+func Run[V partition.Sized](e *Engine, cfg JobConfig[V], input partition.Dataset[V], inputBytes int64) (partition.Dataset[V], *JobStats, error) {
 	if cfg.Mapper == nil || cfg.Reducer == nil {
 		return nil, nil, fmt.Errorf("mapreduce: job %q needs a mapper and a reducer", cfg.Name)
 	}
@@ -312,11 +287,11 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 	// the input splits contiguously (classic Hadoop file splits); with
 	// one, each map task reads the records its shard owns, and
 	// splitShard remembers which shard (and therefore node) that is.
-	var splits []Dataset[V]
+	var splits []partition.Dataset[V]
 	var splitShard []int
 	if part != nil && nMaps == part.Shards {
 		sc.split = partition.Room(sc.split, len(input))
-		for s, b := range partition.SplitByOwner(Dataset[V](sc.split), nMaps, func(kv KV[V]) int { return part.OwnerOf(kv.Key) }, input) {
+		for s, b := range partition.SplitByOwner(partition.Dataset[V](sc.split), nMaps, func(kv partition.Record[V]) int { return part.OwnerOf(kv.Key) }, input) {
 			if len(b) > 0 {
 				splits = append(splits, b)
 				splitShard = append(splitShard, s)
@@ -326,7 +301,7 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 		splits = partition.SplitContiguous(input, nMaps)
 	}
 	nMapTasks := len(splits)
-	partitions := make([][][]KV[V], nMapTasks) // [map][reduce][]KV
+	partitions := make([][][]partition.Record[V], nMapTasks) // [map][reduce][]Record
 	sc.size(nMapTasks, nReds)
 	// bundleBytes[m][r] is the serialised size of partitions[m][r],
 	// taken once when the bundle is split: the shuffle, network and
@@ -355,7 +330,7 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 		// explicit partitioning), into the task's bundle array; the map
 		// output is then spare.
 		sc.bundles[m] = partition.Room(sc.bundles[m], len(em.records))
-		parts := partition.SplitByOwner(sc.bundles[m], nReds, func(kv KV[V]) int { return keyOwner(kv.Key) }, em.records)
+		parts := partition.SplitByOwner(sc.bundles[m], nReds, func(kv partition.Record[V]) int { return keyOwner(kv.Key) }, em.records)
 		outRecs, outBytes := int64(len(em.records)), em.bytes
 		sc.spare.Put(em.records)
 
@@ -363,7 +338,7 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 		var combineOut int64
 		if cfg.Combiner == nil {
 			for p := range parts {
-				sizes[p] = Dataset[V](parts[p]).Bytes()
+				sizes[p] = partition.Dataset[V](parts[p]).Bytes()
 			}
 		} else {
 			// Every bundle's combined records go to one array; a bundle
@@ -372,7 +347,7 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 			ends := make([]int, nReds)
 			for p := range parts {
 				if len(parts[p]) > 0 {
-					sorted := partition.SortByKey(sc.spare.Get(), parts[p], byKey[V])
+					sorted := partition.SortByKey(sc.spare.Get(), parts[p], partition.KeyOf[V])
 					combined, sizes[p] = foldGroups(cfg.Combiner, sorted, combined, stats.Counters)
 					sc.spare.Put(sorted)
 				}
@@ -475,7 +450,7 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 
 	// ---- Reduce phase ----------------------------------------------
 	reduceSpan := tr.Begin("reduce", obs.KindPhase, -1, jobSpan)
-	outputs := make([]Dataset[V], nReds)
+	outputs := make([]partition.Dataset[V], nReds)
 	var redOps, maxRedOps int64
 	par.For(nReds, runtime.GOMAXPROCS(0), func(_, r int) {
 		var em *Emitter[V]
@@ -484,7 +459,7 @@ func Run[V Sized](e *Engine, cfg JobConfig[V], input Dataset[V], inputBytes int6
 		for m := 0; m < nMapTasks; m++ {
 			in = append(in, partitions[m][r]...)
 		}
-		part := partition.SortByKey(sc.spare.Get(), in, byKey[V])
+		part := partition.SortByKey(sc.spare.Get(), in, partition.KeyOf[V])
 		sc.spare.Put(in)
 		if !runTask(fault.Site{Engine: "mapreduce", Op: "reduce", Step: jobStep, Task: r}, func(c *Counters) int64 {
 			em = &Emitter[V]{records: sc.reduced[r][:0], counters: c}
@@ -616,7 +591,7 @@ func scaleSkew(maxTask, total int64, tasks, workers int) int64 {
 // foldGroups applies the reducer to each group of sorted, a combiner
 // pass, appending its output to out. It returns out and the appended
 // records' serialised size.
-func foldGroups[V Sized](r Reducer[V], sorted, out []KV[V], c *Counters) ([]KV[V], int64) {
+func foldGroups[V partition.Sized](r Reducer[V], sorted, out []partition.Record[V], c *Counters) ([]partition.Record[V], int64) {
 	em := &Emitter[V]{records: out, counters: c}
 	var vals []V // reused across groups; reducers must not retain it
 	for i := 0; i < len(sorted); {
@@ -632,8 +607,6 @@ func foldGroups[V Sized](r Reducer[V], sorted, out []KV[V], c *Counters) ([]KV[V
 	return em.records, em.bytes
 }
 
-func byKey[V Sized](kv KV[V]) int64 { return kv.Key }
-
 // scratch holds the arrays a job fills besides its output, for the
 // engine's next job to refill instead of allocating and zeroing fresh
 // ones: records hold no pointer, so a stale one pins nothing, and the
@@ -642,21 +615,21 @@ func byKey[V Sized](kv KV[V]) int64 { return kv.Key }
 // slots are touched only by the goroutine running task m; arrays only
 // a running task holds come from spare, so there are about as many as
 // workers.
-type scratch[V Sized] struct {
-	split []KV[V] // owner-aligned input splits
+type scratch[V partition.Sized] struct {
+	split []partition.Record[V] // owner-aligned input splits
 	// Per map task: its output split by reducer, and those bundles
 	// combined.
-	bundles, combined [][]KV[V]
+	bundles, combined [][]partition.Record[V]
 	// Per reducer: its output.
-	reduced [][]KV[V]
+	reduced [][]partition.Record[V]
 	// A map task's output before it is split, a bundle sorted for the
 	// combiner, a reducer's gathered and sorted input.
-	spare partition.Spare[KV[V]]
+	spare partition.Spare[partition.Record[V]]
 }
 
 // scratchFor returns e's scratch for records of value type V, starting
 // a fresh one when e last ran another value type.
-func scratchFor[V Sized](e *Engine) *scratch[V] {
+func scratchFor[V partition.Sized](e *Engine) *scratch[V] {
 	sc, ok := e.scratch.(*scratch[V])
 	if !ok {
 		sc = new(scratch[V])
@@ -667,12 +640,12 @@ func scratchFor[V Sized](e *Engine) *scratch[V] {
 
 // size gives the scratch a slot per map task and per reducer.
 func (sc *scratch[V]) size(maps, reduces int) {
-	for _, slots := range []*[][]KV[V]{&sc.bundles, &sc.combined} {
+	for _, slots := range []*[][]partition.Record[V]{&sc.bundles, &sc.combined} {
 		if len(*slots) < maps {
-			*slots = append(*slots, make([][]KV[V], maps-len(*slots))...)
+			*slots = append(*slots, make([][]partition.Record[V], maps-len(*slots))...)
 		}
 	}
 	if len(sc.reduced) < reduces {
-		sc.reduced = append(sc.reduced, make([][]KV[V], reduces-len(sc.reduced))...)
+		sc.reduced = append(sc.reduced, make([][]partition.Record[V], reduces-len(sc.reduced))...)
 	}
 }

@@ -42,15 +42,15 @@ func sumJob(combiner bool) JobConfig[intVal] {
 	return cfg
 }
 
-func makeInput(n int) Dataset[intVal] {
-	var d Dataset[intVal]
+func makeInput(n int) partition.Dataset[intVal] {
+	var d partition.Dataset[intVal]
 	for i := 0; i < n; i++ {
-		d = append(d, KV[intVal]{int64(i), intVal(1)})
+		d = append(d, partition.Record[intVal]{Key: int64(i), Value: intVal(1)})
 	}
 	return d
 }
 
-func collectSums(t *testing.T, out Dataset[intVal]) map[int64]int64 {
+func collectSums(t *testing.T, out partition.Dataset[intVal]) map[int64]int64 {
 	t.Helper()
 	got := map[int64]int64{}
 	for _, kv := range out {
@@ -85,12 +85,12 @@ func TestRunBasicJob(t *testing.T) {
 
 func TestCombinerReducesShuffle(t *testing.T) {
 	in := makeInput(1000)
-	without, _ := func() (*JobStats, Dataset[intVal]) {
+	without, _ := func() (*JobStats, partition.Dataset[intVal]) {
 		e := newEngine(4)
 		out, s, _ := Run(e, sumJob(false), in, 0)
 		return s, out
 	}()
-	with, outC := func() (*JobStats, Dataset[intVal]) {
+	with, outC := func() (*JobStats, partition.Dataset[intVal]) {
 		e := newEngine(4)
 		out, s, _ := Run(e, sumJob(true), in, 0)
 		return s, out
@@ -215,9 +215,9 @@ func TestScaleSkew(t *testing.T) {
 
 func TestVariableSizeValues(t *testing.T) {
 	e := newEngine(2)
-	in := Dataset[listVal]{
-		{1, listVal{1, 2, 3}},
-		{2, listVal{4}},
+	in := partition.Dataset[listVal]{
+		{Key: 1, Value: listVal{1, 2, 3}},
+		{Key: 2, Value: listVal{4}},
 	}
 	cfg := JobConfig[listVal]{
 		Name: "ident",
@@ -244,7 +244,7 @@ func TestVariableSizeValues(t *testing.T) {
 
 func TestNegativeKeysPartitionSafely(t *testing.T) {
 	e := newEngine(4)
-	in := Dataset[intVal]{{-5, intVal(1)}, {-1, intVal(1)}, {3, intVal(1)}}
+	in := partition.Dataset[intVal]{{Key: -5, Value: intVal(1)}, {Key: -1, Value: intVal(1)}, {Key: 3, Value: intVal(1)}}
 	cfg := JobConfig[intVal]{
 		Name:   "neg",
 		Mapper: MapperFunc[intVal](func(k int64, v intVal, out *Emitter[intVal]) { out.Emit(k, v) }),

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/partition"
 )
 
 // identity job: map and reduce pass records through untouched.
@@ -25,11 +26,11 @@ func TestQuickIdentityJobConservesRecords(t *testing.T) {
 	f := func(seed int64, rawN uint16, nodes uint8) bool {
 		n := int(rawN) % 500
 		rng := rand.New(rand.NewSource(seed))
-		in := make(Dataset[intVal], n)
+		in := make(partition.Dataset[intVal], n)
 		var sum int64
 		for i := range in {
 			v := intVal(rng.Intn(1000))
-			in[i] = KV[intVal]{Key: int64(rng.Intn(50)), Value: v}
+			in[i] = partition.Record[intVal]{Key: int64(rng.Intn(50)), Value: v}
 			sum += int64(v)
 		}
 		e := New(cluster.DAS4(int(nodes)%8+1, 1))
@@ -57,9 +58,9 @@ func TestQuickShuffleBytesMatchReduceInput(t *testing.T) {
 	f := func(seed int64, rawN uint16) bool {
 		n := int(rawN)%300 + 1
 		rng := rand.New(rand.NewSource(seed))
-		in := make(Dataset[intVal], n)
+		in := make(partition.Dataset[intVal], n)
 		for i := range in {
-			in[i] = KV[intVal]{Key: int64(rng.Intn(20)), Value: intVal(1)}
+			in[i] = partition.Record[intVal]{Key: int64(rng.Intn(20)), Value: intVal(1)}
 		}
 		e := New(cluster.DAS4(4, 1))
 		_, stats, err := Run(e, identityJob(), in, 0)

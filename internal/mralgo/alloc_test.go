@@ -29,7 +29,7 @@ func TestWarmConnJobAllocCeiling(t *testing.T) {
 	}
 	g := p.GenerateScaled(60, 5)
 	adj := algo.NewAdjacency(g)
-	input := BuildDataset(g, adj, false)
+	input := algo.VertexRecords(g, adj, false)
 	e := newEngine()
 	job := connJob(adj, 0)
 	run := func() {

@@ -17,32 +17,20 @@ import (
 	"repro/internal/algo"
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
+	"repro/internal/partition"
 )
 
 // dataset is the record dataset every job of a run moves.
-type dataset = mapreduce.Dataset[algo.Rec]
+type dataset = partition.Dataset[algo.Rec]
 
 // emitter is a job's output collector.
 type emitter = mapreduce.Emitter[algo.Rec]
-
-// BuildDataset converts a graph into the vertex-record dataset stored
-// on the DFS: one record per vertex in the paper's vertex-line layout,
-// its lists named in adj (NewAdjacency(g)). weighted adds the out-arc
-// weights SSSP relaxes.
-func BuildDataset(g *graph.Graph, adj *algo.Adjacency, weighted bool) mapreduce.Dataset[algo.Rec] {
-	n := g.NumVertices()
-	d := make(dataset, n)
-	for v := 0; v < n; v++ {
-		d[v] = mapreduce.KV[algo.Rec]{Key: int64(v), Value: adj.Vertex(graph.VertexID(v), weighted)}
-	}
-	return d
-}
 
 // Stats runs STATS as a single MapReduce job: every vertex ships its
 // out-list to its whole neighbourhood; reducers intersect and count.
 func Stats(e *mapreduce.Engine, g *graph.Graph) (algo.StatsResult, error) {
 	adj := algo.NewAdjacency(g)
-	input := BuildDataset(g, adj, false)
+	input := algo.VertexRecords(g, adj, false)
 	cfg := mapreduce.JobConfig[algo.Rec]{
 		Name: "stats",
 		Mapper: mapreduce.MapperFunc[algo.Rec](func(k int64, rec algo.Rec, out *emitter) {
@@ -99,7 +87,7 @@ func Stats(e *mapreduce.Engine, g *graph.Graph) (algo.StatsResult, error) {
 // and writes the whole dataset back (the Hadoop iteration tax).
 func BFS(e *mapreduce.Engine, g *graph.Graph, src graph.VertexID) (algo.BFSResult, error) {
 	adj := algo.NewAdjacency(g)
-	input := BuildDataset(g, adj, false)
+	input := algo.VertexRecords(g, adj, false)
 	input[src].Value.Dist = 0
 
 	level := int64(0)
@@ -150,7 +138,7 @@ func BFS(e *mapreduce.Engine, g *graph.Graph, src graph.VertexID) (algo.BFSResul
 		level++
 	}
 	e.Profile.Iterations = iterations
-	return collectBFS(input, g.NumVertices()), nil
+	return algo.BFSOf(algo.Dists[int32](input, g.NumVertices())), nil
 }
 
 // minDistCombiner keeps only the smallest distance candidate per key,
@@ -174,29 +162,6 @@ func (minDistCombiner) Reduce(k int64, values []algo.Rec, out *emitter) {
 	}
 }
 
-func collectBFS(d dataset, n int) algo.BFSResult {
-	res := algo.BFSResult{Levels: make([]int32, n)}
-	for i := range res.Levels {
-		res.Levels[i] = -1
-	}
-	maxLevel := int32(0)
-	for _, kv := range d {
-		if kv.Value.Kind != algo.KindVertex {
-			continue
-		}
-		dist := int32(kv.Value.Dist)
-		res.Levels[kv.Key] = dist
-		if dist >= 0 {
-			res.Visited++
-			if dist > maxLevel {
-				maxLevel = dist
-			}
-		}
-	}
-	res.Iterations = int(maxLevel)
-	return res
-}
-
 // SSSP runs weighted single-source shortest paths as synchronous
 // Bellman-Ford, one job per relaxation round: records whose distance
 // improved in the previous round (Frontier) relax their out-arcs,
@@ -208,7 +173,7 @@ func SSSP(e *mapreduce.Engine, g *graph.Graph, src graph.VertexID) (algo.SSSPRes
 		return algo.SSSPResult{}, fmt.Errorf("mralgo: SSSP requires a weighted graph")
 	}
 	adj := algo.NewAdjacency(g)
-	input := BuildDataset(g, adj, true)
+	input := algo.VertexRecords(g, adj, true)
 	input[src].Value.Dist = 0
 	input[src].Value.Frontier = true
 
@@ -264,19 +229,7 @@ func SSSP(e *mapreduce.Engine, g *graph.Graph, src graph.VertexID) (algo.SSSPRes
 		}
 	}
 	e.Profile.Iterations = iterations
-	res := algo.SSSPResult{Dist: make([]int64, g.NumVertices()), Iterations: iterations}
-	for i := range res.Dist {
-		res.Dist[i] = -1
-	}
-	for _, kv := range input {
-		if kv.Value.Kind == algo.KindVertex {
-			res.Dist[kv.Key] = kv.Value.Dist
-			if kv.Value.Dist >= 0 {
-				res.Visited++
-			}
-		}
-	}
-	return res, nil
+	return algo.SSSPOf(algo.Dists[int64](input, g.NumVertices()), iterations), nil
 }
 
 // minWDistCombiner keeps only the smallest weighted-distance candidate
@@ -304,7 +257,7 @@ func (minWDistCombiner) Reduce(k int64, values []algo.Rec, out *emitter) {
 // propagation, one job per round, until a fixed point.
 func Conn(e *mapreduce.Engine, g *graph.Graph) (algo.ConnResult, error) {
 	adj := algo.NewAdjacency(g)
-	input := BuildDataset(g, adj, false)
+	input := algo.VertexRecords(g, adj, false)
 	iterations := 0
 	for {
 		output, stats, err := mapreduce.Run(e, connJob(adj, iterations), input, input.Bytes())
@@ -318,7 +271,7 @@ func Conn(e *mapreduce.Engine, g *graph.Graph) (algo.ConnResult, error) {
 		}
 	}
 	e.Profile.Iterations = iterations
-	labels := collectLabels(input, g.NumVertices())
+	labels := algo.Labels(input, g.NumVertices())
 	return algo.ConnResult{Labels: labels, Components: algo.CountLabels(labels), Iterations: iterations}, nil
 }
 
@@ -386,22 +339,12 @@ func (minLabelCombiner) Reduce(k int64, values []algo.Rec, out *emitter) {
 	}
 }
 
-func collectLabels(d dataset, n int) []graph.VertexID {
-	labels := make([]graph.VertexID, n)
-	for _, kv := range d {
-		if kv.Value.Kind == algo.KindVertex {
-			labels[kv.Key] = kv.Value.Label
-		}
-	}
-	return labels
-}
-
 // CD runs Leung et al. community detection: one job per round, at most
 // p.CDMaxIterations rounds. No combiner is possible — the reducer
 // needs every neighbour's (label, score) vote.
 func CD(e *mapreduce.Engine, g *graph.Graph, p algo.Params) (algo.CDResult, error) {
 	adj := algo.NewAdjacency(g)
-	input := BuildDataset(g, adj, false)
+	input := algo.VertexRecords(g, adj, false)
 	for i := range input {
 		input[i].Value.Score = p.CDInitialScore
 	}
@@ -450,7 +393,7 @@ func CD(e *mapreduce.Engine, g *graph.Graph, p algo.Params) (algo.CDResult, erro
 		}
 	}
 	e.Profile.Iterations = iterations
-	labels := collectLabels(input, g.NumVertices())
+	labels := algo.Labels(input, g.NumVertices())
 	return algo.CDResult{Labels: labels, Communities: algo.CountLabels(labels), Iterations: iterations}, nil
 }
 
@@ -460,7 +403,7 @@ func CD(e *mapreduce.Engine, g *graph.Graph, p algo.Params) (algo.CDResult, erro
 // driver's convergence/statistics check.
 func EVO(e *mapreduce.Engine, g *graph.Graph, p algo.Params) (algo.EVOResult, error) {
 	adj := algo.NewAdjacency(g)
-	input := BuildDataset(g, adj, false)
+	input := algo.VertexRecords(g, adj, false)
 	ov := algo.NewOverlay(g)
 
 	for it, batch := range algo.BatchSizes(g.NumVertices(), p) {
@@ -478,8 +421,8 @@ func EVO(e *mapreduce.Engine, g *graph.Graph, p algo.Params) (algo.EVOResult, er
 		edgeData := make(dataset, 0, len(newEdges)*2)
 		for _, ed := range newEdges {
 			edgeData = append(edgeData,
-				mapreduce.KV[algo.Rec]{Key: int64(ed.Src), Value: algo.EdgeRec(ed)},
-				mapreduce.KV[algo.Rec]{Key: int64(ed.Dst), Value: algo.EdgeRec(ed)})
+				partition.Record[algo.Rec]{Key: int64(ed.Src), Value: algo.EdgeRec(ed)},
+				partition.Record[algo.Rec]{Key: int64(ed.Dst), Value: algo.EdgeRec(ed)})
 		}
 		integrate := mapreduce.JobConfig[algo.Rec]{
 			Name: fmt.Sprintf("evo-merge-%d", it),

@@ -55,7 +55,7 @@ func TestBFSJobPerIteration(t *testing.T) {
 			reads += ph.DiskRead
 		}
 	}
-	minBytes := int64(res.Iterations) * BuildDataset(g, algo.NewAdjacency(g), false).Bytes()
+	minBytes := int64(res.Iterations) * algo.VertexRecords(g, algo.NewAdjacency(g), false).Bytes()
 	if reads < minBytes {
 		t.Fatalf("DFS reads = %d, want >= %d (full rescan per iteration)", reads, minBytes)
 	}

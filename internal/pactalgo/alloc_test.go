@@ -28,7 +28,7 @@ func TestWarmConnJobAllocCeiling(t *testing.T) {
 	}
 	g := p.GenerateScaled(60, 5)
 	adj := algo.NewAdjacency(g)
-	state := BuildDataset(g, adj, false)
+	state := algo.VertexRecords(g, adj, false)
 	e := newEngine()
 	run := func() {
 		var changed int64

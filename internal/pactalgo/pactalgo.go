@@ -17,26 +17,15 @@ import (
 	"repro/internal/algo"
 	"repro/internal/dataflow"
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 // Shorthands for the one record type every plan moves.
 type (
-	record    = dataflow.Record[algo.Rec]
-	dataset   = dataflow.Dataset[algo.Rec]
+	record    = partition.Record[algo.Rec]
+	dataset   = partition.Dataset[algo.Rec]
 	collector = dataflow.Collector[algo.Rec]
 )
-
-// BuildDataset converts a graph into the keyed vertex-record dataset,
-// its lists named in adj (NewAdjacency(g)). weighted adds the out-arc
-// weights SSSP relaxes.
-func BuildDataset(g *graph.Graph, adj *algo.Adjacency, weighted bool) dataflow.Dataset[algo.Rec] {
-	n := g.NumVertices()
-	d := make(dataset, n)
-	for v := 0; v < n; v++ {
-		d[v] = record{Key: int64(v), Value: adj.Vertex(graph.VertexID(v), weighted)}
-	}
-	return d
-}
 
 // sumCounts totals a group's count records. The clustering
 // coefficients are summed as int64 fixed point, as Hadoop's lccE12
@@ -57,7 +46,7 @@ func sumCounts(group []record) algo.Rec {
 // them ("map-reduce-reduce").
 func Stats(e *dataflow.Engine, g *graph.Graph) (algo.StatsResult, error) {
 	adj := algo.NewAdjacency(g)
-	input := BuildDataset(g, adj, false)
+	input := algo.VertexRecords(g, adj, false)
 	p := dataflow.NewPlan[algo.Rec]("stats")
 	src := p.Source("graph", input, input.Bytes())
 	shipped := p.Map("ship-lists", src, func(in record, out *collector) {
@@ -174,7 +163,7 @@ func iterationPlan(name string, iter int, state dataset, diskBytes int64, expand
 // BFS runs level-synchronous BFS, one job per level.
 func BFS(e *dataflow.Engine, g *graph.Graph, src graph.VertexID) (algo.BFSResult, error) {
 	adj := algo.NewAdjacency(g)
-	input := BuildDataset(g, adj, false)
+	input := algo.VertexRecords(g, adj, false)
 	input[src].Value.Dist = 0
 
 	state, _, err := iterate(e, "bfs", input, 0,
@@ -201,20 +190,7 @@ func BFS(e *dataflow.Engine, g *graph.Graph, src graph.VertexID) (algo.BFSResult
 	if err != nil {
 		return algo.BFSResult{}, err
 	}
-	res := algo.BFSResult{Levels: make([]int32, g.NumVertices())}
-	maxLevel := int32(0)
-	for _, r := range state {
-		d := int32(r.Value.Dist)
-		res.Levels[r.Key] = d
-		if d >= 0 {
-			res.Visited++
-			if d > maxLevel {
-				maxLevel = d
-			}
-		}
-	}
-	res.Iterations = int(maxLevel)
-	return res, nil
+	return algo.BFSOf(algo.Dists[int32](state, g.NumVertices())), nil
 }
 
 // SSSP runs weighted single-source shortest paths as synchronous
@@ -227,7 +203,7 @@ func SSSP(e *dataflow.Engine, g *graph.Graph, src graph.VertexID) (algo.SSSPResu
 		return algo.SSSPResult{}, fmt.Errorf("pactalgo: SSSP requires a weighted graph")
 	}
 	adj := algo.NewAdjacency(g)
-	input := BuildDataset(g, adj, true)
+	input := algo.VertexRecords(g, adj, true)
 	input[src].Value.Dist = 0
 	input[src].Value.Frontier = true
 
@@ -261,18 +237,7 @@ func SSSP(e *dataflow.Engine, g *graph.Graph, src graph.VertexID) (algo.SSSPResu
 	if err != nil {
 		return algo.SSSPResult{}, err
 	}
-	res := algo.SSSPResult{Dist: make([]int64, g.NumVertices()), Iterations: iterations}
-	for i := range res.Dist {
-		res.Dist[i] = -1
-	}
-	for _, r := range state {
-		d := r.Value.Dist
-		res.Dist[r.Key] = d
-		if d >= 0 {
-			res.Visited++
-		}
-	}
-	return res, nil
+	return algo.SSSPOf(algo.Dists[int64](state, g.NumVertices()), iterations), nil
 }
 
 // collectBoth sends msg to every out- then in-neighbour of r.
@@ -285,24 +250,15 @@ func collectBoth(adj *algo.Adjacency, r, msg algo.Rec, out *collector) {
 	}
 }
 
-// labelsOf reads the labels off a final state.
-func labelsOf(state dataset, n int) []graph.VertexID {
-	labels := make([]graph.VertexID, n)
-	for _, r := range state {
-		labels[r.Key] = r.Value.Label
-	}
-	return labels
-}
-
 // Conn runs min-label propagation, one job per round.
 func Conn(e *dataflow.Engine, g *graph.Graph) (algo.ConnResult, error) {
 	adj := algo.NewAdjacency(g)
-	input := BuildDataset(g, adj, false)
+	input := algo.VertexRecords(g, adj, false)
 	state, iterations, err := iterate(e, "conn", input, 0, connExpand(adj), connApply)
 	if err != nil {
 		return algo.ConnResult{}, err
 	}
-	labels := labelsOf(state, g.NumVertices())
+	labels := algo.Labels(state, g.NumVertices())
 	return algo.ConnResult{Labels: labels, Components: algo.CountLabels(labels), Iterations: iterations}, nil
 }
 
@@ -332,7 +288,7 @@ func connApply(key int64, r algo.Rec, msgs []record, changed *int64) algo.Rec {
 // at p.CDMaxIterations.
 func CD(e *dataflow.Engine, g *graph.Graph, p algo.Params) (algo.CDResult, error) {
 	adj := algo.NewAdjacency(g)
-	input := BuildDataset(g, adj, false)
+	input := algo.VertexRecords(g, adj, false)
 	for i := range input {
 		input[i].Value.Score = p.CDInitialScore
 	}
@@ -360,7 +316,7 @@ func CD(e *dataflow.Engine, g *graph.Graph, p algo.Params) (algo.CDResult, error
 	if err != nil {
 		return algo.CDResult{}, err
 	}
-	labels := labelsOf(state, g.NumVertices())
+	labels := algo.Labels(state, g.NumVertices())
 	return algo.CDResult{Labels: labels, Communities: algo.CountLabels(labels), Iterations: iterations}, nil
 }
 
@@ -370,7 +326,7 @@ func CD(e *dataflow.Engine, g *graph.Graph, p algo.Params) (algo.CDResult, error
 // Hadoop needs two.
 func EVO(e *dataflow.Engine, g *graph.Graph, p algo.Params) (algo.EVOResult, error) {
 	adj := algo.NewAdjacency(g)
-	state := BuildDataset(g, adj, false)
+	state := algo.VertexRecords(g, adj, false)
 	ov := algo.NewOverlay(g)
 	diskBytes := state.Bytes()
 

@@ -53,7 +53,7 @@ func TestBFSOneJobPerLevelPlusStore(t *testing.T) {
 	}
 	// Unlike Hadoop, the DFS is read once: intermediates ride in
 	// memory between jobs.
-	if maxRead := 2 * BuildDataset(g, algo.NewAdjacency(g), false).Bytes(); reads > maxRead {
+	if maxRead := 2 * algo.VertexRecords(g, algo.NewAdjacency(g), false).Bytes(); reads > maxRead {
 		t.Fatalf("DFS reads = %d, want <= %d (single initial read)", reads, maxRead)
 	}
 }

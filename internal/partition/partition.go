@@ -5,9 +5,11 @@
 // mirror/master replica sets over the shared CSR — and the quality
 // statistics (cut edges, replication factor, load skew) that the
 // partitioning-strategy study reports. It also holds the hash rule
-// (HashOwner) and the split, key-sort and spare-buffer helpers the
-// generic engines share; their tasks run through par.For, which owns
-// every parallel loop. The engines consume a Partitioning through
+// (HashOwner), the keyed record the generic engines move (Record,
+// its Dataset and the Sized constraint on its value, which Pregel's
+// values and messages meet too), and the split, key-sort and
+// spare-buffer helpers those engines share; their tasks run through
+// par.For, which owns every parallel loop. The engines consume a Partitioning through
 // cluster.ExecutionProfile the same way they consume observability
 // sessions and fault injectors: a nil partitioning selects each
 // engine's historical default layout, so the byte-identical
@@ -228,25 +230,16 @@ func (p *Partitioning) ReplicaSets(g *graph.Graph) []uint64 {
 		}
 	} else {
 		for u := graph.VertexID(0); u < graph.VertexID(n); u++ {
-			ob := machineBit(p.ownerClamped(u))
+			ob := machineBit(p.Owner[u])
 			seen[u] |= ob
 			for _, v := range g.Out(u) {
-				seen[u] |= machineBit(p.ownerClamped(v))
+				seen[u] |= machineBit(p.Owner[v])
 				seen[v] |= ob
 			}
 		}
 	}
 	p.replicas, p.replN, p.counts = seen, n, nil
 	return seen
-}
-
-// ownerClamped tolerates graphs slightly larger than the owner table
-// (callers should ResizeFor; this keeps stats readable regardless).
-func (p *Partitioning) ownerClamped(v graph.VertexID) int32 {
-	if int(v) < len(p.Owner) {
-		return p.Owner[v]
-	}
-	return int32(HashOwner(int64(v), p.Shards))
 }
 
 // ReplicaCounts returns per-vertex replica counts (>= 1): 1 means the
@@ -309,9 +302,9 @@ func (p *Partitioning) ComputeStats(g *graph.Graph) Stats {
 		st.ShardVertices[s] = len(m)
 	}
 	for u := graph.VertexID(0); u < graph.VertexID(n); u++ {
-		ou := p.ownerClamped(u)
+		ou := p.Owner[u]
 		for _, v := range g.Out(u) {
-			if p.ownerClamped(v) != ou {
+			if p.Owner[v] != ou {
 				st.CutArcs++
 			}
 			if p.edgeShard != nil {
@@ -344,6 +337,41 @@ func (p *Partitioning) ComputeStats(g *graph.Graph) Stats {
 		st.LoadSkew = float64(maxLoad) * float64(p.Shards) / float64(st.Arcs)
 	}
 	return st
+}
+
+// ---- keyed records (shared by mapreduce, dataflow and pregel) -------
+
+// Sized is a value whose serialised size, in bytes, an engine charges
+// to its disk, network and memory accounts: the value of a generic
+// engine's record, or a Pregel vertex value or message. The engines
+// move Sized values by value.
+type Sized interface{ Size() int64 }
+
+// Record is one keyed record of a generic engine. Keys are int64
+// (vertex IDs in the graph jobs).
+type Record[V Sized] struct {
+	Key   int64
+	Value V
+}
+
+// Bytes is the record's serialised size: the key, framed to 10 bytes
+// as in text form, plus the value.
+func (r Record[V]) Bytes() int64 { return 10 + r.Value.Size() }
+
+// KeyOf returns r's key, the order SortByKey groups records by.
+func KeyOf[V Sized](r Record[V]) int64 { return r.Key }
+
+// Dataset is a materialised collection of records: a DFS file of a
+// MapReduce job, an operator's output in a PACT plan.
+type Dataset[V Sized] []Record[V]
+
+// Bytes returns the dataset's serialised size.
+func (d Dataset[V]) Bytes() int64 {
+	var n int64
+	for _, r := range d {
+		n += r.Bytes()
+	}
+	return n
 }
 
 // ---- record splitting and sorting (shared by mapreduce and dataflow) -

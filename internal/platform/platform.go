@@ -629,7 +629,7 @@ func giraphExec(r *Result, spec Spec, cm cluster.CostModel, proj int64) (out any
 	case CD:
 		out, _, err = pregelalgo.CD(g, hw, spec.Params, limit, prof)
 	case EVO:
-		out, _, err = pregelalgo.EVO(g, hw, spec.Params, limit, prof)
+		out, err = pregelalgo.EVO(g, hw, spec.Params, limit, prof)
 	case SSSP:
 		out, _, err = pregelalgo.SSSP(weightedFor(g), hw, src, limit, prof)
 	default:

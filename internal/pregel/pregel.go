@@ -12,8 +12,9 @@
 // values live in a typed []V, outboxes hold typed envelopes, and each
 // shard receives a superstep's messages into one flat buffer with an
 // offset per member, so no message is boxed and no vertex keeps an
-// inbox of its own. Both types are Sized: the modelled bytes come from
-// their Size methods, not from the Go values.
+// inbox of its own. Both types are partition.Sized: the modelled bytes
+// the engine charges to the network, the inboxes and the checkpoints
+// come from their Size methods, not from the Go values.
 package pregel
 
 import (
@@ -34,12 +35,8 @@ import (
 // (destination ID plus headers); Giraph's wire format uses ~16.
 const messageEnvelope = 16
 
-// Sized is a vertex value or message whose serialised size, in bytes,
-// the engine charges to the network, the inboxes and the checkpoints.
-type Sized interface{ Size() int64 }
-
 // Config configures a run over vertex values V and messages M.
-type Config[V, M Sized] struct {
+type Config[V, M partition.Sized] struct {
 	// Program is the vertex computation, invoked once per active vertex
 	// per superstep with the messages delivered to it. It must be safe
 	// for concurrent calls on different vertices, and must not keep
@@ -82,7 +79,7 @@ type Stats struct {
 }
 
 // Result is the outcome of a run.
-type Result[V Sized] struct {
+type Result[V partition.Sized] struct {
 	Values []V
 	Stats  Stats
 	// Aggregators holds the final value of every aggregator.
@@ -92,7 +89,7 @@ type Result[V Sized] struct {
 // Context is the per-vertex view passed to the program. The engine
 // reuses one Context per worker across vertices and supersteps; it is
 // only valid for the duration of the program's call.
-type Context[V, M Sized] struct {
+type Context[V, M partition.Sized] struct {
 	w      *worker[V, M]
 	id     graph.VertexID
 	active bool
@@ -164,7 +161,7 @@ type envelope[M any] struct {
 	msg M
 }
 
-type worker[V, M Sized] struct {
+type worker[V, M partition.Sized] struct {
 	e    *engine[V, M]
 	node int // machine hosting this worker's shard
 	// outbox[p] collects messages for partition p this superstep. The
@@ -276,7 +273,7 @@ func (in *inbox[M]) of(i int) []M {
 // messages arrive in source-shard order, then send order. With a
 // combiner a member gets one slot, which folds its messages in that
 // order. loc maps a vertex to its index among the shard's members.
-func deliver[V, M Sized](in *inbox[M], workers []*worker[V, M], dp int, loc []int32, combine func(*M, M)) {
+func deliver[V, M partition.Sized](in *inbox[M], workers []*worker[V, M], dp int, loc []int32, combine func(*M, M)) {
 	off, cur := in.off, in.cur
 	clear(off)
 	for _, w := range workers {
@@ -308,7 +305,7 @@ func deliver[V, M Sized](in *inbox[M], workers []*worker[V, M], dp int, loc []in
 }
 
 // engine holds a run's state.
-type engine[V, M Sized] struct {
+type engine[V, M partition.Sized] struct {
 	g         *graph.Graph
 	cfg       Config[V, M]
 	part      *partition.Partitioning
@@ -334,7 +331,7 @@ func (e *engine[V, M]) valueBytes() int64 {
 
 // Run executes cfg over g on the simulated hardware, appending phases
 // to profile (which may be nil).
-func Run[V, M Sized](g *graph.Graph, hw cluster.Hardware, cfg Config[V, M], profile *cluster.ExecutionProfile) (*Result[V], error) {
+func Run[V, M partition.Sized](g *graph.Graph, hw cluster.Hardware, cfg Config[V, M], profile *cluster.ExecutionProfile) (*Result[V], error) {
 	if cfg.Program == nil {
 		return nil, fmt.Errorf("pregel: Config.Program is required")
 	}
@@ -685,7 +682,7 @@ func Run[V, M Sized](g *graph.Graph, hw cluster.Hardware, cfg Config[V, M], prof
 // fresh copies of the live arrays, so repeated restores from the same
 // snapshot stay intact; what a value or message points to is shared
 // (immutable by contract).
-type snapshot[V, M Sized] struct {
+type snapshot[V, M partition.Sized] struct {
 	superstep   int
 	values      []V
 	active      []bool

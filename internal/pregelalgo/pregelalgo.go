@@ -3,7 +3,11 @@
 // the implementations whose dynamic computation (only active vertices
 // per superstep) gives Giraph its paper-measured advantage on BFS, and
 // whose neighbourhood-exchange message volume is what crashes Giraph
-// on STATS for high-skew graphs.
+// on STATS for high-skew graphs. Messages are algo's *Msg types; BFS
+// and SSSP keep their vertex values in the same algo.DistMsg and
+// algo.WDistMsg, so only CONN/CD labels and the empty value of STATS
+// and EVO are declared here. BFS and SSSP results are read off the
+// final values by algo.BFSOf and algo.SSSPOf.
 package pregelalgo
 
 import (
@@ -14,12 +18,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/pregel"
 )
-
-// distVal is a BFS level vertex value.
-type distVal int32
-
-// Size is a BFS level's modelled bytes.
-func (distVal) Size() int64 { return 5 }
 
 // noVal is the vertex value of STATS and EVO, whose results live
 // outside the engine. It takes no bytes, so a checkpoint holds only
@@ -116,17 +114,17 @@ func minOf[D algo.DistMsg | algo.WDistMsg](dst *D, m D) {
 
 // BFS runs level-synchronous BFS from src with a min-combiner.
 func BFS(g *graph.Graph, hw cluster.Hardware, src graph.VertexID, sendLimit int64, profile *cluster.ExecutionProfile) (algo.BFSResult, *pregel.Stats, error) {
-	cfg := pregel.Config[distVal, algo.DistMsg]{
+	cfg := pregel.Config[algo.DistMsg, algo.DistMsg]{
 		Combine:          minOf[algo.DistMsg],
 		SendLimitPerNode: sendLimit,
-		InitialValue: func(v graph.VertexID) distVal {
+		InitialValue: func(v graph.VertexID) algo.DistMsg {
 			if v == src {
-				return distVal(0)
+				return 0
 			}
-			return distVal(-1)
+			return -1
 		},
 		InitiallyActive: func(v graph.VertexID) bool { return v == src },
-		Program: func(ctx *pregel.Context[distVal, algo.DistMsg], msgs []algo.DistMsg) {
+		Program: func(ctx *pregel.Context[algo.DistMsg, algo.DistMsg], msgs []algo.DistMsg) {
 			cur := int32(ctx.Value())
 			if ctx.Superstep() == 0 {
 				ctx.SendToNeighbors(algo.DistMsg(1))
@@ -140,7 +138,7 @@ func BFS(g *graph.Graph, hw cluster.Hardware, src graph.VertexID, sendLimit int6
 				}
 			}
 			if best >= 0 && cur < 0 {
-				ctx.SetValue(distVal(best))
+				ctx.SetValue(algo.DistMsg(best))
 				ctx.SendToNeighbors(algo.DistMsg(best + 1))
 			}
 			ctx.VoteToHalt()
@@ -150,32 +148,12 @@ func BFS(g *graph.Graph, hw cluster.Hardware, src graph.VertexID, sendLimit int6
 	if err != nil {
 		return algo.BFSResult{}, nil, err
 	}
-	return collectBFS(res.Values, g.NumVertices()), &res.Stats, nil
-}
-
-// collectBFS converts final distVal states into a BFSResult.
-func collectBFS(values []distVal, n int) algo.BFSResult {
-	out := algo.BFSResult{Levels: make([]int32, n)}
-	maxLevel := int32(0)
-	for v, val := range values {
-		d := int32(val)
-		out.Levels[v] = d
-		if d >= 0 {
-			out.Visited++
-			if d > maxLevel {
-				maxLevel = d
-			}
-		}
+	levels := make([]int32, len(res.Values))
+	for v, d := range res.Values {
+		levels[v] = int32(d)
 	}
-	out.Iterations = int(maxLevel)
-	return out
+	return algo.BFSOf(levels), &res.Stats, nil
 }
-
-// wdistVal is a weighted SSSP distance vertex value (-1 unreached).
-type wdistVal int64
-
-// Size is an SSSP distance's modelled bytes.
-func (wdistVal) Size() int64 { return 9 }
 
 // SSSP runs weighted single-source shortest paths as synchronous
 // Bellman-Ford with a min-combiner: every vertex whose distance
@@ -186,23 +164,23 @@ func SSSP(g *graph.Graph, hw cluster.Hardware, src graph.VertexID, sendLimit int
 	if !g.Weighted() {
 		return algo.SSSPResult{}, nil, fmt.Errorf("pregelalgo: SSSP requires a weighted graph")
 	}
-	relax := func(ctx *pregel.Context[wdistVal, algo.WDistMsg], base int64) {
+	relax := func(ctx *pregel.Context[algo.WDistMsg, algo.WDistMsg], base int64) {
 		ws := g.OutWeights(ctx.ID())
 		for i, u := range ctx.Out() {
 			ctx.Send(u, algo.WDistMsg(base+int64(ws[i])))
 		}
 	}
-	cfg := pregel.Config[wdistVal, algo.WDistMsg]{
+	cfg := pregel.Config[algo.WDistMsg, algo.WDistMsg]{
 		Combine:          minOf[algo.WDistMsg],
 		SendLimitPerNode: sendLimit,
-		InitialValue: func(v graph.VertexID) wdistVal {
+		InitialValue: func(v graph.VertexID) algo.WDistMsg {
 			if v == src {
-				return wdistVal(0)
+				return 0
 			}
-			return wdistVal(-1)
+			return -1
 		},
 		InitiallyActive: func(v graph.VertexID) bool { return v == src },
-		Program: func(ctx *pregel.Context[wdistVal, algo.WDistMsg], msgs []algo.WDistMsg) {
+		Program: func(ctx *pregel.Context[algo.WDistMsg, algo.WDistMsg], msgs []algo.WDistMsg) {
 			cur := int64(ctx.Value())
 			if ctx.Superstep() == 0 {
 				relax(ctx, 0)
@@ -216,7 +194,7 @@ func SSSP(g *graph.Graph, hw cluster.Hardware, src graph.VertexID, sendLimit int
 				}
 			}
 			if best >= 0 && (cur < 0 || best < cur) {
-				ctx.SetValue(wdistVal(best))
+				ctx.SetValue(algo.WDistMsg(best))
 				relax(ctx, best)
 			}
 			ctx.VoteToHalt()
@@ -226,16 +204,11 @@ func SSSP(g *graph.Graph, hw cluster.Hardware, src graph.VertexID, sendLimit int
 	if err != nil {
 		return algo.SSSPResult{}, nil, err
 	}
-	out := algo.SSSPResult{Dist: make([]int64, g.NumVertices())}
-	for v, val := range res.Values {
-		d := int64(val)
-		out.Dist[v] = d
-		if d >= 0 {
-			out.Visited++
-		}
+	dist := make([]int64, len(res.Values))
+	for v, d := range res.Values {
+		dist[v] = int64(d)
 	}
-	out.Iterations = res.Stats.Supersteps
-	return out, &res.Stats, nil
+	return algo.SSSPOf(dist, res.Stats.Supersteps), &res.Stats, nil
 }
 
 // minLabel folds CONN label votes to the smallest label.
@@ -366,9 +339,8 @@ func CD(g *graph.Graph, hw cluster.Hardware, p algo.Params, sendLimit int64, pro
 // superstep exchange in which every burned vertex acknowledges its new
 // edge to the burn's ambassador — the "relatively few messages" that
 // let Giraph finish EVO even on Friendster.
-func EVO(g *graph.Graph, hw cluster.Hardware, p algo.Params, sendLimit int64, profile *cluster.ExecutionProfile) (algo.EVOResult, *pregel.Stats, error) {
+func EVO(g *graph.Graph, hw cluster.Hardware, p algo.Params, sendLimit int64, profile *cluster.ExecutionProfile) (algo.EVOResult, error) {
 	ov := algo.NewOverlay(g)
-	total := &pregel.Stats{}
 	if profile != nil {
 		// One Giraph job hosts all evolution iterations.
 		profile.AddPhase(cluster.Phase{
@@ -432,20 +404,12 @@ func EVO(g *graph.Graph, hw cluster.Hardware, p algo.Params, sendLimit int64, pr
 				ctx.VoteToHalt()
 			},
 		}
-		res, err := pregel.Run(g, hw, cfg, profile)
-		if err != nil {
-			return algo.EVOResult{}, nil, err
-		}
-		total.Supersteps += res.Stats.Supersteps
-		total.TotalMessages += res.Stats.TotalMessages
-		total.TotalMsgBytes += res.Stats.TotalMsgBytes
-		total.NetBytes += res.Stats.NetBytes
-		if res.Stats.PeakInboxBytes > total.PeakInboxBytes {
-			total.PeakInboxBytes = res.Stats.PeakInboxBytes
+		if _, err := pregel.Run(g, hw, cfg, profile); err != nil {
+			return algo.EVOResult{}, err
 		}
 	}
 	if profile != nil {
 		profile.Iterations = p.EVOIterations
 	}
-	return ov.Result(), total, nil
+	return ov.Result(), nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mapreduce"
+	"repro/internal/partition"
 )
 
 func newRM() *ResourceManager {
@@ -73,9 +74,9 @@ func TestEngineRunsJobs(t *testing.T) {
 	}
 	defer am.Finish()
 
-	in := mapreduce.Dataset[unit]{}
+	in := partition.Dataset[unit]{}
 	for i := 0; i < 30; i++ {
-		in = append(in, mapreduce.KV[unit]{Key: int64(i), Value: unit{}})
+		in = append(in, partition.Record[unit]{Key: int64(i), Value: unit{}})
 	}
 	cfg := mapreduce.JobConfig[unit]{
 		Name: "count",
